@@ -238,25 +238,6 @@ func (a *Accumulator) StdErr() float64 {
 // confidence interval.
 func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
 
-// Merge folds another accumulator's state into a, as if every sample
-// b saw had been Added to a (the pairwise update of Chan, Golub &
-// LeVeque). Sample order is immaterial for mean and M2, so parallel
-// drivers can merge per-worker accumulators without replaying values.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	a.n = n
-}
-
 // TracePoint is one point of the estimate-versus-cost trace (the
 // Figure 12 curves).
 type TracePoint struct {

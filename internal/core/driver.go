@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -40,15 +39,12 @@ var (
 	_ Estimator = (*NNOBaseline)(nil)
 )
 
-// runConfig is the resolved option set of one Run call.
+// runConfig is the resolved option set of one Run call: the sampler
+// bounds plus the Driver's trace and progress sinks.
 type runConfig struct {
-	maxSamples  int
-	maxQueries  int64
-	targetCI    float64
-	progress    func([]TracePoint)
-	parallelism int
-	batch       int
-	noTrace     bool
+	sampler
+	progress func([]TracePoint)
+	noTrace  bool
 }
 
 // RunOption configures an estimation run (see Driver.Run).
@@ -61,13 +57,13 @@ func WithMaxSamples(n int) RunOption {
 }
 
 // WithMaxQueries stops the run once the service has answered n queries
-// on behalf of this run (0 = unlimited). The limit is checked between
-// samples, so a run finishes samples in flight and may overshoot by
-// one sample's worth of queries — per worker: under WithParallelism(p)
-// the overshoot can reach p in-flight samples, and under WithBatch(m)
-// each in-flight unit is a whole batch, so the bound is p×m samples'
-// worth. Against a paid or hard-capped remote API, enforce the cap on
-// the service side (ServiceOptions.Budget or the adapter) as well.
+// on behalf of this run (0 = unlimited). The limit is checked before
+// each step, so a run finishes the steps in flight and may overshoot by
+// one step's worth of queries per worker: under WithParallelism(p) up
+// to p steps are in flight, and under WithBatch(m) each step is a whole
+// batch, so the bound is p×m samples' worth. Against a paid or
+// hard-capped remote API, enforce the cap on the service side
+// (ServiceOptions.Budget or the adapter) as well.
 func WithMaxQueries(n int64) RunOption {
 	return func(c *runConfig) { c.maxQueries = n }
 }
@@ -86,9 +82,9 @@ func WithTargetCI(rel float64) RunOption {
 
 // WithProgress registers a streaming callback invoked after every
 // completed sample with one TracePoint per aggregate (index-aligned
-// with the aggs given to Run). The callback runs on the driver's
-// collector goroutine; it must not block for long and must not call
-// back into the run.
+// with the aggs given to Run). The callback runs on the goroutine that
+// called Run; it must not block for long and must not call back into
+// the run.
 func WithProgress(fn func(points []TracePoint)) RunOption {
 	return func(c *runConfig) { c.progress = fn }
 }
@@ -103,12 +99,13 @@ func WithoutTrace() RunOption {
 }
 
 // WithParallelism draws point samples from n concurrent workers, each
-// an independent Fork of the estimator, and merges their accumulator
-// states (the pairwise variance combination of Chan et al.). Samples
-// are i.i.d. and order-free, so the merged estimate has exactly the
-// same distribution as a serial run of equal size; with a remote
-// (latency-bound) Oracle the wall-clock time shrinks almost linearly
-// in n. n ≤ 1 means serial.
+// an independent Fork of the estimator, that share the run's samples;
+// the calling goroutine folds their samples into one set of running
+// means in arrival order. Samples are i.i.d. and order-free, so the
+// estimate has the same distribution as a serial run of equal size
+// (though not the same bits: which worker draws which sample depends
+// on scheduling); with a remote (latency-bound) Oracle the wall-clock
+// time shrinks almost linearly in n. n ≤ 1 means serial.
 func WithParallelism(n int) RunOption {
 	return func(c *runConfig) { c.parallelism = n }
 }
@@ -129,6 +126,10 @@ type Driver struct {
 // Run executes the estimation. See the package documentation for the
 // stopping rules; with no options it runs until the service refuses
 // further queries (lbs.ErrBudgetExhausted) or ctx is canceled.
+//
+// Run is the one-group case of the planner's execution: the caller's
+// aggregates form a single group, each its own spec, sampled as one
+// chunk with no quota.
 func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("core: no aggregates given")
@@ -137,19 +138,59 @@ func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) (
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.batch < 1 {
-		cfg.batch = 1
+	grp := &PlanGroup{Aggs: aggs}
+	for j := range aggs {
+		grp.entries = append(grp.entries, planEntry{num: j, den: -1, name: aggs[j].Name})
 	}
-	if cfg.parallelism > 1 {
-		return d.runParallel(ctx, aggs, cfg)
+	st := newGroupState(0, grp, d.Est)
+	s := cfg.sampler
+	s.svc = d.Est.Service()
+	s.startQ = s.svc.QueryCount()
+	var traces [][]TracePoint
+	if !cfg.noTrace {
+		traces = make([][]TracePoint, len(aggs))
 	}
-	return d.runSerial(ctx, aggs, cfg)
+	if traces != nil || cfg.progress != nil {
+		s.emit = func(st *groupState, _ bool) {
+			for j := range traces {
+				traces[j] = append(traces[j], st.points[j])
+			}
+			if cfg.progress != nil {
+				cfg.progress(st.points)
+			}
+		}
+	}
+	if _, err := s.run(ctx, &st, 0); err != nil {
+		return nil, err
+	}
+	if st.samples == 0 {
+		return nil, noSamples(ctx)
+	}
+	results := make([]Result, len(aggs))
+	for j := range results {
+		results[j] = st.specResult(j)
+		results[j].DegradedSamples = st.degraded
+		if traces != nil {
+			results[j].Trace = traces[j]
+		}
+	}
+	return results, nil
 }
 
 // Run is the convenience entry point the estimators' Run methods
 // delegate to: Run(ctx, est, aggs, opts...) ≡ (&Driver{Est: est}).Run.
 func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	return (&Driver{Est: est}).Run(ctx, aggs, opts...)
+}
+
+// noSamples is the error of a run that completed no sample: the
+// context's own error when it was canceled, budget exhaustion
+// otherwise.
+func noSamples(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("core: budget exhausted before completing a single sample")
 }
 
 // stopErr reports whether err ends the run gracefully rather than
@@ -185,252 +226,230 @@ func degradedCount(svc Oracle) int64 {
 	return 0
 }
 
-// ciMet reports whether every accumulator satisfies the relative
-// confidence target.
-func ciMet(accs []Accumulator, rel float64) bool {
-	if rel <= 0 {
-		return false
-	}
-	if accs[0].N() < ciMinSamples {
-		return false
-	}
-	for i := range accs {
-		if accs[i].CI95() > rel*math.Abs(accs[i].Mean()) {
-			return false
-		}
-	}
-	return true
+// groupState is one group's execution state: its sample workers, one
+// running accumulator per physical aggregate, and its account.
+type groupState struct {
+	gi  int
+	grp *PlanGroup
+	// workers[0] is the group's own estimator over grp.Aggs; forks join
+	// on the first parallel chunk and persist across chunks, so their
+	// random streams continue instead of replaying.
+	workers  []worker
+	accs     []Accumulator
+	samples  int
+	queries  int64
+	degraded int
+	done     bool
+	ciMet    bool
+	// progress buffers, reused per sample.
+	points  []TracePoint
+	partial []Result
 }
 
-// finalize assembles Results from accumulator states.
-func finalize(aggs []Aggregate, accs []Accumulator, traces [][]TracePoint, queries int64, degraded int) []Result {
-	results := make([]Result, len(aggs))
-	for j := range aggs {
-		results[j].Name = aggs[j].Name
-		results[j].Estimate = accs[j].Mean()
-		results[j].StdErr = accs[j].StdErr()
-		results[j].CI95 = accs[j].CI95()
-		results[j].Samples = accs[j].N()
-		results[j].Queries = queries
-		results[j].DegradedSamples = degraded
-		if traces != nil {
-			results[j].Trace = traces[j]
-		}
-	}
-	return results
+// worker is one sample source of a group: an estimator and the
+// aggregates it evaluates.
+type worker struct {
+	est  Estimator
+	aggs []Aggregate
 }
 
-// runSerial is the single-goroutine driver loop (the v1 semantics plus
-// cancellation, progress streaming and the CI stopping rule).
-func (d *Driver) runSerial(ctx context.Context, aggs []Aggregate, cfg runConfig) ([]Result, error) {
-	svc := d.Est.Service()
-	accs := make([]Accumulator, len(aggs))
-	traces := make([][]TracePoint, len(aggs))
-	startQ := svc.QueryCount()
-	points := make([]TracePoint, len(aggs))
-	degradedSamples := 0
-	for {
-		if cfg.maxSamples > 0 && accs[0].N() >= cfg.maxSamples {
-			break
-		}
-		if cfg.maxQueries > 0 && svc.QueryCount()-startQ >= cfg.maxQueries {
-			break
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		m := cfg.batch
-		if cfg.maxSamples > 0 {
-			if rem := cfg.maxSamples - accs[0].N(); rem < m {
-				m = rem
-			}
-		}
-		deg0 := degradedCount(svc)
-		batchVals, err := stepBatch(ctx, d.Est, aggs, m)
-		q := svc.QueryCount() - startQ
-		// Degradation is attributed at batch grain: any partial answer
-		// during the batch marks every sample the batch completed.
-		degraded := degradedCount(svc) > deg0
-		for _, vals := range batchVals {
-			if degraded {
-				degradedSamples++
-			}
-			for j := range aggs {
-				accs[j].Add(vals[j])
-				points[j] = TracePoint{Queries: q, Samples: accs[j].N(), Estimate: accs[j].Mean(), Degraded: degraded}
-				if !cfg.noTrace {
-					traces[j] = append(traces[j], points[j])
-				}
-			}
-			if cfg.progress != nil {
-				cfg.progress(points)
-			}
-		}
-		if stopErr(ctx, err) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ciMet(accs, cfg.targetCI) {
-			break
-		}
+func newGroupState(gi int, grp *PlanGroup, est Estimator) groupState {
+	return groupState{
+		gi:      gi,
+		grp:     grp,
+		workers: []worker{{est: est, aggs: grp.Aggs}},
+		accs:    make([]Accumulator, len(grp.Aggs)),
+		points:  make([]TracePoint, len(grp.Aggs)),
+		partial: make([]Result, len(grp.entries)),
 	}
-	if accs[0].N() == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
-	}
-	return finalize(aggs, accs, traces, svc.QueryCount()-startQ, degradedSamples), nil
 }
 
-// sampleMsg carries one completed sample from a worker to the
-// collector.
-type sampleMsg struct {
-	vals    []float64
-	queries int64 // run-relative query count right after the sample
-	// degraded marks the sample's batch as drawn while the shared
-	// service answered degraded. Attribution across concurrent workers
-	// is coarse (a partial answer in flight may mark another worker's
-	// overlapping batch too) — conservative in the safe direction.
+// sampler is the package's one sampling loop: it draws a group's
+// samples, folds them into the group's running means, streams each
+// one, and stops on the sample cap, the shared query budget, the
+// context or the CI target. Driver.Run runs it once over the whole
+// run; Execute runs it once per checkpoint chunk of each group.
+type sampler struct {
+	svc    Oracle
+	startQ int64 // the run's query origin: budget base and trace cost axis
+	// maxSamples caps each group (0 = unlimited); maxQueries caps the
+	// whole run (0 = unlimited).
+	maxSamples  int
+	maxQueries  int64
+	targetCI    float64
+	batch       int
+	parallelism int
+	// emit, when set, streams every folded sample; st.points holds the
+	// sample's trace points.
+	emit func(st *groupState, degraded bool)
+}
+
+// drawn is the completed samples of one worker step.
+type drawn struct {
+	vals     [][]float64
 	degraded bool
 }
 
-// runParallel executes cfg.parallelism workers, each over an
-// independent Fork of the estimator, against the shared service. Every
-// worker folds its own samples into private Accumulators; the final
-// estimate merges the per-worker states pairwise (Chan et al.), while
-// a collector goroutine orders the streamed samples into the trace,
-// drives the progress callback and evaluates the CI stopping rule.
-func (d *Driver) runParallel(ctx context.Context, aggs []Aggregate, cfg runConfig) ([]Result, error) {
-	svc := d.Est.Service()
-	startQ := svc.QueryCount()
-	n := cfg.parallelism
-
-	// Workers: the receiver itself plus n−1 forks (re-seeded so their
-	// random walks are independent).
-	ests := make([]Estimator, n)
-	ests[0] = d.Est
-	for i := 1; i < n; i++ {
-		ests[i] = d.Est.Fork(int64(i))
+// run draws up to quota samples (0 = no quota) into st. With
+// parallelism ≤ 1 the worker body runs inline on the caller's
+// goroutine in the serial check order — sample cap → shared budget →
+// ctx → step → fold/stream → graceful stop → CI — which keeps seeded
+// runs bit-identical. Otherwise the group's estimator and its forks
+// share the chunk's samples while the caller's goroutine collects:
+// it folds every batch in arrival order, streams it, and evaluates the
+// CI rule. exhausted reports that the shared budget or the service's
+// own ended the run; only fatal errors are returned.
+func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted bool, err error) {
+	// limit bounds the samples this chunk may reserve (-1 = unbounded);
+	// capped marks the group's sample cap as the binding bound, so
+	// reaching it retires the group.
+	limit, capped := int64(-1), false
+	if quota > 0 {
+		limit = int64(quota)
+	}
+	if s.maxSamples > 0 {
+		if rem := int64(s.maxSamples - st.samples); limit < 0 || rem < limit {
+			limit, capped = rem, true
+		}
+	}
+	batch := int64(max(s.batch, 1))
+	var taken atomic.Int64
+	reserve := func() int {
+		if limit < 0 {
+			return int(batch)
+		}
+		over := taken.Add(batch) - limit
+		if over >= batch {
+			return 0
+		}
+		return int(batch - max(over, 0))
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		taken    atomic.Int64 // samples reserved (bounds maxSamples)
-		fatalMu  sync.Mutex
-		fatalErr error // first non-stop error
-		wg       sync.WaitGroup
-		workers  = make([][]Accumulator, n)
-		samples  = make(chan sampleMsg, n*2)
-	)
-	for w := 0; w < n; w++ {
-		workers[w] = make([]Accumulator, len(aggs))
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			est := ests[w]
-			accs := workers[w]
-			for {
-				if runCtx.Err() != nil {
-					return
-				}
-				if cfg.maxQueries > 0 && svc.QueryCount()-startQ >= cfg.maxQueries {
-					return
-				}
-				m := cfg.batch
-				if cfg.maxSamples > 0 {
-					got := taken.Add(int64(m))
-					over := got - int64(cfg.maxSamples)
-					if over >= int64(m) {
-						return
-					}
-					if over > 0 {
-						m -= int(over)
-					}
-				}
-				deg0 := degradedCount(svc)
-				batchVals, err := stepBatch(runCtx, est, aggs, m)
-				q := svc.QueryCount() - startQ
-				degraded := degradedCount(svc) > deg0
-				for _, vals := range batchVals {
-					// Hand the sample to the collector before folding it
-					// in, so a cancellation between the two cannot produce
-					// a merged state the trace/progress stream never saw:
-					// a sample either reaches both or neither.
-					select {
-					case samples <- sampleMsg{vals: vals, queries: q, degraded: degraded}:
-					case <-runCtx.Done():
-						return
-					}
-					for j := range aggs {
-						accs[j].Add(vals[j])
-					}
-				}
-				if stopErr(runCtx, err) {
-					return
-				}
-				if err != nil {
-					fatalMu.Lock()
-					if fatalErr == nil {
-						fatalErr = err
-					}
-					fatalMu.Unlock()
-					cancel()
-					return
-				}
+	chunkStart, base := s.svc.QueryCount(), st.queries
+	met := false
+	fold := func(d drawn) bool {
+		now := s.svc.QueryCount()
+		st.queries = base + now - chunkStart
+		for _, vals := range d.vals {
+			for j, v := range vals {
+				st.accs[j].Add(v)
 			}
-		}(w)
+			st.samples++
+			if d.degraded {
+				st.degraded++
+			}
+			if s.emit != nil {
+				for j := range st.accs {
+					a := &st.accs[j]
+					st.points[j] = TracePoint{Queries: now - s.startQ, Samples: a.N(), Estimate: a.Mean(), Degraded: d.degraded}
+				}
+				s.emit(st, d.degraded)
+			}
+		}
+		met = met || st.converged(s.targetCI)
+		return !met
+	}
+	if s.parallelism > 1 {
+		exhausted, err = s.runWorkers(ctx, st, reserve, fold)
+	} else {
+		exhausted, err = s.work(ctx, st.workers[0], reserve, fold)
+	}
+	st.queries = base + s.svc.QueryCount() - chunkStart
+	switch {
+	case err != nil:
+		return false, err
+	case met && !exhausted:
+		st.done, st.ciMet = true, true
+	case capped && st.samples >= s.maxSamples:
+		st.done = true
+	}
+	return exhausted, nil
+}
+
+// work is the per-worker body of the sampler: reserve a batch, check
+// the shared budget and the context, step, and deliver the completed
+// samples. deliver returns false to stop the worker (the CI target is
+// met, or the collector stopped listening).
+func (s *sampler) work(ctx context.Context, w worker, reserve func() int, deliver func(drawn) bool) (exhausted bool, err error) {
+	for {
+		m := reserve()
+		if m == 0 {
+			return false, nil
+		}
+		if s.maxQueries > 0 && s.svc.QueryCount()-s.startQ >= s.maxQueries {
+			return true, nil
+		}
+		if ctx.Err() != nil {
+			return false, nil
+		}
+		deg0 := degradedCount(s.svc)
+		vals, err := stepBatch(ctx, w.est, w.aggs, m)
+		// Degradation is attributed at batch grain: any partial answer
+		// during the batch marks every sample the batch completed.
+		more := deliver(drawn{vals: vals, degraded: degradedCount(s.svc) > deg0})
+		switch {
+		case errors.Is(err, lbs.ErrBudgetExhausted):
+			return true, nil
+		case err != nil && !stopErr(ctx, err):
+			return false, err
+		case err != nil || !more:
+			return false, nil
+		}
+	}
+}
+
+// runWorkers is the parallel mode of run: the group's estimator and
+// its forks share the chunk's reservations and hand their batches to
+// the caller's goroutine, which folds them in arrival order and cancels
+// the chunk once fold reports the CI target met (or a worker fails).
+// Attribution of degradation across concurrent workers is coarse — a
+// partial answer in flight may mark another worker's overlapping batch
+// too — conservative in the safe direction.
+func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func() int, fold func(drawn) bool) (bool, error) {
+	for i := len(st.workers); i < s.parallelism; i++ {
+		st.workers = append(st.workers, worker{est: st.workers[0].est.Fork(int64(i)), aggs: st.grp.forkAggs()})
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		exhausted bool
+		fatal     error
+		// One slot per worker: each can hand off a finished batch and
+		// start its next step while the collector is still folding.
+		batches = make(chan drawn, s.parallelism)
+	)
+	send := func(d drawn) bool {
+		select {
+		case batches <- d:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}
+	for _, w := range st.workers[:s.parallelism] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ex, err := s.work(ctx, w, reserve, send)
+			mu.Lock()
+			defer mu.Unlock()
+			exhausted = exhausted || ex
+			if err != nil && fatal == nil {
+				fatal = err
+				cancel()
+			}
+		}()
 	}
 	go func() {
 		wg.Wait()
-		close(samples)
+		close(batches)
 	}()
-
-	// Collector: orders the stream into the trace and monitors the CI
-	// target on its own running view of the merged state (same sample
-	// set, so the view agrees with the final pairwise merge).
-	monitor := make([]Accumulator, len(aggs))
-	traces := make([][]TracePoint, len(aggs))
-	points := make([]TracePoint, len(aggs))
-	degradedSamples := 0
-	for msg := range samples {
-		if msg.degraded {
-			degradedSamples++
-		}
-		for j := range aggs {
-			monitor[j].Add(msg.vals[j])
-			points[j] = TracePoint{Queries: msg.queries, Samples: monitor[j].N(), Estimate: monitor[j].Mean(), Degraded: msg.degraded}
-			if !cfg.noTrace {
-				traces[j] = append(traces[j], points[j])
-			}
-		}
-		if cfg.progress != nil {
-			cfg.progress(points)
-		}
-		if ciMet(monitor, cfg.targetCI) {
-			cancel() // drain continues until workers exit
+	for d := range batches {
+		if !fold(d) {
+			cancel() // the drain continues until every worker exits
 		}
 	}
-
-	if fatalErr != nil {
-		return nil, fatalErr
-	}
-	// Pairwise merge of the per-worker accumulator states.
-	final := make([]Accumulator, len(aggs))
-	for w := 0; w < n; w++ {
-		for j := range aggs {
-			final[j].Merge(workers[w][j])
-		}
-	}
-	if final[0].N() == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
-	}
-	return finalize(aggs, final, traces, svc.QueryCount()-startQ, degradedSamples), nil
+	return exhausted, fatal
 }

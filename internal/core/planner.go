@@ -93,6 +93,9 @@ type PlanOptions struct {
 	// Batch draws up to m samples per oracle round-trip within a group
 	// (see WithBatch; only batch-capable estimators exploit it).
 	Batch int
+	// Parallelism draws each group's samples from n concurrent
+	// estimator forks (see WithParallelism; n ≤ 1 means serial).
+	Parallelism int
 }
 
 // defaultCheckpointSamples is the re-plan grain when the caller does
@@ -104,10 +107,10 @@ const defaultCheckpointSamples = 64
 // specs and the method groups that answer them. Build with PlanBatch,
 // run with Execute.
 //
-// A QueryPlan is single-use and single-threaded: the fused physical
-// aggregates of its groups share per-record predicate memos (predBank),
-// so the Aggregates in PlanGroup.Aggs must not be run concurrently or
-// through the Driver's parallel mode.
+// A QueryPlan is single-use: the fused physical aggregates of its
+// groups share per-record predicate memos (predBank), so the Aggregates
+// in PlanGroup.Aggs must not be run concurrently. Execute's parallel
+// mode gives every extra worker its own copy over a fresh memo.
 type QueryPlan struct {
 	// Specs are the validated source specs, in request order.
 	Specs []AggSpec
@@ -141,7 +144,8 @@ type PlanGroup struct {
 	// Aggs are the fused physical aggregates (deduped by kind, attr
 	// and canonical selection; AVG specs contribute their SUM/COUNT
 	// halves). Their Value closures share a per-record predicate memo
-	// and are not safe for concurrent use.
+	// and are not safe for concurrent use (Execute forks copies for its
+	// parallel workers).
 	Aggs []Aggregate
 	// PredHashes are the structural hashes of the group's distinct
 	// canonical predicates, in first-use order (observability: the CLI
@@ -150,7 +154,39 @@ type PlanGroup struct {
 
 	// entries maps each group-local spec to its physical aggregates.
 	entries []planEntry
-	bank    *predBank
+	// bank is the predicate memo the fused Aggs share, and fused the
+	// recipe of each Agg over it (index-aligned with Aggs); nil for the
+	// Driver's one-group runs over caller-supplied aggregates.
+	bank  *predBank
+	fused []fusedAgg
+}
+
+// fusedAgg is the recipe of one fused physical aggregate: kind and
+// attribute over predicate pred of the group's bank (-1 = none).
+type fusedAgg struct {
+	kind, attr string
+	pred       int
+}
+
+// forkAggs returns the group's aggregates for one more concurrent
+// worker: copies of the fused aggregates over a fresh predicate memo
+// sharing the compiled predicates (which are pure). A group without a
+// memo shares its aggregates as they are — the Driver's contract for
+// caller-supplied aggregates under WithParallelism.
+func (g *PlanGroup) forkAggs() []Aggregate {
+	if g.bank == nil {
+		return g.Aggs
+	}
+	bank := &predBank{}
+	for _, fn := range g.bank.preds {
+		bank.add(fn)
+	}
+	aggs := make([]Aggregate, len(g.Aggs))
+	for i, f := range g.fused {
+		aggs[i] = g.Aggs[i]
+		aggs[i].Value = fusedValue(f.kind, f.attr, bank, f.pred)
+	}
+	return aggs
 }
 
 // predBank is the predicate filter fan-out operator: every distinct
@@ -334,6 +370,7 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 		}
 		physOf[g][key] = len(grp.Aggs)
 		grp.Aggs = append(grp.Aggs, agg)
+		grp.fused = append(grp.fused, fusedAgg{kind: kind, attr: attr, pred: pi})
 		return len(grp.Aggs) - 1
 	}
 
@@ -368,7 +405,7 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 			predOf = append(predOf, make(map[string]int))
 		}
 		grp := &plan.Groups[g]
-		var e planEntry
+		e := planEntry{name: s.name()}
 		if s.Kind == AggAvg {
 			// AVG(attr | where) = SUM(attr | where) / COUNT(where):
 			// both halves join the group's fused pool, so an explicit

@@ -328,6 +328,48 @@ func TestExecuteReplansAcrossGroups(t *testing.T) {
 	}
 }
 
+// TestExecuteParallelFusedGroup: a fused group (COUNT, SUM and AVG over
+// one shared predicate memo) sampled by four concurrent forks draws
+// exactly its sample cap, streams every sample once and in order, and
+// stays unbiased. Under -race this pins that the forks evaluate their
+// own copies of the fused aggregates.
+func TestExecuteParallelFusedGroup(t *testing.T) {
+	svc, db := smallService(t, 150, 3, 6)
+	where := TagEq("flag", "yes")
+	plan, err := PlanBatch([]AggSpec{
+		CountSpec().WithWhere(where),
+		SumSpec("weight").WithWhere(where),
+		AvgSpec("weight").WithWhere(where),
+	}, PlanOptions{Seed: 5, MaxSamples: 256, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) != 1 || len(plan.Groups[0].Aggs) != 2 {
+		t.Fatalf("plan %+v, want one group of 2 fused aggregates", plan.Groups)
+	}
+	events := 0
+	br, err := plan.Execute(context.Background(), svc, func(pp PlanProgress) {
+		events++
+		if pp.GroupSamples != events {
+			t.Errorf("progress %d reports %d group samples", events, pp.GroupSamples)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Samples != 256 || br.Groups[0].Samples != 256 || events != 256 {
+		t.Fatalf("samples %d (group %d, events %d), want exactly 256", br.Samples, br.Groups[0].Samples, events)
+	}
+	if br.Queries != svc.QueryCount() || br.Groups[0].Queries != br.Queries {
+		t.Errorf("queries %d (group %d), service counted %d", br.Queries, br.Groups[0].Queries, svc.QueryCount())
+	}
+	truth := float64(db.Count(func(tp *lbs.Tuple) bool { return tp.Tag("flag") == "yes" }))
+	checkZ(t, "parallel fused COUNT", br.Results[0], truth, 5)
+	if want := br.Results[1].Estimate / br.Results[0].Estimate; br.Results[2].Estimate != want {
+		t.Errorf("AVG %v, want SUM/COUNT of the shared stream %v", br.Results[2].Estimate, want)
+	}
+}
+
 // TestExecuteCancelYieldsPartials: cancellation mid-run is graceful —
 // partial results with completed samples, no error.
 func TestExecuteCancelYieldsPartials(t *testing.T) {

@@ -443,8 +443,9 @@ type AggPlan struct {
 
 // planEntry maps one spec to its physical aggregate indices.
 type planEntry struct {
-	num int // physical index of the (only, or numerator) aggregate
-	den int // physical index of the AVG denominator, or -1
+	num  int    // physical index of the (only, or numerator) aggregate
+	den  int    // physical index of the AVG denominator, or -1
+	name string // the spec's result name
 }
 
 // CompilePlan validates and compiles a request's aggregate specs. The
@@ -467,7 +468,7 @@ func CompilePlan(specs []AggSpec) (*AggPlan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("aggregate %d: %w", i, err)
 			}
-			plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: -1})
+			plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: -1, name: s.name()})
 			plan.Aggs = append(plan.Aggs, agg)
 			continue
 		}
@@ -482,7 +483,7 @@ func CompilePlan(specs []AggSpec) (*AggPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("aggregate %d: %w", i, err)
 		}
-		plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: len(plan.Aggs) + 1})
+		plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: len(plan.Aggs) + 1, name: s.name()})
 		plan.Aggs = append(plan.Aggs, num, den)
 	}
 	return plan, nil
@@ -500,7 +501,7 @@ func (p *AggPlan) Finish(phys []Result) []Result {
 			continue
 		}
 		r := RatioOf(phys[e.num], phys[e.den])
-		r.Name = p.Specs[i].name()
+		r.Name = e.name
 		out[i] = r
 	}
 	return out

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 )
 
@@ -97,23 +96,7 @@ type BatchResult struct {
 	DegradedSamples int
 }
 
-// groupState is one group's mutable execution state.
-type groupState struct {
-	est      Estimator
-	accs     []Accumulator
-	samples  int
-	queries  int64
-	degraded int
-	done     bool
-	ciMet    bool
-	// progress buffers, reused per sample.
-	points  []TracePoint
-	partial []Result
-}
-
-// resultOfAcc assembles a Result from one accumulator — the same
-// arithmetic as the Driver's finalize, so planned runs stay
-// bit-identical to independent ones.
+// resultOfAcc assembles a Result from one accumulator.
 func resultOfAcc(name string, a *Accumulator, queries int64) Result {
 	return Result{
 		Name:     name,
@@ -125,37 +108,32 @@ func resultOfAcc(name string, a *Accumulator, queries int64) Result {
 	}
 }
 
-// specResult finishes one spec of group gi from the group's fused
+// specResult finishes the group's li-th spec from its fused
 // accumulators (RatioOf for AVG, pass-through otherwise).
-func (p *QueryPlan) specResult(gi, li int, st *groupState) Result {
-	grp := &p.Groups[gi]
-	e := grp.entries[li]
-	name := p.Specs[grp.Specs[li]].name()
+func (st *groupState) specResult(li int) Result {
+	e := st.grp.entries[li]
 	if e.den < 0 {
-		return resultOfAcc(name, &st.accs[e.num], st.queries)
+		return resultOfAcc(e.name, &st.accs[e.num], st.queries)
 	}
 	r := RatioOf(
-		resultOfAcc(grp.Aggs[e.num].Name, &st.accs[e.num], st.queries),
-		resultOfAcc(grp.Aggs[e.den].Name, &st.accs[e.den], st.queries),
+		resultOfAcc(st.grp.Aggs[e.num].Name, &st.accs[e.num], st.queries),
+		resultOfAcc(st.grp.Aggs[e.den].Name, &st.accs[e.den], st.queries),
 	)
-	r.Name = name
+	r.Name = e.name
 	return r
 }
 
-// groupCIMet is the per-spec CI sink's stopping rule: every spec of
-// the group has converged. Direct specs use the accumulator rule of
-// ciMet; AVG specs use the delta-method CI of their ratio, and an
-// undefined ratio (zero denominator) retires only once the
-// denominator is confidently zero — no observed variance — so a
-// selection that is merely rare keeps sampling.
-func (p *QueryPlan) groupCIMet(gi int, st *groupState) bool {
-	rel := p.opts.TargetCI
+// converged is the per-spec CI sink's stopping rule: every spec of the
+// group has a 95 % half-width below rel × |estimate| (rel ≤ 0 disables
+// the rule). AVG specs use the delta-method CI of their ratio, and an
+// undefined ratio (zero denominator) retires only once the denominator
+// is confidently zero — no observed variance — so a selection that is
+// merely rare keeps sampling.
+func (st *groupState) converged(rel float64) bool {
 	if rel <= 0 || st.samples < ciMinSamples {
 		return false
 	}
-	grp := &p.Groups[gi]
-	for li := range grp.entries {
-		e := grp.entries[li]
+	for li, e := range st.grp.entries {
 		if e.den < 0 {
 			a := &st.accs[e.num]
 			if a.CI95() > rel*math.Abs(a.Mean()) {
@@ -170,7 +148,7 @@ func (p *QueryPlan) groupCIMet(gi int, st *groupState) bool {
 			}
 			continue
 		}
-		r := p.specResult(gi, li, st)
+		r := st.specResult(li)
 		if r.CI95 > rel*math.Abs(r.Estimate) {
 			return false
 		}
@@ -178,21 +156,15 @@ func (p *QueryPlan) groupCIMet(gi int, st *groupState) bool {
 	return true
 }
 
-// emitProgress streams one completed sample.
-func (p *QueryPlan) emitProgress(gi int, st *groupState, q int64, degraded bool, progress func(PlanProgress)) {
-	if progress == nil {
-		return
-	}
-	grp := &p.Groups[gi]
-	for j := range grp.Aggs {
-		st.points[j] = TracePoint{Queries: q, Samples: st.accs[j].N(), Estimate: st.accs[j].Mean(), Degraded: degraded}
-	}
-	for li := range grp.entries {
-		st.partial[li] = p.specResult(gi, li, st)
+// emitProgress streams one completed sample of st (its trace points
+// are already in st.points).
+func emitProgress(st *groupState, degraded bool, progress func(PlanProgress)) {
+	for li := range st.grp.entries {
+		st.partial[li] = st.specResult(li)
 	}
 	progress(PlanProgress{
-		Group:        gi,
-		Specs:        grp.Specs,
+		Group:        st.gi,
+		Specs:        st.grp.Specs,
 		Points:       st.points,
 		Partial:      st.partial,
 		GroupSamples: st.samples,
@@ -207,16 +179,15 @@ func (p *QueryPlan) emitProgress(gi int, st *groupState, q int64, degraded bool,
 // n·(ci/(rel·|est|))², so the need is that minus what it already has.
 // Before ciMinSamples (or with no target) the need falls back to one
 // checkpoint — "unknown, keep probing".
-func (p *QueryPlan) need(gi int, st *groupState) float64 {
+func (p *QueryPlan) need(st *groupState) float64 {
 	unknown := float64(p.opts.CheckpointSamples)
 	if st.samples < ciMinSamples {
 		return unknown
 	}
 	rel := p.opts.TargetCI
-	grp := &p.Groups[gi]
 	worst := 0.0
-	for li := range grp.entries {
-		r := p.specResult(gi, li, st)
+	for li := range st.grp.entries {
+		r := st.specResult(li)
 		if math.IsNaN(r.Estimate) || r.Estimate == 0 {
 			if r.CI95 == 0 {
 				continue // confidently zero: no need
@@ -249,7 +220,7 @@ func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []
 	needs := make([]float64, len(active))
 	total := 0.0
 	for i, gi := range active {
-		needs[i] = p.need(gi, &states[gi])
+		needs[i] = p.need(&states[gi])
 		total += needs[i]
 	}
 	quotas := make([]int, len(active))
@@ -298,73 +269,6 @@ func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []
 	return quotas, ev
 }
 
-// runGroupChunk draws up to quota samples from group gi, mirroring the
-// serial Driver's per-sample check order (sample cap → shared budget →
-// context → step → fold/stream → graceful stop → CI) so a single-group
-// plan reproduces a legacy Run sample for sample. Sets *exhausted when
-// the shared budget ends the whole batch; returns only fatal errors.
-func (p *QueryPlan) runGroupChunk(ctx context.Context, gi int, st *groupState, svc Oracle, startQ int64, quota int, progress func(PlanProgress), exhausted *bool) error {
-	grp := &p.Groups[gi]
-	taken := 0
-	for {
-		if taken >= quota {
-			return nil
-		}
-		if p.opts.MaxSamples > 0 && st.samples >= p.opts.MaxSamples {
-			st.done = true
-			return nil
-		}
-		if p.opts.MaxQueries > 0 && svc.QueryCount()-startQ >= p.opts.MaxQueries {
-			*exhausted = true
-			return nil
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		m := p.opts.Batch
-		if m < 1 {
-			m = 1
-		}
-		if rem := quota - taken; rem < m {
-			m = rem
-		}
-		if p.opts.MaxSamples > 0 {
-			if rem := p.opts.MaxSamples - st.samples; rem < m {
-				m = rem
-			}
-		}
-		gStart := svc.QueryCount()
-		deg0 := degradedCount(svc)
-		batchVals, err := stepBatch(ctx, st.est, grp.Aggs, m)
-		st.queries += svc.QueryCount() - gStart
-		q := svc.QueryCount() - startQ
-		degraded := degradedCount(svc) > deg0
-		for _, vals := range batchVals {
-			for j := range grp.Aggs {
-				st.accs[j].Add(vals[j])
-			}
-			st.samples++
-			taken++
-			if degraded {
-				st.degraded++
-			}
-			p.emitProgress(gi, st, q, degraded, progress)
-		}
-		if stopErr(ctx, err) {
-			*exhausted = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if p.groupCIMet(gi, st) {
-			st.done = true
-			st.ciMet = true
-			return nil
-		}
-	}
-}
-
 // Execute runs the plan against svc: group sample streams interleaved
 // at checkpoint grain, the shared budget re-allocated by variance at
 // every boundary, every completed sample streamed through progress
@@ -374,19 +278,31 @@ func (p *QueryPlan) runGroupChunk(ctx context.Context, gi int, st *groupState, s
 // BatchResult, like the Driver (an error is returned only when not
 // even one sample finished, or on a non-graceful transport failure).
 //
-// A QueryPlan must be executed at most once: its fused aggregates and
-// estimators carry run state.
+// Each group's samples come from one sampler run per checkpoint chunk;
+// with PlanOptions.Parallelism > 1 every chunk fans out over that many
+// estimator forks, each over its own copy of the group's fused
+// aggregates, and progress still fires on the calling goroutine.
+//
+// A QueryPlan must be executed at most once: the group's own worker
+// evaluates the plan's fused aggregates, whose predicate memo carries
+// run state.
 func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanProgress)) (*BatchResult, error) {
-	startQ := svc.QueryCount()
+	s := sampler{
+		svc:         svc,
+		startQ:      svc.QueryCount(),
+		maxSamples:  p.opts.MaxSamples,
+		maxQueries:  p.opts.MaxQueries,
+		targetCI:    p.opts.TargetCI,
+		batch:       p.opts.Batch,
+		parallelism: p.opts.Parallelism,
+	}
+	if progress != nil {
+		s.emit = func(st *groupState, degraded bool) { emitProgress(st, degraded, progress) }
+	}
 	states := make([]groupState, len(p.Groups))
 	for i := range states {
 		grp := &p.Groups[i]
-		states[i] = groupState{
-			est:     newPlanEstimator(grp.Method, svc, grp.Seed),
-			accs:    make([]Accumulator, len(grp.Aggs)),
-			points:  make([]TracePoint, len(grp.Aggs)),
-			partial: make([]Result, len(grp.Specs)),
-		}
+		states[i] = newGroupState(i, grp, newPlanEstimator(grp.Method, svc, grp.Seed))
 	}
 
 	var replans []ReplanEvent
@@ -403,7 +319,7 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 		}
 		remaining := int64(-1)
 		if p.opts.MaxQueries > 0 {
-			remaining = p.opts.MaxQueries - (svc.QueryCount() - startQ)
+			remaining = p.opts.MaxQueries - (svc.QueryCount() - s.startQ)
 			if remaining <= 0 {
 				break
 			}
@@ -416,33 +332,28 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 			if exhausted || ctx.Err() != nil {
 				break
 			}
-			if err := p.runGroupChunk(ctx, gi, &states[gi], svc, startQ, quotas[i], progress, &exhausted); err != nil {
+			ex, err := s.run(ctx, &states[gi], quotas[i])
+			if err != nil {
 				return nil, err
 			}
+			exhausted = ex
 		}
 	}
 
-	total := 0
+	total, degradedTotal := 0, 0
 	for i := range states {
 		total += states[i].samples
+		degradedTotal += states[i].degraded
 	}
 	if total == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: budget exhausted before completing a single sample")
-	}
-
-	degradedTotal := 0
-	for i := range states {
-		degradedTotal += states[i].degraded
+		return nil, noSamples(ctx)
 	}
 	br := &BatchResult{
 		Results:         make([]Result, len(p.Specs)),
 		Groups:          make([]GroupReport, len(p.Groups)),
 		Replans:         replans,
 		Samples:         total,
-		Queries:         svc.QueryCount() - startQ,
+		Queries:         svc.QueryCount() - s.startQ,
 		DegradedSamples: degradedTotal,
 	}
 	for gi := range p.Groups {
@@ -465,7 +376,7 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 			CIMet:         st.ciMet,
 		}
 		for li, si := range grp.Specs {
-			br.Results[si] = p.specResult(gi, li, st)
+			br.Results[si] = st.specResult(li)
 			br.Results[si].DegradedSamples = st.degraded
 		}
 	}

@@ -189,21 +189,27 @@ func TestFollowTraceReplaysAndFollows(t *testing.T) {
 }
 
 func TestTraceWindowBounded(t *testing.T) {
-	// Drive onProgress directly far past the window: memory must stay
-	// bounded and followers must resume at the earliest retained event
-	// with absolute indexing intact.
-	plan, err := core.CompilePlan([]core.AggSpec{core.CountSpec()})
+	// Drive onPlanProgress directly far past the window: memory must
+	// stay bounded and followers must resume at the earliest retained
+	// event with absolute indexing intact.
+	plan, err := core.PlanBatch([]core.AggSpec{core.CountSpec()}, core.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := &Job{
-		plan:      plan,
+		qplan:     plan,
 		state:     StateRunning,
 		traceWake: make(chan struct{}),
 	}
 	total := maxTraceEvents + maxTraceEvents/2 + 123
 	for i := 0; i < total; i++ {
-		j.onProgress([]core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}})
+		j.onPlanProgress(core.PlanProgress{
+			Specs:        []int{0},
+			Points:       []core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}},
+			Partial:      []core.Result{{Name: "COUNT(*)", Estimate: 1, Samples: i + 1}},
+			GroupSamples: i + 1,
+			GroupQueries: int64(i),
+		})
 	}
 	j.mu.Lock()
 	j.state = StateDone
@@ -359,7 +365,7 @@ func TestJobViewCarriesPlan(t *testing.T) {
 	if len(g.Specs) != 3 || g.Samples != 8 || g.Queries == 0 || !sameSamples(v, 8) {
 		t.Fatalf("group account off: %+v (view samples %d)", g, v.Samples)
 	}
-	// Parallel jobs take the legacy driver and carry no plan.
+	// Parallel jobs run through the same planner and carry its plan.
 	jp, err := m.Create(Spec{
 		Method:     MethodLR,
 		Seed:       3,
@@ -369,8 +375,52 @@ func TestJobViewCarriesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vp := waitSettled(t, jp); vp.Plan != nil {
-		t.Fatalf("legacy parallel job unexpectedly carries a plan: %+v", vp.Plan)
+	vp := waitSettled(t, jp)
+	if vp.State != StateDone || vp.Plan == nil || len(vp.Plan.Groups) != 1 {
+		t.Fatalf("parallel job: state %s (err %q), plan %+v; want done with one group", vp.State, vp.Error, vp.Plan)
+	}
+	if g := vp.Plan.Groups[0]; g.Samples != 8 || !sameSamples(vp, 8) {
+		t.Fatalf("parallel group account off: %+v (view samples %d)", g, vp.Samples)
+	}
+}
+
+func TestJobMaxSamplesPerGroup(t *testing.T) {
+	// MaxSamples caps each method group: a forced-LNR job whose
+	// selections split by location need plans as two groups, each
+	// drawing its own 8 samples.
+	svc := testBackend(t, 0)
+	m := NewManager(svc, ManagerOptions{})
+	j, err := m.Create(Spec{
+		Method: MethodLNR,
+		Seed:   4,
+		Aggregates: []core.AggSpec{
+			core.CountSpec(),
+			core.CountSpec().WithWhere(core.InRect(svc.Bounds())).WithLabel("inside"),
+		},
+		Options: RunOptions{MaxSamples: 8},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := waitSettled(t, j)
+	if v.State != StateDone {
+		t.Fatalf("state %s (err %q), want done", v.State, v.Error)
+	}
+	if v.Plan == nil || len(v.Plan.Groups) != 2 {
+		t.Fatalf("plan %+v, want two method groups", v.Plan)
+	}
+	for gi, g := range v.Plan.Groups {
+		if g.Samples != 8 {
+			t.Errorf("group %d drew %d samples, want 8", gi, g.Samples)
+		}
+	}
+	for _, r := range v.Results {
+		if r.Samples != 8 {
+			t.Errorf("result %s reports %d samples, want its group's 8", r.Name, r.Samples)
+		}
+	}
+	if v.Samples != 16 {
+		t.Fatalf("view samples = %d, want 16 (8 per group)", v.Samples)
 	}
 }
 

@@ -212,13 +212,8 @@ func (j *Job) maybeCheckpointLocked() {
 		return
 	}
 	samples := 0
-	switch {
-	case j.qplan != nil:
-		for _, st := range j.planStats {
-			samples += st.Samples
-		}
-	case j.partial != nil && len(j.partial) > 0:
-		samples = j.partial[0].Samples
+	for _, st := range j.planStats {
+		samples += st.Samples
 	}
 	if samples-j.lastCkpt < j.ckptEvery {
 		return

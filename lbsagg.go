@@ -36,8 +36,8 @@
 //   - WithProgress(fn) — stream a TracePoint per aggregate after every
 //     completed sample;
 //   - WithParallelism(n) — draw samples from n concurrent workers
-//     (independent estimator forks) and merge their accumulator
-//     states; against a latency-bound remote service the wall-clock
+//     (independent estimator forks) folded into one set of running
+//     means; against a latency-bound remote service the wall-clock
 //     time shrinks almost linearly in n.
 //   - WithBatch(m) — draw up to m point samples per oracle call
 //     through the batch query path (see below), amortizing network
@@ -235,8 +235,6 @@
 //	agg.Run(aggs, maxSamples, maxQueries)
 //	  → agg.Run(ctx, aggs, lbsagg.WithMaxSamples(maxSamples),
 //	        lbsagg.WithMaxQueries(maxQueries))
-//	  → agg.RunBudget(aggs, maxSamples, maxQueries)   // deprecated shim,
-//	                                                  // one release only
 //	svc.QueryLR(q, filter)      → svc.QueryLR(ctx, q, filter)
 //	svc.QueryLNR(q, filter)     → svc.QueryLNR(ctx, q, filter)
 //	agg.Step(aggs)              → agg.Step(ctx, aggs)
