@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
+.PHONY: all fmt vet build test stress bench bench-throughput bench-geom bench-geo-geodesic bench-json bench-smoke bench-fed bench-fed-json bench-live bench-live-json bench-planner bench-planner-json bench-chaos bench-chaos-json bench-store bench-store-json
 
 all: fmt vet build test
 
@@ -20,6 +20,12 @@ build:
 # cannot hide.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# stress repeats the answer cache's concurrency suite under the race
+# detector: concurrent misses on one key must coalesce into a single
+# charged upstream fetch on every run, not most runs.
+stress:
+	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 
 # bench runs the estimation-session benchmarks; the Parallelism pair
 # measures the wall-clock payoff of WithParallelism(8) over a

@@ -36,14 +36,7 @@ func randomPoints(rng *rand.Rand, n int) []geom.Point {
 }
 
 func buildFor(pts []geom.Point, ti, k int) *Complex {
-	sites := make([]Site, 0, len(pts)-1)
-	for i, p := range pts {
-		if i == ti {
-			continue
-		}
-		sites = append(sites, Site{Key: int64(i), Loc: p})
-	}
-	return BuildFromSites(unitBox.Polygon(), k, pts[ti], sites)
+	return BuildFromSites(unitBox.Polygon(), k, pts[ti], sitesExcept(pts, ti))
 }
 
 func TestNewValidation(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lbs"
+	"repro/internal/workload"
 )
 
 // BenchmarkLRCellComputation measures one full exact-cell weight
@@ -34,6 +35,30 @@ func BenchmarkLRCellComputation(b *testing.B) {
 func BenchmarkLRSample(b *testing.B) {
 	db := smallService2(2000, 29)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
+	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	// Warm the history so the benchmark reflects steady state.
+	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(svc.QueryCount())/float64(agg.Stats().Samples), "queries/sample")
+}
+
+// BenchmarkLRSampleK10 is BenchmarkLRSample in the shape of the
+// estimate-lr benchmark workload: schools-shaped data (50k tuples,
+// clustered over the US plane), k = 10, the full device set. At k = 10
+// the adaptive-h choice runs for ten tuples per sample against a
+// history of thousands of sites, so this row tracks the cost of
+// choosing h, which the k = 5 row over 2000 tuples under-represents.
+func BenchmarkLRSampleK10(b *testing.B) {
+	sc := workload.USASchools(50000, 7)
+	svc := lbs.NewService(sc.DB, lbs.Options{K: 10})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
 	// Warm the history so the benchmark reflects steady state.
 	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {

@@ -12,10 +12,14 @@ import (
 // initial bounding region (the "leveraging history" device, §3.2.2)
 // and provides the λ_h upper bounds for the adaptive top-h choice
 // (§3.2.3) at zero query cost.
+//
+// Sites are kept in one append-only slice in observation order, so a
+// seeded run feeds cell.BuildFromSites the same site sequence every time
+// (heap tie-breaking among equidistant sites never depends on map
+// iteration order), and Sites hands that slice out without a copy.
 type History struct {
 	locs  map[int64]geom.Point
-	sites []cell.Site // cached slice view, rebuilt lazily
-	dirty bool
+	sites []cell.Site // every observed tuple, in observation order
 }
 
 // NewHistory returns an empty history.
@@ -29,12 +33,12 @@ func (h *History) Observe(id int64, loc geom.Point) bool {
 		return false
 	}
 	h.locs[id] = loc
-	h.dirty = true
+	h.sites = append(h.sites, cell.Site{Key: id, Loc: loc})
 	return true
 }
 
 // Len returns the number of distinct tuples seen.
-func (h *History) Len() int { return len(h.locs) }
+func (h *History) Len() int { return len(h.sites) }
 
 // Loc returns the recorded location of a tuple.
 func (h *History) Loc(id int64) (geom.Point, bool) {
@@ -42,26 +46,13 @@ func (h *History) Loc(id int64) (geom.Point, bool) {
 	return p, ok
 }
 
-// Sites returns all observed tuples except the one with excludeID, as
-// cell sites ready for insertion. The underlying slice is cached and
-// shared between calls; callers must not retain it across Observe
-// calls.
-func (h *History) Sites(excludeID int64) []cell.Site {
-	if h.dirty {
-		h.sites = h.sites[:0]
-		for id, loc := range h.locs {
-			h.sites = append(h.sites, cell.Site{Key: id, Loc: loc})
-		}
-		h.dirty = false
-	}
-	out := make([]cell.Site, 0, len(h.sites))
-	for _, s := range h.sites {
-		if s.Key != excludeID {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// Sites returns every observed tuple as a cell site, in observation
+// order. The slice is the history's own storage: callers must treat it
+// as read-only and not retain it across Observe calls. A target's own
+// site, when present, coincides with the target and is dropped by
+// cell.InsertSites' coincident-site filter, so callers building the
+// target's cell need no copy that excludes it.
+func (h *History) Sites() []cell.Site { return h.sites }
 
 // CountCloser returns how many observed tuples are strictly closer to
 // p than target is — used by the lower-bound skip test of §3.2.4 to
@@ -70,11 +61,8 @@ func (h *History) Sites(excludeID int64) []cell.Site {
 func (h *History) CountCloser(p geom.Point, target geom.Point, excludeID int64) int {
 	dt := p.Dist2(target)
 	n := 0
-	for id, loc := range h.locs {
-		if id == excludeID {
-			continue
-		}
-		if p.Dist2(loc) < dt {
+	for _, s := range h.sites {
+		if s.Key != excludeID && p.Dist2(s.Loc) < dt {
 			n++
 		}
 	}

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
@@ -29,6 +30,10 @@ type LROptions struct {
 	// history-derived upper bound λ_h(t) stays below λ0 is used.
 	// Default 0.001 (h grows only for tuples whose top-h cells stay
 	// tiny, where the extra cells are nearly free under history).
+	// Because λ_1 ≤ λ_h for every h, a tuple whose history top-1 cell
+	// is already larger than λ0 gets h = 1 without its top-k complex
+	// being built; the top-1 cell is bit-identical to that complex's
+	// count-0 face, so the shortcut never changes the choice.
 	Lambda0Frac float64
 	// FastInit enables the fake-tuple initialization of §3.2.1.
 	FastInit bool
@@ -112,6 +117,8 @@ type LRAggregator struct {
 	bound geom.Rect
 	stats LRStats
 	vtol  float64 // vertex quantization tolerance
+	// top1 is chooseH's reusable top-1 cell, rebuilt for each tuple.
+	top1 *cell.Complex
 }
 
 // NewLRAggregator builds an aggregator over an LR service view.
@@ -177,8 +184,8 @@ func (a *LRAggregator) query(ctx context.Context, p geom.Point) ([]lbs.LRRecord,
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(recs, func(i, j int) bool {
-		return p.Dist2(recs[i].Loc) < p.Dist2(recs[j].Loc)
+	slices.SortStableFunc(recs, func(x, y lbs.LRRecord) int {
+		return cmp.Compare(p.Dist2(x.Loc), p.Dist2(y.Loc))
 	})
 	return recs, nil
 }
@@ -232,28 +239,56 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 	return mass
 }
 
-// chooseH implements the variance-reduction rule of §3.2.3: the
-// largest h ∈ [2, k] whose history-derived upper bound λ_h(t) is below
-// λ0, else 1; additionally it returns the history-seeded top-k complex
-// so the caller can continue from it without recomputation.
-func (a *LRAggregator) chooseH(tID int64, tLoc geom.Point) (int, *cell.Complex) {
+// chooseH implements the variance-reduction rule of §3.2.3 for the
+// returned tuple at 0-based rank: the largest h ∈ [2, k] whose
+// history-derived upper bound λ_h(t) is below λ0, else 1. It also
+// returns the history-seeded complex the caller continues refinement
+// from: the top-k complex when h ≥ 2 (or under FixedH), the top-1 cell
+// when the rule settles on h = 1 — and none for a tuple that then
+// cannot contribute (rank ≥ h).
+//
+// The rule first builds only the top-1 cell, an order of magnitude
+// cheaper than the top-k complex, into a complex reused across calls.
+// When its area λ_1(t) exceeds λ0 the answer is h = 1 — λ_h is
+// non-decreasing in h, so λ_2 ≥ λ_1 > λ0 — and the top-k complex is
+// never built. The shortcut changes no result: both builds consume the
+// sites in one distance order, so the top-1 cell is bit for bit the
+// count-0 face of the top-k complex (the same polygon and area that
+// seed.WithK(1) would carry), and the cuts the top-1 build never
+// reached lie beyond its pruning radius, where later insertions cannot
+// reach either.
+func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	k := a.opts.UseK
-	var seed *cell.Complex
-	if a.opts.UseHistory && a.hist.Len() > 1 {
-		seed = cell.BuildFromSites(a.bound.Polygon(), k, tLoc, a.hist.Sites(tID))
+	h := a.opts.FixedH
+	if h > k {
+		h = k
 	}
-	if a.opts.FixedH > 0 {
-		h := a.opts.FixedH
-		if h > k {
-			h = k
-		}
-		return h, seed
+	if !a.opts.UseHistory || a.hist.Len() <= 1 {
+		return max(h, 1), nil
 	}
-	if seed == nil || k < 2 {
-		return 1, seed
+	bound, sites := a.bound.Polygon(), a.hist.Sites()
+	if h > 0 || k < 2 {
+		return max(h, 1), cell.BuildFromSites(bound, k, tLoc, sites)
 	}
 	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
-	h := 1
+	top1 := a.top1
+	if top1 == nil {
+		top1 = cell.New(bound, 1)
+	} else {
+		top1.Reset()
+	}
+	cell.InsertSites(top1, tLoc, sites)
+	a.top1 = top1
+	if top1.Area() > lambda0 {
+		a.stats.AdaptiveHChosen[1]++
+		if rank > 0 {
+			return 1, nil
+		}
+		a.top1 = nil // handed over as the seed
+		return 1, top1
+	}
+	seed := cell.BuildFromSites(bound, k, tLoc, sites)
+	h = 1
 	for cand := 2; cand <= k; cand++ {
 		if seed.AreaAtMost(cand) <= lambda0 {
 			h = cand
@@ -308,7 +343,7 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 // computeWeight computes 1/p̂(t) for tuple t using its top-h Voronoi
 // cell, by the Theorem-1 loop plus the enabled devices. hint is the
 // answer that discovered t (used by fast initialization); seed is the
-// history-derived top-k complex from chooseH (may be nil).
+// history-derived complex from chooseH, with k ≥ h (may be nil).
 func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.Point, h int, hint []lbs.LRRecord, seed *cell.Complex) (float64, error) {
 	a.stats.Cells++
 	cc := &cellContext{
@@ -428,12 +463,13 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 }
 
 // knownSites returns every observed tuple (global history if enabled,
-// else the cell-local history) as sites, excluding the target.
+// else the cell-local history) as sites; the target's own site, if
+// recorded, is dropped by cell.InsertSites as coincident.
 func (a *LRAggregator) knownSites(cc *cellContext) []cell.Site {
 	if a.opts.UseHistory {
-		return a.hist.Sites(cc.tID)
+		return a.hist.Sites()
 	}
-	return cc.local.Sites(cc.tID)
+	return cc.local.Sites()
 }
 
 // fastInitRadius chooses the fake-box scale from the discovering
@@ -441,7 +477,7 @@ func (a *LRAggregator) knownSites(cc *cellContext) []cell.Site {
 // falling back to a twentieth of the bounding diagonal.
 func (a *LRAggregator) fastInitRadius(cc *cellContext) float64 {
 	var m float64
-	for _, s := range cc.local.Sites(cc.tID) {
+	for _, s := range cc.local.Sites() {
 		if d := s.Loc.Dist(cc.tLoc); d > m {
 			m = d
 		}
@@ -556,7 +592,7 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 	hs := make([]int, kUse)
 	seeds := make([]*cell.Complex, kUse)
 	for i := 0; i < kUse; i++ {
-		hs[i], seeds[i] = a.chooseH(recs[i].ID, recs[i].Loc)
+		hs[i], seeds[i] = a.chooseH(recs[i].Loc, i)
 	}
 	a.observe(recs, nil)
 	for i := 0; i < kUse; i++ {

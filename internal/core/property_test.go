@@ -101,6 +101,7 @@ func TestHistoryProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	h := NewHistory()
 	locs := map[int64]geom.Point{}
+	var order []int64 // first-observation order
 	for i := 0; i < 500; i++ {
 		id := int64(rng.Intn(100))
 		p := geom.Pt(rng.Float64()*10, rng.Float64()*10)
@@ -111,6 +112,7 @@ func TestHistoryProperties(t *testing.T) {
 		}
 		if !existed {
 			locs[id] = p
+			order = append(order, id)
 		}
 		// First observation wins (static database).
 		if got, _ := h.Loc(id); got != locs[id] {
@@ -120,18 +122,16 @@ func TestHistoryProperties(t *testing.T) {
 	if h.Len() != len(locs) {
 		t.Fatalf("len %d vs %d", h.Len(), len(locs))
 	}
-	// Sites excludes exactly the requested tuple.
-	for id := range locs {
-		sites := h.Sites(id)
-		if len(sites) != len(locs)-1 {
-			t.Fatalf("sites length with exclusion: %d", len(sites))
+	// Sites lists every tuple once, in first-observation order, so the
+	// cell construction sees the same sequence on every run.
+	sites := h.Sites()
+	if len(sites) != len(order) {
+		t.Fatalf("sites length %d vs %d", len(sites), len(order))
+	}
+	for i, s := range sites {
+		if s.Key != order[i] || s.Loc != locs[s.Key] {
+			t.Fatalf("site %d = %+v, want key %d at %v", i, s, order[i], locs[order[i]])
 		}
-		for _, s := range sites {
-			if s.Key == id {
-				t.Fatalf("excluded id present")
-			}
-		}
-		break
 	}
 	// CountCloser agrees with direct computation.
 	target := geom.Pt(5, 5)

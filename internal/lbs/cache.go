@@ -3,6 +3,7 @@ package lbs
 import (
 	"container/list"
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -62,7 +63,7 @@ type CacheOptions struct {
 // CacheStats is a point-in-time snapshot of cache effectiveness
 // counters, for the cost accounting of experiments.
 type CacheStats struct {
-	Hits          int64 // answers replayed without touching the service
+	Hits          int64 // answers served without touching the service (replays and coalesced waits)
 	Misses        int64 // queries forwarded (and charged) to the service
 	Bypasses      int64 // untrusted filtered queries forwarded uncached
 	Evictions     int64 // entries dropped by LRU pressure
@@ -116,23 +117,66 @@ type cacheEntry struct {
 	lnr []LNRRecord
 }
 
-// cacheShard is one independently locked LRU segment.
+// cacheShard is one independently locked LRU segment, plus the
+// upstream fetches in flight for its keys.
 type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List // front = most recently used; element values are *cacheEntry
-	items map[cacheKey]*list.Element
+	mu       sync.Mutex
+	cap      int
+	lru      *list.List // front = most recently used; element values are *cacheEntry
+	items    map[cacheKey]*list.Element
+	inflight map[cacheKey]*flight
 }
 
-func (sh *cacheShard) get(key cacheKey) (*cacheEntry, bool) {
+// flight is one upstream fetch in progress. Concurrent misses on its
+// key wait for it instead of fetching (and paying for) the same answer
+// again. e and err are written once, under the shard lock, before done
+// closes.
+type flight struct {
+	key  cacheKey
+	done chan struct{}
+	e    *cacheEntry // the answer (memoized or not); nil when none came back
+	err  error
+	// detached marks a flight an invalidation overlapped: its answer
+	// may predate the mutation, so it is handed to the callers already
+	// waiting but never memoized, and new lookups start a fresh fetch.
+	detached bool
+}
+
+// lookup resolves key under one lock acquisition: the cached entry if
+// resident, else the flight already fetching it (wait), else a new
+// flight the caller must lead and later land.
+func (sh *cacheShard) lookup(key cacheKey) (e *cacheEntry, wait, lead *flight) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
-	if !ok {
-		return nil, false
+	if el, ok := sh.items[key]; ok {
+		sh.lru.MoveToFront(el)
+		return el.Value.(*cacheEntry), nil, nil
 	}
-	sh.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	if f, ok := sh.inflight[key]; ok {
+		return nil, f, nil
+	}
+	f := &flight{key: key, done: make(chan struct{})}
+	sh.inflight[key] = f
+	return nil, nil, f
+}
+
+// land publishes a led flight's outcome and returns how many entries
+// memoizing it evicted. Storing the answer and retiring the flight
+// happen under one lock, so no lookup ever finds neither and fetches
+// a key whose answer is already in hand.
+func (sh *cacheShard) land(f *flight, e *cacheEntry, err error, memoize bool) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	evicted := 0
+	if !f.detached {
+		delete(sh.inflight, f.key)
+		if memoize {
+			evicted = sh.putLocked(e)
+		}
+	}
+	f.e, f.err = e, err
+	close(f.done)
+	return evicted
 }
 
 // put inserts (or refreshes) an entry and returns how many entries
@@ -140,6 +184,10 @@ func (sh *cacheShard) get(key cacheKey) (*cacheEntry, bool) {
 func (sh *cacheShard) put(e *cacheEntry) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.putLocked(e)
+}
+
+func (sh *cacheShard) putLocked(e *cacheEntry) int {
 	if el, ok := sh.items[e.key]; ok {
 		el.Value = e
 		sh.lru.MoveToFront(el)
@@ -169,6 +217,11 @@ func (sh *cacheShard) len() int {
 // not a change to the service contract. It implements Querier (and
 // therefore the estimators' Oracle interface), so any estimator can
 // run over it unchanged.
+//
+// Concurrent misses on one key are coalesced: the first caller fetches
+// and pays, later ones — including repeats of the key inside one batch
+// — wait for its answer (or its error) and are never charged, so
+// misses never exceed distinct keys plus evictions and invalidations.
 //
 // Records are returned by reference: callers must treat cached answers
 // as immutable, exactly as they must treat the simulator's shared
@@ -231,9 +284,10 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
-			cap:   perShard,
-			lru:   list.New(),
-			items: make(map[cacheKey]*list.Element, perShard),
+			cap:      perShard,
+			lru:      list.New(),
+			items:    make(map[cacheKey]*list.Element, perShard),
+			inflight: make(map[cacheKey]*flight),
 		}
 	}
 	return c
@@ -271,9 +325,7 @@ func (c *CachedOracle) shardFor(key cacheKey) *cacheShard {
 
 // store records an answer and maintains the eviction counter.
 func (c *CachedOracle) store(e *cacheEntry) {
-	if n := c.shardFor(e.key).put(e); n > 0 {
-		c.evictions.Add(int64(n))
-	}
+	c.evicted(c.shardFor(e.key).put(e))
 }
 
 // Stats returns a snapshot of the effectiveness counters.
@@ -312,7 +364,9 @@ func (c *CachedOracle) cellRect(key cacheKey) geom.Rect {
 }
 
 // removeIf drops every entry whose key matches pred and returns how
-// many were removed.
+// many were removed. Flights on matching keys are detached: their
+// answers may predate the mutation being invalidated, so they are
+// never memoized and later lookups fetch afresh.
 func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -325,6 +379,12 @@ func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
 			sh.lru.Remove(el)
 			delete(sh.items, key)
 			removed++
+		}
+	}
+	for key, f := range sh.inflight {
+		if pred(key) {
+			f.detached = true
+			delete(sh.inflight, key)
 		}
 	}
 	return removed
@@ -384,9 +444,67 @@ func (c *CachedOracle) K() int { return c.inner.K() }
 // them.
 func (c *CachedOracle) QueryCount() int64 { return c.inner.QueryCount() }
 
+// errFillAborted is what waiters receive when the fetch they were
+// waiting on ended without an answer (its leader panicked).
+var errFillAborted = errors.New("lbs: cache fill aborted")
+
+// await blocks until flight f lands or ctx ends. retry reports that f
+// failed on a cancellation while ctx is still live — the leader's own
+// context ended, not this caller's — so the caller should look the key
+// up again instead of inheriting another caller's cancellation.
+func await(ctx context.Context, f *flight) (retry bool, err error) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return false, ctx.Err()
+	}
+	canceled := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+	return canceled && ctx.Err() == nil, nil
+}
+
+// share hands a landed flight's outcome to one waiter and counts it:
+// a full answer as a hit (nothing was charged for it), a degraded
+// answer as a bypass, an error as neither — the same counters the
+// leader's own outcome feeds, minus the miss it paid for.
+func share[T any](c *CachedOracle, f *flight, load func(*cacheEntry) []T) ([]T, error) {
+	var recs []T
+	if f.e != nil {
+		recs = load(f.e)
+	}
+	switch {
+	case f.err == nil && f.e != nil:
+		c.hits.Add(1)
+	case IsPartial(f.err):
+		c.bypasses.Add(1)
+	}
+	return recs, f.err
+}
+
+// landAll lands every flight of leads still in flight with
+// errFillAborted; leaders defer it so a panicking fetch never strands
+// its waiters.
+func (c *CachedOracle) landAll(leads []*flight) {
+	for _, f := range leads {
+		select {
+		case <-f.done:
+		default:
+			c.shardFor(f.key).land(f, nil, errFillAborted, false)
+		}
+	}
+}
+
+// evicted maintains the eviction counter.
+func (c *CachedOracle) evicted(n int) {
+	if n > 0 {
+		c.evictions.Add(int64(n))
+	}
+}
+
 // cachedQuery is the shared single-point lookup shape of QueryLR and
-// QueryLNR: hit → replay, untrusted filter → bypass, miss → forward,
-// record, count. Errors are never cached.
+// QueryLNR: hit → replay, untrusted filter → bypass, key already in
+// flight → wait for that fetch's answer (never charged), miss →
+// forward, record, count. Concurrent misses on one key therefore go
+// upstream once. Errors are never cached.
 func cachedQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filter Filter, kind uint8,
 	fetch func(context.Context, geom.Point, Filter) ([]T, error),
 	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([]T, error) {
@@ -396,32 +514,60 @@ func cachedQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filt
 		return fetch(ctx, q, filter)
 	}
 	key := c.keyFor(kind, q)
-	if e, ok := c.shardFor(key).get(key); ok {
-		c.hits.Add(1)
-		return load(e), nil
-	}
-	recs, err := fetch(ctx, q, filter)
-	if err != nil {
-		if IsPartial(err) {
-			// A degraded answer is served but never memoized: once the
-			// missing member recovers, the same key must re-fetch the
-			// full answer instead of replaying the contaminated one.
-			c.bypasses.Add(1)
-			return recs, err
+	for {
+		e, wait, lead := c.shardFor(key).lookup(key)
+		if e != nil {
+			c.hits.Add(1)
+			return load(e), nil
 		}
-		return nil, err
+		if lead != nil {
+			return leadQuery(c, ctx, q, filter, lead, fetch, entry)
+		}
+		retry, err := await(ctx, wait)
+		if err != nil {
+			return nil, err
+		}
+		if !retry {
+			return share(c, wait, load)
+		}
 	}
-	c.misses.Add(1)
-	c.store(entry(key, recs))
-	return recs, nil
+}
+
+// leadQuery fetches the answer for a key this caller leads and lands
+// it for the key's waiters.
+func leadQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filter Filter, lead *flight,
+	fetch func(context.Context, geom.Point, Filter) ([]T, error),
+	entry func(cacheKey, []T) *cacheEntry) ([]T, error) {
+
+	defer c.landAll([]*flight{lead})
+	recs, err := fetch(ctx, q, filter)
+	sh := c.shardFor(lead.key)
+	switch {
+	case err == nil:
+		c.misses.Add(1)
+		c.evicted(sh.land(lead, entry(lead.key, recs), nil, true))
+	case IsPartial(err):
+		// A degraded answer is served but never memoized: once the
+		// missing member recovers, the same key must re-fetch the full
+		// answer instead of replaying the contaminated one.
+		c.bypasses.Add(1)
+		sh.land(lead, entry(lead.key, recs), err, false)
+	default:
+		sh.land(lead, nil, err, false)
+		recs = nil
+	}
+	return recs, err
 }
 
 // cachedBatch is the shared batch shape: answer hits from the cache,
-// forward the remaining misses as one (smaller) batch, record what
-// came back. Partial-budget semantics follow Service.QueryLRBatch —
-// nil entries mark the positions the budget could not cover, and
-// cache hits are answered even after the budget dies (memoized
-// answers are free). Untrusted filtered batches bypass entirely.
+// forward the misses this batch leads as one (smaller) batch, record
+// what came back, then collect the keys other callers were already
+// fetching — and keys repeated within the batch, which wait on the
+// batch's own, by then landed, flights. Partial-budget semantics
+// follow Service.QueryLRBatch — nil entries mark the positions the
+// budget could not cover, and cache hits are answered even after the
+// budget dies (memoized answers are free). Untrusted filtered batches
+// bypass entirely.
 func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, filter Filter, kind uint8,
 	fetch func(context.Context, []geom.Point, Filter) ([][]T, error),
 	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([][]T, error) {
@@ -431,40 +577,86 @@ func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, 
 		return fetch(ctx, pts, filter)
 	}
 	out := make([][]T, len(pts))
-	var missIdx []int
+	var missIdx, waitIdx []int
 	var missPts []geom.Point
-	var missKeys []cacheKey
+	var leads, waits []*flight
 	for i, p := range pts {
 		key := c.keyFor(kind, p)
-		if e, ok := c.shardFor(key).get(key); ok {
+		e, wait, lead := c.shardFor(key).lookup(key)
+		switch {
+		case e != nil:
 			c.hits.Add(1)
 			out[i] = load(e)
-			continue
+		case lead != nil:
+			missIdx = append(missIdx, i)
+			missPts = append(missPts, p)
+			leads = append(leads, lead)
+		default:
+			waitIdx = append(waitIdx, i)
+			waits = append(waits, wait)
 		}
-		missIdx = append(missIdx, i)
-		missPts = append(missPts, p)
-		missKeys = append(missKeys, key)
 	}
-	if len(missPts) == 0 {
-		return out, nil
+	var err error
+	if len(leads) > 0 {
+		defer c.landAll(leads)
+		var answers [][]T
+		answers, err = fetch(ctx, missPts, filter)
+		partial := IsPartial(err)
+		for j, f := range leads {
+			var recs []T
+			if j < len(answers) {
+				recs = answers[j]
+			}
+			out[missIdx[j]] = recs
+			sh := c.shardFor(f.key)
+			switch {
+			case recs == nil:
+				// Uncovered position: its waiters share the batch error.
+				sh.land(f, nil, err, false)
+			case partial:
+				// The annotation does not say which positions were
+				// degraded, so none of the batch is memoized.
+				c.bypasses.Add(1)
+				sh.land(f, entry(f.key, recs), err, false)
+			default:
+				c.misses.Add(1)
+				c.evicted(sh.land(f, entry(f.key, recs), nil, true))
+			}
+		}
 	}
-	answers, err := fetch(ctx, missPts, filter)
-	partial := IsPartial(err)
-	for j, recs := range answers {
-		if recs == nil {
-			continue
+	var retryIdx []int
+	var retryPts []geom.Point
+	for j, f := range waits {
+		retry, werr := await(ctx, f)
+		switch {
+		case werr != nil:
+			err = firstErr(err, werr)
+		case retry:
+			retryIdx = append(retryIdx, waitIdx[j])
+			retryPts = append(retryPts, pts[waitIdx[j]])
+		default:
+			recs, ferr := share(c, f, load)
+			out[waitIdx[j]] = recs
+			err = firstErr(err, ferr)
 		}
-		out[missIdx[j]] = recs
-		if partial {
-			// The annotation does not say which positions were
-			// degraded, so none of the batch is memoized.
-			c.bypasses.Add(1)
-			continue
+	}
+	if len(retryPts) > 0 {
+		answers, rerr := cachedBatch(c, ctx, retryPts, filter, kind, fetch, load, entry)
+		for j, recs := range answers {
+			out[retryIdx[j]] = recs
 		}
-		c.misses.Add(1)
-		c.store(entry(missKeys[j], recs))
+		err = firstErr(err, rerr)
 	}
 	return out, err
+}
+
+// firstErr merges a batch's errors: the first one wins, except that a
+// hard error replaces a partial-answer annotation.
+func firstErr(cur, next error) error {
+	if cur == nil || (IsPartial(cur) && next != nil && !IsPartial(next)) {
+		return next
+	}
+	return cur
 }
 
 // QueryLR implements Querier: a hit replays the recorded answer, a
