@@ -39,16 +39,14 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/httpapi"
 	"repro/internal/jobs"
-	"repro/internal/lbs"
-	"repro/internal/shard"
-	"repro/internal/store"
-	"repro/internal/workload"
+	"repro/internal/stack"
 )
 
 type runner func(context.Context, experiments.Config) (*experiments.Figure, error)
@@ -152,33 +150,14 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 			gi, g.Method, g.Seed, g.CostPerSample, g.Specs, names)
 	}
 
-	var db *lbs.Database
-	var name string
-	if dataset != "" {
-		var err error
-		if db, err = store.LoadDataset(dataset, 0, nil); err != nil {
-			return err
-		}
-		name = dataset
-	} else {
-		sc := workload.USASchools(cfg.N, cfg.Seed)
-		db, name = sc.DB, sc.Name
-	}
-	opts := lbs.Options{K: cfg.K}
-	var svc core.Oracle
-	if cfg.Shards > 1 {
-		router, err := shard.FromParts(shard.Partition(db, cfg.Shards), opts)
-		if err != nil {
-			return err
-		}
-		svc = router
-	} else {
-		svc = lbs.NewService(db, opts)
+	st, err := stack.Spec{Scenario: "schools", N: cfg.N, Seed: cfg.Seed, K: cfg.K, Shards: cfg.Shards, Dataset: dataset}.Build(ctx)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("running over %s n=%d k=%d (budget=%d shards=%d)\n",
-		name, db.Len(), cfg.K, cfg.Budget, cfg.Shards)
+		st.Name, st.Tuples, cfg.K, cfg.Budget, cfg.Shards)
 
-	br, err := plan.Execute(ctx, svc, nil)
+	br, err := plan.Execute(ctx, st.Querier, nil)
 	if err != nil {
 		return err
 	}
@@ -211,6 +190,17 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 	return nil
 }
 
+// fail reports an error uniformly and exits: an interrupt exits 130
+// ("interrupted") whichever mode or experiment was running.
+func fail(what string, err error) {
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintln(os.Stderr, "interrupted")
+		os.Exit(130)
+	}
+	fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
+	os.Exit(1)
+}
+
 func main() {
 	var (
 		exp    = flag.String("experiment", "all", "experiment id: fig11..fig21, table1, live, chaos, or all")
@@ -234,16 +224,12 @@ func main() {
 	)
 	flag.Parse()
 	aggsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "aggs" {
-			aggsSet = true
-		}
-	})
+	flag.Visit(func(f *flag.Flag) { aggsSet = aggsSet || f.Name == "aggs" })
 
-	// Ctrl-C cancels the context; in-flight estimation runs stop at
-	// the next sample boundary and the command exits promptly instead
-	// of grinding through the remaining experiments.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// Ctrl-C or SIGTERM cancels the context; in-flight estimation runs
+	// stop at the next sample boundary and the command exits promptly
+	// instead of grinding through the remaining experiments.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if *remote != "" {
@@ -258,12 +244,7 @@ func main() {
 				Batch:       *batch,
 			},
 		}, *aggs, *trace); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "remote: %v\n", err)
-			os.Exit(1)
+			fail("remote", err)
 		}
 		return
 	}
@@ -304,12 +285,7 @@ func main() {
 	// local multi-aggregate query planner instead of the experiments.
 	if aggsSet {
 		if err := runPlanLocal(ctx, cfg, *method, *aggs, *dataset, *samples, *targetCI); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "interrupted")
-				os.Exit(130)
-			}
-			fmt.Fprintf(os.Stderr, "plan: %v\n", err)
-			os.Exit(1)
+			fail("plan", err)
 		}
 		return
 	}
@@ -338,17 +314,6 @@ func main() {
 		}
 		sort.Strings(ids)
 		ids = append(ids, "table1", "mse")
-	}
-
-	// fail reports an experiment error uniformly: an interrupt exits
-	// 130 ("interrupted") regardless of which experiment was running.
-	fail := func(id string, err error) {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "interrupted")
-			os.Exit(130)
-		}
-		fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-		os.Exit(1)
 	}
 
 	for _, id := range ids {

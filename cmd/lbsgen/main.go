@@ -33,7 +33,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/geo"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -69,36 +68,9 @@ func main() {
 	)
 	flag.Parse()
 
-	den, err := workload.ParseDensity(*density)
+	sc, err := workload.ByName(*scenario, *n, *seed, *density)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	var sc *workload.Scenario
-	switch *scenario {
-	case "schools":
-		sc = workload.USASchools(*n, *seed)
-	case "restaurants":
-		sc = workload.USARestaurants(*n, *seed)
-	case "starbucks":
-		sc = workload.StarbucksUS(*n, *n*4, *seed)
-	case "wechat":
-		sc = workload.WeChatChina(*n, *seed)
-	case "weibo":
-		sc = workload.WeiboChina(*n, *seed)
-	case "cities":
-		sc = workload.Cities("cities", workload.USBounds(), geo.Euclidean, den, *n, 40, *seed)
-	case "geo-us":
-		sc = workload.GeoUS(*n, *seed, den)
-	case "geo-china":
-		sc = workload.GeoChina(*n, *seed, den)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
-		os.Exit(2)
-	}
-	if *density != "" && sc.Metric == geo.Euclidean && *scenario != "cities" {
-		fmt.Fprintf(os.Stderr, "-density applies to the cities/geo-us/geo-china scenarios; %q has a fixed density\n", *scenario)
 		os.Exit(2)
 	}
 

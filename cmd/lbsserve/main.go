@@ -79,9 +79,10 @@
 //
 // -dataset loads the database from a file instead of generating it:
 // lbsgen JSON or a .lbspack written by lbsgen -o city.lbspack.
-// -data-dir is incompatible with -upstream (remote shards hold the
-// state) and with -live -shards N>1 (a shared journal across live
-// members is unsupported).
+//
+// The flags compose through internal/stack: flag combinations that
+// are unsupported or would be silently ignored are rejected at startup
+// by the rules table behind stack.Spec.Validate.
 package main
 
 import (
@@ -93,323 +94,60 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"syscall"
 	"time"
 
-	"repro/internal/faults"
-	"repro/internal/geo"
-	"repro/internal/geom"
 	"repro/internal/httpapi"
-	"repro/internal/jobs"
-	"repro/internal/lbs"
-	"repro/internal/live"
-	"repro/internal/shard"
-	"repro/internal/store"
-	"repro/internal/workload"
+	"repro/internal/stack"
 )
 
 func main() {
-	var (
-		scenario  = flag.String("scenario", "schools", "schools | restaurants | starbucks | wechat | weibo | cities | geo-us | geo-china")
-		n         = flag.Int("n", 2000, "number of tuples")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		density   = flag.String("density", "", "cluster spread for cities/geo-us/geo-china: gauss (default) | zipf (heavy-tailed power law)")
-		metricFlg = flag.String("metric", "", "distance metric: euclidean | haversine (geodesic; coordinates are lon/lat degrees). Default: whatever the scenario, dataset or upstreams are laid out for; set explicitly to assert it")
-		k         = flag.Int("k", 10, "interface top-k")
-		budget    = flag.Int64("budget", 0, "total query budget (0 = unlimited)")
-		radius    = flag.Float64("radius", 0, "maximum coverage radius (0 = unlimited)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		cacheSize = flag.Int("cache-size", 0, "answer-cache entries in front of the service (0 = no cache); hits are served without consuming budget, like a caching gateway")
-		jobCap    = flag.Int64("job-max-queries", 0, "default query cap for estimation jobs that set none (0 = uncapped)")
-		maxJobs   = flag.Int("max-jobs", 0, "retained estimation jobs before the oldest finished ones are evicted (0 = default)")
-		shards    = flag.Int("shards", 0, "partition the database into this many spatial shards behind a scatter-gather router (0/1 = single service)")
-		upstreams = flag.String("upstream", "", "comma-separated base URLs of running lbsserve shards to federate (replaces the local scenario; -k/-budget/-radius describe the logical service)")
-		liveMode  = flag.Bool("live", false, "serve a live (mutable) database: POST /v1/tuples:stream accepts NDJSON insert/delete/move ops; composes with -shards and -cache-size")
-		compactAt = flag.Int("compact-threshold", 0, "with -live: overlay size triggering a background rebuild of the base index (0 = default, negative = never compact)")
-		faultSpec = flag.String("fault-spec", "", `inject faults for resilience testing: comma-separated key=value pairs (seed, transient, every, down-after, down-for, latency, sigma, slow, dup), e.g. "transient=0.05,latency=2ms,sigma=0.5"; with -shards each member gets its own injector (per-shard seed offset) so the router's retry/breaker machinery is exercised, otherwise the whole backend is faulted`)
-		dataDir   = flag.String("data-dir", "", "durable state directory (internal/store): packs the database, journals live mutations, resumes jobs and restores the cache across restarts")
-		dataset   = flag.String("dataset", "", "load the database from this file (lbsgen JSON or .lbspack) instead of generating -scenario")
-	)
+	var s stack.Spec
+	flag.StringVar(&s.Scenario, "scenario", "schools", "schools | restaurants | starbucks | wechat | weibo | cities | geo-us | geo-china")
+	flag.IntVar(&s.N, "n", 2000, "number of tuples")
+	flag.Int64Var(&s.Seed, "seed", 1, "generator seed")
+	flag.StringVar(&s.Density, "density", "", "cluster spread for cities/geo-us/geo-china: gauss (default) | zipf (heavy-tailed power law)")
+	flag.StringVar(&s.Metric, "metric", "", "distance metric: euclidean | haversine (geodesic; coordinates are lon/lat degrees). Default: whatever the scenario, dataset or upstreams are laid out for; set explicitly to assert it")
+	flag.IntVar(&s.K, "k", 10, "interface top-k")
+	flag.Int64Var(&s.Budget, "budget", 0, "total query budget (0 = unlimited)")
+	flag.Float64Var(&s.Radius, "radius", 0, "maximum coverage radius (0 = unlimited)")
+	flag.StringVar(&s.Addr, "addr", ":8080", "listen address")
+	flag.IntVar(&s.CacheSize, "cache-size", 0, "answer-cache entries in front of the service (0 = no cache); hits are served without consuming budget, like a caching gateway")
+	flag.Int64Var(&s.JobMaxQueries, "job-max-queries", 0, "default query cap for estimation jobs that set none (0 = uncapped)")
+	flag.IntVar(&s.MaxJobs, "max-jobs", 0, "retained estimation jobs before the oldest finished ones are evicted (0 = default)")
+	flag.IntVar(&s.Shards, "shards", 0, "partition the database into this many spatial shards behind a scatter-gather router (0/1 = single service)")
+	flag.StringVar(&s.Upstream, "upstream", "", "comma-separated base URLs of running lbsserve shards to federate (replaces the local scenario; -k/-budget/-radius describe the logical service)")
+	flag.BoolVar(&s.Live, "live", false, "serve a live (mutable) database: POST /v1/tuples:stream accepts NDJSON insert/delete/move ops; composes with -shards and -cache-size")
+	flag.IntVar(&s.CompactThreshold, "compact-threshold", 0, "with -live: overlay size triggering a background rebuild of the base index (0 = default, negative = never compact)")
+	flag.StringVar(&s.FaultSpec, "fault-spec", "", `inject faults for resilience testing: comma-separated key=value pairs (seed, transient, every, down-after, down-for, latency, sigma, slow, dup), e.g. "transient=0.05,latency=2ms,sigma=0.5"; with -shards each member gets its own injector (per-shard seed offset) so the router's retry/breaker machinery is exercised, otherwise the whole backend is faulted`)
+	flag.StringVar(&s.DataDir, "data-dir", "", "durable state directory (internal/store): packs the database, journals live mutations, resumes jobs and restores the cache across restarts")
+	flag.StringVar(&s.Dataset, "dataset", "", "load the database from this file (lbsgen JSON or .lbspack) instead of generating -scenario")
 	flag.Parse()
 
-	var fspec *faults.Spec
-	if *faultSpec != "" {
-		s, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			log.Fatalf("-fault-spec: %v", err)
-		}
-		fspec = &s
-	}
-
-	den, err := workload.ParseDensity(*density)
+	// Serve until interrupted or terminated, then drain: estimation
+	// jobs are canceled (settling with partial results), in-flight
+	// queries see their request contexts canceled, the listener closes
+	// cleanly and the stack checkpoints.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	st, err := s.Build(ctx)
 	if err != nil {
-		log.Fatalf("-density: %v", err)
+		log.Fatal(err)
 	}
-
-	// Resolve the distance metric before anything is built: it threads
-	// through service options, the cache's cell geometry and the pack
-	// headers the store writes. The scenario or dataset decides by
-	// default; an explicit -metric asserts it (a mismatch is fatal —
-	// the coordinates were laid out for one geometry).
-	metric := geo.Euclidean
-	switch *scenario {
-	case "geo-us", "geo-china":
-		metric = geo.Haversine
+	api := httpapi.NewServerWith(st.Querier, httpapi.ServerOptions{Jobs: st.Jobs, Mutator: st.Mutator})
+	recovered, err := st.Recover(api.Jobs())
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *dataset != "" {
-		m, err := store.DatasetMetric(*dataset)
-		if err != nil {
-			log.Fatalf("-dataset: %v", err)
-		}
-		metric = m
+	if recovered != "" {
+		fmt.Println(recovered)
 	}
-	if *metricFlg != "" {
-		m, err := geo.ParseMetric(*metricFlg)
-		if err != nil {
-			log.Fatalf("-metric: %v", err)
-		}
-		if *upstreams == "" && m != metric {
-			log.Fatalf("-metric %s, but the backing data is laid out for %s", m, metric)
-		}
-		metric = m
-	}
-
-	opts := lbs.Options{K: *k, Budget: *budget, MaxRadius: *radius, Metric: metric}
-	var st *store.Store
-	if *dataDir != "" {
-		if *upstreams != "" {
-			log.Fatal("-data-dir is incompatible with -upstream: the remote shards hold the state")
-		}
-		if *liveMode && *shards > 1 {
-			log.Fatal("-data-dir with -live -shards is unsupported: live members cannot share one journal")
-		}
-		var err error
-		st, err = store.Open(*dataDir, store.Options{Metric: metric})
-		if err != nil {
-			log.Fatalf("-data-dir: %v", err)
-		}
-	}
-	var backend lbs.Querier
-	var mutator live.Mutator
-	// The answer cache is constructed after the backend, but a live
-	// backend needs its invalidation hook at construction time: the
-	// closure dereferences the cache variable at fire time, and
-	// mutations cannot arrive before the server (and thus the cache)
-	// exists.
-	var cache *lbs.CachedOracle
-	lopts := live.Options{CompactThreshold: *compactAt}
-	if *cacheSize > 0 {
-		lopts.OnInvalidate = func(r geom.Rect) {
-			if cache != nil {
-				cache.Invalidate(r)
-			}
-		}
-	}
-	var label string
-	switch {
-	case *upstreams != "":
-		if *liveMode {
-			log.Fatal("-live is incompatible with -upstream: mutations cannot be routed to remote upstreams (run the upstreams themselves with -live)")
-		}
-		var members []shard.Shard
-		for _, u := range strings.Split(*upstreams, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			c, err := httpapi.NewClient(context.Background(), u, httpapi.Selection{}, nil)
-			if err != nil {
-				log.Fatalf("upstream %s: %v", u, err)
-			}
-			if *metricFlg == "" && len(members) == 0 {
-				// No explicit assertion: adopt the first upstream's metric
-				// (the rest must agree — a mixed federation cannot merge
-				// distances meaningfully).
-				metric = c.Metric()
-				opts.Metric = metric
-			}
-			if c.Metric() != metric {
-				log.Fatalf("upstream %s runs metric %s, federation runs %s", u, c.Metric(), metric)
-			}
-			members = append(members, shard.Shard{Querier: c, Region: c.Bounds()})
-		}
-		router, err := shard.NewRouter(members, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = router
-		label = fmt.Sprintf("federation of %d upstreams, k=%d", router.NumShards(), *k)
-	default:
-		// The base database comes from -dataset (file) or -scenario
-		// (generated); behind a warm -data-dir the generator never runs —
-		// the pack is the database.
-		name := *scenario
-		if *dataset != "" {
-			name = *dataset
-		}
-		gen := func() *lbs.Database {
-			if *dataset != "" {
-				db, err := store.LoadDataset(*dataset, 0, nil)
-				if err != nil {
-					log.Fatalf("-dataset: %v", err)
-				}
-				return db
-			}
-			var sc *workload.Scenario
-			switch *scenario {
-			case "schools":
-				sc = workload.USASchools(*n, *seed)
-			case "restaurants":
-				sc = workload.USARestaurants(*n, *seed)
-			case "starbucks":
-				sc = workload.StarbucksUS(*n, *n*4, *seed)
-			case "wechat":
-				sc = workload.WeChatChina(*n, *seed)
-			case "weibo":
-				sc = workload.WeiboChina(*n, *seed)
-			case "cities":
-				sc = workload.Cities("cities", workload.USBounds(), geo.Euclidean, den, *n, 40, *seed)
-			case "geo-us":
-				sc = workload.GeoUS(*n, *seed, den)
-			case "geo-china":
-				sc = workload.GeoChina(*n, *seed, den)
-			default:
-				log.Fatalf("unknown scenario %q", *scenario)
-			}
-			if sc.Metric != metric {
-				log.Fatalf("scenario %s is laid out for metric %s, server runs %s", *scenario, sc.Metric, metric)
-			}
-			return sc.DB
-		}
-		var db *lbs.Database
-		switch {
-		case st != nil && *liveMode:
-			d, err := st.OpenLive(gen, opts, lopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			backend, mutator = d, d
-			ls := d.LiveStats()
-			label = fmt.Sprintf("%s (%d tuples, k=%d, live, durable epoch %d)",
-				name, ls.BaseLen+ls.DeltaLen-ls.Tombstones, *k, ls.Epoch)
-		case st != nil:
-			var warm bool
-			var err error
-			db, warm, err = st.OpenOrCreateDatabase(gen)
-			if err != nil {
-				log.Fatal(err)
-			}
-			start := "cold ingest"
-			if warm {
-				start = "warm start"
-			}
-			label = fmt.Sprintf("%s (%d tuples, k=%d, durable %s)", name, db.Len(), *k, start)
-		default:
-			db = gen()
-			label = fmt.Sprintf("%s (%d tuples, k=%d)", name, db.Len(), *k)
-		}
-		switch {
-		case st != nil && *liveMode:
-			// backend already built above
-		case *liveMode && *shards > 1:
-			cluster, err := live.NewCluster(db, opts, *shards, lopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			backend, mutator = cluster, cluster
-			label += fmt.Sprintf(", %d live shards", *shards)
-		case *liveMode:
-			d, err := live.New(db, opts, lopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			backend, mutator = d, d
-			label += ", live"
-		case *shards > 1:
-			// With faults requested, each member gets its own injector
-			// (behind the router) so the resilience layer — retries,
-			// breakers, degraded scatter-gather — is what absorbs them.
-			var wrap func(int, lbs.Querier) lbs.Querier
-			if fspec != nil {
-				base := *fspec
-				wrap = func(i int, q lbs.Querier) lbs.Querier {
-					s := base
-					s.Seed += int64(i) * 101
-					return faults.New(q, s)
-				}
-				fspec = nil // consumed per-member; skip the whole-backend wrap
-			}
-			router, err := shard.FromPartsWrapped(shard.Partition(db, *shards), opts, shard.DefaultResilience(), wrap)
-			if err != nil {
-				log.Fatal(err)
-			}
-			backend = router
-			label += fmt.Sprintf(", %d shards", *shards)
-			if wrap != nil {
-				label += ", faulted members"
-			}
-		default:
-			backend = lbs.NewService(db, opts)
-		}
-	}
-	if fspec != nil {
-		// Single service, live database or upstream federation: fault
-		// the composite backend as a whole. Callers see the raw injected
-		// errors — there is no resilience layer above this point.
-		backend = faults.New(backend, *fspec)
-		label += ", faulted"
-	}
-	if *cacheSize > 0 {
-		cache = lbs.NewCachedOracle(backend, lbs.CacheOptions{Capacity: *cacheSize, Metric: metric})
-		backend = cache
-		label += fmt.Sprintf(", cache=%d", *cacheSize)
-	}
-	if metric != geo.Euclidean {
-		label += ", metric=" + metric.String()
-	}
-	jobOpts := jobs.ManagerOptions{
-		DefaultMaxQueries: *jobCap,
-		MaxJobs:           *maxJobs,
-	}
-	var cacheRestored int
-	if st != nil {
-		if cache != nil {
-			cacheRestored, _ = st.LoadCache(cache)
-		}
-		// The Instrumented wrapper is what /v1/stats walks to for the
-		// store section; it passes queries through untouched.
-		backend = st.Instrument(backend)
-		jobOpts.Store = st.Jobs()
-	}
-	api := httpapi.NewServerWith(backend, httpapi.ServerOptions{
-		Jobs:    jobOpts,
-		Mutator: mutator,
-	})
-	if st != nil {
-		rs, err := api.Jobs().Recover()
-		if err != nil {
-			log.Fatalf("job recovery: %v", err)
-		}
-		st.RecordRecovery(rs)
-		var rec store.Recovery
-		if ls := st.Live(); ls != nil {
-			rec = ls.Recovery()
-		}
-		fmt.Printf("recovered %s: epoch=%d wal_frames=%d wal_ops=%d cache_entries=%d jobs_finished=%d jobs_resumed=%d jobs_unresumable=%d\n",
-			*dataDir, rec.Epoch, rec.Frames, rec.Ops, cacheRestored, rs.Recovered, rs.Resumed, rs.Unresumable)
-	}
-	fmt.Printf("serving %s on %s\n", label, *addr)
-	fmt.Printf("estimation jobs: POST /v1/estimate · live counters: GET /v1/stats\n")
-	if mutator != nil {
+	fmt.Printf("serving %s on %s\nestimation jobs: POST /v1/estimate · live counters: GET /v1/stats\n", st.Label, s.Addr)
+	if st.Mutator != nil {
 		fmt.Printf("mutation stream: POST /v1/tuples:stream (NDJSON insert/delete/move)\n")
 	}
 
-	// Serve until interrupted, then drain: estimation jobs are
-	// canceled (settling with partial results), in-flight queries see
-	// their request contexts canceled, and the listener closes cleanly.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	srv := &http.Server{Addr: *addr, Handler: api}
+	srv := &http.Server{Addr: s.Addr, Handler: api}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -422,22 +160,12 @@ func main() {
 		if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			log.Fatal(err)
 		}
-		if st != nil {
-			// Graceful-shutdown checkpoint: flatten the live overlay into
-			// the pack (truncating the WAL) and snapshot the cache, so the
-			// next start is as warm as possible.
-			if cache != nil {
-				if err := st.SaveCache(cache); err != nil {
-					log.Printf("cache snapshot: %v", err)
-				}
-			}
-			if err := st.Close(); err != nil {
-				log.Printf("store checkpoint: %v", err)
-			}
+		if err := st.Close(); err != nil {
+			log.Printf("shutdown checkpoint: %v", err)
 		}
 		// The full picture (cache and job counters included) is served
 		// live by GET /v1/stats; the shutdown line is just a closing
 		// summary.
-		fmt.Printf("shut down after %d queries\n", backend.QueryCount())
+		fmt.Printf("shut down after %d queries\n", st.Querier.QueryCount())
 	}
 }

@@ -212,16 +212,8 @@ func stopErr(ctx context.Context, err error) bool {
 // router's DegradedCount, or a TolerantQuerier's absorbed annotations.
 // 0 when no layer tracks degradation (every non-federated stack).
 func degradedCount(svc Oracle) int64 {
-	cur := any(svc)
-	for cur != nil {
-		if dc, ok := cur.(interface{ DegradedCount() int64 }); ok {
-			return dc.DegradedCount()
-		}
-		w, ok := cur.(lbs.Wrapper)
-		if !ok {
-			return 0
-		}
-		cur = w.Inner()
+	if dc, ok := lbs.Find[interface{ DegradedCount() int64 }](svc); ok {
+		return dc.DegradedCount()
 	}
 	return 0
 }

@@ -61,7 +61,7 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // BenchmarkChaos is the recordable flavor of the chaos experiment (the
-// bench-chaos-json target → BENCH_chaos.json): one sub-benchmark per
+// chaos suite of make bench-record → BENCH_chaos.json): one sub-benchmark per
 // fault rate running a full LR COUNT estimation over the faulted
 // 4-shard federation, reporting the relative estimation error, the
 // p50/p99 per-query latency and the router's retry/partial totals as

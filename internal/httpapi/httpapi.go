@@ -292,15 +292,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 // live.Database and live.Cluster all do. A chain exposing none is
 // Euclidean: every pre-geodesic backend ranks in the plane.
 func metricOf(q lbs.Querier) geo.Metric {
-	for q != nil {
-		if mm, ok := q.(interface{ Metric() geo.Metric }); ok {
-			return mm.Metric()
-		}
-		iw, ok := q.(lbs.Wrapper)
-		if !ok {
-			break
-		}
-		q = iw.Inner()
+	if mm, ok := lbs.Find[interface{ Metric() geo.Metric }](q); ok {
+		return mm.Metric()
 	}
 	return geo.Euclidean
 }

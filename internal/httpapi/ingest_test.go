@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,11 +14,9 @@ import (
 	"repro/internal/live"
 )
 
-// testLiveBacked builds a live database over a small fixed population
-// and a server exposing it (queries through d, mutations through the
-// Mutator seam).
-func testLiveBacked(t *testing.T, lopts live.Options) (*live.Database, *httptest.Server) {
-	t.Helper()
+// testLiveBase is a small fixed population: 25 tuples on a 5×5 grid
+// over a 100×100 square.
+func testLiveBase() *lbs.Database {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 	tuples := make([]lbs.Tuple, 0, 25)
 	for i := 0; i < 5; i++ {
@@ -31,7 +30,14 @@ func testLiveBacked(t *testing.T, lopts live.Options) (*live.Database, *httptest
 			})
 		}
 	}
-	d, err := live.New(lbs.NewDatabase(bounds, tuples), lbs.Options{K: 3}, lopts)
+	return lbs.NewDatabase(bounds, tuples)
+}
+
+// testLiveBacked builds a live database over testLiveBase and a server
+// exposing it (queries through d, mutations through the Mutator seam).
+func testLiveBacked(t *testing.T, lopts live.Options) (*live.Database, *httptest.Server) {
+	t.Helper()
+	d, err := live.New(testLiveBase(), lbs.Options{K: 3}, lopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,66 +190,91 @@ func TestTupleStreamUnknownKind(t *testing.T) {
 }
 
 // TestStatsLive pins the /v1/stats additions: the live section (epoch
-// and mutation counters) via the LiveStats probe, and the cache
-// invalidation counter after a mutation flushes dirtied entries.
+// and mutation counters) via the Stats() live.Stats probe, and the
+// cache invalidation counter after a mutation flushes dirtied entries.
+// A live cluster reports the same live section and, through its
+// router, the federation section.
 func TestStatsLive(t *testing.T) {
-	var cache *lbs.CachedOracle
-	d, _ := testLiveBacked(t, live.Options{
-		OnInvalidate: func(r geom.Rect) {
-			if cache != nil {
-				cache.Invalidate(r)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var cache *lbs.CachedOracle
+			lopts := live.Options{
+				OnInvalidate: func(r geom.Rect) {
+					if cache != nil {
+						cache.Invalidate(r)
+					}
+				},
 			}
-		},
-	})
-	cache = lbs.NewCachedOracle(d, lbs.CacheOptions{})
-	ts := httptest.NewServer(NewServerWith(cache, ServerOptions{Mutator: d}))
-	defer ts.Close()
-	ctx := context.Background()
-	c, err := NewClient(ctx, ts.URL, Selection{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+			var backend interface {
+				lbs.Querier
+				live.Mutator
+			}
+			if shards == 1 {
+				backend, _ = testLiveBacked(t, lopts)
+			} else {
+				c, err := live.NewCluster(testLiveBase(), lbs.Options{K: 3}, shards, lopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				backend = c
+			}
+			cache = lbs.NewCachedOracle(backend, lbs.CacheOptions{})
+			ts := httptest.NewServer(NewServerWith(cache, ServerOptions{Mutator: backend}))
+			defer ts.Close()
+			ctx := context.Background()
+			c, err := NewClient(ctx, ts.URL, Selection{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Populate the cache, mutate (no MaxRadius and no InvalidationRadius
-	// → conservative full flush), then read stats.
-	if _, err := c.QueryLR(ctx, geom.Pt(10, 10), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.QueryLR(ctx, geom.Pt(90, 90), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.StreamTuples(ctx, []live.Op{{Kind: live.OpMove, ID: 1, Loc: geom.Pt(1, 1)}}); err != nil {
-		t.Fatal(err)
-	}
+			// Populate the cache, mutate (no MaxRadius and no
+			// InvalidationRadius → conservative full flush), then read
+			// stats.
+			if _, err := c.QueryLR(ctx, geom.Pt(10, 10), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.QueryLR(ctx, geom.Pt(90, 90), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.StreamTuples(ctx, []live.Op{{Kind: live.OpMove, ID: 1, Loc: geom.Pt(1, 1)}}); err != nil {
+				t.Fatal(err)
+			}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Live == nil {
-		t.Fatal("stats missing live section")
-	}
-	if st.Live.Epoch != 1 || st.Live.Moves != 1 {
-		t.Errorf("live stats: %+v", st.Live)
-	}
-	if st.Live.BaseLen != 25 {
-		t.Errorf("live base len: %d", st.Live.BaseLen)
-	}
-	if st.Cache == nil {
-		t.Fatal("stats missing cache section")
-	}
-	if st.Cache.Invalidations != 2 {
-		t.Errorf("cache invalidations: %d, want 2 (both cached answers flushed)", st.Cache.Invalidations)
+			resp, err := http.Get(ts.URL + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var st statsResponse
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Live == nil {
+				t.Fatal("stats missing live section")
+			}
+			if st.Live.Epoch != 1 || st.Live.Moves != 1 {
+				t.Errorf("live stats: %+v", st.Live)
+			}
+			if st.Live.BaseLen != 25 {
+				t.Errorf("live base len: %d", st.Live.BaseLen)
+			}
+			if st.Cache == nil {
+				t.Fatal("stats missing cache section")
+			}
+			if st.Cache.Invalidations != 2 {
+				t.Errorf("cache invalidations: %d, want 2 (both cached answers flushed)", st.Cache.Invalidations)
+			}
+			if fed := st.Federation != nil; fed != (shards > 1) {
+				t.Errorf("federation section present=%v with %d shards", fed, shards)
+			} else if fed && len(st.Federation.Shards) != shards {
+				t.Errorf("federation reports %d shards, want %d", len(st.Federation.Shards), shards)
+			}
+		})
 	}
 }
 
 // opaque hides everything but the Querier interface: no lbs.Wrapper,
-// no LiveStats — the stats walk cannot see through it.
+// no live Stats — the stats walk cannot see through it.
 type opaque struct{ lbs.Querier }
 
 // TestStatsLiveViaMutatorOnly pins the fallback probe: when the query

@@ -227,25 +227,19 @@ type faultStatsView struct {
 func memberFaults(members []lbs.Querier) *faultStatsView {
 	var fv *faultStatsView
 	for _, q := range members {
-		for q != nil {
-			if fs, ok := q.(interface{ Stats() faults.Stats }); ok {
-				st := fs.Stats()
-				if fv == nil {
-					fv = &faultStatsView{}
-				}
-				fv.Calls += st.Calls
-				fv.Transients += st.Transients
-				fv.DownCalls += st.DownCalls
-				fv.Duplicates += st.Duplicates
-				fv.Slowed += st.Slowed
-				break
-			}
-			iw, ok := q.(lbs.Wrapper)
-			if !ok {
-				break
-			}
-			q = iw.Inner()
+		fs, ok := lbs.Find[interface{ Stats() faults.Stats }](q)
+		if !ok {
+			continue
 		}
+		st := fs.Stats()
+		if fv == nil {
+			fv = &faultStatsView{}
+		}
+		fv.Calls += st.Calls
+		fv.Transients += st.Transients
+		fv.DownCalls += st.DownCalls
+		fv.Duplicates += st.Duplicates
+		fv.Slowed += st.Slowed
 	}
 	return fv
 }
@@ -350,8 +344,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if resp.Live == nil {
-			if ls, ok := q.(interface{ LiveStats() live.Stats }); ok {
-				resp.Live = liveViewOf(ls.LiveStats())
+			if ls, ok := q.(interface{ Stats() live.Stats }); ok {
+				resp.Live = liveViewOf(ls.Stats())
 			}
 		}
 		if resp.Store == nil {
@@ -372,10 +366,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// A Mutator configured beside (not inside) the query chain still
 	// reports: the live backend may sit behind wrappers that do not
 	// implement lbs.Wrapper.
-	if resp.Live == nil && s.mutator != nil {
-		if ls, ok := s.mutator.(interface{ LiveStats() live.Stats }); ok {
-			resp.Live = liveViewOf(ls.LiveStats())
-		}
+	if ls, ok := lbs.Find[interface{ Stats() live.Stats }](s.mutator); ok && resp.Live == nil {
+		resp.Live = liveViewOf(ls.Stats())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

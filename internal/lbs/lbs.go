@@ -509,6 +509,23 @@ type Wrapper interface {
 	Inner() Querier
 }
 
+// Find walks the wrapper chain from q (q, then each Inner in turn) and
+// returns the outermost layer implementing T.
+func Find[T any](q any) (T, bool) {
+	for q != nil {
+		if t, ok := q.(T); ok {
+			return t, true
+		}
+		w, ok := q.(Wrapper)
+		if !ok {
+			break
+		}
+		q = w.Inner()
+	}
+	var zero T
+	return zero, false
+}
+
 // Service is a queryable kNN interface over a database. It is safe for
 // concurrent use.
 type Service struct {

@@ -136,9 +136,13 @@ func (c *Cluster) Len() int {
 	return n
 }
 
-// LiveStats aggregates the members' live counters (the promoted
-// Router Stats keeps reporting federation fan-out).
-func (c *Cluster) LiveStats() Stats {
+// Inner implements lbs.Wrapper: the router beneath the cluster, whose
+// federation Stats the cluster's own Stats shadows.
+func (c *Cluster) Inner() lbs.Querier { return c.Router }
+
+// Stats aggregates the members' live counters; the router's federation
+// counters stay reachable through Inner.
+func (c *Cluster) Stats() Stats {
 	var out Stats
 	for _, m := range c.members {
 		st := m.Stats()

@@ -392,11 +392,6 @@ func (d *Database) Stats() Stats {
 	}
 }
 
-// LiveStats is Stats under the name composite layers re-export it as
-// (a Cluster promotes the Router's federation Stats, so the live
-// counters need a distinct method name on every implementation).
-func (d *Database) LiveStats() Stats { return d.Stats() }
-
 // materialize flattens a snapshot into one immutable lbs.Database:
 // surviving base tuples (with their effective locations) followed by
 // the insert buffer. Answer-identical to the overlay by the merge

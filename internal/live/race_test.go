@@ -170,14 +170,14 @@ func TestLiveClusterConcurrentSmoke(t *testing.T) {
 					t.Errorf("batch reader: %v", err)
 					return
 				}
-				_ = c.LiveStats()
+				_ = c.Stats()
 				_ = c.Epoch()
 			}
 		}(r)
 	}
 	wg.Wait()
 
-	st := c.LiveStats()
+	st := c.Stats()
 	if st.Epoch == 0 || st.Rejected != 0 {
 		t.Fatalf("cluster stats after run: %+v", st)
 	}
