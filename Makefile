@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test stress bench bench-throughput bench-geom bench-geo-geodesic bench-smoke bench-fed bench-live bench-planner bench-chaos bench-store bench-record
+.PHONY: all fmt vet build test stress fuzz bench bench-throughput bench-geom bench-geo-geodesic bench-smoke bench-fed bench-live bench-planner bench-chaos bench-store bench-record
 
 all: fmt vet build test
 
@@ -26,6 +26,20 @@ test:
 # charged upstream fetch on every run, not most runs.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
+
+# fuzz runs every fuzz target for 10 s: the untrusted wire decoders
+# (query string, batch body, NDJSON ingest stream, estimate spec) and
+# the store's record codec. go test fuzzes one target per run, hence
+# the loop over package:target pairs.
+FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
+	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
+	./internal/store:FuzzRecordDecode
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:}"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s $${t%%:*} || exit 1; \
+	done
 
 # bench runs the estimation-session benchmarks; the Parallelism pair
 # measures the wall-clock payoff of WithParallelism(8) over a

@@ -27,7 +27,7 @@ type timedOracle struct {
 	lat []time.Duration
 }
 
-// Inner implements lbs.Wrapper, keeping the stats chain-walk intact.
+// Inner implements lbs.Wrapper, so lbs.Walk sees through the timer.
 func (t *timedOracle) Inner() lbs.Querier { return t.Querier }
 
 func (t *timedOracle) observe(d time.Duration) {

@@ -3,8 +3,9 @@
 // per-call transient errors, jittered heavy-tailed latency, slow-shard
 // mode and duplicate delivery. The injector is the test double the
 // federation's resilience layer is pinned against and the engine
-// behind the chaos experiment — it composes under lbs.Wrapper, so a
-// faulted stack still chain-walks for /v1/stats.
+// behind the chaos experiment — it composes under lbs.Wrapper, so
+// lbs.Walk finds it (and /v1/stats sums its Stats) wherever it sits,
+// federation members included.
 //
 // Determinism: every fault decision is drawn from a private PRNG
 // seeded by Spec.Seed and advanced once per delivered call, so a
@@ -125,13 +126,23 @@ func ParseSpec(s string) (Spec, error) {
 // Stats counts what the injector actually did.
 type Stats struct {
 	// Calls is the number of deliveries gated (batch = one call).
-	Calls int64
+	Calls int64 `json:"calls"`
 	// Transients, DownCalls and Duplicates count injected faults.
-	Transients int64
-	DownCalls  int64
-	Duplicates int64
+	Transients int64 `json:"transients"`
+	DownCalls  int64 `json:"down_calls"`
+	Duplicates int64 `json:"duplicates"`
 	// Slowed counts calls that slept injected latency.
-	Slowed int64
+	Slowed int64 `json:"slowed"`
+}
+
+// Add returns the field-wise sum of s and o: the totals of several
+// injectors (one per federation member).
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Calls: s.Calls + o.Calls, Transients: s.Transients + o.Transients,
+		DownCalls: s.DownCalls + o.DownCalls, Duplicates: s.Duplicates + o.Duplicates,
+		Slowed: s.Slowed + o.Slowed,
+	}
 }
 
 // Injector wraps a Querier with a fault schedule. It implements
@@ -154,7 +165,7 @@ func New(inner lbs.Querier, spec Spec) *Injector {
 	return &Injector{inner: inner, spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}
 }
 
-// Inner returns the wrapped querier (the stats chain-walk contract).
+// Inner implements lbs.Wrapper.
 func (i *Injector) Inner() lbs.Querier { return i.inner }
 
 // Bounds implements lbs.Querier.

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -299,12 +300,14 @@ func metricOf(q lbs.Querier) geo.Metric {
 }
 
 // parseQuery extracts the location and selection from the URL.
+// ParseFloat accepts NaN and ±Inf, which no backend can rank by, so
+// they are rejected with the malformed values.
 func parseQuery(r *http.Request) (geom.Point, Selection, error) {
 	q := r.URL.Query()
 	x, errX := strconv.ParseFloat(q.Get("x"), 64)
 	y, errY := strconv.ParseFloat(q.Get("y"), 64)
-	if errX != nil || errY != nil {
-		return geom.Point{}, Selection{}, fmt.Errorf("invalid or missing x/y")
+	if errX != nil || errY != nil || math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return geom.Point{}, Selection{}, fmt.Errorf("invalid, missing or non-finite x/y")
 	}
 	return geom.Pt(x, y), Selection{Name: q.Get("name"), Category: q.Get("category")}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/lbs"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -177,6 +179,39 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Errorf("missing coords: status %d", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteQueryRejected: NaN and ±Inf coordinates parse as
+// floats but cannot be ranked by; every single-point endpoint rejects
+// them with 400 before the backend is touched (nothing is charged),
+// over a plain service and over a federation alike.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	router, err := shard.NewLocal(workload.USASchools(200, 7).DB, lbs.Options{K: 5}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []struct {
+		name string
+		q    lbs.Querier
+	}{{"service", testService(20, 5, 0, 7)}, {"router", router}} {
+		ts := httptest.NewServer(NewServer(backend.q))
+		for _, path := range []string{"/v1/lr", "/v1/lnr"} {
+			for _, coords := range []string{"x=NaN&y=0", "x=Inf&y=0", "x=-Inf&y=5", "x=0&y=NaN"} {
+				resp, err := ts.Client().Get(ts.URL + path + "?" + coords)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s %s?%s: status %d, want 400", backend.name, path, coords, resp.StatusCode)
+				}
+			}
+		}
+		ts.Close()
+		if n := backend.q.QueryCount(); n != 0 {
+			t.Errorf("%s: non-finite queries charged %d", backend.name, n)
+		}
 	}
 }
 

@@ -141,109 +141,6 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheStatsView is the wire form of lbs.CacheStats.
-type cacheStatsView struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Bypasses  int64 `json:"bypasses"`
-	Evictions int64 `json:"evictions"`
-	// Invalidations counts entries dropped by epoch-based region
-	// invalidation (mutations dirtying cached answers), as opposed to
-	// capacity evictions.
-	Invalidations int64 `json:"invalidations"`
-	Entries       int64 `json:"entries"`
-	// Restored counts entries loaded from a durable snapshot at startup
-	// (warm restart); omitted on ephemeral caches.
-	Restored int64 `json:"restored,omitempty"`
-}
-
-// liveStatsView is the wire form of live.Stats.
-type liveStatsView struct {
-	Epoch       uint64 `json:"epoch"`
-	BaseLen     int    `json:"base_len"`
-	DeltaLen    int    `json:"delta_len"`
-	Tombstones  int    `json:"tombstones"`
-	Inserts     int64  `json:"inserts"`
-	Deletes     int64  `json:"deletes"`
-	Moves       int64  `json:"moves"`
-	Rejected    int64  `json:"rejected"`
-	Compactions int64  `json:"compactions"`
-	Compacting  bool   `json:"compacting"`
-}
-
-func liveViewOf(st live.Stats) *liveStatsView {
-	return &liveStatsView{
-		Epoch: st.Epoch, BaseLen: st.BaseLen, DeltaLen: st.DeltaLen,
-		Tombstones: st.Tombstones, Inserts: st.Inserts, Deletes: st.Deletes,
-		Moves: st.Moves, Rejected: st.Rejected,
-		Compactions: st.Compactions, Compacting: st.Compacting,
-	}
-}
-
-// shardStatView is the wire form of one federation member's stats.
-type shardStatView struct {
-	MinX    float64 `json:"min_x"`
-	MinY    float64 `json:"min_y"`
-	MaxX    float64 `json:"max_x"`
-	MaxY    float64 `json:"max_y"`
-	Queries int64   `json:"queries"`
-	// State is the member's circuit-breaker state (closed / open /
-	// half-open); Failures counts its availability failures, Opens how
-	// many times its breaker tripped.
-	State    shard.BreakerState `json:"state,omitempty"`
-	Failures int64              `json:"failures,omitempty"`
-	Opens    int64              `json:"opens,omitempty"`
-}
-
-// federationStatsView is the wire form of shard.RouterStats.
-type federationStatsView struct {
-	// Logical is the federation's client-visible query count; Upstream
-	// the physical subqueries fanned out across the shards.
-	Logical  int64 `json:"logical"`
-	Upstream int64 `json:"upstream"`
-	// Partial counts queries answered degraded, Dropped batch positions
-	// lost to a dead owner; Retries and Hedges count the resilience
-	// layer's extra member attempts.
-	Partial int64           `json:"partial,omitempty"`
-	Dropped int64           `json:"dropped,omitempty"`
-	Retries int64           `json:"retries,omitempty"`
-	Hedges  int64           `json:"hedges,omitempty"`
-	Shards  []shardStatView `json:"shards"`
-}
-
-// faultStatsView is the wire form of faults.Stats, reported when the
-// backend chain runs through a fault injector (chaos deployments).
-type faultStatsView struct {
-	Calls      int64 `json:"calls"`
-	Transients int64 `json:"transients"`
-	DownCalls  int64 `json:"down_calls"`
-	Duplicates int64 `json:"duplicates"`
-	Slowed     int64 `json:"slowed"`
-}
-
-// memberFaults walks each federation member's wrapper chain and sums
-// any faults.Stats found, or returns nil when no member runs through
-// an injector.
-func memberFaults(members []lbs.Querier) *faultStatsView {
-	var fv *faultStatsView
-	for _, q := range members {
-		fs, ok := lbs.Find[interface{ Stats() faults.Stats }](q)
-		if !ok {
-			continue
-		}
-		st := fs.Stats()
-		if fv == nil {
-			fv = &faultStatsView{}
-		}
-		fv.Calls += st.Calls
-		fv.Transients += st.Transients
-		fv.DownCalls += st.DownCalls
-		fv.Duplicates += st.Duplicates
-		fv.Slowed += st.Slowed
-	}
-	return fv
-}
-
 // statsResponse is the /v1/stats payload.
 type statsResponse struct {
 	// Queries is the backend's lifetime query count (the paper's cost
@@ -256,23 +153,24 @@ type statsResponse struct {
 	BudgetRemaining int64 `json:"budget_remaining"`
 	// Cache reports answer-cache effectiveness when the backend chain
 	// contains a CachedOracle.
-	Cache *cacheStatsView `json:"cache,omitempty"`
+	Cache *lbs.CacheStats `json:"cache,omitempty"`
 	// PartialAnswers counts queries this server answered degraded (a
 	// federation shard down or skipped; the response carried partial
 	// headers).
 	PartialAnswers int64 `json:"partial_answers,omitempty"`
 	// Federation reports scatter-gather and per-shard counters when
 	// the backend chain ends in a shard.Router.
-	Federation *federationStatsView `json:"federation,omitempty"`
-	// Faults reports injected-fault counters when the backend chain
-	// runs through a faults.Injector (chaos deployments).
-	Faults *faultStatsView `json:"faults,omitempty"`
+	Federation *shard.RouterStats `json:"federation,omitempty"`
+	// Faults sums the injected-fault counters of every faults.Injector
+	// in the backend tree, federation members' included (chaos
+	// deployments).
+	Faults *faults.Stats `json:"faults,omitempty"`
 	// Live reports mutation counters when the backend chain (or the
 	// configured Mutator) is a live database or cluster.
-	Live *liveStatsView `json:"live,omitempty"`
+	Live *live.Stats `json:"live,omitempty"`
 	// Store reports the durable storage engine's counters (pages read
 	// and written, buffer-pool hit rate, WAL volume, recovery counts)
-	// when the server runs with -data-dir; the chain walk finds the
+	// when the server runs with -data-dir; the walk finds the
 	// store.Instrumented wrapper wherever it sits in the stack.
 	Store *store.Stats `json:"store,omitempty"`
 	// Jobs counts retained estimation jobs by state.
@@ -280,15 +178,18 @@ type statsResponse struct {
 }
 
 // handleStats reports live service counters: query count, remaining
-// budget, cache stats (when serving through a CachedOracle),
-// federation stats (when serving through a shard.Router) and job
-// state counts — the observable replacement for dumping stats at
-// process shutdown.
+// budget, job state counts and each layer's own Stats() snapshot
+// (cache, federation, faults, live, store) — the observable
+// replacement for dumping stats at process shutdown.
 //
-// The walk is generic over lbs.Wrapper, so arbitrary stacks —
-// Scoped→Cached→Service, Cached→Router→..., deeper gateways — report
-// every layer's optional stats interfaces, not just the outermost
-// querier's.
+// One lbs.Walk over the query chain, federation members included,
+// finds the layers, so arbitrary stacks — Scoped→Cached→Service,
+// Cached→Router→faulted members, deeper gateways — report every
+// layer, not just the outermost querier's. The outermost layer
+// reporting a section wins; fault injectors are summed. A Mutator
+// configured beside (not inside) the query chain is walked too, when
+// the chain itself reported no live section: the live backend may sit
+// behind wrappers that do not implement lbs.Wrapper.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Queries:         s.svc.QueryCount(),
@@ -297,77 +198,41 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PartialAnswers:  s.partials.Load(),
 		Jobs:            s.jobs.Counts(),
 	}
-	for q := s.svc; q != nil; {
-		if resp.Cache == nil {
-			if cs, ok := q.(interface{ Stats() lbs.CacheStats }); ok {
-				st := cs.Stats()
-				resp.Cache = &cacheStatsView{
-					Hits: st.Hits, Misses: st.Misses, Bypasses: st.Bypasses,
-					Evictions: st.Evictions, Invalidations: st.Invalidations,
-					Entries: st.Entries, Restored: st.Restored,
-				}
+	chain := true
+	visit := func(layer any, member bool) {
+		outermost(&resp.Cache, layer)
+		outermost(&resp.Federation, layer)
+		outermost(&resp.Live, layer)
+		if l, ok := layer.(interface{ StoreStats() store.Stats }); ok && resp.Store == nil {
+			st := l.StoreStats()
+			resp.Store = &st
+		}
+		if l, ok := layer.(interface{ Stats() faults.Stats }); ok {
+			st := l.Stats()
+			if resp.Faults != nil {
+				st = st.Add(*resp.Faults)
 			}
+			resp.Faults = &st
 		}
-		if resp.Federation == nil {
-			if fs, ok := q.(interface{ Stats() shard.RouterStats }); ok {
-				st := fs.Stats()
-				fv := &federationStatsView{
-					Logical: st.Logical, Upstream: st.Upstream,
-					Partial: st.Partial, Dropped: st.Dropped,
-					Retries: st.Retries, Hedges: st.Hedges,
-				}
-				for _, sh := range st.Shards {
-					fv.Shards = append(fv.Shards, shardStatView{
-						MinX: sh.Region.Min.X, MinY: sh.Region.Min.Y,
-						MaxX: sh.Region.Max.X, MaxY: sh.Region.Max.Y,
-						Queries: sh.Queries,
-						State:   sh.State, Failures: sh.Failures, Opens: sh.Opens,
-					})
-				}
-				resp.Federation = fv
-			}
+		// The innermost budgeted layer of the query chain meters the
+		// budget; federation members and a side Mutator do not.
+		if l, ok := layer.(interface{ RemainingBudget() int64 }); ok && chain && !member {
+			resp.BudgetRemaining = l.RemainingBudget()
 		}
-		if resp.Faults == nil {
-			if fs, ok := q.(interface{ Stats() faults.Stats }); ok {
-				st := fs.Stats()
-				resp.Faults = &faultStatsView{
-					Calls: st.Calls, Transients: st.Transients,
-					DownCalls: st.DownCalls, Duplicates: st.Duplicates,
-					Slowed: st.Slowed,
-				}
-			} else if m, ok := q.(interface{ Members() []lbs.Querier }); ok {
-				// A federation's injectors sit inside its member chains,
-				// not on the main wrapper spine: sum them across shards.
-				if fv := memberFaults(m.Members()); fv != nil {
-					resp.Faults = fv
-				}
-			}
-		}
-		if resp.Live == nil {
-			if ls, ok := q.(interface{ Stats() live.Stats }); ok {
-				resp.Live = liveViewOf(ls.Stats())
-			}
-		}
-		if resp.Store == nil {
-			if ss, ok := q.(interface{ StoreStats() store.Stats }); ok {
-				st := ss.StoreStats()
-				resp.Store = &st
-			}
-		}
-		if rb, ok := q.(interface{ RemainingBudget() int64 }); ok {
-			resp.BudgetRemaining = rb.RemainingBudget()
-		}
-		iw, ok := q.(lbs.Wrapper)
-		if !ok {
-			break
-		}
-		q = iw.Inner()
 	}
-	// A Mutator configured beside (not inside) the query chain still
-	// reports: the live backend may sit behind wrappers that do not
-	// implement lbs.Wrapper.
-	if ls, ok := lbs.Find[interface{ Stats() live.Stats }](s.mutator); ok && resp.Live == nil {
-		resp.Live = liveViewOf(ls.Stats())
+	lbs.Walk(s.svc, visit)
+	if resp.Live == nil {
+		chain = false
+		lbs.Walk(s.mutator, visit)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// outermost sets *dst to layer's Stats() snapshot when the layer
+// reports a T and no outer layer has.
+func outermost[T any](dst **T, layer any) {
+	if l, ok := layer.(interface{ Stats() T }); ok && *dst == nil {
+		st := l.Stats()
+		*dst = &st
+	}
 }

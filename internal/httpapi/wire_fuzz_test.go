@@ -1,0 +1,155 @@
+package httpapi
+
+// Fuzz targets for the untrusted wire decoders: the single-point query
+// string, batch bodies, NDJSON mutation streams and estimate specs.
+// Each must never panic, and whatever it accepts must be something
+// the backend can act on.
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/geom"
+	"repro/internal/jobs"
+	"repro/internal/live"
+)
+
+func finite(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
+}
+
+// FuzzParseQuery: an accepted query string always yields a finite
+// point.
+func FuzzParseQuery(f *testing.F) {
+	for _, q := range []string{
+		"x=50&y=50", "x=1.5&y=-2&category=school&name=a", "x=abc&y=1", "",
+		"x=NaN&y=0", "x=Inf&y=0", "x=-Inf&y=5", "x=1e400&y=0", "x=0x1p-2&y=1_0",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		p, _, err := parseQuery(&http.Request{URL: &url.URL{RawQuery: rawQuery}})
+		if err == nil && !finite(p) {
+			t.Fatalf("parseQuery(%q) accepted non-finite %v", rawQuery, p)
+		}
+	})
+}
+
+// FuzzParseBatch: an accepted batch body holds 1…maxBatchPoints
+// finite points (JSON numbers cannot spell NaN or ±Inf, and overflow
+// is a decode error).
+func FuzzParseBatch(f *testing.F) {
+	for _, body := range []string{
+		"", "{", `{"points":[]}`, `{"points":[{"x":1,"y":2}]}`,
+		`{"points":[{"x":1,"y":2},{"x":3.5,"y":-4}],"category":"school","name":"a"}`,
+		`{"points":[{"x":1e400,"y":0}]}`, `{"points":null}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/query/lr:batch", bytes.NewReader(body))
+		pts, _, err := parseBatch(httptest.NewRecorder(), r)
+		if err != nil {
+			return
+		}
+		if len(pts) < 1 || len(pts) > maxBatchPoints {
+			t.Fatalf("accepted a batch of %d points", len(pts))
+		}
+		for _, p := range pts {
+			if !finite(p) {
+				t.Fatalf("accepted non-finite point %v", p)
+			}
+		}
+	})
+}
+
+// FuzzIngestStream decodes an NDJSON mutation stream the way the
+// ingest handler does: an accepted insert or move always carries both
+// coordinates, and the op's location is exactly the wire's.
+func FuzzIngestStream(f *testing.F) {
+	for _, body := range []string{
+		`{"op":"insert","id":9001,"x":12.5,"y":-3.25,"name":"a","category":"b","attrs":{"v":1},"tags":{"k":"v"}}`,
+		`{"op":"delete","id":3}` + "\n" + `not json` + "\n" + `{"op":"delete","id":4}`,
+		`{"op":"move","id":17,"x":13.0,"y":-2.75}`,
+		`{"op":"insert","id":1,"x":1}`, `{"op":"move","id":1}`, `{"op":"upsert","id":3}`, "",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		for {
+			var w wireOp
+			if err := dec.Decode(&w); err != nil {
+				return // EOF, or a decode error the handler acks before closing
+			}
+			op, err := w.toOp()
+			if err != nil {
+				continue
+			}
+			var loc geom.Point
+			switch op.Kind {
+			case live.OpInsert:
+				loc = op.Tuple.Loc
+			case live.OpMove:
+				loc = op.Loc
+			default:
+				continue
+			}
+			if w.X == nil || w.Y == nil {
+				t.Fatalf("accepted %s without both coordinates", w.Op)
+			}
+			if loc != geom.Pt(*w.X, *w.Y) {
+				t.Fatalf("%s location %v, wire (%v, %v)", w.Op, loc, *w.X, *w.Y)
+			}
+		}
+	})
+}
+
+// FuzzEstimateSpec decodes an estimate body the way the estimate
+// handler does, then validates and plans it: nothing panics, and
+// every aggregate that validates also compiles (AVG through
+// CompilePlan, its SUM/COUNT expansion).
+func FuzzEstimateSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"method":"lr","seed":1,"aggregates":[{"kind":"count"}],"options":{"max_samples":4}}`,
+		`{"method":"auto","aggregates":[{"kind":"count"},{"kind":"avg","attr":"enrollment"}],"options":{"target_ci":0.1}}`,
+		`{"method":"lnr","aggregates":[{"kind":"sum","attr":"v","where":{"op":"and","args":[{"op":"tag_eq","tag":"flag","equals":"y"},{"op":"not","args":[{"op":"in_rect","rect":{"min_x":0,"min_y":0,"max_x":50,"max_y":50}}]}]}}]}`,
+		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"attr_cmp","attr":"v","cmp":"ge","value":2}}]}`,
+		`{`, `{"method":"warp","aggregates":[{"kind":"count"}]}`, `{"method":"lr","aggregates":[]}`,
+		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"between"}}]}`,
+		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"and"}}]}`,
+		`{"method":"lr","aggregates":[{"kind":"sum"}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec jobs.Spec
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			return
+		}
+		_, _ = core.PlanBatch(spec.Aggregates, core.PlanOptions{Method: spec.Method, Seed: spec.Seed})
+		for _, a := range spec.Aggregates {
+			if a.Validate() != nil {
+				continue
+			}
+			var err error
+			if a.Kind == core.AggAvg {
+				_, err = core.CompilePlan([]core.AggSpec{a})
+			} else {
+				_, err = a.Compile()
+			}
+			if err != nil {
+				t.Fatalf("%+v validates but does not compile: %v", a, err)
+			}
+		}
+	})
+}

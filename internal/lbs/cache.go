@@ -63,13 +63,13 @@ type CacheOptions struct {
 // CacheStats is a point-in-time snapshot of cache effectiveness
 // counters, for the cost accounting of experiments.
 type CacheStats struct {
-	Hits          int64 // answers served without touching the service (replays and coalesced waits)
-	Misses        int64 // queries forwarded (and charged) to the service
-	Bypasses      int64 // untrusted filtered queries forwarded uncached
-	Evictions     int64 // entries dropped by LRU pressure
-	Invalidations int64 // entries dropped by mutation (Invalidate/InvalidateAll)
-	Restored      int64 // entries loaded from a persisted snapshot (warm restart)
-	Entries       int64 // entries currently resident
+	Hits          int64 `json:"hits"`               // answers served without touching the service (replays and coalesced waits)
+	Misses        int64 `json:"misses"`             // queries forwarded (and charged) to the service
+	Bypasses      int64 `json:"bypasses"`           // untrusted filtered queries forwarded uncached
+	Evictions     int64 `json:"evictions"`          // entries dropped by LRU pressure
+	Invalidations int64 `json:"invalidations"`      // entries dropped by mutation (Invalidate/InvalidateAll)
+	Restored      int64 `json:"restored,omitempty"` // entries loaded from a persisted snapshot (warm restart)
+	Entries       int64 `json:"entries"`            // entries currently resident
 }
 
 // query kinds, part of the cache key so LR and LNR answers for the

@@ -500,11 +500,9 @@ type Querier interface {
 
 // Wrapper is implemented by queriers that decorate a single inner
 // Querier (ScopedQuerier, CachedOracle). Observers walk wrapper chains
-// through it — e.g. the HTTP stats endpoint probes every layer of a
-// Scoped→Cached→Service stack for its optional stats interfaces.
-// Multi-child compositions (a federation router) are deliberately not
-// Wrappers: a chain walk ends there and the composite reports its own
-// aggregated stats instead.
+// through it (Find, Walk). Multi-child compositions (a federation
+// router) are deliberately not Wrappers: a chain walk ends there, and
+// Walk descends into their Members() instead.
 type Wrapper interface {
 	Inner() Querier
 }
@@ -524,6 +522,34 @@ func Find[T any](q any) (T, bool) {
 	}
 	var zero T
 	return zero, false
+}
+
+// Walk visits every layer of the tree under q, outermost first: q,
+// then the tree under its Inner when q is a Wrapper, else — when q is
+// a composite with Members() []Querier (a federation router) — each
+// member's tree. member reports whether the layer sits inside a
+// composite's member rather than on q's own wrapper chain. A layer
+// that is both (live.Cluster, whose Members are promoted from the
+// router it wraps) is walked through its Inner only, so no member is
+// visited twice.
+func Walk(q any, visit func(layer any, member bool)) {
+	walk(q, visit, false)
+}
+
+func walk(q any, visit func(layer any, member bool), member bool) {
+	for q != nil {
+		visit(q, member)
+		if w, ok := q.(Wrapper); ok {
+			q = w.Inner()
+			continue
+		}
+		if c, ok := q.(interface{ Members() []Querier }); ok {
+			for _, m := range c.Members() {
+				walk(m, visit, true)
+			}
+		}
+		return
+	}
 }
 
 // Service is a queryable kNN interface over a database. It is safe for

@@ -131,7 +131,7 @@ func NewTolerantQuerier(inner Querier) *TolerantQuerier {
 	return &TolerantQuerier{inner: inner}
 }
 
-// Inner returns the wrapped querier (the stats chain-walk contract).
+// Inner implements Wrapper.
 func (t *TolerantQuerier) Inner() Querier { return t.inner }
 
 // Bounds implements Querier.

@@ -152,16 +152,16 @@ type Options struct {
 // Stats is a point-in-time snapshot of a live database's shape and
 // mutation counters.
 type Stats struct {
-	Epoch       uint64 // applied mutations since construction
-	BaseLen     int    // tuples in the immutable base
-	DeltaLen    int    // tuples in the insert buffer
-	Tombstones  int    // base tuples hidden by deletion/move
-	Inserts     int64  // applied OpInserts
-	Deletes     int64  // applied OpDeletes
-	Moves       int64  // applied OpMoves
-	Rejected    int64  // ops rejected with an error
-	Compactions int64  // completed background compactions
-	Compacting  bool   // a compaction is in flight
+	Epoch       uint64 `json:"epoch"`       // applied mutations since construction
+	BaseLen     int    `json:"base_len"`    // tuples in the immutable base
+	DeltaLen    int    `json:"delta_len"`   // tuples in the insert buffer
+	Tombstones  int    `json:"tombstones"`  // base tuples hidden by deletion/move
+	Inserts     int64  `json:"inserts"`     // applied OpInserts
+	Deletes     int64  `json:"deletes"`     // applied OpDeletes
+	Moves       int64  `json:"moves"`       // applied OpMoves
+	Rejected    int64  `json:"rejected"`    // ops rejected with an error
+	Compactions int64  `json:"compactions"` // completed background compactions
+	Compacting  bool   `json:"compacting"`  // a compaction is in flight
 }
 
 // snapshot is one immutable point-in-time state: queries resolve the

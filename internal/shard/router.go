@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sync"
@@ -36,16 +37,30 @@ type Shard struct {
 
 // ShardStat is the per-member slice of a Router's stats surface.
 type ShardStat struct {
-	// Region is the member's coverage rectangle.
-	Region geom.Rect
+	// Region is the member's coverage rectangle, flattened to
+	// min_x … max_y on the wire (see MarshalJSON).
+	Region geom.Rect `json:"-"`
 	// Queries is the member's lifetime physical query count.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// State is the member's breaker state (closed / open / half-open).
-	State BreakerState
+	State BreakerState `json:"state,omitempty"`
 	// Failures counts availability-class call failures (cumulative);
 	// Opens counts how many times the breaker tripped.
-	Failures int64
-	Opens    int64
+	Failures int64 `json:"failures,omitempty"`
+	Opens    int64 `json:"opens,omitempty"`
+}
+
+// MarshalJSON writes the member's wire form: the region's corners as
+// min_x, min_y, max_x, max_y, then the counters.
+func (s ShardStat) MarshalJSON() ([]byte, error) {
+	type counters ShardStat // drops this method, keeps the field tags
+	return json.Marshal(struct {
+		MinX float64 `json:"min_x"`
+		MinY float64 `json:"min_y"`
+		MaxX float64 `json:"max_x"`
+		MaxY float64 `json:"max_y"`
+		counters
+	}{s.Region.Min.X, s.Region.Min.Y, s.Region.Max.X, s.Region.Max.Y, counters(s)})
 }
 
 // RouterStats snapshots a Router's cost accounting and health: logical
@@ -55,21 +70,21 @@ type ShardStat struct {
 type RouterStats struct {
 	// Logical is the number of client-visible queries answered (the
 	// paper's cost metric; what the budget meters).
-	Logical int64
+	Logical int64 `json:"logical"`
 	// Upstream is the number of physical subqueries the router issued
 	// across all shards; Upstream/Logical is the effective fan-out.
-	Upstream int64
+	Upstream int64 `json:"upstream"`
 	// Partial counts logical queries answered degraded (a relevant
 	// member was skipped or failed); Dropped counts batch positions
 	// that got no answer because their owner was down.
-	Partial int64
-	Dropped int64
+	Partial int64 `json:"partial,omitempty"`
+	Dropped int64 `json:"dropped,omitempty"`
 	// Retries and Hedges count extra member attempts the resilience
 	// layer issued.
-	Retries int64
-	Hedges  int64
+	Retries int64 `json:"retries,omitempty"`
+	Hedges  int64 `json:"hedges,omitempty"`
 	// Shards is the per-member breakdown, in shard order.
-	Shards []ShardStat
+	Shards []ShardStat `json:"shards"`
 }
 
 // Router federates N shards behind the lbs.Querier interface using
@@ -199,9 +214,10 @@ func (r *Router) Metric() geo.Metric { return r.opts.Metric }
 func (r *Router) NumShards() int { return len(r.shards) }
 
 // Members returns the per-shard backend queriers (including any
-// wrappers installed via FromPartsWrapped, such as fault injectors),
-// so observability layers can walk each member chain for optional
-// stats interfaces the router itself does not aggregate.
+// wrappers installed via FromPartsWrapped, such as fault injectors):
+// the composite hook through which lbs.Walk visits each member's
+// layers, so /v1/stats reports what the router itself does not
+// aggregate (the members' fault injectors).
 func (r *Router) Members() []lbs.Querier {
 	out := make([]lbs.Querier, len(r.shards))
 	for i, sh := range r.shards {

@@ -1,10 +1,10 @@
 package store
 
-// Instrumented is the chain-walk handle for the storage engine: it
+// Instrumented is the storage engine's layer in a querier stack: it
 // decorates a Querier without touching any query (pure pass-through)
-// and answers StoreStats(), so the /v1/stats walker — which descends
-// a Scoped→Cached→…→Service stack through lbs.Wrapper — finds the
-// engine's counters wherever the wrapper sits in the stack.
+// and answers StoreStats(), so lbs.Walk — which /v1/stats runs over
+// the layer tree — finds the engine's counters wherever the wrapper
+// sits in the stack.
 
 import (
 	"context"
@@ -25,8 +25,8 @@ var _ lbs.Wrapper = (*Instrumented)(nil)
 // Inner implements lbs.Wrapper.
 func (i *Instrumented) Inner() lbs.Querier { return i.inner }
 
-// StoreStats reports the engine counters; the stats endpoint probes
-// for exactly this method.
+// StoreStats reports the engine counters: the /v1/stats store
+// section.
 func (i *Instrumented) StoreStats() Stats { return i.s.Stats() }
 
 // QueryLR implements lbs.Querier.

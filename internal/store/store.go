@@ -243,7 +243,7 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Instrument wraps q so the /v1/stats chain walk finds the storage
+// Instrument wraps q so lbs.Walk (and so /v1/stats) finds the storage
 // engine: the wrapper answers StoreStats() and passes every query
 // through untouched.
 func (s *Store) Instrument(q lbs.Querier) *Instrumented {
