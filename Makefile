@@ -23,9 +23,12 @@ test:
 
 # stress repeats the answer cache's concurrency suite under the race
 # detector: concurrent misses on one key must coalesce into a single
-# charged upstream fetch on every run, not most runs.
+# charged upstream fetch on every run, not most runs. The second line
+# race-checks the LNR cell search's lockstep lanes (coroutines sharing
+# one cell) and their batched-versus-serial identity.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
+	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec) and

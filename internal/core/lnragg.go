@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
@@ -50,6 +51,13 @@ type LNRStats struct {
 	Localizations  int
 	GuardTrips     int
 	EmptyAnswers   int
+	// RoundTrips counts oracle calls: single probes plus batch calls
+	// (see lnrProber). Queries ÷ RoundTrips is the batching payoff.
+	RoundTrips int64
+	// UnresolvedCells counts cells returned as converged while a
+	// vertex outside the cell stayed unconfirmed because no second
+	// point of its bisector could be found (registerFlip failed).
+	UnresolvedCells int
 }
 
 // LNRAggregator implements Algorithm LNR-LBS-AGG (Algorithm 6 plus the
@@ -104,7 +112,11 @@ func NewLNRAggregator(svc Oracle, opts LNROptions) *LNRAggregator {
 }
 
 // Stats returns run statistics accumulated so far.
-func (a *LNRAggregator) Stats() LNRStats { return a.stats }
+func (a *LNRAggregator) Stats() LNRStats {
+	s := a.stats
+	s.RoundTrips = a.prober.trips
+	return s
+}
 
 // lnrCell is the per-target state of one Voronoi-cell inference.
 type lnrCell struct {
@@ -133,6 +145,17 @@ func (a *LNRAggregator) member(ctx context.Context, c *lnrCell, p geom.Point) (b
 	return r >= 0 && r < c.h, nil
 }
 
+// edgeBracket is the outcome of one member bracket search from the
+// anchor: (c3, c4) straddle the top-h boundary with the displacing
+// tuple other just outside. ok is false when no valid displacer was
+// found; err is the probe error that ended the search, if any.
+type edgeBracket struct {
+	c3, c4 geom.Point
+	other  int64
+	ok     bool
+	err    error
+}
+
 // validatedMemberBracket brackets the top-h boundary of t along
 // [from, to] (member(from) must be true, member(to) false) and
 // verifies the bracket sits on a genuine single-edge crossing: just
@@ -141,16 +164,16 @@ func (a *LNRAggregator) member(ctx context.Context, c *lnrCell, p geom.Point) (b
 // refined up to three times; ok is false when no valid displacer can
 // be identified (e.g. the crossing is the coverage/visibility
 // boundary, where weighting must treat the region edge as a wall).
-func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, from, to geom.Point) (c3, c4 geom.Point, other int64, ok bool, err error) {
+func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, from, to geom.Point) edgeBracket {
 	memberPred := func(p geom.Point) (bool, error) { return a.member(ctx, c, p) }
-	c3, c4, err = predicateSearch(from, to, a.params.deltaCoarse, memberPred)
+	c3, c4, err := predicateSearch(from, to, a.params.deltaCoarse, memberPred)
 	if err != nil {
-		return c3, c4, 0, false, err
+		return edgeBracket{err: err}
 	}
 	for attempt := 0; ; attempt++ {
 		recs, err := a.prober.probe(ctx, c4)
 		if err != nil {
-			return c3, c4, 0, false, err
+			return edgeBracket{err: err}
 		}
 		a.recordCoApp(c, recs)
 		r := rankIn(recs, c.tID)
@@ -163,10 +186,10 @@ func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, 
 			cand := recs[c.h-1].ID
 			recs3, err := a.prober.probe(ctx, c3)
 			if err != nil {
-				return c3, c4, 0, false, err
+				return edgeBracket{err: err}
 			}
 			if rankIn(recs3, c.tID) == c.h-1 && rankIn(recs3, cand) == c.h {
-				return c3, c4, cand, true, nil
+				return edgeBracket{c3: c3, c4: c4, other: cand, ok: true}
 			}
 		}
 		if attempt >= 4 || c3.Dist(c4) <= a.params.deltaFloor*2 {
@@ -176,7 +199,7 @@ func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, 
 			// of t's visibility). Using it would register a flip point
 			// off the bisector and silently corrupt the cell; the
 			// vertex is left unconfirmed instead.
-			return c3, c4, 0, false, nil
+			return edgeBracket{}
 		}
 		width := c3.Dist(c4) / 8
 		if width < a.params.deltaFloor {
@@ -184,7 +207,7 @@ func (a *LNRAggregator) validatedMemberBracket(ctx context.Context, c *lnrCell, 
 		}
 		c3, c4, err = predicateSearch(c3, c4, width, memberPred)
 		if err != nil {
-			return c3, c4, 0, false, err
+			return edgeBracket{err: err}
 		}
 	}
 }
@@ -238,31 +261,19 @@ func (a *LNRAggregator) orderPred(ctx context.Context, c *lnrCell, other int64) 
 	}
 }
 
-// findEdgeAlong locates the boundary of the top-h cell along the ray
-// from the anchor c1 in direction dir and returns the inferred cut.
-// found is false when the cell reaches the bounding box along the ray.
-func (a *LNRAggregator) findEdgeAlong(ctx context.Context, c *lnrCell, dir geom.Point) (cell.Cut, bool, error) {
-	a.stats.EdgeSearches++
+// bracketAlong brackets the boundary of the top-h cell along the ray
+// from the anchor c1 in direction dir. ok is false when the cell
+// reaches the bounding box along the ray.
+func (a *LNRAggregator) bracketAlong(ctx context.Context, c *lnrCell, dir geom.Point) edgeBracket {
 	exit, ok := geom.RayRectExit(c.c1, dir, a.bound)
 	if !ok || exit.Dist(c.c1) < a.params.deltaCoarse {
-		return cell.Cut{}, false, nil
+		return edgeBracket{}
 	}
 	mExit, err := a.member(ctx, c, exit)
-	if err != nil {
-		return cell.Cut{}, false, err
+	if err != nil || mExit {
+		return edgeBracket{err: err} // a member exit: the cell touches the boundary here
 	}
-	if mExit {
-		return cell.Cut{}, false, nil // cell touches the boundary here
-	}
-	c3, c4, other, ok, err := a.validatedMemberBracket(ctx, c, c.c1, exit)
-	if err != nil || !ok {
-		return cell.Cut{}, false, err
-	}
-	cut, ok, err := a.registerFlip(ctx, c, other, c3.Mid(c4), c.c1)
-	if err != nil || !ok {
-		return cell.Cut{}, false, err
-	}
-	return cut, true, nil
+	return a.validatedMemberBracket(ctx, c, c.c1, exit)
 }
 
 // registerFlip records one observed boundary point of B(t, t′) and
@@ -348,13 +359,18 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 			ord  int
 			both bool
 		}
-		pts := make([]probePt, 0, ring)
+		ringPts := make([]geom.Point, 0, ring)
 		for i := 0; i < ring; i++ {
 			ang := 2 * math.Pi * float64(i) / ring
 			p := m.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
-			if !a.bound.Contains(p) {
-				continue
+			if a.bound.Contains(p) {
+				ringPts = append(ringPts, p)
 			}
+		}
+		// Every in-bounds ring point is probed: send them as one batch.
+		a.prober.prefetch(ctx, ringPts)
+		pts := make([]probePt, 0, len(ringPts))
+		for _, p := range ringPts {
 			recs, err := a.prober.probe(ctx, p)
 			if err != nil {
 				return geom.Point{}, false, err
@@ -462,8 +478,30 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 		refines: make(map[int64]int),
 	}
 	// Initial four axis-aligned edge searches (Algorithm 6 line 3–5).
-	for _, dir := range []geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
-		cut, found, err := a.findEdgeAlong(ctx, c, dir)
+	// The four brackets depend only on their own probes, so with a
+	// batch path they run in lockstep; flips and cuts then follow in
+	// direction order.
+	dirs := [...]geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+	var pre [len(dirs)]*edgeBracket
+	a.prober.lockstep(ctx, len(dirs), func(i int) {
+		b := a.bracketAlong(ctx, c, dirs[i])
+		pre[i] = &b
+	})
+	for i, dir := range dirs {
+		a.stats.EdgeSearches++
+		var b edgeBracket
+		if pre[i] != nil {
+			b = *pre[i]
+		} else {
+			b = a.bracketAlong(ctx, c, dir)
+		}
+		if b.err != nil {
+			return nil, nil, b.err
+		}
+		if !b.ok {
+			continue
+		}
+		cut, found, err := a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -473,7 +511,7 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 	}
 	confirmed := make(map[vkey]bool)
 	for round := 0; round < a.opts.MaxRoundsPerCell; round++ {
-		changed, err := a.vertexRound(ctx, c, confirmed)
+		changed, unresolved, err := a.vertexRound(ctx, c, confirmed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -485,6 +523,9 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 			changed = changed || repaired
 		}
 		if !changed {
+			if unresolved {
+				a.stats.UnresolvedCells++
+			}
 			return c.region, c, nil
 		}
 		if c.region.NumCuts() >= a.opts.MaxCutsPerCell {
@@ -497,41 +538,54 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 
 // vertexRound runs one pass of Theorem-1 vertex confirmation, probing
 // unconfirmed vertices and searching for the missing edge behind every
-// failing vertex.
-func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed map[vkey]bool) (bool, error) {
-	changed := false
-	for _, v := range c.region.Vertices() {
+// failing vertex. unresolved reports a vertex left unconfirmed because
+// its edge could not be pinned (registerFlip failed).
+func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed map[vkey]bool) (changed, unresolved bool, err error) {
+	verts := c.region.Vertices()
+	// Each unconfirmed vertex whose key first appears in this snapshot
+	// is certain to be probed (and bracketed when outside), and its
+	// probes do not depend on this round's cuts: with a batch path they
+	// run in lockstep. A vertex repeating a key depends on its twin's
+	// outcome and stays serial.
+	var lanes []int
+	seen := make(map[vkey]bool, len(verts))
+	for i, v := range verts {
+		key := a.vkeyOf(v)
+		if !confirmed[key] && !seen[key] {
+			lanes = append(lanes, i)
+		}
+		seen[key] = true
+	}
+	pre := make([]*edgeBracket, len(verts))
+	a.prober.lockstep(ctx, len(lanes), func(j int) {
+		b := a.probeVertex(ctx, c, verts[lanes[j]])
+		pre[lanes[j]] = &b
+	})
+	for i, v := range verts {
 		key := a.vkeyOf(v)
 		if confirmed[key] {
 			continue
 		}
 		a.stats.VertexProbes++
-		in, err := a.member(ctx, c, v)
-		if err != nil {
-			return false, err
+		var b edgeBracket
+		if pre[i] != nil {
+			b = *pre[i]
+		} else {
+			b = a.probeVertex(ctx, c, v)
 		}
-		if in {
+		if b.err != nil {
+			return false, false, b.err
+		}
+		if !b.ok || b.other == c.tID {
 			confirmed[key] = true
 			continue
 		}
-		// v lies outside the true cell: discover the edge between.
-		if v.Dist(c.c1) < a.params.deltaCoarse {
-			confirmed[key] = true
-			continue
-		}
-		c3, c4, other, ok, err := a.validatedMemberBracket(ctx, c, c.c1, v)
+		cut, cutOK, err := a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
 		if err != nil {
-			return false, err
-		}
-		if !ok || other == c.tID {
-			confirmed[key] = true
-			continue
-		}
-		cut, cutOK, err := a.registerFlip(ctx, c, other, c3.Mid(c4), c.c1)
-		if err != nil {
-			return false, err
+			return false, false, err
 		}
 		if !cutOK {
+			unresolved = true
 			continue // keep the vertex unconfirmed; retry next round
 		}
 		if !c.region.HasCut(cut.Key) {
@@ -548,7 +602,22 @@ func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed m
 			confirmed[key] = true // accept ε-level boundary imprecision
 		}
 	}
-	return changed, nil
+	return changed, unresolved, nil
+}
+
+// probeVertex tests whether region vertex v lies in t's cell and, when
+// it does not, brackets the missing edge between the anchor and v. ok
+// is false when the vertex is settled without a cut: it is inside the
+// cell, within δ_c of the anchor, or no valid displacer was found.
+func (a *LNRAggregator) probeVertex(ctx context.Context, c *lnrCell, v geom.Point) edgeBracket {
+	in, err := a.member(ctx, c, v)
+	if err != nil || in {
+		return edgeBracket{err: err}
+	}
+	if v.Dist(c.c1) < a.params.deltaCoarse {
+		return edgeBracket{}
+	}
+	return a.validatedMemberBracket(ctx, c, c.c1, v)
 }
 
 // repairConcavity implements the §4.2 extension: for every tuple t′
@@ -564,8 +633,15 @@ func (a *LNRAggregator) repairConcavity(ctx context.Context, c *lnrCell) (bool, 
 	}
 	// Classify each vertex by probing (cached — vertices were probed
 	// during the vertex round).
-	changed := false
+	// Repairs run in ID order: each one probes and may add a cut, so
+	// map order would make the run irreproducible at a fixed seed.
+	others := make([]int64, 0, len(c.coApp))
 	for other := range c.coApp {
+		others = append(others, other)
+	}
+	slices.Sort(others)
+	changed := false
+	for _, other := range others {
 		if c.region.HasCut(other) {
 			continue
 		}

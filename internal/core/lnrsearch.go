@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/lbs"
@@ -13,15 +14,28 @@ import (
 // the hidden database is static, so re-probing an identical location
 // is free for any reasonable client. Only *exact* repeat locations hit
 // the cache; every distinct location costs a query.
+//
+// When the oracle has a batch path, the cell search sends the probes
+// it is certain to make as one batch per round (prefetch, lockstep)
+// and then reads them back as cache hits. The set of distinct points
+// probed, and so the query count, is the same as a serial run's; only
+// the number of oracle calls drops.
 type lnrProber struct {
 	svc    Oracle
+	batch  BatchOracle // nil when the oracle has no batch path
 	filter lbs.Filter
 	cache  map[geom.Point][]lbs.LNRRecord
+	// trips counts oracle calls: single probes plus batch calls.
+	trips int64
+	// lane is the lockstep lane running now; nil outside lockstep.
+	lane *lane
 }
 
 func newLNRProber(svc Oracle, filter lbs.Filter) *lnrProber {
+	bo, _ := svc.(BatchOracle)
 	return &lnrProber{
 		svc:    svc,
+		batch:  bo,
 		filter: filter,
 		cache:  make(map[geom.Point][]lbs.LNRRecord),
 	}
@@ -31,12 +45,115 @@ func (p *lnrProber) probe(ctx context.Context, pt geom.Point) ([]lbs.LNRRecord, 
 	if recs, ok := p.cache[pt]; ok {
 		return recs, nil
 	}
+	if l := p.lane; l != nil {
+		l.park(pt)
+		if recs, ok := p.cache[pt]; ok {
+			return recs, nil
+		}
+		// The round's batch left pt unanswered: probe it directly, so
+		// this lane meets its own error.
+	}
+	p.trips++
 	recs, err := p.svc.QueryLNR(ctx, pt, p.filter)
 	if err != nil {
 		return nil, err
 	}
 	p.cache[pt] = recs
 	return recs, nil
+}
+
+// prefetch sends the distinct uncached points of pts as one batch call
+// and caches the answers. Fewer than two such points are left to probe
+// directly. A failed batch caches only its answered prefix and drops
+// the error: the probe that needs an unanswered point queries it
+// itself and gets the error there.
+func (p *lnrProber) prefetch(ctx context.Context, pts []geom.Point) {
+	if p.batch == nil {
+		return
+	}
+	var miss []geom.Point
+	for _, pt := range pts {
+		if _, ok := p.cache[pt]; !ok && !slices.Contains(miss, pt) {
+			miss = append(miss, pt)
+		}
+	}
+	if len(miss) < 2 {
+		return
+	}
+	p.trips++
+	answers, err := p.batch.QueryLNRBatch(ctx, miss, p.filter)
+	for i, recs := range answers {
+		if i >= len(miss) || (err != nil && recs == nil) {
+			break
+		}
+		p.cache[miss[i]] = recs
+	}
+}
+
+// lane is one coroutine of lockstep.
+type lane struct {
+	want  geom.Point
+	wake  chan struct{}
+	yield chan bool // true: parked on want; false: finished
+}
+
+// park hands control back to lockstep until the round's batch is in.
+func (l *lane) park(pt geom.Point) {
+	l.want = pt
+	l.yield <- true
+	<-l.wake
+}
+
+// lockstep runs lanes run(0), …, run(n−1) — independent probe
+// sequences — as coroutines, exactly one running at a time, so they
+// share the cell state without locks. Each lane runs until it needs a
+// probe that is not cached; once every lane is parked or finished,
+// their wanted points go out as one batch (prefetch) and the parked
+// lanes resume to read them as cache hits. A lane's probe sequence
+// depends only on its own answers, so the distinct points probed are
+// those of running the lanes one after another. Every lane has
+// finished when lockstep returns.
+//
+// lockstep runs nothing when there is nothing to batch: the oracle has
+// no batch path, there are fewer than two lanes, or it is called from
+// inside a lane. The caller then runs its serial code for every lane
+// result lockstep did not produce.
+func (p *lnrProber) lockstep(ctx context.Context, n int, run func(i int)) {
+	if p.batch == nil || n < 2 || p.lane != nil {
+		return
+	}
+	yield := make(chan bool)
+	var parked []*lane
+	// step lets l run until it parks or finishes.
+	step := func(l *lane, resume func()) {
+		p.lane = l
+		resume()
+		if <-yield {
+			parked = append(parked, l)
+		}
+		p.lane = nil
+	}
+	for i := 0; i < n; i++ {
+		l := &lane{wake: make(chan struct{}), yield: yield}
+		step(l, func() {
+			go func() {
+				run(i)
+				yield <- false
+			}()
+		})
+	}
+	for len(parked) > 0 {
+		round := parked
+		parked = nil
+		wants := make([]geom.Point, len(round))
+		for j, l := range round {
+			wants[j] = l.want
+		}
+		p.prefetch(ctx, wants)
+		for _, l := range round {
+			step(l, func() { l.wake <- struct{}{} })
+		}
+	}
 }
 
 // rankIn returns the 0-based rank of id, or −1 when absent.

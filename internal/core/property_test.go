@@ -212,19 +212,31 @@ func TestLRSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestLNRSeedDeterminism mirrors the determinism check for LNR.
+// TestLNRSeedDeterminism mirrors the determinism check for LNR, at
+// H = 1 and at H = 3 on a fixture where bisector repairs happen (their
+// order must not follow map iteration).
 func TestLNRSeedDeterminism(t *testing.T) {
-	db := smallService2(40, 883)
-	run := func() float64 {
-		svc := lbs.NewService(db, lbs.Options{K: 3})
-		agg := NewLNRAggregator(svc, LNROptions{Seed: 777})
-		res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(10))
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		n, k, h, samples int
+	}{{40, 3, 1, 10}, {200, 5, 3, 4}} {
+		db := smallService2(c.n, 883)
+		run := func() (float64, int64, LNRStats) {
+			svc := lbs.NewService(db, lbs.Options{K: c.k})
+			agg := NewLNRAggregator(svc, LNROptions{Seed: 777, H: c.h})
+			res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(c.samples))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res[0].Estimate, svc.QueryCount(), agg.Stats()
 		}
-		return res[0].Estimate
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("non-deterministic: %v vs %v", a, b)
+		est, q, st := run()
+		if c.h > 1 && st.BisectorRepair == 0 {
+			t.Errorf("h=%d: no bisector repairs; the fixture no longer exercises them", c.h)
+		}
+		for rep := 0; rep < 2; rep++ {
+			if est2, q2, _ := run(); est2 != est || q2 != q {
+				t.Fatalf("h=%d non-deterministic: %v (%d queries) vs %v (%d queries)", c.h, est, q, est2, q2)
+			}
+		}
 	}
 }

@@ -18,9 +18,10 @@ import (
 )
 
 // timedOracle wraps a querier and records the wall-clock latency of
-// every single-point query, for the chaos experiment's p50/p99
-// columns. Batch queries pass through unmeasured (the chaos sweep
-// runs the serial per-point estimators).
+// every oracle call, for the chaos experiment's p50/p99 columns. A
+// batch call is one observation, like a single-point query: the
+// columns are per round trip (LNR sends its cell-search probes in
+// batches).
 type timedOracle struct {
 	lbs.Querier
 	mu  sync.Mutex
@@ -46,6 +47,20 @@ func (t *timedOracle) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filt
 func (t *timedOracle) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LNRRecord, error) {
 	t0 := time.Now()
 	recs, err := t.Querier.QueryLNR(ctx, q, filter)
+	t.observe(time.Since(t0))
+	return recs, err
+}
+
+func (t *timedOracle) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LRRecord, error) {
+	t0 := time.Now()
+	recs, err := t.Querier.QueryLRBatch(ctx, pts, filter)
+	t.observe(time.Since(t0))
+	return recs, err
+}
+
+func (t *timedOracle) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
+	t0 := time.Now()
+	recs, err := t.Querier.QueryLNRBatch(ctx, pts, filter)
 	t.observe(time.Since(t0))
 	return recs, err
 }

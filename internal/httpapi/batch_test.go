@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -308,5 +310,64 @@ func TestServerOverCachedBackend(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 4 {
 		t.Errorf("cache hits = %d, want 4", st.Hits)
+	}
+}
+
+// countingTransport counts the HTTP requests a client sends.
+type countingTransport struct {
+	n atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// serialOracle hides an oracle's batch path.
+type serialOracle struct{ core.Oracle }
+
+// TestLNRBatchedOverHTTP: an LNR run over the HTTP client batches its
+// cell-search probes through /v1/query/lnr:batch, yet charges the
+// server the same queries and estimates bit for bit what the serial
+// cell search does in process, with one HTTP request per oracle call.
+func TestLNRBatchedOverHTTP(t *testing.T) {
+	for _, h := range []int{1, 3} {
+		ref := testService(600, 5, 0, 4)
+		serial := core.NewLNRAggregator(serialOracle{ref}, core.LNROptions{Seed: 21, H: h})
+		want, err := serial.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		svc := testService(600, 5, 0, 4)
+		ts := httptest.NewServer(NewServer(svc))
+		tr := &countingTransport{}
+		c, err := NewClient(context.Background(), ts.URL, Selection{}, &http.Client{Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := tr.n.Load()
+		agg := core.NewLNRAggregator(c, core.LNROptions{Seed: 21, H: h})
+		got, err := agg.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(3))
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got[0].Estimate) != math.Float64bits(want[0].Estimate) ||
+			math.Float64bits(got[0].StdErr) != math.Float64bits(want[0].StdErr) {
+			t.Errorf("h=%d: HTTP estimate %v ± %v, in-process serial %v ± %v",
+				h, got[0].Estimate, got[0].StdErr, want[0].Estimate, want[0].StdErr)
+		}
+		if svc.QueryCount() != ref.QueryCount() || c.QueryCount() != ref.QueryCount() {
+			t.Errorf("h=%d: server charged %d, client counted %d, serial run %d",
+				h, svc.QueryCount(), c.QueryCount(), ref.QueryCount())
+		}
+		trips := agg.Stats().RoundTrips
+		if reqs := tr.n.Load() - meta; reqs != trips {
+			t.Errorf("h=%d: %d HTTP requests for %d oracle calls", h, reqs, trips)
+		}
+		if float64(ref.QueryCount()) < 2*float64(trips) {
+			t.Errorf("h=%d: %d round trips for %d queries: under 2 queries per call", h, trips, ref.QueryCount())
+		}
 	}
 }
