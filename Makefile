@@ -25,18 +25,21 @@ test:
 # detector: concurrent misses on one key must coalesce into a single
 # charged upstream fetch on every run, not most runs. The second line
 # race-checks the LNR cell search's lockstep lanes (coroutines sharing
-# one cell) and their batched-versus-serial identity.
+# one cell) and their batched-versus-serial identity. The third checks
+# that concurrent batch answers never share a pooled response buffer.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
+	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
-# (query string, batch body, NDJSON ingest stream, estimate spec) and
-# the store's record codec. go test fuzzes one target per run, hence
-# the loop over package:target pairs.
+# (query string, batch body, NDJSON ingest stream, estimate spec), the
+# appended query answers (byte-identical to encoding/json) and the
+# store's record codec. go test fuzzes one target per run, hence the
+# loop over package:target pairs.
 FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
-	./internal/store:FuzzRecordDecode
+	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

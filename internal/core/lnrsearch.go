@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 
@@ -254,91 +253,3 @@ func (p edgeSearchParams) fineDelta(r float64) float64 {
 // delta is kept for call sites needing a generic small width (vertex
 // coincidence checks, third-bisector searches).
 func (p edgeSearchParams) delta() float64 { return p.fineDelta(p.epsilon * 8) }
-
-// refineBracket continues a coarse bracket down to the fine width
-// required at its anchor distance, returning the refined bracket and
-// the fine width used.
-func refineBracket(anchor, c3, c4 geom.Point, params edgeSearchParams,
-	pred func(geom.Point) (bool, error)) (geom.Point, geom.Point, float64, error) {
-
-	r := anchor.Dist(c4)
-	deltaFine := params.fineDelta(r)
-	if c3.Dist(c4) > deltaFine {
-		var err error
-		c3, c4, err = predicateSearch(c3, c4, deltaFine, pred)
-		if err != nil {
-			return c3, c4, deltaFine, err
-		}
-	}
-	return c3, c4, deltaFine, nil
-}
-
-// twoPointLine derives an edge line from a primary bracket (c3, c4)
-// found along a ray from anchor, plus a second bracket located along a
-// ray rotated by ±arcsin(δ′/r) (Algorithm 7). pred must flip across
-// the same geometric edge (the caller constrains it to the specific
-// opposing tuple). When neither angled ray produces a usable second
-// point, the fallback edge is the line through mid(c3, c4)
-// perpendicular to the primary ray.
-func twoPointLine(anchor, c3, c4 geom.Point, params edgeSearchParams, bounds geom.Rect,
-	pred func(geom.Point) (bool, error)) (geom.Line, error) {
-
-	var deltaFine float64
-	var err error
-	c3, c4, deltaFine, err = refineBracket(anchor, c3, c4, params, pred)
-	if err != nil {
-		return geom.Line{}, err
-	}
-	m1 := c3.Mid(c4)
-	dir := c4.Sub(anchor)
-	r := dir.Norm()
-	if r < geom.Eps {
-		return geom.Line{}, fmt.Errorf("core: degenerate edge search (anchor on bracket)")
-	}
-	dirU := dir.Unit()
-	sin := params.deltaPrime / r
-	if sin > 0.5 {
-		sin = 0.5
-	}
-	theta := asinSafe(sin)
-	for _, sign := range []float64{+1, -1} {
-		dir2 := dirU.Rotate(sign * theta)
-		// The second crossing is expected near distance r; search a
-		// slightly longer segment clipped to the bounding region.
-		far := anchor.Add(dir2.Scale(1.6 * r))
-		if !bounds.Contains(far) {
-			if exit, ok := geom.RayRectExit(anchor, dir2, bounds); ok {
-				far = exit
-			} else {
-				continue
-			}
-		}
-		ok, err := pred(far)
-		if err != nil {
-			return geom.Line{}, err
-		}
-		if ok {
-			continue // no flip along this ray; try the other side
-		}
-		c5, c6, err := predicateSearch(anchor, far, deltaFine, pred)
-		if err != nil {
-			return geom.Line{}, err
-		}
-		m2 := c5.Mid(c6)
-		if m1.Dist(m2) > deltaFine {
-			return geom.LineThrough(m1, m2), nil
-		}
-	}
-	// Fallback: perpendicular through the primary midpoint.
-	return geom.LineFromPointNormal(m1, dirU), nil
-}
-
-// asinSafe is math.Asin clamped to a valid domain.
-func asinSafe(x float64) float64 {
-	if x > 1 {
-		x = 1
-	} else if x < -1 {
-		x = -1
-	}
-	return math.Asin(x)
-}

@@ -1,9 +1,11 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -98,6 +100,55 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(svc.QueryCount())/elapsed.Seconds(), "queries/s")
 			b.ReportMetric(0, "ns/op") // queries/s is the meaningful metric here
+		})
+	}
+}
+
+// BenchmarkServeAnswer measures one query answer through the handler,
+// JSON encoding included, with the transport cut out
+// (httptest.ResponseRecorder): GET /v1/lr on schools records (10 per
+// answer, each with a one-key Attrs) and a 4-point POST
+// /v1/query/lnr:batch on weibo records (each with a one-key Tags).
+func BenchmarkServeAnswer(b *testing.B) {
+	schools := workload.USASchools(5000, 1)
+	weibo := workload.WeiboChina(5000, 1)
+	sb, wb := schools.Bounds, weibo.Bounds
+	lrPath := fmt.Sprintf("/v1/lr?x=%g&y=%g", (sb.Min.X+sb.Max.X)/2, (sb.Min.Y+sb.Max.Y)/2)
+	batchBody := []byte(`{"points":[`)
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			batchBody = append(batchBody, ',')
+		}
+		f := float64(i+1) / 5
+		batchBody = fmt.Appendf(batchBody, `{"x":%g,"y":%g}`, wb.Min.X+f*(wb.Max.X-wb.Min.X), wb.Min.Y+f*(wb.Max.Y-wb.Min.Y))
+	}
+	batchBody = append(batchBody, "]}"...)
+
+	// One request per case, its body rewound each time, so the loop
+	// measures the handler rather than request construction.
+	body := bytes.NewReader(nil)
+	for _, c := range []struct {
+		name string
+		svc  *lbs.Service
+		req  *http.Request
+		body []byte
+	}{
+		{"lr-schools", lbs.NewService(schools.DB, lbs.Options{K: 10}),
+			httptest.NewRequest(http.MethodGet, lrPath, nil), nil},
+		{"lnr-batch4-weibo", lbs.NewService(weibo.DB, lbs.Options{K: 10}),
+			httptest.NewRequest(http.MethodPost, "/v1/query/lnr:batch", body), batchBody},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			srv := NewServer(c.svc)
+			b.ReportAllocs()
+			for b.Loop() {
+				body.Reset(c.body)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, c.req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
 		})
 	}
 }

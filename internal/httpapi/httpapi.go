@@ -1,7 +1,9 @@
 // Package httpapi exposes a simulated LBS over HTTP and provides a
 // client that implements the estimators' Oracle interface — the
 // blueprint for running the algorithms against a real networked
-// service. Both sides use only net/http and encoding/json.
+// service. Both sides use only net/http and encoding/json, except the
+// server's query answers, which are appended byte-identically to
+// encoding/json (answer.go).
 //
 // Wire protocol (JSON over GET, plus POST for batches):
 //
@@ -37,6 +39,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -79,6 +82,9 @@ type metaResponse struct {
 	Metric string `json:"metric,omitempty"`
 }
 
+// wireRecord is the client's decode shape of one answer record. The
+// server writes the same JSON with appendLR/appendLNR (answer.go);
+// TestAnswerEncodingMatchesJSON keeps the two in step.
 type wireRecord struct {
 	ID       int64              `json:"id"`
 	X        *float64           `json:"x,omitempty"`
@@ -254,10 +260,26 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// writeJSON renders v as json.Encoder.Encode would. It marshals before
+// writing the status, so a value encoding/json refuses (a NaN in a job
+// view, say) is a 500 with an errorResponse body, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: err.Error()}) // a string field always marshals
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody writes a complete JSON body in one Write with an explicit
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client has gone
 }
 
 // writeQueryError renders a failed backend query: budget exhaustion is
@@ -326,21 +348,7 @@ func (s *Server) handleLR(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireLR(recs))
-}
-
-// wireLR converts one LR answer to its wire shape.
-func wireLR(recs []lbs.LRRecord) queryResponse {
-	out := queryResponse{Results: make([]wireRecord, len(recs))}
-	for i, rec := range recs {
-		x, y, d := rec.Loc.X, rec.Loc.Y, rec.Dist
-		out.Results[i] = wireRecord{
-			ID: rec.ID, X: &x, Y: &y, Dist: &d,
-			Name: rec.Name, Category: rec.Category,
-			Attrs: rec.Attrs, Tags: rec.Tags,
-		}
-	}
-	return out
+	writeAnswer(w, func(b []byte) ([]byte, error) { return appendLR(b, recs) })
 }
 
 func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
@@ -357,19 +365,7 @@ func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireLNR(recs))
-}
-
-// wireLNR converts one LNR answer to its wire shape.
-func wireLNR(recs []lbs.LNRRecord) queryResponse {
-	out := queryResponse{Results: make([]wireRecord, len(recs))}
-	for i, rec := range recs {
-		out.Results[i] = wireRecord{
-			ID: rec.ID, Name: rec.Name, Category: rec.Category,
-			Attrs: rec.Attrs, Tags: rec.Tags,
-		}
-	}
-	return out
+	writeAnswer(w, func(b []byte) ([]byte, error) { return appendLNR(b, recs) })
 }
 
 // parseBatch decodes and validates a batch request body. The body is
@@ -403,7 +399,7 @@ func parseBatch(w http.ResponseWriter, r *http.Request) ([]geom.Point, Selection
 // like the single-query path (429).
 func serveBatch[T any](s *Server, w http.ResponseWriter, r *http.Request,
 	query func(context.Context, []geom.Point, lbs.Filter) ([][]T, error),
-	wire func([]T) queryResponse) {
+	appendAnswer func([]byte, []T) ([]byte, error)) {
 
 	pts, sel, err := parseBatch(w, r)
 	if err != nil {
@@ -421,29 +417,19 @@ func serveBatch[T any](s *Server, w http.ResponseWriter, r *http.Request,
 		writeQueryError(w, err)
 		return
 	}
-	resp := batchResponse{Answers: make([]*queryResponse, len(answers)), Exhausted: exhausted}
-	served := false
-	for i, recs := range answers {
-		if recs == nil {
-			continue
-		}
-		qr := wire(recs)
-		resp.Answers[i] = &qr
-		served = true
-	}
-	if exhausted && !served {
+	if exhausted && !slices.ContainsFunc(answers, func(recs []T) bool { return recs != nil }) {
 		writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, func(b []byte) ([]byte, error) { return appendBatch(b, answers, exhausted, appendAnswer) })
 }
 
 func (s *Server) handleLRBatch(w http.ResponseWriter, r *http.Request) {
-	serveBatch(s, w, r, s.svc.QueryLRBatch, wireLR)
+	serveBatch(s, w, r, s.svc.QueryLRBatch, appendLR)
 }
 
 func (s *Server) handleLNRBatch(w http.ResponseWriter, r *http.Request) {
-	serveBatch(s, w, r, s.svc.QueryLNRBatch, wireLNR)
+	serveBatch(s, w, r, s.svc.QueryLNRBatch, appendLNR)
 }
 
 // Client is an HTTP implementation of the estimators' Oracle

@@ -3,7 +3,8 @@ package httpapi
 // Fuzz targets for the untrusted wire decoders: the single-point query
 // string, batch bodies, NDJSON mutation streams and estimate specs.
 // Each must never panic, and whatever it accepts must be something
-// the backend can act on.
+// the backend can act on. FuzzAnswerEncoding covers the other
+// direction: the answers the server appends must match encoding/json.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/jobs"
+	"repro/internal/lbs"
 	"repro/internal/live"
 )
 
@@ -151,5 +153,38 @@ func FuzzEstimateSpec(f *testing.F) {
 				t.Fatalf("%+v validates but does not compile: %v", a, err)
 			}
 		}
+	})
+}
+
+// FuzzAnswerEncoding: for any record strings and float bits, the
+// appended LR, LNR and batch answers equal encoding/json's rendering
+// byte for byte, or both refuse a non-finite value with the same
+// error.
+func FuzzAnswerEncoding(f *testing.F) {
+	f.Add(int64(7), "School 7", "school", "gender", "f", "enrollment",
+		math.Float64bits(-97.7), math.Float64bits(30.25), math.Float64bits(1e-7), math.Float64bits(412))
+	f.Add(int64(-1), "<a&b>", "\"q\"\\", "\u2028", "\xff\x00", "微博",
+		math.Float64bits(1e21), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(5e-324), math.Float64bits(math.NaN()))
+	f.Add(int64(math.MaxInt64), "", "", "", "", "",
+		math.Float64bits(math.Inf(1)), uint64(0), math.Float64bits(1e-9), math.Float64bits(math.Nextafter(1e21, 0)))
+	f.Fuzz(func(t *testing.T, id int64, name, category, tagKey, tagVal, attrKey string, xBits, yBits, distBits, attrBits uint64) {
+		x, y := math.Float64frombits(xBits), math.Float64frombits(yBits)
+		attrs := map[string]float64{attrKey: math.Float64frombits(attrBits), "z": x}
+		tags := map[string]string{tagKey: tagVal, name: category}
+		lr := []lbs.LRRecord{
+			{ID: id, Loc: geom.Pt(x, y), Dist: math.Float64frombits(distBits), Name: name, Category: category, Attrs: attrs, Tags: tags},
+			{ID: -id, Loc: geom.Pt(y, 1), Name: tagVal, Tags: map[string]string{attrKey: name}},
+		}
+		lnr := []lbs.LNRRecord{
+			{ID: id, Name: name, Category: category, Attrs: attrs, Tags: tags},
+			{ID: 1, Category: tagKey, Attrs: map[string]float64{name: y}},
+		}
+		got, err := appendLR(nil, lr)
+		sameAsJSON(t, got, err, wireLR(lr))
+		got, err = appendLNR(nil, lnr)
+		sameAsJSON(t, got, err, wireLNR(lnr))
+		batch := [][]lbs.LNRRecord{lnr, nil, {}}
+		got, err = appendBatch(nil, batch, id%2 == 0, appendLNR)
+		sameAsJSON(t, got, err, wireBatch(batch, id%2 == 0, wireLNR))
 	})
 }

@@ -57,8 +57,12 @@ func (e *PartialError) Error() string {
 func (e *PartialError) Unwrap() error { return e.Err }
 
 // AsPartial extracts the partial-answer annotation from an error
-// chain.
+// chain. A nil error returns before errors.As, whose target would
+// cost every answered query an allocation.
 func AsPartial(err error) (*PartialError, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var pe *PartialError
 	if errors.As(err, &pe) {
 		return pe, true
