@@ -152,10 +152,14 @@ bench-geo-geodesic:
 # at the start of the perf trajectory remain the reference; a new file
 # self-primes on its first run. The bench output goes through a file,
 # not a pipe, so a failing benchmark fails the target instead of being
-# masked by the pipeline.
+# masked by the pipeline. Each report is stamped with the commit it
+# measured when git can tell (empty outside a git checkout), marked
+# +dirty when the tree had uncommitted changes.
+COMMIT = $(shell git rev-parse --short HEAD 2>/dev/null)$(shell git status --porcelain 2>/dev/null | grep -q . && echo +dirty)
+
 define record
 $(call suite,$(1)) > bench_$(1).out
-$(GO) run ./cmd/benchjson -o BENCH_$(1).json < bench_$(1).out
+$(GO) run ./cmd/benchjson -o BENCH_$(1).json -commit '$(COMMIT)' < bench_$(1).out
 @rm -f bench_$(1).out
 
 endef

@@ -3,13 +3,15 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_geom.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_geom.json -commit "$(git rev-parse --short HEAD)"
 //
 // The report has two sections: "current" (parsed from stdin) and
 // "baseline". When the output file already exists its baseline is
 // preserved verbatim, so the file self-primes on first run and keeps
 // the original reference numbers afterwards; pass -rebase to overwrite
-// the baseline with the current run.
+// the baseline with the current run. Each report is stamped with the
+// host's core count (nproc), so a scaling row measured on a one-core
+// host reads as such, and with the -commit it measured.
 package main
 
 import (
@@ -39,7 +41,9 @@ type Benchmark struct {
 type Report struct {
 	Note       string      `json:"note,omitempty"`
 	Date       string      `json:"date"`
+	Commit     string      `json:"commit,omitempty"`
 	GoVersion  string      `json:"go_version"`
+	NProc      int         `json:"nproc,omitempty"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -96,12 +100,15 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout); an existing file's baseline is preserved")
 	note := flag.String("note", "", "free-form note attached to the current run")
 	rebase := flag.Bool("rebase", false, "replace the stored baseline with the current run")
+	commit := flag.String("commit", "", "commit the benchmarks were run at (e.g. git rev-parse --short HEAD)")
 	flag.Parse()
 
 	cur := &Report{
 		Note:       *note,
 		Date:       time.Now().UTC().Format(time.RFC3339),
+		Commit:     *commit,
 		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: parse(bufio.NewScanner(os.Stdin)),
 	}

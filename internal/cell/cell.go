@@ -19,6 +19,25 @@
 // reduction of §3.2.3), and uniform random sampling (for the
 // Monte-Carlo device of §3.2.4).
 //
+// # Levels
+//
+// A complex built for k keeps every face whose count is below k, so
+// the top-m complex (m < k) built from the same sites is the top-k
+// complex's "level-m prefix": its faces are, bit for bit and in order,
+// the top-k build's faces with count < m. Both builds consume the sites
+// in one distance order (see BuildFromSites); the top-m build consumes
+// a prefix of the top-k build's sites, because its region, and so its
+// pruning radius, is smaller; and every cut the top-k build makes
+// beyond that prefix lies past the top-m pruning radius, where it
+// cannot touch a face below level m. Splitting preserves face order and
+// the pieces at count ≥ m are exactly the ones the top-m build drops.
+// So FaceAreaAtMost(h) and WithK(h) of a top-m complex equal the top-k
+// build's AreaAtMost(h) (h ≤ m) and WithK(h) (h < m) bit for bit. Only
+// Area(), which is maintained incrementally, carries different rounding
+// at h = m, which is why WithK(h) needs m > h. The LR estimator's
+// adaptive-h rule relies on this to build only the levels it reads,
+// all from one Order so the levels share one distance ordering.
+//
 // # Allocation discipline
 //
 // Cut insertion is the innermost loop of every estimator sample, so the
@@ -437,6 +456,15 @@ func (c *Complex) AreaAtMost(h int) float64 {
 	if h >= c.k {
 		return c.Area()
 	}
+	return c.FaceAreaAtMost(h)
+}
+
+// FaceAreaAtMost returns the in-order sum of the cached areas of the
+// faces with count ≤ h−1, for any h (for h ≥ k every face counts). It
+// is the face sum AreaAtMost(h) computes below k, so a top-m complex
+// reads, bit for bit, the AreaAtMost(h) of a top-k build from the same
+// sites for every h ≤ m < k (see the package comment on levels).
+func (c *Complex) FaceAreaAtMost(h int) float64 {
 	var a float64
 	for i := range c.faces {
 		if c.faces[i].Count <= h-1 {

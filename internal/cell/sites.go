@@ -39,65 +39,107 @@ type siteDist struct {
 	d2   float64
 }
 
-// insertScratch is the reusable per-call working set of InsertSites.
-// Pooled package-wide (not per complex) so one-shot BuildFromSites
-// callers reach steady state too; sync.Pool keeps concurrent estimator
-// workers from contending.
-type insertScratch struct {
-	ordered []siteDist
+// Order is a target's sites in the order InsertSites consumes them:
+// increasing distance from the target, drawn lazily from one binary
+// heap, so equidistant sites always come out in the same order. Several
+// builds from one site set share one filtering pass and one heapify:
+// each Insert walks the sites drawn so far and draws more only past
+// their end. The LR estimator's adaptive-h rule builds the top-1,
+// top-2, top-4, … complexes of one target from one Order. The zero
+// value is an empty order; Reset reuses its storage.
+type Order struct {
+	target geom.Point
+	heap   []siteDist // undrawn sites, a min-heap on d2
+	drawn  []siteDist // drawn sites, in consumption order
 }
 
-var insertPool = sync.Pool{New: func() any { return new(insertScratch) }}
+// Reset makes o the order of sites around target, dropping sites that
+// coincide with the target within Eps.
+func (o *Order) Reset(target geom.Point, sites []Site) { o.reset(target, sites, nil) }
+
+// reset is Reset that also drops the sites whose Key c has registered.
+func (o *Order) reset(target geom.Point, sites []Site, c *Complex) {
+	o.target = target
+	o.heap, o.drawn = o.heap[:0], o.drawn[:0]
+	for _, s := range sites {
+		d2 := s.Loc.Dist2(target)
+		if d2 < geom.Eps*geom.Eps || (c != nil && c.HasCut(s.Key)) {
+			continue
+		}
+		o.heap = append(o.heap, siteDist{site: s, d2: d2})
+	}
+	// Lazy distance ordering: the pruning rule usually stops after the
+	// nearest handful of sites, so a heapify + pop loop beats a full
+	// sort of the batch (O(n + m log n) for m consumed sites).
+	heapifySites(o.heap)
+}
+
+// Insert adds bisector cuts between the target and the order's sites
+// into c, using the distance-ordered pruning rule described at
+// BuildFromSites, and returns the number of cuts that changed the
+// region. Into a complex with no cut registered it is, bit for bit,
+// InsertSites(c, target, sites) for the sites o was Reset with.
+//
+// In-batch duplicate keys are skipped in O(1) when identical
+// duplicates come out back-to-back (equal distance, equal key); any
+// exotic same-key stragglers are absorbed by AddCut's own key registry.
+func (o *Order) Insert(c *Complex) int {
+	changed := 0
+	maxDist := c.MaxDistFrom(o.target)
+	lastKey := int64(math.MinInt64)
+	for i := 0; i < len(o.drawn) || o.draw(); i++ {
+		sd := o.drawn[i]
+		reach := 2*maxDist + geom.Eps
+		if sd.d2 > reach*reach {
+			break
+		}
+		if sd.site.Key == lastKey {
+			continue // in-batch duplicate
+		}
+		lastKey = sd.site.Key
+		if c.AddCut(Cut{Line: geom.Bisector(o.target, sd.site.Loc), Key: sd.site.Key}) {
+			changed++
+			maxDist = c.MaxDistFrom(o.target)
+		}
+	}
+	return changed
+}
+
+// draw moves the nearest undrawn site to the end of the drawn prefix,
+// reporting false when none is left.
+func (o *Order) draw() bool {
+	n := len(o.heap)
+	if n == 0 {
+		return false
+	}
+	o.drawn = append(o.drawn, o.heap[0])
+	o.heap[0] = o.heap[n-1]
+	o.heap = o.heap[:n-1]
+	siftDownSite(o.heap, 0)
+	return true
+}
+
+// orderPool holds InsertSites' working sets. Pooled package-wide (not
+// per complex) so one-shot BuildFromSites callers reach steady state
+// too; sync.Pool keeps concurrent estimator workers from contending.
+var orderPool = sync.Pool{New: func() any { return new(Order) }}
 
 // InsertSites adds bisector cuts between target and each site into an
 // existing complex, using the distance-ordered pruning rule described
 // at BuildFromSites. Sites whose Key is already registered or that
 // coincide with the target within Eps are filtered out up front;
 // duplicate keys within the batch itself are eliminated during the
-// distance-ordered consumption: identical duplicates pop from the
-// distance heap back-to-back (equal distance, equal key) and are
-// skipped in O(1), and any exotic same-key stragglers are absorbed by
-// AddCut's own key registry. No per-batch map is built — hashing every
-// site cost more than the duplicates it saved (ground-truth ring
-// gathering calls this with thousands of small, dup-free batches).
-// The working set comes from a package-level pool and is reused across
-// calls. It returns the number of cuts that changed the region.
+// distance-ordered consumption (see Order.Insert). No per-batch map is
+// built — hashing every site cost more than the duplicates it saved
+// (ground-truth ring gathering calls this with thousands of small,
+// dup-free batches). The working set comes from a package-level pool
+// and is reused across calls. It returns the number of cuts that
+// changed the region.
 func InsertSites(c *Complex, target geom.Point, sites []Site) int {
-	sc := insertPool.Get().(*insertScratch)
-	ordered := sc.ordered[:0]
-	for _, s := range sites {
-		d2 := s.Loc.Dist2(target)
-		if d2 < geom.Eps*geom.Eps || c.HasCut(s.Key) {
-			continue
-		}
-		ordered = append(ordered, siteDist{site: s, d2: d2})
-	}
-	// Lazy distance ordering: the pruning rule usually stops after the
-	// nearest handful of sites, so a heapify + pop loop beats a full
-	// sort of the batch (O(n + m log n) for m consumed sites).
-	heapifySites(ordered)
-	changed := 0
-	maxDist := c.MaxDistFrom(target)
-	lastKey := int64(math.MinInt64)
-	for n := len(ordered); n > 0; n-- {
-		sd := ordered[0]
-		reach := 2*maxDist + geom.Eps
-		if sd.d2 > reach*reach {
-			break
-		}
-		ordered[0] = ordered[n-1]
-		siftDownSite(ordered[:n-1], 0)
-		if sd.site.Key == lastKey {
-			continue // in-batch duplicate: identical entries pop adjacently
-		}
-		lastKey = sd.site.Key
-		if c.AddCut(Cut{Line: geom.Bisector(target, sd.site.Loc), Key: sd.site.Key}) {
-			changed++
-			maxDist = c.MaxDistFrom(target)
-		}
-	}
-	sc.ordered = ordered
-	insertPool.Put(sc)
+	o := orderPool.Get().(*Order)
+	o.reset(target, sites, c)
+	changed := o.Insert(c)
+	orderPool.Put(o)
 	return changed
 }
 

@@ -79,3 +79,91 @@ func samePoly(a, b geom.Polygon) bool {
 	}
 	return true
 }
+
+// TestTopMMatchesTopKLevels generalises TestTop1MatchesTopKCountZero
+// to every level, the invariant the LR estimator's level-by-level
+// adaptive-h rule relies on: a top-m build from a site set is, bit for
+// bit and in order, the faces with count < m of the top-k build from
+// the same sites; its FaceAreaAtMost(cand) equals the top-k build's
+// AreaAtMost(cand) for every cand ≤ m; and its WithK(h) for h < m
+// equals the top-k build's WithK(h) in faces and Area() bits. Every
+// level is checked freshly built, rebuilt in a Reset complex, and
+// rebuilt in a Reset complex from one Order shared by all levels, as
+// the estimator builds them.
+func TestTopMMatchesTopKLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	reused := make(map[int]*Complex)
+	ordered := make(map[int]*Complex)
+	var order Order
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(400)
+		pts := randomPoints(rng, n)
+		ti := rng.Intn(n)
+		sites := sitesExcept(pts, ti)
+		order.Reset(pts[ti], sites)
+		for _, k := range []int{3, 5, 10} {
+			topk := buildFor(pts, ti, k)
+			for m := 1; m < k; m++ {
+				r, o := resetLevel(reused, m), resetLevel(ordered, m)
+				InsertSites(r, pts[ti], sites)
+				order.Insert(o)
+				for _, topm := range []*Complex{buildFor(pts, ti, m), r, o} {
+					checkLevelPrefix(t, trial, k, m, topm, topk)
+				}
+			}
+		}
+	}
+}
+
+// resetLevel returns levels[m] reset, creating it on first use.
+func resetLevel(levels map[int]*Complex, m int) *Complex {
+	c := levels[m]
+	if c == nil {
+		c = NewFromRect(unitBox, m)
+		levels[m] = c
+	} else {
+		c.Reset()
+	}
+	return c
+}
+
+// checkLevelPrefix compares a top-m build with the top-k build from
+// the same sites.
+func checkLevelPrefix(t *testing.T, trial, k, m int, topm, topk *Complex) {
+	t.Helper()
+	if !sameFaces(topm.Faces(), topk.Faces(), m) {
+		t.Fatalf("trial %d k=%d m=%d: top-m faces differ from the top-k faces below level m", trial, k, m)
+	}
+	for cand := 1; cand <= m; cand++ {
+		got, want := topm.FaceAreaAtMost(cand), topk.AreaAtMost(cand)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d k=%d m=%d: FaceAreaAtMost(%d) %v vs top-k AreaAtMost %v", trial, k, m, cand, got, want)
+		}
+	}
+	for h := 1; h < m; h++ {
+		got, want := topm.WithK(h), topk.WithK(h)
+		if got.K() != h || !sameFaces(got.Faces(), want.Faces(), h) {
+			t.Fatalf("trial %d k=%d m=%d: WithK(%d) faces differ", trial, k, m, h)
+		}
+		if math.Float64bits(got.Area()) != math.Float64bits(want.Area()) {
+			t.Fatalf("trial %d k=%d m=%d: WithK(%d) Area %v vs %v", trial, k, m, h, got.Area(), want.Area())
+		}
+	}
+}
+
+// sameFaces reports whether got is, bit for bit and in order, the
+// faces of ref with count < level.
+func sameFaces(got, ref []Face, level int) bool {
+	i := 0
+	for _, f := range ref {
+		if f.Count >= level {
+			continue
+		}
+		if i >= len(got) || got[i].Count != f.Count || !samePoly(got[i].Poly, f.Poly) ||
+			math.Float64bits(got[i].Area()) != math.Float64bits(f.Area()) {
+			return false
+		}
+		i++
+	}
+	return i == len(got)
+}

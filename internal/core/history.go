@@ -14,9 +14,10 @@ import (
 // (§3.2.3) at zero query cost.
 //
 // Sites are kept in one append-only slice in observation order, so a
-// seeded run feeds cell.BuildFromSites the same site sequence every time
-// (heap tie-breaking among equidistant sites never depends on map
-// iteration order), and Sites hands that slice out without a copy.
+// seeded run feeds the cell builds (cell.Order, cell.InsertSites) the
+// same site sequence every time (heap tie-breaking among equidistant
+// sites never depends on map iteration order), and Sites hands that
+// slice out without a copy.
 type History struct {
 	locs  map[int64]geom.Point
 	sites []cell.Site // every observed tuple, in observation order

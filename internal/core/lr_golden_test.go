@@ -34,8 +34,11 @@ type lrGoldenCase struct {
 // lrGoldenCases pins the LR estimator bit for bit across k, λ0, seed
 // and the FixedH / no-history paths. The values were recorded with an
 // adaptive-h choice that built the full top-k history complex for
-// every returned tuple; the top-1 short-circuit is a pure optimization,
-// so every value must stay unchanged.
+// every returned tuple; the top-1 short-circuit and the level-by-level
+// growth of the history complex are pure optimizations, so every value
+// must stay unchanged. The schools50k cases run at the estimate-lr
+// benchmark's shape (50 000 schools, k = 10), where the history reaches
+// a thousand sites and h climbs to 10.
 var lrGoldenCases = []lrGoldenCase{
 	{name: "cluster/k3/default", data: "cluster", n: 1500, k: 3, seed: 1, samples: 40,
 		est: 0x40a511a28523c63c, se: 0x409999078ff826d2, queries: 563, hChosen: "1:117"},
@@ -73,6 +76,10 @@ var lrGoldenCases = []lrGoldenCase{
 		est: 0x40a316db2fe0238a, se: 0x409289d3f482cf9f, queries: 8624, hChosen: "1:135,2:11,3:21,4:25,5:13,6:11,7:9,8:10,9:1,10:4"},
 	{name: "schools/k10/weighted", data: "schools", n: 3000, k: 10, lambda0: 0.005, seed: 5, weighted: true, samples: 25,
 		est: 0x40aec6b7fd073a85, se: 0x4093551a44c450da, queries: 16733, hChosen: "1:150,2:23,3:10,4:6,5:11,6:2,8:1,9:3,10:34"},
+	{name: "schools50k/k10/default/s1", data: "schools", n: 50000, k: 10, seed: 1, samples: 15,
+		est: 0x40ec7387c4597f93, se: 0x40da84c2ce5b6844, queries: 4001, hChosen: "1:120,3:1,4:2,5:2,6:4,7:2,8:1,9:2,10:6"},
+	{name: "schools50k/k10/default/s2", data: "schools", n: 50000, k: 10, seed: 2, samples: 15,
+		est: 0x40e2d62712cabab1, se: 0x40d52894aa453b5a, queries: 1161, hChosen: "1:130,4:1,5:5,6:2,7:2"},
 	{name: "cluster/k5/fixedH2", data: "cluster", n: 1500, k: 5, seed: 3, fixedH: 2, samples: 40,
 		est: 0x407981e87937cd83, se: 0x404beab75d759028, queries: 2165, hChosen: ""},
 	{name: "schools/k10/fixedH3", data: "schools", n: 3000, k: 10, seed: 4, fixedH: 3, samples: 25,

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -30,10 +31,13 @@ type LROptions struct {
 	// history-derived upper bound λ_h(t) stays below λ0 is used.
 	// Default 0.001 (h grows only for tuples whose top-h cells stay
 	// tiny, where the extra cells are nearly free under history).
-	// Because λ_1 ≤ λ_h for every h, a tuple whose history top-1 cell
-	// is already larger than λ0 gets h = 1 without its top-k complex
-	// being built; the top-1 cell is bit-identical to that complex's
-	// count-0 face, so the shortcut never changes the choice.
+	// Because λ_h is non-decreasing in h, the rule reads λ_1, λ_2, …
+	// only until the first one above λ0, so it builds the history
+	// complex only up to the level it reads: the top-1 cell first, then
+	// the top-2, top-4, top-8, … complexes (capped at k). A top-m
+	// complex is bit for bit the faces below level m of the top-k
+	// complex (see the cell package's Levels section), so the choice
+	// and the seeded refinement are the ones the full top-k build gives.
 	Lambda0Frac float64
 	// FastInit enables the fake-tuple initialization of §3.2.1.
 	FastInit bool
@@ -115,10 +119,17 @@ type LRAggregator struct {
 	smp   sampling.Sampler
 	hist  *History
 	bound geom.Rect
-	stats LRStats
-	vtol  float64 // vertex quantization tolerance
-	// top1 is chooseH's reusable top-1 cell, rebuilt for each tuple.
-	top1 *cell.Complex
+	// boundPoly is bound.Polygon(), cached because building it
+	// allocates; complexes built over it copy it.
+	boundPoly geom.Polygon
+	stats     LRStats
+	vtol      float64 // vertex quantization tolerance
+	// order is the history sites in distance order around chooseH's
+	// current tuple, shared by that tuple's level builds; levels[m] is
+	// the reusable top-m history complex (nil until first used;
+	// levels[0] stays nil).
+	order  cell.Order
+	levels []*cell.Complex
 }
 
 // NewLRAggregator builds an aggregator over an LR service view.
@@ -156,19 +167,26 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 		smp = sampling.NewUniform(region)
 	}
 	return &LRAggregator{
-		svc:   svc,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		smp:   smp,
-		hist:  NewHistory(),
-		bound: region,
-		stats: LRStats{AdaptiveHChosen: make(map[int]int)},
-		vtol:  region.Diagonal() * 1e-9,
+		svc:       svc,
+		opts:      opts,
+		rng:       rand.New(rand.NewSource(opts.Seed)),
+		smp:       smp,
+		hist:      NewHistory(),
+		bound:     region,
+		boundPoly: region.Polygon(),
+		stats:     LRStats{AdaptiveHChosen: make(map[int]int)},
+		vtol:      region.Diagonal() * 1e-9,
+		levels:    make([]*cell.Complex, opts.UseK+1),
 	}
 }
 
-// Stats returns run statistics accumulated so far.
-func (a *LRAggregator) Stats() LRStats { return a.stats }
+// Stats returns a snapshot of the run statistics accumulated so far;
+// its AdaptiveHChosen map is a copy the caller owns.
+func (a *LRAggregator) Stats() LRStats {
+	st := a.stats
+	st.AdaptiveHChosen = maps.Clone(a.stats.AdaptiveHChosen)
+	return st
+}
 
 // History exposes the observed-tuple history (read-only use).
 func (a *LRAggregator) History() *History { return a.hist }
@@ -241,63 +259,87 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 
 // chooseH implements the variance-reduction rule of §3.2.3 for the
 // returned tuple at 0-based rank: the largest h ∈ [2, k] whose
-// history-derived upper bound λ_h(t) is below λ0, else 1. It also
-// returns the history-seeded complex the caller continues refinement
-// from: the top-k complex when h ≥ 2 (or under FixedH), the top-1 cell
-// when the rule settles on h = 1 — and none for a tuple that then
-// cannot contribute (rank ≥ h).
+// history-derived upper bound λ_h(t) is below λ0, else 1. When the
+// tuple can contribute (rank < h) it also returns the history-seeded
+// top-h complex the caller continues refinement from, owned by the
+// caller; otherwise none.
 //
-// The rule first builds only the top-1 cell, an order of magnitude
-// cheaper than the top-k complex, into a complex reused across calls.
-// When its area λ_1(t) exceeds λ0 the answer is h = 1 — λ_h is
-// non-decreasing in h, so λ_2 ≥ λ_1 > λ0 — and the top-k complex is
-// never built. The shortcut changes no result: both builds consume the
-// sites in one distance order, so the top-1 cell is bit for bit the
-// count-0 face of the top-k complex (the same polygon and area that
-// seed.WithK(1) would carry), and the cuts the top-1 build never
-// reached lie beyond its pruning radius, where later insertions cannot
-// reach either.
+// The rule builds only the levels it reads, each into a complex reused
+// across calls, all from one distance ordering of the history sites
+// (a cell.Order, so the O(n) filtering and heapify run once per tuple,
+// not once per level). It first builds the top-1 cell, an order of
+// magnitude cheaper than the top-k complex: when its area λ_1(t)
+// exceeds λ0 the answer is h = 1, since λ_h is non-decreasing in h.
+// Otherwise it grows the level m of the history complex by doubling
+// (m = 2, 4, 8, …, capped at k) until it meets a λ_cand > λ0 or
+// reaches k. A top-m complex gives λ_cand for every cand ≤ m as the
+// in-order sum of its face areas at count ≤ cand−1 (FaceAreaAtMost);
+// λ_k is the top-k complex's Area(), as AreaAtMost(k) reads it.
+//
+// The levels change no result. Every build consumes the sites in one
+// distance order, a top-m build consumes a prefix of the top-k build's
+// sites, and the cuts beyond that prefix lie past the top-m pruning
+// radius, so they never touch a face below level m: the top-m faces
+// are bit for bit the top-k faces at count < m (the cell package's
+// Levels section; TestTopMMatchesTopKLevels pins it). Hence every λ
+// the rule reads, and WithK(h) of a level m > h (or m = h = k), equal
+// what the full top-k build gives. The seed registers fewer cuts than
+// the top-k build would, but the missing ones are sites beyond twice
+// the seed's reach, which the refinement's InsertSites never consumes.
 func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	k := a.opts.UseK
-	h := a.opts.FixedH
-	if h > k {
-		h = k
-	}
+	h := min(a.opts.FixedH, k)
 	if !a.opts.UseHistory || a.hist.Len() <= 1 {
 		return max(h, 1), nil
 	}
-	bound, sites := a.bound.Polygon(), a.hist.Sites()
 	if h > 0 || k < 2 {
-		return max(h, 1), cell.BuildFromSites(bound, k, tLoc, sites)
+		h = max(h, 1)
+		if rank >= h {
+			return h, nil
+		}
+		a.order.Reset(tLoc, a.hist.Sites())
+		return h, a.level(min(h+1, k)).WithK(h)
 	}
 	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
-	top1 := a.top1
-	if top1 == nil {
-		top1 = cell.New(bound, 1)
-	} else {
-		top1.Reset()
-	}
-	cell.InsertSites(top1, tLoc, sites)
-	a.top1 = top1
-	if top1.Area() > lambda0 {
-		a.stats.AdaptiveHChosen[1]++
-		if rank > 0 {
-			return 1, nil
-		}
-		a.top1 = nil // handed over as the seed
-		return 1, top1
-	}
-	seed := cell.BuildFromSites(bound, k, tLoc, sites)
 	h = 1
-	for cand := 2; cand <= k; cand++ {
-		if seed.AreaAtMost(cand) <= lambda0 {
-			h = cand
-		} else {
-			break // λ_h is non-decreasing in h
+	a.order.Reset(tLoc, a.hist.Sites())
+	seed := a.level(1)
+	if seed.Area() <= lambda0 {
+		// Grow while every λ_cand the level gave was ≤ λ0 (h == m).
+		for m := 1; h == m && m < k; {
+			m = min(2*m, k)
+			seed = a.level(m)
+			for h < m {
+				lambda := seed.FaceAreaAtMost(h + 1)
+				if h+1 == k {
+					lambda = seed.Area()
+				}
+				if lambda > lambda0 {
+					break // λ_h is non-decreasing in h
+				}
+				h++
+			}
 		}
 	}
 	a.stats.AdaptiveHChosen[h]++
-	return h, seed
+	if rank >= h {
+		return h, nil
+	}
+	return h, seed.WithK(h)
+}
+
+// level rebuilds chooseH's reusable top-m complex from the history
+// sites in a.order.
+func (a *LRAggregator) level(m int) *cell.Complex {
+	c := a.levels[m]
+	if c == nil {
+		c = cell.New(a.boundPoly, m)
+		a.levels[m] = c
+	} else {
+		c.Reset()
+	}
+	a.order.Insert(c)
+	return c
 }
 
 // cellContext carries the confirmation state of one cell computation.
@@ -343,7 +385,8 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 // computeWeight computes 1/p̂(t) for tuple t using its top-h Voronoi
 // cell, by the Theorem-1 loop plus the enabled devices. hint is the
 // answer that discovered t (used by fast initialization); seed is the
-// history-derived complex from chooseH, with k ≥ h (may be nil).
+// history-derived top-h complex from chooseH, which the call takes
+// over (may be nil).
 func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.Point, h int, hint []lbs.LRRecord, seed *cell.Complex) (float64, error) {
 	a.stats.Cells++
 	cc := &cellContext{
@@ -356,11 +399,10 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 	for _, r := range hint {
 		cc.local.Observe(r.ID, r.Loc)
 	}
-	boundPoly := a.bound.Polygon()
 	if seed != nil {
-		cc.region = seed.WithK(h)
+		cc.region = seed
 	} else {
-		cc.region = cell.New(boundPoly, h)
+		cc.region = cell.New(a.boundPoly, h)
 		cell.InsertSites(cc.region, tLoc, sitesOf(hint, tID))
 	}
 
@@ -437,7 +479,7 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 		cc.tLoc.Add(geom.Pt(0, 2*r)),
 		cc.tLoc.Add(geom.Pt(0, -2*r)),
 	}
-	tmp := cell.New(a.bound.Polygon(), cc.h)
+	tmp := cell.New(a.boundPoly, cc.h)
 	// Real cuts already known (history / hint) keep the fake region
 	// honest; then the fake cuts shrink it to a box around t.
 	cell.InsertSites(tmp, cc.tLoc, a.knownSites(cc))
@@ -456,7 +498,7 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 		}
 	}
 	// Rebuild from real tuples only.
-	region := cell.New(a.bound.Polygon(), cc.h)
+	region := cell.New(a.boundPoly, cc.h)
 	cell.InsertSites(region, cc.tLoc, a.knownSites(cc))
 	cc.region = region
 	return nil
