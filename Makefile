@@ -67,10 +67,11 @@ bench-throughput:
 SUITES = geom federation live planner chaos store
 
 # geom: the geometry-engine suite — cell clipping, kd-tree search, the
-# simulated oracle hot path, ground-truth diagram construction and one
-# end-to-end estimator sample.
-geom_BENCH = BenchmarkAddCut|BenchmarkReplaceCut|BenchmarkInsertSites|BenchmarkBuildTop|BenchmarkRandomPoint|BenchmarkSplit|BenchmarkEvalRange|BenchmarkKNN|BenchmarkBuild10k|BenchmarkCompute10k|BenchmarkQueryLR|BenchmarkLRSample|BenchmarkLRCellComputation
-geom_PKGS = ./internal/geom ./internal/cell ./internal/kdtree ./internal/lbs ./internal/voronoi ./internal/core
+# simulated oracle hot path, ground-truth diagram construction, one
+# end-to-end estimator sample and the estimate-lr job mix in process
+# (BenchmarkLRJob: ms/job and queries/job).
+geom_BENCH = BenchmarkAddCut|BenchmarkReplaceCut|BenchmarkInsertSites|BenchmarkBuildTop|BenchmarkRandomPoint|BenchmarkSplit|BenchmarkEvalRange|BenchmarkKNN|BenchmarkBuild10k|BenchmarkCompute10k|BenchmarkQueryLR|BenchmarkLRSample|BenchmarkLRCellComputation|BenchmarkLRJob
+geom_PKGS = ./internal/geom ./internal/cell ./internal/kdtree ./internal/lbs ./internal/voronoi ./internal/core ./internal/jobs
 geom_FLAGS = -benchmem
 
 # federation: the scatter-gather query path at 1/2/4/8 in-process

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"maps"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cell"
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/workload"
 )
@@ -43,9 +45,12 @@ func TestLRStatsSnapshotIsolated(t *testing.T) {
 
 // TestChooseHNoAllocs requires the adaptive-h rule to allocate nothing
 // on a warmed schools-50k aggregator when the tuple cannot contribute
-// (rank ≥ h), both on the top-1 shortcut and when the history complex
-// grows past level 2: every level is rebuilt in its reused complex and
-// no seed is copied out.
+// (rank ≥ h): when the nearest-site scan alone proves λ_1 > λ0, when
+// the progressive top-1 lower bound proves it part way through the
+// build, when the full top-1 build is needed to decide, and when the
+// history complex grows past level 2. Every complex is rebuilt in its
+// reused storage and no seed is copied out. It also requires the run
+// to count its bounded tuples: some, and no more than its h = 1 tuples.
 func TestChooseHNoAllocs(t *testing.T) {
 	const k = 10
 	sc := workload.USASchools(50000, 7)
@@ -54,44 +59,76 @@ func TestChooseHNoAllocs(t *testing.T) {
 	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
 		t.Fatal(err)
 	}
+	st := agg.Stats()
+	if st.Top1Bounded <= 0 || st.Top1Bounded > st.AdaptiveHChosen[1] {
+		t.Errorf("Top1Bounded = %d, want in [1, AdaptiveHChosen[1] = %d]", st.Top1Bounded, st.AdaptiveHChosen[1])
+	}
 	lambda0 := agg.opts.Lambda0Frac * agg.bound.Area()
 	sites := agg.hist.Sites()
-	shortcut, grown := -1, -1
-	for i, s := range sites {
-		if shortcut >= 0 && grown >= 0 {
-			break
+	// Classify the returned tuples of fresh queries, which chooseH sees
+	// before their answer joins the history, by the path chooseH takes
+	// at rank 1 (rank k−1 for level growth), with the cell primitives it
+	// calls.
+	const (
+		preScan = iota
+		progressive
+		fullBuild
+		growth
+	)
+	names := []string{"pre-scan bounded", "progressive bounded", "top1 full build", "level-growth"}
+	found := make(map[int]geom.Point)
+	var order cell.Order
+	top1 := cell.New(agg.boundPoly, 1)
+	rng := rand.New(rand.NewSource(3))
+	for q := 0; q < 1000 && len(found) < len(names); q++ {
+		recs, err := svc.QueryLR(context.Background(), geom.RandomInRect(rng, agg.bound), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		top1 := cell.BuildFromSites(agg.boundPoly, 1, s.Loc, sites)
-		if top1.Area() > lambda0 {
-			if shortcut < 0 {
-				shortcut = i
+		for _, r := range recs {
+			order.Reset(r.Loc, sites)
+			top1.Reset()
+			path := growth
+			switch {
+			case order.NearestExceeds(agg.boundPoly, r.Loc, sites, lambda0):
+				path = preScan
+			case order.InsertExceeds(top1, lambda0):
+				path = progressive
+			case top1.Area() > lambda0:
+				path = fullBuild
 			}
-			continue
-		}
-		if h, _ := agg.chooseH(s.Loc, k-1); grown < 0 && h >= 2 && h < k-1 {
-			grown = i
+			if path == growth {
+				if h, _ := agg.chooseH(r.Loc, k-1); h < 2 || h >= k-1 {
+					continue
+				}
+			}
+			if _, ok := found[path]; !ok {
+				found[path] = r.Loc
+			}
 		}
 	}
-	if shortcut < 0 || grown < 0 {
-		t.Fatalf("no tuple for both paths in a %d-site history (shortcut %d, grown %d)", len(sites), shortcut, grown)
-	}
-	for _, c := range []struct {
-		name string
-		site int
-		rank int
-	}{
-		{"top1-shortcut", shortcut, 1},
-		{"level-growth", grown, k - 1},
-	} {
-		loc := sites[c.site].Loc
+	bounded := agg.stats.Top1Bounded
+	for path := range names {
+		loc, ok := found[path]
+		if !ok {
+			t.Fatalf("%s: no returned tuple takes this path over a %d-site history", names[path], len(sites))
+		}
+		rank := 1
+		if path == growth {
+			rank = k - 1
+		}
 		var h int
 		var seed *cell.Complex
-		allocs := testing.AllocsPerRun(20, func() { h, seed = agg.chooseH(loc, c.rank) })
-		if seed != nil || h > c.rank {
-			t.Fatalf("%s: chose h=%d with a seed at rank %d, want a non-contributing rank", c.name, h, c.rank)
+		allocs := testing.AllocsPerRun(20, func() { h, seed = agg.chooseH(loc, rank) })
+		if seed != nil || h > rank {
+			t.Fatalf("%s: chose h=%d with a seed at rank %d, want a non-contributing rank", names[path], h, rank)
 		}
 		if allocs != 0 {
-			t.Errorf("%s: chooseH allocated %v times per call, want 0", c.name, allocs)
+			t.Errorf("%s: chooseH allocated %v times per call, want 0", names[path], allocs)
 		}
+		if b := agg.stats.Top1Bounded; (b > bounded) != (path <= progressive) {
+			t.Errorf("%s: Top1Bounded went from %d to %d", names[path], bounded, b)
+		}
+		bounded = agg.stats.Top1Bounded
 	}
 }

@@ -1,8 +1,9 @@
 package lbs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -70,11 +71,8 @@ func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
 			cands = append(cands, cand{rec: l[i], dist: norm.RankDist(q, &l[i])})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].dist != cands[b].dist {
-			return cands[a].dist < cands[b].dist
-		}
-		return cands[a].rec.ID < cands[b].rec.ID
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.rec.ID, b.rec.ID))
 	})
 	if want := norm.CandidateCount(); len(cands) > want {
 		cands = cands[:want]
@@ -93,11 +91,8 @@ func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
 			}
 			ss[i] = scored{i: i, id: cands[i].rec.ID, score: cands[i].dist - norm.ProminenceWeight*attr}
 		}
-		sort.Slice(ss, func(a, b int) bool {
-			if ss[a].score != ss[b].score {
-				return ss[a].score < ss[b].score
-			}
-			return ss[a].id < ss[b].id
+		slices.SortFunc(ss, func(a, b scored) int {
+			return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.id, b.id))
 		})
 		k := len(ss)
 		if k > norm.K {
