@@ -69,10 +69,11 @@ func benchParallelism(b *testing.B, workers int) {
 	db := lbsagg.NewDatabase(bounds, tuples)
 	svc := lbsagg.NewService(db, lbsagg.ServiceOptions{K: 5})
 	oracle := latencyOracle{Oracle: svc, delay: time.Millisecond}
+	count := compileAll(b, lbsagg.CountSpec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg := lbsagg.NewLRAggregator(oracle, lbsagg.DefaultLROptions(int64(i+1)))
-		res, err := agg.Run(context.Background(), []lbsagg.Aggregate{lbsagg.Count()},
+		res, err := agg.Run(context.Background(), count,
 			lbsagg.WithMaxSamples(32), lbsagg.WithParallelism(workers))
 		if err != nil {
 			b.Fatal(err)

@@ -46,11 +46,16 @@ func main() {
 	opts.Sampler = sc.Grid                       // census-weighted sampling
 	agg := lbsagg.NewLRAggregator(svc, opts)
 
+	countAll := lbsagg.CountSpec()
+	count, err := countAll.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Samples are i.i.d., so WithParallelism fans the drawing out over
 	// independent estimator forks — against a real (latency-bound) API
 	// this is a near-linear wall-clock win.
 	res, err := agg.Run(context.Background(),
-		[]lbsagg.Aggregate{lbsagg.Count()}, lbsagg.WithParallelism(4))
+		[]lbsagg.Aggregate{count}, lbsagg.WithParallelism(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,9 +71,12 @@ func main() {
 	opts2.Filter = lbsagg.NameFilter("Starbucks")
 	opts2.Sampler = sc.Grid
 	agg2 := lbsagg.NewLRAggregator(lbsagg.NewService(sc.DB, lbsagg.ServiceOptions{K: 20, Budget: 5000}), opts2)
-	res2, err := agg2.Run(context.Background(), []lbsagg.Aggregate{
-		lbsagg.CountWhere("rating>=4", func(r lbsagg.Record) bool { return r.Attr("rating") >= 4 }),
-	})
+	highlyRated := lbsagg.CountSpec().WithWhere(lbsagg.AttrCmp("rating", lbsagg.CmpGE, 4))
+	rated, err := highlyRated.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res2, err := agg2.Run(context.Background(), []lbsagg.Aggregate{rated})
 	if err != nil {
 		log.Fatal(err)
 	}

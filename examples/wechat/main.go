@@ -37,10 +37,18 @@ func main() {
 		Seed:    5,
 		Sampler: sc.Grid, // population-weighted query locations
 	})
-	res, err := agg.Run(context.Background(), []lbsagg.Aggregate{
-		lbsagg.Count(),
-		lbsagg.CountTag("gender", "m"),
-	})
+	var aggs []lbsagg.Aggregate
+	for _, spec := range []lbsagg.AggSpec{
+		lbsagg.CountSpec(),
+		lbsagg.CountSpec().WithWhere(lbsagg.TagEq("gender", "m")),
+	} {
+		a, err := spec.Compile()
+		if err != nil {
+			log.Fatal(err)
+		}
+		aggs = append(aggs, a)
+	}
+	res, err := agg.Run(context.Background(), aggs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ import (
 // implementation). Every query takes a context so that remote
 // adapters can cancel in-flight requests and honor deadlines; the
 // in-process simulator merely checks ctx between queries.
-// Implementations must be safe for concurrent use (the Driver's
+// Implementations must be safe for concurrent use (Run's
 // parallel mode issues queries from several goroutines).
 type Oracle interface {
 	// QueryLR answers a location-returned kNN query.
@@ -84,8 +84,8 @@ func (r Record) Tag(name string) string {
 // Aggregate is a SUM/COUNT-style aggregate: the estimate of
 // Σ_t Value(t) over all tuples in the hidden database (selection
 // conditions are folded into Value returning 0, the post-processing
-// scheme of §5.1). AVG aggregates are computed as the ratio of two
-// aggregates (see RatioOf).
+// scheme of §5.1). Build one with AggSpec.Compile; AVG aggregates are
+// the ratio of two (see RatioOf and PlanBatch).
 type Aggregate struct {
 	// Name labels the aggregate in results.
 	Name string
@@ -98,85 +98,6 @@ type Aggregate struct {
 	// aggregator first infers the tuple position, spending extra
 	// queries (§4.3); over LR interfaces the location is free.
 	NeedsLocation bool
-}
-
-// mustCompile compiles a constructor-built spec; the constructors only
-// build valid specs, so a failure is a programming error.
-func mustCompile(s AggSpec) Aggregate {
-	agg, err := s.Compile()
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return agg
-}
-
-// Count returns the COUNT(*) aggregate.
-//
-// Deprecated: build the declarative CountSpec() instead and compile it
-// (or a whole request) with CompilePlan; specs serialize to JSON, so
-// the same aggregate can travel to a remote estimation job. This shim
-// compiles the equivalent spec.
-func Count() Aggregate { return mustCompile(CountSpec()) }
-
-// CountWhere returns COUNT with a post-processed selection condition.
-//
-// Deprecated: when the condition is expressible as a PredSpec
-// (AttrCmp/TagEq/InRect/And/Or/Not), use
-// CountSpec().WithWhere(p).WithLabel(...) so the aggregate stays
-// wire-expressible. CountWhere remains for conditions that genuinely
-// need arbitrary Go code; those cannot be submitted to remote jobs.
-func CountWhere(name string, cond func(Record) bool) Aggregate {
-	return Aggregate{
-		Name: "COUNT(" + name + ")",
-		Value: func(r Record) float64 {
-			if cond(r) {
-				return 1
-			}
-			return 0
-		},
-	}
-}
-
-// SumAttr returns SUM(attr).
-//
-// Deprecated: use the declarative SumSpec(attr) with CompilePlan; this
-// shim compiles the equivalent spec.
-func SumAttr(attr string) Aggregate { return mustCompile(SumSpec(attr)) }
-
-// SumAttrWhere returns SUM(attr) with a selection condition.
-//
-// Deprecated: prefer SumSpec(attr).WithWhere(p) for conditions
-// expressible as a PredSpec (see CountWhere).
-func SumAttrWhere(attr string, name string, cond func(Record) bool) Aggregate {
-	return Aggregate{
-		Name: "SUM(" + attr + " | " + name + ")",
-		Value: func(r Record) float64 {
-			if cond(r) {
-				return r.Attr(attr)
-			}
-			return 0
-		},
-	}
-}
-
-// CountTag returns COUNT of tuples whose tag equals value (e.g. the
-// gender counts of the WeChat experiments).
-//
-// Deprecated: use CountSpec().WithWhere(TagEq(tag, value)); this shim
-// compiles the equivalent spec.
-func CountTag(tag, value string) Aggregate {
-	return mustCompile(CountSpec().WithWhere(TagEq(tag, value)))
-}
-
-// CountInRect returns COUNT of tuples located inside rect — a
-// location-based selection condition, which over LNR interfaces
-// triggers position inference.
-//
-// Deprecated: use CountSpec().WithWhere(InRect(rect)); this shim
-// compiles the equivalent spec (NeedsLocation is inferred from the
-// in_rect node).
-func CountInRect(rect geom.Rect) Aggregate {
-	return mustCompile(CountSpec().WithWhere(InRect(rect)))
 }
 
 // recordOfLR converts an LR result row.
@@ -287,12 +208,15 @@ func (r Result) RelErr(truth float64) float64 {
 // ratio estimate (AVG = SUM/COUNT, §1.3). The standard error is the
 // first-order delta-method approximation treating the two estimates as
 // independent (a conservative simplification; the paper only reports
-// point estimates for AVG).
+// point estimates for AVG). Both halves come from one run, so the
+// ratio keeps the run's degraded-sample count, and a ratio trace point
+// is degraded when either half's point is.
 func RatioOf(num, den Result) Result {
 	out := Result{
-		Name:    num.Name + "/" + den.Name,
-		Samples: num.Samples,
-		Queries: num.Queries,
+		Name:            num.Name + "/" + den.Name,
+		Samples:         num.Samples,
+		Queries:         num.Queries,
+		DegradedSamples: num.DegradedSamples,
 	}
 	if den.Estimate == 0 {
 		// The ratio is undefined, and so are its error bars: a numeric
@@ -324,6 +248,7 @@ func RatioOf(num, den Result) Result {
 		if d := den.Trace[i].Estimate; d != 0 {
 			out.Trace = append(out.Trace, TracePoint{
 				Queries: tp.Queries, Samples: tp.Samples, Estimate: tp.Estimate / d,
+				Degraded: tp.Degraded || den.Trace[i].Degraded,
 			})
 		}
 	}

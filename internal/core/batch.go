@@ -54,7 +54,7 @@ func queryLRBatched(ctx context.Context, o Oracle, pts []geom.Point, filter lbs.
 // per *completed* sample (at most m); on error the completed samples
 // are still returned alongside it. NNOBaseline implements it — its
 // per-sample queries are independent, so whole samples batch
-// naturally; the Driver falls back to sequential Step calls for
+// naturally; Run falls back to sequential Step calls for
 // estimators that don't.
 type BatchEstimator interface {
 	Estimator
@@ -63,7 +63,7 @@ type BatchEstimator interface {
 
 var _ BatchEstimator = (*NNOBaseline)(nil)
 
-// WithBatch makes the Driver draw up to m point samples per estimator
+// WithBatch makes a run draw up to m point samples per estimator
 // call (via StepBatch when the estimator implements BatchEstimator,
 // sequential Step calls otherwise). Against a remote oracle this
 // collapses m HTTP round-trips into one; against the simulator it

@@ -40,7 +40,7 @@ func TestWithBatchFallbackEquivalence(t *testing.T) {
 		if batch > 1 {
 			opts = append(opts, WithBatch(batch))
 		}
-		res, err := agg.Run(context.Background(), []Aggregate{Count()}, opts...)
+		res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestNNOStepBatchDistribution(t *testing.T) {
 	db := smallService2(60, 301)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 1})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150), WithBatch(16))
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150), WithBatch(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNNOBatchRespectsBudget(t *testing.T) {
 	const budget = 400
 	svc := lbs.NewService(db, lbs.Options{K: 1, Budget: budget})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 3})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()},
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithBatch(8), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestStepBatchFallbackOracle(t *testing.T) {
 	db := smallService2(40, 23)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(nonBatchOracle{svc}, NNOOptions{Seed: 9})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(40), WithBatch(8))
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40), WithBatch(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCachedRunSameEstimateFewerQueries(t *testing.T) {
 		}
 		smp := snapSampler{Uniform: sampling.NewUniform(db.Bounds()), pitch: 25}
 		nno := NewNNOBaseline(oracle, NNOOptions{Seed: 21, Sampler: smp, ProbesPerCell: 10})
-		res, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(samples))
+		res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(samples))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestCachedBatchedParallelRun(t *testing.T) {
 	oracle := lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 4096, Shards: 8})
 	smp := snapSampler{Uniform: sampling.NewUniform(db.Bounds()), pitch: 20}
 	nno := NewNNOBaseline(oracle, NNOOptions{Seed: 2, Sampler: smp, ProbesPerCell: 8})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()},
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithMaxSamples(120), WithBatch(8), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)

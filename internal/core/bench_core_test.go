@@ -15,13 +15,14 @@ func BenchmarkLRCellComputation(b *testing.B) {
 	db := smallService2(500, 31)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	count := aggsOf(b, CountSpec())
 	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+	if _, err := agg.Run(context.Background(), count, WithMaxSamples(50)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := agg.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,14 +37,15 @@ func BenchmarkLRSample(b *testing.B) {
 	db := smallService2(2000, 29)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	count := aggsOf(b, CountSpec())
 	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+	if _, err := agg.Run(context.Background(), count, WithMaxSamples(50)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := agg.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,14 +62,15 @@ func BenchmarkLRSampleK10(b *testing.B) {
 	sc := workload.USASchools(50000, 7)
 	svc := lbs.NewService(sc.DB, lbs.Options{K: 10})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	count := aggsOf(b, CountSpec())
 	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+	if _, err := agg.Run(context.Background(), count, WithMaxSamples(50)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := agg.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,9 +83,10 @@ func BenchmarkLNRCellInference(b *testing.B) {
 	db := smallService2(500, 37)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 2})
+	count := aggsOf(b, CountSpec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := agg.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,9 +98,10 @@ func BenchmarkNNOSample(b *testing.B) {
 	db := smallService2(500, 41)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 3})
+	count := aggsOf(b, CountSpec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nno.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := nno.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // Estimator is a sample source: an estimation algorithm that can draw
 // one i.i.d. point sample and turn it into one unbiased per-sample
 // estimate for each aggregate. LRAggregator, LNRAggregator and
-// NNOBaseline all implement it; any future algorithm that does plugs
-// into the same Driver and gets budgets, traces, early stopping and
+// NNOBaseline all implement it; any future algorithm that does runs
+// through the same Run and gets budgets, traces, early stopping and
 // parallel execution for free.
 type Estimator interface {
 	// Step draws one random query location and returns one per-sample
@@ -27,12 +27,12 @@ type Estimator interface {
 	// Fork returns an independent estimator of the same configuration
 	// over the same service, with its randomness re-seeded by seed.
 	// Forks share no mutable state with the receiver or each other, so
-	// a Driver may run them concurrently; the samples they draw stay
+	// Run may run them concurrently; the samples they draw stay
 	// i.i.d. from the same query distribution.
 	Fork(seed int64) Estimator
 }
 
-// All three algorithms of the paper plug into the Driver.
+// All three algorithms of the paper plug into Run.
 var (
 	_ Estimator = (*LRAggregator)(nil)
 	_ Estimator = (*LNRAggregator)(nil)
@@ -40,14 +40,14 @@ var (
 )
 
 // runConfig is the resolved option set of one Run call: the sampler
-// bounds plus the Driver's trace and progress sinks.
+// bounds plus Run's trace and progress sinks.
 type runConfig struct {
 	sampler
 	progress func([]TracePoint)
 	noTrace  bool
 }
 
-// RunOption configures an estimation run (see Driver.Run).
+// RunOption configures an estimation run (see Run).
 type RunOption func(*runConfig)
 
 // WithMaxSamples stops the run after n completed point samples
@@ -110,27 +110,22 @@ func WithParallelism(n int) RunOption {
 	return func(c *runConfig) { c.parallelism = n }
 }
 
-// Driver executes an Estimator against its service: it repeatedly
-// draws samples, folds them into running accumulators, records the
+// Run executes est against its service: it repeatedly draws samples,
+// folds them into running accumulators, records the
 // estimate-versus-cost trace, and stops on whichever bound — sample
 // count, query budget, confidence target, service exhaustion or
-// context cancellation — triggers first.
+// context cancellation — triggers first. With no options it runs until
+// the service refuses further queries (lbs.ErrBudgetExhausted) or ctx
+// is canceled. The estimators' Run methods delegate here.
 //
 // Cancellation is graceful: a context canceled mid-run behaves like an
 // exhausted budget, returning the Results of the samples completed so
 // far (an error is returned only when not even one sample finished).
-type Driver struct {
-	Est Estimator
-}
-
-// Run executes the estimation. See the package documentation for the
-// stopping rules; with no options it runs until the service refuses
-// further queries (lbs.ErrBudgetExhausted) or ctx is canceled.
 //
 // Run is the one-group case of the planner's execution: the caller's
 // aggregates form a single group, each its own spec, sampled as one
 // chunk with no quota.
-func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
+func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("core: no aggregates given")
 	}
@@ -142,9 +137,9 @@ func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) (
 	for j := range aggs {
 		grp.entries = append(grp.entries, planEntry{num: j, den: -1, name: aggs[j].Name})
 	}
-	st := newGroupState(0, grp, d.Est)
+	st := newGroupState(0, grp, est)
 	s := cfg.sampler
-	s.svc = d.Est.Service()
+	s.svc = est.Service()
 	s.startQ = s.svc.QueryCount()
 	var traces [][]TracePoint
 	if !cfg.noTrace {
@@ -175,12 +170,6 @@ func (d *Driver) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) (
 		}
 	}
 	return results, nil
-}
-
-// Run is the convenience entry point the estimators' Run methods
-// delegate to: Run(ctx, est, aggs, opts...) ≡ (&Driver{Est: est}).Run.
-func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
-	return (&Driver{Est: est}).Run(ctx, aggs, opts...)
 }
 
 // noSamples is the error of a run that completed no sample: the
@@ -259,7 +248,7 @@ func newGroupState(gi int, grp *PlanGroup, est Estimator) groupState {
 // sampler is the package's one sampling loop: it draws a group's
 // samples, folds them into the group's running means, streams each
 // one, and stops on the sample cap, the shared query budget, the
-// context or the CI target. Driver.Run runs it once over the whole
+// context or the CI target. Run runs it once over the whole
 // run; Execute runs it once per checkpoint chunk of each group.
 type sampler struct {
 	svc    Oracle

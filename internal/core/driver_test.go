@@ -18,7 +18,7 @@ func TestDriverCancellationPartialResults(t *testing.T) {
 	agg := NewLRAggregator(svc, DefaultLROptions(11))
 	ctx, cancel := context.WithCancel(context.Background())
 	const stopAfter = 8
-	res, err := agg.Run(ctx, []Aggregate{Count()},
+	res, err := agg.Run(ctx, aggsOf(t, CountSpec()),
 		WithMaxSamples(400),
 		WithProgress(func(pts []TracePoint) {
 			if pts[0].Samples >= stopAfter {
@@ -47,7 +47,7 @@ func TestDriverCanceledBeforeStart(t *testing.T) {
 	agg := NewLRAggregator(svc, DefaultLROptions(12))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := agg.Run(ctx, []Aggregate{Count()}, WithMaxSamples(5)); err == nil {
+	if _, err := agg.Run(ctx, aggsOf(t, CountSpec()), WithMaxSamples(5)); err == nil {
 		t.Fatal("pre-canceled run returned no error")
 	}
 }
@@ -59,7 +59,7 @@ func TestDriverParallelSharedService(t *testing.T) {
 	svc, db := smallService(t, 300, 5, 21)
 	agg := NewLRAggregator(svc, DefaultLROptions(31))
 	const samples = 200
-	res, err := agg.Run(context.Background(), []Aggregate{Count(), SumAttr("weight")},
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec(), SumSpec("weight")),
 		WithMaxSamples(samples), WithParallelism(8))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestDriverParallelLNR(t *testing.T) {
 	// is not seed-deterministic; 48 samples of the heavy-tailed LNR
 	// weight distribution flaked past the z-bound every few dozen
 	// runs. 128 samples keeps the test fast while calming the tail.
-	res, err := agg.Run(context.Background(), []Aggregate{Count()},
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithMaxSamples(128), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestDriverParallelLNR(t *testing.T) {
 func TestDriverTargetCI(t *testing.T) {
 	svc, _ := smallService(t, 200, 5, 14)
 	agg := NewLRAggregator(svc, DefaultLROptions(15))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()},
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithMaxSamples(100000), WithTargetCI(0.5))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestDriverProgressStreaming(t *testing.T) {
 	agg := NewNNOBaseline(svc, NNOOptions{Seed: 3})
 	var mu sync.Mutex
 	var seen []int
-	res, err := agg.Run(context.Background(), []Aggregate{Count()},
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithMaxSamples(25),
 		WithProgress(func(pts []TracePoint) {
 			mu.Lock()
@@ -201,7 +201,7 @@ func (o *timeoutOracle) QueryLR(ctx context.Context, q geom.Point, f lbs.Filter)
 func TestDriverTransportTimeoutIsFatal(t *testing.T) {
 	svc, _ := smallService(t, 100, 5, 23)
 	agg := NewLRAggregator(&timeoutOracle{Oracle: svc, failAfter: 50}, DefaultLROptions(24))
-	_, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(100))
+	_, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(100))
 	if err == nil {
 		t.Fatal("transport timeout was swallowed as a graceful stop")
 	}
@@ -214,10 +214,11 @@ func TestDriverCancelInterruptsLatentQuery(t *testing.T) {
 	agg := NewLRAggregator(slowOracle{Oracle: svc, delay: 50 * time.Millisecond}, DefaultLROptions(20))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
+	count := aggsOf(t, CountSpec())
 	start := time.Now()
 	go func() {
 		defer close(done)
-		_, _ = agg.Run(ctx, []Aggregate{Count()}, WithMaxSamples(1000))
+		_, _ = agg.Run(ctx, count, WithMaxSamples(1000))
 	}()
 	time.Sleep(120 * time.Millisecond)
 	cancel()

@@ -35,14 +35,15 @@ func BenchmarkLRSampleGeodesic(b *testing.B) {
 	db := geodesicService2(2000, 29)
 	svc := lbs.NewService(db, lbs.Options{K: 5, Metric: geo.Haversine})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	count := aggsOf(b, CountSpec())
 	// Warm the history so the benchmark reflects steady state.
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+	if _, err := agg.Run(context.Background(), count, WithMaxSamples(50)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), []Aggregate{Count()}); err != nil {
+		if _, err := agg.Step(context.Background(), count); err != nil {
 			b.Fatal(err)
 		}
 	}

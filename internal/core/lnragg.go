@@ -760,7 +760,7 @@ func (a *LNRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, 
 func (a *LNRAggregator) Service() Oracle { return a.svc }
 
 // Fork returns an independent LNR aggregator of the same
-// configuration over the same service for the Driver's parallel mode.
+// configuration over the same service for Run's parallel mode.
 // The fork seed mixes a draw from the receiver's generator with the
 // caller-supplied index (see LRAggregator.Fork); forks start with an
 // empty probe cache.
@@ -770,7 +770,7 @@ func (a *LNRAggregator) Fork(seed int64) Estimator {
 	return NewLNRAggregator(a.svc, opts)
 }
 
-// Run draws samples through the shared Driver until one of the
+// Run draws samples through the package-level Run until one of the
 // configured bounds triggers (see RunOption); with no options it runs
 // until the service budget is exhausted or ctx is canceled.
 func (a *LNRAggregator) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {

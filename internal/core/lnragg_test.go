@@ -69,7 +69,7 @@ func TestLNRCellMatchesGroundTruthTopK(t *testing.T) {
 func TestLNRCountEstimate(t *testing.T) {
 	svc, db := lnrFixture(50, 3, 227)
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 3})
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestLNRCountEstimate(t *testing.T) {
 func TestLNRCountTopH(t *testing.T) {
 	svc, db := lnrFixture(60, 5, 229)
 	agg := NewLNRAggregator(svc, LNROptions{H: 2, Seed: 5})
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(120))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLNRAttributeAggregates(t *testing.T) {
 	db := lbs.NewDatabase(bounds, tuples)
 	svc := lbs.NewService(db, lbs.Options{K: 3})
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 7})
-	res, err := agg.Run(context.Background(), []Aggregate{CountTag("gender", "m"), Count()}, WithMaxSamples(150))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec().WithWhere(TagEq("gender", "m")), CountSpec()), WithMaxSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestLNRLocationCondition(t *testing.T) {
 	sub := geom.NewRect(geom.Pt(0, 0), geom.Pt(50, 100))
 	truth := float64(db.Count(func(tp *lbs.Tuple) bool { return sub.Contains(tp.Loc) }))
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 17})
-	res, err := agg.Run(context.Background(), []Aggregate{CountInRect(sub)}, WithMaxSamples(120))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec().WithWhere(InRect(sub))), WithMaxSamples(120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestLNRBudgetStops(t *testing.T) {
 	db := smallService2(60, 241)
 	svc := lbs.NewService(db, lbs.Options{K: 2, Budget: 3000})
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 19})
-	res, err := agg.Run(context.Background(), []Aggregate{Count()})
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func runLNRLogged(t *testing.T, o Oracle, log *probeLog, seed int64, h, maxSampl
 	if maxSamples > 0 {
 		opts = append(opts, WithMaxSamples(maxSamples))
 	}
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, append(opts, WithoutTrace())...)
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), append(opts, WithoutTrace())...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestLNRBatchedCancelJoinsLanes(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		o := &cancelOracle{BatchOracle: lbs.NewService(smallService2(1500, 41), lbs.Options{K: 5}), after: after, cancel: cancel}
 		agg := NewLNRAggregator(o, LNROptions{Seed: 4})
-		if _, err := agg.Step(ctx, []Aggregate{Count()}); !errors.Is(err, context.Canceled) {
+		if _, err := agg.Step(ctx, aggsOf(t, CountSpec())); !errors.Is(err, context.Canceled) {
 			t.Errorf("after=%d: Step returned %v, want context.Canceled", after, err)
 		}
 		cancel()
@@ -279,7 +279,7 @@ func TestLNRBatchedCancelJoinsLanes(t *testing.T) {
 func TestLNRStatsRoundTripsAndUnresolved(t *testing.T) {
 	svc := lbs.NewService(workload.WeiboChina(20000, 1).DB, lbs.Options{K: 10})
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 1})
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(40), WithoutTrace()); err != nil {
+	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40), WithoutTrace()); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()

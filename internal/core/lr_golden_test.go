@@ -110,7 +110,7 @@ func (c lrGoldenCase) run(t *testing.T) (est, se uint64, queries int64, hChosen 
 	opts.UseHistory = !c.noHistory
 	svc := lbs.NewService(db, lbs.Options{K: c.k})
 	agg := NewLRAggregator(svc, opts)
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(c.samples))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(c.samples))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -718,7 +718,7 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 func (a *LRAggregator) Service() Oracle { return a.svc }
 
 // Fork returns an independent LR aggregator of the same configuration
-// over the same service for the Driver's parallel mode. The fork seed
+// over the same service for Run's parallel mode. The fork seed
 // mixes a draw from the receiver's generator with the caller-supplied
 // index, so successive parallel runs on the same aggregator spawn
 // forks with fresh, independent random walks instead of replaying the
@@ -731,7 +731,7 @@ func (a *LRAggregator) Fork(seed int64) Estimator {
 	return NewLRAggregator(a.svc, opts)
 }
 
-// Run draws samples through the shared Driver until one of the
+// Run draws samples through the package-level Run until one of the
 // configured bounds triggers (see RunOption); with no options it runs
 // until the service budget is exhausted or ctx is canceled.
 func (a *LRAggregator) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {

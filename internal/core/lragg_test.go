@@ -57,7 +57,7 @@ func TestLRCountUnbiasedBaseline(t *testing.T) {
 	// The §3.1 baseline (no devices) must estimate COUNT(*) accurately.
 	svc, db := smallService(t, 60, 1, 3)
 	agg := NewLRAggregator(svc, LROptions{Seed: 11})
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(400))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLRCountUnbiasedBaseline(t *testing.T) {
 func TestLRCountAllDevices(t *testing.T) {
 	svc, db := smallService(t, 80, 5, 7)
 	agg := NewLRAggregator(svc, DefaultLROptions(13))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(400))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLRCountAllDevices(t *testing.T) {
 func TestLRSumEstimate(t *testing.T) {
 	svc, db := smallService(t, 70, 3, 17)
 	agg := NewLRAggregator(svc, DefaultLROptions(5))
-	res, err := agg.Run(context.Background(), []Aggregate{SumAttr("weight"), Count()}, WithMaxSamples(400))
+	res, err := agg.Run(context.Background(), aggsOf(t, SumSpec("weight"), CountSpec()), WithMaxSamples(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestLRSumEstimate(t *testing.T) {
 func TestLRPostProcessCondition(t *testing.T) {
 	svc, db := smallService(t, 80, 2, 23)
 	agg := NewLRAggregator(svc, DefaultLROptions(29))
-	cond := CountWhere("flag=yes", func(r Record) bool { return r.Tag("flag") == "yes" })
-	res, err := agg.Run(context.Background(), []Aggregate{cond}, WithMaxSamples(500))
+	cond := CountSpec().WithWhere(TagEq("flag", "yes"))
+	res, err := agg.Run(context.Background(), aggsOf(t, cond), WithMaxSamples(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestLRPassThroughFilter(t *testing.T) {
 	opts := DefaultLROptions(37)
 	opts.Filter = filter
 	agg := NewLRAggregator(svc, opts)
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(400))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestLRWeightedSamplerStillUnbiased(t *testing.T) {
 	opts := DefaultLROptions(43)
 	opts.Sampler = noisy
 	agg := NewLRAggregator(svc, opts)
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(400))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLRWeightedReducesVariance(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		optsU := DefaultLROptions(100 + seed)
 		aggU := NewLRAggregator(svc, optsU)
-		resU, err := aggU.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150))
+		resU, err := aggU.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestLRWeightedReducesVariance(t *testing.T) {
 		optsW := DefaultLROptions(200 + seed)
 		optsW.Sampler = grid
 		aggW := NewLRAggregator(svc, optsW)
-		resW, err := aggW.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150))
+		resW, err := aggW.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestLRMaxRadiusEmptyAnswers(t *testing.T) {
 	capped := lbs.NewService(db, lbs.Options{K: 2, MaxRadius: 8})
 	_ = svc0
 	agg := NewLRAggregator(capped, DefaultLROptions(59))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(600))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestLRBudgetStops(t *testing.T) {
 	db := smallService2(120, 61)
 	svc := lbs.NewService(db, lbs.Options{K: 1, Budget: 300})
 	agg := NewLRAggregator(svc, DefaultLROptions(67))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()})
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestLRMaxQueriesStops(t *testing.T) {
 	db := smallService2(100, 71)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	agg := NewLRAggregator(svc, DefaultLROptions(73))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxQueries(500))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxQueries(500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +249,14 @@ func TestLRHistoryReducesCost(t *testing.T) {
 	db := smallService2(150, 79)
 	svcA := lbs.NewService(db, lbs.Options{K: 1})
 	aggNoHist := NewLRAggregator(svcA, LROptions{Seed: 83, FastInit: true})
-	if _, err := aggNoHist.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(120)); err != nil {
+	if _, err := aggNoHist.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(120)); err != nil {
 		t.Fatal(err)
 	}
 	costNo := float64(svcA.QueryCount()) / 120
 
 	svcB := lbs.NewService(db, lbs.Options{K: 1})
 	aggHist := NewLRAggregator(svcB, LROptions{Seed: 83, FastInit: true, UseHistory: true})
-	if _, err := aggHist.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(120)); err != nil {
+	if _, err := aggHist.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(120)); err != nil {
 		t.Fatal(err)
 	}
 	costHist := float64(svcB.QueryCount()) / 120
@@ -269,14 +269,14 @@ func TestLRFastInitReducesCost(t *testing.T) {
 	db := smallService2(150, 89)
 	svcA := lbs.NewService(db, lbs.Options{K: 1})
 	agg0 := NewLRAggregator(svcA, LROptions{Seed: 97})
-	if _, err := agg0.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(100)); err != nil {
+	if _, err := agg0.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(100)); err != nil {
 		t.Fatal(err)
 	}
 	cost0 := float64(svcA.QueryCount()) / 100
 
 	svcB := lbs.NewService(db, lbs.Options{K: 1})
 	agg1 := NewLRAggregator(svcB, LROptions{Seed: 97, FastInit: true})
-	if _, err := agg1.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(100)); err != nil {
+	if _, err := agg1.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(100)); err != nil {
 		t.Fatal(err)
 	}
 	cost1 := float64(svcB.QueryCount()) / 100
@@ -291,7 +291,7 @@ func TestLRAdaptiveHRecorded(t *testing.T) {
 	opts := DefaultLROptions(103)
 	opts.Lambda0Frac = 0.05
 	agg := NewLRAggregator(svc, opts)
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150)); err != nil {
+	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150)); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()
@@ -320,7 +320,7 @@ func TestLRFixedHVariants(t *testing.T) {
 		opts := DefaultLROptions(109 + int64(h))
 		opts.FixedH = h
 		agg := NewLRAggregator(svc, opts)
-		res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(300))
+		res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(300))
 		if err != nil {
 			t.Fatalf("h=%d: %v", h, err)
 		}
@@ -341,7 +341,7 @@ func TestLRTraceMonotoneQueries(t *testing.T) {
 	db := smallService2(60, 127)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	agg := NewLRAggregator(svc, DefaultLROptions(131))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestLRUnbiasednessManyRuns(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		svc := lbs.NewService(db, lbs.Options{K: 3})
 		agg := NewLRAggregator(svc, DefaultLROptions(1000+seed))
-		res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(60))
+		res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func TestLRCellExactness(t *testing.T) {
 	// With exact cells, each sample's COUNT contribution is
 	// |V0|/|V(t)|; over all samples E = 4. With only 4 tuples the
 	// estimator has modest variance; 600 samples suffice.
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(600))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestLRProminenceRankedService(t *testing.T) {
 		ProminenceAttr: "pop", ProminenceWeight: 0.05,
 	})
 	agg := NewLRAggregator(svc, DefaultLROptions(557))
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(300))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(300))
 	if err != nil {
 		t.Fatal(err)
 	}

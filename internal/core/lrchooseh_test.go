@@ -22,7 +22,7 @@ func TestLRStatsSnapshotIsolated(t *testing.T) {
 	opts.Lambda0Frac = 0.05
 	agg := NewLRAggregator(svc, opts)
 	ctx := context.Background()
-	if _, err := agg.Run(ctx, []Aggregate{Count()}, WithMaxSamples(20)); err != nil {
+	if _, err := agg.Run(ctx, aggsOf(t, CountSpec()), WithMaxSamples(20)); err != nil {
 		t.Fatal(err)
 	}
 	snap := agg.Stats()
@@ -30,7 +30,7 @@ func TestLRStatsSnapshotIsolated(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("adaptive choice never exercised")
 	}
-	if _, err := agg.Run(ctx, []Aggregate{Count()}, WithMaxSamples(20)); err != nil {
+	if _, err := agg.Run(ctx, aggsOf(t, CountSpec()), WithMaxSamples(20)); err != nil {
 		t.Fatal(err)
 	}
 	if !maps.Equal(snap.AdaptiveHChosen, want) {
@@ -56,7 +56,7 @@ func TestChooseHNoAllocs(t *testing.T) {
 	sc := workload.USASchools(50000, 7)
 	svc := lbs.NewService(sc.DB, lbs.Options{K: k})
 	agg := NewLRAggregator(svc, DefaultLROptions(1))
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(50)); err != nil {
+	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(50)); err != nil {
 		t.Fatal(err)
 	}
 	st := agg.Stats()

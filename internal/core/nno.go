@@ -221,7 +221,7 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 func (b *NNOBaseline) Service() Oracle { return b.svc }
 
 // Fork returns an independent baseline of the same configuration over
-// the same service for the Driver's parallel mode. The fork seed
+// the same service for Run's parallel mode. The fork seed
 // mixes a draw from the receiver's generator with the caller-supplied
 // index (see LRAggregator.Fork).
 func (b *NNOBaseline) Fork(seed int64) Estimator {
@@ -230,7 +230,7 @@ func (b *NNOBaseline) Fork(seed int64) Estimator {
 	return NewNNOBaseline(b.svc, opts)
 }
 
-// Run draws samples through the shared Driver until one of the
+// Run draws samples through the package-level Run until one of the
 // configured bounds triggers (see RunOption); with no options it runs
 // until the service budget is exhausted or ctx is canceled.
 func (b *NNOBaseline) Run(ctx context.Context, aggs []Aggregate, opts ...RunOption) ([]Result, error) {

@@ -11,7 +11,7 @@ func TestNNOEstimatesCount(t *testing.T) {
 	db := smallService2(60, 301)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 1})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(150))
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +31,12 @@ func TestNNOMoreExpensivePerSampleThanAGG(t *testing.T) {
 	db := smallService2(100, 307)
 	svcN := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(svcN, NNOOptions{Seed: 3})
-	if _, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(60)); err != nil {
+	if _, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(60)); err != nil {
 		t.Fatal(err)
 	}
 	svcA := lbs.NewService(db, lbs.Options{K: 1})
 	agg := NewLRAggregator(svcA, DefaultLROptions(3))
-	if _, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(60)); err != nil {
+	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(60)); err != nil {
 		t.Fatal(err)
 	}
 	if svcN.QueryCount() <= svcA.QueryCount() {
@@ -48,7 +48,7 @@ func TestNNOBudgetStop(t *testing.T) {
 	db := smallService2(50, 311)
 	svc := lbs.NewService(db, lbs.Options{K: 1, Budget: 200})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 5})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()})
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestNNOEmptyAnswer(t *testing.T) {
 	db := smallService2(30, 317)
 	svc := lbs.NewService(db, lbs.Options{K: 1, MaxRadius: 3})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 9})
-	res, err := nno.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(80))
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(80))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,10 +155,17 @@ type PlanGroup struct {
 	// entries maps each group-local spec to its physical aggregates.
 	entries []planEntry
 	// bank is the predicate memo the fused Aggs share, and fused the
-	// recipe of each Agg over it (index-aligned with Aggs); nil for the
-	// Driver's one-group runs over caller-supplied aggregates.
+	// recipe of each Agg over it (index-aligned with Aggs); nil for
+	// Run's one-group runs over caller-supplied aggregates.
 	bank  *predBank
 	fused []fusedAgg
+}
+
+// planEntry maps one spec to its physical aggregate indices.
+type planEntry struct {
+	num  int    // physical index of the (only, or numerator) aggregate
+	den  int    // physical index of the AVG denominator, or -1
+	name string // the spec's result name
 }
 
 // fusedAgg is the recipe of one fused physical aggregate: kind and
@@ -171,7 +178,7 @@ type fusedAgg struct {
 // forkAggs returns the group's aggregates for one more concurrent
 // worker: copies of the fused aggregates over a fresh predicate memo
 // sharing the compiled predicates (which are pure). A group without a
-// memo shares its aggregates as they are — the Driver's contract for
+// memo shares its aggregates as they are — Run's contract for
 // caller-supplied aggregates under WithParallelism.
 func (g *PlanGroup) forkAggs() []Aggregate {
 	if g.bank == nil {

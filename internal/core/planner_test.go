@@ -46,6 +46,28 @@ func batchSpecs(n int) []AggSpec {
 	return specs
 }
 
+// independentResult runs one spec alone through Run, without the
+// planner: a COUNT or SUM spec compiled directly, an AVG spec as its
+// SUM and COUNT halves combined by RatioOf. It is the reference the
+// planner's equivalence pins compare against.
+func independentResult(tb testing.TB, ctx context.Context, est Estimator, s AggSpec, opts ...RunOption) Result {
+	tb.Helper()
+	halves := []AggSpec{s}
+	if s.Kind == AggAvg {
+		halves = []AggSpec{{Kind: AggSum, Attr: s.Attr, Where: s.Where}, {Kind: AggCount, Where: s.Where}}
+	}
+	res, err := Run(ctx, est, aggsOf(tb, halves...), opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if s.Kind != AggAvg {
+		return res[0]
+	}
+	r := RatioOf(res[0], res[1])
+	r.Name = s.Name()
+	return r
+}
+
 // TestPlanBatchDedup: 16 specs over 4 distinct selections fuse into
 // one LR group with one SUM and one COUNT physical per selection, and
 // the reordered conjunction dedups into its canonical twin.
@@ -196,15 +218,7 @@ func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 					for _, si := range g.Specs {
 						ref := planBackend(t, db, 2, shards)
 						est := newPlanEstimator(g.Method, ref, g.Seed)
-						sp, err := CompilePlan([]AggSpec{specs[si]})
-						if err != nil {
-							t.Fatal(err)
-						}
-						phys, err := Run(ctx, est, sp.Aggs, WithMaxSamples(g.Samples))
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := sp.Finish(phys)[0]
+						want := independentResult(t, ctx, est, specs[si], WithMaxSamples(g.Samples))
 						got := br.Results[si]
 						if got.Estimate != want.Estimate && !(math.IsNaN(got.Estimate) && math.IsNaN(want.Estimate)) {
 							t.Errorf("spec %d (%s): batch estimate %v != independent %v",

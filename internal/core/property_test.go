@@ -70,6 +70,34 @@ func TestRatioOfProperties(t *testing.T) {
 	}
 }
 
+// TestRatioOfKeepsDegraded: both halves of a ratio come from one run,
+// so the ratio reports the run's degraded samples, and a ratio trace
+// point is degraded when either half's point is.
+func TestRatioOfKeepsDegraded(t *testing.T) {
+	num := Result{Estimate: 30, DegradedSamples: 2, Trace: []TracePoint{
+		{Samples: 1, Estimate: 10}, {Samples: 2, Estimate: 20, Degraded: true}, {Samples: 3, Estimate: 30},
+	}}
+	den := Result{Estimate: 10, DegradedSamples: 2, Trace: []TracePoint{
+		{Samples: 1, Estimate: 5}, {Samples: 2, Estimate: 8}, {Samples: 3, Estimate: 10, Degraded: true},
+	}}
+	r := RatioOf(num, den)
+	if r.DegradedSamples != 2 {
+		t.Errorf("ratio DegradedSamples = %d, want the run's 2", r.DegradedSamples)
+	}
+	want := []bool{false, true, true}
+	if len(r.Trace) != len(want) {
+		t.Fatalf("ratio trace has %d points, want %d", len(r.Trace), len(want))
+	}
+	for i, tp := range r.Trace {
+		if tp.Degraded != want[i] {
+			t.Errorf("trace point %d: Degraded = %v, want %v", i, tp.Degraded, want[i])
+		}
+	}
+	if u := RatioOf(num, Result{DegradedSamples: 2}); u.DegradedSamples != 2 {
+		t.Errorf("undefined ratio DegradedSamples = %d, want 2", u.DegradedSamples)
+	}
+}
+
 // TestCountBiasBoundProperties property-checks the Theorem-2 bound:
 // non-negative, monotone in ε, vanishing at ε = 0.
 func TestCountBiasBoundProperties(t *testing.T) {
@@ -170,7 +198,7 @@ func TestLREstimatorInvariantEmptyDBRegion(t *testing.T) {
 	// Estimation region = right half: almost every query is empty.
 	opts.Region = geom.NewRect(geom.Pt(50, 0), geom.Pt(100, 100))
 	agg := NewLRAggregator(svc, opts)
-	res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(200))
+	res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +219,7 @@ func TestLRSeedDeterminism(t *testing.T) {
 	run := func() []float64 {
 		svc := lbs.NewService(db, lbs.Options{K: 3})
 		agg := NewLRAggregator(svc, DefaultLROptions(12345))
-		res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(40))
+		res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +251,7 @@ func TestLNRSeedDeterminism(t *testing.T) {
 		run := func() (float64, int64, LNRStats) {
 			svc := lbs.NewService(db, lbs.Options{K: c.k})
 			agg := NewLNRAggregator(svc, LNROptions{Seed: 777, H: c.h})
-			res, err := agg.Run(context.Background(), []Aggregate{Count()}, WithMaxSamples(c.samples))
+			res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(c.samples))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,8 +93,8 @@ func TagEq(tag, value string) PredSpec {
 }
 
 // InRect builds a location predicate: the tuple lies inside rect. Over
-// LNR interfaces it triggers position inference (§4.3), like
-// CountInRect does.
+// LNR interfaces it triggers position inference (§4.3): an aggregate
+// whose selection contains it gets NeedsLocation.
 func InRect(rect geom.Rect) PredSpec {
 	rs := RectSpecOf(rect)
 	return PredSpec{Op: OpInRect, Rect: &rs}
@@ -180,17 +180,9 @@ func (p *PredSpec) needsLocation() bool {
 	return false
 }
 
-// Compile validates the tree and returns the predicate in closure form.
-// The compiled closure contains no spec machinery: evaluating it costs
-// the same as a hand-written CountWhere condition.
-func (p *PredSpec) Compile() (func(Record) bool, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p.compile(), nil
-}
-
-// compile builds the closure tree for a validated node.
+// compile builds the closure tree for a validated node. The closures
+// contain no spec machinery: evaluating one costs the same as a
+// hand-written condition.
 func (p *PredSpec) compile() func(Record) bool {
 	switch p.Op {
 	case OpAttrCmp:
@@ -249,8 +241,8 @@ func compileArgs(args []PredSpec) []func(Record) bool {
 	return kids
 }
 
-// String renders the predicate for aggregate labels: attr≥4,
-// gender=f, in-rect, ¬(...), (a ∧ b), (a ∨ b).
+// String renders the predicate for aggregate labels: rating>=4,
+// gender=f, in-rect, not x, (a and b), (a or b).
 func (p PredSpec) String() string {
 	switch p.Op {
 	case OpAttrCmp:
@@ -289,18 +281,18 @@ const (
 	AggAvg   = "avg"   // AVG(attr) [where] = SUM/COUNT via RatioOf
 )
 
-// AggSpec is a declarative, JSON-serializable aggregate: what
-// CountWhere-style closure constructors express in Go, expressible
-// over the wire. Kind selects COUNT, SUM or AVG; SUM and AVG name the
-// attribute; Where optionally restricts the aggregate with a PredSpec.
+// AggSpec is a declarative, JSON-serializable aggregate, so the same
+// aggregate can run in process or travel to a remote estimation job.
+// Kind selects COUNT, SUM or AVG; SUM and AVG name the attribute;
+// Where optionally restricts the aggregate with a PredSpec.
 //
 //	{"kind":"count"}
 //	{"kind":"sum","attr":"enrollment"}
 //	{"kind":"avg","attr":"rating","where":{"op":"tag_eq","tag":"open_sunday","equals":"yes"}}
 //
-// COUNT and SUM compile to one Aggregate each; AVG expands to a
-// SUM/COUNT pair combined by RatioOf when the run finishes (the §1.3
-// scheme) — use CompilePlan to compile a request's spec list.
+// COUNT and SUM compile to one Aggregate each (Compile); AVG expands to
+// a SUM/COUNT pair combined by RatioOf when the run finishes (the §1.3
+// scheme) — PlanBatch does that for a whole spec list.
 type AggSpec struct {
 	Kind  string    `json:"kind"`
 	Attr  string    `json:"attr,omitempty"`
@@ -406,14 +398,15 @@ func compileValue(kind, attr string, cond func(Record) bool) func(Record) float6
 }
 
 // Compile turns a COUNT or SUM spec into the closure-form Aggregate the
-// estimators execute. AVG specs do not compile to a single Aggregate —
-// use CompilePlan, which expands them into a SUM/COUNT pair.
+// estimators execute. AVG specs do not compile to a single Aggregate:
+// plan them with PlanBatch, or run their SUM and COUNT halves and
+// combine the results with RatioOf.
 func (s *AggSpec) Compile() (Aggregate, error) {
 	if err := s.Validate(); err != nil {
 		return Aggregate{}, err
 	}
 	if s.Kind == AggAvg {
-		return Aggregate{}, fmt.Errorf("core: avg expands to a SUM/COUNT pair; compile it with CompilePlan")
+		return Aggregate{}, fmt.Errorf("core: avg expands to a SUM/COUNT pair; plan it with PlanBatch or combine the halves with RatioOf")
 	}
 	var cond func(Record) bool
 	needsLoc := false
@@ -426,83 +419,4 @@ func (s *AggSpec) Compile() (Aggregate, error) {
 		Value:         compileValue(s.Kind, s.Attr, cond),
 		NeedsLocation: needsLoc,
 	}, nil
-}
-
-// AggPlan is a compiled list of aggregate specs: the physical
-// Aggregates an estimation run executes, plus the finishing step that
-// folds them back into one Result per spec (AVG specs expand to a
-// SUM/COUNT pair and finish through RatioOf).
-type AggPlan struct {
-	// Specs are the validated source specs, in request order.
-	Specs []AggSpec
-	// Aggs are the physical aggregates to run (len ≥ len(Specs)).
-	Aggs []Aggregate
-	// entries[i] locates spec i's physical results.
-	entries []planEntry
-}
-
-// planEntry maps one spec to its physical aggregate indices.
-type planEntry struct {
-	num  int    // physical index of the (only, or numerator) aggregate
-	den  int    // physical index of the AVG denominator, or -1
-	name string // the spec's result name
-}
-
-// CompilePlan validates and compiles a request's aggregate specs. The
-// compiled plan shares one estimation run: AVG numerators and
-// denominators are estimated from the same samples, exactly as the
-// paper's AVG scheme prescribes.
-func CompilePlan(specs []AggSpec) (*AggPlan, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: no aggregates given")
-	}
-	plan := &AggPlan{Specs: make([]AggSpec, len(specs))}
-	copy(plan.Specs, specs)
-	for i := range plan.Specs {
-		s := &plan.Specs[i]
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		if s.Kind != AggAvg {
-			agg, err := s.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("aggregate %d: %w", i, err)
-			}
-			plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: -1, name: s.name()})
-			plan.Aggs = append(plan.Aggs, agg)
-			continue
-		}
-		// AVG(attr | where) = SUM(attr | where) / COUNT(where).
-		sum := AggSpec{Kind: AggSum, Attr: s.Attr, Where: s.Where}
-		cnt := AggSpec{Kind: AggCount, Where: s.Where}
-		num, err := sum.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		den, err := cnt.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("aggregate %d: %w", i, err)
-		}
-		plan.entries = append(plan.entries, planEntry{num: len(plan.Aggs), den: len(plan.Aggs) + 1, name: s.name()})
-		plan.Aggs = append(plan.Aggs, num, den)
-	}
-	return plan, nil
-}
-
-// Finish folds the physical results of the run back into one Result
-// per spec: pass-through for COUNT/SUM, RatioOf for AVG (renamed to
-// the spec's label). phys must be index-aligned with plan.Aggs, as
-// returned by a Run over them.
-func (p *AggPlan) Finish(phys []Result) []Result {
-	out := make([]Result, len(p.entries))
-	for i, e := range p.entries {
-		if e.den < 0 {
-			out[i] = phys[e.num]
-			continue
-		}
-		r := RatioOf(phys[e.num], phys[e.den])
-		r.Name = e.name
-		out[i] = r
-	}
-	return out
 }

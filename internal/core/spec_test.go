@@ -13,6 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
+// aggsOf compiles COUNT/SUM specs into the aggregates a test runs.
+func aggsOf(tb testing.TB, specs ...AggSpec) []Aggregate {
+	tb.Helper()
+	aggs := make([]Aggregate, len(specs))
+	for i := range specs {
+		a, err := specs[i].Compile()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		aggs[i] = a
+	}
+	return aggs
+}
+
 // randPred generates a random valid predicate tree of bounded depth.
 func randPred(rng *rand.Rand, depth int) PredSpec {
 	attrs := []string{"rating", "enrollment", "prominence"}
@@ -110,14 +124,10 @@ func TestPredSpecJSONRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: round trip changed the tree:\n%s\nfrom %+v\nto   %+v",
 				trial, data, p, back)
 		}
-		f1, err := p.Compile()
-		if err != nil {
-			t.Fatalf("trial %d: compile: %v", trial, err)
+		if err := back.Validate(); err != nil {
+			t.Fatalf("trial %d: round-tripped predicate is invalid: %v", trial, err)
 		}
-		f2, err := back.Compile()
-		if err != nil {
-			t.Fatalf("trial %d: compile round-tripped: %v", trial, err)
-		}
+		f1, f2 := p.compile(), back.compile()
 		for ri := range recs {
 			if f1(recs[ri]) != f2(recs[ri]) {
 				t.Fatalf("trial %d: round-tripped predicate disagrees on record %d (%s)",
@@ -143,43 +153,64 @@ func TestAggSpecJSONRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("trial %d: round trip changed the spec: %s", trial, data)
 		}
-		if _, err := CompilePlan([]AggSpec{back}); err != nil {
+		if _, err := PlanBatch([]AggSpec{back}, PlanOptions{}); err != nil {
 			t.Fatalf("trial %d: round-tripped spec does not compile: %v", trial, err)
 		}
 	}
 }
 
-// TestSpecMatchesLegacyClosures pins compiled specs against the
-// legacy closure constructors on a seeded workload: identical Value on
-// every record, identical Name and NeedsLocation.
+// TestSpecMatchesLegacyClosures pins compiled specs against
+// hand-written closure aggregates — the form the removed closure
+// constructors built — on a seeded workload: identical Value on every
+// record, identical Name and NeedsLocation.
 func TestSpecMatchesLegacyClosures(t *testing.T) {
 	recs := testRecords(t, 120)
 	rect := geom.NewRect(geom.Pt(500, 300), geom.Pt(2500, 2000))
+	indicator := func(cond func(Record) bool) func(Record) float64 {
+		return func(r Record) float64 {
+			if cond(r) {
+				return 1
+			}
+			return 0
+		}
+	}
+	inRect := func(r Record) bool { return r.HasLoc && rect.Contains(r.Loc) }
 	cases := []struct {
 		spec   AggSpec
 		legacy Aggregate
 	}{
-		{CountSpec(), Count()},
-		{SumSpec("enrollment"), SumAttr("enrollment")},
-		{CountSpec().WithWhere(TagEq("open_sunday", "yes")), CountTag("open_sunday", "yes")},
-		{CountSpec().WithWhere(InRect(rect)), CountInRect(rect)},
+		{CountSpec(), Aggregate{Name: "COUNT(*)", Value: func(Record) float64 { return 1 }}},
+		{SumSpec("enrollment"), Aggregate{Name: "SUM(enrollment)", Value: func(r Record) float64 { return r.Attr("enrollment") }}},
+		{
+			CountSpec().WithWhere(TagEq("open_sunday", "yes")),
+			Aggregate{Name: "COUNT(open_sunday=yes)", Value: indicator(func(r Record) bool { return r.Tag("open_sunday") == "yes" })},
+		},
+		{
+			CountSpec().WithWhere(InRect(rect)),
+			Aggregate{Name: "COUNT(in-rect)", Value: indicator(inRect), NeedsLocation: true},
+		},
 		{
 			CountSpec().WithWhere(AttrCmp("enrollment", CmpGE, 500)),
-			CountWhere("enrollment>=500", func(r Record) bool { return r.Attr("enrollment") >= 500 }),
+			Aggregate{Name: "COUNT(enrollment>=500)", Value: indicator(func(r Record) bool { return r.Attr("enrollment") >= 500 })},
 		},
 		{
 			SumSpec("enrollment").WithWhere(AttrCmp("enrollment", CmpLT, 500)),
-			SumAttrWhere("enrollment", "enrollment<500", func(r Record) bool { return r.Attr("enrollment") < 500 }),
+			Aggregate{Name: "SUM(enrollment | enrollment<500)", Value: func(r Record) float64 {
+				if r.Attr("enrollment") < 500 {
+					return r.Attr("enrollment")
+				}
+				return 0
+			}},
 		},
 		{
 			CountSpec().WithWhere(And(TagEq("open_sunday", "yes"), Not(InRect(rect)))),
-			func() Aggregate {
-				a := CountWhere("(open_sunday=yes and not in-rect)", func(r Record) bool {
-					return r.Tag("open_sunday") == "yes" && !(r.HasLoc && rect.Contains(r.Loc))
-				})
-				a.NeedsLocation = true
-				return a
-			}(),
+			Aggregate{
+				Name: "COUNT((open_sunday=yes and not in-rect))",
+				Value: indicator(func(r Record) bool {
+					return r.Tag("open_sunday") == "yes" && !inRect(r)
+				}),
+				NeedsLocation: true,
+			},
 		},
 	}
 	for _, tc := range cases {
@@ -243,12 +274,9 @@ func TestSpecValidationRejects(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := CompilePlan(nil); err == nil {
-		t.Errorf("CompilePlan(nil): expected an error")
-	}
 	avg := AvgSpec("rating")
-	if _, err := avg.Compile(); err == nil || !strings.Contains(err.Error(), "CompilePlan") {
-		t.Errorf("AvgSpec.Compile should direct to CompilePlan, got %v", err)
+	if _, err := avg.Compile(); err == nil || !strings.Contains(err.Error(), "PlanBatch") || !strings.Contains(err.Error(), "RatioOf") {
+		t.Errorf("AvgSpec.Compile should direct to PlanBatch or RatioOf, got %v", err)
 	}
 }
 
@@ -256,53 +284,15 @@ func TestSpecValidationRejects(t *testing.T) {
 // tests.
 func CountSpecPred() PredSpec { return TagEq("t", "v") }
 
-// TestCompilePlanAvg pins the AVG expansion: one avg spec becomes a
-// SUM/COUNT physical pair and Finish returns their ratio.
-func TestCompilePlanAvg(t *testing.T) {
-	plan, err := CompilePlan([]AggSpec{CountSpec(), AvgSpec("enrollment")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Aggs) != 3 {
-		t.Fatalf("expected 3 physical aggregates (count + sum/count pair), got %d", len(plan.Aggs))
-	}
-	phys := []Result{
-		{Name: plan.Aggs[0].Name, Estimate: 100, Samples: 10, Queries: 50},
-		{Name: plan.Aggs[1].Name, Estimate: 60000, StdErr: 10, Samples: 10, Queries: 50},
-		{Name: plan.Aggs[2].Name, Estimate: 120, StdErr: 2, Samples: 10, Queries: 50},
-	}
-	out := plan.Finish(phys)
-	if len(out) != 2 {
-		t.Fatalf("expected 2 finished results, got %d", len(out))
-	}
-	if out[0].Estimate != 100 {
-		t.Errorf("count passthrough: got %g", out[0].Estimate)
-	}
-	if want := 60000.0 / 120.0; out[1].Estimate != want {
-		t.Errorf("avg ratio: got %g want %g", out[1].Estimate, want)
-	}
-	if out[1].Name != "AVG(enrollment)" {
-		t.Errorf("avg name: got %q", out[1].Name)
-	}
-}
-
-// TestCompilePlanAvgZeroCountUndefined pins the zero-denominator
-// guard: an AVG over an always-false selection finishes with NaN for
-// the estimate AND its error bars — never Inf, and never a numeric
-// StdErr/CI95 that would read as "exactly known". (The wire layer's
-// JSONFloat then carries all three as null.)
-func TestCompilePlanAvgZeroCountUndefined(t *testing.T) {
+// TestAvgZeroCountUndefined pins the zero-denominator guard: an AVG
+// over an always-false selection finishes with NaN for the estimate
+// AND its error bars — never Inf, and never a numeric StdErr/CI95 that
+// would read as "exactly known". (The wire layer's JSONFloat then
+// carries all three as null.)
+func TestAvgZeroCountUndefined(t *testing.T) {
 	never := AttrCmp("rating", "lt", -1) // Record.Attr floors at 0: always false
-	plan, err := CompilePlan([]AggSpec{AvgSpec("rating").WithWhere(never)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc, _ := smallService(t, 40, 1, 2)
 	est := NewLRAggregator(svc, DefaultLROptions(5))
-	phys, err := Run(context.Background(), est, plan.Aggs, WithMaxSamples(30))
-	if err != nil {
-		t.Fatal(err)
-	}
 	check := func(label string, r Result) {
 		t.Helper()
 		if !math.IsNaN(r.Estimate) {
@@ -316,7 +306,7 @@ func TestCompilePlanAvgZeroCountUndefined(t *testing.T) {
 			t.Errorf("%s: samples %d, want 30", label, r.Samples)
 		}
 	}
-	check("CompilePlan", plan.Finish(phys)[0])
+	check("RatioOf", independentResult(t, context.Background(), est, AvgSpec("rating").WithWhere(never), WithMaxSamples(30)))
 
 	// Same pin through the planner path.
 	qp, err := PlanBatch([]AggSpec{AvgSpec("rating").WithWhere(never)},

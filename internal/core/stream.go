@@ -275,7 +275,7 @@ func (p *QueryPlan) allocate(round int, remaining int64, active []int, states []
 // (which may be nil). It stops when every group converged or capped
 // out, the shared budget or the service's own is exhausted, or ctx is
 // canceled — cancellation is graceful and returns the partial
-// BatchResult, like the Driver (an error is returned only when not
+// BatchResult, like Run (an error is returned only when not
 // even one sample finished, or on a non-graceful transport failure).
 //
 // Each group's samples come from one sampler run per checkpoint chunk;

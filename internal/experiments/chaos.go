@@ -173,7 +173,7 @@ func Chaos(ctx context.Context, cfg Config) (*Figure, error) {
 				if kind == AlgoLNR {
 					spec = lnrSpec()
 				}
-				resu, err := runOne(ctx, timed, sc, spec, core.Count(), seed, cfg.Budget, 0)
+				resu, err := runOne(ctx, timed, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, 0)
 				st := router.Stats()
 				totalRetries += st.Retries
 				totalPartial += st.Partial
@@ -189,7 +189,7 @@ func Chaos(ctx context.Context, cfg Config) (*Figure, error) {
 					return nil, fmt.Errorf("chaos rate %g run %d: %w", rate, r, err)
 				}
 				completed++
-				errSum += math.Abs(resu.Estimate-truth) / truth
+				errSum += math.Abs(resu[0].Estimate-truth) / truth
 			}
 			c := cols[kind]
 			c.err.X = append(c.err.X, rate)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -93,14 +94,14 @@ func BenchmarkChaos(b *testing.B) {
 					b.Fatal(err)
 				}
 				timed.Querier = lbs.NewTolerantQuerier(router)
-				resu, err := runOne(context.Background(), timed, sc, lrSpec(), core.Count(), seed, cfg.Budget, 0)
+				resu, err := runOne(context.Background(), timed, sc, lrSpec(), []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, 0)
 				if errors.Is(err, shard.ErrOwnerDown) {
 					continue // crisply aborted run — a chaos outcome
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				relerr = math.Abs(resu.Estimate-truth) / truth
+				relerr = math.Abs(resu[0].Estimate-truth) / truth
 				st := router.Stats()
 				retries, partials = st.Retries, st.Partial
 			}

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -256,7 +257,7 @@ func nnoSpec() AlgoSpec {
 // runTraces runs an algorithm spec Runs times against fresh service
 // views and collects the estimate traces for one aggregate.
 func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts lbs.Options, spec AlgoSpec,
-	agg core.Aggregate, truth float64) (*traceSet, error) {
+	agg core.AggSpec, truth float64) (*traceSet, error) {
 
 	ts := &traceSet{name: spec.Name, truth: truth}
 	newSvc := serviceFactory(cfg, sc.DB, svcOpts)
@@ -266,11 +267,11 @@ func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts l
 		if err != nil {
 			return nil, err
 		}
-		res, err := runOne(ctx, svc, sc, spec, agg, seed, cfg.Budget, cfg.Batch)
+		res, err := runOne(ctx, svc, sc, spec, []core.AggSpec{agg}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
 		if err != nil {
 			return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 		}
-		ts.traces = append(ts.traces, res.Trace)
+		ts.traces = append(ts.traces, res[0].Trace)
 	}
 	return ts, nil
 }
@@ -289,65 +290,59 @@ func serviceFactory(cfg Config, db *lbs.Database, opts lbs.Options) func() (core
 	return func() (core.Oracle, error) { return lbs.NewService(db, opts), nil }
 }
 
-// runOpts assembles the driver options of one estimation run.
-func runOpts(budget int64, batch int) []core.RunOption {
-	opts := []core.RunOption{core.WithMaxQueries(budget)}
-	if batch > 1 {
-		opts = append(opts, core.WithBatch(batch))
-	}
-	return opts
-}
-
-// runOne executes a single run of a spec and returns the result for
-// the aggregate.
+// runOne executes a single run of an algorithm spec over the
+// aggregates and returns one result per aggregate. A non-zero region
+// restricts the estimation region; the zero Rect means none.
 func runOne(ctx context.Context, svc core.Oracle, sc *workload.Scenario, spec AlgoSpec,
-	agg core.Aggregate, seed, budget int64, batch int) (core.Result, error) {
+	aggs []core.AggSpec, region geom.Rect, seed, budget int64, batch int) ([]core.Result, error) {
 
+	compiled := make([]core.Aggregate, len(aggs))
+	for i := range aggs {
+		a, err := aggs[i].Compile()
+		if err != nil {
+			return nil, err
+		}
+		compiled[i] = a
+	}
+	runOpts := []core.RunOption{core.WithMaxQueries(budget)}
+	var est core.Estimator
 	switch spec.Kind {
 	case AlgoLR:
 		opts := spec.LR
-		opts.Seed = seed
-		opts.Filter = spec.Filter
+		opts.Seed, opts.Filter, opts.Region = seed, spec.Filter, region
 		if spec.Weighted {
 			opts.Sampler = sc.Grid
 		}
-		res, err := core.NewLRAggregator(svc, opts).Run(ctx, []core.Aggregate{agg}, core.WithMaxQueries(budget))
-		if err != nil {
-			return core.Result{}, err
-		}
-		return res[0], nil
+		est = core.NewLRAggregator(svc, opts)
 	case AlgoLNR:
 		opts := spec.LNR
-		opts.Seed = seed
-		opts.Filter = spec.Filter
+		opts.Seed, opts.Filter, opts.Region = seed, spec.Filter, region
 		if spec.Weighted {
 			opts.Sampler = sc.Grid
 		}
-		res, err := core.NewLNRAggregator(svc, opts).Run(ctx, []core.Aggregate{agg}, core.WithMaxQueries(budget))
-		if err != nil {
-			return core.Result{}, err
-		}
-		return res[0], nil
+		est = core.NewLNRAggregator(svc, opts)
 	case AlgoNNO:
 		opts := spec.NNO
-		opts.Seed = seed
-		opts.Filter = spec.Filter
+		// NNO has no region machinery in [10]; a region only restricts
+		// where it samples.
+		opts.Seed, opts.Filter, opts.Region = seed, spec.Filter, region
 		if spec.Weighted {
 			opts.Sampler = sc.Grid
 		}
-		res, err := core.NewNNOBaseline(svc, opts).Run(ctx, []core.Aggregate{agg}, runOpts(budget, batch)...)
-		if err != nil {
-			return core.Result{}, err
+		est = core.NewNNOBaseline(svc, opts)
+		if batch > 1 {
+			runOpts = append(runOpts, core.WithBatch(batch))
 		}
-		return res[0], nil
+	default:
+		return nil, fmt.Errorf("unknown algorithm kind %d", spec.Kind)
 	}
-	return core.Result{}, fmt.Errorf("unknown algorithm kind %d", spec.Kind)
+	return core.Run(ctx, est, compiled, runOpts...)
 }
 
 // costVsErrorFigure runs a set of algorithm specs on one aggregate and
 // produces the paper's cost-versus-error figure layout.
 func costVsErrorFigure(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts lbs.Options,
-	id, title string, specs []AlgoSpec, agg core.Aggregate, truth float64) (*Figure, error) {
+	id, title string, specs []AlgoSpec, agg core.AggSpec, truth float64) (*Figure, error) {
 
 	fig := &Figure{
 		ID:     id,

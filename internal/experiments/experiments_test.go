@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -265,5 +266,49 @@ func TestLiveChurn(t *testing.T) {
 	}
 	if drift.Y[0] != 0 {
 		t.Errorf("population drift at zero churn: %g", drift.Y[0])
+	}
+}
+
+// TestFig17Table1Pinned pins the two experiments whose aggregates carry
+// a location condition — Fig17's in-Austin AVG and Table1's open-Sunday
+// Austin count — bit for bit at tinyCfg. The values were recorded when
+// the conditions were hand-written closures; the declarative InRect
+// form must reproduce them exactly.
+func TestFig17Table1Pinned(t *testing.T) {
+	fig, err := Fig17(context.Background(), tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFig := map[string][]float64{
+		"LR-LBS-NNO":  {35, 35, 35, 35, 35, 229.5, 1117.5},
+		"LR-LBS-AGG":  {20, 20, 20, 20, 36, 73.5, 264.5},
+		"LNR-LBS-AGG": {377, 377, 377, 377, 377, 825, 1668},
+	}
+	if len(fig.Series) != len(wantFig) {
+		t.Fatalf("fig17: %d series, want %d", len(fig.Series), len(wantFig))
+	}
+	for _, s := range fig.Series {
+		if want := wantFig[s.Name]; !reflect.DeepEqual(s.Y, want) {
+			t.Errorf("fig17 %s: %v, want %v", s.Name, s.Y, want)
+		}
+	}
+	if want := "ground truth AVG = 3.8471 over 51 restaurants"; fig.Notes[0] != want {
+		t.Errorf("fig17 note %q, want %q", fig.Notes[0], want)
+	}
+
+	rows, err := Table1(context.Background(), tinyCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRows := []Table1Row{
+		{LBS: "Google Places", Aggregate: "COUNT(Starbucks in US)", Estimate: 117.49479476336073, Truth: 120, RelErr: 0.02087671030532725, Budget: 500},
+		{LBS: "Google Places", Aggregate: "COUNT(restaurants in Austin open Sundays)", Estimate: 14.752864188047662, Truth: 15, RelErr: 0.01647572079682256, Budget: 506},
+		{LBS: "WeChat", Aggregate: "COUNT(users)", Estimate: 68.36964893448969, Truth: 120, RelErr: 0.43025292554591926, Budget: 1158},
+		{LBS: "WeChat", Aggregate: "male fraction", Estimate: 0.8503232457361469, Truth: 0.6916666666666667, RelErr: 0.22938300588358596, Budget: 1158},
+		{LBS: "Weibo", Aggregate: "COUNT(users)", Estimate: 194.61991275824374, Truth: 120, RelErr: 0.6218326063186979, Budget: 1356},
+		{LBS: "Weibo", Aggregate: "male fraction", Estimate: 0.8066732485739191, Truth: 0.48333333333333334, RelErr: 0.6689791349805222, Budget: 1356},
+	}
+	if !reflect.DeepEqual(rows, wantRows) {
+		t.Errorf("table1 rows:\n got %+v\nwant %+v", rows, wantRows)
 	}
 }

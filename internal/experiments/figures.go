@@ -57,7 +57,7 @@ func Fig12(ctx context.Context, cfg Config) (*Figure, error) {
 		Notes:  []string{fmt.Sprintf("ground truth = %.0f", truth)},
 	}
 	for _, spec := range []AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()} {
-		ts, err := runTraces(ctx, cfg, sc, svcOpts, spec, core.Count(), truth)
+		ts, err := runTraces(ctx, cfg, sc, svcOpts, spec, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func Fig13(ctx context.Context, cfg Config) (*Figure, error) {
 	lnrUS.Weighted = true
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig13", "Impact of sampling strategy: COUNT(schools)",
-		[]AlgoSpec{lrSpec(), lrUS, lnrSpec(), lnrUS}, core.Count(), truth)
+		[]AlgoSpec{lrSpec(), lrUS, lnrSpec(), lnrUS}, core.CountSpec(), truth)
 }
 
 // Fig14 reproduces Figure 14 — query cost versus relative error for
@@ -90,7 +90,7 @@ func Fig14(ctx context.Context, cfg Config) (*Figure, error) {
 	truth := float64(sc.DB.Len())
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig14", "COUNT(schools)",
-		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.Count(), truth)
+		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.CountSpec(), truth)
 }
 
 // Fig15 reproduces Figure 15 — COUNT(restaurants in US).
@@ -99,13 +99,13 @@ func Fig15(ctx context.Context, cfg Config) (*Figure, error) {
 	truth := float64(sc.DB.Len())
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig15", "COUNT(restaurants)",
-		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.Count(), truth)
+		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.CountSpec(), truth)
 }
 
 // Fig16 reproduces Figure 16 — SUM(enrollment) over US schools.
 func Fig16(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USASchools(cfg.N, cfg.Seed)
-	agg := core.SumAttr("enrollment")
+	agg := core.SumSpec("enrollment")
 	truth := sc.DB.GroundTruth(func(t *lbs.Tuple) float64 { return t.Attr("enrollment") }, nil)
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig16", "SUM(enrollment) in schools",
@@ -132,9 +132,8 @@ func Fig17(ctx context.Context, cfg Config) (*Figure, error) {
 	}, nil)
 	truthAvg := truthSum / truthCount
 
-	inRect := func(r core.Record) bool { return r.HasLoc && austin.Contains(r.Loc) }
-	sumAgg := core.SumAttrWhere("rating", "in-austin", inRect)
-	cntAgg := core.CountWhere("in-austin", inRect)
+	inAustin := core.InRect(austin)
+	halves := []core.AggSpec{core.SumSpec("rating").WithWhere(inAustin), core.CountSpec().WithWhere(inAustin)}
 
 	fig := &Figure{
 		ID:     "fig17",
@@ -154,54 +153,15 @@ func Fig17(ctx context.Context, cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			trace, err := runRatio(ctx, svc, sc, spec, sumAgg, cntAgg, austin, seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, svc, sc, spec, halves, austin, seed, cfg.Budget, cfg.Batch)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}
-			ts.traces = append(ts.traces, trace)
+			ts.traces = append(ts.traces, core.RatioOf(res[0], res[1]).Trace)
 		}
 		fig.Series = append(fig.Series, ts.costSeries(errGrid))
 	}
 	return fig, nil
-}
-
-// runRatio runs one ratio (AVG) estimation restricted to a region and
-// returns the ratio trace.
-func runRatio(ctx context.Context, svc core.Oracle, sc *workload.Scenario, spec AlgoSpec,
-	num, den core.Aggregate, region geom.Rect, seed, budget int64, batch int) ([]core.TracePoint, error) {
-
-	aggs := []core.Aggregate{num, den}
-	var results []core.Result
-	var err error
-	switch spec.Kind {
-	case AlgoLR:
-		opts := spec.LR
-		opts.Seed = seed
-		opts.Region = region
-		results, err = core.NewLRAggregator(svc, opts).Run(ctx, aggs, core.WithMaxQueries(budget))
-	case AlgoLNR:
-		opts := spec.LNR
-		opts.Seed = seed
-		opts.Region = region
-		// Location conditions over LNR require position inference; the
-		// aggregator handles it (NeedsLocation is implied by the region
-		// condition inside Value, so mark it).
-		aggsLNR := []core.Aggregate{num, den}
-		aggsLNR[0].NeedsLocation = true
-		aggsLNR[1].NeedsLocation = true
-		results, err = core.NewLNRAggregator(svc, opts).Run(ctx, aggsLNR, core.WithMaxQueries(budget))
-	case AlgoNNO:
-		opts := spec.NNO
-		opts.Seed = seed
-		// NNO has no region machinery in [10]; approximate by sampling
-		// inside the region only.
-		opts.Region = region
-		results, err = core.NewNNOBaseline(svc, opts).Run(ctx, aggs, runOpts(budget, batch)...)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.RatioOf(results[0], results[1]).Trace, nil
 }
 
 // Fig18 reproduces Figure 18 — query cost to reach relative error 0.1
@@ -222,7 +182,7 @@ func Fig18(ctx context.Context, cfg Config) (*Figure, error) {
 		sub := &workload.Scenario{Name: sc.Name, Bounds: sc.Bounds, DB: db, Grid: sc.Grid}
 		truth := float64(db.Len())
 		for si, spec := range specs {
-			ts, err := runTraces(ctx, cfg, sub, lbs.Options{K: cfg.K}, spec, core.Count(), truth)
+			ts, err := runTraces(ctx, cfg, sub, lbs.Options{K: cfg.K}, spec, core.CountSpec(), truth)
 			if err != nil {
 				return nil, err
 			}
@@ -248,7 +208,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 		xs = append(xs, float64(h))
 		lr := lrSpec()
 		lr.LR.FixedH = h
-		ts, err := runTraces(ctx, cfg, sc, svcOpts, lr, core.Count(), truth)
+		ts, err := runTraces(ctx, cfg, sc, svcOpts, lr, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +216,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 
 		lnr := lnrSpec()
 		lnr.LNR.H = h
-		ts, err = runTraces(ctx, cfg, sc, svcOpts, lnr, core.Count(), truth)
+		ts, err = runTraces(ctx, cfg, sc, svcOpts, lnr, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +225,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 	// Adaptive (x plotted one past k, as the paper's "Adaptive" tick).
 	xs = append(xs, float64(cfg.K+1))
 	lrA := lrSpec() // FixedH = 0 → adaptive
-	ts, err := runTraces(ctx, cfg, sc, svcOpts, lrA, core.Count(), truth)
+	ts, err := runTraces(ctx, cfg, sc, svcOpts, lrA, core.CountSpec(), truth)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +233,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 	// LNR has no adaptive-h analogue in the paper; repeat h=1 as its
 	// reference point.
 	lnrA := lnrSpec()
-	ts, err = runTraces(ctx, cfg, sc, svcOpts, lnrA, core.Count(), truth)
+	ts, err = runTraces(ctx, cfg, sc, svcOpts, lnrA, core.CountSpec(), truth)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +265,7 @@ func Fig20(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig20", "Query savings of error-reduction strategies (cumulative)",
-		variants, core.Count(), truth)
+		variants, core.CountSpec(), truth)
 }
 
 // Fig21 reproduces Figure 21 — localization accuracy: the fraction of
@@ -404,10 +364,10 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	// COUNT(Starbucks in US) with pass-through selection, budget 5000.
 	sb := workload.StarbucksUS(cfg.N, cfg.N*4, cfg.Seed)
 	svc := lbs.NewService(sb.DB, lbs.Options{K: cfg.K})
-	lrOpts := core.DefaultLROptions(cfg.Seed)
-	lrOpts.Filter = lbs.NameFilter("Starbucks")
-	lrOpts.Sampler = sb.Grid
-	res, err := core.NewLRAggregator(svc, lrOpts).Run(ctx, []core.Aggregate{core.Count()}, core.WithMaxQueries(cfg.Budget/5))
+	starbucks := lrSpec()
+	starbucks.Filter = lbs.NameFilter("Starbucks")
+	starbucks.Weighted = true
+	res, err := runOne(ctx, svc, sb, starbucks, []core.AggSpec{core.CountSpec()}, geom.Rect{}, cfg.Seed, cfg.Budget/5, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -421,14 +381,11 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	// COUNT(restaurants in Austin open on Sundays): pass-through
 	// category filter + post-processed open-Sunday + region restriction.
 	austin := workload.MetroBox(sb.DB, 120)
-	openSunday := core.CountWhere("open-sunday", func(r core.Record) bool {
-		return r.Tag("open_sunday") == "yes" && r.HasLoc && austin.Contains(r.Loc)
-	})
-	lrOpts2 := core.DefaultLROptions(cfg.Seed + 1)
-	lrOpts2.Filter = lbs.CategoryFilter("restaurant")
-	lrOpts2.Region = austin
+	openSunday := core.CountSpec().WithWhere(core.And(core.TagEq("open_sunday", "yes"), core.InRect(austin)))
+	restaurants := lrSpec()
+	restaurants.Filter = lbs.CategoryFilter("restaurant")
 	svc2 := lbs.NewService(sb.DB, lbs.Options{K: cfg.K})
-	res2, err := core.NewLRAggregator(svc2, lrOpts2).Run(ctx, []core.Aggregate{openSunday}, core.WithMaxQueries(cfg.Budget/5))
+	res2, err := runOne(ctx, svc2, sb, restaurants, []core.AggSpec{openSunday}, austin, cfg.Seed+1, cfg.Budget/5, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -451,9 +408,10 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 		{"Weibo", workload.WeiboChina(cfg.N, cfg.Seed+3), 10},
 	} {
 		svcL := lbs.NewService(tc.sc.DB, lbs.Options{K: tc.k})
-		lnr := core.NewLNRAggregator(svcL, core.LNROptions{Seed: cfg.Seed + 9, Sampler: tc.sc.Grid})
-		aggs := []core.Aggregate{core.Count(), core.CountTag("gender", "m")}
-		resL, err := lnr.Run(ctx, aggs, core.WithMaxQueries(cfg.Budget*2/5))
+		lnr := lnrSpec()
+		lnr.Weighted = true
+		aggs := []core.AggSpec{core.CountSpec(), core.CountSpec().WithWhere(core.TagEq("gender", "m"))}
+		resL, err := runOne(ctx, svcL, tc.sc, lnr, aggs, geom.Rect{}, cfg.Seed+9, cfg.Budget*2/5, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -39,6 +39,11 @@ func LiveChurn(ctx context.Context, cfg Config) (*Figure, error) {
 		},
 	}
 
+	countAll := core.CountSpec()
+	count, err := countAll.Compile()
+	if err != nil {
+		return nil, err
+	}
 	series := Series{Name: "LR-LBS-AGG"}
 	driftSeries := Series{Name: "population drift %"}
 	for _, rate := range rates {
@@ -75,7 +80,7 @@ func LiveChurn(ctx context.Context, cfg Config) (*Figure, error) {
 				popN++
 			}
 			lrOpts := core.DefaultLROptions(seed)
-			res, err := core.NewLRAggregator(d, lrOpts).Run(ctx, []core.Aggregate{core.Count()},
+			res, err := core.NewLRAggregator(d, lrOpts).Run(ctx, []core.Aggregate{count},
 				core.WithMaxQueries(cfg.Budget), core.WithProgress(progress))
 			if err != nil {
 				return nil, fmt.Errorf("live churn rate %g run %d: %w", rate, r, err)

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -37,14 +38,14 @@ func MSEDecomposition(ctx context.Context, cfg Config) ([]MSERow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOne(ctx, svc, sc, spec, core.Count(), seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, svc, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}
 			outcomes = append(outcomes, stats.RunOutcome{
-				Estimate: res.Estimate,
-				CI95:     res.CI95,
-				Queries:  res.Queries,
+				Estimate: res[0].Estimate,
+				CI95:     res[0].CI95,
+				Queries:  res[0].Queries,
 			})
 		}
 		rows = append(rows, MSERow{Algorithm: spec.Name, Eval: stats.Evaluate(truth, outcomes)})

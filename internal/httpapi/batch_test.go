@@ -19,6 +19,17 @@ import (
 
 // TestBatchRoundTrip: a batch POST answers the same records as
 // per-point GETs and costs the same number of server-side queries.
+// countAll compiles COUNT(*), the aggregate these tests run.
+func countAll(tb testing.TB) []core.Aggregate {
+	tb.Helper()
+	spec := core.CountSpec()
+	agg, err := spec.Compile()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []core.Aggregate{agg}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	svc := testService(50, 3, 0, 2)
 	ts := httptest.NewServer(NewServer(svc))
@@ -271,7 +282,7 @@ func TestRemoteBatchedEstimationRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	nno := core.NewNNOBaseline(c, core.NNOOptions{Seed: 4, ProbesPerCell: 10})
-	res, err := nno.Run(context.Background(), []core.Aggregate{core.Count()},
+	res, err := nno.Run(context.Background(), countAll(t),
 		core.WithMaxSamples(20), core.WithBatch(10))
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +345,7 @@ func TestLNRBatchedOverHTTP(t *testing.T) {
 	for _, h := range []int{1, 3} {
 		ref := testService(600, 5, 0, 4)
 		serial := core.NewLNRAggregator(serialOracle{ref}, core.LNROptions{Seed: 21, H: h})
-		want, err := serial.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(3))
+		want, err := serial.Run(context.Background(), countAll(t), core.WithMaxSamples(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +359,7 @@ func TestLNRBatchedOverHTTP(t *testing.T) {
 		}
 		meta := tr.n.Load()
 		agg := core.NewLNRAggregator(c, core.LNROptions{Seed: 21, H: h})
-		got, err := agg.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(3))
+		got, err := agg.Run(context.Background(), countAll(t), core.WithMaxSamples(3))
 		ts.Close()
 		if err != nil {
 			t.Fatal(err)

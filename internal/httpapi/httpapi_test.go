@@ -227,7 +227,7 @@ func TestEndToEndEstimationOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := core.NewLRAggregator(client, core.DefaultLROptions(9))
-	res, err := agg.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(150))
+	res, err := agg.Run(context.Background(), countAll(t), core.WithMaxSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEndToEndEstimationOverHTTP(t *testing.T) {
 	}
 	// LNR over HTTP as well.
 	lnr := core.NewLNRAggregator(client, core.LNROptions{Seed: 10})
-	resL, err := lnr.Run(context.Background(), []core.Aggregate{core.Count()}, core.WithMaxSamples(15))
+	resL, err := lnr.Run(context.Background(), countAll(t), core.WithMaxSamples(15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func FuzzIngestStream(f *testing.F) {
 // FuzzEstimateSpec decodes an estimate body the way the estimate
 // handler does, then validates and plans it: nothing panics, and
 // every aggregate that validates also compiles (AVG through
-// CompilePlan, its SUM/COUNT expansion).
+// PlanBatch, its SUM/COUNT expansion).
 func FuzzEstimateSpec(f *testing.F) {
 	for _, body := range []string{
 		`{"method":"lr","seed":1,"aggregates":[{"kind":"count"}],"options":{"max_samples":4}}`,
@@ -145,7 +145,7 @@ func FuzzEstimateSpec(f *testing.F) {
 			}
 			var err error
 			if a.Kind == core.AggAvg {
-				_, err = core.CompilePlan([]core.AggSpec{a})
+				_, err = core.PlanBatch([]core.AggSpec{a}, core.PlanOptions{})
 			} else {
 				_, err = a.Compile()
 			}

@@ -22,7 +22,7 @@ type CacheOptions struct {
 	Capacity int
 	// Shards is the number of independently locked LRU shards, rounded
 	// up to a power of two (default 16). More shards means less lock
-	// contention under the Driver's parallel mode.
+	// contention under core.Run's parallel mode.
 	Shards int
 	// Quantum, when positive, quantizes query coordinates to a grid of
 	// this pitch before keying, so that near-identical points share an

@@ -34,7 +34,7 @@ func NewMeter(budget int64, limiter *RateLimiter) *Meter {
 //
 // The reservation is a CAS loop rather than add-then-rollback, so the
 // query counter never transiently exceeds the budget: concurrent
-// readers of Count (the Driver's stop checks) always observe a value
+// readers of Count (core.Run's stop checks) always observe a value
 // ≤ the budget.
 func (m *Meter) ChargeN(ctx context.Context, n int64) (int64, error) {
 	if err := ctx.Err(); err != nil {

@@ -52,21 +52,21 @@
 //
 // # Declarative aggregates (API v3)
 //
-// Aggregates are declarative specs rather than Go closures: a small
-// JSON-serializable predicate AST — AttrCmp, TagEq, InRect, combined
-// with And/Or/Not — plus aggregate specs built from CountSpec,
-// SumSpec(attr) and AvgSpec(attr), each optionally restricted with
-// WithWhere. CompilePlan compiles a request's spec list once into the
-// closure form the estimators execute (AVG expands into a SUM/COUNT
-// pair finished through RatioOf), so the declarative layer costs
-// nothing per sample:
+// Aggregates are declarative specs: a small JSON-serializable
+// predicate AST — AttrCmp, TagEq, InRect, combined with And/Or/Not —
+// plus aggregate specs built from CountSpec, SumSpec(attr) and
+// AvgSpec(attr), each optionally restricted with WithWhere. A COUNT or
+// SUM spec compiles once (AggSpec.Compile) into the Aggregate an
+// estimator's Run executes, so the declarative layer costs nothing per
+// sample:
 //
-//	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{
-//		lbsagg.CountSpec(),
-//		lbsagg.AvgSpec("rating").WithWhere(lbsagg.TagEq("open_sunday", "yes")),
-//	})
-//	phys, err := agg.Run(ctx, plan.Aggs, lbsagg.WithMaxQueries(5000))
-//	results := plan.Finish(phys)
+//	spec := lbsagg.CountSpec().WithWhere(lbsagg.AttrCmp("rating", lbsagg.CmpGE, 4))
+//	count, err := spec.Compile()
+//	res, err := agg.Run(ctx, []lbsagg.Aggregate{count}, lbsagg.WithMaxQueries(5000))
+//
+// AVG is SUM/COUNT (§1.3): PlanBatch expands an AvgSpec into the pair
+// and finishes it, or run the two halves and combine them with
+// RatioOf.
 //
 // Because specs are plain data, the same aggregate request can travel
 // over the wire — which is what makes estimation jobs possible.
@@ -217,12 +217,11 @@
 //
 //	db := lbsagg.NewDatabase(bounds, tuples)
 //	svc := lbsagg.NewService(db, lbsagg.ServiceOptions{K: 10})
-//	agg := lbsagg.NewLRAggregator(svc, lbsagg.DefaultLROptions(42))
-//	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{lbsagg.CountSpec()})
-//	phys, err := agg.Run(ctx, plan.Aggs,
-//		lbsagg.WithMaxQueries(5000),
-//		lbsagg.WithParallelism(8))
-//	res := plan.Finish(phys)
+//	plan, err := lbsagg.PlanBatch([]lbsagg.AggSpec{
+//		lbsagg.CountSpec(),
+//		lbsagg.AvgSpec("rating"),
+//	}, lbsagg.PlanOptions{Seed: 42, MaxQueries: 5000, Parallelism: 8})
+//	br, err := plan.Execute(ctx, svc, nil)   // br.Results[i] answers spec i
 //
 // See examples/ for complete programs and internal/experiments for
 // the reproduction of every figure and table of the paper.
@@ -241,18 +240,8 @@
 //	agg.Localize(id, anchor)    → agg.Localize(ctx, id, anchor)
 //	NewHTTPClient(url, sel, hc) → NewHTTPClient(ctx, url, sel, hc)
 //
-// v3 replaces closure-built aggregates with declarative specs. The
-// closure constructors remain as thin deprecated shims that compile
-// the equivalent spec:
-//
-//	Count()                  → CountSpec()                 (via CompilePlan)
-//	SumAttr(a)               → SumSpec(a)
-//	CountTag(t, v)           → CountSpec().WithWhere(TagEq(t, v))
-//	CountInRect(r)           → CountSpec().WithWhere(InRect(r))
-//	CountWhere(name, fn)     → CountSpec().WithWhere(pred).WithLabel(name)
-//	                           for predicates expressible in the AST;
-//	                           closure form stays for arbitrary Go conditions
-//	RatioOf(sum, count)      → AvgSpec(a) (finished by the plan)
+// Removed: the closure constructors (Count, CountWhere, SumAttr, ...),
+// CompilePlan/AggPlan and Driver — use AggSpec.Compile, PlanBatch, Run.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -261,7 +250,7 @@
 //
 // Custom Oracle implementations must add the ctx parameter to both
 // query methods; custom estimators implement Estimator (Step, Service,
-// Fork) and inherit the shared Driver.
+// Fork) and run through Run.
 package lbsagg
 
 import (
@@ -642,8 +631,6 @@ type (
 	AggSpec = core.AggSpec
 	// RectSpec is the wire form of a rectangle.
 	RectSpec = core.RectSpec
-	// AggPlan is a compiled spec list: physical aggregates + finisher.
-	AggPlan = core.AggPlan
 )
 
 // Predicate constructors.
@@ -680,8 +667,6 @@ var (
 	SumSpec = core.SumSpec
 	// AvgSpec builds AVG(attr) (a SUM/COUNT pair under the hood).
 	AvgSpec = core.AvgSpec
-	// CompilePlan compiles a spec list into an executable AggPlan.
-	CompilePlan = core.CompilePlan
 )
 
 // Multi-aggregate query planner types (API v4; see the package
@@ -719,8 +704,8 @@ var PlanBatch = core.PlanBatch
 
 // Estimator types.
 type (
-	// Aggregate is the compiled (closure) form of an aggregate; build
-	// it from AggSpec via CompilePlan.
+	// Aggregate is the compiled (closure) form of a COUNT or SUM
+	// aggregate; build it with AggSpec.Compile.
 	Aggregate = core.Aggregate
 	// Record is the estimator-visible view of a returned tuple.
 	Record = core.Record
@@ -741,12 +726,8 @@ type (
 	// NNOBaseline is Algorithm LR-LBS-NNO.
 	NNOBaseline = core.NNOBaseline
 	// Estimator is the sample-source interface all three algorithms
-	// implement; custom algorithms that implement it plug into the
-	// same run driver.
+	// implement; custom algorithms that implement it run through Run.
 	Estimator = core.Estimator
-	// Driver executes any Estimator with budgets, traces, early
-	// stopping and optional parallelism.
-	Driver = core.Driver
 	// RunOption configures an estimation run.
 	RunOption = core.RunOption
 )
@@ -766,6 +747,10 @@ var (
 	// WithBatch draws up to m samples per oracle round-trip.
 	WithBatch = core.WithBatch
 )
+
+// Run executes any Estimator with budgets, traces, early stopping and
+// optional parallelism; the estimators' Run methods call it.
+var Run = core.Run
 
 // The HTTP client adapter serves the batch path too, so WithBatch
 // collapses m remote queries into one POST.
@@ -790,30 +775,9 @@ func NewNNOBaseline(svc Oracle, opts NNOOptions) *NNOBaseline {
 	return core.NewNNOBaseline(svc, opts)
 }
 
-// Closure-form aggregate constructors.
-//
-// Deprecated: prefer the declarative spec constructors (CountSpec,
-// SumSpec, AvgSpec with WithWhere) compiled through CompilePlan —
-// specs serialize to JSON and can be submitted as remote jobs. The
-// closure forms remain for selection conditions that need arbitrary
-// Go code.
-var (
-	// Count returns the COUNT(*) aggregate.
-	Count = core.Count
-	// CountWhere returns COUNT with a post-processed condition.
-	CountWhere = core.CountWhere
-	// CountTag returns COUNT of tuples whose tag matches.
-	CountTag = core.CountTag
-	// CountInRect returns COUNT of tuples inside a rectangle
-	// (location-based condition; triggers localization over LNR).
-	CountInRect = core.CountInRect
-	// SumAttr returns SUM(attr).
-	SumAttr = core.SumAttr
-	// SumAttrWhere returns SUM(attr) with a condition.
-	SumAttrWhere = core.SumAttrWhere
-	// RatioOf combines two results into an AVG-style ratio.
-	RatioOf = core.RatioOf
-)
+// RatioOf combines two results of one run into an AVG-style ratio
+// (AVG = SUM/COUNT).
+var RatioOf = core.RatioOf
 
 // Sampling distributions (§5.2 external knowledge).
 type (

@@ -10,6 +10,20 @@ import (
 	lbsagg "repro"
 )
 
+// compileAll compiles COUNT/SUM specs through the facade.
+func compileAll(tb testing.TB, specs ...lbsagg.AggSpec) []lbsagg.Aggregate {
+	tb.Helper()
+	aggs := make([]lbsagg.Aggregate, len(specs))
+	for i := range specs {
+		a, err := specs[i].Compile()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		aggs[i] = a
+	}
+	return aggs
+}
+
 // TestFacadeQuickstart exercises the public API exactly as the README
 // quick start does.
 func TestFacadeQuickstart(t *testing.T) {
@@ -25,7 +39,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	db := lbsagg.NewDatabase(bounds, tuples)
 	svc := lbsagg.NewService(db, lbsagg.ServiceOptions{K: 5})
 	agg := lbsagg.NewLRAggregator(svc, lbsagg.DefaultLROptions(42))
-	res, err := agg.Run(context.Background(), []lbsagg.Aggregate{lbsagg.Count(), lbsagg.SumAttr("v")}, lbsagg.WithMaxSamples(300))
+	res, err := agg.Run(context.Background(), compileAll(t, lbsagg.CountSpec(), lbsagg.SumSpec("v")), lbsagg.WithMaxSamples(300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +58,7 @@ func TestFacadeLNRAndScenarios(t *testing.T) {
 	sc := lbsagg.WeiboChina(150, 7)
 	svc := lbsagg.NewService(sc.DB, lbsagg.ServiceOptions{K: 5})
 	agg := lbsagg.NewLNRAggregator(svc, lbsagg.LNROptions{Seed: 3})
-	res, err := agg.Run(context.Background(), []lbsagg.Aggregate{lbsagg.CountTag("gender", "m")}, lbsagg.WithMaxSamples(40))
+	res, err := agg.Run(context.Background(), compileAll(t, lbsagg.CountSpec().WithWhere(lbsagg.TagEq("gender", "m"))), lbsagg.WithMaxSamples(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +124,10 @@ func TestFacadeFederation(t *testing.T) {
 	}
 	// An estimator runs over the router unchanged.
 	agg := lbsagg.NewLRAggregator(router, lbsagg.DefaultLROptions(42))
-	plan, err := lbsagg.CompilePlan([]lbsagg.AggSpec{lbsagg.CountSpec()})
+	res, err := agg.Run(ctx, compileAll(t, lbsagg.CountSpec()), lbsagg.WithMaxSamples(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys, err := agg.Run(ctx, plan.Aggs, lbsagg.WithMaxSamples(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := plan.Finish(phys)
 	if len(res) != 1 || res[0].Samples != 5 {
 		t.Fatalf("federated estimator run: %+v", res)
 	}
