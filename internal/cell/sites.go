@@ -49,9 +49,8 @@ type siteDist struct {
 // value is an empty order; Reset reuses its storage.
 type Order struct {
 	target geom.Point
-	heap   []siteDist      // undrawn sites, a min-heap on d2
-	drawn  []siteDist      // drawn sites, in consumption order
-	clip   [2]geom.Polygon // square-clip scratch of the area lower bound
+	heap   []siteDist // undrawn sites, a min-heap on d2
+	drawn  []siteDist // drawn sites, in consumption order
 }
 
 // Reset makes o the order of sites around target, dropping sites that
@@ -85,70 +84,7 @@ func (o *Order) reset(target geom.Point, sites []Site, c *Complex) {
 // duplicates come out back-to-back (equal distance, equal key); any
 // exotic same-key stragglers are absorbed by AddCut's own key registry.
 func (o *Order) Insert(c *Complex) int {
-	changed, _ := o.insert(c, nil)
-	return changed
-}
-
-// InsertExceeds is Insert into a top-1 complex that stops early,
-// reporting true, once it has proved that the finished build's Area()
-// exceeds a (see Top-1 area lower bound below). When it reports false
-// it has run to completion and c is, bit for bit, what Insert builds.
-// After an early stop c holds the cuts of the sites consumed so far,
-// and Insert resumes it into, bit for bit, the complete build: the
-// resumed walk re-visits those sites, whose keys are all registered,
-// and continues from the first unconsumed one.
-//
-// # Top-1 area lower bound
-//
-// Sites are consumed in increasing distance. Before a site at distance
-// d is consumed, every site still to come is at least d from the
-// target, so its bisector stays out of the open disk B(target, d/2):
-// the finished top-1 cell contains the current region ∩ B(target, d/2),
-// and so the current region ∩ S, S the axis-aligned square of
-// half-side d/(2√2) centred on the target. The region is one convex
-// face, so area(region ∩ S) is one polygon clip.
-//
-// The computed build can fall short of that exact area: a cut keeps
-// the region up to Eps of its line (a strip of width ≤ 2·Eps, so area
-// ≤ 2·Eps·diag(bound) per cut) and drops a sliver piece below Eps, and
-// the incremental Area() and the clipped polygons carry float rounding
-// of a few ulps of the bound's coordinates squared per operation. The
-// test therefore requires area(region ∩ S) > a·(1+1e-9) plus, for each
-// of the n sites still to come (each at most one cut) and one more,
-// 4·Eps·diag + Eps + 64·ε·r², r the bound's largest coordinate
-// magnitude and ε the float64 machine epsilon. A lower bound inside
-// that margin decides nothing and the build runs on.
-func (o *Order) InsertExceeds(c *Complex, a float64) bool {
-	if c.k != 1 {
-		panic("cell: InsertExceeds needs a top-1 complex")
-	}
-	t := newAreaTest(c.bound, a)
-	_, exceeds := o.insert(c, &t)
-	return exceeds
-}
-
-// NearestExceeds reports whether the top-1 cell of target among sites,
-// over bound, provably has an area above a by the nearest site alone:
-// InsertExceeds' first test (the region is still the whole bound) made
-// by one read-only scan of the sites. It leaves o's order untouched and
-// uses only its scratch, so a caller can skip Reset when it settles the
-// case. Sites that coincide with the target within Eps are ignored, as
-// Reset drops them.
-func (o *Order) NearestExceeds(bound geom.Polygon, target geom.Point, sites []Site, a float64) bool {
-	d2 := math.Inf(1)
-	for _, s := range sites {
-		if e := s.Loc.Dist2(target); e >= geom.Eps*geom.Eps && e < d2 {
-			d2 = e
-		}
-	}
-	t := newAreaTest(bound, a)
-	return o.squareExceeds(bound, bound.Area(), target, d2, t.threshold(len(sites)))
-}
-
-// insert is Insert that, given an area test, checks the top-1 lower
-// bound before each site it consumes and returns exceeds = true as
-// soon as the bound clears the test's threshold.
-func (o *Order) insert(c *Complex, test *areaTest) (changed int, exceeds bool) {
+	changed := 0
 	maxDist := c.MaxDistFrom(o.target)
 	lastKey := int64(math.MinInt64)
 	for i := 0; i < len(o.drawn) || o.draw(); i++ {
@@ -156,11 +92,6 @@ func (o *Order) insert(c *Complex, test *areaTest) (changed int, exceeds bool) {
 		reach := 2*maxDist + geom.Eps
 		if sd.d2 > reach*reach {
 			break
-		}
-		if test != nil && len(c.faces) == 1 &&
-			o.squareExceeds(c.faces[0].Poly, c.faces[0].area, o.target, sd.d2,
-				test.threshold(len(o.drawn)-i+len(o.heap))) {
-			return changed, true
 		}
 		if sd.site.Key == lastKey {
 			continue // in-batch duplicate
@@ -171,81 +102,7 @@ func (o *Order) insert(c *Complex, test *areaTest) (changed int, exceeds bool) {
 			maxDist = c.MaxDistFrom(o.target)
 		}
 	}
-	return changed, false
-}
-
-// areaTest is the threshold of the top-1 lower bound for a target area
-// a over one bounding polygon (see InsertExceeds).
-type areaTest struct {
-	a, perCut float64
-}
-
-// newAreaTest returns the test for area a over bound: perCut is the
-// margin per cut of InsertExceeds' bound, from bound's bounding box.
-func newAreaTest(bound geom.Polygon, a float64) areaTest {
-	box := bound.BoundingRect()
-	r := max(math.Abs(box.Min.X), math.Abs(box.Max.X), math.Abs(box.Min.Y), math.Abs(box.Max.Y))
-	const ulp = 0x1p-52
-	return areaTest{a: a, perCut: 4*geom.Eps*box.Diagonal() + geom.Eps + 64*ulp*r*r}
-}
-
-// threshold is the area the bound must exceed with n sites to come.
-func (t areaTest) threshold(n int) float64 {
-	return t.a + 1e-9*t.a + float64(n+1)*t.perCut
-}
-
-// squareExceeds reports whether the convex polygon poly (of area
-// polyArea) clipped to the square of half-side √d2/(2√2) centred on
-// target has an area above threshold. The square's area is d2/2, so
-// the clip runs only when both it and the polygon could clear it.
-func (o *Order) squareExceeds(poly geom.Polygon, polyArea float64, target geom.Point, d2, threshold float64) bool {
-	if polyArea <= threshold || d2/2 <= threshold {
-		return false
-	}
-	h := math.Sqrt(d2) / (2 * math.Sqrt2)
-	// Clip in coordinates relative to the target, against x ≤ h, −x ≤ h,
-	// y ≤ h, −y ≤ h, ping-ponging between the two scratch buffers.
-	in := o.clip[0][:0]
-	for _, p := range poly {
-		in = append(in, p.Sub(target))
-	}
-	out := o.clip[1][:0]
-	for side := range 4 {
-		out = clipSquareSide(out[:0], in, side, h)
-		in, out = out, in
-	}
-	o.clip[0], o.clip[1] = in, out
-	return in.Area() > threshold
-}
-
-// clipSquareSide appends to dst the part of the convex polygon src on
-// the inner side of one side of the square [−h, h]²: side 0..3 keeps
-// x ≤ h, −x ≤ h, y ≤ h, −y ≤ h respectively (Sutherland–Hodgman, with
-// no tolerance: the bound is exact up to float rounding).
-func clipSquareSide(dst, src geom.Polygon, side int, h float64) geom.Polygon {
-	eval := func(p geom.Point) float64 {
-		switch side {
-		case 0:
-			return p.X - h
-		case 1:
-			return -p.X - h
-		case 2:
-			return p.Y - h
-		}
-		return -p.Y - h
-	}
-	n := len(src)
-	for i, a := range src {
-		b := src[(i+1)%n]
-		ea, eb := eval(a), eval(b)
-		if ea <= 0 {
-			dst = append(dst, a)
-		}
-		if (ea < 0 && eb > 0) || (ea > 0 && eb < 0) {
-			dst = append(dst, a.Lerp(b, ea/(ea-eb)))
-		}
-	}
-	return dst
+	return changed
 }
 
 // draw moves the nearest undrawn site to the end of the drawn prefix,

@@ -16,7 +16,9 @@ import (
 
 // LROptions configures Algorithm LR-LBS-AGG. The zero value enables no
 // error-reduction device (the §3.1 baseline, "LR-LBS-AGG-0"); the
-// DefaultLROptions constructor enables all of them ("LR-LBS-AGG").
+// DefaultLROptions constructor enables all four of §3.2 but weights
+// every tuple by its top-1 cell (FixedH = 1). The paper's full
+// "LR-LBS-AGG" is DefaultLROptions with FixedH = 0.
 type LROptions struct {
 	// UseK is how many of the service's returned tuples to exploit per
 	// sampled query (≤ the service's k). 0 means the service's k.
@@ -25,6 +27,10 @@ type LROptions struct {
 	// top-FixedH Voronoi cell (capped at UseK). 0 enables the adaptive
 	// per-tuple choice of §3.2.3 (which requires UseHistory to have
 	// any effect; without history the choice degenerates to h=1).
+	// DefaultLROptions sets 1: at a fixed query budget the adaptive
+	// choice loses to h = 1, because a top-h cell with h > 1 costs
+	// many more queries than its smaller variance saves
+	// (TestDefaultLRAtFixedBudget).
 	FixedH int
 	// Lambda0Frac is the λ0 threshold of the adaptive choice expressed
 	// as a fraction of the bounding-region area: the largest h whose
@@ -38,12 +44,6 @@ type LROptions struct {
 	// complex is bit for bit the faces below level m of the top-k
 	// complex (see the cell package's Levels section), so the choice
 	// and the seeded refinement are the ones the full top-k build gives.
-	// For a non-lead tuple even the top-1 cell is built only until an
-	// area lower bound proves λ_1 > λ0: the top-1 cell contains the
-	// region so far ∩ the square of half-side d/(2√2) around the tuple,
-	// d the distance of the next history site, and the proof must clear
-	// λ0·(1+1e-9) plus a per-site rounding margin (see chooseH). The
-	// lead tuple always contributes, so it still builds its whole cell.
 	Lambda0Frac float64
 	// FastInit enables the fake-tuple initialization of §3.2.1.
 	FastInit bool
@@ -89,10 +89,12 @@ type LROptions struct {
 	Seed int64
 }
 
-// DefaultLROptions returns the full LR-LBS-AGG configuration with all
-// four error-reduction devices enabled.
+// DefaultLROptions returns the LR-LBS-AGG configuration with all four
+// error-reduction devices enabled and h fixed at 1 (see FixedH); set
+// FixedH = 0 for the paper's adaptive choice of h.
 func DefaultLROptions(seed int64) LROptions {
 	return LROptions{
+		FixedH:        1,
 		FastInit:      true,
 		UseHistory:    true,
 		MonteCarlo:    true,
@@ -104,20 +106,16 @@ func DefaultLROptions(seed int64) LROptions {
 // LRStats counts the internal events of a run, for the efficiency
 // analyses of §3.2.
 type LRStats struct {
-	Samples         int
-	Cells           int   // Voronoi cells computed
-	VertexQueries   int64 // queries spent on vertex tests
-	SkippedByLower  int64 // vertex/trial queries avoided by the lower bound
-	MCFinishes      int   // cells finished by Monte-Carlo trials
-	MCTrials        int64 // total Monte-Carlo trials
-	FastInitQueries int64 // queries spent during fake-tuple initialization
-	EmptyAnswers    int   // sampled queries with empty answers (dmax)
-	DegenerateCells int   // cells whose region mass was ~0 (skipped)
-	AdaptiveHChosen map[int]int
-	// Top1Bounded counts the non-lead tuples (rank ≥ 1) whose h = 1 the
-	// top-1 area lower bound proved without a full top-1 build (see
-	// chooseH); each is also counted in AdaptiveHChosen[1].
-	Top1Bounded      int
+	Samples          int
+	Cells            int   // Voronoi cells computed
+	VertexQueries    int64 // queries spent on vertex tests
+	SkippedByLower   int64 // vertex/trial queries avoided by the lower bound
+	MCFinishes       int   // cells finished by Monte-Carlo trials
+	MCTrials         int64 // total Monte-Carlo trials
+	FastInitQueries  int64 // queries spent during fake-tuple initialization
+	EmptyAnswers     int   // sampled queries with empty answers (dmax)
+	DegenerateCells  int   // cells whose region mass was ~0 (skipped)
+	AdaptiveHChosen  map[int]int
 	MaxRoundsTripped int
 }
 
@@ -286,25 +284,6 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 // in-order sum of its face areas at count ≤ cand−1 (FaceAreaAtMost);
 // λ_k is the top-k complex's Area(), as AreaAtMost(k) reads it.
 //
-// A non-lead tuple (rank ≥ 1) at h = 1 needs only the answer to
-// "λ_1 > λ0?", not the cell, and most tuples' answer is yes. It is
-// settled from an area lower bound instead of the full top-1 build:
-// sites are consumed in distance order, so before a site at distance d
-// is consumed no later bisector enters the disk B(t, d/2), and the
-// finished top-1 cell contains the current region ∩ the axis-aligned
-// square of half-side d/(2√2) inscribed in it. One read-only scan for
-// the nearest history site applies the bound at d = d_nn to the whole
-// bound (cell.Order.NearestExceeds), skipping the Order's filter and
-// heapify when it settles the case; otherwise the top-1 build checks
-// the bound before each site it consumes and stops at the first proof
-// (cell.Order.InsertExceeds). A proof must clear λ0·(1+1e-9) plus a
-// margin per site still to come for what the computed build can lose
-// to Eps-tolerant cuts and float rounding (see InsertExceeds); a bound
-// inside the margin proves nothing and the build runs to completion,
-// bit for bit the full top-1 build, so every choice is unchanged.
-// Rank 0 still builds the whole cell: the lead tuple always
-// contributes (rank < h), so its seed complex is needed anyway.
-//
 // The levels change no result. Every build consumes the sites in one
 // distance order, a top-m build consumes a prefix of the top-k build's
 // sites, and the cuts beyond that prefix lie past the top-m pruning
@@ -331,17 +310,8 @@ func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	}
 	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
 	h = 1
-	sites := a.hist.Sites()
-	if rank > 0 && a.order.NearestExceeds(a.boundPoly, tLoc, sites, lambda0) {
-		return a.top1Bounded()
-	}
-	a.order.Reset(tLoc, sites)
-	seed := a.reset(1)
-	if rank == 0 {
-		a.order.Insert(seed)
-	} else if a.order.InsertExceeds(seed, lambda0) {
-		return a.top1Bounded()
-	}
+	a.order.Reset(tLoc, a.hist.Sites())
+	seed := a.level(1)
 	if seed.Area() <= lambda0 {
 		// Grow while every λ_cand the level gave was ≤ λ0 (h == m).
 		for m := 1; h == m && m < k; {
@@ -366,24 +336,9 @@ func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	return h, seed.WithK(h)
 }
 
-// top1Bounded records a non-lead tuple whose h = 1 the top-1 area
-// lower bound proved without a full build.
-func (a *LRAggregator) top1Bounded() (int, *cell.Complex) {
-	a.stats.Top1Bounded++
-	a.stats.AdaptiveHChosen[1]++
-	return 1, nil
-}
-
 // level rebuilds chooseH's reusable top-m complex from the history
 // sites in a.order.
 func (a *LRAggregator) level(m int) *cell.Complex {
-	c := a.reset(m)
-	a.order.Insert(c)
-	return c
-}
-
-// reset returns chooseH's reusable top-m complex, cut-free.
-func (a *LRAggregator) reset(m int) *cell.Complex {
 	c := a.levels[m]
 	if c == nil {
 		c = cell.New(a.boundPoly, m)
@@ -391,6 +346,7 @@ func (a *LRAggregator) reset(m int) *cell.Complex {
 	} else {
 		c.Reset()
 	}
+	a.order.Insert(c)
 	return c
 }
 

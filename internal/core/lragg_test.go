@@ -289,6 +289,7 @@ func TestLRAdaptiveHRecorded(t *testing.T) {
 	db := smallService2(200, 101)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	opts := DefaultLROptions(103)
+	opts.FixedH = 0
 	opts.Lambda0Frac = 0.05
 	agg := NewLRAggregator(svc, opts)
 	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150)); err != nil {

@@ -19,6 +19,7 @@ func TestLRStatsSnapshotIsolated(t *testing.T) {
 	db := smallService2(300, 101)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	opts := DefaultLROptions(7)
+	opts.FixedH = 0
 	opts.Lambda0Frac = 0.05
 	agg := NewLRAggregator(svc, opts)
 	ctx := context.Background()
@@ -45,23 +46,18 @@ func TestLRStatsSnapshotIsolated(t *testing.T) {
 
 // TestChooseHNoAllocs requires the adaptive-h rule to allocate nothing
 // on a warmed schools-50k aggregator when the tuple cannot contribute
-// (rank ≥ h): when the nearest-site scan alone proves λ_1 > λ0, when
-// the progressive top-1 lower bound proves it part way through the
-// build, when the full top-1 build is needed to decide, and when the
+// (rank ≥ h): when the top-1 build decides λ_1 > λ0, and when the
 // history complex grows past level 2. Every complex is rebuilt in its
-// reused storage and no seed is copied out. It also requires the run
-// to count its bounded tuples: some, and no more than its h = 1 tuples.
+// reused storage and no seed is copied out.
 func TestChooseHNoAllocs(t *testing.T) {
 	const k = 10
 	sc := workload.USASchools(50000, 7)
 	svc := lbs.NewService(sc.DB, lbs.Options{K: k})
-	agg := NewLRAggregator(svc, DefaultLROptions(1))
+	opts := DefaultLROptions(1)
+	opts.FixedH = 0
+	agg := NewLRAggregator(svc, opts)
 	if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(50)); err != nil {
 		t.Fatal(err)
-	}
-	st := agg.Stats()
-	if st.Top1Bounded <= 0 || st.Top1Bounded > st.AdaptiveHChosen[1] {
-		t.Errorf("Top1Bounded = %d, want in [1, AdaptiveHChosen[1] = %d]", st.Top1Bounded, st.AdaptiveHChosen[1])
 	}
 	lambda0 := agg.opts.Lambda0Frac * agg.bound.Area()
 	sites := agg.hist.Sites()
@@ -70,12 +66,10 @@ func TestChooseHNoAllocs(t *testing.T) {
 	// at rank 1 (rank k−1 for level growth), with the cell primitives it
 	// calls.
 	const (
-		preScan = iota
-		progressive
-		fullBuild
+		fullBuild = iota
 		growth
 	)
-	names := []string{"pre-scan bounded", "progressive bounded", "top1 full build", "level-growth"}
+	names := []string{"top1 full build", "level-growth"}
 	found := make(map[int]geom.Point)
 	var order cell.Order
 	top1 := cell.New(agg.boundPoly, 1)
@@ -88,13 +82,9 @@ func TestChooseHNoAllocs(t *testing.T) {
 		for _, r := range recs {
 			order.Reset(r.Loc, sites)
 			top1.Reset()
+			order.Insert(top1)
 			path := growth
-			switch {
-			case order.NearestExceeds(agg.boundPoly, r.Loc, sites, lambda0):
-				path = preScan
-			case order.InsertExceeds(top1, lambda0):
-				path = progressive
-			case top1.Area() > lambda0:
+			if top1.Area() > lambda0 {
 				path = fullBuild
 			}
 			if path == growth {
@@ -107,7 +97,6 @@ func TestChooseHNoAllocs(t *testing.T) {
 			}
 		}
 	}
-	bounded := agg.stats.Top1Bounded
 	for path := range names {
 		loc, ok := found[path]
 		if !ok {
@@ -126,9 +115,5 @@ func TestChooseHNoAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: chooseH allocated %v times per call, want 0", names[path], allocs)
 		}
-		if b := agg.stats.Top1Bounded; (b > bounded) != (path <= progressive) {
-			t.Errorf("%s: Top1Bounded went from %d to %d", names[path], bounded, b)
-		}
-		bounded = agg.stats.Top1Bounded
 	}
 }

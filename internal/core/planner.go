@@ -43,15 +43,17 @@ const (
 	MethodNNO  = "nno"  // LR-LBS-NNO baseline (biased; only when forced)
 )
 
-// Per-sample query-cost model (heuristic constants, not measurements):
-// enough to rank methods per group and to convert a query budget into
-// sample quotas before any samples have been observed. After the first
-// checkpoint Execute replaces the model with the group's observed
-// queries/sample.
+// Per-sample query-cost model: enough to rank methods per group and to
+// convert a query budget into sample quotas before any samples have
+// been observed. After the first checkpoint Execute replaces the model
+// with the group's observed queries/sample. costLR is a measurement;
+// the others are heuristic constants.
 const (
-	// costLR: one seed query plus the amortized cell-computation
-	// confirmations of §3 (history reuse keeps the amortized cost low).
-	costLR = 6.0
+	// costLR: one seed query plus the confirmations of the top-1 cell
+	// (DefaultLROptions, h = 1), measured at the estimate-lr shape
+	// (USASchools-50k, k = 10, 4 shards): six seeded 600-query jobs
+	// drew 20–24 samples each, 25–30 queries per sample.
+	costLR = 25.0
 	// costLNR: the §4 bisector searches to pin the sample's cell.
 	costLNR = 24.0
 	// costLNRLocalize: the §4.3 localization surcharge per sample for
@@ -310,9 +312,9 @@ func chooseMethod(forced string, rankOnly, needsLoc bool) (string, float64, erro
 	case MethodLNR, MethodNNO:
 		return forced, cost(forced), nil
 	}
-	// Auto: LR when locations are returned, LNR otherwise. The modeled
-	// costs encode why: costLR < costLNR, and NNO's bias keeps it out
-	// of auto plans entirely.
+	// Auto: LR when locations are returned, LNR otherwise: LR reads the
+	// locations LNR has to search for, and NNO's bias keeps it out of
+	// auto plans entirely.
 	if rankOnly {
 		return MethodLNR, cost(MethodLNR), nil
 	}

@@ -241,7 +241,16 @@ type AlgoSpec struct {
 
 // lrSpec returns the full LR-LBS-AGG spec.
 func lrSpec() AlgoSpec {
-	return AlgoSpec{Name: "LR-LBS-AGG", Kind: AlgoLR, LR: core.DefaultLROptions(0)}
+	return AlgoSpec{Name: "LR-LBS-AGG", Kind: AlgoLR, LR: paperLROptions(0)}
+}
+
+// paperLROptions returns the paper's full LR-LBS-AGG configuration: the
+// library default with the adaptive choice of h (§3.2.3) in place of
+// its fixed h = 1.
+func paperLROptions(seed int64) core.LROptions {
+	o := core.DefaultLROptions(seed)
+	o.FixedH = 0
+	return o
 }
 
 // lnrSpec returns the LNR-LBS-AGG spec.

@@ -312,3 +312,50 @@ func TestFig17Table1Pinned(t *testing.T) {
 		t.Errorf("table1 rows:\n got %+v\nwant %+v", rows, wantRows)
 	}
 }
+
+// TestFig19Fig20Pinned pins the two figures that compare adaptive h
+// with fixed h bit for bit: every series at tinyCfg, and the LR series
+// at Quick scale too, because at tinyCfg the adaptive rule picks h = 1
+// for every tuple. Their LR rows set FixedH explicitly (adaptive through
+// lrSpec), so the library's default h must not move them.
+func TestFig19Fig20Pinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		run  func(context.Context, Config) (*Figure, error)
+		want map[string][]float64
+	}{
+		{tinyCfg(), Fig19, map[string][]float64{
+			"LR-LBS-AGG":  {1808, 2341.5, 2512, 1808},
+			"LNR-LBS-AGG": {2677, 4616.5, 2716.5, 2677},
+		}},
+		{tinyCfg(), Fig20, map[string][]float64{
+			"LR-LBS-AGG-0": {2260, 2390.5, 2505, 2505, 2505, 2505, 2505},
+			"LR-LBS-AGG-1": {2230, 2356.5, 2510.5, 2510.5, 2510.5, 2510.5, 2510.5},
+			"LR-LBS-AGG-2": {1096.5, 1224.5, 1530.5, 1966, 2326, 2501, 2501},
+			"LR-LBS-AGG-3": {933, 1021, 1150.5, 1326, 1889, 2165, 2500},
+			"LR-LBS-AGG":   {168.5, 179.5, 202.5, 428, 933.5, 1808, 2504.5},
+		}},
+		{Quick(), Fig19, map[string][]float64{
+			"LR-LBS-AGG": {3499.3333333333335, 3815.6666666666665, 4022.3333333333335, 4094.3333333333335, 4213.666666666667, 4011.6666666666665},
+		}},
+		{Quick(), Fig20, map[string][]float64{
+			"LR-LBS-AGG-2": {926.6666666666666, 1073.6666666666667, 1239, 1826, 2407.6666666666665, 3722.3333333333335, 3808.3333333333335},
+			"LR-LBS-AGG-3": {1068, 1395.3333333333333, 1525.6666666666667, 2126.6666666666665, 3087, 3881.6666666666665, 3957.6666666666665},
+			"LR-LBS-AGG":   {349, 546.3333333333334, 716.6666666666666, 945.3333333333334, 2821.3333333333335, 4011.6666666666665, 4011.6666666666665},
+		}},
+	} {
+		fig, err := tc.run(context.Background(), tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string][]float64, len(fig.Series))
+		for _, s := range fig.Series {
+			got[s.Name] = s.Y
+		}
+		for name, want := range tc.want {
+			if !reflect.DeepEqual(got[name], want) {
+				t.Errorf("%s (N = %d) %s: %v, want %v", fig.ID, tc.cfg.N, name, got[name], want)
+			}
+		}
+	}
+}

@@ -261,7 +261,7 @@ func Fig20(ctx context.Context, cfg Config) (*Figure, error) {
 		{Name: "LR-LBS-AGG-1", Kind: AlgoLR, LR: core.LROptions{FixedH: 1, FastInit: true}},
 		{Name: "LR-LBS-AGG-2", Kind: AlgoLR, LR: core.LROptions{FixedH: 1, FastInit: true, UseHistory: true}},
 		{Name: "LR-LBS-AGG-3", Kind: AlgoLR, LR: core.LROptions{FastInit: true, UseHistory: true}},
-		{Name: "LR-LBS-AGG", Kind: AlgoLR, LR: core.DefaultLROptions(0)},
+		{Name: "LR-LBS-AGG", Kind: AlgoLR, LR: paperLROptions(0)},
 	}
 	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
 		"fig20", "Query savings of error-reduction strategies (cumulative)",

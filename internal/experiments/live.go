@@ -79,8 +79,7 @@ func LiveChurn(ctx context.Context, cfg Config) (*Figure, error) {
 				popSum += float64(d.Len())
 				popN++
 			}
-			lrOpts := core.DefaultLROptions(seed)
-			res, err := core.NewLRAggregator(d, lrOpts).Run(ctx, []core.Aggregate{count},
+			res, err := core.NewLRAggregator(d, paperLROptions(seed)).Run(ctx, []core.Aggregate{count},
 				core.WithMaxQueries(cfg.Budget), core.WithProgress(progress))
 			if err != nil {
 				return nil, fmt.Errorf("live churn rate %g run %d: %w", rate, r, err)

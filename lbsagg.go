@@ -762,7 +762,8 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 	return core.NewLRAggregator(svc, opts)
 }
 
-// DefaultLROptions enables all four error-reduction devices of §3.2.
+// DefaultLROptions enables all four error-reduction devices of §3.2
+// with h fixed at 1; set FixedH = 0 for the paper's adaptive h.
 func DefaultLROptions(seed int64) LROptions { return core.DefaultLROptions(seed) }
 
 // NewLNRAggregator builds the rank-only estimator.
