@@ -38,10 +38,15 @@ examples:
 # race-checks the LNR cell search's lockstep lanes (coroutines sharing
 # one cell) and their batched-versus-serial identity. The third checks
 # that concurrent batch answers never share a pooled response buffer.
+# The fourth race-checks the federation router, whose in-process
+# members run on the callers' goroutines: concurrent batches against
+# one budget, concurrent degraded batches, and bit identity with a
+# single service (about 55 s on 2 cores).
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
 	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
+	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the

@@ -498,6 +498,19 @@ type Querier interface {
 	QueryCount() int64
 }
 
+// NonBlocking marks a Querier that answers from memory on the
+// caller's goroutine and never waits: no I/O, no sleep, no wait on
+// another goroutine. A composite front (the federation Router) calls
+// such a member inline rather than behind a deadline goroutine, since
+// it cannot wedge. A wrapper implements it only if it cannot block
+// either; those that can (a network client, a fault injector, a
+// coalescing cache) do not, and stay on the deadline path. The check
+// is a plain type assertion, never a wrapper-chain walk.
+type NonBlocking interface {
+	Querier
+	NeverBlocks()
+}
+
 // Wrapper is implemented by queriers that decorate a single inner
 // Querier (ScopedQuerier, CachedOracle). Observers walk wrapper chains
 // through it (Find, Walk). Multi-child compositions (a federation
@@ -603,7 +616,12 @@ func (p promSorter) Less(a, b int) bool {
 }
 func (p promSorter) Swap(a, b int) { p[a], p[b] = p[b], p[a] }
 
-var _ Querier = (*Service)(nil)
+var _ NonBlocking = (*Service)(nil)
+
+// NeverBlocks implements NonBlocking: a query is a k-d tree search
+// over memory, and the meter's rate limiter advances a virtual clock
+// instead of sleeping.
+func (s *Service) NeverBlocks() {}
 
 // NewService creates a service view. It panics on invalid options
 // (K < 1, negative radius or overfetch) — misconfiguration, not a

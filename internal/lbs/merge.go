@@ -56,7 +56,19 @@ func (o Options) RankDist(q geom.Point, rec *LRRecord) float64 {
 // Service.QueryLR returns when the source's K is the caller's
 // CandidateCount; sources must hold pairwise-disjoint tuple sets.
 // norm must be normalized (Options.Normalized).
+//
+// A sole non-nil list under distance rank is already the answer's
+// order, so its top K comes back as a capacity-capped subslice of the
+// list itself, without a copy; like every query answer, the result is
+// shared and must be treated as immutable. A nil list takes the
+// general path, which answers a non-nil empty slice, because batch
+// callers read a nil answer as unanswered.
 func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
+	if len(lists) == 1 && lists[0] != nil && norm.Rank != RankByProminence {
+		l := lists[0]
+		k := min(len(l), norm.K)
+		return l[:k:k]
+	}
 	type cand struct {
 		rec  LRRecord
 		dist float64

@@ -52,6 +52,13 @@ func (d *Database) answerLR(ctx context.Context, s *snapshot, q geom.Point, filt
 	return lbs.MergeRanked(q, d.opts, baseRecs, deltaRecs), nil
 }
 
+var _ lbs.NonBlocking = (*Database)(nil)
+
+// NeverBlocks implements lbs.NonBlocking: a read resolves one atomic
+// snapshot and queries in-memory services; it never takes the
+// mutation lock.
+func (d *Database) NeverBlocks() {}
+
 // QueryLR implements lbs.Querier.
 func (d *Database) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {
 	if err := d.meter.Charge(ctx); err != nil {

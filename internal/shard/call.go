@@ -83,25 +83,22 @@ type attemptResult[T any] struct {
 	err error
 }
 
-// attempt runs f once against member si under the ShardTimeout
-// deadline, hedging a duplicate request (to the Replica when the
-// shard has one, else the same member) once the attempt outlives the
-// shard's recent latency quantile. The first success wins; a wedged
-// or silent member costs at most the deadline. f must honor its
-// context on remote transports; members that ignore it merely keep a
-// goroutine grinding until they answer — the caller is unblocked at
-// the deadline either way, which is the wedge guarantee.
+// attempt runs f once against member si. A member that cannot block
+// (lbs.NonBlocking, e.g. an in-process *lbs.Service) runs inline on
+// the caller's goroutine with no deadline, unless a hedge is armed.
+// Any other member runs under the ShardTimeout deadline, hedging a
+// duplicate request (to the Replica when the shard has one, else the
+// same member) once the attempt outlives the shard's recent latency
+// quantile. The first success wins; a wedged or silent member costs
+// at most the deadline. f must honor its context on remote
+// transports; members that ignore it merely keep a goroutine grinding
+// until they answer — the caller is unblocked at the deadline either
+// way, which is the wedge guarantee.
 func attempt[T any](r *Router, ctx context.Context, si int, probe bool,
 	f func(ctx context.Context, q lbs.Querier) (T, error)) (T, error) {
 
 	var zero T
 	h := r.health[si]
-	cctx := ctx
-	if r.res.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, r.res.ShardTimeout)
-		defer cancel()
-	}
 
 	var hedgeC <-chan time.Time
 	if !probe && r.res.HedgeQuantile > 0 {
@@ -115,15 +112,22 @@ func attempt[T any](r *Router, ctx context.Context, si int, probe bool,
 		}
 	}
 
-	// No deadline and no hedge: call inline, zero goroutines — the
-	// clean fast path stays allocation-identical to the old scatter.
-	if r.res.ShardTimeout <= 0 && hedgeC == nil {
+	// A member that cannot block, or no deadline, and no hedge: call
+	// inline, with no goroutine, timer or channel. This path allocates
+	// exactly what the zero-Resilience scatter does.
+	if (r.inline[si] || r.res.ShardTimeout <= 0) && hedgeC == nil {
 		t0 := time.Now()
-		v, err := f(cctx, r.shards[si].Querier)
+		v, err := f(ctx, r.shards[si].Querier)
 		h.observe(time.Since(t0))
 		return v, err
 	}
 
+	cctx := ctx
+	if r.res.ShardTimeout > 0 {
+		var cancel context.CancelFunc
+		cctx, cancel = context.WithTimeout(ctx, r.res.ShardTimeout)
+		defer cancel()
+	}
 	ch := make(chan attemptResult[T], 2)
 	run := func(q lbs.Querier) {
 		t0 := time.Now()

@@ -193,6 +193,69 @@ func TestShardTimeoutBoundsWedgedMember(t *testing.T) {
 	}
 }
 
+// stuck wraps an in-process member without forwarding lbs.NonBlocking
+// and ignores its context: every query blocks until release is closed.
+// It is the member the inline path must never run on the caller's
+// goroutine.
+type stuck struct {
+	lbs.Querier
+	release chan struct{}
+}
+
+func (s *stuck) QueryLR(ctx context.Context, q geom.Point, f lbs.Filter) ([]lbs.LRRecord, error) {
+	<-s.release
+	return s.Querier.QueryLR(ctx, q, f)
+}
+
+// TestDeadlineBoundsUnmarkedMemberIgnoringContext pins that only
+// lbs.NonBlocking members skip the ShardTimeout deadline: a member
+// behind a wrapper that does not forward the marker, and that ignores
+// its context, still costs at most the deadline. As a non-owner it
+// degrades the answer; as the owner it fails with ErrOwnerDown
+// wrapping ErrShardTimeout. Its sibling, a bare service, is a marked
+// member.
+func TestDeadlineBoundsUnmarkedMemberIgnoringContext(t *testing.T) {
+	db := workload.USASchools(40, 81).DB
+	parts := Partition(db, 2)
+	// K above the per-shard tuple count keeps the stuck sibling
+	// relevant to every query (see TestShardTimeoutBoundsWedgedMember).
+	opts := lbs.Options{K: 25}
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	mk := func() *Router {
+		res := testResilience()
+		res.ShardTimeout = 75 * time.Millisecond
+		router, err := NewRouterWithResilience([]Shard{
+			{Querier: lbs.NewService(parts[0], opts), Region: parts[0].Bounds()},
+			{Querier: &stuck{Querier: lbs.NewService(parts[1], opts), release: release}, Region: parts[1].Bounds()},
+		}, opts, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return router
+	}
+	ctx := context.Background()
+	const limit = 2 * time.Second // the deadline plus generous CI slack
+
+	start := time.Now()
+	recs, err := mk().QueryLR(ctx, interiorPoint(parts[0]), nil)
+	if elapsed := time.Since(start); elapsed > limit {
+		t.Fatalf("stuck non-owner stalled the query for %v", elapsed)
+	}
+	if pe, ok := lbs.AsPartial(err); !ok || len(recs) == 0 || pe.Missing == 0 || !errors.Is(err, ErrShardTimeout) {
+		t.Fatalf("want a partial answer timed out on the stuck member, got %d recs, %v", len(recs), err)
+	}
+
+	start = time.Now()
+	_, err = mk().QueryLR(ctx, interiorPoint(parts[1]), nil)
+	if elapsed := time.Since(start); elapsed > limit {
+		t.Fatalf("stuck owner stalled the query for %v", elapsed)
+	}
+	if !errors.Is(err, ErrOwnerDown) || !errors.Is(err, ErrShardTimeout) {
+		t.Fatalf("want OwnerDown wrapping ShardTimeout, got %v", err)
+	}
+}
+
 // TestBreakerLifecycle drives one member through the full circuit:
 // closed → (kill + failed call) open → routed-around degraded answers
 // → half-open after the cooldown → (revive + successful probe) closed

@@ -18,9 +18,12 @@ import (
 // NewRouter applies DefaultResilience; NewRouterWithResilience takes
 // an explicit one.
 type Resilience struct {
-	// ShardTimeout bounds each member subquery (one attempt,
-	// including all its hedges). A wedged member costs at most this
-	// long before it is treated as failed. 0 = no deadline.
+	// ShardTimeout bounds waiting on each member subquery that can
+	// block (one attempt, including all its hedges): a wedged member
+	// costs at most this long before it is treated as failed.
+	// In-process members (lbs.NonBlocking) cannot wedge; they answer
+	// inline on the caller's goroutine, outside the deadline, unless
+	// a hedge is armed. 0 = no deadline.
 	ShardTimeout time.Duration
 
 	// MaxRetries re-issues a member call up to this many extra times

@@ -134,6 +134,9 @@ type Router struct {
 
 	meter  *lbs.Meter
 	health []*shardHealth
+	// inline[i] reports that shard i's member is lbs.NonBlocking: its
+	// calls run on the caller's goroutine (see attempt).
+	inline []bool
 	rng    *lockedRand
 
 	fanout  atomic.Int64
@@ -189,13 +192,16 @@ func NewRouterWithResilience(shards []Shard, opts lbs.Options, res Resilience) (
 		bounds.Max.Y = math.Max(bounds.Max.Y, sh.Region.Max.Y)
 	}
 	health := make([]*shardHealth, len(shards))
-	for i := range health {
+	inline := make([]bool, len(shards))
+	for i, sh := range shards {
 		health[i] = &shardHealth{}
+		_, inline[i] = sh.Querier.(lbs.NonBlocking)
 	}
 	return &Router{
 		shards: shards, opts: norm, res: res, want: want, bounds: bounds,
 		meter:  lbs.NewMeter(norm.Budget, norm.Limiter),
 		health: health,
+		inline: inline,
 		rng:    newLockedRand(res.Seed),
 	}, nil
 }
@@ -351,20 +357,21 @@ func (r *Router) selectTop(q geom.Point, lists ...[]lbs.LRRecord) []lbs.LRRecord
 }
 
 // fanOutAll runs one subquery per target shard — concurrently when
-// there is more than one target, since remote members each pay a
-// network round-trip and the merge is completion-order independent
-// (selectTop imposes the total (dist, ID) order). Results and errors
-// come back index-aligned with targets; the caller classifies each
-// failure instead of the first error winning. Members are required to
-// be safe for concurrent use (the lbs.Querier contract).
-func fanOutAll[T any](targets []int, f func(j, si int) (T, error)) ([]T, []error) {
+// there is more than one target and seq is false, since remote members
+// each pay a network round-trip and the merge is completion-order
+// independent (selectTop imposes the total (dist, ID) order). With seq
+// set the subqueries run one after another on the caller's goroutine.
+// Results and errors come back index-aligned with targets; the caller
+// classifies each failure instead of the first error winning. Members
+// are required to be safe for concurrent use (the lbs.Querier
+// contract).
+func fanOutAll[T any](targets []int, seq bool, f func(j, si int) (T, error)) ([]T, []error) {
 	out := make([]T, len(targets))
 	errs := make([]error, len(targets))
-	switch len(targets) {
-	case 0:
-		return out, errs
-	case 1:
-		out[0], errs[0] = f(0, targets[0])
+	if seq || len(targets) <= 1 {
+		for j, si := range targets {
+			out[j], errs[j] = f(j, si)
+		}
 		return out, errs
 	}
 	var wg sync.WaitGroup
@@ -377,6 +384,18 @@ func fanOutAll[T any](targets []int, f func(j, si int) (T, error)) ([]T, []error
 	}
 	wg.Wait()
 	return out, errs
+}
+
+// allInline reports whether every target shard's member runs inline
+// (lbs.NonBlocking), so a single-point fan-out gains nothing from
+// running them concurrently.
+func (r *Router) allInline(targets []int) bool {
+	for _, si := range targets {
+		if !r.inline[si] {
+			return false
+		}
+	}
+	return true
 }
 
 // queryMember is the single-point member call: one subquery through
@@ -439,7 +458,7 @@ func (r *Router) scatterOne(ctx context.Context, q geom.Point, filter lbs.Filter
 		probes = append(probes, probe)
 		inBall = append(inBall, ball)
 	}
-	answers, errs := fanOutAll(targets, func(j, si int) ([]lbs.LRRecord, error) {
+	answers, errs := fanOutAll(targets, r.allInline(targets), func(j, si int) ([]lbs.LRRecord, error) {
 		return r.queryMember(ctx, si, probes[j], q, filter)
 	})
 	for j := range targets {
@@ -641,7 +660,7 @@ func (r *Router) shardBatches(ctx context.Context, pts []geom.Point, filter lbs.
 			targets = append(targets, si)
 		}
 	}
-	answers, errs := fanOutAll(targets, func(j, si int) ([][]lbs.LRRecord, error) {
+	answers, errs := fanOutAll(targets, false, func(j, si int) ([][]lbs.LRRecord, error) {
 		probe := probes != nil && probes[si]
 		return memberCall(r, ctx, si, probe, func(c context.Context, mq lbs.Querier) ([][]lbs.LRRecord, error) {
 			positions := group[si]
