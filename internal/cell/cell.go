@@ -45,17 +45,25 @@
 // per-complex free list, faces are double-buffered across AddCut
 // passes, and each face caches its bounding box and area so cuts that
 // cannot touch a face are rejected in O(1) without splitting. Steady-
-// state insertion (and Reset + re-insertion) performs no heap
-// allocation. The flip side of recycling is aliasing: slices returned
-// by Faces() — including the face polygons themselves — are valid only
-// until the next mutating call (AddCut, ReplaceCut, InsertSites,
-// Reset); callers that need longer-lived views must copy.
+// state insertion (and Reset or ResetK + re-insertion) performs no heap
+// allocation. A complex is also recycled whole: WithKInto copies the
+// top-h faces of one complex into another complex's face buffers, free
+// list and cut map (WithK is WithKInto into a new complex), so a caller
+// that keeps spare complexes copies seeds without allocating; and
+// AppendVertices writes the vertex set into the caller's buffer,
+// deduplicating in place through a pooled grid index. The flip side of
+// recycling is aliasing: slices returned by Faces() — including the
+// face polygons themselves — are valid only until the next mutating
+// call (AddCut, ReplaceCut, InsertSites, Reset, ResetK, or WithKInto
+// into the complex); callers that need longer-lived views must copy.
 package cell
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -196,10 +204,18 @@ func (c *Complex) freePoly(p geom.Polygon) {
 // retaining all allocated capacity (cut map buckets, face buffers,
 // polygon free list, site scratch), so repeated build/reset cycles on
 // one complex are allocation-free in steady state.
-func (c *Complex) Reset() {
+func (c *Complex) Reset() { c.ResetK(c.k) }
+
+// ResetK is Reset that also makes the complex a top-k one: the result
+// is New(c.Bound(), k) in c's recycled storage.
+func (c *Complex) ResetK(k int) {
+	if k < 1 {
+		panic("cell: k must be ≥ 1")
+	}
 	for i := range c.faces {
 		c.freePoly(c.faces[i].Poly)
 	}
+	c.k = k
 	clear(c.cuts)
 	p := append(c.allocPoly()[:0], c.bound...)
 	f := newFace(p, 0)
@@ -519,12 +535,17 @@ func (c *Complex) Faces() []Face { return c.faces }
 // interior vertex either confirms known tuples or reveals an unseen
 // tuple, both of which keep the loop sound — it only costs extra
 // queries (and is exactly what makes k>1 concavity handling uniform).
-func (c *Complex) Vertices() []geom.Point {
-	var pts []geom.Point
+func (c *Complex) Vertices() []geom.Point { return c.AppendVertices(nil) }
+
+// AppendVertices appends the vertex set Vertices returns to dst and
+// returns the extended slice. A caller that passes the same buffer back
+// each round (dst[:0]) reaches a steady state with no allocation.
+func (c *Complex) AppendVertices(dst []geom.Point) []geom.Point {
+	start := len(dst)
 	for _, f := range c.faces {
-		pts = append(pts, f.Poly...)
+		dst = append(dst, f.Poly...)
 	}
-	return dedupePoints(pts, 1e-7)
+	return dst[:start+len(dedupePoints(dst[start:], 1e-7))]
 }
 
 // BoundaryVertices returns only vertices lying on the outer boundary of
@@ -593,70 +614,85 @@ func (c *Complex) MaxDistFrom(p geom.Point) float64 {
 // membership (h ≤ the receiver's k): the faces with count ≤ h−1. Used
 // by the adaptive variance-reduction device (§3.2.3), which evaluates
 // all candidate top-h cells from one history-derived top-k subdivision
-// and then continues refinement at the chosen h.
-func (c *Complex) WithK(h int) *Complex {
-	if h >= c.k {
-		return c.Clone()
-	}
+// and then continues refinement at the chosen h. For h ≥ k it is Clone.
+func (c *Complex) WithK(h int) *Complex { return c.WithKInto(new(Complex), h) }
+
+// WithKInto is WithK written into dst, which it returns: dst's previous
+// contents are discarded, and its face buffers, polygon free list and
+// cut map are reused, so a dst recycled across calls makes the copy
+// without allocation in steady state. dst must not be c.
+func (c *Complex) WithKInto(dst *Complex, h int) *Complex {
 	if h < 1 {
 		panic("cell: WithK h must be ≥ 1")
 	}
-	out := &Complex{
-		k:     h,
-		bound: c.bound.Clone(),
-		cuts:  make(map[int64]geom.Line, len(c.cuts)),
+	if dst == c {
+		panic("cell: WithKInto into its own receiver")
 	}
-	for k, l := range c.cuts {
-		out.cuts[k] = l
+	for i := range dst.faces {
+		dst.freePoly(dst.faces[i].Poly)
 	}
+	dst.k = min(h, c.k)
+	dst.bound = append(dst.bound[:0], c.bound...)
+	if dst.cuts == nil {
+		dst.cuts = make(map[int64]geom.Line, len(c.cuts))
+	} else {
+		clear(dst.cuts)
+	}
+	maps.Copy(dst.cuts, c.cuts)
+	dst.faces = dst.faces[:0]
+	dst.cachedArea = 0
 	for _, f := range c.faces {
-		if f.Count <= h-1 {
-			nf := f
-			nf.Poly = f.Poly.Clone()
-			out.faces = append(out.faces, nf)
-			out.cachedArea += nf.area
+		if f.Count <= dst.k-1 {
+			f.Poly = append(dst.allocPoly()[:0], f.Poly...)
+			dst.faces = append(dst.faces, f)
+			dst.cachedArea += f.area
 		}
 	}
-	return out
+	if h >= c.k {
+		dst.cachedArea = c.cachedArea // a clone keeps the incremental sum
+	}
+	return dst
 }
 
 // Clone returns a deep copy of the complex (recycled-storage pools are
 // not shared; the clone starts with empty ones).
-func (c *Complex) Clone() *Complex {
-	out := &Complex{
-		k:          c.k,
-		bound:      c.bound.Clone(),
-		faces:      make([]Face, len(c.faces)),
-		cuts:       make(map[int64]geom.Line, len(c.cuts)),
-		cachedArea: c.cachedArea,
-	}
-	for i, f := range c.faces {
-		out.faces[i] = f
-		out.faces[i].Poly = f.Poly.Clone()
-	}
-	for k, l := range c.cuts {
-		out.cuts[k] = l
-	}
-	return out
+func (c *Complex) Clone() *Complex { return c.WithK(c.k) }
+
+// gridKey is a rounding bucket of dedupePoints' grid.
+type gridKey struct{ x, y int64 }
+
+// dedupeIndex is dedupePoints' reusable grid: head maps a bucket to the
+// last point kept in it, next links each kept point to the one kept in
+// its bucket before it (−1 ends the chain).
+type dedupeIndex struct {
+	head map[gridKey]int32
+	next []int32
 }
 
-// dedupePoints removes near-duplicate points using a rounding grid of
-// the given tolerance plus pairwise confirmation within each bucket.
+// dedupePool holds dedupePoints' grids, package-wide like orderPool, so
+// complexes built once (LNR cells, one-shot callers) reuse them too.
+var dedupePool = sync.Pool{New: func() any { return &dedupeIndex{head: make(map[gridKey]int32)} }}
+
+// dedupePoints removes near-duplicate points in place, keeping first
+// occurrences in order, and returns the kept prefix of pts. A point is
+// dropped when a kept point in the 3×3 neighborhood of its rounding
+// bucket (so points straddling a bucket boundary still match) lies
+// within tol of it.
 func dedupePoints(pts []geom.Point, tol float64) []geom.Point {
-	type key struct{ x, y int64 }
-	seen := make(map[key][]geom.Point, len(pts))
-	var out []geom.Point
+	ix := dedupePool.Get().(*dedupeIndex)
+	clear(ix.head)
+	ix.next = ix.next[:0]
+	n := 0
 	for _, p := range pts {
-		// Check the 3×3 neighborhood of rounding buckets so points
-		// straddling a bucket boundary still match.
 		kx := int64(math.Floor(p.X / tol))
 		ky := int64(math.Floor(p.Y / tol))
 		dup := false
 	outer:
 		for dx := int64(-1); dx <= 1; dx++ {
 			for dy := int64(-1); dy <= 1; dy++ {
-				for _, q := range seen[key{kx + dx, ky + dy}] {
-					if p.ApproxEq(q, tol) {
+				j, ok := ix.head[gridKey{kx + dx, ky + dy}]
+				for ; ok && j >= 0; j = ix.next[j] {
+					if p.ApproxEq(pts[j], tol) {
 						dup = true
 						break outer
 					}
@@ -664,9 +700,17 @@ func dedupePoints(pts []geom.Point, tol float64) []geom.Point {
 			}
 		}
 		if !dup {
-			seen[key{kx, ky}] = append(seen[key{kx, ky}], p)
-			out = append(out, p)
+			key := gridKey{kx, ky}
+			prev, ok := ix.head[key]
+			if !ok {
+				prev = -1
+			}
+			ix.head[key] = int32(n)
+			ix.next = append(ix.next, prev)
+			pts[n] = p
+			n++
 		}
 	}
-	return out
+	dedupePool.Put(ix)
+	return pts[:n]
 }

@@ -17,23 +17,24 @@ import (
 // seeded run feeds the cell builds (cell.Order, cell.InsertSites) the
 // same site sequence every time (heap tie-breaking among equidistant
 // sites never depends on map iteration order), and Sites hands that
-// slice out without a copy.
+// slice out without a copy. The ID index maps each tuple to its
+// position in that slice.
 type History struct {
-	locs  map[int64]geom.Point
+	index map[int64]int32
 	sites []cell.Site // every observed tuple, in observation order
 }
 
 // NewHistory returns an empty history.
 func NewHistory() *History {
-	return &History{locs: make(map[int64]geom.Point)}
+	return &History{index: make(map[int64]int32)}
 }
 
 // Observe records a tuple sighting and reports whether it was new.
 func (h *History) Observe(id int64, loc geom.Point) bool {
-	if _, ok := h.locs[id]; ok {
+	if _, ok := h.index[id]; ok {
 		return false
 	}
-	h.locs[id] = loc
+	h.index[id] = int32(len(h.sites))
 	h.sites = append(h.sites, cell.Site{Key: id, Loc: loc})
 	return true
 }
@@ -43,8 +44,11 @@ func (h *History) Len() int { return len(h.sites) }
 
 // Loc returns the recorded location of a tuple.
 func (h *History) Loc(id int64) (geom.Point, bool) {
-	p, ok := h.locs[id]
-	return p, ok
+	i, ok := h.index[id]
+	if !ok {
+		return geom.Point{}, false
+	}
+	return h.sites[i].Loc, true
 }
 
 // Sites returns every observed tuple as a cell site, in observation

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/cell"
 	"repro/internal/geom"
@@ -120,6 +121,14 @@ type LRStats struct {
 }
 
 // LRAggregator implements Algorithm LR-LBS-AGG (Algorithm 5).
+//
+// A sample's working set (the history ordering and level complexes of
+// chooseH, the seed and region complexes of computeWeight and fastInit,
+// and the site, vertex, answer and confirmation buffers) is an
+// lrScratch that Step takes from a package pool and gives back when it
+// returns, so it lives on across samples, aggregators and jobs: in
+// steady state a sample allocates little beyond the oracle's answers
+// and the history's growth.
 type LRAggregator struct {
 	svc   Oracle
 	opts  LROptions
@@ -132,12 +141,89 @@ type LRAggregator struct {
 	boundPoly geom.Polygon
 	stats     LRStats
 	vtol      float64 // vertex quantization tolerance
+	// s is the scratch set held from its first use in a Step (or a
+	// direct chooseH call) until Step returns; nil in between.
+	s *lrScratch
+}
+
+// lrScratch is the LR sample loop's reusable working set. Its
+// complexes are built over bound; a scratch set taken by an aggregator
+// with another bound polygon drops them (see fit).
+type lrScratch struct {
+	bound geom.Polygon
 	// order is the history sites in distance order around chooseH's
 	// current tuple, shared by that tuple's level builds; levels[m] is
 	// the reusable top-m history complex (nil until first used;
 	// levels[0] stays nil).
 	order  cell.Order
 	levels []*cell.Complex
+	// spares are complexes free to become a seed (WithKInto) or a
+	// region (ResetK); seeds[i] is the seed chooseH handed over for
+	// rank i, and hs[i] its h.
+	spares []*cell.Complex
+	seeds  []*cell.Complex
+	hs     []int
+	// answer holds the sampled query's answer and probe the latest
+	// vertex or trial answer, when the oracle's order had to be copied
+	// to be re-sorted (see query).
+	answer, probe []lbs.LRRecord
+	sites         []cell.Site
+	verts         []geom.Point
+	disks         []geom.Circle
+	confirmed     map[vkey]bool
+}
+
+var lrScratchPool = sync.Pool{New: func() any {
+	return &lrScratch{confirmed: make(map[vkey]bool)}
+}}
+
+// fit readies s for an aggregator over bound with k-tuple answers.
+func (s *lrScratch) fit(bound geom.Polygon, k int) {
+	if !slices.Equal(s.bound, bound) {
+		s.bound = append(s.bound[:0], bound...)
+		s.levels, s.spares = nil, nil
+	}
+	if n := k + 1 - len(s.levels); n > 0 {
+		s.levels = append(s.levels, make([]*cell.Complex, n)...)
+	}
+}
+
+// region returns a spare complex reset to a cut-free top-h region, as
+// cell.New(s.bound, h) builds it.
+func (s *lrScratch) region(h int) *cell.Complex {
+	c := s.spare()
+	c.ResetK(h)
+	return c
+}
+
+// spare pops a spare complex, building one when none is left.
+func (s *lrScratch) spare() *cell.Complex {
+	n := len(s.spares)
+	if n == 0 {
+		return cell.New(s.bound, 1)
+	}
+	c := s.spares[n-1]
+	s.spares = s.spares[:n-1]
+	return c
+}
+
+// free returns a complex to the spares; nil is ignored.
+func (s *lrScratch) free(c *cell.Complex) {
+	if c != nil {
+		s.spares = append(s.spares, c)
+	}
+}
+
+// sitesOf fills the site buffer with an answer's tuples other than the
+// excluded one and returns it.
+func (s *lrScratch) sitesOf(recs []lbs.LRRecord, excludeID int64) []cell.Site {
+	s.sites = s.sites[:0]
+	for _, r := range recs {
+		if r.ID != excludeID {
+			s.sites = append(s.sites, cell.Site{Key: r.ID, Loc: r.Loc})
+		}
+	}
+	return s.sites
 }
 
 // NewLRAggregator builds an aggregator over an LR service view.
@@ -184,8 +270,23 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 		boundPoly: region.Polygon(),
 		stats:     LRStats{AdaptiveHChosen: make(map[int]int)},
 		vtol:      region.Diagonal() * 1e-9,
-		levels:    make([]*cell.Complex, opts.UseK+1),
 	}
+}
+
+// scratch returns the scratch set the aggregator holds, taking one from
+// the pool when it holds none.
+func (a *LRAggregator) scratch() *lrScratch {
+	if a.s == nil {
+		a.s = lrScratchPool.Get().(*lrScratch)
+		a.s.fit(a.boundPoly, a.opts.UseK)
+	}
+	return a.s
+}
+
+// release gives the held scratch set back to the pool.
+func (a *LRAggregator) release() {
+	lrScratchPool.Put(a.s)
+	a.s = nil
 }
 
 // Stats returns a snapshot of the run statistics accumulated so far;
@@ -201,19 +302,27 @@ func (a *LRAggregator) History() *History { return a.hist }
 
 // query issues one LR query through the configured filter. Answers
 // are re-sorted by distance from the query point: for distance-ranked
-// services this is a no-op, while for "prominence"-style rankings it
-// implements the §5.3 post-processing that recovers nearest-neighbor
-// semantics from the richer answer (locations are returned, so the
-// client can always re-rank).
-func (a *LRAggregator) query(ctx context.Context, p geom.Point) ([]lbs.LRRecord, error) {
+// services they already are, while for "prominence"-style rankings
+// (and geodesic metrics) this implements the §5.3 post-processing that
+// recovers planar nearest-neighbor semantics from the richer answer
+// (locations are returned, so the client can always re-rank). The
+// oracle's answer is never reordered in place (a caching oracle hands
+// out its stored slices): an unsorted one is copied into *buf, which
+// stays valid until the next query into the same buffer.
+func (a *LRAggregator) query(ctx context.Context, p geom.Point, buf *[]lbs.LRRecord) ([]lbs.LRRecord, error) {
 	recs, err := a.svc.QueryLR(ctx, p, a.opts.Filter)
 	if err != nil {
 		return nil, err
 	}
-	slices.SortStableFunc(recs, func(x, y lbs.LRRecord) int {
+	byDist := func(x, y lbs.LRRecord) int {
 		return cmp.Compare(p.Dist2(x.Loc), p.Dist2(y.Loc))
-	})
-	return recs, nil
+	}
+	if slices.IsSortedFunc(recs, byDist) {
+		return recs, nil
+	}
+	*buf = append((*buf)[:0], recs...)
+	slices.SortStableFunc(*buf, byDist)
+	return *buf, nil
 }
 
 // observe folds an answer into the history.
@@ -244,17 +353,6 @@ func rankOfID(recs []lbs.LRRecord, id int64) int {
 	return -1
 }
 
-// sitesOf converts an answer into cell sites, excluding the target.
-func sitesOf(recs []lbs.LRRecord, excludeID int64) []cell.Site {
-	out := make([]cell.Site, 0, len(recs))
-	for _, r := range recs {
-		if r.ID != excludeID {
-			out = append(out, cell.Site{Key: r.ID, Loc: r.Loc})
-		}
-	}
-	return out
-}
-
 // massOfRegion returns ∫_region f — the selection probability of the
 // tuple whose (tentative) cell the region is, under sampler f.
 func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
@@ -269,13 +367,14 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 // returned tuple at 0-based rank: the largest h ∈ [2, k] whose
 // history-derived upper bound λ_h(t) is below λ0, else 1. When the
 // tuple can contribute (rank < h) it also returns the history-seeded
-// top-h complex the caller continues refinement from, owned by the
-// caller; otherwise none.
+// top-h complex the caller continues refinement from: a spare of the
+// scratch set, copied out of the level with WithKInto, which the
+// caller gives back to the spares when done; otherwise none.
 //
-// The rule builds only the levels it reads, each into a complex reused
-// across calls, all from one distance ordering of the history sites
-// (a cell.Order, so the O(n) filtering and heapify run once per tuple,
-// not once per level). It first builds the top-1 cell, an order of
+// The rule builds only the levels it reads, each into a scratch-set
+// complex reused across calls, all from one distance ordering of the
+// history sites (a cell.Order, so the O(n) filtering and heapify run
+// once per tuple, not once per level). It first builds the top-1 cell, an order of
 // magnitude cheaper than the top-k complex: when its area λ_1(t)
 // exceeds λ0 the answer is h = 1, since λ_h is non-decreasing in h.
 // Otherwise it grows the level m of the history complex by doubling
@@ -300,23 +399,24 @@ func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	if !a.opts.UseHistory || a.hist.Len() <= 1 {
 		return max(h, 1), nil
 	}
+	s := a.scratch()
 	if h > 0 || k < 2 {
 		h = max(h, 1)
 		if rank >= h {
 			return h, nil
 		}
-		a.order.Reset(tLoc, a.hist.Sites())
-		return h, a.level(min(h+1, k)).WithK(h)
+		s.order.Reset(tLoc, a.hist.Sites())
+		return h, s.level(min(h+1, k)).WithKInto(s.spare(), h)
 	}
 	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
 	h = 1
-	a.order.Reset(tLoc, a.hist.Sites())
-	seed := a.level(1)
+	s.order.Reset(tLoc, a.hist.Sites())
+	seed := s.level(1)
 	if seed.Area() <= lambda0 {
 		// Grow while every λ_cand the level gave was ≤ λ0 (h == m).
 		for m := 1; h == m && m < k; {
 			m = min(2*m, k)
-			seed = a.level(m)
+			seed = s.level(m)
 			for h < m {
 				lambda := seed.FaceAreaAtMost(h + 1)
 				if h+1 == k {
@@ -333,40 +433,42 @@ func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	if rank >= h {
 		return h, nil
 	}
-	return h, seed.WithK(h)
+	return h, seed.WithKInto(s.spare(), h)
 }
 
 // level rebuilds chooseH's reusable top-m complex from the history
-// sites in a.order.
-func (a *LRAggregator) level(m int) *cell.Complex {
-	c := a.levels[m]
+// sites in s.order.
+func (s *lrScratch) level(m int) *cell.Complex {
+	c := s.levels[m]
 	if c == nil {
-		c = cell.New(a.boundPoly, m)
-		a.levels[m] = c
+		c = cell.New(s.bound, m)
+		s.levels[m] = c
 	} else {
 		c.Reset()
 	}
-	a.order.Insert(c)
+	s.order.Insert(c)
 	return c
 }
 
 // cellContext carries the confirmation state of one cell computation.
 type cellContext struct {
-	tID    int64
-	tLoc   geom.Point
-	h      int
+	tID  int64
+	tLoc geom.Point
+	h    int
+	hint []lbs.LRRecord // the answer that discovered the target
+	// local is the per-cell history, kept only without UseHistory.
 	local  *History
 	disks  []geom.Circle // disks C(v, |v−t|) at confirmed points v
 	region *cell.Complex
 }
 
-// countCloser counts observed tuples strictly closer to p than the
-// target, across global and per-cell history.
-func (a *LRAggregator) countCloser(cc *cellContext, p geom.Point) int {
+// known returns the tuples observed for a cell: the global history if
+// enabled, else the cell-local one.
+func (a *LRAggregator) known(cc *cellContext) *History {
 	if a.opts.UseHistory {
-		return a.hist.CountCloser(p, cc.tLoc, cc.tID)
+		return a.hist
 	}
-	return cc.local.CountCloser(p, cc.tLoc, cc.tID)
+	return cc.local
 }
 
 // canSkip reports whether p provably lies inside the top-h cell
@@ -387,41 +489,52 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 		a.opts.LowerBoundSamples, margin) {
 		return false
 	}
-	return a.countCloser(cc, p) <= cc.h-1
+	return a.known(cc).CountCloser(p, cc.tLoc, cc.tID) <= cc.h-1
 }
 
 // computeWeight computes 1/p̂(t) for tuple t using its top-h Voronoi
 // cell, by the Theorem-1 loop plus the enabled devices. hint is the
 // answer that discovered t (used by fast initialization); seed is the
 // history-derived top-h complex from chooseH, which the call takes
-// over (may be nil).
+// over (may be nil) and gives back to the scratch set's spares with
+// every other region it builds.
 func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.Point, h int, hint []lbs.LRRecord, seed *cell.Complex) (float64, error) {
 	a.stats.Cells++
-	cc := &cellContext{
+	s := a.scratch()
+	cc := cellContext{
 		tID:   tID,
 		tLoc:  tLoc,
 		h:     h,
-		local: NewHistory(),
+		hint:  hint,
+		disks: s.disks[:0],
 	}
-	// Seed the local history from the discovering answer.
-	for _, r := range hint {
-		cc.local.Observe(r.ID, r.Loc)
+	defer func() {
+		s.free(cc.region)
+		s.disks = cc.disks
+	}()
+	if !a.opts.UseHistory {
+		// Seed the local history from the discovering answer.
+		cc.local = NewHistory()
+		for _, r := range hint {
+			cc.local.Observe(r.ID, r.Loc)
+		}
 	}
 	if seed != nil {
 		cc.region = seed
 	} else {
-		cc.region = cell.New(a.boundPoly, h)
-		cell.InsertSites(cc.region, tLoc, sitesOf(hint, tID))
+		cc.region = s.region(h)
+		cell.InsertSites(cc.region, tLoc, s.sitesOf(hint, tID))
 	}
 
 	// Faster initialization (§3.2.1) when the region is still huge.
 	if a.opts.FastInit && cc.region.Area() > 0.25*a.bound.Area() {
-		if err := a.fastInit(ctx, cc); err != nil {
+		if err := a.fastInit(ctx, &cc); err != nil {
 			return 0, err
 		}
 	}
 
-	confirmed := make(map[vkey]bool)
+	confirmed := s.confirmed
+	clear(confirmed)
 	prevArea := cc.region.Area()
 	for round := 1; ; round++ {
 		if round > a.opts.MaxRounds {
@@ -429,17 +542,18 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 			break
 		}
 		changed := false
-		for _, v := range cc.region.Vertices() {
+		s.verts = cc.region.AppendVertices(s.verts[:0])
+		for _, v := range s.verts {
 			key := a.keyOf(v)
 			if confirmed[key] {
 				continue
 			}
-			if a.opts.UseLowerBound && a.canSkip(cc, v) {
+			if a.opts.UseLowerBound && a.canSkip(&cc, v) {
 				confirmed[key] = true
 				a.stats.SkippedByLower++
 				continue
 			}
-			recs, err := a.query(ctx, v)
+			recs, err := a.query(ctx, v, &s.probe)
 			if err != nil {
 				return 0, err
 			}
@@ -451,7 +565,7 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 					confirmed[key] = true
 				}
 			}
-			if cell.InsertSites(cc.region, tLoc, sitesOf(recs, tID)) > 0 {
+			if cell.InsertSites(cc.region, tLoc, s.sitesOf(recs, tID)) > 0 {
 				changed = true
 			}
 		}
@@ -461,7 +575,7 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 		area := cc.region.Area()
 		if a.opts.MonteCarlo && round >= a.opts.MCMinRounds &&
 			prevArea-area < a.opts.MCAreaRatio*math.Max(area, geom.Eps) {
-			return a.mcFinish(ctx, cc)
+			return a.mcFinish(ctx, &cc)
 		}
 		prevArea = area
 	}
@@ -480,6 +594,7 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 // full bounding box — at a waste of at most the initialization
 // queries, exactly as the paper argues.
 func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
+	s := a.scratch()
 	r := a.fastInitRadius(cc)
 	fake := [4]geom.Point{
 		cc.tLoc.Add(geom.Pt(2*r, 0)),
@@ -487,15 +602,19 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 		cc.tLoc.Add(geom.Pt(0, 2*r)),
 		cc.tLoc.Add(geom.Pt(0, -2*r)),
 	}
-	tmp := cell.New(a.boundPoly, cc.h)
+	tmp := s.region(cc.h)
+	defer s.free(tmp)
 	// Real cuts already known (history / hint) keep the fake region
-	// honest; then the fake cuts shrink it to a box around t.
-	cell.InsertSites(tmp, cc.tLoc, a.knownSites(cc))
+	// honest; then the fake cuts shrink it to a box around t. The
+	// target's own site, if recorded, is dropped by cell.InsertSites as
+	// coincident.
+	cell.InsertSites(tmp, cc.tLoc, a.known(cc).Sites())
 	for i, f := range fake {
 		tmp.AddCut(cell.Cut{Line: geom.Bisector(cc.tLoc, f), Key: int64(-1 - i)})
 	}
-	for _, v := range tmp.Vertices() {
-		recs, err := a.query(ctx, v)
+	s.verts = tmp.AppendVertices(s.verts[:0])
+	for _, v := range s.verts {
+		recs, err := a.query(ctx, v, &s.probe)
 		if err != nil {
 			return err
 		}
@@ -505,21 +624,10 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 			cc.disks = append(cc.disks, geom.Circle{Center: v, R: v.Dist(cc.tLoc)})
 		}
 	}
-	// Rebuild from real tuples only.
-	region := cell.New(a.boundPoly, cc.h)
-	cell.InsertSites(region, cc.tLoc, a.knownSites(cc))
-	cc.region = region
+	// Rebuild from real tuples only, into the old region's storage.
+	cc.region.ResetK(cc.h)
+	cell.InsertSites(cc.region, cc.tLoc, a.known(cc).Sites())
 	return nil
-}
-
-// knownSites returns every observed tuple (global history if enabled,
-// else the cell-local history) as sites; the target's own site, if
-// recorded, is dropped by cell.InsertSites as coincident.
-func (a *LRAggregator) knownSites(cc *cellContext) []cell.Site {
-	if a.opts.UseHistory {
-		return a.hist.Sites()
-	}
-	return cc.local.Sites()
 }
 
 // fastInitRadius chooses the fake-box scale from the discovering
@@ -527,8 +635,8 @@ func (a *LRAggregator) knownSites(cc *cellContext) []cell.Site {
 // falling back to a twentieth of the bounding diagonal.
 func (a *LRAggregator) fastInitRadius(cc *cellContext) float64 {
 	var m float64
-	for _, s := range cc.local.Sites() {
-		if d := s.Loc.Dist(cc.tLoc); d > m {
+	for _, r := range cc.hint {
+		if d := r.Loc.Dist(cc.tLoc); d > m {
 			m = d
 		}
 	}
@@ -562,7 +670,7 @@ func (a *LRAggregator) mcFinish(ctx context.Context, cc *cellContext) (float64, 
 			a.stats.SkippedByLower++
 			return float64(r) / pPrime, nil
 		}
-		recs, err := a.query(ctx, x)
+		recs, err := a.query(ctx, x, &a.scratch().probe)
 		if err != nil {
 			return 0, err
 		}
@@ -617,8 +725,10 @@ func (a *LRAggregator) sampleFromRegion(region *cell.Complex) (geom.Point, bool)
 // Step draws one random query location and produces one unbiased
 // per-sample estimate for each aggregate (Algorithm 5 body).
 func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
+	s := a.scratch()
+	defer a.release()
 	q := a.smp.Sample(a.rng)
-	recs, err := a.query(ctx, q)
+	recs, err := a.query(ctx, q, &s.answer)
 	if err != nil {
 		return nil, err
 	}
@@ -639,17 +749,18 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 	// would correlate h(t) with the sampled point and break the
 	// unbiasedness argument of estimator (2). So choose h for all
 	// returned tuples first, then observe the answer.
-	hs := make([]int, kUse)
-	seeds := make([]*cell.Complex, kUse)
+	s.hs, s.seeds = s.hs[:0], s.seeds[:0]
 	for i := 0; i < kUse; i++ {
-		hs[i], seeds[i] = a.chooseH(recs[i].Loc, i)
+		h, seed := a.chooseH(recs[i].Loc, i)
+		s.hs, s.seeds = append(s.hs, h), append(s.seeds, seed)
 	}
 	a.observe(recs, nil)
 	for i := 0; i < kUse; i++ {
 		t := recs[i]
-		h, seedRegion := hs[i], seeds[i]
+		h, seedRegion := s.hs[i], s.seeds[i]
 		// A tuple at rank i+1 contributes only when the sampled point
-		// lies inside the top-h cell used for weighting, i.e. i+1 ≤ h.
+		// lies inside the top-h cell used for weighting, i.e. i+1 ≤ h
+		// (chooseH returns a seed only then).
 		if i+1 > h {
 			continue
 		}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -15,8 +16,8 @@ import (
 // behind a 4096-entry answer cache, each capped at 600 queries with a
 // 5% CI target; every third job is a COUNT at parallelism 2, the
 // others the {COUNT, SUM, AVG(enrollment)} planner batch. The cache
-// stays warm across jobs, as in a running server. It reports ms/job
-// and queries/job.
+// stays warm across jobs, as in a running server. It reports ms/job,
+// queries/job and gc/job, the garbage-collection cycles per job.
 func BenchmarkLRJob(b *testing.B) {
 	db := workload.USASchools(50000, 1).DB
 	router, err := shard.FromParts(shard.Partition(db, 4), lbs.Options{K: 10})
@@ -26,6 +27,9 @@ func BenchmarkLRJob(b *testing.B) {
 	m := NewManager(lbs.NewCachedOracle(router, lbs.CacheOptions{Capacity: 4096}), ManagerOptions{})
 	ctx := context.Background()
 	var queries int64
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	gc0 := mem.NumGC
 	b.ResetTimer()
 	for i := range b.N {
 		spec := Spec{
@@ -51,6 +55,9 @@ func BenchmarkLRJob(b *testing.B) {
 		}
 		queries += v.Queries
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&mem)
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/job")
 	b.ReportMetric(float64(queries)/float64(b.N), "queries/job")
+	b.ReportMetric(float64(mem.NumGC-gc0)/float64(b.N), "gc/job")
 }
