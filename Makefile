@@ -41,16 +41,20 @@ examples:
 # The fourth race-checks the federation router, whose in-process
 # members run on the callers' goroutines: concurrent batches against
 # one budget, concurrent degraded batches, and bit identity with a
-# single service (about 55 s on 2 cores). The fifth race-checks the LR
-# estimator's pooled scratch sets and its answer ownership: a reader
-# walks the cached answers while the estimator runs, and concurrent
-# parallel LR jobs over one cache must match serial reruns bit for bit
-# (about 15 s).
+# single service (about 55 s on 2 cores). The fifth race-checks the
+# router's member-call deadline path, its retries under transient
+# faults and its breaker recovery (about 25 s; these tests sleep
+# through deadlines and cooldowns, hence the lower count). The sixth
+# race-checks the LR estimator's pooled scratch sets and its answer
+# ownership: a reader walks the cached answers while the estimator
+# runs, and concurrent parallel LR jobs over one cache must match
+# serial reruns bit for bit (about 15 s).
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
 	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
 	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
+	$(GO) test -race -count=20 -run '^(TestShardTimeoutBoundsWedgedMember|TestDeadlineBoundsUnmarkedMemberIgnoringContext|TestFederatedBitIdenticalUnderTransients|TestAllBreakersOpenRecovers)$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestLRQueryDoesNotMutateCachedAnswers|TestLRParallelJobsShareCache)$$' ./internal/core
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders

@@ -169,7 +169,7 @@ func planBackend(t *testing.T, db *lbs.Database, k, shards int) Oracle {
 			Region:  part.Bounds(),
 		}
 	}
-	r, err := shard.NewRouter(members, lbs.Options{K: k})
+	r, err := shard.NewRouter(members, lbs.Options{K: k}, shard.DefaultResilience())
 	if err != nil {
 		t.Fatal(err)
 	}

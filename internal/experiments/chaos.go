@@ -167,7 +167,7 @@ func Chaos(ctx context.Context, cfg Config) (*Figure, error) {
 				}
 				// Tolerance absorbs degraded annotations so the stock
 				// estimators run unchanged; timing wraps the outside so
-				// retries and hedges count toward the observed latency.
+				// retries count toward the observed latency.
 				timed.Querier = lbs.NewTolerantQuerier(router)
 				spec := lrSpec()
 				if kind == AlgoLNR {

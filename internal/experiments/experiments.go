@@ -294,7 +294,9 @@ func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts l
 func serviceFactory(cfg Config, db *lbs.Database, opts lbs.Options) func() (core.Oracle, error) {
 	if cfg.Shards > 1 {
 		parts := shard.Partition(db, cfg.Shards)
-		return func() (core.Oracle, error) { return shard.FromParts(parts, opts) }
+		return func() (core.Oracle, error) {
+			return shard.FromPartsWrapped(parts, opts, shard.DefaultResilience(), nil)
+		}
 	}
 	return func() (core.Oracle, error) { return lbs.NewService(db, opts), nil }
 }

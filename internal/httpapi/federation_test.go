@@ -59,7 +59,7 @@ func TestEstimateAgainstShardedBackendMatchesSingle(t *testing.T) {
 	sc := workload.USASchools(250, 7)
 	single := run(lbs.NewService(sc.DB, lbs.Options{K: 5}))
 	for _, n := range []int{2, 4, 8} {
-		router, err := shard.NewLocal(workload.USASchools(250, 7).DB, lbs.Options{K: 5}, n)
+		router, err := shard.FromPartsWrapped(shard.Partition(workload.USASchools(250, 7).DB, n), lbs.Options{K: 5}, shard.DefaultResilience(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFederatedRemoteUpstreams(t *testing.T) {
 		}
 		shards = append(shards, shard.Shard{Querier: c, Region: c.Bounds()})
 	}
-	router, err := shard.NewRouter(shards, lbs.Options{K: 5})
+	router, err := shard.NewRouter(shards, lbs.Options{K: 5}, shard.DefaultResilience())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestStatsChainWalks(t *testing.T) {
 
 	t.Run("cached-router", func(t *testing.T) {
 		db := workload.USASchools(120, 3).DB
-		router, err := shard.NewLocal(db, lbs.Options{K: 5, Budget: 100}, 4)
+		router, err := shard.FromPartsWrapped(shard.Partition(db, 4), lbs.Options{K: 5, Budget: 100}, shard.DefaultResilience(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestRemoteFederationFilteredQueryIs400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := shard.NewRouter([]shard.Shard{{Querier: c, Region: c.Bounds()}}, lbs.Options{K: 5})
+	router, err := shard.NewRouter([]shard.Shard{{Querier: c, Region: c.Bounds()}}, lbs.Options{K: 5}, shard.DefaultResilience())
 	if err != nil {
 		t.Fatal(err)
 	}

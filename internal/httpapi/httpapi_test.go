@@ -187,7 +187,7 @@ func TestBadRequests(t *testing.T) {
 // them with 400 before the backend is touched (nothing is charged),
 // over a plain service and over a federation alike.
 func TestNonFiniteQueryRejected(t *testing.T) {
-	router, err := shard.NewLocal(workload.USASchools(200, 7).DB, lbs.Options{K: 5}, 4)
+	router, err := shard.FromPartsWrapped(shard.Partition(workload.USASchools(200, 7).DB, 4), lbs.Options{K: 5}, shard.DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestEstimateBatchMatchesInProcessPlan(t *testing.T) {
 		if shards == 1 {
 			return lbs.NewService(db, lbs.Options{K: 5})
 		}
-		router, err := shard.NewLocal(db, lbs.Options{K: 5}, shards)
+		router, err := shard.FromPartsWrapped(shard.Partition(db, shards), lbs.Options{K: 5}, shard.DefaultResilience(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,7 +160,7 @@ func (c *Client) doAttempts(ctx context.Context, method, url string, body []byte
 	}
 	// Every failure that reached here was transient (permanent classes
 	// returned above); mark it so an outer resilience layer — a
-	// federation router with remote members — may retry or hedge with
-	// its own, longer-horizon policy.
+	// federation router with remote members — may retry with its own,
+	// longer-horizon policy.
 	return nil, lbs.MarkTransient(fmt.Errorf("httpapi: %s %s failed after %d attempts: %w", method, url, attempts, lastErr))
 }

@@ -20,7 +20,7 @@ import (
 // queries/job and gc/job, the garbage-collection cycles per job.
 func BenchmarkLRJob(b *testing.B) {
 	db := workload.USASchools(50000, 1).DB
-	router, err := shard.FromParts(shard.Partition(db, 4), lbs.Options{K: 10})
+	router, err := shard.FromPartsWrapped(shard.Partition(db, 4), lbs.Options{K: 10}, shard.DefaultResilience(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

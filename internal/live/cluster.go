@@ -12,8 +12,9 @@ import (
 
 // Cluster is a federated live database: the spatial partitioner splits
 // an immutable base into N shard databases, each fronted by its own
-// live.Database (candidate-source configuration, exactly as FromParts
-// builds immutable members), federated back through a shard.Router.
+// live.Database (candidate-source configuration, exactly as
+// shard.FromPartsWrapped builds immutable members), federated back
+// through a shard.Router.
 // Queries go through the Router's scatter-gather unchanged — the
 // Router cannot tell a live member from an immutable one — and stay
 // bit-identical to a single live.Database over the union. Mutations
@@ -66,7 +67,7 @@ func NewCluster(base *lbs.Database, opts lbs.Options, n int, lopts Options) (*Cl
 		c.regions[i] = p.Bounds()
 		shards[i] = shard.Shard{Querier: member, Region: p.Bounds()}
 	}
-	c.Router, err = shard.NewRouter(shards, opts)
+	c.Router, err = shard.NewRouter(shards, opts, shard.DefaultResilience())
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ func BenchmarkFederatedQuery(b *testing.B) {
 	bounds := db.Bounds()
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4", 8: "shards=8"}[n], func(b *testing.B) {
-			router, err := NewLocal(db, lbs.Options{K: 10}, n)
+			router, err := FromPartsWrapped(Partition(db, n), lbs.Options{K: 10}, DefaultResilience(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func BenchmarkFederatedBatch(b *testing.B) {
 	bounds := db.Bounds()
 	for _, n := range []int{1, 4} {
 		b.Run(map[int]string{1: "shards=1", 4: "shards=4"}[n], func(b *testing.B) {
-			router, err := NewLocal(db, lbs.Options{K: 10}, n)
+			router, err := FromPartsWrapped(Partition(db, n), lbs.Options{K: 10}, DefaultResilience(), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

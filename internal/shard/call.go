@@ -2,10 +2,9 @@ package shard
 
 // call.go — the resilient member-call pipeline every subquery goes
 // through: breaker bookkeeping, a per-attempt deadline that bounds
-// wedged members, hedged duplicate requests on slow attempts, and
-// bounded jittered retry of transient failures. Retries and hedges
-// re-use the logical budget unit reserved before the scatter — the
-// meter is charged per answered query, never per attempt.
+// wedged members, and bounded jittered retry of transient failures.
+// Retries re-use the logical budget unit reserved before the scatter —
+// the meter is charged per answered query, never per attempt.
 
 import (
 	"context"
@@ -77,90 +76,43 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// attemptResult carries one attempt's answer across the hedge race.
-type attemptResult[T any] struct {
-	v   T
-	err error
-}
-
 // attempt runs f once against member si. A member that cannot block
-// (lbs.NonBlocking, e.g. an in-process *lbs.Service) runs inline on
-// the caller's goroutine with no deadline, unless a hedge is armed.
-// Any other member runs under the ShardTimeout deadline, hedging a
-// duplicate request (to the Replica when the shard has one, else the
-// same member) once the attempt outlives the shard's recent latency
-// quantile. The first success wins; a wedged or silent member costs
-// at most the deadline. f must honor its context on remote
-// transports; members that ignore it merely keep a goroutine grinding
-// until they answer — the caller is unblocked at the deadline either
-// way, which is the wedge guarantee.
-func attempt[T any](r *Router, ctx context.Context, si int, probe bool,
+// (lbs.NonBlocking, e.g. an in-process *lbs.Service), or any member
+// when there is no ShardTimeout, is called directly on the caller's
+// goroutine: no goroutine, timer or channel, so this path allocates
+// exactly what the zero-Resilience scatter does. Any other member runs
+// in one goroutine under the deadline: a wedged or silent member costs
+// at most ShardTimeout. f must honor its context on remote transports;
+// members that ignore it merely keep a goroutine grinding until they
+// answer — the caller is unblocked at the deadline either way, which
+// is the wedge guarantee.
+func attempt[T any](r *Router, ctx context.Context, si int,
 	f func(ctx context.Context, q lbs.Querier) (T, error)) (T, error) {
 
-	var zero T
-	h := r.health[si]
-
-	var hedgeC <-chan time.Time
-	if !probe && r.res.HedgeQuantile > 0 {
-		if d, ok := h.hedgeDelay(r.res.HedgeQuantile); ok {
-			if d < r.res.HedgeMin {
-				d = r.res.HedgeMin
-			}
-			timer := time.NewTimer(d)
-			defer timer.Stop()
-			hedgeC = timer.C
-		}
+	q := r.shards[si].Querier
+	if r.inline[si] || r.res.ShardTimeout <= 0 {
+		return f(ctx, q)
 	}
-
-	// A member that cannot block, or no deadline, and no hedge: call
-	// inline, with no goroutine, timer or channel. This path allocates
-	// exactly what the zero-Resilience scatter does.
-	if (r.inline[si] || r.res.ShardTimeout <= 0) && hedgeC == nil {
-		t0 := time.Now()
-		v, err := f(ctx, r.shards[si].Querier)
-		h.observe(time.Since(t0))
-		return v, err
+	cctx, cancel := context.WithTimeout(ctx, r.res.ShardTimeout)
+	defer cancel()
+	type result struct {
+		v   T
+		err error
 	}
-
-	cctx := ctx
-	if r.res.ShardTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, r.res.ShardTimeout)
-		defer cancel()
-	}
-	ch := make(chan attemptResult[T], 2)
-	run := func(q lbs.Querier) {
-		t0 := time.Now()
+	ch := make(chan result, 1)
+	go func() {
 		v, err := f(cctx, q)
-		h.observe(time.Since(t0))
-		ch <- attemptResult[T]{v: v, err: err}
-	}
-	go run(r.shards[si].Querier)
-	outstanding := 1
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil || lbs.IsPartial(res.err) || outstanding == 0 {
-				return res.v, res.err
-			}
-			// The first answer failed but a hedge is still in
-			// flight — it may yet succeed.
-		case <-hedgeC:
-			hedgeC = nil
-			r.hedges.Add(1)
-			alt := r.shards[si].Replica
-			if alt == nil {
-				alt = r.shards[si].Querier
-			}
-			outstanding++
-			go run(alt)
-		case <-cctx.Done():
-			if ctx.Err() != nil {
-				return zero, ctx.Err()
-			}
-			return zero, fmt.Errorf("%w (shard %d after %v)", ErrShardTimeout, si, r.res.ShardTimeout)
+		ch <- result{v, err}
+	}()
+	select {
+	case res := <-ch:
+		return res.v, res.err
+	case <-cctx.Done():
+		var zero T
+		if ctx.Err() != nil {
+			return zero, ctx.Err()
 		}
+		return zero, fmt.Errorf("%w (shard %d after %v)", ErrShardTimeout, si, r.res.ShardTimeout)
 	}
 }
 
@@ -188,9 +140,9 @@ func memberCall[T any](r *Router, ctx context.Context, si int, probe bool,
 				}
 			}
 		}
-		v, err := attempt(r, ctx, si, probe, f)
+		v, err := attempt(r, ctx, si, f)
 		if err == nil || lbs.IsPartial(err) {
-			h.onSuccess(probe)
+			h.onSuccess()
 			return v, err
 		}
 		last = err

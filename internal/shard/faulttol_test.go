@@ -142,7 +142,7 @@ func TestShardTimeoutBoundsWedgedMember(t *testing.T) {
 		svc1 := lbs.NewService(parts[1], lbs.Options{K: 25})
 		res := testResilience()
 		res.ShardTimeout = 75 * time.Millisecond
-		router, err := NewRouterWithResilience([]Shard{
+		router, err := NewRouter([]Shard{
 			{Querier: svc0, Region: parts[0].Bounds()},
 			{Querier: &wedged{inner: svc1}, Region: parts[1].Bounds()},
 		}, opts, res)
@@ -225,7 +225,7 @@ func TestDeadlineBoundsUnmarkedMemberIgnoringContext(t *testing.T) {
 	mk := func() *Router {
 		res := testResilience()
 		res.ShardTimeout = 75 * time.Millisecond
-		router, err := NewRouterWithResilience([]Shard{
+		router, err := NewRouter([]Shard{
 			{Querier: lbs.NewService(parts[0], opts), Region: parts[0].Bounds()},
 			{Querier: &stuck{Querier: lbs.NewService(parts[1], opts), release: release}, Region: parts[1].Bounds()},
 		}, opts, res)
@@ -348,6 +348,86 @@ func TestAllBreakersOpen(t *testing.T) {
 	}
 	if c := router.QueryCount(); c != 0 {
 		t.Fatalf("failed queries left %d units charged", c)
+	}
+}
+
+// TestAllBreakersOpenRecovers pins that a federation whose every
+// breaker opened comes back: once a cooldown elapses, the nearest
+// member is admitted as a probe owner. While the members stay dead the
+// probe fails crisply (ErrOwnerDown, not ErrNoShards) and re-opens the
+// breaker; after they revive, the next query — point or batch —
+// closes every breaker and answers exactly like a single service.
+func TestAllBreakersOpenRecovers(t *testing.T) {
+	db := workload.USASchools(40, 101).DB
+	opts := lbs.Options{K: 3}
+	single := lbs.NewService(db, opts)
+	ctx := context.Background()
+	for _, n := range []int{1, 2} {
+		for _, batch := range []bool{false, true} {
+			res := testResilience()
+			res.BreakerThreshold = 1
+			res.BreakerCooldown = 30 * time.Millisecond
+			router, inj := faultedRouter(t, db, opts, n, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
+			var pts []geom.Point
+			for _, p := range Partition(db, n) {
+				pts = append(pts, interiorPoint(p))
+			}
+			for _, in := range inj {
+				in.Kill()
+			}
+			for _, p := range pts {
+				router.QueryLR(ctx, p, nil) // trip each breaker via its owner failure
+			}
+			for i, sh := range router.Stats().Shards {
+				if sh.State == BreakerClosed {
+					t.Fatalf("n=%d: shard %d still closed after its owner failure", n, i)
+				}
+			}
+
+			time.Sleep(100 * time.Millisecond)
+			var err error
+			if batch {
+				_, err = router.QueryLRBatch(ctx, pts, nil)
+			} else {
+				_, err = router.QueryLR(ctx, pts[0], nil)
+			}
+			if !errors.Is(err, ErrOwnerDown) {
+				t.Fatalf("n=%d batch=%v: probe owner still dead: want ErrOwnerDown, got %v", n, batch, err)
+			}
+
+			for _, in := range inj {
+				in.Revive()
+			}
+			time.Sleep(100 * time.Millisecond)
+			var got [][]lbs.LRRecord
+			if batch {
+				if got, err = router.QueryLRBatch(ctx, pts, nil); err != nil {
+					t.Fatalf("n=%d batch after revival: %v", n, err)
+				}
+			} else {
+				for _, p := range pts {
+					recs, err := router.QueryLR(ctx, p, nil)
+					if err != nil {
+						t.Fatalf("n=%d point after revival: %v", n, err)
+					}
+					got = append(got, recs)
+				}
+			}
+			for i, p := range pts {
+				want, _ := single.QueryLR(ctx, p, nil)
+				if !reflect.DeepEqual(want, got[i]) {
+					t.Fatalf("n=%d batch=%v: recovered answer %d diverges from the single service", n, batch, i)
+				}
+			}
+			for i, sh := range router.Stats().Shards {
+				if sh.State != BreakerClosed {
+					t.Fatalf("n=%d batch=%v: shard %d %s after recovery, want closed", n, batch, i, sh.State)
+				}
+			}
+			if c := router.QueryCount(); c != int64(len(pts)) {
+				t.Fatalf("n=%d batch=%v: meter %d, want %d answered queries", n, batch, c, len(pts))
+			}
+		}
 	}
 }
 

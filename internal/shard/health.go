@@ -1,29 +1,26 @@
 package shard
 
 // health.go — the per-member health machinery of a resilient Router:
-// the consecutive-failure circuit breaker that health-gates routing,
-// and the latency window behind hedged requests.
+// the consecutive-failure circuit breaker that health-gates routing.
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
 
 // Resilience configures the Router's fault-tolerance: per-shard call
-// deadlines, bounded retry of transient failures, hedged requests and
-// the per-shard circuit breaker. The zero value disables everything —
-// the pre-resilience scatter behavior plus degraded-mode merging.
-// NewRouter applies DefaultResilience; NewRouterWithResilience takes
-// an explicit one.
+// deadlines, bounded retry of transient failures and the per-shard
+// circuit breaker. The zero value disables everything — the
+// pre-resilience scatter behavior plus degraded-mode merging. Every
+// router constructor takes one explicitly; DefaultResilience is the
+// production choice.
 type Resilience struct {
-	// ShardTimeout bounds waiting on each member subquery that can
-	// block (one attempt, including all its hedges): a wedged member
-	// costs at most this long before it is treated as failed.
-	// In-process members (lbs.NonBlocking) cannot wedge; they answer
-	// inline on the caller's goroutine, outside the deadline, unless
-	// a hedge is armed. 0 = no deadline.
+	// ShardTimeout bounds waiting on each member attempt that can
+	// block: a wedged member costs at most this long before it is
+	// treated as failed. In-process members (lbs.NonBlocking) cannot
+	// wedge; they answer inline on the caller's goroutine, outside the
+	// deadline. 0 = no deadline.
 	ShardTimeout time.Duration
 
 	// MaxRetries re-issues a member call up to this many extra times
@@ -35,16 +32,6 @@ type Resilience struct {
 	// RetryMax caps it. Waits are uniformly jittered in [d/2, d].
 	RetryBase time.Duration
 	RetryMax  time.Duration
-
-	// HedgeQuantile launches a duplicate request — to the shard's
-	// Replica when it has one, else re-asking the same member — once
-	// an attempt has been in flight longer than this quantile of the
-	// shard's recent latencies (e.g. 0.95); the first answer wins.
-	// 0 disables hedging.
-	HedgeQuantile float64
-	// HedgeMin floors the hedge delay, so a burst of fast answers
-	// cannot make the router hedge pathologically early.
-	HedgeMin time.Duration
 
 	// BreakerThreshold opens a shard's breaker after this many
 	// consecutive failed calls; an open shard is routed around
@@ -61,18 +48,15 @@ type Resilience struct {
 	Seed int64
 }
 
-// DefaultResilience is the sane default NewRouter applies: 10 s shard
+// DefaultResilience is the production failure handling: 10 s shard
 // deadline, two transient retries with 2 ms–250 ms jittered backoff,
-// hedging off (it trades extra upstream queries for tail latency —
-// opt in where that trade is right), breaker at 5 consecutive
-// failures with a 1 s cooldown.
+// breaker at 5 consecutive failures with a 1 s cooldown.
 func DefaultResilience() Resilience {
 	return Resilience{
 		ShardTimeout:     10 * time.Second,
 		MaxRetries:       2,
 		RetryBase:        2 * time.Millisecond,
 		RetryMax:         250 * time.Millisecond,
-		HedgeMin:         5 * time.Millisecond,
 		BreakerThreshold: 5,
 		BreakerCooldown:  time.Second,
 	}
@@ -91,15 +75,7 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// latWindowSize is the per-shard latency ring behind the hedge
-// quantile; latWindowMin is how many observations it needs before
-// hedging engages (too few and the quantile is noise).
-const (
-	latWindowSize = 64
-	latWindowMin  = 16
-)
-
-// shardHealth tracks one member's breaker and latency window.
+// shardHealth tracks one member's breaker.
 type shardHealth struct {
 	mu sync.Mutex
 
@@ -111,9 +87,6 @@ type shardHealth struct {
 	// Cumulative counters for Stats.
 	failures int64
 	opens    int64
-
-	lat  [latWindowSize]time.Duration
-	latN int // total observations (ring index = latN % size)
 }
 
 // state derives the observable breaker state at time now.
@@ -151,9 +124,10 @@ func (h *shardHealth) admit(now time.Time, cooldown time.Duration) (ok, probe bo
 }
 
 // ownable reports whether this member may be chosen as a query's
-// owner: only closed breakers. A half-open member is probed through
-// fan-out calls, where its failure degrades the answer instead of
-// failing the query crisply.
+// owner outright: only closed breakers. A half-open member is probed
+// through fan-out calls, where its failure degrades the answer instead
+// of failing the query crisply — or, when no breaker is closed at all,
+// as a probe owner (see Router.pickOwner).
 func (h *shardHealth) ownable() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -179,7 +153,7 @@ func (h *shardHealth) snapshot(now time.Time, cooldown time.Duration) (BreakerSt
 
 // onSuccess records a successful call: a probe success (or any
 // success) closes the breaker and resets the failure streak.
-func (h *shardHealth) onSuccess(probe bool) {
+func (h *shardHealth) onSuccess() {
 	h.mu.Lock()
 	h.open = false
 	h.probing = false
@@ -211,40 +185,6 @@ func (h *shardHealth) onFailure(probe bool, threshold int, now time.Time) {
 		h.opens++
 	}
 	h.mu.Unlock()
-}
-
-// observe records one attempt's latency in the ring.
-func (h *shardHealth) observe(d time.Duration) {
-	h.mu.Lock()
-	h.lat[h.latN%latWindowSize] = d
-	h.latN++
-	h.mu.Unlock()
-}
-
-// hedgeDelay returns the q-quantile of the recent latency window, or
-// ok=false while the window is too small to trust.
-func (h *shardHealth) hedgeDelay(q float64) (time.Duration, bool) {
-	h.mu.Lock()
-	n := h.latN
-	if n > latWindowSize {
-		n = latWindowSize
-	}
-	if n < latWindowMin {
-		h.mu.Unlock()
-		return 0, false
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, h.lat[:n])
-	h.mu.Unlock()
-	sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-	idx := int(q * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return buf[idx], true
 }
 
 // lockedRand is the router's jitter source (math/rand.Rand is not

@@ -130,34 +130,20 @@ func buildPart(db *lbs.Database, region geom.Rect, idxs []int) *lbs.Database {
 	return lbs.NewDatabaseWithLocations(region, tuples, effective)
 }
 
-// NewLocal partitions db into n in-process shard services behind a
-// Router configured with the given logical service options — the
-// one-call path from a database to a federated service ("lbsserve
-// -shards n"). The shard services are built as plain distance-ranked
-// candidate sources (K = the router's candidate count, shared
-// MaxRadius, no budget or limiter of their own); the router owns the
-// logical budget, rate limiter and rank/prominence selection, so the
-// composite behaves exactly like NewService(db, opts).
-func NewLocal(db *lbs.Database, opts lbs.Options, n int) (*Router, error) {
-	return FromParts(Partition(db, n), opts)
-}
-
-// FromParts is NewLocal over an existing partition: it builds fresh
-// shard services (and their counters) without re-partitioning or
-// re-indexing the databases. Callers that run many independent
-// federated sessions over one dataset — the experiment harness
-// constructs a fresh service per run — partition once and rebuild
-// only this cheap layer.
-func FromParts(parts []*lbs.Database, opts lbs.Options) (*Router, error) {
-	return FromPartsWrapped(parts, opts, DefaultResilience(), nil)
-}
-
-// FromPartsWrapped is FromParts with an explicit Resilience and an
-// optional per-member wrap hook: each shard service is passed through
-// wrap (when non-nil) before registration, so callers can interpose a
+// FromPartsWrapped federates an existing partition as in-process
+// shard services behind a Router with the given logical options and
+// Resilience — the path from a database to a federated service
+// ("lbsserve -shards n" passes Partition(db, n)). The shard services
+// are built as plain distance-ranked candidate sources (K = the
+// router's candidate count, shared MaxRadius, no budget or limiter of
+// their own); the router owns the logical budget, rate limiter and
+// rank/prominence selection, so the composite behaves exactly like
+// NewService(db, opts). Each shard service is passed through wrap
+// (when non-nil) before registration, so callers can interpose a
 // fault injector, an instrumentation layer or a cache in front of
-// individual members — the chaos harness and "lbsserve -fault-spec"
-// both build their faulted federations through this.
+// individual members. Callers that run many independent federated
+// sessions over one dataset — the experiment harness builds a fresh
+// service per run — partition once and rebuild only this cheap layer.
 func FromPartsWrapped(parts []*lbs.Database, opts lbs.Options, res Resilience, wrap func(i int, q lbs.Querier) lbs.Querier) (*Router, error) {
 	norm, err := opts.Normalized()
 	if err != nil {
@@ -165,11 +151,11 @@ func FromPartsWrapped(parts []*lbs.Database, opts lbs.Options, res Resilience, w
 	}
 	shards := make([]Shard, len(parts))
 	for i, p := range parts {
-		var q lbs.Querier = lbs.NewService(p, lbs.Options{K: candidateK(norm), MaxRadius: norm.MaxRadius, Metric: norm.Metric})
+		var q lbs.Querier = lbs.NewService(p, lbs.Options{K: norm.CandidateCount(), MaxRadius: norm.MaxRadius, Metric: norm.Metric})
 		if wrap != nil {
 			q = wrap(i, q)
 		}
 		shards[i] = Shard{Querier: q, Region: p.Bounds()}
 	}
-	return NewRouterWithResilience(shards, opts, res)
+	return NewRouter(shards, opts, res)
 }

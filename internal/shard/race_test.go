@@ -21,7 +21,7 @@ import (
 func TestConcurrentFederatedBatchesShareBudget(t *testing.T) {
 	db := workload.USASchools(300, 61).DB
 	const budget = 200
-	router, err := NewLocal(db, lbs.Options{K: 4, Budget: budget}, 4)
+	router, err := FromPartsWrapped(Partition(db, 4), lbs.Options{K: 4, Budget: budget}, DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,10 +30,6 @@ import (
 type Shard struct {
 	Querier lbs.Querier
 	Region  geom.Rect
-	// Replica, when set, is a sibling serving the same tuples; hedged
-	// requests go to it instead of re-asking the primary. It must
-	// answer bit-identically to Querier (same tuples, same K).
-	Replica lbs.Querier
 }
 
 // ShardStat is the per-member slice of a Router's stats surface.
@@ -79,10 +76,9 @@ type RouterStats struct {
 	// that got no answer because their owner was down.
 	Partial int64 `json:"partial,omitempty"`
 	Dropped int64 `json:"dropped,omitempty"`
-	// Retries and Hedges count extra member attempts the resilience
-	// layer issued.
+	// Retries counts extra member attempts the resilience layer
+	// issued.
 	Retries int64 `json:"retries,omitempty"`
-	Hedges  int64 `json:"hedges,omitempty"`
 	// Shards is the per-member breakdown, in shard order.
 	Shards []ShardStat `json:"shards"`
 }
@@ -107,8 +103,8 @@ type RouterStats struct {
 // region and are answered from the full federation like any other.
 //
 // Under partial failure the router degrades instead of failing: member
-// calls run through the resilience pipeline (deadline, retry, hedge —
-// see Resilience), a member that still fails is recorded by its
+// calls run through the resilience pipeline (deadline and retry — see
+// Resilience), a member that still fails is recorded by its
 // circuit breaker and routed around once the breaker opens, and a
 // query whose fan-out lost a relevant member returns the survivors'
 // merge annotated with *lbs.PartialError. Only the owner is
@@ -143,30 +139,20 @@ type Router struct {
 	partial atomic.Int64
 	dropped atomic.Int64
 	retries atomic.Int64
-	hedges  atomic.Int64
 }
 
 var _ lbs.Querier = (*Router)(nil)
 
-// candidateK returns how many distance candidates one logical query
-// needs from a shard (see lbs.Options.CandidateCount).
-func candidateK(norm lbs.Options) int { return norm.CandidateCount() }
-
 // NewRouter federates shards behind the logical service options with
-// DefaultResilience. K, MaxRadius, Budget, Limiter and the
-// rank/prominence fields describe the service the federation
+// the given failure handling (DefaultResilience for production; the
+// zero Resilience disables deadlines, retries and the breaker while
+// keeping degraded-mode merging). K, MaxRadius, Budget, Limiter and
+// the rank/prominence fields describe the service the federation
 // presents, exactly as lbs.Options does for NewService. Every member
-// must answer at least the router's candidate count (K, or
-// K×overfetch under prominence rank).
-func NewRouter(shards []Shard, opts lbs.Options) (*Router, error) {
-	return NewRouterWithResilience(shards, opts, DefaultResilience())
-}
-
-// NewRouterWithResilience is NewRouter with an explicit fault-
-// tolerance configuration (the zero Resilience disables deadlines,
-// retries, hedging and the breaker while keeping degraded-mode
-// merging).
-func NewRouterWithResilience(shards []Shard, opts lbs.Options, res Resilience) (*Router, error) {
+// must answer at least the router's candidate count
+// (lbs.Options.CandidateCount: K, or K×overfetch under prominence
+// rank).
+func NewRouter(shards []Shard, opts lbs.Options, res Resilience) (*Router, error) {
 	norm, err := opts.Normalized()
 	if err != nil {
 		return nil, err
@@ -174,7 +160,7 @@ func NewRouterWithResilience(shards []Shard, opts lbs.Options, res Resilience) (
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: NewRouter needs at least one shard")
 	}
-	want := candidateK(norm)
+	want := norm.CandidateCount()
 	bounds := shards[0].Region
 	for i, sh := range shards {
 		if sh.Querier == nil {
@@ -182,9 +168,6 @@ func NewRouterWithResilience(shards []Shard, opts lbs.Options, res Resilience) (
 		}
 		if k := sh.Querier.K(); k < want {
 			return nil, fmt.Errorf("shard: shard %d answers k=%d, federation needs ≥ %d candidates", i, k, want)
-		}
-		if sh.Replica != nil && sh.Replica.K() < want {
-			return nil, fmt.Errorf("shard: shard %d replica answers k=%d, federation needs ≥ %d candidates", i, sh.Replica.K(), want)
 		}
 		bounds.Min.X = math.Min(bounds.Min.X, sh.Region.Min.X)
 		bounds.Min.Y = math.Min(bounds.Min.Y, sh.Region.Min.Y)
@@ -256,7 +239,6 @@ func (r *Router) Stats() RouterStats {
 		Partial:  r.partial.Load(),
 		Dropped:  r.dropped.Load(),
 		Retries:  r.retries.Load(),
-		Hedges:   r.hedges.Load(),
 		Shards:   make([]ShardStat, len(r.shards)),
 	}
 	now := time.Now()
@@ -269,17 +251,6 @@ func (r *Router) Stats() RouterStats {
 	}
 	return st
 }
-
-// chargeN reserves up to n logical units against the router's budget
-// (see lbs.Meter.ChargeN — the same cost model a single Service runs).
-func (r *Router) chargeN(ctx context.Context, n int64) (int64, error) {
-	return r.meter.ChargeN(ctx, n)
-}
-
-// refund hands back logical units whose queries a shard failure left
-// unanswered, so upstream failures never leak federated budget
-// (virtual limiter time, already advanced, is not unwound).
-func (r *Router) refund(n int64) { r.meter.Refund(n) }
 
 // minDist lower-bounds the distance from q to the nearest point of
 // rect under the router's metric (geo.Metric.RectMinDist). Euclidean
@@ -305,7 +276,8 @@ func (r *Router) breakerOn() bool { return r.res.BreakerThreshold > 0 }
 
 // pickOwner picks the phase-one shard for a query point: the shard
 // whose region is nearest (first wins ties) among members whose
-// breaker is not open — health-gated routing moves ownership of a
+// breaker is closed, or that this batch already probes (probing[i];
+// nil on the point path) — health-gated routing moves ownership of a
 // dead member's region to its nearest healthy neighbor. Ownership is
 // a routing heuristic only (any choice yields the same merged
 // answer over the reachable members), but it must be total, so
@@ -313,11 +285,16 @@ func (r *Router) breakerOn() bool { return r.res.BreakerThreshold > 0 }
 // also why it deliberately stays planar Dist2 proximity under every
 // metric: the phase-two bound derived from any owner's full answer is
 // valid, so the metric only needs to govern minDist and rankDist.
-// ok=false means every breaker is open.
-func (r *Router) pickOwner(q geom.Point) (int, bool) {
+//
+// When no breaker is closed, the nearest member whose cooldown has
+// elapsed is admitted as a probe owner (probe=true): fan-out probes
+// need an owner, so without this a federation whose every breaker
+// opened would never call a member again and never recover. ok=false
+// means no member may own the query.
+func (r *Router) pickOwner(q geom.Point, probing []bool) (owner int, probe, ok bool) {
 	best, bestD := -1, math.Inf(1)
 	for i, sh := range r.shards {
-		if r.breakerOn() && !r.health[i].ownable() {
+		if r.breakerOn() && !r.health[i].ownable() && (probing == nil || !probing[i]) {
 			continue
 		}
 		d := q.Dist2(sh.Region.Clamp(q))
@@ -328,7 +305,22 @@ func (r *Router) pickOwner(q geom.Point) (int, bool) {
 			}
 		}
 	}
-	return best, best >= 0
+	if best >= 0 {
+		return best, false, true
+	}
+	order := make([]int, len(r.shards))
+	dist := make([]float64, len(r.shards))
+	for i, sh := range r.shards {
+		order[i], dist[i] = i, q.Dist2(sh.Region.Clamp(q))
+	}
+	sort.SliceStable(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })
+	now := time.Now()
+	for _, i := range order {
+		if admitted, probe := r.health[i].admit(now, r.res.BreakerCooldown); admitted {
+			return i, probe, true
+		}
+	}
+	return -1, false, false
 }
 
 // boundFor derives the phase-two fan-out radius from the owner's
@@ -413,11 +405,11 @@ func (r *Router) queryMember(ctx context.Context, si int, probe bool, q geom.Poi
 // annotation when a relevant non-owner member was skipped (breaker
 // open) or failed after retries.
 func (r *Router) scatterOne(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {
-	owner, ok := r.pickOwner(q)
+	owner, probe, ok := r.pickOwner(q, nil)
 	if !ok {
 		return nil, ErrNoShards
 	}
-	ownerRecs, err := r.queryMember(ctx, owner, false, q, filter)
+	ownerRecs, err := r.queryMember(ctx, owner, probe, q, filter)
 	missing := 0
 	var firstErr error
 	if pe, isPartial := lbs.AsPartial(err); isPartial {
@@ -528,17 +520,26 @@ func (r *Router) scatterBatch(ctx context.Context, pts []geom.Point, filter lbs.
 		lists:   make([][][]lbs.LRRecord, len(pts)),
 	}
 	group := make([][]int, len(r.shards))
+	// probing marks the members this batch admitted as probe owners:
+	// they own later points too, so one probe serves the whole batch.
+	var probing []bool
 	for i, q := range pts {
-		o, ok := r.pickOwner(q)
+		o, probe, ok := r.pickOwner(q, probing)
 		if !ok {
 			return nil, ErrNoShards
+		}
+		if probe {
+			if probing == nil {
+				probing = make([]bool, len(r.shards))
+			}
+			probing[o] = true
 		}
 		st.owners[i] = o
 		group[o] = append(group[o], i)
 	}
 	// Phase 1: owner batches. An owner batch that fails drops its
 	// positions; the rest of the batch proceeds.
-	err := r.shardBatches(ctx, pts, filter, group, nil,
+	err := r.shardBatches(ctx, pts, filter, group, probing,
 		func(pos int, recs []lbs.LRRecord, degraded bool) {
 			st.phase1[pos] = recs
 			st.lists[pos] = append(st.lists[pos], recs)
@@ -695,12 +696,12 @@ func (r *Router) shardBatches(ctx context.Context, pts []geom.Point, filter lbs.
 // an answer, annotated with *lbs.PartialError); a failed query refunds
 // the unit.
 func (r *Router) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {
-	if _, err := r.chargeN(ctx, 1); err != nil {
+	if _, err := r.meter.ChargeN(ctx, 1); err != nil {
 		return nil, err
 	}
 	recs, err := r.scatterOne(ctx, q, filter)
 	if err != nil && !lbs.IsPartial(err) {
-		r.refund(1)
+		r.meter.Refund(1)
 		return nil, err
 	}
 	return recs, err
@@ -716,12 +717,7 @@ func (r *Router) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter) 
 	if err != nil && !lbs.IsPartial(err) {
 		return nil, err
 	}
-	return stripLocations(recs), err
-}
-
-// stripLocations converts an LR answer to its rank-only view.
-func stripLocations(recs []lbs.LRRecord) []lbs.LNRRecord {
-	return lbs.StripLocations(recs)
+	return lbs.StripLocations(recs), err
 }
 
 // QueryLRBatch implements lbs.Querier with Service batch semantics:
@@ -732,13 +728,13 @@ func stripLocations(recs []lbs.LRRecord) []lbs.LNRRecord {
 // that got no answer are refunded.
 func (r *Router) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LRRecord, error) {
 	out := make([][]lbs.LRRecord, len(pts))
-	granted, gerr := r.chargeN(ctx, int64(len(pts)))
+	granted, gerr := r.meter.ChargeN(ctx, int64(len(pts)))
 	if granted == 0 {
 		return out, gerr
 	}
 	answers, serr := r.scatterBatch(ctx, pts[:granted], filter)
 	if serr != nil && !lbs.IsPartial(serr) {
-		r.refund(granted)
+		r.meter.Refund(granted)
 		return make([][]lbs.LRRecord, len(pts)), serr
 	}
 	var answered int64
@@ -748,7 +744,7 @@ func (r *Router) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.
 			answered++
 		}
 	}
-	r.refund(granted - answered)
+	r.meter.Refund(granted - answered)
 	if gerr != nil {
 		// A partial *grant* dominates the annotation: positions past
 		// the granted prefix are nil-with-ErrBudgetExhausted, the
@@ -764,7 +760,7 @@ func (r *Router) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs
 	out := make([][]lbs.LNRRecord, len(lr))
 	for i, recs := range lr {
 		if recs != nil {
-			out[i] = stripLocations(recs)
+			out[i] = lbs.StripLocations(recs)
 		}
 	}
 	return out, err

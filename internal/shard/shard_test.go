@@ -58,7 +58,7 @@ func checkEquivalence(t *testing.T, db *lbs.Database, opts lbs.Options, nShards 
 	t.Helper()
 	ctx := context.Background()
 	single := lbs.NewService(db, opts)
-	router, err := NewLocal(db, opts, nShards)
+	router, err := FromPartsWrapped(Partition(db, nShards), opts, DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFederatedBudget(t *testing.T) {
 	db := workload.USASchools(200, 31).DB
 	ctx := context.Background()
 	opts := lbs.Options{K: 3, Budget: 10}
-	router, err := NewLocal(db, opts, 4)
+	router, err := FromPartsWrapped(Partition(db, 4), opts, DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFederatedBudget(t *testing.T) {
 // counts and the per-shard breakdown.
 func TestRouterStats(t *testing.T) {
 	db := workload.USASchools(200, 41).DB
-	router, err := NewLocal(db, lbs.Options{K: 5}, 4)
+	router, err := FromPartsWrapped(Partition(db, 4), lbs.Options{K: 5}, DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +259,13 @@ func TestRouterStats(t *testing.T) {
 func TestRouterRejectsUndersizedShards(t *testing.T) {
 	db := workload.USASchools(100, 51).DB
 	svc := lbs.NewService(db, lbs.Options{K: 3})
-	if _, err := NewRouter([]Shard{{Querier: svc, Region: db.Bounds()}}, lbs.Options{K: 5}); err == nil {
+	if _, err := NewRouter([]Shard{{Querier: svc, Region: db.Bounds()}}, lbs.Options{K: 5}, DefaultResilience()); err == nil {
 		t.Fatal("k=3 shard accepted for k=5 federation")
 	}
 	// Prominence needs K×overfetch candidates.
 	if _, err := NewRouter([]Shard{{Querier: svc, Region: db.Bounds()}}, lbs.Options{
 		K: 3, Rank: lbs.RankByProminence, ProminenceAttr: "x",
-	}); err == nil {
+	}, DefaultResilience()); err == nil {
 		t.Fatal("k=3 shard accepted for prominence federation needing 12 candidates")
 	}
 }

@@ -208,7 +208,7 @@ func (s *Spec) federate(ctx context.Context, opts *lbs.Options, b *Stack) (lbs.Q
 		members = append(members, shard.Shard{Querier: c, Region: c.Bounds()})
 	}
 	b.Label = fmt.Sprintf("federation of %d upstreams, k=%d", len(members), s.K)
-	return shard.NewRouter(members, *opts)
+	return shard.NewRouter(members, *opts, shard.DefaultResilience())
 }
 
 // local builds the backend over local data. A per-member fault

@@ -158,11 +158,16 @@
 //   - PartitionDatabase splits a database into N disjoint spatial
 //     shards by recursive longest-axis median splits; shard regions
 //     tile the bounds and carry balanced tuple counts.
-//   - NewShardedService builds the one-call composite: N in-process
-//     shard services behind a ShardRouter.
-//   - NewShardRouter federates arbitrary members — in-process services
-//     or remote HTTP clients (the lbsserve -upstream deployment) —
-//     each declared as a Shard{Querier, Region}.
+//   - NewShardedService(db, opts, n, res, wrap) builds the one-call
+//     composite: N in-process shard services behind a ShardRouter,
+//     each optionally passed through wrap (a fault injector, say).
+//   - NewShardRouter(shards, opts, res) federates arbitrary members —
+//     in-process services or remote HTTP clients (the lbsserve
+//     -upstream deployment) — each declared as a Shard{Querier, Region}.
+//
+// Both take the failure handling explicitly: DefaultResilience() in
+// production, the zero Resilience for the strict scatter-gather with
+// every mechanism off.
 //
 // A ShardRouter implements Querier via two-phase scatter-gather: the
 // shard owning the query point answers first, its k-th-neighbor
@@ -242,6 +247,8 @@
 //
 // Removed: the closure constructors (Count, CountWhere, SumAttr, ...),
 // CompilePlan/AggPlan and Driver — use AggSpec.Compile, PlanBatch, Run.
+// Removed: NewResilientShardRouter and NewShardedServiceWrapped — pass
+// a Resilience (and wrap hook) to NewShardRouter and NewShardedService.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -383,25 +390,30 @@ type (
 func PartitionDatabase(db *Database, n int) []*Database { return shard.Partition(db, n) }
 
 // NewShardedService partitions db into n in-process shard services
-// behind a ShardRouter configured with the given logical options —
-// drop-in for NewService(db, opts) at any shard count.
-func NewShardedService(db *Database, opts ServiceOptions, n int) (*ShardRouter, error) {
-	return shard.NewLocal(db, opts, n)
+// behind a ShardRouter configured with the given logical options and
+// failure handling — drop-in for NewService(db, opts) at any shard
+// count. Each member querier is passed through wrap (index, querier)
+// before federating — the hook chaos tests use to install fault
+// injectors per member; a nil wrap federates the bare services.
+func NewShardedService(db *Database, opts ServiceOptions, n int, res Resilience,
+	wrap func(i int, q Querier) Querier) (*ShardRouter, error) {
+	return shard.FromPartsWrapped(shard.Partition(db, n), opts, res, wrap)
 }
 
 // NewShardRouter federates explicit members (in-process services or
-// remote HTTPClients over disjoint upstreams). Members must answer
-// distance-ranked LR queries with k of at least opts.K (×overfetch
-// under prominence ranking).
-func NewShardRouter(shards []Shard, opts ServiceOptions) (*ShardRouter, error) {
-	return shard.NewRouter(shards, opts)
+// remote HTTPClients over disjoint upstreams) with the given failure
+// handling. Members must answer distance-ranked LR queries with k of
+// at least opts.K (×overfetch under prominence ranking).
+func NewShardRouter(shards []Shard, opts ServiceOptions, res Resilience) (*ShardRouter, error) {
+	return shard.NewRouter(shards, opts, res)
 }
 
 // Fault-tolerance types (see README "Operating under failure").
 type (
 	// Resilience configures the router's failure handling: per-shard
-	// call deadlines, bounded retry of transient errors, hedged
-	// requests to replicas, and the per-shard circuit breaker.
+	// call deadlines, bounded retry of transient errors, and the
+	// per-shard circuit breaker. The zero value turns every mechanism
+	// off.
 	Resilience = shard.Resilience
 	// BreakerState is a member's circuit-breaker state (closed / open
 	// / half-open), reported in ShardStat and /v1/stats.
@@ -449,25 +461,9 @@ var (
 )
 
 // DefaultResilience returns the production failure-handling defaults:
-// 10s shard timeout, 2 retries with jittered backoff, hedging at the
-// p95 latency estimate, and a 5-failure breaker with 1s cooldown.
+// 10s shard timeout, 2 retries with jittered backoff, and a 5-failure
+// breaker with 1s cooldown.
 func DefaultResilience() Resilience { return shard.DefaultResilience() }
-
-// NewResilientShardRouter federates explicit members with the given
-// failure handling; NewShardRouter is equivalent to resilience left
-// zero (every mechanism off — strict bit-identical scatter-gather).
-func NewResilientShardRouter(shards []Shard, opts ServiceOptions, res Resilience) (*ShardRouter, error) {
-	return shard.NewRouterWithResilience(shards, opts, res)
-}
-
-// NewShardedServiceWrapped partitions db into n in-process shard
-// services, passing each member querier through wrap (index, querier)
-// before federating — the hook chaos tests use to install fault
-// injectors per member. A nil wrap federates the bare services.
-func NewShardedServiceWrapped(db *Database, opts ServiceOptions, n int, res Resilience,
-	wrap func(i int, q Querier) Querier) (*ShardRouter, error) {
-	return shard.FromPartsWrapped(shard.Partition(db, n), opts, res, wrap)
-}
 
 // NewFaultInjector wraps inner with deterministic injected faults per
 // spec. The same seed replays the same fault schedule.

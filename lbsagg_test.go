@@ -107,7 +107,7 @@ func TestFacadeFederation(t *testing.T) {
 	if len(parts) != 4 {
 		t.Fatalf("partitions: %d", len(parts))
 	}
-	router, err := lbsagg.NewShardedService(sc.DB, lbsagg.ServiceOptions{K: 5}, 4)
+	router, err := lbsagg.NewShardedService(sc.DB, lbsagg.ServiceOptions{K: 5}, 4, lbsagg.DefaultResilience(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFacadeFederation(t *testing.T) {
 func TestFacadeFaultTolerance(t *testing.T) {
 	sc := lbsagg.USASchools(150, 4)
 	inj := make([]*lbsagg.FaultInjector, 2)
-	router, err := lbsagg.NewShardedServiceWrapped(sc.DB, lbsagg.ServiceOptions{K: 10}, 2,
+	router, err := lbsagg.NewShardedService(sc.DB, lbsagg.ServiceOptions{K: 10}, 2,
 		lbsagg.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour, Seed: 1},
 		func(i int, q lbsagg.Querier) lbsagg.Querier {
 			inj[i] = lbsagg.NewFaultInjector(q, lbsagg.FaultSpec{Seed: int64(i)})
