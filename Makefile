@@ -48,7 +48,9 @@ examples:
 # race-checks the LR estimator's pooled scratch sets and its answer
 # ownership: a reader walks the cached answers while the estimator
 # runs, and concurrent parallel LR jobs over one cache must match
-# serial reruns bit for bit (about 15 s).
+# serial reruns bit for bit (about 15 s). The seventh race-checks the
+# per-job budget scopes, which reserve through the shared Meter:
+# concurrent scope queries against one cap.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
@@ -56,15 +58,17 @@ stress:
 	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestShardTimeoutBoundsWedgedMember|TestDeadlineBoundsUnmarkedMemberIgnoringContext|TestFederatedBitIdenticalUnderTransients|TestAllBreakersOpenRecovers)$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestLRQueryDoesNotMutateCachedAnswers|TestLRParallelJobsShareCache)$$' ./internal/core
+	$(GO) test -race -count=50 -run '^TestScopedQuerier' ./internal/lbs
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
-# appended query answers (byte-identical to encoding/json) and the
-# store's record codec. go test fuzzes one target per run, hence the
-# loop over package:target pairs.
+# appended query answers (byte-identical to encoding/json), the
+# store's record codec and the answer cache's snapshot reader. go test
+# fuzzes one target per run, hence the loop over package:target pairs.
 FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
-	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode
+	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
+	./internal/lbs:FuzzCacheSnapshot
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

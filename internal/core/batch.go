@@ -49,8 +49,8 @@ func queryLRBatched(ctx context.Context, o Oracle, pts []geom.Point, filter lbs.
 }
 
 // BatchEstimator is an Estimator that can draw several point samples
-// through the oracle's batch path, amortizing round-trips and
-// budget/limiter synchronization. StepBatch returns one value slice
+// through the oracle's batch path, amortizing round-trips and budget
+// synchronization. StepBatch returns one value slice
 // per *completed* sample (at most m); on error the completed samples
 // are still returned alongside it. NNOBaseline implements it — its
 // per-sample queries are independent, so whole samples batch
@@ -67,7 +67,7 @@ var _ BatchEstimator = (*NNOBaseline)(nil)
 // call (via StepBatch when the estimator implements BatchEstimator,
 // sequential Step calls otherwise). Against a remote oracle this
 // collapses m HTTP round-trips into one; against the simulator it
-// amortizes budget and limiter synchronization. m ≤ 1 means one
+// amortizes budget synchronization. m ≤ 1 means one
 // sample per call.
 //
 // Two accounting effects to be aware of: trace points of samples in

@@ -24,11 +24,6 @@ type LNROptions struct {
 	// while the per-edge query cost grows as log(1/ε). Default:
 	// bounds diagonal × 1e-3.
 	EdgeEps float64
-	// MaxCutsPerCell and MaxRoundsPerCell are robustness guards; a
-	// tripped guard finishes the cell with its current region
-	// (recorded in the stats).
-	MaxCutsPerCell   int // default 64
-	MaxRoundsPerCell int // default 50
 	// Region restricts the estimation to a sub-region of the service's
 	// coverage; zero means the whole service bounds (see
 	// LROptions.Region).
@@ -40,6 +35,14 @@ type LNROptions struct {
 	// Seed drives randomness.
 	Seed int64
 }
+
+// maxCutsPerCell and maxRoundsPerCell are the cell search's robustness
+// guards: a tripped guard finishes the cell with its current region
+// (counted in LNRStats.GuardTrips).
+const (
+	maxCutsPerCell   = 64
+	maxRoundsPerCell = 50
+)
 
 // LNRStats counts internal events of an LNR run.
 type LNRStats struct {
@@ -84,12 +87,6 @@ func NewLNRAggregator(svc Oracle, opts LNROptions) *LNRAggregator {
 	}
 	if opts.EdgeEps <= 0 {
 		opts.EdgeEps = svc.Bounds().Diagonal() * 1e-3
-	}
-	if opts.MaxCutsPerCell <= 0 {
-		opts.MaxCutsPerCell = 64
-	}
-	if opts.MaxRoundsPerCell <= 0 {
-		opts.MaxRoundsPerCell = 50
 	}
 	region := opts.Region
 	if region.Area() <= 0 {
@@ -510,7 +507,7 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 		}
 	}
 	confirmed := make(map[vkey]bool)
-	for round := 0; round < a.opts.MaxRoundsPerCell; round++ {
+	for round := 0; round < maxRoundsPerCell; round++ {
 		changed, unresolved, err := a.vertexRound(ctx, c, confirmed)
 		if err != nil {
 			return nil, nil, err
@@ -528,7 +525,7 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 			}
 			return c.region, c, nil
 		}
-		if c.region.NumCuts() >= a.opts.MaxCutsPerCell {
+		if c.region.NumCuts() >= maxCutsPerCell {
 			break
 		}
 	}

@@ -21,13 +21,11 @@ import (
 // every tuple by its top-1 cell (FixedH = 1). The paper's full
 // "LR-LBS-AGG" is DefaultLROptions with FixedH = 0.
 type LROptions struct {
-	// UseK is how many of the service's returned tuples to exploit per
-	// sampled query (≤ the service's k). 0 means the service's k.
-	UseK int
 	// FixedH forces every selected tuple to be weighted by its
-	// top-FixedH Voronoi cell (capped at UseK). 0 enables the adaptive
-	// per-tuple choice of §3.2.3 (which requires UseHistory to have
-	// any effect; without history the choice degenerates to h=1).
+	// top-FixedH Voronoi cell (capped at the service's k). 0 enables
+	// the adaptive per-tuple choice of §3.2.3 (which requires
+	// UseHistory to have any effect; without history the choice
+	// degenerates to h=1).
 	// DefaultLROptions sets 1: at a fixed query budget the adaptive
 	// choice loses to h = 1, because a top-h cell with h > 1 costs
 	// many more queries than its smaller variance saves
@@ -48,30 +46,16 @@ type LROptions struct {
 	Lambda0Frac float64
 	// FastInit enables the fake-tuple initialization of §3.2.1.
 	FastInit bool
-	// FastInitFactor scales the fake-tuple box: half-width = factor ×
-	// (distance from the tuple to the farthest tuple of the answer
-	// that discovered it). Default 8, conservatively large as the
-	// paper advises.
-	FastInitFactor float64
 	// UseHistory enables reuse of previously observed tuples (§3.2.2).
 	UseHistory bool
 	// MonteCarlo enables the unbiased early-finish of §3.2.4: once a
-	// vertex round shrinks the tentative cell by less than MCAreaRatio
+	// vertex round shrinks the tentative cell by less than mcAreaRatio
 	// (relatively), the exact computation stops and the remaining
 	// uncertainty is resolved by geometric trials.
-	MonteCarlo  bool
-	MCAreaRatio float64 // default 0.05
-	MCMinRounds int     // default 2
-	MCMaxTrials int     // safety cap, default 100000
+	MonteCarlo bool
 	// UseLowerBound enables the lower-bound region of §3.2.4, skipping
 	// confirmation queries at points provably inside the cell.
 	UseLowerBound bool
-	// LowerBoundSamples is the boundary sampling resolution of the
-	// disk-union coverage test. Default 48.
-	LowerBoundSamples int
-	// MaxRounds caps vertex-test rounds per cell as a numerical-
-	// robustness guard. Default 200.
-	MaxRounds int
 	// Region restricts the estimation to a sub-region of the service's
 	// coverage (e.g. "Austin, TX"): query locations are sampled from it
 	// and Voronoi cells are clipped against it. The zero value means
@@ -89,6 +73,28 @@ type LROptions struct {
 	// Seed drives the aggregator's randomness.
 	Seed int64
 }
+
+// Tuning constants of the error-reduction devices.
+const (
+	// fastInitFactor scales the fake-tuple box of §3.2.1: half-width =
+	// factor × (distance from the tuple to the farthest tuple of the
+	// answer that discovered it), conservatively large as the paper
+	// advises.
+	fastInitFactor = 8
+	// mcAreaRatio, mcMinRounds and mcMaxTrials tune the Monte-Carlo
+	// early finish: it starts once a round from mcMinRounds on shrinks
+	// the cell by less than mcAreaRatio, and its trials stop at the
+	// mcMaxTrials safety cap.
+	mcAreaRatio = 0.05
+	mcMinRounds = 2
+	mcMaxTrials = 100000
+	// lowerBoundSamples is the boundary sampling resolution of the
+	// lower bound's disk-union coverage test.
+	lowerBoundSamples = 48
+	// maxRounds caps vertex-test rounds per cell as a numerical-
+	// robustness guard.
+	maxRounds = 200
+)
 
 // DefaultLROptions returns the LR-LBS-AGG configuration with all four
 // error-reduction devices enabled and h fixed at 1 (see FixedH); set
@@ -228,29 +234,8 @@ func (s *lrScratch) sitesOf(recs []lbs.LRRecord, excludeID int64) []cell.Site {
 
 // NewLRAggregator builds an aggregator over an LR service view.
 func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
-	if opts.UseK <= 0 || opts.UseK > svc.K() {
-		opts.UseK = svc.K()
-	}
 	if opts.Lambda0Frac <= 0 {
 		opts.Lambda0Frac = 0.001
-	}
-	if opts.FastInitFactor <= 0 {
-		opts.FastInitFactor = 8
-	}
-	if opts.MCAreaRatio <= 0 {
-		opts.MCAreaRatio = 0.05
-	}
-	if opts.MCMinRounds <= 0 {
-		opts.MCMinRounds = 2
-	}
-	if opts.MCMaxTrials <= 0 {
-		opts.MCMaxTrials = 100000
-	}
-	if opts.LowerBoundSamples <= 0 {
-		opts.LowerBoundSamples = 48
-	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 200
 	}
 	region := opts.Region
 	if region.Area() <= 0 {
@@ -278,7 +263,7 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 func (a *LRAggregator) scratch() *lrScratch {
 	if a.s == nil {
 		a.s = lrScratchPool.Get().(*lrScratch)
-		a.s.fit(a.boundPoly, a.opts.UseK)
+		a.s.fit(a.boundPoly, a.svc.K())
 	}
 	return a.s
 }
@@ -394,7 +379,7 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 // the top-k build would, but the missing ones are sites beyond twice
 // the seed's reach, which the refinement's InsertSites never consumes.
 func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
-	k := a.opts.UseK
+	k := a.svc.K()
 	h := min(a.opts.FixedH, k)
 	if !a.opts.UseHistory || a.hist.Len() <= 1 {
 		return max(h, 1), nil
@@ -486,7 +471,7 @@ func (a *LRAggregator) canSkip(cc *cellContext, p geom.Point) bool {
 	}
 	margin := r * 1e-9
 	if !geom.DiskUnionCoversCircle(cc.disks, geom.Circle{Center: p, R: r},
-		a.opts.LowerBoundSamples, margin) {
+		lowerBoundSamples, margin) {
 		return false
 	}
 	return a.known(cc).CountCloser(p, cc.tLoc, cc.tID) <= cc.h-1
@@ -537,7 +522,7 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 	clear(confirmed)
 	prevArea := cc.region.Area()
 	for round := 1; ; round++ {
-		if round > a.opts.MaxRounds {
+		if round > maxRounds {
 			a.stats.MaxRoundsTripped++
 			break
 		}
@@ -573,8 +558,8 @@ func (a *LRAggregator) computeWeight(ctx context.Context, tID int64, tLoc geom.P
 			break // Theorem 1: the region is the exact top-h cell
 		}
 		area := cc.region.Area()
-		if a.opts.MonteCarlo && round >= a.opts.MCMinRounds &&
-			prevArea-area < a.opts.MCAreaRatio*math.Max(area, geom.Eps) {
+		if a.opts.MonteCarlo && round >= mcMinRounds &&
+			prevArea-area < mcAreaRatio*math.Max(area, geom.Eps) {
 			return a.mcFinish(ctx, &cc)
 		}
 		prevArea = area
@@ -631,7 +616,7 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 }
 
 // fastInitRadius chooses the fake-box scale from the discovering
-// answer: FastInitFactor × the spread of the answer around the target,
+// answer: fastInitFactor × the spread of the answer around the target,
 // falling back to a twentieth of the bounding diagonal.
 func (a *LRAggregator) fastInitRadius(cc *cellContext) float64 {
 	var m float64
@@ -643,7 +628,7 @@ func (a *LRAggregator) fastInitRadius(cc *cellContext) float64 {
 	if m < geom.Eps {
 		return a.bound.Diagonal() / 20
 	}
-	return a.opts.FastInitFactor * m
+	return fastInitFactor * m
 }
 
 // mcFinish implements the Monte-Carlo device of §3.2.4: with the
@@ -659,7 +644,7 @@ func (a *LRAggregator) mcFinish(ctx context.Context, cc *cellContext) (float64, 
 		a.stats.DegenerateCells++
 		return 0, nil
 	}
-	for r := 1; r <= a.opts.MCMaxTrials; r++ {
+	for r := 1; r <= mcMaxTrials; r++ {
 		a.stats.MCTrials++
 		x, ok := a.sampleFromRegion(cc.region)
 		if !ok {
@@ -683,7 +668,7 @@ func (a *LRAggregator) mcFinish(ctx context.Context, cc *cellContext) (float64, 
 		}
 	}
 	// Trial cap reached (pathological); accept the capped count.
-	return float64(a.opts.MCMaxTrials) / pPrime, nil
+	return float64(mcMaxTrials) / pPrime, nil
 }
 
 // sampleFromRegion draws a point distributed as the sampler's density
@@ -740,7 +725,7 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 		a.stats.Samples++
 		return out, nil
 	}
-	kUse := a.opts.UseK
+	kUse := a.svc.K()
 	if kUse > len(recs) {
 		kUse = len(recs)
 	}

@@ -36,7 +36,7 @@ func benchService(n, k int) *lbs.Service {
 // queries per second) under 8 concurrent clients, comparing the
 // per-point GET path (batch=1) against the batched POST path. The
 // per-request overhead — connection handling, JSON framing, budget
-// and limiter synchronization — is paid once per batch instead of
+// synchronization — is paid once per batch instead of
 // once per query, which is the whole argument for the batch endpoint
 // under heavy traffic (run `make bench-throughput`).
 func BenchmarkServeThroughput(b *testing.B) {

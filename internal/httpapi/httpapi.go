@@ -192,9 +192,7 @@ const (
 // carries a non-nil functional filter: closures cannot cross the
 // network, so selections must be configured declaratively (Selection)
 // per client. A federation front over remote upstreams surfaces it as
-// a 400 — filtered queries need per-selection upstream clients, the
-// same per-selection discipline CacheOptions.Selection imposes on
-// shared caches.
+// a 400 — filtered queries need per-selection upstream clients.
 var ErrPerCallFilter = errors.New("httpapi: per-call filters unsupported; configure Selection on the client")
 
 // Server adapts a service view into an http.Handler. Any lbs.Querier

@@ -227,9 +227,8 @@ func TestStatsLive(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Populate the cache, mutate (no MaxRadius and no
-			// InvalidationRadius → conservative full flush), then read
-			// stats.
+			// Populate the cache, mutate (no MaxRadius → conservative
+			// full flush), then read stats.
 			if _, err := c.QueryLR(ctx, geom.Pt(10, 10), nil); err != nil {
 				t.Fatal(err)
 			}

@@ -21,8 +21,6 @@
 package kdtree
 
 import (
-	"sort"
-
 	"repro/internal/geo"
 	"repro/internal/geom"
 )
@@ -37,38 +35,6 @@ func (t *Tree) KNNWithinMetricInto(m geo.Metric, q geom.Point, k int, maxDist fl
 		return t.KNNWithinInto(q, k, maxDist, filter, buf)
 	}
 	return t.knnGeodesicInto(q, k, maxDist, filter, buf)
-}
-
-// WithinRadiusMetricInto is WithinRadiusInto under an explicit
-// metric: all points within r of q, ordered by (distance, index).
-func (t *Tree) WithinRadiusMetricInto(m geo.Metric, q geom.Point, r float64, filter func(int) bool, buf []Neighbor) []Neighbor {
-	if m != geo.Haversine {
-		return t.WithinRadiusInto(q, r, filter, buf)
-	}
-	out := t.WithinRadiusMetricUnordered(m, q, r, filter, buf)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Index < out[b].Index
-	})
-	return out
-}
-
-// WithinRadiusMetricUnordered is WithinRadiusUnordered under an
-// explicit metric (results in tree-traversal order).
-func (t *Tree) WithinRadiusMetricUnordered(m geo.Metric, q geom.Point, r float64, filter func(int) bool, buf []Neighbor) []Neighbor {
-	if m != geo.Haversine {
-		return t.WithinRadiusUnordered(q, r, filter, buf)
-	}
-	out := buf[:0]
-	if len(t.nodes) == 0 || r < 0 {
-		return out
-	}
-	hq := geo.NewHaversineQuery(q)
-	cosFloor := geo.CosLatFloor(-t.maxAbsY, t.maxAbsY)
-	t.withinGeo(0, q, hq, r, cosFloor, filter, &out)
-	return out
 }
 
 // farBoundGeo computes, for the node at off with point p, the
@@ -154,23 +120,4 @@ func (t *Tree) knnGeodesicInto(q geom.Point, k int, maxDist float64, filter func
 		siftDownNb(h[:i], 0)
 	}
 	return h
-}
-
-// withinGeo is the geodesic analogue of within: descend the near side
-// unconditionally and the far side only when its lune lower bound
-// stays within r.
-func (t *Tree) withinGeo(off int32, q geom.Point, hq geo.HaversineQuery, r, cosFloor float64, filter func(int) bool, out *[]Neighbor) {
-	if off < 0 {
-		return
-	}
-	n := &t.nodes[off]
-	p := t.pts[n.idx]
-	if d := hq.Dist(p); d <= r && (filter == nil || filter(n.idx)) {
-		*out = append(*out, Neighbor{Index: n.idx, Dist: d})
-	}
-	near, far, lb := t.farBoundGeo(n, p, q, hq, cosFloor)
-	t.withinGeo(near, q, hq, r, cosFloor, filter, out)
-	if lb <= r {
-		t.withinGeo(far, q, hq, r, cosFloor, filter, out)
-	}
 }

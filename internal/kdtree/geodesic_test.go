@@ -89,21 +89,6 @@ func TestKNNGeodesicExact(t *testing.T) {
 	}
 }
 
-// TestWithinRadiusGeodesicExact pins the geodesic radius search
-// against brute force.
-func TestWithinRadiusGeodesicExact(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	pts := geoPoints(r, 2000)
-	tree := Build(pts)
-	for i := 0; i < 80; i++ {
-		q := geom.Pt(-130+r.Float64()*70, 20+r.Float64()*32)
-		radius := r.Float64() * 300
-		got := tree.WithinRadiusMetricInto(geo.Haversine, q, radius, nil, nil)
-		want := bruteGeoKNN(pts, q, len(pts), radius, nil)
-		compareNeighbors(t, "radius", i, q, got, want)
-	}
-}
-
 // TestMetricEntryPointsEuclideanDelegate pins that the Euclidean
 // metric routes to the exact existing traversal: bit-identical result
 // slices, including ordering.
@@ -124,16 +109,6 @@ func TestMetricEntryPointsEuclideanDelegate(t *testing.T) {
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("euclidean delegate drift at %d: %+v vs %+v", j, a[j], b[j])
-			}
-		}
-		c := tree.WithinRadiusInto(q, 120, nil, nil)
-		d := tree.WithinRadiusMetricInto(geo.Euclidean, q, 120, nil, nil)
-		if len(c) != len(d) {
-			t.Fatalf("radius length drift %d vs %d", len(c), len(d))
-		}
-		for j := range c {
-			if c[j] != d[j] {
-				t.Fatalf("euclidean radius drift at %d: %+v vs %+v", j, c[j], d[j])
 			}
 		}
 	}

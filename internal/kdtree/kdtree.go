@@ -13,14 +13,13 @@
 // so the query API has allocation-free entry points: KNNInto and
 // KNNWithinInto append into a caller-provided buffer (reusing its
 // capacity) and traverse iteratively with a fixed-size stack, so a
-// warm caller performs zero heap allocations per query. KNN/KNNWithin
-// are the convenience wrappers that allocate a fresh result slice.
+// warm caller performs zero heap allocations per query. KNN is the
+// convenience wrapper that allocates a fresh result slice.
 package kdtree
 
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -408,12 +407,6 @@ func (t *Tree) KNN(q geom.Point, k int, filter func(int) bool) []Neighbor {
 	return t.KNNWithinInto(q, k, math.Inf(1), filter, nil)
 }
 
-// KNNWithin behaves like KNN but only considers points within maxDist
-// of q (the paper's maximum-coverage constraint dmax).
-func (t *Tree) KNNWithin(q geom.Point, k int, maxDist float64, filter func(int) bool) []Neighbor {
-	return t.KNNWithinInto(q, k, maxDist, filter, nil)
-}
-
 // KNNInto is KNN appending into buf[:0] (whose capacity is reused; a
 // nil buf allocates). The returned slice aliases buf and is valid only
 // until the caller reuses it. With cap(buf) ≥ k+1 the search performs
@@ -501,29 +494,11 @@ func (t *Tree) KNNWithinInto(q geom.Point, k int, maxDist float64, filter func(i
 	return h
 }
 
-// WithinRadius returns all points within radius r of q accepted by
-// filter, ordered by increasing distance.
-func (t *Tree) WithinRadius(q geom.Point, r float64, filter func(int) bool) []Neighbor {
-	return t.WithinRadiusInto(q, r, filter, nil)
-}
-
-// WithinRadiusInto is WithinRadius appending into buf[:0] (capacity
-// reused, nil buf allocates); the result aliases buf.
-func (t *Tree) WithinRadiusInto(q geom.Point, r float64, filter func(int) bool, buf []Neighbor) []Neighbor {
-	out := t.WithinRadiusUnordered(q, r, filter, buf)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Dist != out[b].Dist {
-			return out[a].Dist < out[b].Dist
-		}
-		return out[a].Index < out[b].Index
-	})
-	return out
-}
-
-// WithinRadiusUnordered is WithinRadiusInto without the final distance
-// sort, for callers that impose their own order anyway (ground-truth
-// cell construction feeds the result to a distance heap): results come
-// back in tree-traversal order.
+// WithinRadiusUnordered returns all points within radius r of q
+// accepted by filter, appending into buf[:0] (capacity reused, nil buf
+// allocates; the result aliases buf). Results come back in
+// tree-traversal order, not sorted: the caller (ground-truth cell
+// construction) feeds them to its own distance heap.
 func (t *Tree) WithinRadiusUnordered(q geom.Point, r float64, filter func(int) bool, buf []Neighbor) []Neighbor {
 	out := buf[:0]
 	if len(t.nodes) == 0 || r < 0 {
@@ -557,16 +532,4 @@ func (t *Tree) within(off int32, q geom.Point, r2 float64, filter func(int) bool
 	if planeDist*planeDist <= r2 {
 		t.within(far, q, r2, filter, out)
 	}
-}
-
-// NearestDist returns the distance from q to its nearest indexed point,
-// or +Inf when the tree is empty. Used by workload analysis and the
-// Theorem-2 bias bound (which needs inter-tuple nearest distances).
-func (t *Tree) NearestDist(q geom.Point, filter func(int) bool) float64 {
-	var buf [1]Neighbor
-	nb := t.KNNWithinInto(q, 1, math.Inf(1), filter, buf[:0])
-	if len(nb) == 0 {
-		return math.Inf(1)
-	}
-	return nb[0].Dist
 }

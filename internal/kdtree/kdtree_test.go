@@ -58,11 +58,8 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.KNN(geom.Pt(0, 0), 3, nil); got != nil {
 		t.Errorf("knn on empty: %v", got)
 	}
-	if got := tr.WithinRadius(geom.Pt(0, 0), 10, nil); got != nil {
+	if got := tr.WithinRadiusUnordered(geom.Pt(0, 0), 10, nil, nil); got != nil {
 		t.Errorf("within on empty: %v", got)
-	}
-	if d := tr.NearestDist(geom.Pt(0, 0), nil); !math.IsInf(d, 1) {
-		t.Errorf("nearest on empty: %v", d)
 	}
 }
 
@@ -119,7 +116,7 @@ func TestKNNWithin(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		r := rng.Float64() * 15
-		got := tr.KNNWithin(q, 5, r, nil)
+		got := tr.KNNWithinInto(q, 5, r, nil, nil)
 		want := bruteKNN(pts, q, 5, r, nil)
 		if !sameNeighbors(got, want) {
 			t.Fatalf("radius kNN mismatch: got %v want %v", got, want)
@@ -139,7 +136,8 @@ func TestWithinRadiusMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
 		r := rng.Float64() * 20
-		got := tr.WithinRadius(q, r, nil)
+		got := tr.WithinRadiusUnordered(q, r, nil, nil)
+		sort.Slice(got, func(a, b int) bool { return nbWorse(got[b], got[a]) })
 		want := bruteKNN(pts, q, len(pts), r, nil)
 		if !sameNeighbors(got, want) {
 			t.Fatalf("within-radius mismatch at %v r=%v: got %d want %d",
@@ -197,8 +195,8 @@ func TestDuplicatePoints(t *testing.T) {
 func TestNearestDist(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 4)}
 	tr := Build(pts)
-	if d := tr.NearestDist(geom.Pt(3, 0), nil); math.Abs(d-3) > 1e-12 {
-		t.Errorf("nearest dist: %v", d)
+	if nb := tr.KNN(geom.Pt(3, 0), 1, nil); len(nb) != 1 || math.Abs(nb[0].Dist-3) > 1e-12 {
+		t.Errorf("nearest: %v", nb)
 	}
 }
 

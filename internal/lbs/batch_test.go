@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -210,41 +209,17 @@ func TestBatchConcurrentBudgetEdge(t *testing.T) {
 	}
 }
 
-// TestTakeNMatchesSequentialTakes: the batched limiter path must
-// produce identical virtual-time accounting to sequential Take calls.
-func TestTakeNMatchesSequentialTakes(t *testing.T) {
-	seq := NewRateLimiter(3, time.Minute)
-	var seqWait time.Duration
-	for i := 0; i < 10; i++ {
-		seqWait += seq.Take()
-	}
-	bat := NewRateLimiter(3, time.Minute)
-	batWait := bat.TakeN(10)
-	if seqWait != batWait {
-		t.Errorf("waited: sequential %v, batched %v", seqWait, batWait)
-	}
-	if seq.VirtualElapsed() != bat.VirtualElapsed() {
-		t.Errorf("virtual elapsed: sequential %v, batched %v", seq.VirtualElapsed(), bat.VirtualElapsed())
-	}
-	if seq.Issued() != bat.Issued() {
-		t.Errorf("issued: sequential %d, batched %d", seq.Issued(), bat.Issued())
-	}
-}
-
-// TestOptionsValidation: zero overfetch defaults, negatives reject.
+// TestOptionsValidation: a prominence service answers from its
+// over-fetched candidate pool; nonsensical options are rejected.
 func TestOptionsValidation(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 1, Rank: RankByProminence, ProminenceAttr: "rating"})
-	if svc.Options().ProminenceOverfetch != defaultProminenceOverfetch {
-		t.Errorf("zero overfetch not defaulted: %d", svc.Options().ProminenceOverfetch)
-	}
 	recs, err := svc.QueryLR(context.Background(), geom.Pt(5, 5), nil)
 	if err != nil || len(recs) == 0 {
-		t.Errorf("prominence query with defaulted overfetch returned %d results, err %v", len(recs), err)
+		t.Errorf("prominence query returned %d results, err %v", len(recs), err)
 	}
 	for _, bad := range []Options{
 		{K: 0},
 		{K: 1, MaxRadius: -1},
-		{K: 1, ProminenceOverfetch: -2},
 	} {
 		func() {
 			defer func() {

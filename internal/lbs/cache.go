@@ -42,22 +42,6 @@ type CacheOptions struct {
 	// the inner Querier's metric. The zero value (geo.Euclidean)
 	// preserves the historical keying bit for bit.
 	Metric geo.Metric
-	// Selection labels the fixed server-side filter used through this
-	// wrapper and is folded into every cache key. Distinct selections
-	// over the same service must use distinct CachedOracle instances
-	// (or distinct Selection labels): the functional filter itself
-	// cannot be hashed, so the cache trusts this label to identify it.
-	Selection string
-	// TrustFilter declares that every non-nil per-call filter passed
-	// through this wrapper is the one filter the Selection label names
-	// (the estimator pattern: one configured Filter for the whole
-	// run). Without it, queries carrying a non-nil filter BYPASS the
-	// cache entirely — forwarded and charged but never stored or
-	// replayed — because the cache cannot tell two functional filters
-	// apart and a filtered answer replayed for a differently filtered
-	// query would be silently wrong (e.g. an HTTP gateway whose
-	// per-request selections vary).
-	TrustFilter bool
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness
@@ -65,7 +49,7 @@ type CacheOptions struct {
 type CacheStats struct {
 	Hits          int64 `json:"hits"`               // answers served without touching the service (replays and coalesced waits)
 	Misses        int64 `json:"misses"`             // queries forwarded (and charged) to the service
-	Bypasses      int64 `json:"bypasses"`           // untrusted filtered queries forwarded uncached
+	Bypasses      int64 `json:"bypasses"`           // filtered queries forwarded uncached
 	Evictions     int64 `json:"evictions"`          // entries dropped by LRU pressure
 	Invalidations int64 `json:"invalidations"`      // entries dropped by mutation (Invalidate/InvalidateAll)
 	Restored      int64 `json:"restored,omitempty"` // entries loaded from a persisted snapshot (warm restart)
@@ -79,14 +63,13 @@ const (
 	cacheKindLNR
 )
 
-// cacheKey identifies one recorded answer: (quantized point, k,
-// selection) plus the interface view the answer came from.
+// cacheKey identifies one recorded answer: (quantized point, k) plus
+// the interface view the answer came from.
 type cacheKey struct {
 	kind uint8
 	k    int
 	qx   uint64
 	qy   uint64
-	sel  string
 }
 
 // hash is FNV-1a over the key fields; the low bits pick the shard.
@@ -103,10 +86,6 @@ func (k cacheKey) hash() uint64 {
 	mix(uint64(k.k))
 	mix(k.qx)
 	mix(k.qy)
-	for i := 0; i < len(k.sel); i++ {
-		h ^= uint64(k.sel[i])
-		h *= 1099511628211
-	}
 	return h
 }
 
@@ -211,12 +190,11 @@ func (sh *cacheShard) len() int {
 }
 
 // CachedOracle memoizes the answers of an inner Querier in a
-// concurrent sharded LRU keyed by (quantized point, k, selection).
-// Cache hits replay the recorded answer without consuming the inner
-// service's budget or rate-limiter quota — client-side memoization,
-// not a change to the service contract. It implements Querier (and
-// therefore the estimators' Oracle interface), so any estimator can
-// run over it unchanged.
+// concurrent sharded LRU keyed by (quantized point, k). Cache hits
+// replay the recorded answer without consuming the inner service's
+// budget — client-side memoization, not a change to the service
+// contract. It implements Querier (and therefore the estimators'
+// Oracle interface), so any estimator can run over it unchanged.
 //
 // Concurrent misses on one key are coalesced: the first caller fetches
 // and pays, later ones — including repeats of the key inside one batch
@@ -233,8 +211,6 @@ type CachedOracle struct {
 	// under the metric (both equal to quantum under Euclidean).
 	pitchX, pitchY float64
 	metric         geo.Metric
-	sel            string
-	trustFilter    bool
 	shards         []*cacheShard
 	shardMask      uint64
 	hits           atomic.Int64
@@ -248,11 +224,11 @@ type CachedOracle struct {
 var _ Querier = (*CachedOracle)(nil)
 
 // NewCachedOracle wraps inner with an answer cache. Unfiltered
-// queries are always cacheable; queries carrying a non-nil functional
-// filter are cached only when opts.TrustFilter declares the filter
-// fixed (the estimator pattern) and bypass the cache otherwise, so a
-// front shared by differently filtered callers (an HTTP gateway) can
-// never replay a filtered answer for the wrong selection.
+// queries are cacheable; queries carrying a non-nil functional filter
+// bypass the cache — forwarded and charged but never stored or
+// replayed — because two functional filters cannot be told apart, so
+// a front shared by differently filtered callers (an HTTP gateway)
+// can never replay a filtered answer for the wrong selection.
 func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 4096
@@ -272,15 +248,13 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	perShard := opts.Capacity / shards
 	px, py := opts.Metric.CellPitch(opts.Quantum)
 	c := &CachedOracle{
-		inner:       inner,
-		quantum:     opts.Quantum,
-		pitchX:      px,
-		pitchY:      py,
-		metric:      opts.Metric,
-		sel:         opts.Selection,
-		trustFilter: opts.TrustFilter,
-		shards:      make([]*cacheShard, shards),
-		shardMask:   uint64(shards - 1),
+		inner:     inner,
+		quantum:   opts.Quantum,
+		pitchX:    px,
+		pitchY:    py,
+		metric:    opts.Metric,
+		shards:    make([]*cacheShard, shards),
+		shardMask: uint64(shards - 1),
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
@@ -316,7 +290,7 @@ func (c *CachedOracle) keyFor(kind uint8, p geom.Point) cacheKey {
 		qx = math.Float64bits(x)
 		qy = math.Float64bits(y)
 	}
-	return cacheKey{kind: kind, k: c.inner.K(), qx: qx, qy: qy, sel: c.sel}
+	return cacheKey{kind: kind, k: c.inner.K(), qx: qx, qy: qy}
 }
 
 func (c *CachedOracle) shardFor(key cacheKey) *cacheShard {
@@ -422,12 +396,6 @@ func (c *CachedOracle) InvalidateAll() int64 {
 	return dropped
 }
 
-// cacheable reports whether a query carrying this filter may use the
-// cache (see CacheOptions.TrustFilter).
-func (c *CachedOracle) cacheable(filter Filter) bool {
-	return filter == nil || c.trustFilter
-}
-
 // Inner returns the wrapped querier, so observers (e.g. the stats
 // endpoint of internal/httpapi) can walk a wrapper chain down to the
 // service that owns the budget.
@@ -501,7 +469,7 @@ func (c *CachedOracle) evicted(n int) {
 }
 
 // cachedQuery is the shared single-point lookup shape of QueryLR and
-// QueryLNR: hit → replay, untrusted filter → bypass, key already in
+// QueryLNR: hit → replay, filtered → bypass, key already in
 // flight → wait for that fetch's answer (never charged), miss →
 // forward, record, count. Concurrent misses on one key therefore go
 // upstream once. Errors are never cached.
@@ -509,7 +477,7 @@ func cachedQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filt
 	fetch func(context.Context, geom.Point, Filter) ([]T, error),
 	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([]T, error) {
 
-	if !c.cacheable(filter) {
+	if filter != nil {
 		c.bypasses.Add(1)
 		return fetch(ctx, q, filter)
 	}
@@ -566,13 +534,13 @@ func leadQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filter
 // batch's own, by then landed, flights. Partial-budget semantics
 // follow Service.QueryLRBatch — nil entries mark the positions the
 // budget could not cover, and cache hits are answered even after the
-// budget dies (memoized answers are free). Untrusted filtered batches
-// bypass entirely.
+// budget dies (memoized answers are free). Filtered batches bypass
+// entirely.
 func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, filter Filter, kind uint8,
 	fetch func(context.Context, []geom.Point, Filter) ([][]T, error),
 	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([][]T, error) {
 
-	if !c.cacheable(filter) {
+	if filter != nil {
 		c.bypasses.Add(int64(len(pts)))
 		return fetch(ctx, pts, filter)
 	}

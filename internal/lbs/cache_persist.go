@@ -8,10 +8,9 @@ package lbs
 // The snapshot is a point-in-time copy, not a live mirror: write it at
 // graceful shutdown (after the last mutation-driven invalidation) and
 // read it exactly once at startup, before serving. A snapshot whose
-// configuration (k, selection label, quantum) does not match the
-// restoring cache is rejected whole — replaying answers recorded under
-// a different key geometry would serve wrong results, and a cold cache
-// is always safe.
+// configuration (k, quantum) does not match the restoring cache is
+// rejected whole — replaying answers recorded under a different key
+// geometry would serve wrong results, and a cold cache is always safe.
 
 import (
 	"encoding/gob"
@@ -21,8 +20,8 @@ import (
 )
 
 // ErrCacheSnapshotMismatch is returned by ReadSnapshot when the
-// snapshot was recorded under a different cache configuration (k,
-// selection or quantum). The caller should log it and serve cold.
+// snapshot was recorded under a different cache configuration (k or
+// quantum). The caller should log it and serve cold.
 var ErrCacheSnapshotMismatch = errors.New("lbs: cache snapshot configuration mismatch")
 
 // cacheSnapshotVersion guards the gob stream layout; bump on any
@@ -30,7 +29,9 @@ var ErrCacheSnapshotMismatch = errors.New("lbs: cache snapshot configuration mis
 const cacheSnapshotVersion = 1
 
 // cacheSnapshotHeader pins the key geometry the entries were recorded
-// under.
+// under. Selection is always written empty — filtered answers are
+// never cached — and kept so the layout stays at version 1; a snapshot
+// carrying one is rejected.
 type cacheSnapshotHeader struct {
 	Version   int
 	K         int
@@ -71,7 +72,7 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(cacheSnapshotHeader{
 		Version: cacheSnapshotVersion, K: c.inner.K(),
-		Selection: c.sel, Quantum: c.quantum, Entries: len(entries),
+		Quantum: c.quantum, Entries: len(entries),
 	}); err != nil {
 		return fmt.Errorf("lbs: cache snapshot header: %w", err)
 	}
@@ -88,7 +89,11 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 // ErrCacheSnapshotMismatch and loads nothing; a decode error mid-
 // stream keeps the entries already loaded (they are individually
 // valid) and reports the error. Restored entries count toward
-// CacheStats.Restored, not Misses.
+// CacheStats.Restored, not Misses. The stream is outside input: an
+// entry of unknown kind ends the read with an error, and an empty
+// answer — which gob encodes as an absent slice — is restored as the
+// non-nil empty answer it was recorded as, never as the nil that marks
+// an unanswered batch position.
 func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 	dec := gob.NewDecoder(r)
 	var h cacheSnapshotHeader
@@ -98,9 +103,9 @@ func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 	if h.Version != cacheSnapshotVersion {
 		return 0, fmt.Errorf("%w: version %d (want %d)", ErrCacheSnapshotMismatch, h.Version, cacheSnapshotVersion)
 	}
-	if h.K != c.inner.K() || h.Selection != c.sel || h.Quantum != c.quantum {
-		return 0, fmt.Errorf("%w: recorded (k=%d sel=%q quantum=%g), cache (k=%d sel=%q quantum=%g)",
-			ErrCacheSnapshotMismatch, h.K, h.Selection, h.Quantum, c.inner.K(), c.sel, c.quantum)
+	if h.K != c.inner.K() || h.Selection != "" || h.Quantum != c.quantum {
+		return 0, fmt.Errorf("%w: recorded (k=%d sel=%q quantum=%g), cache (k=%d quantum=%g)",
+			ErrCacheSnapshotMismatch, h.K, h.Selection, h.Quantum, c.inner.K(), c.quantum)
 	}
 	loaded := 0
 	for i := 0; i < h.Entries; i++ {
@@ -109,10 +114,27 @@ func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 			c.restored.Add(int64(loaded))
 			return loaded, fmt.Errorf("lbs: cache snapshot entry %d: %w", i, err)
 		}
-		key := cacheKey{kind: e.Kind, k: h.K, qx: e.QX, qy: e.QY, sel: h.Selection}
-		c.store(&cacheEntry{key: key, lr: e.LR, lnr: e.LNR})
+		entry := &cacheEntry{key: cacheKey{kind: e.Kind, k: h.K, qx: e.QX, qy: e.QY}}
+		switch e.Kind {
+		case cacheKindLR:
+			entry.lr = nonNil(e.LR)
+		case cacheKindLNR:
+			entry.lnr = nonNil(e.LNR)
+		default:
+			c.restored.Add(int64(loaded))
+			return loaded, fmt.Errorf("lbs: cache snapshot entry %d: unknown kind %d", i, e.Kind)
+		}
+		c.store(entry)
 		loaded++
 	}
 	c.restored.Add(int64(loaded))
 	return loaded, nil
+}
+
+// nonNil returns recs, or an empty non-nil slice in place of nil.
+func nonNil[T any](recs []T) []T {
+	if recs == nil {
+		return []T{}
+	}
+	return recs
 }

@@ -147,3 +147,55 @@ func TestCacheSnapshotTruncatedKeepsPrefix(t *testing.T) {
 		t.Fatalf("loaded %d entries from a truncated stream of %d", n, len(pts))
 	}
 }
+
+// TestCacheSnapshotRestoresEmptyAnswers: an empty answer (no tuple
+// within MaxRadius) is a served answer, and a restored cache must
+// replay it as one. Gob drops empty slices, so a restore that took the
+// decoded field as is would hand back nil — the mark of an unanswered
+// batch position — alongside a nil error.
+func TestCacheSnapshotRestoresEmptyAnswers(t *testing.T) {
+	sc := workload.USASchools(300, 3)
+	opts := lbs.CacheOptions{Capacity: 64}
+	b := sc.DB.Bounds()
+	far := []geom.Point{geom.Pt(b.Max.X+1e6, b.Max.Y+1e6), geom.Pt(b.Min.X-1e6, b.Min.Y-1e6)}
+	ctx := context.Background()
+	warm := lbs.NewCachedOracle(lbs.NewService(sc.DB, lbs.Options{K: 5, MaxRadius: 1}), opts)
+	for _, p := range far {
+		lr, err := warm.QueryLR(ctx, p, nil)
+		if err != nil || lr == nil || len(lr) != 0 {
+			t.Fatalf("far LR query: %v, %v; want a non-nil empty answer", lr, err)
+		}
+		if _, err := warm.QueryLNR(ctx, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := warm.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := lbs.NewService(sc.DB, lbs.Options{K: 5, MaxRadius: 1})
+	cold := lbs.NewCachedOracle(svc, opts)
+	if n, err := cold.ReadSnapshot(&buf); err != nil || n != 2*len(far) {
+		t.Fatalf("restored %d entries, err %v; want %d", n, err, 2*len(far))
+	}
+	lr, err := cold.QueryLRBatch(ctx, far, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnr, err := cold.QueryLNRBatch(ctx, far, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range far {
+		if lr[i] == nil || len(lr[i]) != 0 {
+			t.Errorf("LR position %d: %v, want a non-nil empty answer", i, lr[i])
+		}
+		if lnr[i] == nil || len(lnr[i]) != 0 {
+			t.Errorf("LNR position %d: %v, want a non-nil empty answer", i, lnr[i])
+		}
+	}
+	if got := svc.QueryCount(); got != 0 {
+		t.Fatalf("restored cache forwarded %d queries; every answer should have replayed", got)
+	}
+}

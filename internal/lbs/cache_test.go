@@ -266,44 +266,9 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheSelectionKeysDistinct: two wrappers with different
-// Selection labels over the same service never share entries (the
-// key includes the selection). The filtered wrapper declares its
-// fixed filter via TrustFilter — the estimator pattern.
-func TestCacheSelectionKeysDistinct(t *testing.T) {
-	svc := NewService(testDB(t), Options{K: 4})
-	all := NewCachedOracle(svc, CacheOptions{})
-	cafes := NewCachedOracle(svc, CacheOptions{Selection: "category=cafe", TrustFilter: true})
-	ctx := context.Background()
-	p := geom.Pt(5, 5)
-	full, err := all.QueryLR(ctx, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := cafes.QueryLR(ctx, p, CategoryFilter("cafe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered) >= len(full) {
-		t.Fatalf("filter did not restrict: %d vs %d", len(filtered), len(full))
-	}
-	for _, r := range filtered {
-		if r.Category != "cafe" {
-			t.Errorf("filtered answer leaked %s", r.Category)
-		}
-	}
-	// The trusted filtered answer is cached under its own key.
-	if _, err := cafes.QueryLR(ctx, p, CategoryFilter("cafe")); err != nil {
-		t.Fatal(err)
-	}
-	if st := cafes.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Errorf("trusted-filter stats = %+v, want 1 hit / 1 miss", st)
-	}
-}
-
-// TestCacheUntrustedFilterBypasses: without TrustFilter, a wrapper
-// shared by differently filtered callers (the HTTP gateway pattern)
-// must never replay an answer across filters — in either order.
+// TestCacheUntrustedFilterBypasses: a wrapper shared by differently
+// filtered callers (the HTTP gateway pattern) must never replay an
+// answer across filters — in either order.
 func TestCacheUntrustedFilterBypasses(t *testing.T) {
 	ctx := context.Background()
 	p := geom.Pt(5, 5)

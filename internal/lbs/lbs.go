@@ -28,8 +28,7 @@
 //
 // Beyond the per-point QueryLR/QueryLNR calls, a Service answers
 // multi-point batches (QueryLRBatch/QueryLNRBatch): m points are
-// charged against the budget in one atomic reservation and metered
-// through the rate limiter under one lock round-trip, so heavily
+// charged against the budget in one atomic reservation, so heavily
 // concurrent clients amortize the per-query synchronization cost.
 // Each answered point still counts as one query — batching buys
 // round-trips, not budget.
@@ -38,12 +37,10 @@
 // Caching models *client-side memoization* of previously received
 // answers — exactly what a polite client of a rate-limited API would
 // keep — not a change to the simulated service contract: cache hits
-// replay recorded answers without consuming budget or limiter quota,
-// while misses pass through (and are charged) unchanged. Functional
-// filters cannot be hashed, so filtered queries only use the cache
-// when the wrapper declares its filter fixed (CacheOptions.
-// TrustFilter); otherwise they bypass it, never replaying an answer
-// across different selections.
+// replay recorded answers without consuming budget, while misses pass
+// through (and are charged) unchanged. Functional filters cannot be
+// hashed, so filtered queries bypass the cache, never replaying an
+// answer across different selections.
 package lbs
 
 import (
@@ -54,7 +51,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
@@ -421,58 +417,30 @@ type Options struct {
 	// service will answer before returning ErrBudgetExhausted. It
 	// models the per-user/IP rate limits of real services.
 	Budget int64
-	// Limiter, when set, meters queries through a virtual-clock rate
-	// limiter; the accumulated virtual waiting time is reported by
-	// VirtualWaited. Queries are never rejected by the limiter — they
-	// just "take longer", exactly as a polite client sleeping between
-	// calls would experience.
-	Limiter *RateLimiter
 	// Rank selects the ordering semantics.
 	Rank RankMode
 	// ProminenceAttr and ProminenceWeight parameterize
 	// RankByProminence.
 	ProminenceAttr   string
 	ProminenceWeight float64
-	// ProminenceOverfetch is the distance-candidate multiple used for
-	// prominence re-ranking (default 4 when zero; negative values are
-	// rejected).
-	ProminenceOverfetch int
 }
 
-// defaultProminenceOverfetch is the candidate multiple used when
-// Options.ProminenceOverfetch is left zero. A multiple below 1 would
-// make every prominence query return an empty answer.
-const defaultProminenceOverfetch = 4
+// prominenceOverfetch is the distance-candidate multiple prominence
+// re-ranking selects from: the K×4 nearest tuples.
+const prominenceOverfetch = 4
 
-// validate normalizes defaulted fields and rejects nonsensical
-// configurations.
-func (o *Options) validate() error {
+// Validate rejects nonsensical configurations — the same check
+// NewService applies, usable without constructing a service.
+// Composite fronts (the federation Router, the live overlay) validate
+// their logical options through it.
+func (o Options) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("lbs: Options.K must be ≥ 1, got %d", o.K)
 	}
 	if o.MaxRadius < 0 {
 		return fmt.Errorf("lbs: Options.MaxRadius must be ≥ 0, got %g", o.MaxRadius)
 	}
-	if o.ProminenceOverfetch < 0 {
-		return fmt.Errorf("lbs: Options.ProminenceOverfetch must be ≥ 0, got %d", o.ProminenceOverfetch)
-	}
-	if o.ProminenceOverfetch == 0 {
-		o.ProminenceOverfetch = defaultProminenceOverfetch
-	}
 	return nil
-}
-
-// Normalized returns a copy of o with defaulted fields filled in
-// (ProminenceOverfetch), or an error for nonsensical configurations —
-// the same validation NewService applies, usable without constructing
-// a service. Federation routers normalize their logical options
-// through it so their selection semantics match a Service's exactly.
-func (o Options) Normalized() (Options, error) {
-	c := o
-	if err := c.validate(); err != nil {
-		return Options{}, err
-	}
-	return c, nil
 }
 
 // Querier is the query surface of a service view: point queries, batch
@@ -619,18 +587,17 @@ func (p promSorter) Swap(a, b int) { p[a], p[b] = p[b], p[a] }
 var _ NonBlocking = (*Service)(nil)
 
 // NeverBlocks implements NonBlocking: a query is a k-d tree search
-// over memory, and the meter's rate limiter advances a virtual clock
-// instead of sleeping.
+// over memory.
 func (s *Service) NeverBlocks() {}
 
 // NewService creates a service view. It panics on invalid options
-// (K < 1, negative radius or overfetch) — misconfiguration, not a
+// (K < 1 or a negative radius) — misconfiguration, not a
 // runtime condition.
 func NewService(db *Database, opts Options) *Service {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Service{db: db, opts: opts, meter: NewMeter(opts.Budget, opts.Limiter)}
+	return &Service{db: db, opts: opts, meter: NewMeter(opts.Budget)}
 }
 
 // DB returns the underlying database (ground-truth access for
@@ -655,22 +622,9 @@ func (s *Service) Bounds() geom.Rect { return s.db.bounds }
 // paper's cost metric).
 func (s *Service) QueryCount() int64 { return s.meter.Count() }
 
-// ResetQueryCount zeroes the query counter (between experiment runs).
-func (s *Service) ResetQueryCount() { s.meter.Reset() }
-
 // RemainingBudget returns how many queries may still be issued, or −1
 // for unlimited.
 func (s *Service) RemainingBudget() int64 { return s.meter.Remaining() }
-
-// VirtualDuration converts the queries issued so far into the
-// wall-clock time a real service with the given per-hour rate limit
-// would have required — e.g. Sina Weibo's 150/hour (§2.1).
-func (s *Service) VirtualDuration(perHour int) time.Duration {
-	if perHour <= 0 {
-		return 0
-	}
-	return time.Duration(float64(s.QueryCount()) / float64(perHour) * float64(time.Hour))
-}
 
 // Filter is a server-side selection condition (pass-through, §5.1).
 // A nil Filter accepts every tuple.
@@ -686,11 +640,10 @@ func NameFilter(name string) Filter {
 	return func(t *Tuple) bool { return t.Name == name }
 }
 
-// charge checks for cancellation, consumes one unit of budget and
-// meters the rate limiter. The simulator answers instantly, so the
-// context can only be observed between queries; network adapters
-// additionally cancel the request in flight. The cost model itself
-// (CAS budget reservation, one limiter round-trip per batch) lives in
+// charge checks for cancellation and consumes one unit of budget. The
+// simulator answers instantly, so the context can only be observed
+// between queries; network adapters additionally cancel the request in
+// flight. The cost model itself (CAS budget reservation) lives in
 // Meter, shared with every composite front.
 func (s *Service) charge(ctx context.Context) error {
 	return s.meter.Charge(ctx)
@@ -700,10 +653,6 @@ func (s *Service) charge(ctx context.Context) error {
 func (s *Service) chargeN(ctx context.Context, n int64) (int64, error) {
 	return s.meter.ChargeN(ctx, n)
 }
-
-// VirtualWaited returns the total virtual time a rate-limited client
-// would have spent waiting (0 without a Limiter).
-func (s *Service) VirtualWaited() time.Duration { return s.meter.VirtualWaited() }
 
 // rankCandidates returns the `want` nearest tuples of q under the
 // service's ordering contract: ascending distance, exact ties broken
@@ -786,7 +735,7 @@ func (s *Service) sortRunByID(run []kdtree.Neighbor) {
 // the slice aliases sc.idxs and is valid until the scratch is reused.
 //
 // Ordering contract: distance rank orders by (dist, ID); prominence
-// rank orders its distance-candidate set (the K×overfetch nearest
+// rank orders its distance-candidate set (the K×prominenceOverfetch nearest
 // under the same (dist, ID) selection) by (score, ID). Both are
 // properties of the data alone — see rankCandidates.
 func (s *Service) rawQueryInto(sc *queryScratch, q geom.Point, filter Filter) []int {
@@ -802,7 +751,7 @@ func (s *Service) rawQueryInto(sc *queryScratch, q geom.Point, filter Filter) []
 	}
 	switch s.opts.Rank {
 	case RankByProminence:
-		cand := s.rankCandidates(sc, q, s.opts.K*s.opts.ProminenceOverfetch, kf, maxDist)
+		cand := s.rankCandidates(sc, q, s.opts.K*prominenceOverfetch, kf, maxDist)
 		scored := sc.scored[:0]
 		for _, nb := range cand {
 			t := &s.db.tuples[nb.Index]
@@ -903,12 +852,11 @@ func (s *Service) answerLRWith(sc *queryScratch, q geom.Point, filter Filter) []
 }
 
 // QueryLRBatch answers m location-returned queries under one atomic
-// budget reservation and one rate-limiter lock round-trip. The result
-// slice is index-aligned with pts; when the budget covers only part of
-// the batch, the unanswered positions are nil (a served empty answer
-// is a non-nil empty slice) and the error is ErrBudgetExhausted. Each
-// answered point costs one unit of budget — batching amortizes
-// round-trips, not queries.
+// budget reservation. The result slice is index-aligned with pts; when
+// the budget covers only part of the batch, the unanswered positions
+// are nil (a served empty answer is a non-nil empty slice) and the
+// error is ErrBudgetExhausted. Each answered point costs one unit of
+// budget — batching amortizes round-trips, not queries.
 func (s *Service) QueryLRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LRRecord, error) {
 	out := make([][]LRRecord, len(pts))
 	granted, err := s.chargeN(ctx, int64(len(pts)))
@@ -968,8 +916,8 @@ func (s *Service) answerLNRWith(sc *queryScratch, q geom.Point, filter Filter) [
 }
 
 // QueryLNRBatch is the rank-only twin of QueryLRBatch: m queries, one
-// atomic budget reservation, one limiter round-trip, nil entries for
-// the positions the budget could not cover.
+// atomic budget reservation, nil entries for the positions the budget
+// could not cover.
 func (s *Service) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LNRRecord, error) {
 	out := make([][]LNRRecord, len(pts))
 	granted, err := s.chargeN(ctx, int64(len(pts)))

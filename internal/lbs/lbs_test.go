@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -168,31 +167,12 @@ func TestBudget(t *testing.T) {
 	if svc.RemainingBudget() != 0 {
 		t.Errorf("remaining: %d", svc.RemainingBudget())
 	}
-	svc.ResetQueryCount()
-	if svc.RemainingBudget() != 2 {
-		t.Errorf("remaining after reset: %d", svc.RemainingBudget())
-	}
 }
 
 func TestUnlimitedBudget(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 1})
 	if svc.RemainingBudget() != -1 {
 		t.Errorf("unlimited: %d", svc.RemainingBudget())
-	}
-}
-
-func TestVirtualDuration(t *testing.T) {
-	svc := NewService(testDB(t), Options{K: 1})
-	for i := 0; i < 150; i++ {
-		if _, err := svc.QueryLR(context.Background(), geom.Pt(1, 1), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := svc.VirtualDuration(150); d != time.Hour {
-		t.Errorf("150 queries at 150/h: %v", d)
-	}
-	if d := svc.VirtualDuration(0); d != 0 {
-		t.Errorf("zero rate: %v", d)
 	}
 }
 

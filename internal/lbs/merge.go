@@ -10,13 +10,13 @@ import (
 
 // CandidateCount returns how many distance candidates one logical
 // query needs from a candidate source for the receiver's selection to
-// be applied exactly over them: K under distance rank, the K×overfetch
-// candidate pool under prominence rank. The receiver must be
-// normalized (Normalized); composite fronts — the federation Router,
-// the live overlay — size their member services with it.
+// be applied exactly over them: K under distance rank, the K×4
+// candidate pool under prominence rank. Composite fronts — the
+// federation Router, the live overlay — size their member services
+// with it.
 func (o Options) CandidateCount() int {
 	if o.Rank == RankByProminence {
-		return o.K * o.ProminenceOverfetch
+		return o.K * prominenceOverfetch
 	}
 	return o.K
 }
@@ -47,7 +47,7 @@ func (o Options) RankDist(q geom.Point, rec *LRRecord) float64 {
 // sources into the exact answer a single Service over the union
 // database gives: candidates order by (RankDist, ID) — the service
 // ordering contract — the top CandidateCount survive, and the logical
-// selection of norm is re-applied (top K by distance, or prominence
+// selection of opts is re-applied (top K by distance, or prominence
 // re-scoring by (score, ID) over the candidate pool, exactly the
 // selection rawQueryInto applies inside a single service).
 //
@@ -55,7 +55,6 @@ func (o Options) RankDist(q geom.Point, rec *LRRecord) float64 {
 // eligible tuples of length ≥ min(CandidateCount, source size), as
 // Service.QueryLR returns when the source's K is the caller's
 // CandidateCount; sources must hold pairwise-disjoint tuple sets.
-// norm must be normalized (Options.Normalized).
 //
 // A sole non-nil list under distance rank is already the answer's
 // order, so its top K comes back as a capacity-capped subslice of the
@@ -63,10 +62,10 @@ func (o Options) RankDist(q geom.Point, rec *LRRecord) float64 {
 // shared and must be treated as immutable. A nil list takes the
 // general path, which answers a non-nil empty slice, because batch
 // callers read a nil answer as unanswered.
-func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
-	if len(lists) == 1 && lists[0] != nil && norm.Rank != RankByProminence {
+func MergeRanked(q geom.Point, opts Options, lists ...[]LRRecord) []LRRecord {
+	if len(lists) == 1 && lists[0] != nil && opts.Rank != RankByProminence {
 		l := lists[0]
-		k := min(len(l), norm.K)
+		k := min(len(l), opts.K)
 		return l[:k:k]
 	}
 	type cand struct {
@@ -80,16 +79,16 @@ func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
 	cands := make([]cand, 0, n)
 	for _, l := range lists {
 		for i := range l {
-			cands = append(cands, cand{rec: l[i], dist: norm.RankDist(q, &l[i])})
+			cands = append(cands, cand{rec: l[i], dist: opts.RankDist(q, &l[i])})
 		}
 	}
 	slices.SortFunc(cands, func(a, b cand) int {
 		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.rec.ID, b.rec.ID))
 	})
-	if want := norm.CandidateCount(); len(cands) > want {
+	if want := opts.CandidateCount(); len(cands) > want {
 		cands = cands[:want]
 	}
-	if norm.Rank == RankByProminence {
+	if opts.Rank == RankByProminence {
 		type scored struct {
 			i     int
 			id    int64
@@ -99,16 +98,16 @@ func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
 		for i := range cands {
 			var attr float64
 			if cands[i].rec.Attrs != nil {
-				attr = cands[i].rec.Attrs[norm.ProminenceAttr]
+				attr = cands[i].rec.Attrs[opts.ProminenceAttr]
 			}
-			ss[i] = scored{i: i, id: cands[i].rec.ID, score: cands[i].dist - norm.ProminenceWeight*attr}
+			ss[i] = scored{i: i, id: cands[i].rec.ID, score: cands[i].dist - opts.ProminenceWeight*attr}
 		}
 		slices.SortFunc(ss, func(a, b scored) int {
 			return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.id, b.id))
 		})
 		k := len(ss)
-		if k > norm.K {
-			k = norm.K
+		if k > opts.K {
+			k = opts.K
 		}
 		out := make([]LRRecord, k)
 		for i := 0; i < k; i++ {
@@ -117,8 +116,8 @@ func MergeRanked(q geom.Point, norm Options, lists ...[]LRRecord) []LRRecord {
 		return out
 	}
 	k := len(cands)
-	if k > norm.K {
-		k = norm.K
+	if k > opts.K {
+		k = opts.K
 	}
 	out := make([]LRRecord, k)
 	for i := 0; i < k; i++ {

@@ -46,12 +46,9 @@ func TestMergeRankedSoleListShortcut(t *testing.T) {
 	for _, metric := range []geo.Metric{geo.Euclidean, geo.Haversine} {
 		for _, rank := range []RankMode{RankByDistance, RankByProminence} {
 			for trial := 0; trial < 300; trial++ {
-				norm, err := Options{
+				norm := Options{
 					K: 1 + rng.Intn(6), Metric: metric, Rank: rank,
 					ProminenceAttr: "pop", ProminenceWeight: 0.5,
-				}.Normalized()
-				if err != nil {
-					t.Fatal(err)
 				}
 				q := geom.Pt(float64(rng.Intn(9))/2, float64(rng.Intn(9))/2)
 				// Members may answer more than the candidate count.

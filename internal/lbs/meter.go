@@ -3,34 +3,30 @@ package lbs
 import (
 	"context"
 	"sync/atomic"
-	"time"
 )
 
-// Meter owns one logical cost model: a hard query budget, an optional
-// virtual-clock rate limiter and the monotone query counter the
-// paper's cost metric reads. Every service front shares this exact
-// accounting — the in-process Service, the federation Router and the
-// live mutable overlay all delegate to a Meter — so "one answered
-// point costs one unit" means the same thing at every layer.
+// Meter owns one logical cost model: a hard query budget and the
+// monotone query counter the paper's cost metric reads. Every front
+// that meters queries shares this exact accounting — the in-process
+// Service, the federation Router, the live mutable overlay and each
+// job's ScopedQuerier all delegate to a Meter — so "one answered point
+// costs one unit" means the same thing at every layer.
 //
 // A Meter is safe for concurrent use.
 type Meter struct {
 	budget  int64
-	limiter *RateLimiter
 	queries atomic.Int64
 }
 
-// NewMeter builds a meter with the given budget (≤ 0 = unlimited) and
-// optional rate limiter.
-func NewMeter(budget int64, limiter *RateLimiter) *Meter {
-	return &Meter{budget: budget, limiter: limiter}
+// NewMeter builds a meter with the given budget (≤ 0 = unlimited).
+func NewMeter(budget int64) *Meter {
+	return &Meter{budget: budget}
 }
 
-// ChargeN checks for cancellation, atomically reserves up to n units
-// of budget and meters the rate limiter for the granted amount under a
-// single limiter lock round-trip. It returns how many units were
-// granted; when the budget covers only part of the request (or none),
-// err is ErrBudgetExhausted.
+// ChargeN checks for cancellation and atomically reserves up to n
+// units of budget. It returns how many units were granted; when the
+// budget covers only part of the request (or none), err is
+// ErrBudgetExhausted.
 //
 // The reservation is a CAS loop rather than add-then-rollback, so the
 // query counter never transiently exceeds the budget: concurrent
@@ -43,32 +39,24 @@ func (m *Meter) ChargeN(ctx context.Context, n int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	granted := n
-	if m.budget > 0 {
-		for {
-			cur := m.queries.Load()
-			rem := m.budget - cur
-			if rem <= 0 {
-				return 0, ErrBudgetExhausted
-			}
-			granted = n
-			if rem < n {
-				granted = rem
-			}
-			if m.queries.CompareAndSwap(cur, cur+granted) {
-				break
-			}
-		}
-	} else {
+	if m.budget <= 0 {
 		m.queries.Add(n)
+		return n, nil
 	}
-	if m.limiter != nil {
-		m.limiter.TakeN(int(granted))
+	for {
+		cur := m.queries.Load()
+		rem := m.budget - cur
+		if rem <= 0 {
+			return 0, ErrBudgetExhausted
+		}
+		granted := min(n, rem)
+		if m.queries.CompareAndSwap(cur, cur+granted) {
+			if granted < n {
+				return granted, ErrBudgetExhausted
+			}
+			return granted, nil
+		}
 	}
-	if granted < n {
-		return granted, ErrBudgetExhausted
-	}
-	return granted, nil
 }
 
 // Charge reserves one unit (see ChargeN).
@@ -78,8 +66,7 @@ func (m *Meter) Charge(ctx context.Context) error {
 }
 
 // Refund hands back units whose queries a downstream failure left
-// unanswered, so transient errors never leak budget (virtual limiter
-// time, already advanced, is not unwound).
+// unanswered, so transient errors never leak budget.
 func (m *Meter) Refund(n int64) {
 	if n > 0 {
 		m.queries.Add(-n)
@@ -88,9 +75,6 @@ func (m *Meter) Refund(n int64) {
 
 // Count returns the number of units charged so far.
 func (m *Meter) Count() int64 { return m.queries.Load() }
-
-// Reset zeroes the counter (between experiment runs).
-func (m *Meter) Reset() { m.queries.Store(0) }
 
 // Remaining returns how many units may still be charged, or −1 for
 // unlimited.
@@ -103,13 +87,4 @@ func (m *Meter) Remaining() int64 {
 		return 0
 	}
 	return rem
-}
-
-// VirtualWaited returns the total virtual time a rate-limited client
-// would have spent waiting (0 without a limiter).
-func (m *Meter) VirtualWaited() time.Duration {
-	if m.limiter == nil {
-		return 0
-	}
-	return m.limiter.VirtualElapsed()
 }

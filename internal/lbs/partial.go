@@ -110,8 +110,8 @@ func IsTransient(err error) bool {
 }
 
 // TolerantQuerier absorbs degraded-answer annotations: partial
-// answers pass through as plain successes while per-wrapper counters
-// record the contamination. It is the adapter between the federation's
+// answers pass through as plain successes while a per-wrapper counter
+// records the contamination. It is the adapter between the federation's
 // annotated contract and the estimation layers, whose estimators treat
 // any error as a failed sample — the jobs layer wraps each job's
 // backend in one and surfaces DegradedCount in the job view.
@@ -125,7 +125,6 @@ func IsTransient(err error) bool {
 type TolerantQuerier struct {
 	inner    Querier
 	degraded atomic.Int64
-	dropped  atomic.Int64
 }
 
 var _ Querier = (*TolerantQuerier)(nil)
@@ -152,10 +151,6 @@ func (t *TolerantQuerier) QueryCount() int64 { return t.inner.QueryCount() }
 // views report as degraded_queries.
 func (t *TolerantQuerier) DegradedCount() int64 { return t.degraded.Load() }
 
-// DroppedCount returns how many batch positions through this wrapper
-// got no answer because their owning shard was down.
-func (t *TolerantQuerier) DroppedCount() int64 { return t.dropped.Load() }
-
 // absorb folds a partial annotation into the counters and decides what
 // error the caller sees: nil for fully-answered degraded results, the
 // crisp underlying failure when positions were dropped.
@@ -165,7 +160,6 @@ func (t *TolerantQuerier) absorb(err error) error {
 		return err
 	}
 	t.degraded.Add(int64(pe.Degraded))
-	t.dropped.Add(int64(pe.Dropped))
 	if pe.Dropped == 0 {
 		return nil
 	}

@@ -2,7 +2,6 @@ package lbs
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -16,19 +15,19 @@ import (
 // measuring its spend through the shared QueryCount would charge
 // itself for every other job's queries.
 //
-// The scope charges before forwarding and refunds whatever the inner
-// querier did not answer, so transient failures and partially answered
-// batches never leak scope budget. Like the HTTP client's local
-// counter, the scope counts answered queries as seen from this side:
-// an answer replayed by an upstream cache still counts here even
-// though it consumed no service budget.
+// The scope charges its own Meter before forwarding, so a canceled
+// context is refused before anything is charged or forwarded. It
+// refunds whatever the inner querier did not answer, so transient
+// failures and partially answered batches never leak scope budget.
+// Like the HTTP client's local counter, the scope counts answered
+// queries as seen from this side: an answer replayed by an upstream
+// cache still counts here even though it consumed no service budget.
 //
 // A ScopedQuerier is safe for concurrent use whenever its inner
 // querier is.
 type ScopedQuerier struct {
-	inner   Querier
-	budget  int64 // 0 = unlimited
-	queries atomic.Int64
+	inner Querier
+	meter Meter
 }
 
 var _ Querier = (*ScopedQuerier)(nil)
@@ -38,10 +37,7 @@ var _ Querier = (*ScopedQuerier)(nil)
 // fail with ErrBudgetExhausted (batches are granted partially, like
 // Service.QueryLRBatch).
 func NewScopedQuerier(inner Querier, budget int64) *ScopedQuerier {
-	if budget < 0 {
-		budget = 0
-	}
-	return &ScopedQuerier{inner: inner, budget: budget}
+	return &ScopedQuerier{inner: inner, meter: Meter{budget: budget}}
 }
 
 // Inner returns the wrapped querier.
@@ -55,67 +51,21 @@ func (s *ScopedQuerier) K() int { return s.inner.K() }
 
 // QueryCount returns the queries answered through this scope — the
 // scope-local cost metric.
-func (s *ScopedQuerier) QueryCount() int64 { return s.queries.Load() }
+func (s *ScopedQuerier) QueryCount() int64 { return s.meter.Count() }
 
 // RemainingBudget returns how many scope queries may still be issued,
 // or −1 for an unlimited scope.
-func (s *ScopedQuerier) RemainingBudget() int64 {
-	if s.budget <= 0 {
-		return -1
-	}
-	rem := s.budget - s.queries.Load()
-	if rem < 0 {
-		return 0
-	}
-	return rem
-}
-
-// reserve grants up to n units of scope budget (CAS, like
-// Service.chargeN). A partial or empty grant reports
-// ErrBudgetExhausted.
-func (s *ScopedQuerier) reserve(n int64) (int64, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if s.budget <= 0 {
-		s.queries.Add(n)
-		return n, nil
-	}
-	for {
-		cur := s.queries.Load()
-		rem := s.budget - cur
-		if rem <= 0 {
-			return 0, ErrBudgetExhausted
-		}
-		granted := n
-		if rem < n {
-			granted = rem
-		}
-		if s.queries.CompareAndSwap(cur, cur+granted) {
-			if granted < n {
-				return granted, ErrBudgetExhausted
-			}
-			return granted, nil
-		}
-	}
-}
-
-// refund hands back reserved units the inner querier did not answer.
-func (s *ScopedQuerier) refund(n int64) {
-	if n > 0 {
-		s.queries.Add(-n)
-	}
-}
+func (s *ScopedQuerier) RemainingBudget() int64 { return s.meter.Remaining() }
 
 // QueryLR implements Querier, charging one scope unit per answered
 // query.
 func (s *ScopedQuerier) QueryLR(ctx context.Context, q geom.Point, filter Filter) ([]LRRecord, error) {
-	if _, err := s.reserve(1); err != nil {
+	if err := s.meter.Charge(ctx); err != nil {
 		return nil, err
 	}
 	recs, err := s.inner.QueryLR(ctx, q, filter)
 	if err != nil && !IsPartial(err) {
-		s.refund(1)
+		s.meter.Refund(1)
 		return nil, err
 	}
 	// A degraded answer is still an answer: the scope keeps its charge
@@ -125,12 +75,12 @@ func (s *ScopedQuerier) QueryLR(ctx context.Context, q geom.Point, filter Filter
 
 // QueryLNR implements Querier.
 func (s *ScopedQuerier) QueryLNR(ctx context.Context, q geom.Point, filter Filter) ([]LNRRecord, error) {
-	if _, err := s.reserve(1); err != nil {
+	if err := s.meter.Charge(ctx); err != nil {
 		return nil, err
 	}
 	recs, err := s.inner.QueryLNR(ctx, q, filter)
 	if err != nil && !IsPartial(err) {
-		s.refund(1)
+		s.meter.Refund(1)
 		return nil, err
 	}
 	return recs, err
@@ -143,7 +93,7 @@ func (s *ScopedQuerier) QueryLNR(ctx context.Context, q geom.Point, filter Filte
 // alongside ErrBudgetExhausted.
 func (s *ScopedQuerier) QueryLRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LRRecord, error) {
 	out := make([][]LRRecord, len(pts))
-	granted, rerr := s.reserve(int64(len(pts)))
+	granted, rerr := s.meter.ChargeN(ctx, int64(len(pts)))
 	if granted == 0 {
 		return out, rerr
 	}
@@ -155,7 +105,7 @@ func (s *ScopedQuerier) QueryLRBatch(ctx context.Context, pts []geom.Point, filt
 			answered++
 		}
 	}
-	s.refund(granted - answered)
+	s.meter.Refund(granted - answered)
 	if err != nil {
 		return out, err
 	}
@@ -165,7 +115,7 @@ func (s *ScopedQuerier) QueryLRBatch(ctx context.Context, pts []geom.Point, filt
 // QueryLNRBatch is the rank-only twin of QueryLRBatch.
 func (s *ScopedQuerier) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LNRRecord, error) {
 	out := make([][]LNRRecord, len(pts))
-	granted, rerr := s.reserve(int64(len(pts)))
+	granted, rerr := s.meter.ChargeN(ctx, int64(len(pts)))
 	if granted == 0 {
 		return out, rerr
 	}
@@ -177,7 +127,7 @@ func (s *ScopedQuerier) QueryLNRBatch(ctx context.Context, pts []geom.Point, fil
 			answered++
 		}
 	}
-	s.refund(granted - answered)
+	s.meter.Refund(granted - answered)
 	if err != nil {
 		return out, err
 	}

@@ -144,3 +144,27 @@ func TestScopedQuerierConcurrentCap(t *testing.T) {
 		t.Errorf("service answered %d, want exactly %d", got, cap)
 	}
 }
+
+// TestScopedQuerierRefusesCanceledContext: the scope reserves through
+// its Meter, which checks the context first, so a canceled query is
+// refused before it is charged or forwarded — point and batch alike.
+func TestScopedQuerierRefusesCanceledContext(t *testing.T) {
+	svc := scopedTestService(t, 0)
+	sq := NewScopedQuerier(svc, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sq.QueryLR(ctx, geom.Pt(10, 10), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled point query returned %v, want context.Canceled", err)
+	}
+	out, err := sq.QueryLNRBatch(ctx, []geom.Point{{X: 10, Y: 10}, {X: 50, Y: 50}}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch returned %v, want context.Canceled", err)
+	}
+	if len(out) != 2 || out[0] != nil || out[1] != nil {
+		t.Fatalf("canceled batch answered %v, want two nil positions", out)
+	}
+	if sq.QueryCount() != 0 || svc.QueryCount() != 0 || sq.RemainingBudget() != 5 {
+		t.Fatalf("canceled queries charged: scope %d, service %d, remaining %d",
+			sq.QueryCount(), svc.QueryCount(), sq.RemainingBudget())
+	}
+}

@@ -24,7 +24,7 @@ import (
 // across shards otherwise.
 type Cluster struct {
 	*shard.Router
-	opts    lbs.Options // normalized logical options
+	opts    lbs.Options // logical options
 	members []*Database
 	regions []geom.Rect
 
@@ -36,13 +36,12 @@ var _ lbs.Querier = (*Cluster)(nil)
 var _ Mutator = (*Cluster)(nil)
 
 // NewCluster partitions base into n live shards behind a router. opts
-// are the logical service options (the router owns budget, limiter and
-// rank selection; members are unmetered candidate sources); lopts
+// are the logical service options (the router owns budget and rank
+// selection; members are unmetered candidate sources); lopts
 // applies to every member — OnInvalidate fires with each member's
 // dirty region, so one cache above the router hooks all shards.
 func NewCluster(base *lbs.Database, opts lbs.Options, n int, lopts Options) (*Cluster, error) {
-	norm, err := opts.Normalized()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if lopts.Journal != nil {
@@ -53,13 +52,13 @@ func NewCluster(base *lbs.Database, opts lbs.Options, n int, lopts Options) (*Cl
 	}
 	parts := shard.Partition(base, n)
 	c := &Cluster{
-		opts:    norm,
+		opts:    opts,
 		members: make([]*Database, len(parts)),
 		regions: make([]geom.Rect, len(parts)),
 	}
 	shards := make([]shard.Shard, len(parts))
 	for i, p := range parts {
-		member, err := New(p, lbs.Options{K: norm.CandidateCount(), MaxRadius: norm.MaxRadius, Metric: norm.Metric}, lopts)
+		member, err := New(p, lbs.Options{K: opts.CandidateCount(), MaxRadius: opts.MaxRadius, Metric: opts.Metric}, lopts)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +66,8 @@ func NewCluster(base *lbs.Database, opts lbs.Options, n int, lopts Options) (*Cl
 		c.regions[i] = p.Bounds()
 		shards[i] = shard.Shard{Querier: member, Region: p.Bounds()}
 	}
-	c.Router, err = shard.NewRouter(shards, opts, shard.DefaultResilience())
-	if err != nil {
+	var err error
+	if c.Router, err = shard.NewRouter(shards, opts, shard.DefaultResilience()); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
@@ -121,21 +120,16 @@ type Options struct {
 	// triggers a background compaction into a fresh base. 0 means the
 	// default (1024); negative disables compaction entirely.
 	CompactThreshold int
-	// InvalidationRadius, when positive, is the influence radius used
-	// for dirty-region computation when the service has no MaxRadius.
-	// Without a MaxRadius no finite radius is provably correct (a
-	// mutation can change kNN answers arbitrarily far away in sparse
-	// data), so this is an operator heuristic; leaving both zero makes
-	// every mutation dirty the whole plane (full cache invalidation).
-	InvalidationRadius float64
 	// OnInvalidate, when set, is called after each Apply that changed
 	// the database, with the dirty region: the bounding box of disks of
-	// the influence radius around every mutated (old and new) effective
-	// location. Query caches hook this to evict exactly the entries a
-	// mutation could have staled. The callback runs outside the
-	// mutation lock, after the new snapshot is visible — so answers
-	// cached between swap and callback are already fresh and eviction
-	// is only ever conservative.
+	// radius MaxRadius around every mutated (old and new) effective
+	// location, or the whole plane when the service has no MaxRadius (a
+	// mutation can then change kNN answers arbitrarily far away). Query
+	// caches hook this to evict exactly the entries a mutation could
+	// have staled. The callback runs outside the mutation lock, after
+	// the new snapshot is visible — so answers cached between swap and
+	// callback are already fresh and eviction is only ever
+	// conservative.
 	OnInvalidate func(geom.Rect)
 	// Journal, when set, records every applied batch before it becomes
 	// visible (write-ahead). See Journal. Recovery paths that replay a
@@ -194,7 +188,7 @@ func (s *snapshot) clean() bool { return len(s.tomb) == 0 && len(s.deltaTuples) 
 // behavior included. It additionally implements Mutator. Safe for
 // concurrent use; queries are lock-free.
 type Database struct {
-	opts  lbs.Options // normalized logical options
+	opts  lbs.Options // logical options
 	lopts Options
 	meter *lbs.Meter
 	snap  atomic.Pointer[snapshot]
@@ -222,18 +216,17 @@ const defaultCompactThreshold = 1024
 // logical service options (exactly as NewService takes them); lopts
 // configures the mutable layer.
 func New(base *lbs.Database, opts lbs.Options, lopts Options) (*Database, error) {
-	norm, err := opts.Normalized()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if lopts.CompactThreshold == 0 {
 		lopts.CompactThreshold = defaultCompactThreshold
 	}
 	d := &Database{
-		opts:    norm,
+		opts:    opts,
 		lopts:   lopts,
 		journal: lopts.Journal,
-		meter:   lbs.NewMeter(norm.Budget, norm.Limiter),
+		meter:   lbs.NewMeter(opts.Budget),
 	}
 	d.snap.Store(d.buildSnapshot(base, lopts.StartEpoch, nil, nil, nil))
 	return d, nil
@@ -256,13 +249,12 @@ func (d *Database) candOpts() lbs.Options {
 	return lbs.Options{K: d.opts.CandidateCount(), MaxRadius: d.opts.MaxRadius, Metric: d.opts.Metric}
 }
 
-// unmetered strips budget and limiter from the logical options: the
-// live Database's own meter is the single accounting point, the
-// internal services answer for free.
+// unmetered strips the budget from the logical options: the live
+// Database's own meter is the single accounting point, the internal
+// services answer for free.
 func (d *Database) unmetered() lbs.Options {
 	o := d.opts
 	o.Budget = 0
-	o.Limiter = nil
 	return o
 }
 
@@ -303,22 +295,16 @@ func (d *Database) K() int { return d.opts.K }
 // Metric returns the distance metric the live view ranks by.
 func (d *Database) Metric() geo.Metric { return d.opts.Metric }
 
-// Options returns the normalized logical options.
+// Options returns the logical options.
 func (d *Database) Options() lbs.Options { return d.opts }
 
 // QueryCount implements lbs.Querier: answered points, the paper's cost
 // metric. Mutations are not queries and are never charged.
 func (d *Database) QueryCount() int64 { return d.meter.Count() }
 
-// ResetQueryCount zeroes the counter (between experiment runs).
-func (d *Database) ResetQueryCount() { d.meter.Reset() }
-
 // RemainingBudget reports how many queries the budget still covers
 // (−1 = unlimited).
 func (d *Database) RemainingBudget() int64 { return d.meter.Remaining() }
-
-// VirtualWaited reports accumulated virtual rate-limit waiting time.
-func (d *Database) VirtualWaited() time.Duration { return d.meter.VirtualWaited() }
 
 // Epoch returns the mutation epoch: the number of applied mutations.
 // The epoch identifies contents — two equal epochs from one Database

@@ -238,8 +238,7 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 	}
 	d.mu.Unlock()
 	if d.lopts.OnInvalidate != nil {
-		r := math.Max(d.opts.MaxRadius, d.lopts.InvalidationRadius)
-		d.lopts.OnInvalidate(dr.region(d.opts.Metric, r))
+		d.lopts.OnInvalidate(dr.region(d.opts.Metric, d.opts.MaxRadius))
 	}
 	return results
 }

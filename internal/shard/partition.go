@@ -135,9 +135,9 @@ func buildPart(db *lbs.Database, region geom.Rect, idxs []int) *lbs.Database {
 // Resilience — the path from a database to a federated service
 // ("lbsserve -shards n" passes Partition(db, n)). The shard services
 // are built as plain distance-ranked candidate sources (K = the
-// router's candidate count, shared MaxRadius, no budget or limiter of
-// their own); the router owns the logical budget, rate limiter and
-// rank/prominence selection, so the composite behaves exactly like
+// router's candidate count, shared MaxRadius, no budget of their
+// own); the router owns the logical budget and rank/prominence
+// selection, so the composite behaves exactly like
 // NewService(db, opts). Each shard service is passed through wrap
 // (when non-nil) before registration, so callers can interpose a
 // fault injector, an instrumentation layer or a cache in front of
@@ -145,13 +145,12 @@ func buildPart(db *lbs.Database, region geom.Rect, idxs []int) *lbs.Database {
 // sessions over one dataset — the experiment harness builds a fresh
 // service per run — partition once and rebuild only this cheap layer.
 func FromPartsWrapped(parts []*lbs.Database, opts lbs.Options, res Resilience, wrap func(i int, q lbs.Querier) lbs.Querier) (*Router, error) {
-	norm, err := opts.Normalized()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	shards := make([]Shard, len(parts))
 	for i, p := range parts {
-		var q lbs.Querier = lbs.NewService(p, lbs.Options{K: norm.CandidateCount(), MaxRadius: norm.MaxRadius, Metric: norm.Metric})
+		var q lbs.Querier = lbs.NewService(p, lbs.Options{K: opts.CandidateCount(), MaxRadius: opts.MaxRadius, Metric: opts.Metric})
 		if wrap != nil {
 			q = wrap(i, q)
 		}

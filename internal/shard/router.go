@@ -112,7 +112,7 @@ type RouterStats struct {
 // failure is a crisp typed error (ErrOwnerDown) instead of a fabricated
 // answer.
 //
-// The Router owns the logical cost model: its Budget and Limiter meter
+// The Router owns the logical cost model: its Budget meters
 // client-visible queries (one unit per answered point, however wide
 // the fan-out), and QueryCount reports them. Degraded answers are
 // charged (they are answers); dropped batch positions are refunded.
@@ -146,21 +146,19 @@ var _ lbs.Querier = (*Router)(nil)
 // NewRouter federates shards behind the logical service options with
 // the given failure handling (DefaultResilience for production; the
 // zero Resilience disables deadlines, retries and the breaker while
-// keeping degraded-mode merging). K, MaxRadius, Budget, Limiter and
-// the rank/prominence fields describe the service the federation
+// keeping degraded-mode merging). K, MaxRadius, Budget and the
+// rank/prominence fields describe the service the federation
 // presents, exactly as lbs.Options does for NewService. Every member
 // must answer at least the router's candidate count
-// (lbs.Options.CandidateCount: K, or K×overfetch under prominence
-// rank).
+// (lbs.Options.CandidateCount: K, or K×4 under prominence rank).
 func NewRouter(shards []Shard, opts lbs.Options, res Resilience) (*Router, error) {
-	norm, err := opts.Normalized()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: NewRouter needs at least one shard")
 	}
-	want := norm.CandidateCount()
+	want := opts.CandidateCount()
 	bounds := shards[0].Region
 	for i, sh := range shards {
 		if sh.Querier == nil {
@@ -181,8 +179,8 @@ func NewRouter(shards []Shard, opts lbs.Options, res Resilience) (*Router, error
 		_, inline[i] = sh.Querier.(lbs.NonBlocking)
 	}
 	return &Router{
-		shards: shards, opts: norm, res: res, want: want, bounds: bounds,
-		meter:  lbs.NewMeter(norm.Budget, norm.Limiter),
+		shards: shards, opts: opts, res: res, want: want, bounds: bounds,
+		meter:  lbs.NewMeter(opts.Budget),
 		health: health,
 		inline: inline,
 		rng:    newLockedRand(res.Seed),
@@ -198,9 +196,6 @@ func (r *Router) K() int { return r.opts.K }
 // Metric returns the distance metric the federation ranks by (every
 // member service carries the same one).
 func (r *Router) Metric() geo.Metric { return r.opts.Metric }
-
-// NumShards returns the federation width.
-func (r *Router) NumShards() int { return len(r.shards) }
 
 // Members returns the per-shard backend queriers (including any
 // wrappers installed via FromPartsWrapped, such as fault injectors):
@@ -221,10 +216,6 @@ func (r *Router) QueryCount() int64 { return r.meter.Count() }
 // RemainingBudget returns how many logical queries may still be
 // issued, or −1 for unlimited.
 func (r *Router) RemainingBudget() int64 { return r.meter.Remaining() }
-
-// VirtualWaited returns the total virtual time the router's rate
-// limiter imposed (0 without a Limiter).
-func (r *Router) VirtualWaited() time.Duration { return r.meter.VirtualWaited() }
 
 // DegradedCount returns how many logical queries were answered from a
 // partial federation — the contamination metric the estimation layers

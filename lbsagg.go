@@ -41,7 +41,7 @@
 //     time shrinks almost linearly in n.
 //   - WithBatch(m) — draw up to m point samples per oracle call
 //     through the batch query path (see below), amortizing network
-//     round-trips and budget/limiter synchronization.
+//     round-trips and budget synchronization.
 //
 // Every query path takes a context.Context: canceling it stops the
 // run gracefully and returns the Results of the samples completed so
@@ -128,8 +128,7 @@
 //
 //   - Batching. Every oracle answers multi-point batches
 //     (QueryLRBatch/QueryLNRBatch): the simulator charges a batch
-//     under one atomic budget reservation and one rate-limiter lock
-//     round-trip, and the HTTP adapter ships a batch as one POST
+//     under one atomic budget reservation, and the HTTP adapter ships a batch as one POST
 //     (/v1/query/lr:batch) instead of one GET per point. Answers are
 //     index-aligned with the points; when the budget dies mid-batch,
 //     the covered prefix is answered (nil marks the rest) alongside
@@ -137,17 +136,15 @@
 //     batching buys round-trips, never budget.
 //
 //   - Caching. NewCachedOracle layers a concurrent sharded LRU over
-//     any oracle, keyed by (quantized point, k, selection). Hits
-//     replay recorded answers without consuming budget or limiter
-//     quota; Stats() exposes hit/miss/eviction counters for cost
+//     any oracle, keyed by (quantized point, k). Hits replay recorded
+//     answers without consuming budget; Stats() exposes hit/miss/eviction counters for cost
 //     accounting. Caching models client-side memoization of answers
 //     already paid for — it does not change the simulated service
 //     contract, and estimates over a cached oracle are identical to
 //     uncached runs (with Quantum=0), just cheaper on workloads that
-//     repeat query points. Queries carrying a functional filter only
-//     use the cache when CacheOptions.TrustFilter declares the filter
-//     fixed; otherwise they bypass it, so a cache shared by
-//     differently filtered callers can never replay a wrong answer.
+//     repeat query points. Queries carrying a functional filter
+//     bypass the cache, so a cache shared by differently filtered
+//     callers can never replay a wrong answer.
 //
 // # Scaling out: sharded federation
 //
@@ -178,7 +175,7 @@
 // bit-identical to a single Service over the union database — pinned
 // by property tests — so estimates, costs and seeds reproduce exactly
 // across 1, 2, 4, 8, ... shards. The router owns the logical cost
-// model (budget, rate limiter, QueryCount = client-visible queries);
+// model (budget, QueryCount = client-visible queries);
 // per-shard physical counters aggregate through its Stats(), which
 // GET /v1/stats exposes as the federation section.
 //
@@ -249,6 +246,17 @@
 // CompilePlan/AggPlan and Driver — use AggSpec.Compile, PlanBatch, Run.
 // Removed: NewResilientShardRouter and NewShardedServiceWrapped — pass
 // a Resilience (and wrap hook) to NewShardRouter and NewShardedService.
+// Removed, as nothing set or called them: the virtual-clock rate
+// limiter (lbs.RateLimiter, ServiceOptions.Limiter, VirtualWaited,
+// VirtualDuration), ServiceOptions.ProminenceOverfetch (fixed at 4),
+// CacheOptions.Selection and TrustFilter (filtered queries always
+// bypass the cache), LiveOptions.InvalidationRadius, the LR tuning
+// fields UseK, FastInitFactor, MCAreaRatio, MCMinRounds, MCMaxTrials,
+// LowerBoundSamples and MaxRounds and the LNR guards MaxCutsPerCell
+// and MaxRoundsPerCell (now constants), ResetQueryCount,
+// TolerantQuerier.DroppedCount, the router's NumShards, and the
+// k-d tree's KNNWithin, WithinRadius, WithinRadiusInto, geodesic
+// radius search and NearestDist. Options.Normalized is now Validate.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -403,7 +411,7 @@ func NewShardedService(db *Database, opts ServiceOptions, n int, res Resilience,
 // NewShardRouter federates explicit members (in-process services or
 // remote HTTPClients over disjoint upstreams) with the given failure
 // handling. Members must answer distance-ranked LR queries with k of
-// at least opts.K (×overfetch under prominence ranking).
+// at least opts.K (×4 under prominence ranking).
 func NewShardRouter(shards []Shard, opts ServiceOptions, res Resilience) (*ShardRouter, error) {
 	return shard.NewRouter(shards, opts, res)
 }
