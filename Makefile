@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test examples stress fuzz bench bench-throughput bench-geom bench-geo-geodesic bench-smoke bench-fed bench-live bench-planner bench-chaos bench-store bench-record
+.PHONY: all fmt vet build test loc examples stress fuzz bench bench-throughput bench-geom bench-geo-geodesic bench-smoke bench-fed bench-live bench-planner bench-chaos bench-store bench-record
 
 all: fmt vet build test
 
@@ -20,6 +20,15 @@ build:
 # cannot hide.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# loc prints the line count a simplicity change reports: non-test Go
+# under cmd/ and internal/, then the lbsagg.go facade, then their sum.
+loc:
+	@a=$$(find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	b=$$(wc -l < lbsagg.go); \
+	echo "cmd/ + internal/ non-test Go: $$a"; \
+	echo "lbsagg.go: $$b"; \
+	echo "total: $$((a + b))"
 
 # examples runs the example programs end to end (go build only
 # compiles them): quickstart, wechat, starbucks and jobs, about 5 s on

@@ -150,7 +150,7 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 			gi, g.Method, g.Seed, g.CostPerSample, g.Specs, names)
 	}
 
-	st, err := stack.Spec{Scenario: "schools", N: cfg.N, Seed: cfg.Seed, K: cfg.K, Shards: cfg.Shards, Dataset: dataset}.Build(ctx)
+	st, err := stack.Spec{Scenario: "schools", N: cfg.N, Seed: cfg.Seed, K: cfg.K, Shards: cfg.Shards, Dataset: dataset}.Build(ctx, nil)
 	if err != nil {
 		return err
 	}

@@ -130,7 +130,7 @@ func main() {
 	// cleanly and the stack checkpoints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	st, err := s.Build(ctx)
+	st, err := s.Build(ctx, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

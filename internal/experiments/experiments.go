@@ -15,7 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/lbs"
-	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/workload"
 )
 
@@ -40,11 +40,12 @@ type Config struct {
 	// round-trip count drops.
 	Batch int
 	// Shards, when > 1, runs the estimators against a federated
-	// service (internal/shard) of this many in-process spatial shards
-	// instead of a single Service. Federated answers are bit-identical
-	// to the single-service ones, so every figure reproduces unchanged
-	// — the knob exists to exercise and measure the scale-out path
-	// under the full evaluation workload (lbsbench -shards).
+	// service of this many in-process spatial shards (stack.Spec's
+	// -shards) instead of a single Service. Federated answers are
+	// bit-identical to the single-service ones, so every figure
+	// reproduces unchanged (TestFiguresFederatedIdentical) — the knob
+	// exists to exercise and measure the scale-out path under the full
+	// evaluation workload (lbsbench -shards).
 	Shards int
 }
 
@@ -263,42 +264,26 @@ func nnoSpec() AlgoSpec {
 	return AlgoSpec{Name: "LR-LBS-NNO", Kind: AlgoNNO}
 }
 
-// runTraces runs an algorithm spec Runs times against fresh service
-// views and collects the estimate traces for one aggregate.
-func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts lbs.Options, spec AlgoSpec,
+// runTraces runs an algorithm spec Runs times, each against a freshly
+// built service so its budget and counters start at zero, and collects
+// the estimate traces for one aggregate.
+func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, spec AlgoSpec,
 	agg core.AggSpec, truth float64) (*traceSet, error) {
 
 	ts := &traceSet{name: spec.Name, truth: truth}
-	newSvc := serviceFactory(cfg, sc.DB, svcOpts)
 	for r := 0; r < cfg.Runs; r++ {
 		seed := cfg.Seed + int64(r)*7919
-		svc, err := newSvc()
+		st, err := stack.Spec{K: cfg.K, Shards: cfg.Shards}.Build(ctx, sc.DB)
 		if err != nil {
 			return nil, err
 		}
-		res, err := runOne(ctx, svc, sc, spec, []core.AggSpec{agg}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
+		res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{agg}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
 		if err != nil {
 			return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 		}
 		ts.traces = append(ts.traces, res[0].Trace)
 	}
 	return ts, nil
-}
-
-// serviceFactory returns a constructor yielding one fresh oracle per
-// run: a single service view, or — when cfg.Shards > 1 — a federated
-// router over that many in-process spatial shards, which answers
-// bit-identically. The database is partitioned (and its shard k-d
-// trees built) once up front; each run rebuilds only the cheap
-// router/service layer so its budget and counters start fresh.
-func serviceFactory(cfg Config, db *lbs.Database, opts lbs.Options) func() (core.Oracle, error) {
-	if cfg.Shards > 1 {
-		parts := shard.Partition(db, cfg.Shards)
-		return func() (core.Oracle, error) {
-			return shard.FromPartsWrapped(parts, opts, shard.DefaultResilience(), nil)
-		}
-	}
-	return func() (core.Oracle, error) { return lbs.NewService(db, opts), nil }
 }
 
 // runOne executes a single run of an algorithm spec over the
@@ -352,7 +337,7 @@ func runOne(ctx context.Context, svc core.Oracle, sc *workload.Scenario, spec Al
 
 // costVsErrorFigure runs a set of algorithm specs on one aggregate and
 // produces the paper's cost-versus-error figure layout.
-func costVsErrorFigure(ctx context.Context, cfg Config, sc *workload.Scenario, svcOpts lbs.Options,
+func costVsErrorFigure(ctx context.Context, cfg Config, sc *workload.Scenario,
 	id, title string, specs []AlgoSpec, agg core.AggSpec, truth float64) (*Figure, error) {
 
 	fig := &Figure{
@@ -364,7 +349,7 @@ func costVsErrorFigure(ctx context.Context, cfg Config, sc *workload.Scenario, s
 	}
 	grid := defaultErrGrid()
 	for _, spec := range specs {
-		ts, err := runTraces(ctx, cfg, sc, svcOpts, spec, agg, truth)
+		ts, err := runTraces(ctx, cfg, sc, spec, agg, truth)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -244,6 +245,34 @@ func TestMSEDecomposition(t *testing.T) {
 		if r.Eval.Runs != 2 || r.Eval.MeanQueries <= 0 {
 			t.Errorf("%s eval: %+v", r.Algorithm, r.Eval)
 		}
+	}
+}
+
+// TestFiguresFederatedIdentical checks Config.Shards' promise: the
+// figures run over a federation of in-process shards equal the
+// single-service ones bit for bit. The %v renderings are compared,
+// which round-trip every float and treat a NaN gap as equal to itself.
+func TestFiguresFederatedIdentical(t *testing.T) {
+	ctx := context.Background()
+	run := func(cfg Config) string {
+		var out []any
+		for _, f := range []func(context.Context, Config) (*Figure, error){Fig12, Fig17} {
+			fig, err := f(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, *fig)
+		}
+		rows, err := MSEDecomposition(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", append(out, rows))
+	}
+	single, fed := tinyCfg(), tinyCfg()
+	single.Shards, fed.Shards = 1, 4
+	if got, want := run(fed), run(single); got != want {
+		t.Errorf("Shards: 4 differs from Shards: 1:\n got %s\nwant %s", got, want)
 	}
 }
 

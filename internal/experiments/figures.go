@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/lbs"
+	"repro/internal/stack"
 	"repro/internal/voronoi"
 	"repro/internal/workload"
 )
@@ -47,7 +48,6 @@ func Fig11(ctx context.Context, cfg Config) (*Figure, error) {
 func Fig12(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USARestaurants(cfg.N, cfg.Seed)
 	truth := float64(sc.DB.Len())
-	svcOpts := lbs.Options{K: cfg.K}
 	grid := queryGrid(cfg.Budget, 25)
 	fig := &Figure{
 		ID:     "fig12",
@@ -57,7 +57,7 @@ func Fig12(ctx context.Context, cfg Config) (*Figure, error) {
 		Notes:  []string{fmt.Sprintf("ground truth = %.0f", truth)},
 	}
 	for _, spec := range []AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()} {
-		ts, err := runTraces(ctx, cfg, sc, svcOpts, spec, core.CountSpec(), truth)
+		ts, err := runTraces(ctx, cfg, sc, spec, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func Fig13(ctx context.Context, cfg Config) (*Figure, error) {
 	lnrUS := lnrSpec()
 	lnrUS.Name = "LNR-LBS-AGG-US"
 	lnrUS.Weighted = true
-	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
+	return costVsErrorFigure(ctx, cfg, sc,
 		"fig13", "Impact of sampling strategy: COUNT(schools)",
 		[]AlgoSpec{lrSpec(), lrUS, lnrSpec(), lnrUS}, core.CountSpec(), truth)
 }
@@ -88,7 +88,7 @@ func Fig13(ctx context.Context, cfg Config) (*Figure, error) {
 func Fig14(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USASchools(cfg.N, cfg.Seed)
 	truth := float64(sc.DB.Len())
-	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
+	return costVsErrorFigure(ctx, cfg, sc,
 		"fig14", "COUNT(schools)",
 		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.CountSpec(), truth)
 }
@@ -97,7 +97,7 @@ func Fig14(ctx context.Context, cfg Config) (*Figure, error) {
 func Fig15(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USARestaurants(cfg.N, cfg.Seed)
 	truth := float64(sc.DB.Len())
-	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
+	return costVsErrorFigure(ctx, cfg, sc,
 		"fig15", "COUNT(restaurants)",
 		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, core.CountSpec(), truth)
 }
@@ -107,7 +107,7 @@ func Fig16(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USASchools(cfg.N, cfg.Seed)
 	agg := core.SumSpec("enrollment")
 	truth := sc.DB.GroundTruth(func(t *lbs.Tuple) float64 { return t.Attr("enrollment") }, nil)
-	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
+	return costVsErrorFigure(ctx, cfg, sc,
 		"fig16", "SUM(enrollment) in schools",
 		[]AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}, agg, truth)
 }
@@ -144,16 +144,15 @@ func Fig17(ctx context.Context, cfg Config) (*Figure, error) {
 	}
 	errGrid := defaultErrGrid()
 	specs := []AlgoSpec{nnoSpec(), lrSpec(), lnrSpec()}
-	newSvc := serviceFactory(cfg, sc.DB, lbs.Options{K: cfg.K})
 	for _, spec := range specs {
 		ts := &traceSet{name: spec.Name, truth: truthAvg}
 		for r := 0; r < cfg.Runs; r++ {
 			seed := cfg.Seed + int64(r)*7919
-			svc, err := newSvc()
+			st, err := stack.Spec{K: cfg.K, Shards: cfg.Shards}.Build(ctx, sc.DB)
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOne(ctx, svc, sc, spec, halves, austin, seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, st.Querier, sc, spec, halves, austin, seed, cfg.Budget, cfg.Batch)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}
@@ -182,7 +181,7 @@ func Fig18(ctx context.Context, cfg Config) (*Figure, error) {
 		sub := &workload.Scenario{Name: sc.Name, Bounds: sc.Bounds, DB: db, Grid: sc.Grid}
 		truth := float64(db.Len())
 		for si, spec := range specs {
-			ts, err := runTraces(ctx, cfg, sub, lbs.Options{K: cfg.K}, spec, core.CountSpec(), truth)
+			ts, err := runTraces(ctx, cfg, sub, spec, core.CountSpec(), truth)
 			if err != nil {
 				return nil, err
 			}
@@ -201,14 +200,13 @@ func Fig18(ctx context.Context, cfg Config) (*Figure, error) {
 func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 	sc := workload.USASchools(cfg.N, cfg.Seed)
 	truth := float64(sc.DB.Len())
-	svcOpts := lbs.Options{K: cfg.K}
 	xs := make([]float64, 0, cfg.K+1)
 	var lrY, lnrY []float64
 	for h := 1; h <= cfg.K; h++ {
 		xs = append(xs, float64(h))
 		lr := lrSpec()
 		lr.LR.FixedH = h
-		ts, err := runTraces(ctx, cfg, sc, svcOpts, lr, core.CountSpec(), truth)
+		ts, err := runTraces(ctx, cfg, sc, lr, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +214,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 
 		lnr := lnrSpec()
 		lnr.LNR.H = h
-		ts, err = runTraces(ctx, cfg, sc, svcOpts, lnr, core.CountSpec(), truth)
+		ts, err = runTraces(ctx, cfg, sc, lnr, core.CountSpec(), truth)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +223,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 	// Adaptive (x plotted one past k, as the paper's "Adaptive" tick).
 	xs = append(xs, float64(cfg.K+1))
 	lrA := lrSpec() // FixedH = 0 → adaptive
-	ts, err := runTraces(ctx, cfg, sc, svcOpts, lrA, core.CountSpec(), truth)
+	ts, err := runTraces(ctx, cfg, sc, lrA, core.CountSpec(), truth)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +231,7 @@ func Fig19(ctx context.Context, cfg Config) (*Figure, error) {
 	// LNR has no adaptive-h analogue in the paper; repeat h=1 as its
 	// reference point.
 	lnrA := lnrSpec()
-	ts, err = runTraces(ctx, cfg, sc, svcOpts, lnrA, core.CountSpec(), truth)
+	ts, err = runTraces(ctx, cfg, sc, lnrA, core.CountSpec(), truth)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +261,7 @@ func Fig20(ctx context.Context, cfg Config) (*Figure, error) {
 		{Name: "LR-LBS-AGG-3", Kind: AlgoLR, LR: core.LROptions{FastInit: true, UseHistory: true}},
 		{Name: "LR-LBS-AGG", Kind: AlgoLR, LR: paperLROptions(0)},
 	}
-	return costVsErrorFigure(ctx, cfg, sc, lbs.Options{K: cfg.K},
+	return costVsErrorFigure(ctx, cfg, sc,
 		"fig20", "Query savings of error-reduction strategies (cumulative)",
 		variants, core.CountSpec(), truth)
 }

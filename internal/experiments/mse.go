@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/lbs"
+	"repro/internal/stack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -29,16 +29,15 @@ func MSEDecomposition(ctx context.Context, cfg Config) ([]MSERow, error) {
 	truth := float64(sc.DB.Len())
 	specs := []AlgoSpec{lrSpec(), lnrSpec(), nnoSpec()}
 	rows := make([]MSERow, 0, len(specs))
-	newSvc := serviceFactory(cfg, sc.DB, lbs.Options{K: cfg.K})
 	for _, spec := range specs {
 		outcomes := make([]stats.RunOutcome, 0, cfg.Runs)
 		for r := 0; r < cfg.Runs; r++ {
 			seed := cfg.Seed + int64(r)*7919
-			svc, err := newSvc()
+			st, err := stack.Spec{K: cfg.K, Shards: cfg.Shards}.Build(ctx, sc.DB)
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOne(ctx, svc, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}

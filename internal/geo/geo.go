@@ -279,7 +279,6 @@ func (m Metric) CellPitch(quantum float64) (px, py float64) {
 // measures how far its planar distances stray from true great-circle
 // distances over a given region.
 type Projection struct {
-	refLat float64 // degrees
 	cosRef float64
 }
 
@@ -287,11 +286,8 @@ type Projection struct {
 // refLat degrees (typically the midpoint latitude of the region of
 // interest).
 func NewProjection(refLat float64) Projection {
-	return Projection{refLat: clampLat(refLat), cosRef: math.Cos(clampLat(refLat) * degToRad)}
+	return Projection{cosRef: math.Cos(clampLat(refLat) * degToRad)}
 }
-
-// RefLat returns the reference latitude in degrees.
-func (p Projection) RefLat() float64 { return p.refLat }
 
 // Forward maps a (lon°, lat°) point to the projected km plane.
 func (p Projection) Forward(pt geom.Point) geom.Point {

@@ -27,12 +27,6 @@ func LineThrough(p, q Point) Line {
 	return Line{A: a, B: b, C: a*p.X + b*p.Y}
 }
 
-// LineFromPointNormal returns the line through p with unit-scaled normal n.
-func LineFromPointNormal(p, n Point) Line {
-	u := n.Unit()
-	return Line{A: u.X, B: u.Y, C: u.X*p.X + u.Y*p.Y}
-}
-
 // Eval returns A·x + B·y − C, the signed distance of p from the line
 // (positive on the normal side).
 func (l Line) Eval(p Point) float64 { return l.A*p.X + l.B*p.Y - l.C }
@@ -119,9 +113,6 @@ func (h HalfPlane) Contains(p Point) bool { return h.Line.Eval(p) <= Eps }
 // by more than Eps.
 func (h HalfPlane) ContainsStrict(p Point) bool { return h.Line.Eval(p) < -Eps }
 
-// Complement returns the other closed half-plane bounded by the same line.
-func (h HalfPlane) Complement() HalfPlane { return HalfPlane{Line: h.Line.Flip()} }
-
 // Bisector returns the perpendicular bisector of segment (a, b) as a
 // Line whose negative side is the set of points at least as close to a
 // as to b. It panics if a and b coincide within Eps.
@@ -141,12 +132,6 @@ func Bisector(a, b Point) Line {
 		B: d.Y / n,
 		C: (b.Norm2() - a.Norm2()) / (2 * n),
 	}
-}
-
-// BisectorHalfPlane returns the closed half-plane of points at least as
-// close to a as to b.
-func BisectorHalfPlane(a, b Point) HalfPlane {
-	return HalfPlane{Line: Bisector(a, b)}
 }
 
 // Segment is the closed line segment from A to B.

@@ -1,13 +1,14 @@
 // Package stack composes the simulated location based service that
 // lbsserve serves: a restrictive kNN interface (top-k, query budget,
 // coverage radius) over a generated scenario, a dataset file, a
-// durable store or a federation of upstream servers, optionally made
-// live, sharded, fault-injected and cached.
+// durable store, a federation of upstream servers or a caller's
+// in-memory database, optionally made live, sharded, fault-injected
+// and cached.
 //
 // A Spec holds the lbsserve flags; Build validates it against the
 // rules table and composes the querier chain innermost first:
 //
-//	data (scenario | dataset | store | upstreams)
+//	data (database | scenario | dataset | store | upstreams)
 //	→ live overlay or cluster | shard router (per-member faults)
 //	→ whole-backend faults → answer cache → store instrumentation
 package stack
@@ -35,8 +36,9 @@ import (
 // the same name (CacheSize is -cache-size, JobMaxQueries is
 // -job-max-queries, and so on); the zero value of an optional field
 // leaves its layer out. The data comes from a generated -scenario
-// (-n, -seed, -density), a -dataset file, a warm -data-dir or
-// -upstream servers, and -metric asserts its geometry.
+// (-n, -seed, -density), a -dataset file, a warm -data-dir,
+// -upstream servers or the database handed to Build, and -metric
+// asserts its geometry.
 type Spec struct {
 	Scenario, Density, Dataset, Upstream, Metric, FaultSpec, DataDir, Addr string
 	N, K, Shards, CacheSize, CompactThreshold, MaxJobs                     int
@@ -45,34 +47,37 @@ type Spec struct {
 	Live                                                                   bool
 }
 
-// rules is the flag-compatibility table: a Spec for which a row's
-// conflict holds is rejected with that row's error. Flag values that
-// do not parse, an unknown scenario, -density on a fixed-density
-// scenario and a -metric the data contradicts are checked after it.
+// rules is the flag-compatibility table: a Spec (built over db) for
+// which a row's conflict holds is rejected with that row's error. Flag
+// values that do not parse, an unknown scenario, -density on a
+// fixed-density scenario and a -metric the data contradicts are
+// checked after it.
 var rules = []struct {
 	err      string
-	conflict func(s *Spec) bool
+	conflict func(s *Spec, db *lbs.Database) bool
 }{
-	{"-data-dir is incompatible with -upstream: the remote shards hold the state", func(s *Spec) bool { return s.DataDir != "" && s.Upstream != "" }},
-	{"-data-dir with -live -shards is unsupported: live members cannot share one journal", func(s *Spec) bool { return s.DataDir != "" && s.Live && s.Shards > 1 }},
-	{"-live is incompatible with -upstream: mutations cannot be routed to remote upstreams (run the upstreams themselves with -live)", func(s *Spec) bool { return s.Live && s.Upstream != "" }},
-	{"-shards is incompatible with -upstream: the upstreams are the federation's shards", func(s *Spec) bool { return s.Shards > 1 && s.Upstream != "" }},
-	{"-dataset is incompatible with -upstream: the upstreams serve the data", func(s *Spec) bool { return s.Dataset != "" && s.Upstream != "" }},
-	{"-compact-threshold applies only with -live", func(s *Spec) bool { return s.CompactThreshold != 0 && !s.Live }},
+	{"-data-dir is incompatible with -upstream: the remote shards hold the state", func(s *Spec, _ *lbs.Database) bool { return s.DataDir != "" && s.Upstream != "" }},
+	{"-data-dir with -live -shards is unsupported: live members cannot share one journal", func(s *Spec, _ *lbs.Database) bool { return s.DataDir != "" && s.Live && s.Shards > 1 }},
+	{"-live is incompatible with -upstream: mutations cannot be routed to remote upstreams (run the upstreams themselves with -live)", func(s *Spec, _ *lbs.Database) bool { return s.Live && s.Upstream != "" }},
+	{"-shards is incompatible with -upstream: the upstreams are the federation's shards", func(s *Spec, _ *lbs.Database) bool { return s.Shards > 1 && s.Upstream != "" }},
+	{"-dataset is incompatible with -upstream: the upstreams serve the data", func(s *Spec, _ *lbs.Database) bool { return s.Dataset != "" && s.Upstream != "" }},
+	{"-compact-threshold applies only with -live", func(s *Spec, _ *lbs.Database) bool { return s.CompactThreshold != 0 && !s.Live }},
+	{"a database passed to Build is incompatible with -dataset and -upstream: it is the data", func(s *Spec, db *lbs.Database) bool { return db != nil && (s.Dataset != "" || s.Upstream != "") }},
 }
 
-// Validate reports the first rule the Spec breaks, or nil.
-func (s Spec) Validate() error {
-	_, _, err := s.resolve()
+// Validate reports the first rule the Spec built over db (nil for
+// none) breaks, or nil.
+func (s Spec) Validate(db *lbs.Database) error {
+	_, _, err := s.resolve(db)
 	return err
 }
 
-// resolve validates the Spec and derives what Build needs from it: the
-// distance metric the stack runs (before any upstream is asked) and the
-// parsed fault spec (nil for none).
-func (s *Spec) resolve() (geo.Metric, *faults.Spec, error) {
+// resolve validates the Spec built over db and derives what Build needs
+// from it: the distance metric the stack runs (before any upstream is
+// asked) and the parsed fault spec (nil for none).
+func (s *Spec) resolve(db *lbs.Database) (geo.Metric, *faults.Spec, error) {
 	for _, r := range rules {
-		if r.conflict(s) {
+		if r.conflict(s, db) {
 			return 0, nil, errors.New(r.err)
 		}
 	}
@@ -90,14 +95,17 @@ func (s *Spec) resolve() (geo.Metric, *faults.Spec, error) {
 	// The data decides the metric: the dataset's header or the
 	// scenario's layout (upstreams report theirs in Build). An explicit
 	// -metric asserts it: the coordinates were laid out for one
-	// geometry.
+	// geometry. A database carries no metric: -metric names it, and
+	// Euclidean is the default.
 	var metric geo.Metric
 	var err error
-	if s.Dataset != "" {
+	switch {
+	case db != nil:
+	case s.Dataset != "":
 		if metric, err = store.DatasetMetric(s.Dataset); err != nil {
 			err = fmt.Errorf("-dataset: %w", err)
 		}
-	} else if s.Upstream == "" {
+	case s.Upstream == "":
 		metric, err = workload.NamedMetric(s.Scenario, s.Density)
 	}
 	if err != nil {
@@ -108,7 +116,7 @@ func (s *Spec) resolve() (geo.Metric, *faults.Spec, error) {
 		if err != nil {
 			return 0, nil, fmt.Errorf("-metric: %w", err)
 		}
-		if s.Upstream == "" && m != metric {
+		if s.Upstream == "" && db == nil && m != metric {
 			return 0, nil, fmt.Errorf("-metric %s, but the backing data is laid out for %s", m, metric)
 		}
 		metric = m
@@ -130,8 +138,8 @@ type Stack struct {
 	Label string
 	// Name is the data's own name: the dataset path or the generated
 	// scenario's (e.g. usa-schools), the -scenario flag when a warm
-	// store supplied the data, empty behind upstreams. Tuples is its
-	// size at startup.
+	// store or Build's database supplied the data, empty behind
+	// upstreams. Tuples is its size at startup.
 	Name   string
 	Tuples int
 
@@ -140,9 +148,11 @@ type Stack struct {
 	restored int
 }
 
-// Build validates the Spec and composes its stack.
-func (s Spec) Build(ctx context.Context) (*Stack, error) {
-	metric, fspec, err := s.resolve()
+// Build validates the Spec and composes its stack. A non-nil db is the
+// data in place of -scenario: -shards partitions it, -live wraps it and
+// a cold -data-dir start packs it.
+func (s Spec) Build(ctx context.Context, db *lbs.Database) (*Stack, error) {
+	metric, fspec, err := s.resolve(db)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +162,7 @@ func (s Spec) Build(ctx context.Context) (*Stack, error) {
 	if s.Upstream != "" {
 		q, err = s.federate(ctx, &opts, b)
 	} else {
-		q, err = s.local(opts, &fspec, b)
+		q, err = s.local(opts, &fspec, b, db)
 	}
 	if err != nil {
 		return nil, err
@@ -211,15 +221,19 @@ func (s *Spec) federate(ctx context.Context, opts *lbs.Options, b *Stack) (lbs.Q
 	return shard.NewRouter(members, *opts, shard.DefaultResilience())
 }
 
-// local builds the backend over local data. A per-member fault
-// injection (-shards with -fault-spec) consumes *fspec.
-func (s *Spec) local(opts lbs.Options, fspec **faults.Spec, b *Stack) (q lbs.Querier, err error) {
+// local builds the backend over local data: given when non-nil, else
+// the dataset or scenario. A per-member fault injection (-shards with
+// -fault-spec) consumes *fspec.
+func (s *Spec) local(opts lbs.Options, fspec **faults.Spec, b *Stack, given *lbs.Database) (q lbs.Querier, err error) {
 	name := s.Scenario
 	if s.Dataset != "" {
 		name = s.Dataset
 	}
 	b.Name = name
 	load := func() (db *lbs.Database, err error) {
+		if given != nil {
+			return given, nil
+		}
 		if s.Dataset != "" {
 			if db, err = store.LoadDataset(s.Dataset, 0, nil); err != nil {
 				err = fmt.Errorf("-dataset: %w", err)

@@ -32,11 +32,12 @@ func TestValidate(t *testing.T) {
 	if err := store.WritePackMetric(geoPack, sc.DB, sc.Metric, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type row struct {
 		name string
 		edit func(s *Spec)
 		want string // error substring; "" = valid
-	}{
+	}
+	cases := []row{
 		{"valid", func(s *Spec) {}, ""},
 		{"valid geodesic", func(s *Spec) { s.Scenario, s.Metric, s.Density = "geo-us", "haversine", "zipf" }, ""},
 		{"valid dataset metric", func(s *Spec) { s.Dataset, s.Metric = geoPack, "haversine" }, ""},
@@ -61,12 +62,20 @@ func TestValidate(t *testing.T) {
 		{"compact threshold without live", func(s *Spec) { s.CompactThreshold = 100 }, "-compact-threshold applies only with -live"},
 		{"density on fixed-density scenario", func(s *Spec) { s.Density = "zipf" }, `-density applies to the cities/geo-us/geo-china scenarios; "schools" has a fixed density`},
 	}
+	// Rows over a database handed to Build: it is the data, so -metric
+	// names its geometry instead of asserting the scenario's.
+	overDB := []row{
+		{"valid database layers", func(s *Spec) { s.Live, s.Shards, s.CacheSize = true, 2, 64 }, ""},
+		{"valid database metric", func(s *Spec) { s.Metric = "haversine" }, ""},
+		{"database with dataset", func(s *Spec) { s.Dataset = geoPack }, "a database passed to Build is incompatible with -dataset and -upstream"},
+		{"database with upstream", func(s *Spec) { s.Upstream = "http://a" }, "a database passed to Build is incompatible with -dataset and -upstream"},
+	}
 	matched := map[string]bool{}
-	for _, c := range cases {
+	check := func(c row, db *lbs.Database) {
 		t.Run(c.name, func(t *testing.T) {
 			s := base()
 			c.edit(&s)
-			err := s.Validate()
+			err := s.Validate(db)
 			switch {
 			case c.want == "" && err != nil:
 				t.Fatalf("Validate: %v, want nil", err)
@@ -77,6 +86,12 @@ func TestValidate(t *testing.T) {
 				matched[err.Error()] = true
 			}
 		})
+	}
+	for _, c := range cases {
+		check(c, nil)
+	}
+	for _, c := range overDB {
+		check(c, sc.DB)
 	}
 	for _, r := range rules {
 		if !matched[r.err] {
@@ -183,12 +198,13 @@ func ids(recs []lbs.LNRRecord) []int64 {
 }
 
 func TestBuildCompositions(t *testing.T) {
-	cases := []struct {
+	type row struct {
 		name     string
 		edit     func(s *Spec)
 		label    string
 		sections []string
-	}{
+	}
+	cases := []row{
 		{"single service", func(s *Spec) {}, "schools (400 tuples, k=5)", nil},
 		{"shards", func(s *Spec) { s.Shards = 4 }, "schools (400 tuples, k=5), 4 shards", []string{"federation"}},
 		{"shards zero-rate faults", func(s *Spec) { s.Shards, s.FaultSpec = 4, "seed=3,transient=0" },
@@ -198,19 +214,32 @@ func TestBuildCompositions(t *testing.T) {
 		{"live cache", func(s *Spec) { s.Live, s.CacheSize = true, 256 }, "schools (400 tuples, k=5), live, cache=256", []string{"cache", "live"}},
 		{"whole-backend faults", func(s *Spec) { s.FaultSpec = "transient=0" }, "schools (400 tuples, k=5), faulted", []string{"faults"}},
 	}
-	for _, c := range cases {
+	// Rows built over the base scenario's database handed to Build: the
+	// -scenario flag names it, and the cold -data-dir row packs it for
+	// the warm row after it.
+	dir := t.TempDir()
+	overDB := []row{
+		{"database", func(s *Spec) {}, "schools (400 tuples, k=5)", nil},
+		{"database shards", func(s *Spec) { s.Shards = 4 }, "schools (400 tuples, k=5), 4 shards", []string{"federation"}},
+		{"database live", func(s *Spec) { s.Live = true }, "schools (400 tuples, k=5), live", []string{"live"}},
+		{"database live shards", func(s *Spec) { s.Live, s.Shards = true, 2 }, "schools (400 tuples, k=5), 2 live shards", []string{"federation", "live"}},
+		{"database cache", func(s *Spec) { s.CacheSize = 64 }, "schools (400 tuples, k=5), cache=64", []string{"cache"}},
+		{"database cold data dir", func(s *Spec) { s.DataDir = dir }, "schools (400 tuples, k=5, durable cold ingest)", []string{"store"}},
+		{"database warm data dir", func(s *Spec) { s.DataDir = dir }, "schools (400 tuples, k=5, durable warm start)", []string{"store"}},
+	}
+	check := func(c row, db *lbs.Database, name string) {
 		t.Run(c.name, func(t *testing.T) {
 			s := base()
 			c.edit(&s)
-			st, err := s.Build(context.Background())
+			st, err := s.Build(context.Background(), db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.Label != c.label {
 				t.Errorf("label %q, want %q", st.Label, c.label)
 			}
-			if st.Name != "usa-schools" || st.Tuples != 400 {
-				t.Errorf("data %s/%d, want usa-schools/400", st.Name, st.Tuples)
+			if st.Name != name || st.Tuples != 400 {
+				t.Errorf("data %s/%d, want %s/400", st.Name, st.Tuples, name)
 			}
 			if (st.Mutator != nil) != s.Live {
 				t.Errorf("mutator %T with live=%v", st.Mutator, s.Live)
@@ -224,6 +253,16 @@ func TestBuildCompositions(t *testing.T) {
 			}
 		})
 	}
+	for _, c := range cases {
+		check(c, nil, "usa-schools")
+	}
+	sc, err := workload.ByName("schools", 400, 7, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range overDB {
+		check(c, sc.DB, "schools")
+	}
 }
 
 // TestBuildDurableWarmStart: a cold -data-dir start ingests and packs
@@ -234,7 +273,7 @@ func TestBuildDurableWarmStart(t *testing.T) {
 	s.Live, s.CacheSize, s.DataDir = true, 256, t.TempDir()
 	ctx := context.Background()
 
-	cold, err := s.Build(ctx)
+	cold, err := s.Build(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +302,7 @@ func TestBuildDurableWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := s.Build(ctx)
+	warm, err := s.Build(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +342,7 @@ func TestBuildUpstream(t *testing.T) {
 	}
 	s := base()
 	s.Upstream = strings.Join(urls, ", ")
-	st, err := s.Build(context.Background())
+	st, err := s.Build(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestStatsGolden(t *testing.T) {
 	for _, c := range compositions {
 		s := base()
 		c.edit(&s)
-		st, err := s.Build(context.Background())
+		st, err := s.Build(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -215,7 +215,7 @@ func TestStatsAccountingConcurrent(t *testing.T) {
 // returning the server and the stack's bounds.
 func serve(t *testing.T, s Spec) (*httptest.Server, geom.Rect) {
 	t.Helper()
-	st, err := s.Build(context.Background())
+	st, err := s.Build(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,6 @@ var geoUSBounds = geom.NewRect(geom.Pt(-125, 24), geom.Pt(-66, 49))
 // geoChinaBounds covers China in lon/lat degrees.
 var geoChinaBounds = geom.NewRect(geom.Pt(73, 18), geom.Pt(135, 53))
 
-// GeoUSBounds returns the geodesic continental-US bounding box (degrees).
-func GeoUSBounds() geom.Rect { return geoUSBounds }
-
-// GeoChinaBounds returns the geodesic China bounding box (degrees).
-func GeoChinaBounds() geom.Rect { return geoChinaBounds }
-
 // Cities generates a generic POI population over bounds under the
 // given metric and density law — the scenario behind lbsgen's
 // geodesic cities and its -density flag. Coordinates are degrees when

@@ -194,9 +194,6 @@ var chinaBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(3500, 3000))
 // USBounds returns the synthetic continental-US bounding box (km).
 func USBounds() geom.Rect { return usBounds }
 
-// ChinaBounds returns the synthetic China bounding box (km).
-func ChinaBounds() geom.Rect { return chinaBounds }
-
 // AustinBox returns a metro-sized sub-region of the US plane used for
 // the "Austin, TX" aggregates (Fig. 17, Table 1): a 60×60 km box
 // positioned in the south-central area.

@@ -135,38 +135,40 @@
 //     ErrBudgetExhausted. Each answered point still costs one query —
 //     batching buys round-trips, never budget.
 //
-//   - Caching. NewCachedOracle layers a concurrent sharded LRU over
-//     any oracle, keyed by (quantized point, k). Hits replay recorded
-//     answers without consuming budget; Stats() exposes hit/miss/eviction counters for cost
+//   - Caching. A StackSpec with CacheSize set layers a concurrent
+//     sharded LRU over its backend, keyed by (point, k). Hits replay
+//     recorded answers without consuming budget; the /v1/stats cache
+//     section (CacheStats) counts hits, misses and evictions for cost
 //     accounting. Caching models client-side memoization of answers
 //     already paid for — it does not change the simulated service
-//     contract, and estimates over a cached oracle are identical to
-//     uncached runs (with Quantum=0), just cheaper on workloads that
-//     repeat query points. Queries carrying a functional filter
-//     bypass the cache, so a cache shared by differently filtered
-//     callers can never replay a wrong answer.
+//     contract, and estimates over a cached stack are identical to
+//     uncached runs, just cheaper on workloads that repeat query
+//     points. Queries carrying a functional filter bypass the cache,
+//     so a cache shared by differently filtered callers can never
+//     replay a wrong answer.
 //
 // # Scaling out: sharded federation
 //
 // One simulator (or one upstream) eventually saturates; the federation
 // layer scales the oracle horizontally while keeping every estimator,
-// cache, scope and job unchanged:
+// cache, scope and job unchanged. A StackSpec — the serving stack that
+// lbsserve's flags describe — composes it over an in-memory database:
 //
-//   - PartitionDatabase splits a database into N disjoint spatial
-//     shards by recursive longest-axis median splits; shard regions
-//     tile the bounds and carry balanced tuple counts.
-//   - NewShardedService(db, opts, n, res, wrap) builds the one-call
-//     composite: N in-process shard services behind a ShardRouter,
-//     each optionally passed through wrap (a fault injector, say).
-//   - NewShardRouter(shards, opts, res) federates arbitrary members —
-//     in-process services or remote HTTP clients (the lbsserve
-//     -upstream deployment) — each declared as a Shard{Querier, Region}.
+//	st, err := lbsagg.StackSpec{K: 5, Shards: 4}.Build(ctx, db)
+//	agg := lbsagg.NewLRAggregator(st.Querier, lbsagg.DefaultLROptions(42))
 //
-// Both take the failure handling explicitly: DefaultResilience() in
-// production, the zero Resilience for the strict scatter-gather with
-// every mechanism off.
+// Build splits db into Shards disjoint spatial shards by recursive
+// longest-axis median splits (regions tile the bounds and carry
+// balanced tuple counts) and puts one in-process service per shard
+// behind a router with the production failure handling: per-member
+// deadlines, bounded retry of transient errors and per-member circuit
+// breakers. A fault spec (lbsserve's -fault-spec syntax) gives each
+// member its own fault injector, so the router's retries and breakers
+// absorb the faults; CacheSize puts an answer cache in front. With a nil
+// database, Build takes the data from Scenario, Dataset, DataDir or
+// Upstream — the last federates running lbsserve shards over HTTP.
 //
-// A ShardRouter implements Querier via two-phase scatter-gather: the
+// The router implements Querier via two-phase scatter-gather: the
 // shard owning the query point answers first, its k-th-neighbor
 // distance bounds the ball a better candidate could hide in, only
 // shards intersecting that ball are fanned out to, and the merged
@@ -176,31 +178,35 @@
 // by property tests — so estimates, costs and seeds reproduce exactly
 // across 1, 2, 4, 8, ... shards. The router owns the logical cost
 // model (budget, QueryCount = client-visible queries);
-// per-shard physical counters aggregate through its Stats(), which
-// GET /v1/stats exposes as the federation section.
+// per-shard physical counters aggregate through its Stats()
+// (ShardRouterStats), which GET /v1/stats exposes as the federation
+// section. A member that fails is routed around: the surviving
+// members' answer comes back with a PartialAnswerError
+// (IsPartialAnswer), ErrOwnerDown reports a down member owning the
+// query point, and NewTolerantQuerier absorbs the annotations for
+// estimation layers.
 //
 // # Live databases
 //
-// NewLiveDatabase wraps an immutable Database in a mutable view:
-// inserts, deletes and moves apply through the Mutator interface
-// (Apply) while queries keep running — readers never block, each
-// query resolves one immutable snapshot, and a background rebuild
-// folds accumulated changes into a fresh spatial index once the
-// overlay outgrows LiveOptions.CompactThreshold. Every applied
-// mutation advances the database epoch; a query bracketed by two
-// equal Epoch() reads saw exactly that epoch's contents. Answers over
-// a live database with no pending mutations are bit-identical to a
-// Service over the same tuples, so estimates and seeds reproduce
-// exactly across the immutable/live boundary.
+// A StackSpec with Live set serves a mutable view of its database:
+// Stack.Mutator applies inserts, deletes and moves (Apply) while
+// queries keep running — readers never block, each query resolves one
+// immutable snapshot, and a background rebuild folds accumulated
+// changes into a fresh spatial index once the overlay outgrows
+// CompactThreshold. Every applied mutation advances the database
+// epoch (LiveResult). Answers over a live database with no pending
+// mutations are bit-identical to a Service over the same tuples, so
+// estimates and seeds reproduce exactly across the immutable/live
+// boundary.
 //
-// NewLiveCluster is the sharded form: N live shards behind a
-// ShardRouter, with mutations routed to the shard owning the
-// location (cross-shard moves re-home the tuple). The HTTP server
-// exposes any Mutator as POST /v1/tuples:stream — an NDJSON stream
-// of ops acked one by one with the epoch at which each became
-// visible (HTTPClient.StreamTuples drives it) — and mutations
-// invalidate exactly the dirtied region of an answer cache wired
-// through LiveOptions.OnInvalidate.
+// With Shards too, N live shards sit behind the router and mutations
+// route to the shard owning the location (cross-shard moves re-home
+// the tuple); with CacheSize, mutations invalidate exactly the dirtied
+// region of the answer cache; with DataDir, a write-ahead log journals
+// them and a restart resumes warm. The HTTP server exposes any Mutator
+// as POST /v1/tuples:stream — an NDJSON stream of ops acked one by one
+// with the epoch at which each became visible (HTTPClient.StreamTuples
+// drives it).
 //
 // # Bring your own service
 //
@@ -244,8 +250,14 @@
 //
 // Removed: the closure constructors (Count, CountWhere, SumAttr, ...),
 // CompilePlan/AggPlan and Driver — use AggSpec.Compile, PlanBatch, Run.
-// Removed: NewResilientShardRouter and NewShardedServiceWrapped — pass
-// a Resilience (and wrap hook) to NewShardRouter and NewShardedService.
+// Removed: NewResilientShardRouter and NewShardedServiceWrapped, and
+// then every constructor a StackSpec expresses — NewCachedOracle,
+// CachedOracle, CacheOptions, PartitionDatabase, NewShardedService,
+// NewShardRouter, Shard, ShardRouter, DefaultResilience, Resilience,
+// NewFaultInjector, FaultInjector, FaultSpec, ParseFaultSpec,
+// NewLiveDatabase, NewLiveCluster, LiveDatabase, LiveCluster,
+// LiveOptions, OpenStore, Store, StoreOptions and StoreRecovery — use
+// StackSpec{...}.Build(ctx, db).
 // Removed, as nothing set or called them: the virtual-clock rate
 // limiter (lbs.RateLimiter, ServiceOptions.Limiter, VirtualWaited,
 // VirtualDuration), ServiceOptions.ProminenceOverfetch (fixed at 4),
@@ -281,6 +293,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/sampling"
 	"repro/internal/shard"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -352,39 +365,29 @@ func NameFilter(name string) Filter { return lbs.NameFilter(name) }
 type Oracle = core.Oracle
 
 // BatchOracle is an Oracle with a native multi-point query path;
-// *Service, *CachedOracle and the HTTP client all implement it.
+// *Service, every built Stack's Querier and the HTTP client implement
+// it.
 type BatchOracle = core.BatchOracle
 
 // Querier is the full service-side query surface (point + batch
-// queries); both the simulator and cache wrappers satisfy it.
+// queries); the simulator and every built Stack satisfy it.
 type Querier = lbs.Querier
 
-// Answer-cache types (client-side memoization over any Querier).
+// Serving stacks (see the package overview).
 type (
-	// CachedOracle memoizes answers in a concurrent sharded LRU.
-	CachedOracle = lbs.CachedOracle
-	// CacheOptions configures capacity, sharding, point quantization
-	// and the selection label of a CachedOracle.
-	CacheOptions = lbs.CacheOptions
-	// CacheStats snapshots hit/miss/eviction counters.
-	CacheStats = lbs.CacheStats
+	// StackSpec describes a serving stack: each field is the lbsserve
+	// flag of the same name. Build(ctx, db) composes it over db, or over
+	// the data its fields name when db is nil.
+	StackSpec = stack.Spec
+	// Stack is a built StackSpec: the Querier to run against, the
+	// Mutator of a live stack, and Close for a DataDir checkpoint.
+	Stack = stack.Stack
 )
 
-// NewCachedOracle wraps a Querier with an answer cache: hits replay
-// recorded answers without consuming budget.
-func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
-	return lbs.NewCachedOracle(inner, opts)
-}
-
-// Federation types (horizontal scale-out; see the package overview).
+// The stats sections a built stack reports in GET /v1/stats.
 type (
-	// Shard is one federation member: a querier plus the region whose
-	// tuples it owns.
-	Shard = shard.Shard
-	// ShardRouter federates shards behind the Querier interface with
-	// two-phase scatter-gather; answers are bit-identical to a single
-	// Service over the union database.
-	ShardRouter = shard.Router
+	// CacheStats snapshots hit/miss/eviction counters.
+	CacheStats = lbs.CacheStats
 	// ShardRouterStats snapshots federation cost accounting: logical
 	// vs upstream query counts and the per-shard breakdown.
 	ShardRouterStats = shard.RouterStats
@@ -392,37 +395,8 @@ type (
 	ShardStat = shard.ShardStat
 )
 
-// PartitionDatabase splits a database into n disjoint spatial shard
-// databases (recursive longest-axis median splits; regions tile the
-// bounds, effective locations carry over verbatim).
-func PartitionDatabase(db *Database, n int) []*Database { return shard.Partition(db, n) }
-
-// NewShardedService partitions db into n in-process shard services
-// behind a ShardRouter configured with the given logical options and
-// failure handling — drop-in for NewService(db, opts) at any shard
-// count. Each member querier is passed through wrap (index, querier)
-// before federating — the hook chaos tests use to install fault
-// injectors per member; a nil wrap federates the bare services.
-func NewShardedService(db *Database, opts ServiceOptions, n int, res Resilience,
-	wrap func(i int, q Querier) Querier) (*ShardRouter, error) {
-	return shard.FromPartsWrapped(shard.Partition(db, n), opts, res, wrap)
-}
-
-// NewShardRouter federates explicit members (in-process services or
-// remote HTTPClients over disjoint upstreams) with the given failure
-// handling. Members must answer distance-ranked LR queries with k of
-// at least opts.K (×4 under prominence ranking).
-func NewShardRouter(shards []Shard, opts ServiceOptions, res Resilience) (*ShardRouter, error) {
-	return shard.NewRouter(shards, opts, res)
-}
-
 // Fault-tolerance types (see README "Operating under failure").
 type (
-	// Resilience configures the router's failure handling: per-shard
-	// call deadlines, bounded retry of transient errors, and the
-	// per-shard circuit breaker. The zero value turns every mechanism
-	// off.
-	Resilience = shard.Resilience
 	// BreakerState is a member's circuit-breaker state (closed / open
 	// / half-open), reported in ShardStat and /v1/stats.
 	BreakerState = shard.BreakerState
@@ -436,14 +410,7 @@ type (
 	// wrapped Querier so estimation layers see clean answers while the
 	// degraded counters still accumulate.
 	TolerantQuerier = lbs.TolerantQuerier
-	// FaultSpec configures a deterministic fault injector: transient
-	// error rates, crash-recover windows, injected latency, slow-shard
-	// and duplicate-delivery modes.
-	FaultSpec = faults.Spec
-	// FaultInjector wraps any Querier with seed-deterministic injected
-	// faults; Kill/Revive flip availability mid-run.
-	FaultInjector = faults.Injector
-	// FaultStats snapshots an injector's fault counters.
+	// FaultStats snapshots the fault injectors' counters.
 	FaultStats = faults.Stats
 )
 
@@ -463,26 +430,10 @@ var (
 	ErrOwnerDown = shard.ErrOwnerDown
 	// ErrNoShards reports that every member's breaker is open.
 	ErrNoShards = shard.ErrNoShards
-	// ErrShardTimeout reports a member call exceeding
-	// Resilience.ShardTimeout.
+	// ErrShardTimeout reports a member call exceeding the router's
+	// per-member deadline.
 	ErrShardTimeout = shard.ErrShardTimeout
 )
-
-// DefaultResilience returns the production failure-handling defaults:
-// 10s shard timeout, 2 retries with jittered backoff, and a 5-failure
-// breaker with 1s cooldown.
-func DefaultResilience() Resilience { return shard.DefaultResilience() }
-
-// NewFaultInjector wraps inner with deterministic injected faults per
-// spec. The same seed replays the same fault schedule.
-func NewFaultInjector(inner Querier, spec FaultSpec) *FaultInjector {
-	return faults.New(inner, spec)
-}
-
-// ParseFaultSpec parses the comma-separated key=value fault-spec
-// syntax of the lbsserve -fault-spec flag (e.g.
-// "seed=7,transient=0.05,latency=2ms,sigma=0.6").
-func ParseFaultSpec(s string) (FaultSpec, error) { return faults.ParseSpec(s) }
 
 // NewTolerantQuerier wraps inner so partial-answer annotations are
 // absorbed (counted, not surfaced) — what the job manager installs
@@ -498,13 +449,6 @@ func IsPartialAnswer(err error) (*PartialAnswerError, bool) { return lbs.AsParti
 
 // Live-database types (mutable backends; see the package overview).
 type (
-	// LiveDatabase is a mutable database view: an immutable base plus
-	// a mutation overlay, queried through lock-free snapshots.
-	LiveDatabase = live.Database
-	// LiveCluster is a sharded live database behind a ShardRouter.
-	LiveCluster = live.Cluster
-	// LiveOptions configures compaction and cache invalidation.
-	LiveOptions = live.Options
 	// LiveOp is one mutation (insert, delete or move).
 	LiveOp = live.Op
 	// LiveOpKind discriminates LiveOp.
@@ -514,8 +458,8 @@ type (
 	LiveResult = live.Result
 	// LiveStats snapshots a live database's mutation counters.
 	LiveStats = live.Stats
-	// Mutator is the mutation surface (LiveDatabase, LiveCluster, or
-	// a custom implementation behind the HTTP ingest endpoint).
+	// Mutator is the mutation surface (a live Stack's Mutator, or a
+	// custom implementation behind the HTTP ingest endpoint).
 	Mutator = live.Mutator
 )
 
@@ -538,20 +482,6 @@ var (
 	ErrLiveOutOfRegion = live.ErrOutOfRegion
 )
 
-// NewLiveDatabase wraps an immutable base database in a mutable view
-// with the given service options. Queries are served from immutable
-// snapshots and never block behind mutations.
-func NewLiveDatabase(base *Database, opts ServiceOptions, lopts LiveOptions) (*LiveDatabase, error) {
-	return live.New(base, opts, lopts)
-}
-
-// NewLiveCluster partitions base into n live shards behind a
-// ShardRouter; queries stay bit-identical to a single live database
-// while mutations route to the owning shard.
-func NewLiveCluster(base *Database, opts ServiceOptions, n int, lopts LiveOptions) (*LiveCluster, error) {
-	return live.NewCluster(base, opts, n, lopts)
-}
-
 // HTTPSelection is the declarative server-side filter of the HTTP
 // wire protocol.
 type HTTPSelection = httpapi.Selection
@@ -571,8 +501,8 @@ type (
 
 // NewHTTPServer exposes a service backend over HTTP (see cmd/lbsserve
 // for a runnable server). Any Querier serves: the raw simulator or a
-// CachedOracle gateway in front of it. The returned server is an
-// http.Handler; its Jobs() manager runs /v1/estimate jobs.
+// built Stack's Querier. The returned server is an http.Handler; its
+// Jobs() manager runs /v1/estimate jobs.
 func NewHTTPServer(svc Querier) *HTTPServer { return httpapi.NewServer(svc) }
 
 // NewHTTPServerWith is NewHTTPServer with explicit options (job
@@ -827,19 +757,12 @@ var (
 )
 
 // Durable storage (internal/store): the paged .lbspack database
-// format, WAL-backed live overlays, and warm restarts.
+// format; a StackSpec's DataDir adds WAL-backed live overlays and warm
+// restarts.
 type (
-	// Store is one durable data directory (pack + WAL + jobs + cache).
-	Store = store.Store
-	// StoreOptions configures page size, buffer-pool budget and WAL
-	// syncing.
-	StoreOptions = store.Options
 	// StoreStats is the engine's counter snapshot (the /v1/stats
 	// "store" section).
 	StoreStats = store.Stats
-	// StoreRecovery describes what opening a durable live database
-	// found (warm/cold, recovered epoch, replayed WAL frames).
-	StoreRecovery = store.Recovery
 	// StoreCorruptError is the typed failure of every storage
 	// integrity check (bad magic, checksum mismatch, truncated page).
 	StoreCorruptError = store.CorruptError
@@ -847,9 +770,6 @@ type (
 	// materialize from (implemented by the store's paged packs).
 	TupleSource = lbs.TupleSource
 )
-
-// OpenStore opens (creating if needed) a durable data directory.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
 
 // WritePack writes db as a paged .lbspack file at path (epoch is
 // recorded in the header; pageSize 0 means the default).

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	lbsagg "repro"
 )
@@ -99,31 +98,28 @@ func TestFacadeFilters(t *testing.T) {
 	}
 }
 
-// TestFacadeFederation covers the scale-out surface: partitioning,
-// the one-call sharded service, and estimator runs over a router.
+// TestFacadeFederation covers the scale-out surface: a StackSpec
+// federation over an in-memory database answers like a single service,
+// runs an estimator unchanged and reports per-shard stats.
 func TestFacadeFederation(t *testing.T) {
 	sc := lbsagg.USASchools(200, 3)
-	parts := lbsagg.PartitionDatabase(sc.DB, 4)
-	if len(parts) != 4 {
-		t.Fatalf("partitions: %d", len(parts))
-	}
-	router, err := lbsagg.NewShardedService(sc.DB, lbsagg.ServiceOptions{K: 5}, 4, lbsagg.DefaultResilience(), nil)
+	ctx := context.Background()
+	st, err := lbsagg.StackSpec{K: 5, Shards: 4}.Build(ctx, sc.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := lbsagg.NewService(sc.DB, lbsagg.ServiceOptions{K: 5})
-	ctx := context.Background()
 	q := sc.DB.Bounds().Center()
 	want, _ := single.QueryLR(ctx, q, nil)
-	got, err := router.QueryLR(ctx, q, nil)
+	got, err := st.Querier.QueryLR(ctx, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) || want[0].ID != got[0].ID {
 		t.Fatalf("federated answer diverges: %+v vs %+v", want, got)
 	}
-	// An estimator runs over the router unchanged.
-	agg := lbsagg.NewLRAggregator(router, lbsagg.DefaultLROptions(42))
+	// An estimator runs over the stack unchanged.
+	agg := lbsagg.NewLRAggregator(st.Querier, lbsagg.DefaultLROptions(42))
 	res, err := agg.Run(ctx, compileAll(t, lbsagg.CountSpec()), lbsagg.WithMaxSamples(5))
 	if err != nil {
 		t.Fatal(err)
@@ -131,52 +127,70 @@ func TestFacadeFederation(t *testing.T) {
 	if len(res) != 1 || res[0].Samples != 5 {
 		t.Fatalf("federated estimator run: %+v", res)
 	}
-	if st := router.Stats(); st.Logical == 0 || len(st.Shards) != 4 {
-		t.Fatalf("router stats: %+v", st)
+	if rs := routerStats(t, st); rs.Logical == 0 || len(rs.Shards) != 4 {
+		t.Fatalf("router stats: %+v", rs)
 	}
 }
 
-// TestFacadeFaultTolerance exercises the failure-handling exports: a
-// resilient federation with per-member fault injectors survives a
-// member kill, answers degraded with a partial annotation, and a
-// tolerant wrapper absorbs the annotation for estimation layers.
+// routerStats reads the federation stats of a stack built with Shards.
+func routerStats(t *testing.T, st *lbsagg.Stack) lbsagg.ShardRouterStats {
+	t.Helper()
+	r, ok := st.Querier.(interface {
+		Stats() lbsagg.ShardRouterStats
+	})
+	if !ok {
+		t.Fatalf("%T is not a federation", st.Querier)
+	}
+	return r.Stats()
+}
+
+// TestFacadeFaultTolerance exercises the failure-handling exports over
+// a StackSpec federation whose members die after their eighth call: a
+// dead owner fails with ErrOwnerDown until its breaker opens, then the
+// query is answered degraded by the survivor with a partial
+// annotation, which a tolerant wrapper absorbs for estimation layers.
 func TestFacadeFaultTolerance(t *testing.T) {
 	sc := lbsagg.USASchools(150, 4)
-	inj := make([]*lbsagg.FaultInjector, 2)
-	router, err := lbsagg.NewShardedService(sc.DB, lbsagg.ServiceOptions{K: 10}, 2,
-		lbsagg.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour, Seed: 1},
-		func(i int, q lbsagg.Querier) lbsagg.Querier {
-			inj[i] = lbsagg.NewFaultInjector(q, lbsagg.FaultSpec{Seed: int64(i)})
-			return inj[i]
-		})
+	ctx := context.Background()
+	st, err := lbsagg.StackSpec{K: 10, Shards: 2, FaultSpec: "down-after=8"}.Build(ctx, sc.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	dead := router.Stats().Shards[1].Region.Center()
-	inj[1].Kill()
-	if _, err := router.QueryLR(ctx, dead, nil); !errors.Is(err, lbsagg.ErrOwnerDown) {
-		t.Fatalf("owner down: %v", err)
+	// The corner of member 1's region farthest from member 0's: its
+	// answer never needs member 0, so only member 1 spends calls.
+	rs := routerStats(t, st)
+	far, other := rs.Shards[1].Region, rs.Shards[0].Region.Center()
+	dead := lbsagg.Pt(far.Min.X, far.Min.Y)
+	for _, c := range []lbsagg.Point{far.Min, far.Max, lbsagg.Pt(far.Min.X, far.Max.Y), lbsagg.Pt(far.Max.X, far.Min.Y)} {
+		if c.Dist2(other) > dead.Dist2(other) {
+			dead = c
+		}
 	}
-	if st := router.Stats(); st.Shards[1].State != lbsagg.BreakerOpen {
-		t.Fatalf("breaker state: %s", st.Shards[1].State)
+	failures := 0
+	for i := 0; i < 20 && failures < 5; i++ {
+		if _, err := st.Querier.QueryLR(ctx, dead, nil); errors.Is(err, lbsagg.ErrOwnerDown) {
+			failures++
+		} else if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
 	}
-	recs, err := router.QueryLR(ctx, dead, nil)
+	rs = routerStats(t, st)
+	if failures != 5 || rs.Shards[1].State != lbsagg.BreakerOpen {
+		t.Fatalf("after %d owner-down failures: breaker %s", failures, rs.Shards[1].State)
+	}
+	if rs.Shards[0].Queries != 0 {
+		t.Fatalf("member 0 answered %d queries for the far corner", rs.Shards[0].Queries)
+	}
+	recs, err := st.Querier.QueryLR(ctx, dead, nil)
 	pe, ok := lbsagg.IsPartialAnswer(err)
 	if !ok || len(recs) == 0 || pe.Degraded != 1 {
 		t.Fatalf("degraded answer: %d recs, %v", len(recs), err)
 	}
-	tol := lbsagg.NewTolerantQuerier(router)
+	tol := lbsagg.NewTolerantQuerier(st.Querier)
 	if _, err := tol.QueryLR(ctx, dead, nil); err != nil {
 		t.Fatalf("tolerant wrapper surfaced: %v", err)
 	}
 	if tol.DegradedCount() == 0 {
 		t.Fatal("tolerant wrapper did not count the degraded answer")
-	}
-	if spec, err := lbsagg.ParseFaultSpec("seed=3,transient=0.1"); err != nil || spec.TransientRate != 0.1 {
-		t.Fatalf("ParseFaultSpec: %+v, %v", spec, err)
-	}
-	if lbsagg.DefaultResilience().BreakerThreshold == 0 {
-		t.Fatal("default resilience leaves the breaker off")
 	}
 }
