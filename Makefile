@@ -59,7 +59,10 @@ examples:
 # runs, and concurrent parallel LR jobs over one cache must match
 # serial reruns bit for bit (about 15 s). The seventh race-checks the
 # per-job budget scopes, which reserve through the shared Meter:
-# concurrent scope queries against one cap.
+# concurrent scope queries against one cap. The eighth race-checks the
+# sampler's one-sample reservations: parallel NNO workers against a
+# capped budget, and four cached parallel workers that must draw
+# exactly the sample cap between them.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
@@ -68,6 +71,7 @@ stress:
 	$(GO) test -race -count=20 -run '^(TestShardTimeoutBoundsWedgedMember|TestDeadlineBoundsUnmarkedMemberIgnoringContext|TestFederatedBitIdenticalUnderTransients|TestAllBreakersOpenRecovers)$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestLRQueryDoesNotMutateCachedAnswers|TestLRParallelJobsShareCache)$$' ./internal/core
 	$(GO) test -race -count=50 -run '^TestScopedQuerier' ./internal/lbs
+	$(GO) test -race -count=50 -run '^(TestNNOBatchRespectsBudget|TestCachedBatchedParallelRun)$$' ./internal/core
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the

@@ -133,7 +133,6 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 		MaxQueries: cfg.Budget,
 		MaxSamples: samples,
 		TargetCI:   targetCI,
-		Batch:      cfg.Batch,
 	})
 	if err != nil {
 		return err
@@ -210,7 +209,6 @@ func main() {
 		budget = flag.Int64("budget", 0, "per-run query budget override")
 		k      = flag.Int("k", 0, "service top-k override")
 		seed   = flag.Int64("seed", 0, "base seed override")
-		batch  = flag.Int("batch", 0, "samples per oracle round-trip for batch-capable estimators (0/1 = unbatched)")
 		shards = flag.Int("shards", 0, "run local experiments against a federated backend of this many in-process spatial shards (0/1 = single service; answers are bit-identical)")
 
 		remote      = flag.String("remote", "", "base URL of an lbsserve to submit one estimation job to (switches lbsbench into remote-client mode)")
@@ -241,7 +239,6 @@ func main() {
 				MaxQueries:  *budget,
 				TargetCI:    *targetCI,
 				Parallelism: *parallelism,
-				Batch:       *batch,
 			},
 		}, *aggs, *trace); err != nil {
 			fail("remote", err)
@@ -273,9 +270,6 @@ func main() {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *batch > 1 {
-		cfg.Batch = *batch
 	}
 	if *shards > 1 {
 		cfg.Shards = *shards

@@ -548,34 +548,6 @@ func (c *Complex) AppendVertices(dst []geom.Point) []geom.Point {
 	return dst[:start+len(dedupePoints(dst[start:], 1e-7))]
 }
 
-// BoundaryVertices returns only vertices lying on the outer boundary of
-// the region (vertices where the region does not locally cover a full
-// disk). A vertex is classified as internal when every incident face
-// test point around it stays inside the region; we approximate this by
-// probing 8 points on a tiny circle around the vertex.
-func (c *Complex) BoundaryVertices() []geom.Point {
-	verts := c.Vertices()
-	scale := math.Sqrt(c.bound.Area()) * 1e-6
-	if scale < geom.Eps {
-		scale = geom.Eps
-	}
-	var out []geom.Point
-	for _, v := range verts {
-		inside := 0
-		for i := 0; i < 8; i++ {
-			ang := float64(i) * math.Pi / 4
-			p := v.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(scale))
-			if c.Contains(p) {
-				inside++
-			}
-		}
-		if inside < 8 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // RandomPoint returns a point uniformly distributed over the region:
 // a face is chosen with probability proportional to its area and a
 // point sampled uniformly inside it. It returns false when the region

@@ -219,17 +219,6 @@ func TestVerticesOnRegionClosure(t *testing.T) {
 	}
 }
 
-func TestBoundaryVerticesSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pts := randomPoints(rng, 20)
-	c := buildFor(pts, 1, 3)
-	all := c.Vertices()
-	boundary := c.BoundaryVertices()
-	if len(boundary) == 0 || len(boundary) > len(all) {
-		t.Fatalf("boundary=%d all=%d", len(boundary), len(all))
-	}
-}
-
 func TestRandomPointInsideRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randomPoints(rng, 25)

@@ -165,11 +165,11 @@ type TracePoint struct {
 	Queries  int64
 	Samples  int
 	Estimate float64
-	// Degraded marks a sample whose queries (or whose batch's queries)
-	// were answered by a partial federation — a shard was down or
-	// skipped, so the merged answers may have missed candidates. The
-	// estimate remains usable; the flag lets consumers weigh or audit
-	// the contaminated stretch of the trace.
+	// Degraded marks a sample whose queries were answered by a partial
+	// federation — a shard was down or skipped, so the merged answers
+	// may have missed candidates. The estimate remains usable; the flag
+	// lets consumers weigh or audit the contaminated stretch of the
+	// trace.
 	Degraded bool
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // nonBatchOracle hides the batch methods of a service so tests can
-// exercise the driver's sequential fallback path.
+// exercise queryLRBatched's sequential fallback path.
 type nonBatchOracle struct {
 	svc *lbs.Service
 }
@@ -27,68 +27,16 @@ func (o nonBatchOracle) Bounds() geom.Rect { return o.svc.Bounds() }
 func (o nonBatchOracle) K() int            { return o.svc.K() }
 func (o nonBatchOracle) QueryCount() int64 { return o.svc.QueryCount() }
 
-// TestWithBatchFallbackEquivalence: for an estimator without a native
-// batch path (LRAggregator), WithBatch(m) falls back to sequential
-// Step calls and must produce bit-identical results to the unbatched
-// run with the same seed.
-func TestWithBatchFallbackEquivalence(t *testing.T) {
-	db := smallService2(80, 11)
-	run := func(batch int) []Result {
-		svc := lbs.NewService(db, lbs.Options{K: 2})
-		agg := NewLRAggregator(svc, DefaultLROptions(5))
-		opts := []RunOption{WithMaxSamples(24)}
-		if batch > 1 {
-			opts = append(opts, WithBatch(batch))
-		}
-		res, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain, batched := run(1), run(4)
-	if plain[0].Samples != batched[0].Samples {
-		t.Fatalf("samples: %d vs %d", plain[0].Samples, batched[0].Samples)
-	}
-	if plain[0].Estimate != batched[0].Estimate || plain[0].StdErr != batched[0].StdErr {
-		t.Errorf("batched fallback diverged: %+v vs %+v", plain[0], batched[0])
-	}
-	if plain[0].Queries != batched[0].Queries {
-		t.Errorf("query cost changed under batching: %d vs %d", plain[0].Queries, batched[0].Queries)
-	}
-}
-
-// TestNNOStepBatchDistribution: NNO's native batch path draws valid
-// samples — the batched run must land in the same loose accuracy band
-// as the sequential baseline and must not change the per-sample query
-// cost structure.
-func TestNNOStepBatchDistribution(t *testing.T) {
-	db := smallService2(60, 301)
-	svc := lbs.NewService(db, lbs.Options{K: 1})
-	nno := NewNNOBaseline(svc, NNOOptions{Seed: 1})
-	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(150), WithBatch(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Samples != 150 {
-		t.Errorf("samples = %d, want 150", res[0].Samples)
-	}
-	truth := float64(db.Len())
-	if rel := res[0].RelErr(truth); rel > 0.6 {
-		t.Errorf("batched NNO estimate %v vs truth %v (rel %v)", res[0].Estimate, truth, rel)
-	}
-}
-
-// TestNNOBatchRespectsBudget: a batched parallel run against a
-// budget-capped service stops gracefully with partial results and the
-// counter never exceeds the budget.
+// TestNNOBatchRespectsBudget: a parallel NNO run, whose probes batch,
+// against a budget-capped service stops gracefully with partial
+// results and the counter never exceeds the budget.
 func TestNNOBatchRespectsBudget(t *testing.T) {
 	db := smallService2(60, 17)
 	const budget = 400
 	svc := lbs.NewService(db, lbs.Options{K: 1, Budget: budget})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 3})
 	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()),
-		WithBatch(8), WithParallelism(4))
+		WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +48,13 @@ func TestNNOBatchRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestStepBatchFallbackOracle: WithBatch over an Oracle without batch
-// support must still work (per-query fallback inside the probe loop).
-func TestStepBatchFallbackOracle(t *testing.T) {
+// TestNNOFallbackOracle: NNO over an Oracle without batch support must
+// still work (per-query fallback inside the probe loop).
+func TestNNOFallbackOracle(t *testing.T) {
 	db := smallService2(40, 23)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(nonBatchOracle{svc}, NNOOptions{Seed: 9})
-	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40), WithBatch(8))
+	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +117,9 @@ func TestCachedRunSameEstimateFewerQueries(t *testing.T) {
 }
 
 // TestCachedBatchedParallelRun combines every layer: cache wrapper,
-// native NNO batching, parallel forks — under -race this exercises
-// the concurrent shard locking end to end.
+// NNO's batched probes, parallel forks — under -race this exercises
+// the concurrent shard locking end to end, and the parallel workers
+// must reserve exactly the sample cap between them.
 func TestCachedBatchedParallelRun(t *testing.T) {
 	db := smallService2(60, 5)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
@@ -178,7 +127,7 @@ func TestCachedBatchedParallelRun(t *testing.T) {
 	smp := snapSampler{Uniform: sampling.NewUniform(db.Bounds()), pitch: 20}
 	nno := NewNNOBaseline(oracle, NNOOptions{Seed: 2, Sampler: smp, ProbesPerCell: 8})
 	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()),
-		WithMaxSamples(120), WithBatch(8), WithParallelism(4))
+		WithMaxSamples(120), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}

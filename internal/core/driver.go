@@ -59,11 +59,10 @@ func WithMaxSamples(n int) RunOption {
 // WithMaxQueries stops the run once the service has answered n queries
 // on behalf of this run (0 = unlimited). The limit is checked before
 // each step, so a run finishes the steps in flight and may overshoot by
-// one step's worth of queries per worker: under WithParallelism(p) up
-// to p steps are in flight, and under WithBatch(m) each step is a whole
-// batch, so the bound is p×m samples' worth. Against a paid or
-// hard-capped remote API, enforce the cap on the service side
-// (ServiceOptions.Budget or the adapter) as well.
+// one sample's worth of queries per worker: under WithParallelism(p)
+// up to p samples are in flight. Against a paid or hard-capped remote
+// API, enforce the cap on the service side (ServiceOptions.Budget or
+// the adapter) as well.
 func WithMaxQueries(n int64) RunOption {
 	return func(c *runConfig) { c.maxQueries = n }
 }
@@ -258,26 +257,25 @@ type sampler struct {
 	maxSamples  int
 	maxQueries  int64
 	targetCI    float64
-	batch       int
 	parallelism int
 	// emit, when set, streams every folded sample; st.points holds the
 	// sample's trace points.
 	emit func(st *groupState, degraded bool)
 }
 
-// drawn is the completed samples of one worker step.
+// drawn is the sample of one completed worker step.
 type drawn struct {
-	vals     [][]float64
+	vals     []float64
 	degraded bool
 }
 
 // run draws up to quota samples (0 = no quota) into st. With
 // parallelism ≤ 1 the worker body runs inline on the caller's
 // goroutine in the serial check order — sample cap → shared budget →
-// ctx → step → fold/stream → graceful stop → CI — which keeps seeded
+// ctx → step → graceful stop → fold/stream → CI — which keeps seeded
 // runs bit-identical. Otherwise the group's estimator and its forks
 // share the chunk's samples while the caller's goroutine collects:
-// it folds every batch in arrival order, streams it, and evaluates the
+// it folds every sample in arrival order, streams it, and evaluates the
 // CI rule. exhausted reports that the shared budget or the service's
 // own ended the run; only fatal errors are returned.
 func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted bool, err error) {
@@ -293,17 +291,9 @@ func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted
 			limit, capped = rem, true
 		}
 	}
-	batch := int64(max(s.batch, 1))
 	var taken atomic.Int64
-	reserve := func() int {
-		if limit < 0 {
-			return int(batch)
-		}
-		over := taken.Add(batch) - limit
-		if over >= batch {
-			return 0
-		}
-		return int(batch - max(over, 0))
+	reserve := func() bool {
+		return limit < 0 || taken.Add(1) <= limit
 	}
 
 	chunkStart, base := s.svc.QueryCount(), st.queries
@@ -311,21 +301,19 @@ func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted
 	fold := func(d drawn) bool {
 		now := s.svc.QueryCount()
 		st.queries = base + now - chunkStart
-		for _, vals := range d.vals {
-			for j, v := range vals {
-				st.accs[j].Add(v)
+		for j, v := range d.vals {
+			st.accs[j].Add(v)
+		}
+		st.samples++
+		if d.degraded {
+			st.degraded++
+		}
+		if s.emit != nil {
+			for j := range st.accs {
+				a := &st.accs[j]
+				st.points[j] = TracePoint{Queries: now - s.startQ, Samples: a.N(), Estimate: a.Mean(), Degraded: d.degraded}
 			}
-			st.samples++
-			if d.degraded {
-				st.degraded++
-			}
-			if s.emit != nil {
-				for j := range st.accs {
-					a := &st.accs[j]
-					st.points[j] = TracePoint{Queries: now - s.startQ, Samples: a.N(), Estimate: a.Mean(), Degraded: d.degraded}
-				}
-				s.emit(st, d.degraded)
-			}
+			s.emit(st, d.degraded)
 		}
 		met = met || st.converged(s.targetCI)
 		return !met
@@ -347,14 +335,14 @@ func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted
 	return exhausted, nil
 }
 
-// work is the per-worker body of the sampler: reserve a batch, check
+// work is the per-worker body of the sampler: reserve a sample, check
 // the shared budget and the context, step, and deliver the completed
-// samples. deliver returns false to stop the worker (the CI target is
-// met, or the collector stopped listening).
-func (s *sampler) work(ctx context.Context, w worker, reserve func() int, deliver func(drawn) bool) (exhausted bool, err error) {
+// sample (a failed step delivers nothing). deliver returns false to
+// stop the worker (the CI target is met, or the collector stopped
+// listening).
+func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliver func(drawn) bool) (exhausted bool, err error) {
 	for {
-		m := reserve()
-		if m == 0 {
+		if !reserve() {
 			return false, nil
 		}
 		if s.maxQueries > 0 && s.svc.QueryCount()-s.startQ >= s.maxQueries {
@@ -364,29 +352,30 @@ func (s *sampler) work(ctx context.Context, w worker, reserve func() int, delive
 			return false, nil
 		}
 		deg0 := degradedCount(s.svc)
-		vals, err := stepBatch(ctx, w.est, w.aggs, m)
-		// Degradation is attributed at batch grain: any partial answer
-		// during the batch marks every sample the batch completed.
-		more := deliver(drawn{vals: vals, degraded: degradedCount(s.svc) > deg0})
+		vals, err := w.est.Step(ctx, w.aggs)
 		switch {
 		case errors.Is(err, lbs.ErrBudgetExhausted):
 			return true, nil
 		case err != nil && !stopErr(ctx, err):
 			return false, err
-		case err != nil || !more:
+		case err != nil:
+			return false, nil
+		}
+		// Any partial answer during the step marks the sample degraded.
+		if !deliver(drawn{vals: vals, degraded: degradedCount(s.svc) > deg0}) {
 			return false, nil
 		}
 	}
 }
 
 // runWorkers is the parallel mode of run: the group's estimator and
-// its forks share the chunk's reservations and hand their batches to
+// its forks share the chunk's reservations and hand their samples to
 // the caller's goroutine, which folds them in arrival order and cancels
 // the chunk once fold reports the CI target met (or a worker fails).
 // Attribution of degradation across concurrent workers is coarse — a
-// partial answer in flight may mark another worker's overlapping batch
+// partial answer in flight may mark another worker's overlapping sample
 // too — conservative in the safe direction.
-func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func() int, fold func(drawn) bool) (bool, error) {
+func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func() bool, fold func(drawn) bool) (bool, error) {
 	for i := len(st.workers); i < s.parallelism; i++ {
 		st.workers = append(st.workers, worker{est: st.workers[0].est.Fork(int64(i)), aggs: st.grp.forkAggs()})
 	}
@@ -397,13 +386,13 @@ func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func()
 		mu        sync.Mutex
 		exhausted bool
 		fatal     error
-		// One slot per worker: each can hand off a finished batch and
+		// One slot per worker: each can hand off a finished sample and
 		// start its next step while the collector is still folding.
-		batches = make(chan drawn, s.parallelism)
+		samples = make(chan drawn, s.parallelism)
 	)
 	send := func(d drawn) bool {
 		select {
-		case batches <- d:
+		case samples <- d:
 			return true
 		case <-ctx.Done():
 			return false
@@ -425,9 +414,9 @@ func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func()
 	}
 	go func() {
 		wg.Wait()
-		close(batches)
+		close(samples)
 	}()
-	for d := range batches {
+	for d := range samples {
 		if !fold(d) {
 			cancel() // the drain continues until every worker exits
 		}

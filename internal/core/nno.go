@@ -103,34 +103,6 @@ func (b *NNOBaseline) Step(ctx context.Context, aggs []Aggregate) ([]float64, er
 	return b.finishSample(ctx, q, recs, aggs)
 }
 
-// StepBatch implements BatchEstimator: the m seed queries travel as
-// one batch through the oracle's batch path, and each sample's
-// Monte-Carlo probes batch as well (see finishSample). Samples whose
-// seed the budget could not answer are skipped; completed samples are
-// returned alongside any stop error.
-func (b *NNOBaseline) StepBatch(ctx context.Context, aggs []Aggregate, m int) ([][]float64, error) {
-	if m < 1 {
-		m = 1
-	}
-	pts := make([]geom.Point, m)
-	for i := range pts {
-		pts[i] = b.smp.Sample(b.rng)
-	}
-	seeds, err := queryLRBatched(ctx, b.svc, pts, b.opts.Filter)
-	out := make([][]float64, 0, m)
-	for i, recs := range seeds {
-		if recs == nil {
-			continue // the budget died before this seed was answered
-		}
-		vals, ferr := b.finishSample(ctx, pts[i], recs, aggs)
-		if ferr != nil {
-			return out, ferr
-		}
-		out = append(out, vals)
-	}
-	return out, err
-}
-
 // finishSample runs the box-growing and probing phases for one seeded
 // sample: q is the sampled query location, recs its (already charged)
 // answer.

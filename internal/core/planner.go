@@ -92,9 +92,6 @@ type PlanOptions struct {
 	// CheckpointSamples is the re-planning grain: how many samples a
 	// group runs between budget re-allocations (default 64).
 	CheckpointSamples int
-	// Batch draws up to m samples per oracle round-trip within a group
-	// (see WithBatch; only batch-capable estimators exploit it).
-	Batch int
 	// Parallelism draws each group's samples from n concurrent
 	// estimator forks (see WithParallelism; n ≤ 1 means serial).
 	Parallelism int

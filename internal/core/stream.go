@@ -293,7 +293,6 @@ func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanP
 		maxSamples:  p.opts.MaxSamples,
 		maxQueries:  p.opts.MaxQueries,
 		targetCI:    p.opts.TargetCI,
-		batch:       p.opts.Batch,
 		parallelism: p.opts.Parallelism,
 	}
 	if progress != nil {

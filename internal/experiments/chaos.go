@@ -173,7 +173,7 @@ func Chaos(ctx context.Context, cfg Config) (*Figure, error) {
 				if kind == AlgoLNR {
 					spec = lnrSpec()
 				}
-				resu, err := runOne(ctx, timed, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, 0)
+				resu, err := runOne(ctx, timed, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget)
 				st := router.Stats()
 				totalRetries += st.Retries
 				totalPartial += st.Partial

@@ -94,7 +94,7 @@ func BenchmarkChaos(b *testing.B) {
 					b.Fatal(err)
 				}
 				timed.Querier = lbs.NewTolerantQuerier(router)
-				resu, err := runOne(context.Background(), timed, sc, lrSpec(), []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, 0)
+				resu, err := runOne(context.Background(), timed, sc, lrSpec(), []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget)
 				if errors.Is(err, shard.ErrOwnerDown) {
 					continue // crisply aborted run — a chaos outcome
 				}

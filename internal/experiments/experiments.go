@@ -34,11 +34,6 @@ type Config struct {
 	K int
 	// Seed is the base seed; run r uses Seed + r.
 	Seed int64
-	// Batch, when > 1, draws up to this many point samples per oracle
-	// round-trip for estimators with a batch path (currently NNO); the
-	// sample distribution and query cost are unchanged — only the
-	// round-trip count drops.
-	Batch int
 	// Shards, when > 1, runs the estimators against a federated
 	// service of this many in-process spatial shards (stack.Spec's
 	// -shards) instead of a single Service. Federated answers are
@@ -277,7 +272,7 @@ func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, spec Algo
 		if err != nil {
 			return nil, err
 		}
-		res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{agg}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
+		res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{agg}, geom.Rect{}, seed, cfg.Budget)
 		if err != nil {
 			return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 		}
@@ -290,7 +285,7 @@ func runTraces(ctx context.Context, cfg Config, sc *workload.Scenario, spec Algo
 // aggregates and returns one result per aggregate. A non-zero region
 // restricts the estimation region; the zero Rect means none.
 func runOne(ctx context.Context, svc core.Oracle, sc *workload.Scenario, spec AlgoSpec,
-	aggs []core.AggSpec, region geom.Rect, seed, budget int64, batch int) ([]core.Result, error) {
+	aggs []core.AggSpec, region geom.Rect, seed, budget int64) ([]core.Result, error) {
 
 	compiled := make([]core.Aggregate, len(aggs))
 	for i := range aggs {
@@ -326,9 +321,6 @@ func runOne(ctx context.Context, svc core.Oracle, sc *workload.Scenario, spec Al
 			opts.Sampler = sc.Grid
 		}
 		est = core.NewNNOBaseline(svc, opts)
-		if batch > 1 {
-			runOpts = append(runOpts, core.WithBatch(batch))
-		}
 	default:
 		return nil, fmt.Errorf("unknown algorithm kind %d", spec.Kind)
 	}

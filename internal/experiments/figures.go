@@ -152,7 +152,7 @@ func Fig17(ctx context.Context, cfg Config) (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOne(ctx, st.Querier, sc, spec, halves, austin, seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, st.Querier, sc, spec, halves, austin, seed, cfg.Budget)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}
@@ -365,7 +365,7 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	starbucks := lrSpec()
 	starbucks.Filter = lbs.NameFilter("Starbucks")
 	starbucks.Weighted = true
-	res, err := runOne(ctx, svc, sb, starbucks, []core.AggSpec{core.CountSpec()}, geom.Rect{}, cfg.Seed, cfg.Budget/5, 0)
+	res, err := runOne(ctx, svc, sb, starbucks, []core.AggSpec{core.CountSpec()}, geom.Rect{}, cfg.Seed, cfg.Budget/5)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +383,7 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 	restaurants := lrSpec()
 	restaurants.Filter = lbs.CategoryFilter("restaurant")
 	svc2 := lbs.NewService(sb.DB, lbs.Options{K: cfg.K})
-	res2, err := runOne(ctx, svc2, sb, restaurants, []core.AggSpec{openSunday}, austin, cfg.Seed+1, cfg.Budget/5, 0)
+	res2, err := runOne(ctx, svc2, sb, restaurants, []core.AggSpec{openSunday}, austin, cfg.Seed+1, cfg.Budget/5)
 	if err != nil {
 		return nil, err
 	}
@@ -409,7 +409,7 @@ func Table1(ctx context.Context, cfg Config) ([]Table1Row, error) {
 		lnr := lnrSpec()
 		lnr.Weighted = true
 		aggs := []core.AggSpec{core.CountSpec(), core.CountSpec().WithWhere(core.TagEq("gender", "m"))}
-		resL, err := runOne(ctx, svcL, tc.sc, lnr, aggs, geom.Rect{}, cfg.Seed+9, cfg.Budget*2/5, 0)
+		resL, err := runOne(ctx, svcL, tc.sc, lnr, aggs, geom.Rect{}, cfg.Seed+9, cfg.Budget*2/5)
 		if err != nil {
 			return nil, err
 		}

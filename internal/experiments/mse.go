@@ -37,7 +37,7 @@ func MSEDecomposition(ctx context.Context, cfg Config) ([]MSERow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget, cfg.Batch)
+			res, err := runOne(ctx, st.Querier, sc, spec, []core.AggSpec{core.CountSpec()}, geom.Rect{}, seed, cfg.Budget)
 			if err != nil {
 				return nil, fmt.Errorf("%s run %d: %w", spec.Name, r, err)
 			}

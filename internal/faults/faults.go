@@ -258,12 +258,8 @@ func (i *Injector) gate(ctx context.Context) (dup bool, err error) {
 	}
 	i.mu.Unlock()
 	if delay > 0 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return false, ctx.Err()
+		if serr := lbs.Sleep(ctx, delay); serr != nil {
+			return false, serr
 		}
 	}
 	return dup, err

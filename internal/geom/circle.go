@@ -68,13 +68,3 @@ func DiskUnionCoversCircle(disks []Circle, target Circle, samples int, margin fl
 	}
 	return true
 }
-
-// Circumcenter returns the center of the circle through three points and
-// whether the points are non-collinear. Voronoi vertices are exactly the
-// circumcenters of triples of tuples (Lemma 1 of the paper uses the
-// consequence that inward top-k vertices are equidistant to three tuples).
-func Circumcenter(a, b, c Point) (Point, bool) {
-	l1 := Bisector(a, b)
-	l2 := Bisector(a, c)
-	return l1.Intersect(l2)
-}

@@ -37,9 +37,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the 2-D cross product (z-component) p × q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
 
@@ -65,9 +62,6 @@ func (p Point) Mid(q Point) Point { return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 
 func (p Point) Lerp(q Point, s float64) Point {
 	return Point{p.X + s*(q.X-p.X), p.Y + s*(q.Y-p.Y)}
 }
-
-// Rot90 returns p rotated 90° counter-clockwise about the origin.
-func (p Point) Rot90() Point { return Point{-p.Y, p.X} }
 
 // Rotate returns p rotated by angle (radians, CCW) about the origin.
 func (p Point) Rotate(angle float64) Point {
@@ -116,10 +110,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Perimeter returns the perimeter of r (the quantity b in the paper's
-// binary-search cost analysis).
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
 
 // Center returns the centroid of r.
 func (r Rect) Center() Point { return r.Min.Mid(r.Max) }

@@ -22,9 +22,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale: got %v", got)
 	}
-	if got := p.Dot(q); got != 1 {
-		t.Errorf("Dot: got %v", got)
-	}
 	if got := p.Cross(q); got != -7 {
 		t.Errorf("Cross: got %v", got)
 	}
@@ -36,9 +33,6 @@ func TestPointArithmetic(t *testing.T) {
 	}
 	if got := p.Lerp(q, 0.5); got != Pt(2, 0.5) {
 		t.Errorf("Lerp: got %v", got)
-	}
-	if got := Pt(1, 0).Rot90(); got != Pt(0, 1) {
-		t.Errorf("Rot90: got %v", got)
 	}
 }
 
@@ -75,9 +69,6 @@ func TestRectBasics(t *testing.T) {
 	}
 	if r.Area() != 16 {
 		t.Errorf("area: %v", r.Area())
-	}
-	if r.Perimeter() != 16 {
-		t.Errorf("perimeter: %v", r.Perimeter())
 	}
 	if r.Center() != Pt(2, 3) {
 		t.Errorf("center: %v", r.Center())
@@ -218,15 +209,6 @@ func TestSegment(t *testing.T) {
 	if s.At(0.25) != Pt(0.5, 0) {
 		t.Errorf("at: %v", s.At(0.25))
 	}
-	l := LineThrough(Pt(1, -1), Pt(1, 1)) // vertical x=1
-	tt, ok := s.IntersectLine(l)
-	if !ok || !almostEq(tt, 0.5, 1e-12) {
-		t.Errorf("segment/line: t=%v ok=%v", tt, ok)
-	}
-	s2 := Segment{A: Pt(2, 1), B: Pt(3, 1)}
-	if _, ok := s2.IntersectLine(l); ok {
-		t.Errorf("non-crossing segment intersected")
-	}
 }
 
 func TestRayRectExit(t *testing.T) {
@@ -341,17 +323,6 @@ func TestPolygonMaxDistFrom(t *testing.T) {
 	}
 }
 
-func TestPolygonEdges(t *testing.T) {
-	tri := Polygon{Pt(0, 0), Pt(1, 0), Pt(0, 1)}
-	edges := tri.Edges()
-	if len(edges) != 3 {
-		t.Fatalf("edges: %d", len(edges))
-	}
-	if edges[2].B != Pt(0, 0) {
-		t.Errorf("wraparound edge: %+v", edges[2])
-	}
-}
-
 func TestConvexHull(t *testing.T) {
 	pts := []Point{
 		{0, 0}, {2, 0}, {2, 2}, {0, 2},
@@ -428,18 +399,6 @@ func TestDiskUnionCoversCircle(t *testing.T) {
 	}
 	if DiskUnionCoversCircle(nil, target, 64, 0.01) {
 		t.Errorf("no disks should not cover")
-	}
-}
-
-func TestCircumcenter(t *testing.T) {
-	// Circumcenter of a right triangle at origin legs on axes = midpoint of hypotenuse.
-	c, ok := Circumcenter(Pt(0, 0), Pt(2, 0), Pt(0, 2))
-	if !ok || !c.ApproxEq(Pt(1, 1), 1e-9) {
-		t.Errorf("circumcenter: %v ok=%v", c, ok)
-	}
-	// Collinear points: no circumcenter.
-	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 0), Pt(2, 0)); ok {
-		t.Errorf("collinear circumcenter should fail")
 	}
 }
 

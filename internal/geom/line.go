@@ -148,28 +148,6 @@ func (s Segment) Mid() Point { return s.A.Mid(s.B) }
 // At returns A + t·(B−A).
 func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
 
-// IntersectLine returns the parameter t ∈ [0,1] at which the segment
-// crosses line l, and whether such a crossing exists. If the segment
-// lies (nearly) parallel to l no crossing is reported.
-func (s Segment) IntersectLine(l Line) (float64, bool) {
-	da := l.Eval(s.A)
-	db := l.Eval(s.B)
-	if (da > Eps && db > Eps) || (da < -Eps && db < -Eps) {
-		return 0, false
-	}
-	denom := da - db
-	if math.Abs(denom) < Eps {
-		return 0, false
-	}
-	t := da / denom
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	return t, true
-}
-
 // RayRectExit returns the point where the ray from origin along dir
 // (unit not required) leaves rect, and whether the ray (starting inside
 // rect) exits at all. Used to anchor the LNR binary search: the search

@@ -211,18 +211,6 @@ func (poly Polygon) MaxDistFrom(p Point) float64 {
 	return m
 }
 
-// Edges returns the polygon's edges as segments in CCW order.
-func (poly Polygon) Edges() []Segment {
-	if len(poly) < 2 {
-		return nil
-	}
-	out := make([]Segment, len(poly))
-	for i, p := range poly {
-		out[i] = Segment{A: p, B: poly[(i+1)%len(poly)]}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the polygon.
 func (poly Polygon) Clone() Polygon {
 	if poly == nil {

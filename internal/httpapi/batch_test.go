@@ -264,9 +264,9 @@ func TestClientBatchChunkBudgetDeath(t *testing.T) {
 }
 
 // TestRemoteBatchedEstimationRun drives a full estimator through the
-// remote batch path: NNO with WithBatch over an httpapi.Client issues
-// one POST per seed batch and per probe set instead of one GET per
-// query.
+// remote batch path: NNO over an httpapi.Client issues one POST per
+// probe set instead of one GET per probe, so the run needs fewer HTTP
+// requests than queries.
 func TestRemoteBatchedEstimationRun(t *testing.T) {
 	svc := testService(60, 1, 0, 11)
 	inner := NewServer(svc)
@@ -283,7 +283,7 @@ func TestRemoteBatchedEstimationRun(t *testing.T) {
 	}
 	nno := core.NewNNOBaseline(c, core.NNOOptions{Seed: 4, ProbesPerCell: 10})
 	res, err := nno.Run(context.Background(), countAll(t),
-		core.WithMaxSamples(20), core.WithBatch(10))
+		core.WithMaxSamples(20))
 	if err != nil {
 		t.Fatal(err)
 	}

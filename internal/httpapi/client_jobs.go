@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/jobs"
+	"repro/internal/lbs"
 )
 
 // ErrMetricMismatch is returned by Estimate when a spec pinned to a
@@ -70,7 +71,7 @@ func (c *Client) Estimate(ctx context.Context, spec jobs.Spec) (*jobs.View, erro
 		resp, err := c.doOnce(ctx, http.MethodPost, c.base+"/v1/estimate", body)
 		if err != nil {
 			if errors.Is(err, jobs.ErrTableFull) && attempt+1 < attempts {
-				if serr := sleepCtx(ctx, c.retry.backoff(attempt+1)); serr != nil {
+				if serr := lbs.Sleep(ctx, c.retry.backoff(attempt+1)); serr != nil {
 					return nil, fmt.Errorf("httpapi: estimate: %w (after %v)", serr, err)
 				}
 				continue
@@ -158,7 +159,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (*j
 		if v.State.Finished() {
 			return v, nil
 		}
-		if err := sleepCtx(ctx, poll); err != nil {
+		if err := lbs.Sleep(ctx, poll); err != nil {
 			return nil, err
 		}
 	}

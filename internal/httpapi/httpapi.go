@@ -653,7 +653,7 @@ func (c *Client) postBatch(ctx context.Context, endpoint string, pts []geom.Poin
 // preserved, Exhausted mapped back to lbs.ErrBudgetExhausted. Batches
 // larger than the server's per-POST point cap are transparently split
 // into sequential chunk requests, so callers may size batches freely
-// (e.g. core.WithBatch larger than maxBatchPoints); a budget death in
+// (e.g. an NNO probe set larger than maxBatchPoints); a budget death in
 // one chunk stops the remaining chunks, leaving their positions nil.
 func clientBatch[T any](c *Client, ctx context.Context, endpoint string, pts []geom.Point,
 	filter lbs.Filter, decode func([]wireRecord) []T) ([][]T, error) {

@@ -192,6 +192,43 @@ func TestJobTraceStreams(t *testing.T) {
 	}
 }
 
+// TestEstimateIgnoresLegacyBatchField: specs decode leniently, so a
+// body still carrying the removed "options":{"batch":m} field is
+// accepted and runs exactly the job the same spec without it runs.
+func TestEstimateIgnoresLegacyBatchField(t *testing.T) {
+	const plain = `{"method":"nno","seed":42,"aggregates":[{"kind":"count"},{"kind":"sum","attr":"enrollment"}],"options":{"max_samples":12}}`
+	legacy := strings.Replace(plain, `"options":{`, `"options":{"batch":8,`, 1)
+	run := func(body string) []jobs.ResultView {
+		srv := httptest.NewServer(NewServer(jobsTestService(t, 250, 800)))
+		defer srv.Close()
+		resp, err := http.Post(srv.URL+"/v1/estimate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := decodeView(resp)
+		if err != nil {
+			t.Fatalf("body %s: %v", body, err)
+		}
+		final, err := newJobsClient(t, srv).WaitJob(context.Background(), v.ID, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != jobs.StateDone {
+			t.Fatalf("body %s: job state %s (err %q), want done", body, final.State, final.Error)
+		}
+		return final.Results
+	}
+	want, got := run(plain), run(legacy)
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Estimate != want[i].Estimate || got[i].Samples != want[i].Samples || got[i].Queries != want[i].Queries {
+			t.Errorf("%s: legacy batch field changed the result: %+v, want %+v", want[i].Name, got[i], want[i])
+		}
+	}
+}
+
 // TestEstimateRejectsMalformedSpecs pins the 400 path, including
 // malformed predicate trees.
 func TestEstimateRejectsMalformedSpecs(t *testing.T) {

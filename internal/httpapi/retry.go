@@ -44,34 +44,14 @@ func NoRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 1} }
 
 // backoff returns the jittered wait before the given retry (attempt ≥ 1).
 func (p RetryPolicy) backoff(attempt int) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		d = 100 * time.Millisecond
+	base, max := p.BaseDelay, p.MaxDelay
+	if base <= 0 {
+		base = 100 * time.Millisecond
 	}
-	max := p.MaxDelay
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// Uniform jitter in [d/2, d].
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-// sleepCtx waits d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return lbs.Backoff(base, max, attempt, rand.Int63n)
 }
 
 // retryableStatus reports whether a status is worth retrying; 429 is
@@ -111,7 +91,7 @@ func (c *Client) doAttempts(ctx context.Context, method, url string, body []byte
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, c.retry.backoff(attempt)); err != nil {
+			if err := lbs.Sleep(ctx, c.retry.backoff(attempt)); err != nil {
 				return nil, fmt.Errorf("httpapi: %s %s: %w (after %v)", method, url, err, lastErr)
 			}
 		}

@@ -83,8 +83,6 @@ type RunOptions struct {
 	// Parallelism draws each group's samples from n concurrent
 	// estimator forks.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Batch draws up to m samples per oracle round-trip.
-	Batch int `json:"batch,omitempty"`
 }
 
 // Spec is a declarative estimation request: everything needed to run
@@ -110,12 +108,9 @@ type Spec struct {
 	Options RunOptions `json:"options"`
 }
 
-// maxParallelism and maxBatch bound the per-job resources one request
-// can demand of the server.
-const (
-	maxParallelism = 64
-	maxBatch       = 4096
-)
+// maxParallelism bounds the estimator forks one request can demand of
+// the server.
+const maxParallelism = 64
 
 // Validate rejects malformed specs (before any compilation).
 func (s *Spec) Validate() error {
@@ -140,9 +135,6 @@ func (s *Spec) Validate() error {
 	}
 	if o.Parallelism < 0 || o.Parallelism > maxParallelism {
 		return fmt.Errorf("jobs: parallelism %d out of range [0,%d]", o.Parallelism, maxParallelism)
-	}
-	if o.Batch < 0 || o.Batch > maxBatch {
-		return fmt.Errorf("jobs: batch %d out of range [0,%d]", o.Batch, maxBatch)
 	}
 	return nil
 }
@@ -409,7 +401,6 @@ func (m *Manager) start(spec Spec, id string, resumed bool) (*Job, error) {
 		MaxQueries:  spec.Options.MaxQueries,
 		MaxSamples:  spec.Options.MaxSamples,
 		TargetCI:    spec.Options.TargetCI,
-		Batch:       spec.Options.Batch,
 		Parallelism: spec.Options.Parallelism,
 	})
 	if err != nil {

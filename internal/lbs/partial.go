@@ -10,16 +10,19 @@ package lbs
 // marking responses, job views counting contamination) inspect it,
 // callers that just want answers absorb it through TolerantQuerier.
 //
-// The file also defines the transient-failure classification retry
-// layers share: an error is worth retrying only when some layer that
-// understood the failure marked it so (MarkTransient), and permanent
-// conditions — a spent budget, a canceled context — never are.
+// The file also defines what retry layers share: the transient-failure
+// classification — an error is worth retrying only when some layer
+// that understood the failure marked it so (MarkTransient), and
+// permanent conditions (a spent budget, a canceled context) never
+// are — and the jittered backoff and context-bounded wait between
+// attempts.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -191,4 +194,32 @@ func (t *TolerantQuerier) QueryLRBatch(ctx context.Context, pts []geom.Point, fi
 func (t *TolerantQuerier) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LNRRecord, error) {
 	out, err := t.inner.QueryLNRBatch(ctx, pts, filter)
 	return out, t.absorb(err)
+}
+
+// Backoff is the jittered exponential wait before retry attempt a
+// (a ≥ 1): base·2^(a−1) capped at max, drawn uniformly from [d/2, d]
+// so synchronized callers spread out. int63n is the jitter source
+// (rand.Int63n, or a caller's seeded generator); base and max must be
+// positive, each caller applying its own defaults.
+func Backoff(base, max time.Duration, a int, int63n func(int64) int64) time.Duration {
+	d := base
+	for i := 1; i < a && d < max; i++ {
+		d *= 2
+	}
+	if d > max {
+		d = max
+	}
+	return d/2 + time.Duration(int63n(int64(d/2)+1))
+}
+
+// Sleep waits d or until ctx is done, returning ctx's error then.
+func Sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

@@ -181,9 +181,6 @@ func (g *Grid) Noisy(rng *rand.Rand, sigma float64) *Grid {
 // Bounds implements Sampler.
 func (g *Grid) Bounds() geom.Rect { return g.rect }
 
-// Dims returns the lattice dimensions.
-func (g *Grid) Dims() (w, h int) { return g.w, g.h }
-
 // Sample implements Sampler: choose a cell by weight, then a point
 // uniformly inside it.
 func (g *Grid) Sample(rng *rand.Rand) geom.Point {
@@ -291,14 +288,4 @@ func (g *Grid) MaxDensityInRect(r geom.Rect) float64 {
 		}
 	}
 	return m / g.cellArea
-}
-
-// IntegrateFaces sums IntegratePolygon over a set of disjoint convex
-// polygons — the probability mass of a (possibly concave) top-k cell.
-func IntegrateFaces(s Sampler, faces []geom.Polygon) float64 {
-	var mass float64
-	for _, f := range faces {
-		mass += s.IntegratePolygon(f)
-	}
-	return mass
 }

@@ -168,25 +168,6 @@ func TestGridNoisy(t *testing.T) {
 	}
 }
 
-func TestIntegrateFaces(t *testing.T) {
-	u := NewUniform(box)
-	faces := []geom.Polygon{
-		{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(5, 5), geom.Pt(0, 5)},
-		{geom.Pt(5, 5), geom.Pt(10, 5), geom.Pt(10, 10), geom.Pt(5, 10)},
-	}
-	if got := IntegrateFaces(u, faces); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("faces mass: %v", got)
-	}
-}
-
-func TestGridDims(t *testing.T) {
-	g := NewGrid(box, 3, 2, []float64{1, 1, 1, 1, 1, 1})
-	w, h := g.Dims()
-	if w != 3 || h != 2 {
-		t.Errorf("dims: %d %d", w, h)
-	}
-}
-
 func TestUniformVsFlatGridAgree(t *testing.T) {
 	u := NewUniform(box)
 	g := NewGrid(box, 5, 5, func() []float64 {

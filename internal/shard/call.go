@@ -64,18 +64,6 @@ func (r *Router) availabilityClass(ctx context.Context, err error) bool {
 	return ctx.Err() == nil
 }
 
-// sleepCtx waits d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // attempt runs f once against member si. A member that cannot block
 // (lbs.NonBlocking, e.g. an in-process *lbs.Service), or any member
 // when there is no ShardTimeout, is called directly on the caller's
@@ -116,6 +104,20 @@ func attempt[T any](r *Router, ctx context.Context, si int,
 	}
 }
 
+// backoff is the router's wait before retry attempt a (a ≥ 1):
+// lbs.Backoff over the Resilience's RetryBase and RetryMax, jittered
+// from the router's seeded source. A zero RetryBase retries at once.
+func (r *Router) backoff(a int) time.Duration {
+	base, max := r.res.RetryBase, r.res.RetryMax
+	if base <= 0 {
+		return 0
+	}
+	if max <= 0 {
+		max = 250 * time.Millisecond
+	}
+	return lbs.Backoff(base, max, a, r.rng.Int63n)
+}
+
 // memberCall is the full pipeline: attempts with bounded jittered
 // retry of transient failures, then breaker bookkeeping on the final
 // outcome. A partial annotation from a member (itself a nested
@@ -134,8 +136,8 @@ func memberCall[T any](r *Router, ctx context.Context, si int, probe bool,
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.retries.Add(1)
-			if d := backoffDelay(r.rng, r.res.RetryBase, r.res.RetryMax, a); d > 0 {
-				if err := sleepCtx(ctx, d); err != nil {
+			if d := r.backoff(a); d > 0 {
+				if err := lbs.Sleep(ctx, d); err != nil {
 					break
 				}
 			}

@@ -206,23 +206,3 @@ func (l *lockedRand) Int63n(n int64) int64 {
 	defer l.mu.Unlock()
 	return l.rng.Int63n(n)
 }
-
-// backoffDelay is the jittered exponential backoff before retry
-// attempt a (a ≥ 1): base·2^(a−1) capped at max, jittered uniformly
-// in [d/2, d] — the same shape the HTTP client's RetryPolicy uses.
-func backoffDelay(r *lockedRand, base, max time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if max <= 0 {
-		max = 250 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	return d/2 + time.Duration(r.Int63n(int64(d/2)+1))
-}

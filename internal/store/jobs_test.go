@@ -113,6 +113,68 @@ func TestJobResumeMatchesUninterrupted(t *testing.T) {
 	settle(t, j2)
 }
 
+// TestLegacyBatchFieldJobResumes: a job persisted while specs still
+// carried "options":{"batch":m} resumes after a restart, the unknown
+// field ignored, and settles on the uninterrupted run's estimates.
+func TestLegacyBatchFieldJobResumes(t *testing.T) {
+	ref := settle(t, mustCreate(t, jobs.NewManager(jobBackend(), jobs.ManagerOptions{}), resumeSpec))
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	js := st.Jobs()
+	if err := js.Save(jobs.StoredJob{
+		ID:   "job-2",
+		Spec: resumeSpec,
+		View: jobs.View{
+			ID: "job-2", State: jobs.StateRunning,
+			Method: resumeSpec.Method, Seed: resumeSpec.Seed, Samples: 5,
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, jobsDir, "job-2.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(data), `"options":{}`, `"options":{"batch":8}`, 1)
+	if legacy == string(data) {
+		t.Fatalf("stored spec has no empty options object to extend: %s", data)
+	}
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := jobs.NewManager(jobBackend(), jobs.ManagerOptions{Store: js})
+	rs, err := m.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Resumed != 1 || rs.Unresumable != 0 {
+		t.Fatalf("recovery stats %+v, want exactly one resume", rs)
+	}
+	j, ok := m.Get("job-2")
+	if !ok {
+		t.Fatal("resumed job not in the table")
+	}
+	got := settle(t, j)
+	if got.State != jobs.StateDone {
+		t.Fatalf("resumed run state %s (err %q)", got.State, got.Error)
+	}
+	if got.Samples != ref.Samples || got.Queries != ref.Queries {
+		t.Fatalf("resumed cost %d/%d samples/queries, uninterrupted %d/%d",
+			got.Samples, got.Queries, ref.Samples, ref.Queries)
+	}
+	for i := range ref.Results {
+		if got.Results[i].Estimate != ref.Results[i].Estimate {
+			t.Fatalf("result %d: resumed estimate %g != uninterrupted %g",
+				i, float64(got.Results[i].Estimate), float64(ref.Results[i].Estimate))
+		}
+	}
+}
+
 func TestFinishedJobSurvivesRestart(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {

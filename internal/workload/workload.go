@@ -194,13 +194,6 @@ var chinaBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(3500, 3000))
 // USBounds returns the synthetic continental-US bounding box (km).
 func USBounds() geom.Rect { return usBounds }
 
-// AustinBox returns a metro-sized sub-region of the US plane used for
-// the "Austin, TX" aggregates (Fig. 17, Table 1): a 60×60 km box
-// positioned in the south-central area.
-func AustinBox() geom.Rect {
-	return geom.NewRect(geom.Pt(1980, 620), geom.Pt(2040, 680))
-}
-
 // MetroBox returns a metro-sized (side × side) box centered on the
 // densest area of the database — the synthetic analogue of picking a
 // real metro such as Austin, TX for sub-region aggregates. The box is

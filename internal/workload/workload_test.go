@@ -166,16 +166,6 @@ func TestSocialNetworks(t *testing.T) {
 	}
 }
 
-func TestAustinBoxInsideUS(t *testing.T) {
-	b := AustinBox()
-	if !USBounds().Contains(b.Min) || !USBounds().Contains(b.Max) {
-		t.Errorf("Austin box outside US bounds: %+v", b)
-	}
-	if b.Area() <= 0 {
-		t.Errorf("degenerate Austin box")
-	}
-}
-
 func TestGridCorrelatesWithDensity(t *testing.T) {
 	s := USASchools(2000, 23)
 	// The density at tuple locations should on average exceed the

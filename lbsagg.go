@@ -39,9 +39,6 @@
 //     (independent estimator forks) folded into one set of running
 //     means; against a latency-bound remote service the wall-clock
 //     time shrinks almost linearly in n.
-//   - WithBatch(m) — draw up to m point samples per oracle call
-//     through the batch query path (see below), amortizing network
-//     round-trips and budget synchronization.
 //
 // Every query path takes a context.Context: canceling it stops the
 // run gracefully and returns the Results of the samples completed so
@@ -219,7 +216,8 @@
 // adapter that forwards QueryLR/QueryLNR to the provider's API and
 // construct the estimators over it; honor the context so runs stay
 // cancellable. Adapters may additionally implement BatchOracle to
-// serve WithBatch runs in one round-trip per batch.
+// answer the estimators' independent probe sets (NNO's Monte-Carlo
+// probes, LNR's lockstep cell searches) in one round-trip per set.
 //
 // # Quick start
 //
@@ -269,6 +267,10 @@
 // TolerantQuerier.DroppedCount, the router's NumShards, and the
 // k-d tree's KNNWithin, WithinRadius, WithinRadiusInto, geodesic
 // radius search and NearestDist. Options.Normalized is now Validate.
+// Removed: WithBatch, which grouped m whole samples into one
+// estimator call without changing the queries they cost; a run draws
+// one sample per step, and the estimators' probe sets still batch
+// through BatchOracle.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -678,16 +680,14 @@ var (
 	WithProgress = core.WithProgress
 	// WithParallelism samples from n concurrent estimator forks.
 	WithParallelism = core.WithParallelism
-	// WithBatch draws up to m samples per oracle round-trip.
-	WithBatch = core.WithBatch
 )
 
 // Run executes any Estimator with budgets, traces, early stopping and
 // optional parallelism; the estimators' Run methods call it.
 var Run = core.Run
 
-// The HTTP client adapter serves the batch path too, so WithBatch
-// collapses m remote queries into one POST.
+// The HTTP client adapter serves the batch path too, so a probe set
+// travels as one POST instead of one GET per point.
 var _ BatchOracle = (*httpapi.Client)(nil)
 
 // NewLRAggregator builds the unbiased location-returned estimator
