@@ -62,7 +62,9 @@ examples:
 # concurrent scope queries against one cap. The eighth race-checks the
 # sampler's one-sample reservations: parallel NNO workers against a
 # capped budget, and four cached parallel workers that must draw
-# exactly the sample cap between them.
+# exactly the sample cap between them. The ninth race-checks a
+# parallel job through QueryPlan.Execute's one sample stream, which
+# must draw exactly its 8-sample cap.
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
@@ -72,6 +74,7 @@ stress:
 	$(GO) test -race -count=20 -run '^(TestLRQueryDoesNotMutateCachedAnswers|TestLRParallelJobsShareCache)$$' ./internal/core
 	$(GO) test -race -count=50 -run '^TestScopedQuerier' ./internal/lbs
 	$(GO) test -race -count=50 -run '^(TestNNOBatchRespectsBudget|TestCachedBatchedParallelRun)$$' ./internal/core
+	$(GO) test -race -count=20 -run '^TestJobViewCarriesPlan$$' ./internal/jobs
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the

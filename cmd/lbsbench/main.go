@@ -22,9 +22,8 @@
 //
 // With -aggs but no -remote, lbsbench runs the batch locally through
 // the multi-aggregate query planner against a generated workload,
-// printing the plan (method groups, fused physical aggregates, deduped
-// predicates), every checkpoint budget re-allocation, and the
-// per-group account —
+// printing the plan (method, seed, fused physical aggregates, deduped
+// predicates) and the sample stream's account —
 //
 //	lbsbench -aggs '[{"kind":"count"},{"kind":"avg","attr":"enrollment"}]' \
 //	         -method auto -budget 5000 -target-ci 0.05
@@ -101,11 +100,10 @@ func runRemote(ctx context.Context, baseURL string, spec jobs.Spec, aggsJSON str
 		fmt.Printf("  error: %s\n", final.Error)
 	}
 	if p := final.Plan; p != nil {
-		fmt.Printf("plan: %d group(s), %d distinct predicate(s), %d replan(s)\n",
-			len(p.Groups), p.Preds, p.Replans)
-		for gi, g := range p.Groups {
-			fmt.Printf("  group %d: method=%s seed=%d specs=%v samples=%d queries=%d",
-				gi, g.Method, g.Seed, g.Specs, g.Samples, g.Queries)
+		fmt.Printf("plan: %d distinct predicate(s)\n", p.Preds)
+		for _, g := range p.Groups {
+			fmt.Printf("  stream: method=%s seed=%d specs=%v samples=%d queries=%d",
+				g.Method, g.Seed, g.Specs, g.Samples, g.Queries)
 			if g.CIMet {
 				fmt.Printf(" ci-met")
 			}
@@ -119,9 +117,8 @@ func runRemote(ctx context.Context, baseURL string, spec jobs.Spec, aggsJSON str
 }
 
 // runPlanLocal routes an -aggs batch through the multi-aggregate query
-// planner against a generated workload and prints the planner's
-// decisions: the compiled groups, every checkpoint budget
-// re-allocation, and the per-group account.
+// planner against a generated workload and prints the compiled plan,
+// the results and the sample stream's account.
 func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON, dataset string, samples int, targetCI float64) error {
 	var specs []core.AggSpec
 	if err := json.Unmarshal([]byte(aggsJSON), &specs); err != nil {
@@ -137,17 +134,12 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan: %d aggregate(s) → %d group(s), %d distinct predicate(s)\n",
-		len(plan.Specs), len(plan.Groups), plan.Preds)
-	for gi := range plan.Groups {
-		g := &plan.Groups[gi]
-		names := make([]string, len(g.Aggs))
-		for i := range g.Aggs {
-			names[i] = g.Aggs[i].Name
-		}
-		fmt.Printf("  group %d: method=%s seed=%d cost≈%.1f queries/sample specs=%v\n    fused: %v\n",
-			gi, g.Method, g.Seed, g.CostPerSample, g.Specs, names)
+	names := make([]string, len(plan.Aggs))
+	for i := range plan.Aggs {
+		names[i] = plan.Aggs[i].Name
 	}
+	fmt.Printf("plan: %d aggregate(s), method=%s seed=%d, %d distinct predicate(s), fused: %v\n",
+		len(plan.Specs), plan.Method, plan.Seed, len(plan.PredHashes), names)
 
 	st, err := stack.Spec{Scenario: "schools", N: cfg.N, Seed: cfg.Seed, K: cfg.K, Shards: cfg.Shards, Dataset: dataset}.Build(ctx, nil)
 	if err != nil {
@@ -160,32 +152,16 @@ func runPlanLocal(ctx context.Context, cfg experiments.Config, method, aggsJSON,
 	if err != nil {
 		return err
 	}
-	// The budget decisions, as the checkpoint allocator made them.
-	const maxReplanLines = 12
-	for i, ev := range br.Replans {
-		if i == maxReplanLines {
-			fmt.Printf("  … %d more replan(s)\n", len(br.Replans)-maxReplanLines)
-			break
-		}
-		fmt.Printf("  replan %d: remaining=%d →", ev.Round, ev.RemainingQueries)
-		for _, a := range ev.Allocs {
-			fmt.Printf(" g%d need=%.0f quota=%d", a.Group, a.Need, a.Samples)
-		}
-		fmt.Println()
-	}
-	for gi, g := range br.Groups {
-		fmt.Printf("group %d [%s]: %d samples, %d queries", gi, g.Method, g.Samples, g.Queries)
-		if g.CIMet {
-			fmt.Printf(", ci met")
-		}
-		fmt.Println()
-	}
 	fmt.Println("results:")
 	for _, r := range br.Results {
 		fmt.Printf("  %-28s estimate=%-14g ±%g (95%% CI)  samples=%d\n",
 			r.Name, r.Estimate, r.CI95, r.Samples)
 	}
-	fmt.Printf("total: %d samples, %d queries\n", br.Samples, br.Queries)
+	fmt.Printf("total: %d samples, %d queries", br.Samples, br.Queries)
+	if br.CIMet {
+		fmt.Printf(", ci met")
+	}
+	fmt.Println()
 	return nil
 }
 
@@ -212,7 +188,7 @@ func main() {
 		shards = flag.Int("shards", 0, "run local experiments against a federated backend of this many in-process spatial shards (0/1 = single service; answers are bit-identical)")
 
 		remote      = flag.String("remote", "", "base URL of an lbsserve to submit one estimation job to (switches lbsbench into remote-client mode)")
-		method      = flag.String("method", "lr", "job method: auto | lr | lnr | nno (auto lets the planner's cost model choose)")
+		method      = flag.String("method", "lr", "job method: auto | lr | lnr | nno (auto runs lr)")
 		aggs        = flag.String("aggs", `[{"kind":"count"}]`, "job aggregates (JSON array of specs); without -remote, runs the batch through the local query planner")
 		samples     = flag.Int("samples", 0, "job max samples (0 = unlimited)")
 		targetCI    = flag.Float64("target-ci", 0, "stop once every aggregate's 95% CI half-width ≤ rel × |estimate| (0 = disabled)")

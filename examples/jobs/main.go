@@ -134,7 +134,7 @@ func main() {
 	// dashboard costs a fraction of one job per aggregate.
 	open := lbsagg.TagEq("open_sunday", "yes")
 	batch, err := client.Estimate(ctx, lbsagg.JobSpec{
-		Method: lbsagg.JobMethodAuto, // the planner's cost model picks per group
+		Method: lbsagg.JobMethodAuto, // auto runs LR over this backend
 		Seed:   7,
 		Aggregates: []lbsagg.AggSpec{
 			lbsagg.CountSpec().WithWhere(open).WithLabel("sunday_count"),
@@ -156,11 +156,9 @@ func main() {
 	fmt.Printf("%s: %s after %d samples, %d queries for %d aggregates\n",
 		bf.ID, bf.State, bf.Samples, bf.Queries, len(bf.Results))
 	if p := bf.Plan; p != nil {
-		fmt.Printf("  plan: %d group(s), %d distinct predicate(s)\n", len(p.Groups), p.Preds)
-		for _, g := range p.Groups {
-			fmt.Printf("    %-4s seed=%-3d fused=%d physicals for specs %v\n",
-				g.Method, g.Seed, len(g.Aggs), g.Specs)
-		}
+		g := p.Groups[0] // a plan is one sample stream
+		fmt.Printf("  plan: %s seed=%d, %d distinct predicate(s), %d fused physicals for specs %v\n",
+			g.Method, g.Seed, p.Preds, len(g.Aggs), g.Specs)
 	}
 	for _, r := range bf.Results {
 		fmt.Printf("  %-40s %.2f ± %.2f (95%% CI)\n", r.Name, float64(r.Estimate), float64(r.CI95))

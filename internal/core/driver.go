@@ -121,9 +121,8 @@ func WithParallelism(n int) RunOption {
 // exhausted budget, returning the Results of the samples completed so
 // far (an error is returned only when not even one sample finished).
 //
-// Run is the one-group case of the planner's execution: the caller's
-// aggregates form a single group, each its own spec, sampled as one
-// chunk with no quota.
+// Run is the planner's execution over caller-supplied aggregates: a
+// plan whose specs are the aggregates themselves, one each.
 func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption) ([]Result, error) {
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("core: no aggregates given")
@@ -132,11 +131,11 @@ func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption
 	for _, o := range opts {
 		o(&cfg)
 	}
-	grp := &PlanGroup{Aggs: aggs}
+	plan := &QueryPlan{Aggs: aggs}
 	for j := range aggs {
-		grp.entries = append(grp.entries, planEntry{num: j, den: -1, name: aggs[j].Name})
+		plan.entries = append(plan.entries, planEntry{num: j, den: -1, name: aggs[j].Name})
 	}
-	st := newGroupState(0, grp, est)
+	st := newRunState(plan, est)
 	s := cfg.sampler
 	s.svc = est.Service()
 	s.startQ = s.svc.QueryCount()
@@ -145,7 +144,7 @@ func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption
 		traces = make([][]TracePoint, len(aggs))
 	}
 	if traces != nil || cfg.progress != nil {
-		s.emit = func(st *groupState, _ bool) {
+		s.emit = func(st *runState, _ bool) {
 			for j := range traces {
 				traces[j] = append(traces[j], st.points[j])
 			}
@@ -154,7 +153,7 @@ func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption
 			}
 		}
 	}
-	if _, err := s.run(ctx, &st, 0); err != nil {
+	if err := s.run(ctx, &st); err != nil {
 		return nil, err
 	}
 	if st.samples == 0 {
@@ -206,61 +205,54 @@ func degradedCount(svc Oracle) int64 {
 	return 0
 }
 
-// groupState is one group's execution state: its sample workers, one
+// runState is one run's execution state: its estimator, one
 // running accumulator per physical aggregate, and its account.
-type groupState struct {
-	gi  int
-	grp *PlanGroup
-	// workers[0] is the group's own estimator over grp.Aggs; forks join
-	// on the first parallel chunk and persist across chunks, so their
-	// random streams continue instead of replaying.
-	workers  []worker
+type runState struct {
+	plan *QueryPlan
+	// est draws the samples over plan.Aggs; a parallel run forks it.
+	est      Estimator
 	accs     []Accumulator
 	samples  int
 	queries  int64
 	degraded int
-	done     bool
 	ciMet    bool
 	// progress buffers, reused per sample.
 	points  []TracePoint
 	partial []Result
 }
 
-// worker is one sample source of a group: an estimator and the
+// worker is one sample source of a run: an estimator and the
 // aggregates it evaluates.
 type worker struct {
 	est  Estimator
 	aggs []Aggregate
 }
 
-func newGroupState(gi int, grp *PlanGroup, est Estimator) groupState {
-	return groupState{
-		gi:      gi,
-		grp:     grp,
-		workers: []worker{{est: est, aggs: grp.Aggs}},
-		accs:    make([]Accumulator, len(grp.Aggs)),
-		points:  make([]TracePoint, len(grp.Aggs)),
-		partial: make([]Result, len(grp.entries)),
+func newRunState(plan *QueryPlan, est Estimator) runState {
+	return runState{
+		plan:    plan,
+		est:     est,
+		accs:    make([]Accumulator, len(plan.Aggs)),
+		points:  make([]TracePoint, len(plan.Aggs)),
+		partial: make([]Result, len(plan.entries)),
 	}
 }
 
-// sampler is the package's one sampling loop: it draws a group's
-// samples, folds them into the group's running means, streams each
-// one, and stops on the sample cap, the shared query budget, the
-// context or the CI target. Run runs it once over the whole
-// run; Execute runs it once per checkpoint chunk of each group.
+// sampler is the package's one sampling loop: it draws a run's
+// samples, folds them into the running means, streams each one, and
+// stops on the sample cap, the query budget, the context or the CI
+// target. Run and Execute both run it once over the whole run.
 type sampler struct {
 	svc    Oracle
 	startQ int64 // the run's query origin: budget base and trace cost axis
-	// maxSamples caps each group (0 = unlimited); maxQueries caps the
-	// whole run (0 = unlimited).
+	// maxSamples and maxQueries cap the run (0 = unlimited).
 	maxSamples  int
 	maxQueries  int64
 	targetCI    float64
 	parallelism int
 	// emit, when set, streams every folded sample; st.points holds the
 	// sample's trace points.
-	emit func(st *groupState, degraded bool)
+	emit func(st *runState, degraded bool)
 }
 
 // drawn is the sample of one completed worker step.
@@ -269,38 +261,22 @@ type drawn struct {
 	degraded bool
 }
 
-// run draws up to quota samples (0 = no quota) into st. With
-// parallelism ≤ 1 the worker body runs inline on the caller's
-// goroutine in the serial check order — sample cap → shared budget →
-// ctx → step → graceful stop → fold/stream → CI — which keeps seeded
-// runs bit-identical. Otherwise the group's estimator and its forks
-// share the chunk's samples while the caller's goroutine collects:
-// it folds every sample in arrival order, streams it, and evaluates the
-// CI rule. exhausted reports that the shared budget or the service's
-// own ended the run; only fatal errors are returned.
-func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted bool, err error) {
-	// limit bounds the samples this chunk may reserve (-1 = unbounded);
-	// capped marks the group's sample cap as the binding bound, so
-	// reaching it retires the group.
-	limit, capped := int64(-1), false
-	if quota > 0 {
-		limit = int64(quota)
-	}
-	if s.maxSamples > 0 {
-		if rem := int64(s.maxSamples - st.samples); limit < 0 || rem < limit {
-			limit, capped = rem, true
-		}
-	}
+// run draws the run's samples into st. With parallelism ≤ 1 the
+// worker body runs inline on the caller's goroutine in the serial
+// check order — sample cap → query budget → ctx → step → graceful
+// stop → fold/stream → CI — which keeps seeded runs bit-identical.
+// Otherwise the run's estimator and its forks share the samples while
+// the caller's goroutine collects: it folds every sample in arrival
+// order, streams it, and evaluates the CI rule. Only fatal errors are
+// returned.
+func (s *sampler) run(ctx context.Context, st *runState) error {
 	var taken atomic.Int64
 	reserve := func() bool {
-		return limit < 0 || taken.Add(1) <= limit
+		return s.maxSamples <= 0 || taken.Add(1) <= int64(s.maxSamples)
 	}
-
-	chunkStart, base := s.svc.QueryCount(), st.queries
-	met := false
 	fold := func(d drawn) bool {
 		now := s.svc.QueryCount()
-		st.queries = base + now - chunkStart
+		st.queries = now - s.startQ
 		for j, v := range d.vals {
 			st.accs[j].Add(v)
 		}
@@ -311,81 +287,73 @@ func (s *sampler) run(ctx context.Context, st *groupState, quota int) (exhausted
 		if s.emit != nil {
 			for j := range st.accs {
 				a := &st.accs[j]
-				st.points[j] = TracePoint{Queries: now - s.startQ, Samples: a.N(), Estimate: a.Mean(), Degraded: d.degraded}
+				st.points[j] = TracePoint{Queries: st.queries, Samples: a.N(), Estimate: a.Mean(), Degraded: d.degraded}
 			}
 			s.emit(st, d.degraded)
 		}
-		met = met || st.converged(s.targetCI)
-		return !met
+		st.ciMet = st.ciMet || st.converged(s.targetCI)
+		return !st.ciMet
 	}
+	var err error
 	if s.parallelism > 1 {
-		exhausted, err = s.runWorkers(ctx, st, reserve, fold)
+		err = s.runWorkers(ctx, st, reserve, fold)
 	} else {
-		exhausted, err = s.work(ctx, st.workers[0], reserve, fold)
+		err = s.work(ctx, worker{est: st.est, aggs: st.plan.Aggs}, reserve, fold)
 	}
-	st.queries = base + s.svc.QueryCount() - chunkStart
-	switch {
-	case err != nil:
-		return false, err
-	case met && !exhausted:
-		st.done, st.ciMet = true, true
-	case capped && st.samples >= s.maxSamples:
-		st.done = true
-	}
-	return exhausted, nil
+	st.queries = s.svc.QueryCount() - s.startQ
+	return err
 }
 
 // work is the per-worker body of the sampler: reserve a sample, check
-// the shared budget and the context, step, and deliver the completed
+// the query budget and the context, step, and deliver the completed
 // sample (a failed step delivers nothing). deliver returns false to
 // stop the worker (the CI target is met, or the collector stopped
-// listening).
-func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliver func(drawn) bool) (exhausted bool, err error) {
+// listening). The budget, the service's exhaustion and cancellation
+// end the worker gracefully; only fatal errors are returned.
+func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliver func(drawn) bool) error {
 	for {
 		if !reserve() {
-			return false, nil
+			return nil
 		}
 		if s.maxQueries > 0 && s.svc.QueryCount()-s.startQ >= s.maxQueries {
-			return true, nil
+			return nil
 		}
 		if ctx.Err() != nil {
-			return false, nil
+			return nil
 		}
 		deg0 := degradedCount(s.svc)
 		vals, err := w.est.Step(ctx, w.aggs)
 		switch {
-		case errors.Is(err, lbs.ErrBudgetExhausted):
-			return true, nil
 		case err != nil && !stopErr(ctx, err):
-			return false, err
+			return err
 		case err != nil:
-			return false, nil
+			return nil
 		}
 		// Any partial answer during the step marks the sample degraded.
 		if !deliver(drawn{vals: vals, degraded: degradedCount(s.svc) > deg0}) {
-			return false, nil
+			return nil
 		}
 	}
 }
 
-// runWorkers is the parallel mode of run: the group's estimator and
-// its forks share the chunk's reservations and hand their samples to
-// the caller's goroutine, which folds them in arrival order and cancels
-// the chunk once fold reports the CI target met (or a worker fails).
+// runWorkers is the parallel mode of run: the run's estimator and its
+// forks share the run's reservations and hand their samples to the
+// caller's goroutine, which folds them in arrival order and cancels
+// the run once fold reports the CI target met (or a worker fails).
 // Attribution of degradation across concurrent workers is coarse — a
 // partial answer in flight may mark another worker's overlapping sample
 // too — conservative in the safe direction.
-func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func() bool, fold func(drawn) bool) (bool, error) {
-	for i := len(st.workers); i < s.parallelism; i++ {
-		st.workers = append(st.workers, worker{est: st.workers[0].est.Fork(int64(i)), aggs: st.grp.forkAggs()})
+func (s *sampler) runWorkers(ctx context.Context, st *runState, reserve func() bool, fold func(drawn) bool) error {
+	workers := []worker{{est: st.est, aggs: st.plan.Aggs}}
+	for i := 1; i < s.parallelism; i++ {
+		workers = append(workers, worker{est: st.est.Fork(int64(i)), aggs: st.plan.forkAggs()})
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		exhausted bool
-		fatal     error
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		fatal error
 		// One slot per worker: each can hand off a finished sample and
 		// start its next step while the collector is still folding.
 		samples = make(chan drawn, s.parallelism)
@@ -398,14 +366,13 @@ func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func()
 			return false
 		}
 	}
-	for _, w := range st.workers[:s.parallelism] {
+	for _, w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ex, err := s.work(ctx, w, reserve, send)
+			err := s.work(ctx, w, reserve, send)
 			mu.Lock()
 			defer mu.Unlock()
-			exhausted = exhausted || ex
 			if err != nil && fatal == nil {
 				fatal = err
 				cancel()
@@ -421,5 +388,5 @@ func (s *sampler) runWorkers(ctx context.Context, st *groupState, reserve func()
 			cancel() // the drain continues until every worker exits
 		}
 	}
-	return exhausted, fatal
+	return fatal
 }

@@ -93,7 +93,7 @@ func BenchmarkPlannerIndependent(b *testing.B) {
 					svc := benchService(benchPlannerN, benchPlannerK, 6)
 					b.StartTimer()
 					plan, err := PlanBatch(specs[si:si+1], PlanOptions{
-						Seed:       mixSeed(benchPlannerSeed, si),
+						Seed:       benchPlannerSeed + int64(si),
 						TargetCI:   benchPlannerTargetCI,
 						MaxSamples: benchPlannerMaxSamp,
 					})

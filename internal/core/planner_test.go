@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/shard"
 )
@@ -69,7 +70,7 @@ func independentResult(tb testing.TB, ctx context.Context, est Estimator, s AggS
 }
 
 // TestPlanBatchDedup: 16 specs over 4 distinct selections fuse into
-// one LR group with one SUM and one COUNT physical per selection, and
+// one LR stream with one SUM and one COUNT physical per selection, and
 // the reordered conjunction dedups into its canonical twin.
 func TestPlanBatchDedup(t *testing.T) {
 	specs := batchSpecs(16)
@@ -77,67 +78,56 @@ func TestPlanBatchDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Groups) != 1 {
-		t.Fatalf("got %d groups, want 1 (auto over an LR interface)", len(plan.Groups))
+	if plan.Method != MethodLR {
+		t.Fatalf("auto picked %s, want lr", plan.Method)
 	}
-	g := plan.Groups[0]
-	if g.Method != MethodLR {
-		t.Fatalf("auto picked %s, want lr", g.Method)
-	}
-	if plan.Preds != 4 {
-		t.Fatalf("distinct predicates = %d, want 4", plan.Preds)
+	if len(plan.PredHashes) != 4 {
+		t.Fatalf("distinct predicates = %d, want 4", len(plan.PredHashes))
 	}
 	// 4 selections × {COUNT, SUM} = 8 fused physicals for 16 specs.
-	if len(g.Aggs) != 8 {
-		t.Fatalf("got %d physical aggregates, want 8 (16 specs fused)", len(g.Aggs))
+	if len(plan.Aggs) != 8 {
+		t.Fatalf("got %d physical aggregates, want 8 (16 specs fused)", len(plan.Aggs))
 	}
-	if len(g.PredHashes) != 4 {
-		t.Fatalf("got %d predicate hashes, want 4", len(g.PredHashes))
+	if len(plan.entries) != 16 {
+		t.Fatalf("plan covers %d entries, want 16", len(plan.entries))
 	}
-	if len(g.Specs) != 16 || len(g.entries) != 16 {
-		t.Fatalf("group covers %d specs / %d entries, want 16/16", len(g.Specs), len(g.entries))
-	}
-	if g.Seed != 7 {
-		t.Fatalf("group 0 seed = %d, want the batch seed 7", g.Seed)
+	if plan.Seed != 7 {
+		t.Fatalf("plan seed = %d, want the batch seed 7", plan.Seed)
 	}
 }
 
-// TestPlanBatchGroupsLNRByLocation: under a forced LNR method,
-// location-reading selections split into their own group (they pay
-// the §4.3 localization surcharge per sample), with a distinct
-// derived seed.
-func TestPlanBatchGroupsLNRByLocation(t *testing.T) {
+// TestPlanBatchLNRSharesLocationStream: under a forced LNR method,
+// location-reading and location-free selections share one stream whose
+// samples all localize; only an LNR plan with a location-reading
+// selection needs locations.
+func TestPlanBatchLNRSharesLocationStream(t *testing.T) {
 	svc, _ := smallService(t, 40, 2, 5)
-	specs := []AggSpec{
-		CountSpec(),
-		CountSpec().WithWhere(InRect(svc.Bounds())).WithLabel("inside"),
-		SumSpec("weight"),
-	}
-	plan, err := PlanBatch(specs, PlanOptions{Method: MethodLNR, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Groups) != 2 {
-		t.Fatalf("got %d groups, want 2 (location split)", len(plan.Groups))
-	}
-	for _, g := range plan.Groups {
-		if g.Method != MethodLNR {
-			t.Fatalf("group method %s, want lnr", g.Method)
+	inside := CountSpec().WithWhere(InRect(svc.Bounds())).WithLabel("inside")
+	for _, tc := range []struct {
+		method  string
+		specs   []AggSpec
+		needLoc bool
+	}{
+		{MethodLNR, []AggSpec{CountSpec(), inside, SumSpec("weight")}, true},
+		{MethodLNR, []AggSpec{CountSpec(), SumSpec("weight")}, false},
+		{MethodLR, []AggSpec{CountSpec(), inside}, false},
+	} {
+		plan, err := PlanBatch(tc.specs, PlanOptions{Method: tc.method, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.NeedsLocation && g.CostPerSample <= costLNR {
-			t.Fatalf("location group cost %v not above base %v", g.CostPerSample, costLNR)
+		if plan.Method != tc.method || plan.Seed != 9 || plan.NeedsLocation != tc.needLoc {
+			t.Errorf("%s over %d specs: method %s seed %d needs-location %v, want %s 9 %v",
+				tc.method, len(tc.specs), plan.Method, plan.Seed, plan.NeedsLocation, tc.method, tc.needLoc)
 		}
-	}
-	if plan.Groups[0].Seed != 9 {
-		t.Fatalf("group 0 seed = %d, want 9", plan.Groups[0].Seed)
-	}
-	if plan.Groups[1].Seed == 9 {
-		t.Fatalf("group 1 must derive its own seed")
+		if len(plan.Aggs) != len(tc.specs) {
+			t.Errorf("%s: %d fused aggregates, want %d", tc.method, len(plan.Aggs), len(tc.specs))
+		}
 	}
 }
 
-// TestPlanBatchRejects: malformed specs and impossible method choices
-// fail at plan time.
+// TestPlanBatchRejects: malformed specs and unknown methods fail at
+// plan time.
 func TestPlanBatchRejects(t *testing.T) {
 	if _, err := PlanBatch(nil, PlanOptions{}); err == nil {
 		t.Error("empty batch accepted")
@@ -147,9 +137,6 @@ func TestPlanBatchRejects(t *testing.T) {
 	}
 	if _, err := PlanBatch([]AggSpec{CountSpec()}, PlanOptions{Method: "bogus"}); err == nil {
 		t.Error("unknown method accepted")
-	}
-	if _, err := PlanBatch([]AggSpec{CountSpec()}, PlanOptions{Method: MethodLR, RankOnly: true}); err == nil {
-		t.Error("lr over a rank-only oracle accepted")
 	}
 }
 
@@ -179,9 +166,9 @@ func planBackend(t *testing.T, db *lbs.Database, k, shards int) Oracle {
 // TestPlanBatchEquivalentToIndependentRuns is the acceptance
 // equivalence suite: a batch of aggregates over shared predicates
 // produces estimates bit-identical to independent Runs with the same
-// per-group seeds and sample counts, while consuming one sample
-// stream's worth of queries per group — pinned for LR and LNR over a
-// single service and a 4-shard federation.
+// seed and sample count, while consuming one sample stream's worth of
+// queries — pinned for LR and LNR over a single service and a 4-shard
+// federation.
 func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 	_, db := smallService(t, 90, 2, 5)
 	specs := []AggSpec{
@@ -197,7 +184,7 @@ func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 				ctx := context.Background()
 				backend := planBackend(t, db, 2, shards)
 				plan, err := PlanBatch(specs, PlanOptions{
-					Method: method, Seed: 42, MaxSamples: 25, CheckpointSamples: 8,
+					Method: method, Seed: 42, MaxSamples: 25,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -210,38 +197,36 @@ func TestPlanBatchEquivalentToIndependentRuns(t *testing.T) {
 					t.Fatalf("got %d results, want %d", len(br.Results), len(specs))
 				}
 
-				// Each spec, replayed independently with its group's
-				// seed and sample count over a fresh backend, must land
-				// on the same bits.
+				// Each spec, replayed independently with the plan's seed
+				// and sample count over a fresh backend, must land on the
+				// same bits.
 				var indepQueries int64
-				for _, g := range br.Groups {
-					for _, si := range g.Specs {
-						ref := planBackend(t, db, 2, shards)
-						est := newPlanEstimator(g.Method, ref, g.Seed)
-						want := independentResult(t, ctx, est, specs[si], WithMaxSamples(g.Samples))
-						got := br.Results[si]
-						if got.Estimate != want.Estimate && !(math.IsNaN(got.Estimate) && math.IsNaN(want.Estimate)) {
-							t.Errorf("spec %d (%s): batch estimate %v != independent %v",
-								si, got.Name, got.Estimate, want.Estimate)
-						}
-						if got.StdErr != want.StdErr && !(math.IsNaN(got.StdErr) && math.IsNaN(want.StdErr)) {
-							t.Errorf("spec %d (%s): batch stderr %v != independent %v",
-								si, got.Name, got.StdErr, want.StdErr)
-						}
-						if got.CI95 != want.CI95 && !(math.IsNaN(got.CI95) && math.IsNaN(want.CI95)) {
-							t.Errorf("spec %d (%s): batch ci95 %v != independent %v",
-								si, got.Name, got.CI95, want.CI95)
-						}
-						if got.Samples != want.Samples {
-							t.Errorf("spec %d (%s): batch samples %d != independent %d",
-								si, got.Name, got.Samples, want.Samples)
-						}
-						indepQueries += want.Queries
+				for si := range specs {
+					ref := planBackend(t, db, 2, shards)
+					est := newPlanEstimator(plan.Method, ref, plan.Seed)
+					want := independentResult(t, ctx, est, specs[si], WithMaxSamples(br.Samples))
+					got := br.Results[si]
+					if got.Estimate != want.Estimate && !(math.IsNaN(got.Estimate) && math.IsNaN(want.Estimate)) {
+						t.Errorf("spec %d (%s): batch estimate %v != independent %v",
+							si, got.Name, got.Estimate, want.Estimate)
 					}
+					if got.StdErr != want.StdErr && !(math.IsNaN(got.StdErr) && math.IsNaN(want.StdErr)) {
+						t.Errorf("spec %d (%s): batch stderr %v != independent %v",
+							si, got.Name, got.StdErr, want.StdErr)
+					}
+					if got.CI95 != want.CI95 && !(math.IsNaN(got.CI95) && math.IsNaN(want.CI95)) {
+						t.Errorf("spec %d (%s): batch ci95 %v != independent %v",
+							si, got.Name, got.CI95, want.CI95)
+					}
+					if got.Samples != want.Samples {
+						t.Errorf("spec %d (%s): batch samples %d != independent %d",
+							si, got.Name, got.Samples, want.Samples)
+					}
+					indepQueries += want.Queries
 				}
-				// Shared streams: the batch spends one stream per group,
+				// A shared stream: the batch spends one stream's queries,
 				// not one per spec.
-				if len(specs) > len(br.Groups) && br.Queries >= indepQueries {
+				if br.Queries >= indepQueries {
 					t.Errorf("batch spent %d queries, independent runs %d — no sharing",
 						br.Queries, indepQueries)
 				}
@@ -279,7 +264,7 @@ func TestPlannerQuerySavings(t *testing.T) {
 	for i, s := range specs {
 		ref := lbs.NewService(db, lbs.Options{K: 3})
 		sp, err := PlanBatch([]AggSpec{s}, PlanOptions{
-			Seed: mixSeed(21, i), TargetCI: targetCI, MaxSamples: 4000,
+			Seed: 21 + int64(i), TargetCI: targetCI, MaxSamples: 4000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -298,51 +283,53 @@ func TestPlannerQuerySavings(t *testing.T) {
 		br.Queries, indep, float64(br.Queries)/float64(indep), br.Samples)
 }
 
-// TestExecuteReplansAcrossGroups: a two-group plan records checkpoint
-// re-allocations, and both groups make progress under one shared
-// budget.
-func TestExecuteReplansAcrossGroups(t *testing.T) {
+// TestExecuteLNRMixedLocationOneStream: a forced-LNR batch mixing a
+// location-free and a location-reading selection under a query cap
+// draws one stream that every spec reads — each result reports the
+// same sample count — and overshoots the cap by at most the sample in
+// flight when it ran out.
+func TestExecuteLNRMixedLocationOneStream(t *testing.T) {
 	svc, _ := smallService(t, 40, 2, 5)
-	specs := []AggSpec{
+	b := svc.Bounds()
+	west := geom.NewRect(b.Min, geom.Pt((b.Min.X+b.Max.X)/2, b.Max.Y))
+	const maxQueries = 3000
+	plan, err := PlanBatch([]AggSpec{
 		CountSpec(),
-		CountSpec().WithWhere(InRect(svc.Bounds())).WithLabel("inside"),
-	}
-	plan, err := PlanBatch(specs, PlanOptions{
-		Method: MethodLNR, Seed: 3, MaxQueries: 4000, CheckpointSamples: 4,
-	})
+		CountSpec().WithWhere(InRect(west)).WithLabel("west"),
+	}, PlanOptions{Method: MethodLNR, Seed: 3, MaxQueries: maxQueries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events int
+	events := 0
+	var last, maxStep int64
 	br, err := plan.Execute(context.Background(), svc, func(pp PlanProgress) {
 		events++
-		if len(pp.Points) == 0 || len(pp.Partial) != len(pp.Specs) {
+		if len(pp.Points) == 0 || len(pp.Partial) != 2 {
 			t.Errorf("malformed progress: %+v", pp)
 		}
+		q := pp.Points[0].Queries
+		maxStep = max(maxStep, q-last)
+		last = q
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(br.Replans) == 0 {
-		t.Error("no replan events recorded for a two-group plan")
 	}
 	if events != br.Samples {
 		t.Errorf("progress fired %d times for %d samples", events, br.Samples)
 	}
-	for gi, g := range br.Groups {
-		if g.Samples == 0 {
-			t.Errorf("group %d starved: no samples", gi)
+	for _, r := range br.Results {
+		if r.Samples != br.Samples {
+			t.Errorf("%s drew %d samples, the batch %d: specs must share one stream", r.Name, r.Samples, br.Samples)
 		}
 	}
-	// The cap is checked between samples, so the overshoot is bounded
-	// by one in-flight sample per group (LNR samples cost dozens of
-	// queries each).
-	if br.Queries > 4000+300 {
-		t.Errorf("budget overrun: %d queries vs cap 4000 (+1 sample/group slack)", br.Queries)
+	// The cap is checked between samples, so the overshoot is bounded by
+	// the one sample in flight (LNR samples cost hundreds of queries).
+	if br.Queries > maxQueries+maxStep {
+		t.Errorf("budget overrun: %d queries vs cap %d (+%d, one sample)", br.Queries, maxQueries, maxStep)
 	}
 }
 
-// TestExecuteParallelFusedGroup: a fused group (COUNT, SUM and AVG over
+// TestExecuteParallelFusedGroup: a fused plan (COUNT, SUM and AVG over
 // one shared predicate memo) sampled by four concurrent forks draws
 // exactly its sample cap, streams every sample once and in order, and
 // stays unbiased. Under -race this pins that the forks evaluate their
@@ -358,24 +345,24 @@ func TestExecuteParallelFusedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Groups) != 1 || len(plan.Groups[0].Aggs) != 2 {
-		t.Fatalf("plan %+v, want one group of 2 fused aggregates", plan.Groups)
+	if len(plan.Aggs) != 2 {
+		t.Fatalf("plan %+v, want 2 fused aggregates", plan.Aggs)
 	}
 	events := 0
 	br, err := plan.Execute(context.Background(), svc, func(pp PlanProgress) {
 		events++
-		if pp.GroupSamples != events {
-			t.Errorf("progress %d reports %d group samples", events, pp.GroupSamples)
+		if pp.Samples != events {
+			t.Errorf("progress %d reports %d samples", events, pp.Samples)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Samples != 256 || br.Groups[0].Samples != 256 || events != 256 {
-		t.Fatalf("samples %d (group %d, events %d), want exactly 256", br.Samples, br.Groups[0].Samples, events)
+	if br.Samples != 256 || events != 256 {
+		t.Fatalf("samples %d (events %d), want exactly 256", br.Samples, events)
 	}
-	if br.Queries != svc.QueryCount() || br.Groups[0].Queries != br.Queries {
-		t.Errorf("queries %d (group %d), service counted %d", br.Queries, br.Groups[0].Queries, svc.QueryCount())
+	if br.Queries != svc.QueryCount() {
+		t.Errorf("queries %d, service counted %d", br.Queries, svc.QueryCount())
 	}
 	truth := float64(db.Count(func(tp *lbs.Tuple) bool { return tp.Tag("flag") == "yes" }))
 	checkZ(t, "parallel fused COUNT", br.Results[0], truth, 5)

@@ -198,19 +198,6 @@ func TestBisectorMidpointOnLine(t *testing.T) {
 	}
 }
 
-func TestSegment(t *testing.T) {
-	s := Segment{A: Pt(0, 0), B: Pt(2, 0)}
-	if s.Len() != 2 {
-		t.Errorf("len: %v", s.Len())
-	}
-	if s.Mid() != Pt(1, 0) {
-		t.Errorf("mid: %v", s.Mid())
-	}
-	if s.At(0.25) != Pt(0.5, 0) {
-		t.Errorf("at: %v", s.At(0.25))
-	}
-}
-
 func TestRayRectExit(t *testing.T) {
 	r := NewRect(Pt(0, 0), Pt(10, 10))
 	p, ok := RayRectExit(Pt(5, 5), Pt(1, 0), r)

@@ -134,20 +134,6 @@ func Bisector(a, b Point) Line {
 	}
 }
 
-// Segment is the closed line segment from A to B.
-type Segment struct {
-	A, B Point
-}
-
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the midpoint.
-func (s Segment) Mid() Point { return s.A.Mid(s.B) }
-
-// At returns A + t·(B−A).
-func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
-
 // RayRectExit returns the point where the ray from origin along dir
 // (unit not required) leaves rect, and whether the ray (starting inside
 // rect) exits at all. Used to anchor the LNR binary search: the search

@@ -37,7 +37,7 @@ func decodeView(resp *http.Response) (*jobs.View, error) {
 // Estimate submits a declarative estimation job (POST /v1/estimate)
 // and returns its initial view; the job runs server-side. Batch many
 // aggregates into one spec where possible: the server plans the batch
-// as shared sample streams with fused aggregates (core.PlanBatch), so
+// as one shared sample stream with fused aggregates (core.PlanBatch), so
 // N related aggregates cost far less than N jobs; the returned views
 // carry per-aggregate results and the compiled plan. Submission
 // is not idempotent, so failures that may have created a job (5xx,

@@ -15,10 +15,11 @@ package httpapi
 //
 // A spec may carry many aggregates: the server runs the batch through
 // the multi-aggregate query planner (core.PlanBatch), deduping
-// predicates, fusing same-selection aggregates and sharing sample
-// streams, so a batch costs far fewer oracle queries than one job per
-// aggregate. The job view then reports per-aggregate results plus a
-// "plan" section (method groups, fused physicals, per-group account).
+// predicates, fusing same-selection aggregates and answering them all
+// from one sample stream, so a batch costs far fewer oracle queries
+// than one job per aggregate. The job view then reports per-aggregate
+// results plus a "plan" section (method, fused physicals, the stream's
+// account; "groups" is a list holding that one stream).
 // The wire shape is backward compatible — single-aggregate specs and
 // pre-planner clients see the same fields as before.
 

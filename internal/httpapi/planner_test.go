@@ -112,20 +112,18 @@ func TestEstimateBatchMatchesInProcessPlan(t *testing.T) {
 				if final.Plan == nil {
 					t.Fatal("batch job view carries no plan")
 				}
-				if len(final.Plan.Groups) != len(want.Groups) {
-					t.Fatalf("plan groups %d, want %d", len(final.Plan.Groups), len(want.Groups))
+				if len(final.Plan.Groups) != 1 {
+					t.Fatalf("plan streams %d, want 1", len(final.Plan.Groups))
 				}
-				for gi, g := range final.Plan.Groups {
-					wg := want.Groups[gi]
-					if g.Method != wg.Method || g.Seed != wg.Seed ||
-						g.Samples != wg.Samples || g.Queries != wg.Queries {
-						t.Errorf("group %d: remote %+v != in-process %+v", gi, g, wg)
-					}
+				g := final.Plan.Groups[0]
+				if g.Method != plan.Method || g.Seed != plan.Seed ||
+					g.Samples != want.Samples || g.Queries != want.Queries {
+					t.Errorf("stream: remote %+v != in-process %s seed=%d %d samples/%d queries",
+						g, plan.Method, plan.Seed, want.Samples, want.Queries)
 				}
 				// 5 specs collapse to 3 physicals: the AVG rides the same
 				// COUNT+SUM as specs 0-1, and the two and-reordered COUNTs
 				// fuse onto one conjunction aggregate; 2 distinct predicates.
-				g := final.Plan.Groups[0]
 				if len(g.Aggs) != 3 || final.Plan.Preds != 2 {
 					t.Errorf("fusion off: %d physicals / %d preds, want 3 / 2 (aggs %v)",
 						len(g.Aggs), final.Plan.Preds, g.Aggs)

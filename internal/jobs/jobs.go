@@ -3,8 +3,8 @@
 // jobs over a shared service backend. Each job compiles a declarative
 // request — method, per-job RNG seed, core.AggSpec aggregates, run
 // options — through the multi-aggregate query planner (core.PlanBatch:
-// shared sample streams, fused operators, variance-driven budget
-// allocation across method groups) and wires it to a job-scoped budget
+// deduped predicates and fused operators over one shared sample
+// stream) and wires it to a job-scoped budget
 // querier (lbs.ScopedQuerier), so concurrent jobs share the service's
 // budget and cache while each keeps its own cost meter and cap. Every
 // job, serial or parallel, runs through QueryPlan.Execute. The
@@ -38,7 +38,7 @@ var ErrTableFull = errors.New("jobs: job table full")
 // Method names of the estimation algorithms a job can run: the
 // planner's own names (core.Method*).
 const (
-	MethodAuto = core.MethodAuto // let the planner's cost model choose per group
+	MethodAuto = core.MethodAuto // LR, the estimator for this location-returned backend
 	MethodLR   = core.MethodLR   // LR-LBS-AGG (§3), all error-reduction devices on
 	MethodLNR  = core.MethodLNR  // LNR-LBS-AGG (§4)
 	MethodNNO  = core.MethodNNO  // LR-LBS-NNO baseline (Dalvi et al., KDD 2011)
@@ -66,9 +66,8 @@ func (s State) Finished() bool { return s != StateRunning }
 // RunOptions are the wire-expressible run bounds of one job — the
 // declarative form of core.PlanOptions.
 type RunOptions struct {
-	// MaxSamples stops each method group after n completed samples
-	// (0 = unlimited); a job whose aggregates plan into several groups
-	// reports up to n samples per group in View.Samples.
+	// MaxSamples stops the job after n completed samples
+	// (0 = unlimited).
 	MaxSamples int `json:"max_samples,omitempty"`
 	// MaxQueries bounds the job's own query spend: it is both a hard
 	// cap on the job's budget scope and the planner's between-steps
@@ -76,21 +75,20 @@ type RunOptions struct {
 	MaxQueries int64 `json:"max_queries,omitempty"`
 	// TargetCI stops the run once every aggregate's 95 % confidence
 	// half-width falls below rel × |estimate| (0 disables). The rule is
-	// per requested aggregate — AVG specs converge on their
-	// delta-method ratio CI — and retires each method group
-	// independently.
+	// per requested aggregate: AVG specs converge on their
+	// delta-method ratio CI.
 	TargetCI float64 `json:"target_ci,omitempty"`
-	// Parallelism draws each group's samples from n concurrent
-	// estimator forks.
+	// Parallelism draws the job's samples from n concurrent estimator
+	// forks.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Spec is a declarative estimation request: everything needed to run
 // the paper's algorithms server-side, expressible as JSON.
 type Spec struct {
-	// Method selects the algorithm: auto | lr | lnr | nno. "auto" lets
-	// the query planner's cost model choose per method group (over this
-	// server's location-returned backend it resolves to lr).
+	// Method selects the algorithm: auto | lr | lnr | nno. "auto" runs
+	// lr, the paper's estimator for this server's location-returned
+	// backend.
 	Method string `json:"method"`
 	// Seed drives the job's randomness; the same seed, spec and budget
 	// reproduce the same estimates.
@@ -206,23 +204,22 @@ type TraceEvent struct {
 	Degraded bool `json:"degraded,omitempty"`
 }
 
-// PlanGroupView is the wire form of one method group of a planned
-// job: which specs it answers, with which algorithm and seed, and its
-// live sample/query account.
+// PlanGroupView is the wire form of a planned job's sample stream:
+// which specs it answers, with which algorithm and seed, and its live
+// sample/query account.
 type PlanGroupView struct {
 	Method string `json:"method"`
 	Seed   int64  `json:"seed"`
 	// Specs are indices into the request's aggregates list.
 	Specs []int `json:"specs"`
-	// Aggs names the fused physical aggregates the group runs.
+	// Aggs names the fused physical aggregates the stream runs.
 	Aggs []string `json:"aggs"`
-	// Preds is the group's count of distinct canonical predicates.
-	Preds         int     `json:"preds"`
-	NeedsLocation bool    `json:"needs_location,omitempty"`
-	CostPerSample float64 `json:"cost_per_sample"`
-	Samples       int     `json:"samples"`
-	Queries       int64   `json:"queries"`
-	CIMet         bool    `json:"ci_met,omitempty"`
+	// Preds is the count of distinct canonical predicates.
+	Preds         int   `json:"preds"`
+	NeedsLocation bool  `json:"needs_location,omitempty"`
+	Samples       int   `json:"samples"`
+	Queries       int64 `json:"queries"`
+	CIMet         bool  `json:"ci_met,omitempty"`
 }
 
 // PlanView is the wire form of a job's compiled query plan. Purely
@@ -230,11 +227,10 @@ type PlanGroupView struct {
 type PlanView struct {
 	// Preds is the number of distinct canonical predicates across the
 	// whole batch (requested aggregates ≥ Preds means sharing).
-	Preds  int             `json:"preds"`
+	Preds int `json:"preds"`
+	// Groups holds the plan's one sample stream; it stays a list so
+	// clients that read a list of streams keep decoding.
 	Groups []PlanGroupView `json:"groups"`
-	// Replans counts the checkpoint-boundary budget re-allocations
-	// (recorded once the job settles; multi-group plans only).
-	Replans int `json:"replans,omitempty"`
 }
 
 // View is a JSON-marshalable snapshot of a job.
@@ -258,7 +254,7 @@ type View struct {
 	// Results are final when State is done, the latest partials while
 	// running or canceled mid-run: one entry per requested aggregate
 	// (its per-aggregate status: AVG specs report their finished ratio,
-	// Samples/Queries the owning group's account).
+	// Samples/Queries the job's account).
 	Results []ResultView `json:"results,omitempty"`
 	// Plan describes the compiled multi-aggregate plan.
 	Plan *PlanView `json:"plan,omitempty"`
@@ -347,7 +343,8 @@ type Job struct {
 	results  []core.Result // finished: one per requested aggregate
 	// run state, fed by onPlanProgress.
 	planPartial []core.Result     // per requested aggregate
-	planStats   []planGroupStat   // per method group, live
+	planSamples int               // live sample account
+	planQueries int64             // live query account
 	planDone    *core.BatchResult // final batch account
 	// trace is a bounded window of the newest events; traceBase is the
 	// absolute index of trace[0], so followers address events by
@@ -358,12 +355,6 @@ type Job struct {
 	degraded   int           // samples completed while the backend answered degraded
 	createdAt  time.Time
 	finishedAt time.Time
-}
-
-// planGroupStat is one method group's live sample/query account.
-type planGroupStat struct {
-	Samples int
-	Queries int64
 }
 
 // maxTraceEvents bounds the per-job trace memory: a job is a server
@@ -393,8 +384,7 @@ func (m *Manager) Create(spec Spec) (*Job, error) {
 // pre-restart job find it again.
 func (m *Manager) start(spec Spec, id string, resumed bool) (*Job, error) {
 	// The multi-aggregate query planner dedups predicates across the
-	// batch, fuses same-selection aggregates, and re-allocates the job's
-	// budget across method groups by observed variance.
+	// batch and fuses same-selection aggregates onto one sample stream.
 	qplan, err := core.PlanBatch(spec.Aggregates, core.PlanOptions{
 		Method:      spec.Method,
 		Seed:        spec.Seed,
@@ -556,26 +546,21 @@ func (j *Job) run(ctx context.Context) {
 }
 
 // onPlanProgress is Execute's per-sample callback: one trace event per
-// fused physical aggregate of the sampled group, plus the group's
-// finished per-spec partials. It runs on the job's estimation
-// goroutine (Execute's collector, also under parallel sampling).
+// fused physical aggregate, plus the finished per-spec partials. It
+// runs on the job's estimation goroutine (Execute's collector, also
+// under parallel sampling).
 func (j *Job) onPlanProgress(pp core.PlanProgress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.planPartial == nil {
 		j.planPartial = make([]core.Result, len(j.qplan.Specs))
-		for i := range j.planPartial {
-			j.planPartial[i] = core.Result{Name: j.qplan.Specs[i].Name()}
-		}
-		j.planStats = make([]planGroupStat, len(j.qplan.Groups))
 	}
-	grp := &j.qplan.Groups[pp.Group]
 	if pp.Degraded {
 		j.degraded++
 	}
 	for i, tp := range pp.Points {
 		j.trace = append(j.trace, TraceEvent{
-			Agg:      grp.Aggs[i].Name,
+			Agg:      j.qplan.Aggs[i].Name,
 			Queries:  tp.Queries,
 			Samples:  tp.Samples,
 			Estimate: JSONFloat(tp.Estimate),
@@ -583,10 +568,8 @@ func (j *Job) onPlanProgress(pp core.PlanProgress) {
 		})
 	}
 	// pp's slices are reused between samples; copy the spec results out.
-	for li, si := range pp.Specs {
-		j.planPartial[si] = pp.Partial[li]
-	}
-	j.planStats[pp.Group] = planGroupStat{Samples: pp.GroupSamples, Queries: pp.GroupQueries}
+	copy(j.planPartial, pp.Partial)
+	j.planSamples, j.planQueries = pp.Samples, pp.Queries
 	j.trimTraceLocked()
 	j.maybeCheckpointLocked()
 	j.wakeLocked()
@@ -664,52 +647,37 @@ func (j *Job) viewLocked() View {
 		v.Results = append(v.Results, resultViewOf(r))
 	}
 	v.Plan = j.planViewLocked()
-	// With several method groups each spec reports its own group's
-	// samples; the job-level count is the total across groups.
-	if j.planDone != nil {
-		v.Samples = j.planDone.Samples
-	} else {
-		for _, st := range j.planStats {
-			v.Samples += st.Samples
-		}
-	}
+	v.Samples = j.planSamples
 	return v
 }
 
 // planViewLocked assembles the wire view of the job's query plan from
-// the compiled plan and the live (or final) group accounts; callers
-// hold j.mu.
+// the compiled plan and the live (or final) account; callers hold
+// j.mu.
 func (j *Job) planViewLocked() *PlanView {
 	p := j.qplan
-	pv := &PlanView{Preds: p.Preds}
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		names := make([]string, len(g.Aggs))
-		for i := range g.Aggs {
-			names[i] = g.Aggs[i].Name
-		}
-		gv := PlanGroupView{
-			Method:        g.Method,
-			Seed:          g.Seed,
-			Specs:         append([]int(nil), g.Specs...),
-			Aggs:          names,
-			Preds:         len(g.PredHashes),
-			NeedsLocation: g.NeedsLocation,
-			CostPerSample: g.CostPerSample,
-		}
-		switch {
-		case j.planDone != nil:
-			gr := j.planDone.Groups[gi]
-			gv.Samples, gv.Queries, gv.CIMet = gr.Samples, gr.Queries, gr.CIMet
-		case j.planStats != nil:
-			gv.Samples, gv.Queries = j.planStats[gi].Samples, j.planStats[gi].Queries
-		}
-		pv.Groups = append(pv.Groups, gv)
+	names := make([]string, len(p.Aggs))
+	for i := range p.Aggs {
+		names[i] = p.Aggs[i].Name
 	}
-	if j.planDone != nil {
-		pv.Replans = len(j.planDone.Replans)
+	specs := make([]int, len(p.Specs))
+	for i := range specs {
+		specs[i] = i
 	}
-	return pv
+	gv := PlanGroupView{
+		Method:        p.Method,
+		Seed:          p.Seed,
+		Specs:         specs,
+		Aggs:          names,
+		Preds:         len(p.PredHashes),
+		NeedsLocation: p.NeedsLocation,
+		Samples:       j.planSamples,
+		Queries:       j.planQueries,
+	}
+	if br := j.planDone; br != nil {
+		gv.Samples, gv.Queries, gv.CIMet = br.Samples, br.Queries, br.CIMet
+	}
+	return &PlanView{Preds: len(p.PredHashes), Groups: []PlanGroupView{gv}}
 }
 
 // TraceFrom copies the trace events at absolute index ≥ from,

@@ -204,11 +204,10 @@ func TestTraceWindowBounded(t *testing.T) {
 	total := maxTraceEvents + maxTraceEvents/2 + 123
 	for i := 0; i < total; i++ {
 		j.onPlanProgress(core.PlanProgress{
-			Specs:        []int{0},
-			Points:       []core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}},
-			Partial:      []core.Result{{Name: "COUNT(*)", Estimate: 1, Samples: i + 1}},
-			GroupSamples: i + 1,
-			GroupQueries: int64(i),
+			Points:  []core.TracePoint{{Samples: i + 1, Queries: int64(i), Estimate: 1}},
+			Partial: []core.Result{{Name: "COUNT(*)", Estimate: 1, Samples: i + 1}},
+			Samples: i + 1,
+			Queries: int64(i),
 		})
 	}
 	j.mu.Lock()
@@ -322,7 +321,7 @@ func TestJobAvgZeroCountNullOnWire(t *testing.T) {
 
 func TestJobViewCarriesPlan(t *testing.T) {
 	// Planner-path jobs expose their compiled plan: fused physical
-	// aggregates, deduped predicates, per-group method and account.
+	// aggregates, deduped predicates, the stream's method and account.
 	where := core.TagEq("type", "public")
 	m := NewManager(testBackend(t, 0), ManagerOptions{})
 	j, err := m.Create(Spec{
@@ -356,7 +355,7 @@ func TestJobViewCarriesPlan(t *testing.T) {
 		t.Fatalf("auto over a location-returned backend picked %q, want lr", g.Method)
 	}
 	if g.Seed != 3 {
-		t.Fatalf("group 0 seed = %d, want the spec seed 3", g.Seed)
+		t.Fatalf("plan seed = %d, want the spec seed 3", g.Seed)
 	}
 	// COUNT, SUM and AVG over one selection fuse to 2 physicals.
 	if len(g.Aggs) != 2 {
@@ -384,10 +383,10 @@ func TestJobViewCarriesPlan(t *testing.T) {
 	}
 }
 
-func TestJobMaxSamplesPerGroup(t *testing.T) {
-	// MaxSamples caps each method group: a forced-LNR job whose
-	// selections split by location need plans as two groups, each
-	// drawing its own 8 samples.
+func TestJobMaxSamplesOneStream(t *testing.T) {
+	// A forced-LNR job mixing a location-free and a location-reading
+	// selection plans one localizing stream: MaxSamples caps the job,
+	// and every result reads all of its 8 samples.
 	svc := testBackend(t, 0)
 	m := NewManager(svc, ManagerOptions{})
 	j, err := m.Create(Spec{
@@ -406,21 +405,35 @@ func TestJobMaxSamplesPerGroup(t *testing.T) {
 	if v.State != StateDone {
 		t.Fatalf("state %s (err %q), want done", v.State, v.Error)
 	}
-	if v.Plan == nil || len(v.Plan.Groups) != 2 {
-		t.Fatalf("plan %+v, want two method groups", v.Plan)
+	if v.Plan == nil || len(v.Plan.Groups) != 1 {
+		t.Fatalf("plan %+v, want one sample stream", v.Plan)
 	}
-	for gi, g := range v.Plan.Groups {
-		if g.Samples != 8 {
-			t.Errorf("group %d drew %d samples, want 8", gi, g.Samples)
-		}
+	if g := v.Plan.Groups[0]; g.Method != MethodLNR || !g.NeedsLocation || g.Samples != 8 || len(g.Specs) != 2 {
+		t.Errorf("stream %+v, want lnr, localizing, 8 samples for both specs", g)
 	}
 	for _, r := range v.Results {
 		if r.Samples != 8 {
-			t.Errorf("result %s reports %d samples, want its group's 8", r.Name, r.Samples)
+			t.Errorf("result %s reports %d samples, want 8", r.Name, r.Samples)
 		}
 	}
-	if v.Samples != 16 {
-		t.Fatalf("view samples = %d, want 16 (8 per group)", v.Samples)
+	if v.Samples != 8 {
+		t.Fatalf("view samples = %d, want 8", v.Samples)
+	}
+}
+
+func TestStoredViewDecodesRemovedPlanFields(t *testing.T) {
+	// A view persisted when plans carried a re-plan count and a modeled
+	// per-sample cost still loads: the decoder ignores the two fields.
+	var sj StoredJob
+	data := `{"id":"job-1","spec":{"method":"lnr","seed":4,"aggregates":[{"kind":"count"}],"options":{}},
+		"view":{"id":"job-1","state":"done","method":"lnr","seed":4,"samples":8,"queries":900,
+		"plan":{"preds":0,"replans":3,"groups":[{"method":"lnr","seed":4,"specs":[0],"aggs":["COUNT(*)"],
+		"preds":0,"cost_per_sample":24,"samples":8,"queries":900}]}}}`
+	if err := json.Unmarshal([]byte(data), &sj); err != nil {
+		t.Fatal(err)
+	}
+	if p := sj.View.Plan; p == nil || len(p.Groups) != 1 || p.Groups[0].Samples != 8 || sj.View.Samples != 8 {
+		t.Fatalf("stored view decoded as %+v", sj.View)
 	}
 }
 

@@ -211,14 +211,10 @@ func (j *Job) maybeCheckpointLocked() {
 	if j.persist == nil {
 		return
 	}
-	samples := 0
-	for _, st := range j.planStats {
-		samples += st.Samples
-	}
-	if samples-j.lastCkpt < j.ckptEvery {
+	if j.planSamples-j.lastCkpt < j.ckptEvery {
 		return
 	}
-	j.lastCkpt = samples
+	j.lastCkpt = j.planSamples
 	sj := StoredJob{ID: j.ID, Spec: j.Spec, View: j.viewLocked()}
 	j.saves.Add(1)
 	go func() {

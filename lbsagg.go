@@ -80,13 +80,9 @@
 //     evaluated at most once per returned record;
 //   - COUNT/SUM/AVG over the same selection fuse into shared physical
 //     aggregates (an AVG rides the same SUM and COUNT as its siblings);
-//   - specs group by compatible method, chosen per group by a small
-//     cost model (auto picks LR over location-returned interfaces, LNR
-//     over rank-only ones; location-reading LNR groups split off so
-//     only they pay the §4.3 localization surcharge);
-//   - the shared query budget is re-allocated across groups at
-//     checkpoint boundaries by observed accumulator variance, so the
-//     noisiest aggregates drink most of what remains.
+//   - every spec reads every sample of one stream, run by the forced
+//     method or else LR (under LNR, a batch with a location-reading
+//     selection localizes each sample once, §4.3).
 //
 // Typical use:
 //
@@ -95,9 +91,9 @@
 //	})
 //	br, err := plan.Execute(ctx, svc, nil)   // br.Results per spec
 //
-// Under a fixed per-group seed the planned estimates are bit-identical
-// to running each group's specs independently — sharing changes the
-// cost, never the numbers (pinned by the equivalence suite). A batch
+// Under a fixed seed the planned estimates are bit-identical to
+// running each spec independently — sharing changes the cost, never
+// the numbers (pinned by the equivalence suite). A batch
 // of 16 aggregates over 4 selections reaches the same confidence
 // target for less than a third of the independent-run query cost (see
 // BENCH_planner.json).
@@ -271,6 +267,11 @@
 // estimator call without changing the queries they cost; a run draws
 // one sample per step, and the estimators' probe sets still batch
 // through BatchOracle.
+// Removed: the plan's method groups — their type, their post-run
+// reports and the budget re-plan log with its per-group allocations —
+// and the rank-only and checkpoint-grain plan options. A plan is one
+// sample stream that every spec reads: QueryPlan carries its Method,
+// Seed and fused Aggs, and BatchResult its account.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -544,8 +545,7 @@ type (
 	JobManager = jobs.Manager
 )
 
-// Job method and state names. JobMethodAuto lets the server-side
-// planner's cost model choose per method group; the same names
+// Job method and state names. JobMethodAuto runs LR; the same names
 // configure PlanOptions.Method for in-process batches.
 const (
 	JobMethodAuto = jobs.MethodAuto
@@ -608,34 +608,25 @@ var (
 // Multi-aggregate query planner types (API v4; see the package
 // overview).
 type (
-	// PlanOptions configure PlanBatch: method policy, batch seed,
-	// shared run bounds and the checkpoint re-plan grain.
+	// PlanOptions configure PlanBatch: method, batch seed and run
+	// bounds.
 	PlanOptions = core.PlanOptions
-	// QueryPlan is a compiled multi-aggregate batch: method groups of
-	// fused physical aggregates over deduped predicates. Single-use;
+	// QueryPlan is a compiled multi-aggregate batch: one sample stream
+	// of fused physical aggregates over deduped predicates. Single-use;
 	// run it with Execute.
 	QueryPlan = core.QueryPlan
-	// PlanGroup is one method group of a QueryPlan.
-	PlanGroup = core.PlanGroup
 	// PlanProgress is the per-sample streaming event of Execute.
 	PlanProgress = core.PlanProgress
 	// BatchResult is the outcome of executing a QueryPlan: one Result
-	// per spec plus per-group accounts and the re-plan history.
+	// per spec plus the batch's account.
 	BatchResult = core.BatchResult
-	// GroupReport is the post-run account of one plan group.
-	GroupReport = core.GroupReport
-	// ReplanEvent records one checkpoint-boundary budget re-allocation.
-	ReplanEvent = core.ReplanEvent
-	// GroupAlloc is one group's slice of a ReplanEvent.
-	GroupAlloc = core.GroupAlloc
 )
 
-// PlanBatch compiles a batch of aggregate specs into a grouped, fused
+// PlanBatch compiles a batch of aggregate specs into a fused
 // QueryPlan: predicates dedup across specs, same-selection aggregates
-// share physical accumulators, and Execute re-allocates the shared
-// query budget across method groups by observed variance. Estimates
-// are bit-identical to independent per-group runs at equal seeds —
-// batching changes the cost, never the numbers.
+// share physical accumulators, and every spec reads every sample of
+// one stream. Estimates are bit-identical to independent runs at
+// equal seeds — batching changes the cost, never the numbers.
 var PlanBatch = core.PlanBatch
 
 // Estimator types.
