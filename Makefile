@@ -155,12 +155,11 @@ chaos_PKGS = ./internal/experiments
 chaos_FLAGS = -benchtime 1x
 
 # store: cold restart (re-parse the JSON export, rebuild the index from
-# scratch) versus warm restart (paged scan of the .lbspack, O(n)
+# scratch) versus warm restart (one scan of the .lbspack, O(n)
 # preordered index rebuild) on the same 10k-tuple city — the warm row
 # must come in well under the cold one (the acceptance floor is 5x) —
-# plus a bounded-pool scan in the larger-than-RAM shape and the WAL
-# append hot path.
-store_BENCH = BenchmarkColdStartJSON10k|BenchmarkWarmStartPack10k|BenchmarkPackScanBoundedPool|BenchmarkWALAppend
+# plus the WAL append hot path.
+store_BENCH = BenchmarkColdStartJSON10k|BenchmarkWarmStartPack10k|BenchmarkWALAppend
 store_PKGS = ./internal/store
 store_FLAGS = -benchmem
 

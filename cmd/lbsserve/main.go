@@ -66,12 +66,12 @@
 //
 // -data-dir makes the server stateful across restarts (see
 // internal/store): the database persists as a paged .lbspack (first
-// start ingests and packs; later starts open the pack instead of
-// regenerating), live mutations journal to a write-ahead log replayed
-// on reopen, estimation jobs resume after a restart, and the answer
-// cache's contents survive a graceful shutdown. A startup log line
-// reports what recovery found, and GET /v1/stats gains a "store"
-// section (pages, buffer-pool hit rate, WAL bytes, recovery counts):
+// start ingests and packs; later starts scan the pack into memory
+// instead of regenerating), live mutations journal to a write-ahead
+// log replayed on reopen, estimation jobs resume after a restart, and
+// the answer cache's contents survive a graceful shutdown. A startup
+// log line reports what recovery found, and GET /v1/stats gains a
+// "store" section (pages read and written, WAL bytes, recovery counts):
 //
 //	lbsserve -scenario schools -n 10000 -live -data-dir /var/lib/lbs &
 //	# … mutations, jobs …; kill and restart with the same flags:

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -348,15 +347,4 @@ func costVsErrorFigure(ctx context.Context, cfg Config, sc *workload.Scenario,
 		fig.Series = append(fig.Series, ts.costSeries(grid))
 	}
 	return fig, nil
-}
-
-// sortedKeys is a tiny helper for deterministic map iteration in
-// reports.
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

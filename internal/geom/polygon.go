@@ -166,16 +166,9 @@ func (poly Polygon) SplitInto(l Line, negBuf, posBuf Polygon) (neg, pos Polygon,
 	return neg, pos, true
 }
 
-// dedupe removes consecutive (and wrap-around) duplicate vertices.
-func (poly Polygon) dedupe() Polygon {
-	if len(poly) == 0 {
-		return nil
-	}
-	return append(poly[:0:0], poly...).dedupeInPlace()
-}
-
-// dedupeInPlace is dedupe writing through the receiver's storage; the
-// receiver must own its backing array.
+// dedupeInPlace removes consecutive (and wrap-around) duplicate
+// vertices, writing through the receiver's storage; the receiver must
+// own its backing array. Fewer than three distinct vertices is nil.
 func (poly Polygon) dedupeInPlace() Polygon {
 	if len(poly) == 0 {
 		return nil

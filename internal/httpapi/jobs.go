@@ -170,9 +170,9 @@ type statsResponse struct {
 	// configured Mutator) is a live database or cluster.
 	Live *live.Stats `json:"live,omitempty"`
 	// Store reports the durable storage engine's counters (pages read
-	// and written, buffer-pool hit rate, WAL volume, recovery counts)
-	// when the server runs with -data-dir; the walk finds the
-	// store.Instrumented wrapper wherever it sits in the stack.
+	// and written, WAL volume, recovery counts) when the server runs
+	// with -data-dir; the walk finds the store.Instrumented wrapper
+	// wherever it sits in the stack.
 	Store *store.Stats `json:"store,omitempty"`
 	// Jobs counts retained estimation jobs by state.
 	Jobs map[jobs.State]int `json:"jobs"`
@@ -204,10 +204,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		outermost(&resp.Cache, layer)
 		outermost(&resp.Federation, layer)
 		outermost(&resp.Live, layer)
-		if l, ok := layer.(interface{ StoreStats() store.Stats }); ok && resp.Store == nil {
-			st := l.StoreStats()
-			resp.Store = &st
-		}
+		outermost(&resp.Store, layer)
 		if l, ok := layer.(interface{ Stats() faults.Stats }); ok {
 			st := l.Stats()
 			if resp.Faults != nil {

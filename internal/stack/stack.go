@@ -235,7 +235,7 @@ func (s *Spec) local(opts lbs.Options, fspec **faults.Spec, b *Stack, given *lbs
 			return given, nil
 		}
 		if s.Dataset != "" {
-			if db, err = store.LoadDataset(s.Dataset, 0, nil); err != nil {
+			if db, _, err = store.LoadDatasetMetric(s.Dataset, 0, nil); err != nil {
 				err = fmt.Errorf("-dataset: %w", err)
 			}
 			return db, err

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/geom"
+	"repro/internal/geo"
 	"repro/internal/lbs"
 	"repro/internal/live"
 	"repro/internal/workload"
@@ -21,7 +21,7 @@ func benchFixtureFiles(b *testing.B, n int) (jsonPath, packPath string) {
 	dir := b.TempDir()
 
 	packPath = filepath.Join(dir, "city.lbspack")
-	if err := WritePack(packPath, sc.DB, 0, 0, nil); err != nil {
+	if err := WritePackMetric(packPath, sc.DB, geo.Euclidean, 0, 0, nil); err != nil {
 		b.Fatal(err)
 	}
 
@@ -54,7 +54,7 @@ func BenchmarkColdStartJSON10k(b *testing.B) {
 	jsonPath, _ := benchFixtureFiles(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := LoadDataset(jsonPath, 0, nil)
+		db, _, err := LoadDatasetMetric(jsonPath, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkWarmStartPack10k(b *testing.B) {
 	_, packPath := benchFixtureFiles(b, 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := LoadDataset(packPath, 0, nil)
+		db, _, err := LoadDatasetMetric(packPath, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,30 +78,6 @@ func BenchmarkWarmStartPack10k(b *testing.B) {
 			b.Fatal("bad load")
 		}
 	}
-}
-
-// BenchmarkPackScanBoundedPool streams a pack through a buffer pool
-// far smaller than the file — the larger-than-RAM shape: every page
-// faults, decodes and evicts, and throughput is the page pipeline.
-func BenchmarkPackScanBoundedPool(b *testing.B) {
-	_, packPath := benchFixtureFiles(b, 10_000)
-	var m Metrics
-	p, err := OpenPack(packPath, 4, &m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := p.Scan(func(lbs.Tuple, geom.Point) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n != 10_000 {
-			b.Fatal("short scan")
-		}
-	}
-	b.ReportMetric(float64(10_000), "tuples/scan")
 }
 
 // BenchmarkWALAppend measures the durable-mutation hot path: one

@@ -2,7 +2,7 @@ package store
 
 // Dataset loading: anywhere a command takes a dataset path it accepts
 // either the lbsgen JSON export (parsed and rebuilt, the cold path)
-// or a .lbspack (paged scan, the warm path). The extension decides.
+// or a .lbspack (one scan, the warm path). The extension decides.
 
 import (
 	"encoding/json"
@@ -57,19 +57,12 @@ func (d *Dataset) Database() *lbs.Database {
 	return lbs.NewDatabase(bounds, tuples)
 }
 
-// LoadDataset opens a dataset file by extension: .lbspack through the
-// paged store, anything else as lbsgen JSON.
-func LoadDataset(path string, poolPages int, m *Metrics) (*lbs.Database, error) {
-	db, _, err := LoadDatasetMetric(path, poolPages, m)
-	return db, err
-}
-
 // DatasetMetric probes which distance metric a dataset file records
 // (pack header field or JSON "metric"; absent = Euclidean) without
 // materializing the database.
 func DatasetMetric(path string) (geo.Metric, error) {
 	if strings.EqualFold(filepath.Ext(path), ".lbspack") {
-		p, err := OpenPack(path, 1, nil)
+		p, err := OpenPack(path, nil)
 		if err != nil {
 			return geo.Euclidean, err
 		}
@@ -93,12 +86,15 @@ func DatasetMetric(path string) (geo.Metric, error) {
 	return m, nil
 }
 
-// LoadDatasetMetric is LoadDataset plus the distance metric the file
-// records (pack header field or JSON "metric"; absent = Euclidean),
-// so callers can refuse to serve a dataset under the wrong metric.
-func LoadDatasetMetric(path string, poolPages int, m *Metrics) (*lbs.Database, geo.Metric, error) {
+// LoadDatasetMetric opens a dataset file by extension (.lbspack through
+// the store, anything else as lbsgen JSON) and returns the distance
+// metric the file records (pack header field or JSON "metric"; absent
+// = Euclidean), so callers can refuse to serve a dataset under the
+// wrong metric. The int argument is unused, kept for the callers that
+// pass it.
+func LoadDatasetMetric(path string, _ int, m *Metrics) (*lbs.Database, geo.Metric, error) {
 	if strings.EqualFold(filepath.Ext(path), ".lbspack") {
-		db, _, metric, err := OpenDatabaseMetric(path, poolPages, m)
+		db, _, metric, err := OpenDatabaseMetric(path, m)
 		return db, metric, err
 	}
 	data, err := os.ReadFile(path)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/workload"
 )
 
@@ -17,7 +18,7 @@ func TestLoadDatasetBothFormats(t *testing.T) {
 	dir := t.TempDir()
 
 	packPath := filepath.Join(dir, "city.lbspack")
-	if err := WritePack(packPath, sc.DB, 0, 0, nil); err != nil {
+	if err := WritePackMetric(packPath, sc.DB, geo.Euclidean, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -42,11 +43,11 @@ func TestLoadDatasetBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fromPack, err := LoadDataset(packPath, 0, nil)
+	fromPack, _, err := LoadDatasetMetric(packPath, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromJSON, err := LoadDataset(jsonPath, 0, nil)
+	fromJSON, _, err := LoadDatasetMetric(jsonPath, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package store
 
 // Instrumented is the storage engine's layer in a querier stack: it
 // decorates a Querier without touching any query (pure pass-through)
-// and answers StoreStats(), so lbs.Walk — which /v1/stats runs over
+// and answers Stats(), so lbs.Walk — which /v1/stats runs over
 // the layer tree — finds the engine's counters wherever the wrapper
 // sits in the stack.
 
@@ -25,9 +25,8 @@ var _ lbs.Wrapper = (*Instrumented)(nil)
 // Inner implements lbs.Wrapper.
 func (i *Instrumented) Inner() lbs.Querier { return i.inner }
 
-// StoreStats reports the engine counters: the /v1/stats store
-// section.
-func (i *Instrumented) StoreStats() Stats { return i.s.Stats() }
+// Stats reports the engine counters: the /v1/stats store section.
+func (i *Instrumented) Stats() Stats { return i.s.Stats() }
 
 // QueryLR implements lbs.Querier.
 func (i *Instrumented) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {

@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"repro/internal/geo"
 	"repro/internal/lbs"
 	"repro/internal/live"
 )
@@ -64,28 +63,14 @@ func (j journalHook) Append(epochBefore uint64, ops []live.Op) error {
 }
 
 func openLiveStore(s *Store, gen func() *lbs.Database, opts lbs.Options, lopts live.Options) (*LiveStore, error) {
-	packPath := s.PackPath()
 	walPath := filepath.Join(s.dir, walFile)
 	ls := &LiveStore{s: s}
 
-	var base *lbs.Database
-	var packEpoch uint64
-	if _, err := os.Stat(packPath); err == nil {
-		var metric geo.Metric
-		base, packEpoch, metric, err = OpenDatabaseMetric(packPath, s.opts.PoolPages, &s.m)
-		if err != nil {
-			return nil, err
-		}
-		if metric != s.opts.Metric {
-			return nil, fmt.Errorf("store: %s: pack written for metric %s, store configured for %s", packPath, metric, s.opts.Metric)
-		}
-		ls.rec.Warm = true
-	} else {
-		base = gen()
-		if err := WritePackMetric(packPath, base, s.opts.Metric, 0, s.opts.PageSize, &s.m); err != nil {
-			return nil, err
-		}
+	base, packEpoch, warm, err := s.openOrCreatePack(gen)
+	if err != nil {
+		return nil, err
 	}
+	ls.rec.Warm = warm
 
 	lopts.Journal = nil
 	lopts.StartEpoch = packEpoch

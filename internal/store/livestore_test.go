@@ -16,7 +16,7 @@ import (
 
 func openTestLive(t *testing.T, dir string) (*Store, *live.Database) {
 	t.Helper()
-	st, err := Open(dir, Options{PageSize: 512, PoolPages: 8})
+	st, err := Open(dir, Options{PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,12 @@ package store
 // records back to back (records never span pages). Every page carries
 // a CRC32 over its contents, so a torn write or flipped bit surfaces
 // as a typed *CorruptError at open or scan time — never a silently
-// wrong database.
+// wrong database. A page is at most 64 KiB: its used-byte count is a
+// u16.
+//
+// A pack is a warm-restart format, not a disk-resident index: an open
+// reads it once, front to back, into the in-memory kd-tree that
+// answers every query.
 //
 //	page 0 (header)                    data page
 //	┌──────────────────────────┐      ┌─────────────────────────┐
@@ -44,6 +49,9 @@ const (
 	packVersion     = 2
 	DefaultPageSize = 4096
 	minPageSize     = 256
+	// maxPageSize is the largest page whose used-byte count fits the
+	// data page header's u16.
+	maxPageSize = 1 << 16
 	// headerSizeV1 is the format-1 header: no metric byte. v1 packs
 	// remain readable (their metric is Euclidean by definition — the
 	// format predates geodesic mode).
@@ -90,12 +98,6 @@ func (e *UnsupportedVersionError) Error() string {
 	return fmt.Sprintf("store: %s: pack format version %d not supported (reader implements ≤ %d)", e.Path, e.Version, e.Max)
 }
 
-// WritePack writes db (with its effective locations) as a Euclidean
-// .lbspack at path; see WritePackMetric.
-func WritePack(path string, db *lbs.Database, epoch uint64, pageSize int, m *Metrics) error {
-	return WritePackMetric(path, db, geo.Euclidean, epoch, pageSize, m)
-}
-
 // WritePackMetric writes db (with its effective locations) as a
 // .lbspack at path, atomically: temp file, fsync, rename. epoch and
 // the distance metric of the service stack the pack feeds are
@@ -105,8 +107,8 @@ func WritePackMetric(path string, db *lbs.Database, metric geo.Metric, epoch uin
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	if pageSize < minPageSize {
-		return fmt.Errorf("store: page size %d below minimum %d", pageSize, minPageSize)
+	if pageSize < minPageSize || pageSize > maxPageSize {
+		return fmt.Errorf("store: page size %d outside [%d, %d]", pageSize, minPageSize, maxPageSize)
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -192,10 +194,10 @@ func WritePackMetric(path string, db *lbs.Database, metric geo.Metric, epoch uin
 	return os.Rename(tmp, path)
 }
 
-// Pack is an open .lbspack: the header fields plus a buffer pool over
-// the data pages. It implements lbs.TupleSource, so
-// lbs.NewDatabaseFromStore builds the kd-tree from a paged scan that
-// never holds more than the pool budget in memory.
+// Pack is an open .lbspack: the header fields plus the file handle
+// the data pages are read from. It implements lbs.TupleSource, so
+// lbs.NewDatabaseFromStore builds the kd-tree from one front-to-back
+// scan that holds one page in memory at a time.
 type Pack struct {
 	f        *os.File
 	path     string
@@ -205,11 +207,11 @@ type Pack struct {
 	bounds   geom.Rect
 	metric   geo.Metric
 	npages   int
-	pool     *pool
+	m        *Metrics
 }
 
-// OpenPack opens and validates a .lbspack. poolPages bounds how many
-// pages the buffer pool keeps resident (≥ 1; 0 means DefaultPoolPages).
+// OpenPack opens and validates a .lbspack; m (may be nil) counts the
+// pages a Scan reads.
 //
 // Version negotiation runs on a short magic+version probe before the
 // header checksum is interpreted: the header length is
@@ -217,7 +219,7 @@ type Pack struct {
 // newer-format file as corrupt. A version this reader does not
 // implement is a typed *UnsupportedVersionError; format-1 packs open
 // fine and report geo.Euclidean (the format predates geodesic mode).
-func OpenPack(path string, poolPages int, m *Metrics) (*Pack, error) {
+func OpenPack(path string, m *Metrics) (*Pack, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -258,6 +260,7 @@ func OpenPack(path string, poolPages int, m *Metrics) (*Pack, error) {
 		pageSize: int(binary.LittleEndian.Uint32(hdr[12:])),
 		count:    binary.LittleEndian.Uint64(hdr[16:]),
 		epoch:    binary.LittleEndian.Uint64(hdr[24:]),
+		m:        m,
 	}
 	if version >= 2 {
 		switch mb := hdr[64]; mb {
@@ -270,9 +273,9 @@ func OpenPack(path string, poolPages int, m *Metrics) (*Pack, error) {
 			return nil, corrupt(path, "unknown metric byte %d", mb)
 		}
 	}
-	if p.pageSize < minPageSize {
+	if p.pageSize < minPageSize || p.pageSize > maxPageSize {
 		f.Close()
-		return nil, corrupt(path, "page size %d below minimum %d", p.pageSize, minPageSize)
+		return nil, corrupt(path, "page size %d outside [%d, %d]", p.pageSize, minPageSize, maxPageSize)
 	}
 	bits := func(off int) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(hdr[off:]))
@@ -288,12 +291,11 @@ func OpenPack(path string, poolPages int, m *Metrics) (*Pack, error) {
 		return nil, corrupt(path, "size %d is not a multiple of page size %d", st.Size(), p.pageSize)
 	}
 	p.npages = int(st.Size()/int64(p.pageSize)) - 1
-	p.pool = newPool(p, poolPages, m)
 	return p, nil
 }
 
 // readPage reads and validates data page n (0-based among data pages)
-// into dst; the buffer pool calls it on a miss.
+// into dst.
 func (p *Pack) readPage(n int, dst []byte) error {
 	off := int64(n+1) * int64(p.pageSize)
 	if _, err := p.f.ReadAt(dst, off); err != nil {
@@ -319,42 +321,42 @@ func (p *Pack) Epoch() uint64 { return p.epoch }
 // Format-1 packs always report geo.Euclidean.
 func (p *Pack) Metric() geo.Metric { return p.metric }
 
-// KDPreordered implements lbs.PreorderedSource: WritePack always
+// KDPreordered implements lbs.PreorderedSource: WritePackMetric always
 // records tuples in the source database's kd-tree preorder, so a
 // checksum-valid pack scans in rebuild-ready order.
 func (p *Pack) KDPreordered() bool { return true }
 
 // Scan implements lbs.TupleSource: it decodes every record in file
-// order through the buffer pool, pinning one page at a time. A decode
-// error or record-count drift is a *CorruptError.
+// order, reading each page into one reused buffer. Decoded tuples own
+// their strings, so nothing aliases the buffer. A decode error or
+// record-count drift is a *CorruptError.
 func (p *Pack) Scan(fn func(t lbs.Tuple, effective geom.Point) error) error {
 	seen := uint64(0)
 	intern := make(map[string]string)
+	page := make([]byte, p.pageSize)
 	for n := 0; n < p.npages; n++ {
-		page, err := p.pool.acquire(n)
-		if err != nil {
+		if err := p.readPage(n, page); err != nil {
 			return err
+		}
+		if p.m != nil {
+			p.m.PagesRead.Add(1)
 		}
 		nrecs := int(binary.LittleEndian.Uint16(page[4:]))
 		used := int(binary.LittleEndian.Uint16(page[6:]))
 		if pageHdrSize+used > len(page) {
-			p.pool.release(n)
 			return corrupt(p.path, "page %d: used %d overflows page", n, used)
 		}
 		r := &reader{b: page[pageHdrSize : pageHdrSize+used], intern: intern}
 		for i := 0; i < nrecs; i++ {
 			t, eff, err := r.tuple()
 			if err != nil {
-				p.pool.release(n)
 				return corrupt(p.path, "page %d record %d: %v", n, i, err)
 			}
 			if err := fn(t, eff); err != nil {
-				p.pool.release(n)
 				return err
 			}
 			seen++
 		}
-		p.pool.release(n)
 	}
 	if seen != p.count {
 		return corrupt(p.path, "header says %d records, pages hold %d", p.count, seen)
@@ -365,18 +367,12 @@ func (p *Pack) Scan(fn func(t lbs.Tuple, effective geom.Point) error) error {
 // Close releases the file handle.
 func (p *Pack) Close() error { return p.f.Close() }
 
-// OpenDatabase opens path and materializes the lbs.Database it holds
-// (kd-tree rebuilt from the paged scan), returning the recorded epoch.
-func OpenDatabase(path string, poolPages int, m *Metrics) (*lbs.Database, uint64, error) {
-	db, epoch, _, err := OpenDatabaseMetric(path, poolPages, m)
-	return db, epoch, err
-}
-
-// OpenDatabaseMetric is OpenDatabase plus the distance metric recorded
-// in the pack header, so callers can refuse to serve a pack under a
+// OpenDatabaseMetric opens path and materializes the lbs.Database it
+// holds (kd-tree rebuilt from one scan), returning the recorded epoch
+// and distance metric, so callers can refuse to serve a pack under a
 // metric it was not written for.
-func OpenDatabaseMetric(path string, poolPages int, m *Metrics) (*lbs.Database, uint64, geo.Metric, error) {
-	p, err := OpenPack(path, poolPages, m)
+func OpenDatabaseMetric(path string, m *Metrics) (*lbs.Database, uint64, geo.Metric, error) {
+	p, err := OpenPack(path, m)
 	if err != nil {
 		return nil, 0, geo.Euclidean, err
 	}

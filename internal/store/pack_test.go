@@ -2,26 +2,29 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/geom"
 	"repro/internal/lbs"
 	"repro/internal/workload"
 )
 
 // roundTrip packs db and opens it back.
-func roundTrip(t *testing.T, db *lbs.Database, epoch uint64, pageSize, poolPages int) (*lbs.Database, uint64) {
+func roundTrip(t *testing.T, db *lbs.Database, epoch uint64, pageSize int) (*lbs.Database, uint64) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "db.lbspack")
-	if err := WritePack(path, db, epoch, pageSize, nil); err != nil {
-		t.Fatalf("WritePack: %v", err)
+	if err := WritePackMetric(path, db, geo.Euclidean, epoch, pageSize, nil); err != nil {
+		t.Fatalf("WritePackMetric: %v", err)
 	}
-	got, gotEpoch, err := OpenDatabase(path, poolPages, nil)
+	got, gotEpoch, _, err := OpenDatabaseMetric(path, nil)
 	if err != nil {
-		t.Fatalf("OpenDatabase: %v", err)
+		t.Fatalf("OpenDatabaseMetric: %v", err)
 	}
 	return got, gotEpoch
 }
@@ -117,7 +120,7 @@ func sameTuples(t *testing.T, want, got *lbs.Database) {
 
 func TestPackRoundTripBitIdentical(t *testing.T) {
 	sc := workload.USASchools(500, 7)
-	got, epoch := roundTrip(t, sc.DB, 0, 0, 0)
+	got, epoch := roundTrip(t, sc.DB, 0, 0)
 	if epoch != 0 {
 		t.Fatalf("epoch = %d, want 0", epoch)
 	}
@@ -136,7 +139,7 @@ func TestPackRoundTripObfuscated(t *testing.T) {
 	if !shifted {
 		t.Fatal("scenario not obfuscated; test is vacuous")
 	}
-	got, _ := roundTrip(t, sc.DB, 42, 512, 4)
+	got, _ := roundTrip(t, sc.DB, 42, 512)
 	sameTuples(t, sc.DB, got)
 	sameAnswers(t, sc.DB, got, 10)
 }
@@ -145,10 +148,10 @@ func TestPackDeterministicBytes(t *testing.T) {
 	sc := workload.USASchools(200, 3)
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if err := WritePack(a, sc.DB, 5, 0, nil); err != nil {
+	if err := WritePackMetric(a, sc.DB, geo.Euclidean, 5, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePack(b, sc.DB, 5, 0, nil); err != nil {
+	if err := WritePackMetric(b, sc.DB, geo.Euclidean, 5, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := os.ReadFile(a)
@@ -158,44 +161,35 @@ func TestPackDeterministicBytes(t *testing.T) {
 	}
 }
 
-func TestPoolBoundedResidency(t *testing.T) {
-	sc := workload.USASchools(2000, 9)
-	path := filepath.Join(t.TempDir(), "db.lbspack")
-	if err := WritePack(path, sc.DB, 0, 512, nil); err != nil {
+// TestPackPageSizeLimit pins the u16 used-byte count of a data page:
+// a page larger than 64 KiB is refused at write time (it would write a
+// pack that cannot be read back) and reported as corrupt at open.
+func TestPackPageSizeLimit(t *testing.T) {
+	sc := workload.USASchools(2000, 5)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.lbspack")
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 1<<17, nil); err == nil {
+		t.Fatal("WritePackMetric accepted a 128 KiB page")
+	}
+	got, _ := roundTrip(t, sc.DB, 0, 1<<16)
+	sameTuples(t, sc.DB, got)
+
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 1<<16, nil); err != nil {
 		t.Fatal(err)
 	}
-	var m Metrics
-	p, err := OpenPack(path, 3, &m)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-	if p.npages <= 3 {
-		t.Fatalf("want more pages than the pool budget, got %d", p.npages)
+	binary.LittleEndian.PutUint32(data[12:], 1<<17)
+	binary.LittleEndian.PutUint32(data[headerSize-4:], crc32.ChecksumIEEE(data[:headerSize-4]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Two full scans: residency never exceeds the budget, evictions
-	// happen, and the second scan still decodes every tuple.
-	for pass := 0; pass < 2; pass++ {
-		n := 0
-		err := p.Scan(func(lbs.Tuple, geom.Point) error {
-			if r := p.pool.resident(); r > 3 {
-				t.Fatalf("pool holds %d pages, budget 3", r)
-			}
-			n++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("scan %d: %v", pass, err)
-		}
-		if n != sc.DB.Len() {
-			t.Fatalf("scan %d decoded %d tuples, want %d", pass, n, sc.DB.Len())
-		}
-	}
-	if m.PoolEvictions.Load() == 0 {
-		t.Fatal("expected evictions with pool smaller than file")
-	}
-	if m.PagesRead.Load() != m.PoolMisses.Load() {
-		t.Fatalf("pages read %d != pool misses %d", m.PagesRead.Load(), m.PoolMisses.Load())
+	_, err = OpenPack(path, nil)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("128 KiB header page size: err = %v, want *CorruptError", err)
 	}
 }
 
@@ -203,7 +197,7 @@ func TestPackCorruptionTyped(t *testing.T) {
 	sc := workload.USASchools(300, 5)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.lbspack")
-	if err := WritePack(path, sc.DB, 0, 512, nil); err != nil {
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 512, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -226,7 +220,7 @@ func TestPackCorruptionTyped(t *testing.T) {
 		if err := os.WriteFile(bad, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := OpenDatabase(bad, 0, nil)
+		_, _, _, err := OpenDatabaseMetric(bad, nil)
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
 			t.Fatalf("page %d flip: err = %v, want *CorruptError", page, err)
@@ -236,7 +230,7 @@ func TestPackCorruptionTyped(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-512], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDatabase(path, 0, nil)
+	_, _, _, err = OpenDatabaseMetric(path, nil)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("truncated pack: err = %v, want *CorruptError", err)

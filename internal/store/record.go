@@ -1,7 +1,7 @@
 // Package store is the durable storage engine: a paged heap-file
-// database format (.lbspack) behind a pinning buffer pool, a
-// write-ahead log for live-overlay mutations, and durable job and
-// cache state — everything lbsserve needs for crash-consistent warm
+// database format (.lbspack) that an open reads once into the
+// in-memory index, a write-ahead log for live-overlay mutations, and
+// durable job and cache state — everything lbsserve needs for crash-consistent warm
 // restarts. The split follows the write/read separation Polynesia
 // argues for: mutations land in a write-optimized append-only log,
 // queries scan a read-optimized immutable pack, and checkpointing

@@ -13,14 +13,11 @@ import (
 )
 
 // Metrics are the storage engine's shared counters; every component
-// of a Store (pack writer, buffer pool, WAL, recovery, job store)
+// of a Store (pack writer and reader, WAL, recovery, job store)
 // feeds the same instance, and Stats() snapshots it for /v1/stats.
 type Metrics struct {
-	PagesRead     atomic.Uint64
-	PagesWritten  atomic.Uint64
-	PoolHits      atomic.Uint64
-	PoolMisses    atomic.Uint64
-	PoolEvictions atomic.Uint64
+	PagesRead    atomic.Uint64
+	PagesWritten atomic.Uint64
 
 	WALBytes    atomic.Uint64
 	WALFrames   atomic.Uint64
@@ -37,12 +34,10 @@ type Metrics struct {
 // Stats is a point-in-time snapshot of Metrics, JSON-shaped for the
 // /v1/stats store section.
 type Stats struct {
-	PagesRead     uint64 `json:"pages_read"`
-	PagesWritten  uint64 `json:"pages_written"`
-	PoolHits      uint64 `json:"pool_hits"`
-	PoolMisses    uint64 `json:"pool_misses"`
-	PoolEvictions uint64 `json:"pool_evictions"`
-	// PoolHitRate is hits / (hits + misses), 0 when no pool traffic.
+	PagesRead    uint64 `json:"pages_read"`
+	PagesWritten uint64 `json:"pages_written"`
+	// PoolHitRate is always 0: the store has no buffer pool, a pack is
+	// read once. The key stays because report readers still read it.
 	PoolHitRate float64 `json:"pool_hit_rate"`
 
 	WALBytes    uint64 `json:"wal_bytes"`
@@ -59,12 +54,9 @@ type Stats struct {
 
 // Snapshot reads every counter once.
 func (m *Metrics) Snapshot() Stats {
-	s := Stats{
+	return Stats{
 		PagesRead:       m.PagesRead.Load(),
 		PagesWritten:    m.PagesWritten.Load(),
-		PoolHits:        m.PoolHits.Load(),
-		PoolMisses:      m.PoolMisses.Load(),
-		PoolEvictions:   m.PoolEvictions.Load(),
 		WALBytes:        m.WALBytes.Load(),
 		WALFrames:       m.WALFrames.Load(),
 		Checkpoints:     m.Checkpoints.Load(),
@@ -75,18 +67,13 @@ func (m *Metrics) Snapshot() Stats {
 		UnresumableJobs: m.UnresumableJobs.Load(),
 		CacheRestored:   m.CacheRestored.Load(),
 	}
-	if total := s.PoolHits + s.PoolMisses; total > 0 {
-		s.PoolHitRate = float64(s.PoolHits) / float64(total)
-	}
-	return s
 }
 
 // Options configures a Store.
 type Options struct {
-	// PageSize is the .lbspack page size in bytes (default 4096).
+	// PageSize is the .lbspack page size in bytes (default 4096, at
+	// most 65536).
 	PageSize int
-	// PoolPages bounds the buffer pool (default 64 pages).
-	PoolPages int
 	// SyncWAL fsyncs the WAL after every journaled batch. Off, the WAL
 	// is still written before mutations become visible (crash-consistent
 	// against process death); on, it also survives power loss, at a
@@ -124,9 +111,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = DefaultPageSize
 	}
-	if opts.PoolPages <= 0 {
-		opts.PoolPages = DefaultPoolPages
-	}
 	if err := os.MkdirAll(filepath.Join(dir, jobsDir), 0o755); err != nil {
 		return nil, err
 	}
@@ -136,34 +120,42 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Metrics returns the shared counters (tests and wiring).
-func (s *Store) Metrics() *Metrics { return &s.m }
-
 // Stats snapshots the engine counters.
 func (s *Store) Stats() Stats { return s.m.Snapshot() }
 
 // PackPath is the database pack's location inside the store.
 func (s *Store) PackPath() string { return filepath.Join(s.dir, packFile) }
 
-// OpenOrCreateDatabase returns the store's database: a paged scan of
-// the existing pack when one is present (warm=true), else gen() is
+// OpenOrCreateDatabase returns the store's database: a scan of the
+// existing pack when one is present (warm=true), else gen() is
 // invoked to build it cold and the result is packed for next time.
-// A warm pack recorded under a different metric than the store's is
-// refused — its coordinates were laid out for another geometry.
 func (s *Store) OpenOrCreateDatabase(gen func() *lbs.Database) (db *lbs.Database, warm bool, err error) {
+	db, _, warm, err = s.openOrCreatePack(gen)
+	return db, warm, err
+}
+
+// openOrCreatePack is the one way the store opens its pack: a warm
+// pack is scanned and its epoch returned; with no pack, gen() builds
+// the database and it is packed at epoch 0. A warm pack recorded
+// under a different metric than the store's is refused — its
+// coordinates were laid out for another geometry.
+func (s *Store) openOrCreatePack(gen func() *lbs.Database) (db *lbs.Database, epoch uint64, warm bool, err error) {
 	path := s.PackPath()
-	if _, statErr := os.Stat(path); statErr == nil {
-		db, _, metric, err := OpenDatabaseMetric(path, s.opts.PoolPages, &s.m)
-		if err == nil && metric != s.opts.Metric {
-			return nil, true, fmt.Errorf("store: %s: pack written for metric %s, store configured for %s", path, metric, s.opts.Metric)
+	if _, statErr := os.Stat(path); statErr != nil {
+		db = gen()
+		if err := WritePackMetric(path, db, s.opts.Metric, 0, s.opts.PageSize, &s.m); err != nil {
+			return nil, 0, false, err
 		}
-		return db, true, err
+		return db, 0, false, nil
 	}
-	db = gen()
-	if err := WritePackMetric(path, db, s.opts.Metric, 0, s.opts.PageSize, &s.m); err != nil {
-		return nil, false, err
+	db, epoch, metric, err := OpenDatabaseMetric(path, &s.m)
+	if err != nil {
+		return nil, 0, true, err
 	}
-	return db, false, nil
+	if metric != s.opts.Metric {
+		return nil, 0, true, fmt.Errorf("store: %s: pack written for metric %s, store configured for %s", path, metric, s.opts.Metric)
+	}
+	return db, epoch, true, nil
 }
 
 // SaveCache snapshots a CachedOracle's shards to the store.
@@ -244,7 +236,7 @@ func (s *Store) Close() error {
 }
 
 // Instrument wraps q so lbs.Walk (and so /v1/stats) finds the storage
-// engine: the wrapper answers StoreStats() and passes every query
+// engine: the wrapper answers Stats() and passes every query
 // through untouched.
 func (s *Store) Instrument(q lbs.Querier) *Instrumented {
 	return &Instrumented{inner: q, s: s}

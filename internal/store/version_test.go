@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/lbs"
+	"repro/internal/live"
 	"repro/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func TestPackMetricRoundTrip(t *testing.T) {
 		if err := WritePackMetric(path, sc.DB, m, 7, 512, nil); err != nil {
 			t.Fatalf("WritePackMetric(%s): %v", m, err)
 		}
-		p, err := OpenPack(path, 0, nil)
+		p, err := OpenPack(path, nil)
 		if err != nil {
 			t.Fatalf("OpenPack(%s): %v", m, err)
 		}
@@ -35,7 +36,7 @@ func TestPackMetricRoundTrip(t *testing.T) {
 			t.Fatalf("pack metric = %s, want %s", got, m)
 		}
 		p.Close()
-		db, epoch, got, err := OpenDatabaseMetric(path, 0, nil)
+		db, epoch, got, err := OpenDatabaseMetric(path, nil)
 		if err != nil {
 			t.Fatalf("OpenDatabaseMetric(%s): %v", m, err)
 		}
@@ -83,7 +84,7 @@ func TestPackV1ReadsBackAsEuclidean(t *testing.T) {
 	if err := os.WriteFile(v1Path, v1FromV2(t, data, 512), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db, epoch, metric, err := OpenDatabaseMetric(v1Path, 0, nil)
+	db, epoch, metric, err := OpenDatabaseMetric(v1Path, nil)
 	if err != nil {
 		t.Fatalf("OpenDatabaseMetric(v1): %v", err)
 	}
@@ -100,7 +101,7 @@ func TestPackV1ReadsBackAsEuclidean(t *testing.T) {
 func TestPackUnknownVersionTyped(t *testing.T) {
 	sc := workload.USASchools(100, 2)
 	path := filepath.Join(t.TempDir(), "db.lbspack")
-	if err := WritePack(path, sc.DB, 0, 512, nil); err != nil {
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 512, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -114,7 +115,7 @@ func TestPackUnknownVersionTyped(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenPack(path, 0, nil)
+	_, err = OpenPack(path, nil)
 	var ve *UnsupportedVersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *UnsupportedVersionError", err)
@@ -131,7 +132,7 @@ func TestPackUnknownVersionTyped(t *testing.T) {
 func TestPackUnknownMetricByteCorrupt(t *testing.T) {
 	sc := workload.USASchools(100, 2)
 	path := filepath.Join(t.TempDir(), "db.lbspack")
-	if err := WritePack(path, sc.DB, 0, 512, nil); err != nil {
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 512, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -143,7 +144,7 @@ func TestPackUnknownMetricByteCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenPack(path, 0, nil)
+	_, err = OpenPack(path, nil)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CorruptError", err)
@@ -179,5 +180,25 @@ func TestStoreRefusesMetricMismatch(t *testing.T) {
 	}
 	if _, warm, err := s3.OpenOrCreateDatabase(gen); err != nil || !warm {
 		t.Fatalf("warm reopen: warm=%v err=%v", warm, err)
+	}
+
+	// A live store opens its pack through the same check: packed under
+	// Euclidean, reopened live under Haversine, it must refuse.
+	liveDir := t.TempDir()
+	lopen := func(m geo.Metric) error {
+		st, err := Open(liveDir, Options{Metric: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.OpenLive(gen, lbs.Options{K: 5}, live.Options{CompactThreshold: -1}); err != nil {
+			return err
+		}
+		return st.Close()
+	}
+	if err := lopen(geo.Euclidean); err != nil {
+		t.Fatalf("cold live open: %v", err)
+	}
+	if err := lopen(geo.Haversine); err == nil {
+		t.Fatal("haversine live store opened a euclidean pack without complaint")
 	}
 }

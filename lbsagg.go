@@ -272,6 +272,10 @@
 // and the rank-only and checkpoint-grain plan options. A plan is one
 // sample stream that every spec reads: QueryPlan carries its Method,
 // Seed and fused Aggs, and BatchResult its account.
+// Removed: the .lbspack buffer pool, which no read ever hit — the
+// poolPages argument of OpenPackedDatabase and the pool_hits,
+// pool_misses and pool_evictions keys of StoreStats. A pack is read
+// once, front to back, into the in-memory index.
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
 // Oracle), exposing the job methods and the retry policy; and
@@ -289,6 +293,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/geo"
 	"repro/internal/geom"
 	"repro/internal/httpapi"
 	"repro/internal/jobs"
@@ -748,7 +753,7 @@ var (
 )
 
 // Durable storage (internal/store): the paged .lbspack database
-// format; a StackSpec's DataDir adds WAL-backed live overlays and warm
+// format, read once into the in-memory index; a StackSpec's DataDir adds WAL-backed live overlays and warm
 // restarts.
 type (
 	// StoreStats is the engine's counter snapshot (the /v1/stats
@@ -758,21 +763,22 @@ type (
 	// integrity check (bad magic, checksum mismatch, truncated page).
 	StoreCorruptError = store.CorruptError
 	// TupleSource is a scannable tuple supplier a Database can
-	// materialize from (implemented by the store's paged packs).
+	// materialize from (implemented by the store's packs).
 	TupleSource = lbs.TupleSource
 )
 
-// WritePack writes db as a paged .lbspack file at path (epoch is
-// recorded in the header; pageSize 0 means the default).
+// WritePack writes db as a Euclidean .lbspack file at path (epoch is
+// recorded in the header; pageSize 0 means the default, and at most
+// 64 KiB is accepted).
 func WritePack(path string, db *Database, epoch uint64, pageSize int) error {
-	return store.WritePack(path, db, epoch, pageSize, nil)
+	return store.WritePackMetric(path, db, geo.Euclidean, epoch, pageSize, nil)
 }
 
 // OpenPackedDatabase opens a .lbspack and materializes the database
-// it holds, returning the recorded epoch (poolPages 0 means the
-// default buffer-pool budget).
-func OpenPackedDatabase(path string, poolPages int) (*Database, uint64, error) {
-	return store.OpenDatabase(path, poolPages, nil)
+// it holds in one front-to-back scan, returning the recorded epoch.
+func OpenPackedDatabase(path string) (*Database, uint64, error) {
+	db, epoch, _, err := store.OpenDatabaseMetric(path, nil)
+	return db, epoch, err
 }
 
 // NewDatabaseFromStore materializes a Database from any TupleSource.
