@@ -79,12 +79,13 @@ stress:
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
 # appended query answers (byte-identical to encoding/json), the
-# store's record codec and the answer cache's snapshot reader. go test
-# fuzzes one target per run, hence the loop over package:target pairs.
+# store's record codec, whole .lbspack files as a warm restart opens
+# them, and the answer cache's snapshot reader. go test fuzzes one
+# target per run, hence the loop over package:target pairs.
 FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
 	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
-	./internal/lbs:FuzzCacheSnapshot
+	./internal/store:FuzzPackOpen ./internal/lbs:FuzzCacheSnapshot
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

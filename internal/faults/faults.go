@@ -277,16 +277,10 @@ func (i *Injector) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter)
 	return i.inner.QueryLR(ctx, q, filter)
 }
 
-// QueryLNR implements lbs.Querier under the fault schedule.
+// QueryLNR implements lbs.Querier: the faulted LR answer, locations
+// stripped.
 func (i *Injector) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LNRRecord, error) {
-	dup, err := i.gate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if dup {
-		_, _ = i.inner.QueryLNR(ctx, q, filter)
-	}
-	return i.inner.QueryLNR(ctx, q, filter)
+	return lbs.LNROf(i.QueryLR(ctx, q, filter))
 }
 
 // QueryLRBatch implements lbs.Querier; the batch is one delivery.
@@ -301,14 +295,8 @@ func (i *Injector) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lb
 	return i.inner.QueryLRBatch(ctx, pts, filter)
 }
 
-// QueryLNRBatch implements lbs.Querier; the batch is one delivery.
+// QueryLNRBatch implements lbs.Querier: the faulted LR batch,
+// locations stripped.
 func (i *Injector) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
-	dup, err := i.gate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if dup {
-		_, _ = i.inner.QueryLNRBatch(ctx, pts, filter)
-	}
-	return i.inner.QueryLNRBatch(ctx, pts, filter)
+	return lbs.LNRBatchOf(i.QueryLRBatch(ctx, pts, filter))
 }

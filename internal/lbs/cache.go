@@ -56,20 +56,13 @@ type CacheStats struct {
 	Entries       int64 `json:"entries"`            // entries currently resident
 }
 
-// query kinds, part of the cache key so LR and LNR answers for the
-// same point never collide.
-const (
-	cacheKindLR uint8 = iota
-	cacheKindLNR
-)
-
-// cacheKey identifies one recorded answer: (quantized point, k) plus
-// the interface view the answer came from.
+// cacheKey identifies one recorded LR answer: (quantized point, k).
+// The LNR answer at the same point is that answer with its locations
+// stripped, so one key serves both views.
 type cacheKey struct {
-	kind uint8
-	k    int
-	qx   uint64
-	qy   uint64
+	k  int
+	qx uint64
+	qy uint64
 }
 
 // hash is FNV-1a over the key fields; the low bits pick the shard.
@@ -82,18 +75,21 @@ func (k cacheKey) hash() uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(k.kind))
+	// The constant word stands where an answer kind once was: it keeps
+	// every key's hash, and so its shard, and so the hits, misses and
+	// evictions of LR traffic, what they were when LR and LNR answers
+	// were keyed apart.
+	mix(0)
 	mix(uint64(k.k))
 	mix(k.qx)
 	mix(k.qy)
 	return h
 }
 
-// cacheEntry is one recorded answer (LR or LNR per key.kind).
+// cacheEntry is one recorded LR answer.
 type cacheEntry struct {
-	key cacheKey
-	lr  []LRRecord
-	lnr []LNRRecord
+	key  cacheKey
+	recs []LRRecord
 }
 
 // cacheShard is one independently locked LRU segment, plus the
@@ -189,12 +185,15 @@ func (sh *cacheShard) len() int {
 	return sh.lru.Len()
 }
 
-// CachedOracle memoizes the answers of an inner Querier in a
-// concurrent sharded LRU keyed by (quantized point, k). Cache hits
-// replay the recorded answer without consuming the inner service's
-// budget — client-side memoization, not a change to the service
-// contract. It implements Querier (and therefore the estimators'
-// Oracle interface), so any estimator can run over it unchanged.
+// CachedOracle memoizes the LR answers of an inner service-side
+// Querier in a concurrent sharded LRU keyed by (quantized point, k).
+// Cache hits replay the recorded answer without consuming the inner
+// service's budget — client-side memoization, not a change to the
+// service contract. An LNR query is answered as the LR answer at the
+// same point with its locations stripped (LNROf), so one entry answers
+// both views and the inner querier must answer LR. It implements
+// Querier (and therefore the estimators' Oracle interface), so any
+// estimator can run over it unchanged.
 //
 // Concurrent misses on one key are coalesced: the first caller fetches
 // and pays, later ones — including repeats of the key inside one batch
@@ -280,7 +279,7 @@ func normZero(v float64) float64 {
 }
 
 // keyFor quantizes p and assembles the cache key.
-func (c *CachedOracle) keyFor(kind uint8, p geom.Point) cacheKey {
+func (c *CachedOracle) keyFor(p geom.Point) cacheKey {
 	x, y := normZero(p.X), normZero(p.Y)
 	var qx, qy uint64
 	if c.quantum > 0 {
@@ -290,16 +289,11 @@ func (c *CachedOracle) keyFor(kind uint8, p geom.Point) cacheKey {
 		qx = math.Float64bits(x)
 		qy = math.Float64bits(y)
 	}
-	return cacheKey{kind: kind, k: c.inner.K(), qx: qx, qy: qy}
+	return cacheKey{k: c.inner.K(), qx: qx, qy: qy}
 }
 
 func (c *CachedOracle) shardFor(key cacheKey) *cacheShard {
 	return c.shards[key.hash()&c.shardMask]
-}
-
-// store records an answer and maintains the eviction counter.
-func (c *CachedOracle) store(e *cacheEntry) {
-	c.evicted(c.shardFor(e.key).put(e))
 }
 
 // Stats returns a snapshot of the effectiveness counters.
@@ -434,10 +428,10 @@ func await(ctx context.Context, f *flight) (retry bool, err error) {
 // a full answer as a hit (nothing was charged for it), a degraded
 // answer as a bypass, an error as neither — the same counters the
 // leader's own outcome feeds, minus the miss it paid for.
-func share[T any](c *CachedOracle, f *flight, load func(*cacheEntry) []T) ([]T, error) {
-	var recs []T
+func (c *CachedOracle) share(f *flight) ([]LRRecord, error) {
+	var recs []LRRecord
 	if f.e != nil {
-		recs = load(f.e)
+		recs = f.e.recs
 	}
 	switch {
 	case f.err == nil && f.e != nil:
@@ -468,93 +462,82 @@ func (c *CachedOracle) evicted(n int) {
 	}
 }
 
-// cachedQuery is the shared single-point lookup shape of QueryLR and
-// QueryLNR: hit → replay, filtered → bypass, key already in
-// flight → wait for that fetch's answer (never charged), miss →
-// forward, record, count. Concurrent misses on one key therefore go
-// upstream once. Errors are never cached.
-func cachedQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filter Filter, kind uint8,
-	fetch func(context.Context, geom.Point, Filter) ([]T, error),
-	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([]T, error) {
-
+// QueryLR implements Querier: hit → replay, filtered → bypass, key
+// already in flight → wait for that fetch's answer (never charged),
+// miss → forward, record, count. Concurrent misses on one key
+// therefore go upstream once. Errors are never cached.
+func (c *CachedOracle) QueryLR(ctx context.Context, q geom.Point, filter Filter) ([]LRRecord, error) {
 	if filter != nil {
 		c.bypasses.Add(1)
-		return fetch(ctx, q, filter)
+		return c.inner.QueryLR(ctx, q, filter)
 	}
-	key := c.keyFor(kind, q)
+	key := c.keyFor(q)
 	for {
 		e, wait, lead := c.shardFor(key).lookup(key)
 		if e != nil {
 			c.hits.Add(1)
-			return load(e), nil
+			return e.recs, nil
 		}
 		if lead != nil {
-			return leadQuery(c, ctx, q, filter, lead, fetch, entry)
+			return c.lead(ctx, q, lead)
 		}
 		retry, err := await(ctx, wait)
 		if err != nil {
 			return nil, err
 		}
 		if !retry {
-			return share(c, wait, load)
+			return c.share(wait)
 		}
 	}
 }
 
-// leadQuery fetches the answer for a key this caller leads and lands
-// it for the key's waiters.
-func leadQuery[T any](c *CachedOracle, ctx context.Context, q geom.Point, filter Filter, lead *flight,
-	fetch func(context.Context, geom.Point, Filter) ([]T, error),
-	entry func(cacheKey, []T) *cacheEntry) ([]T, error) {
-
-	defer c.landAll([]*flight{lead})
-	recs, err := fetch(ctx, q, filter)
-	sh := c.shardFor(lead.key)
+// lead fetches the answer for a key this caller leads and lands it
+// for the key's waiters.
+func (c *CachedOracle) lead(ctx context.Context, q geom.Point, f *flight) ([]LRRecord, error) {
+	defer c.landAll([]*flight{f})
+	recs, err := c.inner.QueryLR(ctx, q, nil)
+	sh := c.shardFor(f.key)
 	switch {
 	case err == nil:
 		c.misses.Add(1)
-		c.evicted(sh.land(lead, entry(lead.key, recs), nil, true))
+		c.evicted(sh.land(f, &cacheEntry{key: f.key, recs: recs}, nil, true))
 	case IsPartial(err):
 		// A degraded answer is served but never memoized: once the
 		// missing member recovers, the same key must re-fetch the full
 		// answer instead of replaying the contaminated one.
 		c.bypasses.Add(1)
-		sh.land(lead, entry(lead.key, recs), err, false)
+		sh.land(f, &cacheEntry{key: f.key, recs: recs}, err, false)
 	default:
-		sh.land(lead, nil, err, false)
+		sh.land(f, nil, err, false)
 		recs = nil
 	}
 	return recs, err
 }
 
-// cachedBatch is the shared batch shape: answer hits from the cache,
-// forward the misses this batch leads as one (smaller) batch, record
-// what came back, then collect the keys other callers were already
-// fetching — and keys repeated within the batch, which wait on the
-// batch's own, by then landed, flights. Partial-budget semantics
-// follow Service.QueryLRBatch — nil entries mark the positions the
-// budget could not cover, and cache hits are answered even after the
-// budget dies (memoized answers are free). Filtered batches bypass
-// entirely.
-func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, filter Filter, kind uint8,
-	fetch func(context.Context, []geom.Point, Filter) ([][]T, error),
-	load func(*cacheEntry) []T, entry func(cacheKey, []T) *cacheEntry) ([][]T, error) {
-
+// QueryLRBatch implements Querier: answer hits from the cache, forward
+// the misses this batch leads as one (smaller) batch, record what came
+// back, then collect the keys other callers were already fetching —
+// and keys repeated within the batch, which wait on the batch's own,
+// by then landed, flights. Partial-budget semantics follow
+// Service.QueryLRBatch — nil entries mark the positions the budget
+// could not cover, and cache hits are answered even after the budget
+// dies (memoized answers are free). Filtered batches bypass entirely.
+func (c *CachedOracle) QueryLRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LRRecord, error) {
 	if filter != nil {
 		c.bypasses.Add(int64(len(pts)))
-		return fetch(ctx, pts, filter)
+		return c.inner.QueryLRBatch(ctx, pts, filter)
 	}
-	out := make([][]T, len(pts))
+	out := make([][]LRRecord, len(pts))
 	var missIdx, waitIdx []int
 	var missPts []geom.Point
 	var leads, waits []*flight
 	for i, p := range pts {
-		key := c.keyFor(kind, p)
+		key := c.keyFor(p)
 		e, wait, lead := c.shardFor(key).lookup(key)
 		switch {
 		case e != nil:
 			c.hits.Add(1)
-			out[i] = load(e)
+			out[i] = e.recs
 		case lead != nil:
 			missIdx = append(missIdx, i)
 			missPts = append(missPts, p)
@@ -567,11 +550,11 @@ func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, 
 	var err error
 	if len(leads) > 0 {
 		defer c.landAll(leads)
-		var answers [][]T
-		answers, err = fetch(ctx, missPts, filter)
+		var answers [][]LRRecord
+		answers, err = c.inner.QueryLRBatch(ctx, missPts, nil)
 		partial := IsPartial(err)
 		for j, f := range leads {
-			var recs []T
+			var recs []LRRecord
 			if j < len(answers) {
 				recs = answers[j]
 			}
@@ -585,10 +568,10 @@ func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, 
 				// The annotation does not say which positions were
 				// degraded, so none of the batch is memoized.
 				c.bypasses.Add(1)
-				sh.land(f, entry(f.key, recs), err, false)
+				sh.land(f, &cacheEntry{key: f.key, recs: recs}, err, false)
 			default:
 				c.misses.Add(1)
-				c.evicted(sh.land(f, entry(f.key, recs), nil, true))
+				c.evicted(sh.land(f, &cacheEntry{key: f.key, recs: recs}, nil, true))
 			}
 		}
 	}
@@ -603,13 +586,13 @@ func cachedBatch[T any](c *CachedOracle, ctx context.Context, pts []geom.Point, 
 			retryIdx = append(retryIdx, waitIdx[j])
 			retryPts = append(retryPts, pts[waitIdx[j]])
 		default:
-			recs, ferr := share(c, f, load)
+			recs, ferr := c.share(f)
 			out[waitIdx[j]] = recs
 			err = firstErr(err, ferr)
 		}
 	}
 	if len(retryPts) > 0 {
-		answers, rerr := cachedBatch(c, ctx, retryPts, filter, kind, fetch, load, entry)
+		answers, rerr := c.QueryLRBatch(ctx, retryPts, nil)
 		for j, recs := range answers {
 			out[retryIdx[j]] = recs
 		}
@@ -627,31 +610,12 @@ func firstErr(cur, next error) error {
 	return cur
 }
 
-// QueryLR implements Querier: a hit replays the recorded answer, a
-// miss forwards to the inner service and records the result.
-func (c *CachedOracle) QueryLR(ctx context.Context, q geom.Point, filter Filter) ([]LRRecord, error) {
-	return cachedQuery(c, ctx, q, filter, cacheKindLR, c.inner.QueryLR,
-		func(e *cacheEntry) []LRRecord { return e.lr },
-		func(k cacheKey, recs []LRRecord) *cacheEntry { return &cacheEntry{key: k, lr: recs} })
-}
-
-// QueryLNR implements Querier (see QueryLR).
+// QueryLNR implements Querier: the LR answer at q, locations stripped.
 func (c *CachedOracle) QueryLNR(ctx context.Context, q geom.Point, filter Filter) ([]LNRRecord, error) {
-	return cachedQuery(c, ctx, q, filter, cacheKindLNR, c.inner.QueryLNR,
-		func(e *cacheEntry) []LNRRecord { return e.lnr },
-		func(k cacheKey, recs []LNRRecord) *cacheEntry { return &cacheEntry{key: k, lnr: recs} })
+	return LNROf(c.QueryLR(ctx, q, filter))
 }
 
-// QueryLRBatch implements Querier (see cachedBatch for semantics).
-func (c *CachedOracle) QueryLRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LRRecord, error) {
-	return cachedBatch(c, ctx, pts, filter, cacheKindLR, c.inner.QueryLRBatch,
-		func(e *cacheEntry) []LRRecord { return e.lr },
-		func(k cacheKey, recs []LRRecord) *cacheEntry { return &cacheEntry{key: k, lr: recs} })
-}
-
-// QueryLNRBatch implements Querier (see cachedBatch for semantics).
+// QueryLNRBatch implements Querier: the LR batch, locations stripped.
 func (c *CachedOracle) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LNRRecord, error) {
-	return cachedBatch(c, ctx, pts, filter, cacheKindLNR, c.inner.QueryLNRBatch,
-		func(e *cacheEntry) []LNRRecord { return e.lnr },
-		func(k cacheKey, recs []LNRRecord) *cacheEntry { return &cacheEntry{key: k, lnr: recs} })
+	return LNRBatchOf(c.QueryLRBatch(ctx, pts, filter))
 }

@@ -42,12 +42,15 @@ type cacheSnapshotHeader struct {
 
 // cacheSnapshotEntry is the wire form of one recorded answer. QX/QY
 // are the raw key words (quantized cell indices, or Float64bits of the
-// exact point), preserved exactly.
+// exact point), preserved exactly. Kind is always written 0 (an LR
+// answer). Streams from before the cache kept one answer kind also
+// hold kind-1 entries with an LNR field; gob skips that field, and
+// ReadSnapshot drops those entries, since the LR entry at the same
+// point answers LNR too.
 type cacheSnapshotEntry struct {
 	Kind   uint8
 	QX, QY uint64
 	LR     []LRRecord
-	LNR    []LNRRecord
 }
 
 // WriteSnapshot serializes every resident entry to w. Concurrent
@@ -62,10 +65,7 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 			// Back-to-front: oldest first, so restoring preserves the
 			// recency order within each shard.
 			e := el.Value.(*cacheEntry)
-			entries = append(entries, cacheSnapshotEntry{
-				Kind: e.key.kind, QX: e.key.qx, QY: e.key.qy,
-				LR: e.lr, LNR: e.lnr,
-			})
+			entries = append(entries, cacheSnapshotEntry{QX: e.key.qx, QY: e.key.qy, LR: e.recs})
 		}
 		sh.mu.Unlock()
 	}
@@ -90,10 +90,12 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 // stream keeps the entries already loaded (they are individually
 // valid) and reports the error. Restored entries count toward
 // CacheStats.Restored, not Misses. The stream is outside input: an
-// entry of unknown kind ends the read with an error, and an empty
-// answer — which gob encodes as an absent slice — is restored as the
-// non-nil empty answer it was recorded as, never as the nil that marks
-// an unanswered batch position.
+// LNR entry (kind 1, written before the cache kept one answer kind) is
+// skipped and not counted, an entry of any other unknown kind ends the
+// read with an error, and an empty answer — which gob encodes as an
+// absent slice — is restored as the non-nil empty answer it was
+// recorded as, never as the nil that marks an unanswered batch
+// position.
 func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 	dec := gob.NewDecoder(r)
 	var h cacheSnapshotHeader
@@ -114,27 +116,22 @@ func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 			c.restored.Add(int64(loaded))
 			return loaded, fmt.Errorf("lbs: cache snapshot entry %d: %w", i, err)
 		}
-		entry := &cacheEntry{key: cacheKey{kind: e.Kind, k: h.K, qx: e.QX, qy: e.QY}}
 		switch e.Kind {
-		case cacheKindLR:
-			entry.lr = nonNil(e.LR)
-		case cacheKindLNR:
-			entry.lnr = nonNil(e.LNR)
+		case 0: // an LR answer
+		case 1: // an older stream's LNR answer: the LR entry answers it
+			continue
 		default:
 			c.restored.Add(int64(loaded))
 			return loaded, fmt.Errorf("lbs: cache snapshot entry %d: unknown kind %d", i, e.Kind)
 		}
-		c.store(entry)
+		recs := e.LR
+		if recs == nil {
+			recs = []LRRecord{}
+		}
+		key := cacheKey{k: h.K, qx: e.QX, qy: e.QY}
+		c.evicted(c.shardFor(key).put(&cacheEntry{key: key, recs: recs}))
 		loaded++
 	}
 	c.restored.Add(int64(loaded))
 	return loaded, nil
-}
-
-// nonNil returns recs, or an empty non-nil slice in place of nil.
-func nonNil[T any](recs []T) []T {
-	if recs == nil {
-		return []T{}
-	}
-	return recs
 }

@@ -4,15 +4,89 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
 )
 
+// legacySnapshotEntry is the entry layout written before the cache
+// kept one answer kind: kind 1 entries carried an LNR answer.
+type legacySnapshotEntry struct {
+	Kind   uint8
+	QX, QY uint64
+	LR     []LRRecord
+	LNR    []LNRRecord
+}
+
+// legacySnapshot encodes, in that older layout, an LR and an LNR
+// entry for each of pts over svc (k 2, quantum 0).
+func legacySnapshot(tb testing.TB, svc *Service, pts []geom.Point) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(cacheSnapshotHeader{Version: 1, K: svc.K(), Entries: 2 * len(pts)}); err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range pts {
+		lr := svc.answerLR(p, nil)
+		qx, qy := math.Float64bits(p.X), math.Float64bits(p.Y)
+		for _, e := range []legacySnapshotEntry{
+			{Kind: 0, QX: qx, QY: qy, LR: lr},
+			{Kind: 1, QX: qx, QY: qy, LNR: StripLocations(lr)},
+		} {
+			if err := enc.Encode(e); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCacheSnapshotLegacyLNREntries: a version-1 snapshot written when
+// LR and LNR answers were cached apart loads without error. Its LR
+// entries are restored and answer both views; its LNR entries are
+// dropped and counted neither as loaded nor as restored.
+func TestCacheSnapshotLegacyLNREntries(t *testing.T) {
+	db := NewDatabase(geom.Rect{Max: geom.Pt(10, 10)}, []Tuple{
+		{ID: 1, Loc: geom.Pt(1, 1)}, {ID: 2, Loc: geom.Pt(5, 5)}, {ID: 3, Loc: geom.Pt(9, 2)},
+	})
+	opts := Options{K: 2}
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(6, 6), geom.Pt(9, 9)}
+	data := legacySnapshot(t, NewService(db, opts), pts)
+
+	svc := NewService(db, opts)
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 16, Shards: 1})
+	n, err := c.ReadSnapshot(bytes.NewReader(data))
+	if err != nil || n != len(pts) {
+		t.Fatalf("ReadSnapshot = %d, %v; want %d LR entries and no error", n, err, len(pts))
+	}
+	if st := c.Stats(); st.Restored != int64(n) || st.Entries != int64(n) {
+		t.Fatalf("stats %+v, want %d restored resident entries", st, n)
+	}
+	ctx := context.Background()
+	ref := NewService(db, opts)
+	for _, p := range pts {
+		want, _ := ref.QueryLNR(ctx, p, nil)
+		got, err := c.QueryLNR(ctx, p, nil)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("LNR at %v = %v, %v; want %v", p, got, err, want)
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID {
+				t.Fatalf("LNR at %v rank %d = ID %d, want %d", p, i, got[i].ID, want[i].ID)
+			}
+		}
+	}
+	if q := svc.QueryCount(); q != 0 {
+		t.Fatalf("restored cache forwarded %d queries; every answer should have replayed", q)
+	}
+}
+
 // FuzzCacheSnapshot feeds arbitrary bytes to ReadSnapshot, which reads
 // a file from disk at a warm restart: it must never panic, and every
-// entry it restores must be of a known kind with a non-nil answer of
-// that kind (nil marks an unanswered batch position, never a replay).
+// entry it restores must hold a non-nil answer (nil marks an
+// unanswered batch position, never a replay).
 func FuzzCacheSnapshot(f *testing.F) {
 	db := NewDatabase(geom.Rect{Max: geom.Pt(1, 1)}, []Tuple{{ID: 1, Loc: geom.Pt(0, 0)}, {ID: 2, Loc: geom.Pt(1, 1)}})
 	opts := Options{K: 2, MaxRadius: 0.5}
@@ -36,6 +110,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 	_ = enc.Encode(cacheSnapshotHeader{Version: cacheSnapshotVersion, K: 2, Entries: 2})
 	_ = enc.Encode(cacheSnapshotEntry{Kind: 7, LR: []LRRecord{{ID: 1}}})
 	f.Add(odd.Bytes())
+	f.Add(legacySnapshot(f, NewService(db, opts), []geom.Point{geom.Pt(0, 0), geom.Pt(9, 9)}))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -46,18 +121,8 @@ func FuzzCacheSnapshot(f *testing.F) {
 		}
 		for _, sh := range c.shards {
 			for el := sh.lru.Front(); el != nil; el = el.Next() {
-				e := el.Value.(*cacheEntry)
-				switch e.key.kind {
-				case cacheKindLR:
-					if e.lr == nil {
-						t.Fatalf("restored LR entry %+v has a nil answer", e.key)
-					}
-				case cacheKindLNR:
-					if e.lnr == nil {
-						t.Fatalf("restored LNR entry %+v has a nil answer", e.key)
-					}
-				default:
-					t.Fatalf("restored entry of unknown kind %d", e.key.kind)
+				if e := el.Value.(*cacheEntry); e.recs == nil {
+					t.Fatalf("restored entry %+v has a nil answer", e.key)
 				}
 			}
 		}

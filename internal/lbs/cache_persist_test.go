@@ -32,7 +32,8 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	warm, _, pts := cacheFixture(t, opts)
 	ctx := context.Background()
 
-	// Populate with both query kinds and record the answers.
+	// Query both views and record the answers: one LR entry per point
+	// answers both.
 	wantLR := make([][]lbs.LRRecord, len(pts))
 	wantLNR := make([][]lbs.LNRRecord, len(pts))
 	for i, p := range pts {
@@ -57,8 +58,8 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2*len(pts) {
-		t.Fatalf("restored %d entries, want %d", n, 2*len(pts))
+	if n != len(pts) {
+		t.Fatalf("restored %d entries, want %d (one per point)", n, len(pts))
 	}
 	st := cold.Stats()
 	if st.Restored != int64(n) || st.Entries != int64(n) {
@@ -176,8 +177,8 @@ func TestCacheSnapshotRestoresEmptyAnswers(t *testing.T) {
 
 	svc := lbs.NewService(sc.DB, lbs.Options{K: 5, MaxRadius: 1})
 	cold := lbs.NewCachedOracle(svc, opts)
-	if n, err := cold.ReadSnapshot(&buf); err != nil || n != 2*len(far) {
-		t.Fatalf("restored %d entries, err %v; want %d", n, err, 2*len(far))
+	if n, err := cold.ReadSnapshot(&buf); err != nil || n != len(far) {
+		t.Fatalf("restored %d entries, err %v; want %d", n, err, len(far))
 	}
 	lr, err := cold.QueryLRBatch(ctx, far, nil)
 	if err != nil {

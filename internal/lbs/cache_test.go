@@ -102,26 +102,32 @@ func TestCacheLRULeastRecentFirst(t *testing.T) {
 	}
 }
 
-// TestCacheKindsDontCollide: an LR and an LNR answer for the same
-// point are distinct entries.
-func TestCacheKindsDontCollide(t *testing.T) {
+// TestCacheLREntryAnswersLNR: the LR entry recorded at a point answers
+// an LNR query there, with its locations stripped.
+func TestCacheLREntryAnswersLNR(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 2})
 	c := NewCachedOracle(svc, CacheOptions{})
 	ctx := context.Background()
 	p := geom.Pt(5, 5)
-	if _, err := c.QueryLR(ctx, p, nil); err != nil {
+	lr, err := c.QueryLR(ctx, p, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	recs, err := c.QueryLNR(ctx, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("LNR answer empty")
+	if len(recs) == 0 || len(recs) != len(lr) {
+		t.Fatalf("LNR answer has %d records, want the LR answer's %d", len(recs), len(lr))
+	}
+	for i := range recs {
+		if recs[i].ID != lr[i].ID {
+			t.Fatalf("LNR rank %d is ID %d, want %d", i, recs[i].ID, lr[i].ID)
+		}
 	}
 	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 0 {
-		t.Errorf("stats = %+v, want two misses (separate kinds)", st)
+	if st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want one miss and one hit (one entry per point)", st)
 	}
 }
 
@@ -404,7 +410,7 @@ func TestCacheInvalidateRegion(t *testing.T) {
 
 // TestCacheInvalidateExactKeys: with Quantum 0 the cell is the exact
 // query point, so a point region invalidates exactly that point's
-// entries (both kinds) and nothing else.
+// entry (which answered both views) and nothing else.
 func TestCacheInvalidateExactKeys(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 2})
 	c := NewCachedOracle(svc, CacheOptions{})
@@ -419,8 +425,8 @@ func TestCacheInvalidateExactKeys(t *testing.T) {
 	if _, err := c.QueryLR(ctx, q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if dropped := c.Invalidate(geom.Rect{Min: p, Max: p}); dropped != 2 {
-		t.Fatalf("dropped = %d, want 2 (LR and LNR entries for p)", dropped)
+	if dropped := c.Invalidate(geom.Rect{Min: p, Max: p}); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1 (the one entry for p)", dropped)
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("survivors = %d, want 1", st.Entries)

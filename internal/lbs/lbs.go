@@ -33,14 +33,17 @@
 // Each answered point still counts as one query — batching buys
 // round-trips, not budget.
 //
-// CachedOracle layers a concurrent sharded LRU cache over any Querier.
-// Caching models *client-side memoization* of previously received
-// answers — exactly what a polite client of a rate-limited API would
-// keep — not a change to the simulated service contract: cache hits
-// replay recorded answers without consuming budget, while misses pass
-// through (and are charged) unchanged. Functional filters cannot be
-// hashed, so filtered queries bypass the cache, never replaying an
-// answer across different selections.
+// CachedOracle layers a concurrent sharded LRU cache over a
+// service-side Querier that answers LR. It records LR answers only:
+// like every service-side layer above the Service, it answers LNR as
+// the LR answer with locations withheld (LNROf), so one entry answers
+// both views. Caching models *client-side memoization* of previously
+// received answers — exactly what a polite client of a rate-limited
+// API would keep — not a change to the simulated service contract:
+// cache hits replay recorded answers without consuming budget, while
+// misses pass through (and are charged) unchanged. Functional filters
+// cannot be hashed, so filtered queries bypass the cache, never
+// replaying an answer across different selections.
 package lbs
 
 import (

@@ -126,9 +126,10 @@ func MergeRanked(q geom.Point, opts Options, lists ...[]LRRecord) []LRRecord {
 	return out
 }
 
-// StripLocations converts an LR answer to its rank-only (LNR) view —
-// how composite fronts (the Router, the live overlay) derive their LNR
-// answers from the internally merged LR candidates.
+// StripLocations converts an LR answer to its rank-only (LNR) view:
+// an LNR interface runs the same ranking as an LR one and withholds
+// the locations, so every service-side layer above the leaf Service
+// derives its LNR answer this way (through LNROf and LNRBatchOf).
 func StripLocations(recs []LRRecord) []LNRRecord {
 	out := make([]LNRRecord, len(recs))
 	for i, rec := range recs {
@@ -141,4 +142,29 @@ func StripLocations(recs []LRRecord) []LNRRecord {
 		}
 	}
 	return out
+}
+
+// LNROf answers an LNR query from the LR answer at the same point:
+// QueryLNR of a service-side layer is LNROf(its own QueryLR). A
+// degraded answer (*PartialError) keeps its annotation; any other
+// error drops the answer.
+func LNROf(recs []LRRecord, err error) ([]LNRRecord, error) {
+	if err != nil && !IsPartial(err) {
+		return nil, err
+	}
+	return StripLocations(recs), err
+}
+
+// LNRBatchOf is LNROf for a batch: every answered position is
+// stripped, unanswered (nil) positions stay nil, and the error passes
+// through unchanged — a batch keeps the positions it answered before
+// a budget death or a failure, like the LR batch it came from.
+func LNRBatchOf(answers [][]LRRecord, err error) ([][]LNRRecord, error) {
+	out := make([][]LNRRecord, len(answers))
+	for i, recs := range answers {
+		if recs != nil {
+			out[i] = StripLocations(recs)
+		}
+	}
+	return out, err
 }

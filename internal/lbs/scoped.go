@@ -73,17 +73,10 @@ func (s *ScopedQuerier) QueryLR(ctx context.Context, q geom.Point, filter Filter
 	return recs, err
 }
 
-// QueryLNR implements Querier.
+// QueryLNR implements Querier: the scope's LR answer, locations
+// stripped.
 func (s *ScopedQuerier) QueryLNR(ctx context.Context, q geom.Point, filter Filter) ([]LNRRecord, error) {
-	if err := s.meter.Charge(ctx); err != nil {
-		return nil, err
-	}
-	recs, err := s.inner.QueryLNR(ctx, q, filter)
-	if err != nil && !IsPartial(err) {
-		s.meter.Refund(1)
-		return nil, err
-	}
-	return recs, err
+	return LNROf(s.QueryLR(ctx, q, filter))
 }
 
 // QueryLRBatch implements Querier: the scope grants a prefix of the
@@ -112,24 +105,8 @@ func (s *ScopedQuerier) QueryLRBatch(ctx context.Context, pts []geom.Point, filt
 	return out, rerr
 }
 
-// QueryLNRBatch is the rank-only twin of QueryLRBatch.
+// QueryLNRBatch implements Querier: the scope's LR batch, locations
+// stripped.
 func (s *ScopedQuerier) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter Filter) ([][]LNRRecord, error) {
-	out := make([][]LNRRecord, len(pts))
-	granted, rerr := s.meter.ChargeN(ctx, int64(len(pts)))
-	if granted == 0 {
-		return out, rerr
-	}
-	inner, err := s.inner.QueryLNRBatch(ctx, pts[:granted], filter)
-	var answered int64
-	for i := range inner {
-		if inner[i] != nil {
-			out[i] = inner[i]
-			answered++
-		}
-	}
-	s.meter.Refund(granted - answered)
-	if err != nil {
-		return out, err
-	}
-	return out, rerr
+	return LNRBatchOf(s.QueryLRBatch(ctx, pts, filter))
 }

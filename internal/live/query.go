@@ -71,18 +71,7 @@ func (d *Database) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter)
 // stripped — exactly how a single service derives LNR from its ranked
 // candidates, so rank orders match bit for bit.
 func (d *Database) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LNRRecord, error) {
-	if err := d.meter.Charge(ctx); err != nil {
-		return nil, err
-	}
-	s := d.snap.Load()
-	if s.clean() {
-		return s.full.QueryLNR(ctx, q, filter)
-	}
-	recs, err := d.answerLR(ctx, s, q, filter)
-	if err != nil {
-		return nil, err
-	}
-	return lbs.StripLocations(recs), nil
+	return lbs.LNROf(d.QueryLR(ctx, q, filter))
 }
 
 // QueryLRBatch implements lbs.Querier with Service batch semantics:
@@ -106,20 +95,8 @@ func (d *Database) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lb
 	return out, err
 }
 
-// QueryLNRBatch implements lbs.Querier (see QueryLRBatch).
+// QueryLNRBatch implements lbs.Querier: the LR batch, locations
+// stripped.
 func (d *Database) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
-	out := make([][]lbs.LNRRecord, len(pts))
-	granted, err := d.meter.ChargeN(ctx, int64(len(pts)))
-	if granted > 0 {
-		s := d.snap.Load()
-		for i := int64(0); i < granted; i++ {
-			recs, qerr := d.answerLR(ctx, s, pts[i], filter)
-			if qerr != nil {
-				d.meter.Refund(granted - i)
-				return out, qerr
-			}
-			out[i] = lbs.StripLocations(recs)
-		}
-	}
-	return out, err
+	return lbs.LNRBatchOf(d.QueryLRBatch(ctx, pts, filter))
 }

@@ -704,11 +704,7 @@ func (r *Router) QueryLR(ctx context.Context, q geom.Point, filter lbs.Filter) (
 // the LNR restriction applies to the federation's public interface,
 // not between its shards).
 func (r *Router) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter) ([]lbs.LNRRecord, error) {
-	recs, err := r.QueryLR(ctx, q, filter)
-	if err != nil && !lbs.IsPartial(err) {
-		return nil, err
-	}
-	return lbs.StripLocations(recs), err
+	return lbs.LNROf(r.QueryLR(ctx, q, filter))
 }
 
 // QueryLRBatch implements lbs.Querier with Service batch semantics:
@@ -745,14 +741,8 @@ func (r *Router) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.
 	return out, serr
 }
 
-// QueryLNRBatch is the rank-only twin of QueryLRBatch.
+// QueryLNRBatch implements lbs.Querier: the federated LR batch,
+// locations withheld.
 func (r *Router) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
-	lr, err := r.QueryLRBatch(ctx, pts, filter)
-	out := make([][]lbs.LNRRecord, len(lr))
-	for i, recs := range lr {
-		if recs != nil {
-			out[i] = lbs.StripLocations(recs)
-		}
-	}
-	return out, err
+	return lbs.LNRBatchOf(r.QueryLRBatch(ctx, pts, filter))
 }

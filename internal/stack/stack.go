@@ -14,10 +14,10 @@
 package stack
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/faults"
@@ -265,17 +265,17 @@ func (s *Spec) local(opts lbs.Options, fspec **faults.Spec, b *Stack, given *lbs
 		if b.store, err = store.Open(s.DataDir, store.Options{Metric: opts.Metric}); err != nil {
 			return nil, fmt.Errorf("-data-dir: %w", err)
 		}
-		// Behind a warm store the pack is the database: only a cold
-		// start generates or loads it.
-		if _, statErr := os.Stat(b.store.PackPath()); statErr != nil {
-			if db, err = load(); err != nil {
-				return nil, err
-			}
+		// Behind a warm store the pack is the database: the store calls
+		// gen only for a cold start, and a failed load is the error that
+		// start reports.
+		var loadErr error
+		gen := func() (db *lbs.Database) {
+			db, loadErr = load()
+			return db
 		}
-		gen := func() *lbs.Database { return db }
 		if s.Live {
 			d, err := b.store.OpenLive(gen, opts, lopts)
-			if err != nil {
+			if err = cmp.Or(loadErr, err); err != nil {
 				return nil, err
 			}
 			b.Mutator, b.Tuples = d, d.Len()
@@ -283,7 +283,8 @@ func (s *Spec) local(opts lbs.Options, fspec **faults.Spec, b *Stack, given *lbs
 			return d, nil
 		}
 		var warm bool
-		if db, warm, err = b.store.OpenOrCreateDatabase(gen); err != nil {
+		db, warm, err = b.store.OpenOrCreateDatabase(gen)
+		if err = cmp.Or(loadErr, err); err != nil {
 			return nil, err
 		}
 		durable = ", durable cold ingest"

@@ -3,9 +3,11 @@ package stack
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -145,20 +147,43 @@ func statsField(t *testing.T, st *Stack, section, field string) float64 {
 	return v
 }
 
-// assertSameAnswers checks that q answers 64 fixed points exactly as a
-// plain lbs.Service over the base scenario: LR IDs and distances bit
-// for bit, LNR IDs in rank order.
-func assertSameAnswers(t *testing.T, q lbs.Querier) {
+// answerPoints is the reference service over the base scenario and
+// the 64 fixed points the answer checks query.
+func answerPoints(t *testing.T) (*lbs.Service, []geom.Point) {
 	t.Helper()
 	sc, err := workload.ByName("schools", 400, 7, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := lbs.NewService(sc.DB, lbs.Options{K: 5})
 	rng := rand.New(rand.NewSource(3))
+	pts := make([]geom.Point, 64)
+	for i := range pts {
+		pts[i] = geom.Pt(sc.Bounds.Min.X+rng.Float64()*sc.Bounds.Width(), sc.Bounds.Min.Y+rng.Float64()*sc.Bounds.Height())
+	}
+	return lbs.NewService(sc.DB, lbs.Options{K: 5}), pts
+}
+
+// sameLR fails unless got is want: IDs and distances bit for bit.
+func sameLR(t *testing.T, what string, got, want []lbs.LRRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for j := range want {
+		if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
+			t.Fatalf("%s rank %d: (%d, %v), want (%d, %v)", what, j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
+		}
+	}
+}
+
+// assertSameAnswers checks that q answers 64 fixed points exactly as a
+// plain lbs.Service over the base scenario: LR IDs and distances bit
+// for bit, LNR IDs in rank order.
+func assertSameAnswers(t *testing.T, q lbs.Querier) {
+	t.Helper()
+	ref, pts := answerPoints(t)
 	ctx := context.Background()
-	for i := 0; i < 64; i++ {
-		p := geom.Pt(sc.Bounds.Min.X+rng.Float64()*sc.Bounds.Width(), sc.Bounds.Min.Y+rng.Float64()*sc.Bounds.Height())
+	for _, p := range pts {
 		want, err := ref.QueryLR(ctx, p, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -167,14 +192,7 @@ func assertSameAnswers(t *testing.T, q lbs.Querier) {
 		if err != nil {
 			t.Fatalf("LR %v: %v", p, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("LR %v: %d records, want %d", p, len(got), len(want))
-		}
-		for j := range want {
-			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
-				t.Fatalf("LR %v rank %d: (%d, %v), want (%d, %v)", p, j, got[j].ID, got[j].Dist, want[j].ID, want[j].Dist)
-			}
-		}
+		sameLR(t, fmt.Sprintf("LR %v", p), got, want)
 		wantN, err := ref.QueryLNR(ctx, p, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -185,6 +203,37 @@ func assertSameAnswers(t *testing.T, q lbs.Querier) {
 		}
 		if !reflect.DeepEqual(ids(gotN), ids(wantN)) {
 			t.Fatalf("LNR %v: %v, want %v", p, ids(gotN), ids(wantN))
+		}
+	}
+}
+
+// assertSameBatchAnswers checks that q's LR and LNR batches over the
+// 64 points of assertSameAnswers equal the reference service's answers
+// point by point.
+func assertSameBatchAnswers(t *testing.T, q lbs.Querier) {
+	t.Helper()
+	ref, pts := answerPoints(t)
+	ctx := context.Background()
+	lr, err := q.QueryLRBatch(ctx, pts, nil)
+	if err != nil || len(lr) != len(pts) {
+		t.Fatalf("LR batch: %d answers, %v; want %d", len(lr), err, len(pts))
+	}
+	lnr, err := q.QueryLNRBatch(ctx, pts, nil)
+	if err != nil || len(lnr) != len(pts) {
+		t.Fatalf("LNR batch: %d answers, %v; want %d", len(lnr), err, len(pts))
+	}
+	for i, p := range pts {
+		want, err := ref.QueryLR(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLR(t, fmt.Sprintf("LR batch position %d", i), lr[i], want)
+		wantN, err := ref.QueryLNR(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lnr[i] == nil || !reflect.DeepEqual(ids(lnr[i]), ids(wantN)) {
+			t.Fatalf("LNR batch position %d: %v, want %v", i, ids(lnr[i]), ids(wantN))
 		}
 	}
 }
@@ -245,6 +294,7 @@ func TestBuildCompositions(t *testing.T) {
 				t.Errorf("mutator %T with live=%v", st.Mutator, s.Live)
 			}
 			assertSameAnswers(t, st.Querier)
+			assertSameBatchAnswers(t, st.Querier)
 			if got := sections(t, st); !reflect.DeepEqual(got, c.sections) {
 				t.Errorf("/v1/stats sections %v, want %v", got, c.sections)
 			}
@@ -262,6 +312,36 @@ func TestBuildCompositions(t *testing.T) {
 	}
 	for _, c := range overDB {
 		check(c, sc.DB, "schools")
+	}
+}
+
+// TestBuildDataDirDatasetLoadError: a cold -data-dir start whose
+// -dataset fails to load (a damaged data page; the header still reads,
+// so Validate passes) reports the load error and packs nothing.
+func TestBuildDataDirDatasetLoadError(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.lbspack")
+	sc, _ := workload.ByName("schools", 400, 7, "")
+	if err := store.WritePackMetric(bad, sc.DB, sc.Metric, 0, 512, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[512+100] ^= 0x40
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, live := range []bool{false, true} {
+		s := Spec{Dataset: bad, K: 5, Live: live, DataDir: filepath.Join(dir, fmt.Sprint("store-", live))}
+		st, err := s.Build(context.Background(), nil)
+		if err == nil || !strings.Contains(err.Error(), "-dataset") {
+			t.Fatalf("live=%v: Build = %v, %v; want the -dataset load error", live, st, err)
+		}
+		if _, err := os.Stat(filepath.Join(s.DataDir, "db.lbspack")); !os.IsNotExist(err) {
+			t.Fatalf("live=%v: pack after a failed cold start: stat err = %v, want not-exist", live, err)
+		}
 	}
 }
 

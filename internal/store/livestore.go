@@ -151,9 +151,6 @@ func frameLen(fr walFrame) int {
 	return len(b) - 8
 }
 
-// Database returns the journaled live database.
-func (ls *LiveStore) Database() *live.Database { return ls.db }
-
 // Recovery reports what opening found.
 func (ls *LiveStore) Recovery() Recovery { return ls.rec }
 

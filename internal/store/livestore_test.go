@@ -247,3 +247,20 @@ func TestOpenOrCreateDatabaseWarmPath(t *testing.T) {
 	sameTuples(t, db, db2)
 	sameAnswers(t, db, db2, 5)
 }
+
+// TestOpenOrCreateDatabaseNilGen: a cold start whose gen builds no
+// database is an error, not a panic while packing it; the store is
+// left without a pack, so the next start is cold again.
+func TestOpenOrCreateDatabaseNilGen(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, warm, err := st.OpenOrCreateDatabase(func() *lbs.Database { return nil })
+	if err == nil || db != nil || warm {
+		t.Fatalf("OpenOrCreateDatabase(nil gen) = %v, %v, %v; want an error", db, warm, err)
+	}
+	if _, err := os.Stat(st.PackPath()); !os.IsNotExist(err) {
+		t.Fatalf("pack after a failed cold start: stat err = %v, want not-exist", err)
+	}
+}

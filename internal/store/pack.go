@@ -291,6 +291,13 @@ func OpenPack(path string, m *Metrics) (*Pack, error) {
 		return nil, corrupt(path, "size %d is not a multiple of page size %d", st.Size(), p.pageSize)
 	}
 	p.npages = int(st.Size()/int64(p.pageSize)) - 1
+	// A record takes at least one byte, so the data pages bound the
+	// count; a forged count beyond that would size the reader's tuple
+	// slice from the header instead of the file.
+	if p.count > uint64(p.npages)*uint64(p.pageSize) {
+		f.Close()
+		return nil, corrupt(path, "header says %d records, %d data pages cannot hold them", p.count, p.npages)
+	}
 	return p, nil
 }
 
@@ -313,9 +320,6 @@ func (p *Pack) Bounds() geom.Rect { return p.bounds }
 
 // Len implements lbs.TupleSource.
 func (p *Pack) Len() int { return int(p.count) }
-
-// Epoch is the live-database epoch recorded when the pack was written.
-func (p *Pack) Epoch() uint64 { return p.epoch }
 
 // Metric is the distance metric recorded when the pack was written.
 // Format-1 packs always report geo.Euclidean.

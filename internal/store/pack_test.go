@@ -193,6 +193,34 @@ func TestPackPageSizeLimit(t *testing.T) {
 	}
 }
 
+// TestPackForgedCountCorrupt: the header's record count sizes the
+// reader's tuple slice, so a count the data pages cannot hold — here
+// 1<<62 with the header checksum recomputed — is a *CorruptError at
+// open, not a makeslice panic or an allocation the file cannot back.
+func TestPackForgedCountCorrupt(t *testing.T) {
+	sc := workload.USASchools(100, 5)
+	path := filepath.Join(t.TempDir(), "db.lbspack")
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 512, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint64{1 << 62, uint64(len(data))} {
+		binary.LittleEndian.PutUint64(data[16:], count)
+		binary.LittleEndian.PutUint32(data[headerSize-4:], crc32.ChecksumIEEE(data[:headerSize-4]))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = OpenDatabaseMetric(path, nil)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("header count %d: err = %v, want *CorruptError", count, err)
+		}
+	}
+}
+
 func TestPackCorruptionTyped(t *testing.T) {
 	sc := workload.USASchools(300, 5)
 	dir := t.TempDir()

@@ -142,7 +142,9 @@ func (s *Store) OpenOrCreateDatabase(gen func() *lbs.Database) (db *lbs.Database
 func (s *Store) openOrCreatePack(gen func() *lbs.Database) (db *lbs.Database, epoch uint64, warm bool, err error) {
 	path := s.PackPath()
 	if _, statErr := os.Stat(path); statErr != nil {
-		db = gen()
+		if db = gen(); db == nil {
+			return nil, 0, false, fmt.Errorf("store: %s: no pack, and gen built no database", path)
+		}
 		if err := WritePackMetric(path, db, s.opts.Metric, 0, s.opts.PageSize, &s.m); err != nil {
 			return nil, 0, false, err
 		}
@@ -239,7 +241,7 @@ func (s *Store) Close() error {
 // engine: the wrapper answers Stats() and passes every query
 // through untouched.
 func (s *Store) Instrument(q lbs.Querier) *Instrumented {
-	return &Instrumented{inner: q, s: s}
+	return &Instrumented{Querier: q, s: s}
 }
 
 // OpenLive opens the store's durable live database. With no prior

@@ -51,7 +51,7 @@ func TestPackMetricRoundTrip(t *testing.T) {
 // format-1 layout: same fields minus the metric byte (68 bytes),
 // version field 1, checksum recomputed. Data pages are untouched —
 // the record codec did not change between formats.
-func v1FromV2(t *testing.T, data []byte, pageSize int) []byte {
+func v1FromV2(t testing.TB, data []byte, pageSize int) []byte {
 	t.Helper()
 	mut := append([]byte(nil), data...)
 	hdr := make([]byte, 0, headerSizeV1)

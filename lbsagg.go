@@ -129,10 +129,12 @@
 //     batching buys round-trips, never budget.
 //
 //   - Caching. A StackSpec with CacheSize set layers a concurrent
-//     sharded LRU over its backend, keyed by (point, k). Hits replay
-//     recorded answers without consuming budget; the /v1/stats cache
-//     section (CacheStats) counts hits, misses and evictions for cost
-//     accounting. Caching models client-side memoization of answers
+//     sharded LRU over its backend, keyed by (point, k). It records
+//     LR answers only: an LNR query is the LR answer at its point with
+//     the locations withheld, so one entry answers both views. Hits
+//     replay recorded answers without consuming budget; the /v1/stats
+//     cache section (CacheStats) counts hits, misses and evictions for
+//     cost accounting. Caching models client-side memoization of answers
 //     already paid for — it does not change the simulated service
 //     contract, and estimates over a cached stack are identical to
 //     uncached runs, just cheaper on workloads that repeat query
