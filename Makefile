@@ -81,7 +81,10 @@ stress:
 # appended query answers (byte-identical to encoding/json), the
 # store's record codec, whole .lbspack files as a warm restart opens
 # them, and the answer cache's snapshot reader. go test fuzzes one
-# target per run, hence the loop over package:target pairs.
+# target per run, hence the loop over package:target pairs. Each new
+# interesting input is minimized for at most 100 runs, not the default
+# 60 s: FuzzPackOpen's 64 KiB-page seeds are 128 KiB inputs, and
+# minimizing one at the default would spend the whole 10 s slot.
 FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
 	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
@@ -90,7 +93,7 @@ FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBat
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $${t#*:}"; \
-		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s $${t%%:*} || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime=10s -fuzzminimizetime=100x $${t%%:*} || exit 1; \
 	done
 
 # bench runs the estimation-session benchmarks; the Parallelism pair

@@ -37,27 +37,6 @@ import (
 	"repro/internal/workload"
 )
 
-// jsonTuple is the serialized tuple form.
-type jsonTuple struct {
-	ID       int64              `json:"id"`
-	X        float64            `json:"x"`
-	Y        float64            `json:"y"`
-	Name     string             `json:"name,omitempty"`
-	Category string             `json:"category,omitempty"`
-	Attrs    map[string]float64 `json:"attrs,omitempty"`
-	Tags     map[string]string  `json:"tags,omitempty"`
-}
-
-type jsonDataset struct {
-	Scenario string      `json:"scenario"`
-	MinX     float64     `json:"min_x"`
-	MinY     float64     `json:"min_y"`
-	MaxX     float64     `json:"max_x"`
-	MaxY     float64     `json:"max_y"`
-	Metric   string      `json:"metric,omitempty"`
-	Tuples   []jsonTuple `json:"tuples"`
-}
-
 func main() {
 	var (
 		scenario = flag.String("scenario", "schools", "schools | restaurants | starbucks | wechat | weibo | cities | geo-us | geo-china")
@@ -82,20 +61,6 @@ func main() {
 		return
 	}
 
-	ds := jsonDataset{
-		Scenario: sc.Name,
-		MinX:     sc.Bounds.Min.X, MinY: sc.Bounds.Min.Y,
-		MaxX: sc.Bounds.Max.X, MaxY: sc.Bounds.Max.Y,
-		Metric: sc.Metric.String(),
-	}
-	for i := 0; i < sc.DB.Len(); i++ {
-		t := sc.DB.Tuple(i)
-		ds.Tuples = append(ds.Tuples, jsonTuple{
-			ID: t.ID, X: t.Loc.X, Y: t.Loc.Y,
-			Name: t.Name, Category: t.Category, Attrs: t.Attrs, Tags: t.Tags,
-		})
-	}
-
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -108,7 +73,7 @@ func main() {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(ds); err != nil {
+	if err := enc.Encode(store.NewDataset(sc.Name, sc.DB, sc.Metric)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

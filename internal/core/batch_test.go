@@ -93,7 +93,7 @@ func TestCachedRunSameEstimateFewerQueries(t *testing.T) {
 			oracle = lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 1 << 14})
 		}
 		smp := snapSampler{Uniform: sampling.NewUniform(db.Bounds()), pitch: 25}
-		nno := NewNNOBaseline(oracle, NNOOptions{Seed: 21, Sampler: smp, ProbesPerCell: 10})
+		nno := NewNNOBaseline(oracle, NNOOptions{Seed: 21, Sampler: smp})
 		res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(samples))
 		if err != nil {
 			t.Fatal(err)
@@ -123,9 +123,9 @@ func TestCachedRunSameEstimateFewerQueries(t *testing.T) {
 func TestCachedBatchedParallelRun(t *testing.T) {
 	db := smallService2(60, 5)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
-	oracle := lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 4096, Shards: 8})
+	oracle := lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 4096})
 	smp := snapSampler{Uniform: sampling.NewUniform(db.Bounds()), pitch: 20}
-	nno := NewNNOBaseline(oracle, NNOOptions{Seed: 2, Sampler: smp, ProbesPerCell: 8})
+	nno := NewNNOBaseline(oracle, NNOOptions{Seed: 2, Sampler: smp})
 	res, err := nno.Run(context.Background(), aggsOf(t, CountSpec()),
 		WithMaxSamples(120), WithParallelism(4))
 	if err != nil {

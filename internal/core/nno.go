@@ -24,15 +24,6 @@ import (
 // inverse-probability weight makes the estimator biased (Jensen) with
 // high variance — the inefficiencies §1.2 attributes to [10].
 type NNOOptions struct {
-	// ProbesPerCell is the Monte-Carlo probe count for the area
-	// estimate. Default 30 (the best-performing setting we found, as
-	// the paper's §6 does for its NNO configuration).
-	ProbesPerCell int
-	// InitScale sets the initial box half-width as a multiple of the
-	// query-to-tuple distance. Default 2.
-	InitScale float64
-	// MaxDoublings caps box growth. Default 16.
-	MaxDoublings int
 	// Region restricts sampling to a sub-region of the service's
 	// coverage (zero = whole bounds). NNO has no cell-clipping
 	// machinery, so region estimates carry extra edge bias — one more
@@ -46,6 +37,19 @@ type NNOOptions struct {
 	Seed int64
 }
 
+// Tuning constants of the NNO baseline.
+const (
+	// nnoAreaProbes is the Monte-Carlo probe count for the area
+	// estimate (the best-performing setting we found, as the paper's
+	// §6 does for its NNO configuration).
+	nnoAreaProbes = 30
+	// nnoBoxScale sets the initial box half-width as a multiple of
+	// the query-to-tuple distance.
+	nnoBoxScale = 2
+	// nnoBoxDoublings caps box growth.
+	nnoBoxDoublings = 16
+)
+
 // NNOBaseline implements LR-LBS-NNO.
 type NNOBaseline struct {
 	svc   Oracle
@@ -57,15 +61,6 @@ type NNOBaseline struct {
 
 // NewNNOBaseline builds the baseline estimator over an LR service.
 func NewNNOBaseline(svc Oracle, opts NNOOptions) *NNOBaseline {
-	if opts.ProbesPerCell <= 0 {
-		opts.ProbesPerCell = 30
-	}
-	if opts.InitScale <= 0 {
-		opts.InitScale = 2
-	}
-	if opts.MaxDoublings <= 0 {
-		opts.MaxDoublings = 16
-	}
 	region := opts.Region
 	if region.Area() <= 0 {
 		region = svc.Bounds()
@@ -114,8 +109,8 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 	t := recs[0] // NNO uses only the nearest neighbor
 	// Phase 1: grow a box around t by doubling while any corner still
 	// returns t as the nearest neighbor.
-	half := b.opts.InitScale * math.Max(q.Dist(t.Loc), b.bound.Diagonal()*1e-6)
-	for d := 0; d < b.opts.MaxDoublings; d++ {
+	half := nnoBoxScale * math.Max(q.Dist(t.Loc), b.bound.Diagonal()*1e-6)
+	for d := 0; d < nnoBoxDoublings; d++ {
 		box := geom.NewRect(
 			t.Loc.Sub(geom.Pt(half, half)),
 			t.Loc.Add(geom.Pt(half, half)),
@@ -148,9 +143,9 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 	// Phase 2: Monte-Carlo area estimate. The probes are independent,
 	// so they travel through the oracle's batch path when it has one
 	// (one round-trip and one budget reservation instead of
-	// ProbesPerCell); the probe points, their order and the query cost
+	// nnoAreaProbes); the probe points, their order and the query cost
 	// are identical to the sequential loop.
-	probes := make([]geom.Point, b.opts.ProbesPerCell)
+	probes := make([]geom.Point, nnoAreaProbes)
 	for i := range probes {
 		probes[i] = geom.RandomInRect(b.rng, box)
 	}
@@ -164,13 +159,13 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 			hits++
 		}
 	}
-	frac := float64(hits) / float64(b.opts.ProbesPerCell)
+	frac := float64(hits) / nnoAreaProbes
 	if frac == 0 {
 		// The probe box missed the cell entirely (can happen when the
 		// cell is a sliver); fall back to the smallest resolvable
 		// fraction, a pragmatic choice mirroring [10]'s bias
 		// correction needs.
-		frac = 0.5 / float64(b.opts.ProbesPerCell)
+		frac = 0.5 / nnoAreaProbes
 	}
 	areaEst := frac * box.Area()
 	// Approximate the selection probability as sampling-density ×

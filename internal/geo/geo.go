@@ -258,19 +258,6 @@ func (m Metric) ExpandRect(rect geom.Rect, dist float64) geom.Rect {
 	return out
 }
 
-// CellPitch returns the per-axis coordinate pitch of an answer-cache
-// quantization cell whose target size is quantum (km under Haversine,
-// plane units under Euclidean). Haversine cells are quantum/KmPerDeg
-// degrees on both axes: exactly quantum km tall, and at most quantum
-// km wide (longitude degrees shrink with latitude) — conservative for
-// hit-sharing at high latitude, never the reverse.
-func (m Metric) CellPitch(quantum float64) (px, py float64) {
-	if m != Haversine {
-		return quantum, quantum
-	}
-	return quantum / KmPerDeg, quantum / KmPerDeg
-}
-
 // Projection is the equirectangular local projection at a reference
 // latitude φ₀: Forward maps (lon°, lat°) to kilometers on a plane via
 // x′ = R·cos φ₀·λ_rad, y′ = R·φ_rad. It is the documented planar

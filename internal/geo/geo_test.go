@@ -240,26 +240,6 @@ func TestExpandRect(t *testing.T) {
 	}
 }
 
-// TestCellPitch pins the cache quantization pitches: Euclidean is the
-// quantum itself on both axes; Haversine cells are quantum km of
-// latitude and at most quantum km of longitude.
-func TestCellPitch(t *testing.T) {
-	px, py := Euclidean.CellPitch(2.5)
-	if px != 2.5 || py != 2.5 {
-		t.Fatalf("Euclidean pitch = %v,%v", px, py)
-	}
-	px, py = Haversine.CellPitch(2.5)
-	if math.Abs(py*KmPerDeg-2.5) > 1e-12 {
-		t.Fatalf("Haversine lat pitch = %v deg (%v km)", py, py*KmPerDeg)
-	}
-	// Lon cell width in km at latitude φ is px·KmPerDeg·cosφ ≤ quantum.
-	for _, lat := range []float64{0, 30, 60, 85} {
-		if w := px * KmPerDeg * math.Cos(lat*math.Pi/180); w > 2.5+1e-12 {
-			t.Fatalf("lon cell %v km wide at lat %v", w, lat)
-		}
-	}
-}
-
 // TestParseMetric pins the wire names.
 func TestParseMetric(t *testing.T) {
 	for s, want := range map[string]Metric{

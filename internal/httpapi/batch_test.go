@@ -281,7 +281,7 @@ func TestRemoteBatchedEstimationRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nno := core.NewNNOBaseline(c, core.NNOOptions{Seed: 4, ProbesPerCell: 10})
+	nno := core.NewNNOBaseline(c, core.NNOOptions{Seed: 4})
 	res, err := nno.Run(context.Background(), countAll(t),
 		core.WithMaxSamples(20))
 	if err != nil {

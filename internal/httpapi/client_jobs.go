@@ -63,15 +63,11 @@ func (c *Client) Estimate(ctx context.Context, spec jobs.Spec) (*jobs.View, erro
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: estimate encode: %w", err)
 	}
-	attempts := c.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	for attempt := 0; ; attempt++ {
 		resp, err := c.doOnce(ctx, http.MethodPost, c.base+"/v1/estimate", body)
 		if err != nil {
-			if errors.Is(err, jobs.ErrTableFull) && attempt+1 < attempts {
-				if serr := lbs.Sleep(ctx, c.retry.backoff(attempt+1)); serr != nil {
+			if errors.Is(err, jobs.ErrTableFull) && attempt+1 < retryAttempts {
+				if serr := lbs.Sleep(ctx, retryBackoff(attempt+1)); serr != nil {
 					return nil, fmt.Errorf("httpapi: estimate: %w (after %v)", serr, err)
 				}
 				continue

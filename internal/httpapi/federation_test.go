@@ -193,7 +193,6 @@ func TestJobsExhaustedSurfacesAs429(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := newJobsClient(t, srv)
-	c.SetRetryPolicy(NoRetry())
 	ctx := context.Background()
 
 	spec := jobs.Spec{
@@ -273,7 +272,6 @@ func TestEstimateRetryPolicy(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	fast := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
 	spec := jobs.Spec{Method: jobs.MethodNNO, Seed: 1, Aggregates: []core.AggSpec{core.CountSpec()}}
 	ctx := context.Background()
 
@@ -281,7 +279,6 @@ func TestEstimateRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cCap.SetRetryPolicy(fast)
 	v, err := cCap.Estimate(ctx, spec)
 	if err != nil {
 		t.Fatalf("capacity 429s should be retried through: %v", err)
@@ -294,7 +291,6 @@ func TestEstimateRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cBud.SetRetryPolicy(fast)
 	if _, err := cBud.Estimate(ctx, spec); !errors.Is(err, lbs.ErrBudgetExhausted) {
 		t.Fatalf("budget 429: err %v, want ErrBudgetExhausted", err)
 	}

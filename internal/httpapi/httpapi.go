@@ -435,7 +435,7 @@ func (s *Server) handleLNRBatch(w http.ResponseWriter, r *http.Request) {
 // counts queries locally (mirroring how a real client tracks its own
 // quota consumption). Transient failures — transport errors, 5xx, and
 // 429s that are genuine rate limiting rather than a spent budget — are
-// retried with jittered exponential backoff (see RetryPolicy), so
+// retried with jittered exponential backoff, so
 // remote estimation runs survive flaky gateways. Beyond raw queries,
 // the client drives server-side estimation jobs (Estimate, Job,
 // CancelJob, FollowJobTrace, WaitJob).
@@ -443,17 +443,11 @@ type Client struct {
 	base    string
 	hc      *http.Client
 	sel     Selection
-	retry   RetryPolicy
 	k       int
 	bounds  geom.Rect
 	metric  geo.Metric
 	queries atomic.Int64
 }
-
-// SetRetryPolicy replaces the client's retry policy (default
-// DefaultRetryPolicy). Call it before sharing the client between
-// goroutines.
-func (c *Client) SetRetryPolicy(p RetryPolicy) { c.retry = p }
 
 // metaTimeout bounds the construction-time /v1/meta probe when the
 // caller's context carries no deadline of its own and the HTTP client
@@ -470,7 +464,7 @@ func NewClient(ctx context.Context, baseURL string, sel Selection, httpClient *h
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: baseURL, hc: httpClient, sel: sel, retry: DefaultRetryPolicy()}
+	c := &Client{base: baseURL, hc: httpClient, sel: sel}
 	if _, ok := ctx.Deadline(); !ok && httpClient.Timeout == 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, metaTimeout)

@@ -22,7 +22,7 @@ import (
 func degradedFront(t *testing.T) (*httptest.Server, *Client, *shard.Router, []*faults.Injector) {
 	t.Helper()
 	db := workload.USASchools(120, 23).DB
-	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour, Seed: 1}
+	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour}
 	inj := make([]*faults.Injector, 2)
 	router, err := shard.FromPartsWrapped(shard.Partition(db, 2), lbs.Options{K: 20}, res,
 		func(i int, q lbs.Querier) lbs.Querier {
@@ -104,7 +104,7 @@ func TestPartialAnswerHeadersRoundTrip(t *testing.T) {
 // fault counters chain-walked from the member injectors.
 func TestStatsReportsHealthAndFaults(t *testing.T) {
 	db := workload.USASchools(120, 29).DB
-	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: 100 * time.Millisecond, Seed: 1}
+	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: 100 * time.Millisecond}
 	inj := make([]*faults.Injector, 2)
 	router, err := shard.FromPartsWrapped(shard.Partition(db, 2), lbs.Options{K: 20}, res,
 		func(i int, q lbs.Querier) lbs.Querier {

@@ -14,44 +14,27 @@ import (
 	"repro/internal/lbs"
 )
 
-// RetryPolicy bounds the client's automatic retries of transient
+// The client's retry policy bounds its automatic retries of transient
 // failures: transport errors, 5xx responses, and 429 responses that do
 // NOT carry the budget_exhausted code (a spent budget is permanent and
 // surfaces immediately as lbs.ErrBudgetExhausted). Only idempotent
 // requests retry — GETs and the batch POSTs, whose replay costs budget
 // only for answers actually delivered; job submission never retries.
 //
-// Backoff is exponential from BaseDelay, capped at MaxDelay, with
-// uniform jitter in [1/2, 1] of the computed delay so synchronized
-// clients spread out. Every wait honors the request context.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries (1 = no retries).
-	// Default 3.
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff. Default 100 ms.
-	BaseDelay time.Duration
-	// MaxDelay caps a single backoff wait. Default 2 s.
-	MaxDelay time.Duration
-}
+// A request is tried retryAttempts times in all. Backoff is
+// exponential from retryBase, capped at retryMax, with uniform jitter
+// in [1/2, 1] of the computed delay so synchronized clients spread
+// out. Every wait honors the request context.
+const (
+	retryAttempts = 3
+	retryBase     = 100 * time.Millisecond
+	retryMax      = 2 * time.Second
+)
 
-// DefaultRetryPolicy is the policy a new Client starts with.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}
-}
-
-// NoRetry disables retrying entirely.
-func NoRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 1} }
-
-// backoff returns the jittered wait before the given retry (attempt ≥ 1).
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	base, max := p.BaseDelay, p.MaxDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	return lbs.Backoff(base, max, attempt, rand.Int63n)
+// retryBackoff returns the jittered wait before the given retry
+// (attempt ≥ 1).
+func retryBackoff(attempt int) time.Duration {
+	return lbs.Backoff(retryBase, retryMax, attempt, rand.Int63n)
 }
 
 // retryableStatus reports whether a status is worth retrying; 429 is
@@ -76,7 +59,7 @@ func decodeError(resp *http.Response) errorResponse {
 // (4xx) are returned as responses for the caller to interpret. body
 // may be nil; it is re-sent on every attempt.
 func (c *Client) do(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	return c.doAttempts(ctx, method, url, body, c.retry.MaxAttempts)
+	return c.doAttempts(ctx, method, url, body, retryAttempts)
 }
 
 // doOnce is do without retries, for non-idempotent requests.
@@ -85,13 +68,10 @@ func (c *Client) doOnce(ctx context.Context, method, url string, body []byte) (*
 }
 
 func (c *Client) doAttempts(ctx context.Context, method, url string, body []byte, attempts int) (*http.Response, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if err := lbs.Sleep(ctx, c.retry.backoff(attempt)); err != nil {
+			if err := lbs.Sleep(ctx, retryBackoff(attempt)); err != nil {
 				return nil, fmt.Errorf("httpapi: %s %s: %w (after %v)", method, url, err, lastErr)
 			}
 		}

@@ -39,10 +39,6 @@ func (f *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(w, r)
 }
 
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-}
-
 func retryTestBackend(t *testing.T) *lbs.Service {
 	t.Helper()
 	sc := workload.USASchools(60, 5)
@@ -58,7 +54,6 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry())
 	recs, err := c.QueryLR(context.Background(), geom.Pt(100, 100), nil)
 	if err != nil {
 		t.Fatalf("query should survive two 503s: %v", err)
@@ -83,7 +78,6 @@ func TestClientRetriesTransient429ThenGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry())
 	_, err = c.QueryLR(context.Background(), geom.Pt(100, 100), nil)
 	if err == nil {
 		t.Fatal("expected an error after exhausting retries")
@@ -107,7 +101,6 @@ func TestClientDoesNotRetryBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry())
 	ctx := context.Background()
 	if _, err := c.QueryLR(ctx, geom.Pt(100, 100), nil); err != nil {
 		t.Fatalf("first query (within budget): %v", err)
@@ -130,7 +123,6 @@ func TestClientRetriesBatchPOST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry())
 	pts := []geom.Point{{X: 100, Y: 100}, {X: 500, Y: 500}}
 	answers, err := c.QueryLRBatch(context.Background(), pts, nil)
 	if err != nil {
@@ -150,15 +142,18 @@ func TestRetryBackoffBoundedByContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	// The deadline falls inside the first backoff, which waits at least
+	// retryBase/2: a loop that honors ctx ends there, with the deadline
+	// as its cause. One that slept through its backoffs regardless
+	// would take at least their shortest total, retryBase/2 + retryBase.
+	ctx, cancel := context.WithTimeout(context.Background(), retryBase/5)
 	defer cancel()
 	start := time.Now()
 	_, err = c.QueryLR(ctx, geom.Pt(100, 100), nil)
-	if err == nil {
-		t.Fatal("expected an error")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context deadline", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
+	if elapsed := time.Since(start); elapsed >= retryBase/2+retryBase {
 		t.Fatalf("retry loop ignored the context deadline: took %v", elapsed)
 	}
 }

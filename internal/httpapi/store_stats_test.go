@@ -23,7 +23,7 @@ func TestStatsStoreSection(t *testing.T) {
 	gen := func() *lbs.Database { return workload.USASchools(200, 3).DB }
 
 	open := func(t *testing.T) (*store.Store, *lbs.CachedOracle, lbs.Querier) {
-		st, err := store.Open(dir, store.Options{PageSize: 512})
+		st, err := store.Open(dir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestStatsStoreSection(t *testing.T) {
 			t.Fatal(err)
 		}
 		svc := lbs.NewService(db, lbs.Options{K: 5})
-		cache := lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 64, Quantum: 0.01})
+		cache := lbs.NewCachedOracle(svc, lbs.CacheOptions{Capacity: 64})
 		return st, cache, st.Instrument(cache)
 	}
 
@@ -87,7 +87,7 @@ func TestStatsStoreSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One scan reads every data page once: all pages but the header.
-	if want := uint64(fi.Size()/512 - 1); out.Store == nil || out.Store.PagesRead != want {
+	if want := uint64(fi.Size()/store.DefaultPageSize - 1); out.Store == nil || out.Store.PagesRead != want {
 		t.Fatalf("warm restart store section %+v: pages_read, want %d", out.Store, want)
 	}
 	if out.Store.CacheRestored != uint64(n) {

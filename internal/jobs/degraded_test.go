@@ -19,7 +19,7 @@ import (
 func federatedBackend(t *testing.T) (*shard.Router, []*faults.Injector) {
 	t.Helper()
 	db := workload.USASchools(300, 9).DB
-	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour, Seed: 1}
+	res := shard.Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour}
 	inj := make([]*faults.Injector, 4)
 	router, err := shard.FromPartsWrapped(shard.Partition(db, 4), lbs.Options{K: 5}, res,
 		func(i int, q lbs.Querier) lbs.Querier {
@@ -100,7 +100,7 @@ func TestJobFailsCrisplyWithOwnerDown(t *testing.T) {
 	db := workload.USASchools(300, 9).DB
 	inj := make([]*faults.Injector, 4)
 	router, err := shard.FromPartsWrapped(shard.Partition(db, 4), lbs.Options{K: 5},
-		shard.Resilience{Seed: 1}, // breaker off
+		shard.Resilience{}, // breaker off
 		func(i int, q lbs.Querier) lbs.Querier {
 			inj[i] = faults.New(q, faults.Spec{Seed: int64(i)})
 			return inj[i]

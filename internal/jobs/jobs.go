@@ -277,14 +277,15 @@ type ManagerOptions struct {
 	// their own (0 = no default, jobs run until the service refuses).
 	DefaultMaxQueries int64
 	// Store, when set, makes jobs durable: specs persist at creation,
-	// views checkpoint every CheckpointEvery samples and at settle, and
+	// views checkpoint every checkpointEvery samples and at settle, and
 	// Recover reloads the table after a restart (finished jobs keep
 	// their results; interrupted jobs re-run deterministically).
 	Store Store
-	// CheckpointEvery is the sample interval between durable view
-	// checkpoints of a running job (default 256 when a Store is set).
-	CheckpointEvery int
 }
+
+// checkpointEvery is the sample interval between durable view
+// checkpoints of a running job.
+const checkpointEvery = 256
 
 // Manager owns the job table and the shared backend every job queries
 // through. It is safe for concurrent use.
@@ -303,9 +304,6 @@ type Manager struct {
 func NewManager(backend lbs.Querier, opts ManagerOptions) *Manager {
 	if opts.MaxJobs <= 0 {
 		opts.MaxJobs = 1024
-	}
-	if opts.Store != nil && opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 256
 	}
 	return &Manager{
 		backend: backend,
@@ -330,10 +328,9 @@ type Job struct {
 	done   chan struct{}
 
 	// durability (nil/zero on an ephemeral manager).
-	persist   Store
-	ckptEvery int
-	resumed   bool
-	saves     sync.WaitGroup // in-flight async checkpoint writes
+	persist Store
+	resumed bool
+	saves   sync.WaitGroup // in-flight async checkpoint writes
 
 	mu       sync.Mutex
 	state    State
@@ -421,7 +418,6 @@ func (m *Manager) start(spec Spec, id string, resumed bool) (*Job, error) {
 		cancel:    cancel,
 		done:      make(chan struct{}),
 		persist:   m.opts.Store,
-		ckptEvery: m.opts.CheckpointEvery,
 		resumed:   resumed,
 		state:     StateRunning,
 		traceWake: make(chan struct{}),

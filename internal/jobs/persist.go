@@ -4,7 +4,7 @@ package jobs
 // view persist across process restarts. The lifecycle is
 //
 //	Create  — the spec is saved before the run starts
-//	running — the view checkpoints every CheckpointEvery samples
+//	running — the view checkpoints every checkpointEvery samples
 //	settle  — the final view is saved before Done() closes
 //	Recover — a fresh Manager reloads the table: finished jobs come
 //	          back with their stored results; interrupted jobs re-run
@@ -211,7 +211,7 @@ func (j *Job) maybeCheckpointLocked() {
 	if j.persist == nil {
 		return
 	}
-	if j.planSamples-j.lastCkpt < j.ckptEvery {
+	if j.planSamples-j.lastCkpt < checkpointEvery {
 		return
 	}
 	j.lastCkpt = j.planSamples

@@ -15,34 +15,21 @@ import (
 // CacheOptions configures a CachedOracle.
 type CacheOptions struct {
 	// Capacity is the maximum number of cached answers across all
-	// shards (default 4096). It is split evenly between shards — the
-	// effective capacity rounds down to a multiple of the shard count,
-	// and the shard count is clamped so total residency never exceeds
-	// Capacity.
+	// shards (default 4096). It is split evenly between the cache's 16
+	// independently locked LRU shards — the effective capacity rounds
+	// down to a multiple of the shard count, and the shard count is
+	// clamped so total residency never exceeds Capacity.
 	Capacity int
-	// Shards is the number of independently locked LRU shards, rounded
-	// up to a power of two (default 16). More shards means less lock
-	// contention under core.Run's parallel mode.
-	Shards int
-	// Quantum, when positive, quantizes query coordinates to a grid of
-	// this pitch before keying, so that near-identical points share an
-	// entry. Zero keys on the exact floating-point bit pattern — hits
-	// then replay answers for exactly repeated points only, which keeps
-	// the wrapper fully transparent to the estimators.
-	//
-	// The quantum is expressed in the Metric's unit: plane units under
-	// geo.Euclidean (cells of exactly Quantum × Quantum), kilometers
-	// under geo.Haversine (cells of Quantum km of latitude by at most
-	// Quantum km of longitude — geo.Metric.CellPitch converts, and the
-	// shrinking of longitude degrees with latitude makes high-latitude
-	// cells conservatively narrow, never too wide).
-	Quantum float64
-	// Metric is the distance metric of the wrapped service stack. It
-	// scales Quantum into per-axis coordinate pitches and must match
-	// the inner Querier's metric. The zero value (geo.Euclidean)
-	// preserves the historical keying bit for bit.
+	// Metric is ignored: keys are the exact bit patterns of the query
+	// coordinates under any metric. It is kept so callers that name
+	// their stack's metric still compile.
 	Metric geo.Metric
 }
+
+// cacheShards is the number of independently locked LRU shards (a
+// power of two, so a hash's low bits pick one). More shards means
+// less lock contention under core.Run's parallel mode.
+const cacheShards = 16
 
 // CacheStats is a point-in-time snapshot of cache effectiveness
 // counters, for the cost accounting of experiments.
@@ -56,9 +43,10 @@ type CacheStats struct {
 	Entries       int64 `json:"entries"`            // entries currently resident
 }
 
-// cacheKey identifies one recorded LR answer: (quantized point, k).
-// The LNR answer at the same point is that answer with its locations
-// stripped, so one key serves both views.
+// cacheKey identifies one recorded LR answer: (point, k), the point
+// as the bit patterns of its coordinates. The LNR answer at the same
+// point is that answer with its locations stripped, so one key serves
+// both views.
 type cacheKey struct {
 	k  int
 	qx uint64
@@ -186,7 +174,7 @@ func (sh *cacheShard) len() int {
 }
 
 // CachedOracle memoizes the LR answers of an inner service-side
-// Querier in a concurrent sharded LRU keyed by (quantized point, k).
+// Querier in a concurrent sharded LRU keyed by (exact point, k).
 // Cache hits replay the recorded answer without consuming the inner
 // service's budget — client-side memoization, not a change to the
 // service contract. An LNR query is answered as the LR answer at the
@@ -204,20 +192,15 @@ func (sh *cacheShard) len() int {
 // as immutable, exactly as they must treat the simulator's shared
 // Attrs/Tags maps.
 type CachedOracle struct {
-	inner   Querier
-	quantum float64
-	// pitchX/pitchY are the per-axis cell pitches Quantum resolves to
-	// under the metric (both equal to quantum under Euclidean).
-	pitchX, pitchY float64
-	metric         geo.Metric
-	shards         []*cacheShard
-	shardMask      uint64
-	hits           atomic.Int64
-	misses         atomic.Int64
-	bypasses       atomic.Int64
-	evictions      atomic.Int64
-	invalidations  atomic.Int64
-	restored       atomic.Int64
+	inner         Querier
+	shards        []*cacheShard
+	shardMask     uint64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	bypasses      atomic.Int64
+	evictions     atomic.Int64
+	invalidations atomic.Int64
+	restored      atomic.Int64
 }
 
 var _ Querier = (*CachedOracle)(nil)
@@ -232,26 +215,15 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 4096
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 16
-	}
-	shards := 1
-	for shards < opts.Shards {
-		shards *= 2
-	}
+	shards := cacheShards
 	// A shard holds at least one entry, so clamp the shard count to
 	// the capacity: total residency must never exceed Capacity.
 	for shards > 1 && shards > opts.Capacity {
 		shards /= 2
 	}
 	perShard := opts.Capacity / shards
-	px, py := opts.Metric.CellPitch(opts.Quantum)
 	c := &CachedOracle{
 		inner:     inner,
-		quantum:   opts.Quantum,
-		pitchX:    px,
-		pitchY:    py,
-		metric:    opts.Metric,
 		shards:    make([]*cacheShard, shards),
 		shardMask: uint64(shards - 1),
 	}
@@ -269,8 +241,7 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 // normZero collapses negative zero onto positive zero: -0.0 and +0.0
 // are the same query point (they compare equal and yield identical
 // distances), but their Float64bits differ, so keying on the raw bit
-// pattern would give the one point two cache entries — and, through
-// math.Floor, let quantized keys straddle the sign at a cell boundary.
+// pattern would give the one point two cache entries.
 func normZero(v float64) float64 {
 	if v == 0 {
 		return 0
@@ -278,18 +249,10 @@ func normZero(v float64) float64 {
 	return v
 }
 
-// keyFor quantizes p and assembles the cache key.
+// keyFor assembles the cache key of p: its coordinates' bit
+// patterns, so a hit replays an answer recorded at exactly p.
 func (c *CachedOracle) keyFor(p geom.Point) cacheKey {
-	x, y := normZero(p.X), normZero(p.Y)
-	var qx, qy uint64
-	if c.quantum > 0 {
-		qx = uint64(int64(normZero(math.Floor(x / c.pitchX))))
-		qy = uint64(int64(normZero(math.Floor(y / c.pitchY))))
-	} else {
-		qx = math.Float64bits(x)
-		qy = math.Float64bits(y)
-	}
-	return cacheKey{k: c.inner.K(), qx: qx, qy: qy}
+	return cacheKey{k: c.inner.K(), qx: math.Float64bits(normZero(p.X)), qy: math.Float64bits(normZero(p.Y))}
 }
 
 func (c *CachedOracle) shardFor(key cacheKey) *cacheShard {
@@ -311,24 +274,6 @@ func (c *CachedOracle) Stats() CacheStats {
 		Restored:      c.restored.Load(),
 		Entries:       entries,
 	}
-}
-
-// cellRect reconstructs the region of query points that share a key:
-// the per-axis quantization cell [q·pitch, (q+1)·pitch) under a
-// positive quantum, or the single exact point keyed by its bit
-// pattern. It is the geometric footprint Invalidate tests against the
-// dirty region (both in raw coordinate space, whatever the metric).
-func (c *CachedOracle) cellRect(key cacheKey) geom.Rect {
-	if c.quantum > 0 {
-		x0 := float64(int64(key.qx)) * c.pitchX
-		y0 := float64(int64(key.qy)) * c.pitchY
-		return geom.Rect{
-			Min: geom.Point{X: x0, Y: y0},
-			Max: geom.Point{X: x0 + c.pitchX, Y: y0 + c.pitchY},
-		}
-	}
-	p := geom.Point{X: math.Float64frombits(key.qx), Y: math.Float64frombits(key.qy)}
-	return geom.Rect{Min: p, Max: p}
 }
 
 // removeIf drops every entry whose key matches pred and returns how
@@ -358,7 +303,7 @@ func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
 	return removed
 }
 
-// Invalidate drops every cached answer whose query cell intersects
+// Invalidate drops every cached answer whose query point lies in
 // region and returns how many entries were dropped. Mutation-driven
 // epoch invalidation calls this with the dirty region of a batch of
 // mutations — the bounding box of disks of the service's maximum
@@ -369,9 +314,8 @@ func (c *CachedOracle) Invalidate(region geom.Rect) int64 {
 	var dropped int64
 	for _, sh := range c.shards {
 		dropped += int64(sh.removeIf(func(key cacheKey) bool {
-			cell := c.cellRect(key)
-			return cell.Min.X <= region.Max.X && region.Min.X <= cell.Max.X &&
-				cell.Min.Y <= region.Max.Y && region.Min.Y <= cell.Max.Y
+			x, y := math.Float64frombits(key.qx), math.Float64frombits(key.qy)
+			return region.Min.X <= x && x <= region.Max.X && region.Min.Y <= y && y <= region.Max.Y
 		}))
 	}
 	c.invalidations.Add(dropped)

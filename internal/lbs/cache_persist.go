@@ -8,9 +8,10 @@ package lbs
 // The snapshot is a point-in-time copy, not a live mirror: write it at
 // graceful shutdown (after the last mutation-driven invalidation) and
 // read it exactly once at startup, before serving. A snapshot whose
-// configuration (k, quantum) does not match the restoring cache is
-// rejected whole — replaying answers recorded under a different key
-// geometry would serve wrong results, and a cold cache is always safe.
+// configuration does not match the restoring cache — a different k,
+// or keys quantized to a grid instead of exact points — is rejected
+// whole: replaying answers recorded under a different key geometry
+// would serve wrong results, and a cold cache is always safe.
 
 import (
 	"encoding/gob"
@@ -20,8 +21,8 @@ import (
 )
 
 // ErrCacheSnapshotMismatch is returned by ReadSnapshot when the
-// snapshot was recorded under a different cache configuration (k or
-// quantum). The caller should log it and serve cold.
+// snapshot was recorded under a different cache configuration (k, or
+// a non-zero quantum). The caller should log it and serve cold.
 var ErrCacheSnapshotMismatch = errors.New("lbs: cache snapshot configuration mismatch")
 
 // cacheSnapshotVersion guards the gob stream layout; bump on any
@@ -29,9 +30,10 @@ var ErrCacheSnapshotMismatch = errors.New("lbs: cache snapshot configuration mis
 const cacheSnapshotVersion = 1
 
 // cacheSnapshotHeader pins the key geometry the entries were recorded
-// under. Selection is always written empty — filtered answers are
-// never cached — and kept so the layout stays at version 1; a snapshot
-// carrying one is rejected.
+// under. Selection and Quantum are always written empty — filtered
+// answers are never cached, and keys are exact points, not grid cells
+// — and kept so the layout stays at version 1; a snapshot carrying
+// either is rejected.
 type cacheSnapshotHeader struct {
 	Version   int
 	K         int
@@ -41,12 +43,11 @@ type cacheSnapshotHeader struct {
 }
 
 // cacheSnapshotEntry is the wire form of one recorded answer. QX/QY
-// are the raw key words (quantized cell indices, or Float64bits of the
-// exact point), preserved exactly. Kind is always written 0 (an LR
-// answer). Streams from before the cache kept one answer kind also
-// hold kind-1 entries with an LNR field; gob skips that field, and
-// ReadSnapshot drops those entries, since the LR entry at the same
-// point answers LNR too.
+// are the raw key words (Float64bits of the exact point), preserved
+// exactly. Kind is always written 0 (an LR answer). Streams from
+// before the cache kept one answer kind also hold kind-1 entries with
+// an LNR field; gob skips that field, and ReadSnapshot drops those
+// entries, since the LR entry at the same point answers LNR too.
 type cacheSnapshotEntry struct {
 	Kind   uint8
 	QX, QY uint64
@@ -71,8 +72,7 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 	}
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(cacheSnapshotHeader{
-		Version: cacheSnapshotVersion, K: c.inner.K(),
-		Quantum: c.quantum, Entries: len(entries),
+		Version: cacheSnapshotVersion, K: c.inner.K(), Entries: len(entries),
 	}); err != nil {
 		return fmt.Errorf("lbs: cache snapshot header: %w", err)
 	}
@@ -105,9 +105,9 @@ func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 	if h.Version != cacheSnapshotVersion {
 		return 0, fmt.Errorf("%w: version %d (want %d)", ErrCacheSnapshotMismatch, h.Version, cacheSnapshotVersion)
 	}
-	if h.K != c.inner.K() || h.Selection != "" || h.Quantum != c.quantum {
-		return 0, fmt.Errorf("%w: recorded (k=%d sel=%q quantum=%g), cache (k=%d quantum=%g)",
-			ErrCacheSnapshotMismatch, h.K, h.Selection, h.Quantum, c.inner.K(), c.quantum)
+	if h.K != c.inner.K() || h.Selection != "" || h.Quantum != 0 {
+		return 0, fmt.Errorf("%w: recorded (k=%d sel=%q quantum=%g), cache (k=%d, exact keys)",
+			ErrCacheSnapshotMismatch, h.K, h.Selection, h.Quantum, c.inner.K())
 	}
 	loaded := 0
 	for i := 0; i < h.Entries; i++ {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/geom"
@@ -20,12 +23,12 @@ type legacySnapshotEntry struct {
 }
 
 // legacySnapshot encodes, in that older layout, an LR and an LNR
-// entry for each of pts over svc (k 2, quantum 0).
-func legacySnapshot(tb testing.TB, svc *Service, pts []geom.Point) []byte {
+// entry for each of pts over svc, under a header recording quantum.
+func legacySnapshot(tb testing.TB, svc *Service, pts []geom.Point, quantum float64) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(cacheSnapshotHeader{Version: 1, K: svc.K(), Entries: 2 * len(pts)}); err != nil {
+	if err := enc.Encode(cacheSnapshotHeader{Version: 1, K: svc.K(), Quantum: quantum, Entries: 2 * len(pts)}); err != nil {
 		tb.Fatal(err)
 	}
 	for _, p := range pts {
@@ -43,23 +46,22 @@ func legacySnapshot(tb testing.TB, svc *Service, pts []geom.Point) []byte {
 	return buf.Bytes()
 }
 
-// TestCacheSnapshotLegacyLNREntries: a version-1 snapshot written when
-// LR and LNR answers were cached apart loads without error. Its LR
-// entries are restored and answer both views; its LNR entries are
-// dropped and counted neither as loaded nor as restored.
-func TestCacheSnapshotLegacyLNREntries(t *testing.T) {
+// snapshotFixture is the data the compatibility snapshots were
+// recorded over: three tuples, k = 2, and one answer per point.
+func snapshotFixture() (*Database, Options, []geom.Point) {
 	db := NewDatabase(geom.Rect{Max: geom.Pt(10, 10)}, []Tuple{
 		{ID: 1, Loc: geom.Pt(1, 1)}, {ID: 2, Loc: geom.Pt(5, 5)}, {ID: 3, Loc: geom.Pt(9, 2)},
 	})
-	opts := Options{K: 2}
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(6, 6), geom.Pt(9, 9)}
-	data := legacySnapshot(t, NewService(db, opts), pts)
+	return db, Options{K: 2}, []geom.Point{geom.Pt(0, 0), geom.Pt(6, 6), geom.Pt(9, 9)}
+}
 
-	svc := NewService(db, opts)
-	c := NewCachedOracle(svc, CacheOptions{Capacity: 16, Shards: 1})
-	n, err := c.ReadSnapshot(bytes.NewReader(data))
-	if err != nil || n != len(pts) {
-		t.Fatalf("ReadSnapshot = %d, %v; want %d LR entries and no error", n, err, len(pts))
+// checkRestored requires c to hold exactly n restored entries, one per
+// point of pts, and to answer both views there as a fresh service
+// does without forwarding a query to svc.
+func checkRestored(t *testing.T, c *CachedOracle, svc *Service, db *Database, opts Options, pts []geom.Point, n int) {
+	t.Helper()
+	if n != len(pts) {
+		t.Fatalf("ReadSnapshot loaded %d entries, want %d", n, len(pts))
 	}
 	if st := c.Stats(); st.Restored != int64(n) || st.Entries != int64(n) {
 		t.Fatalf("stats %+v, want %d restored resident entries", st, n)
@@ -67,19 +69,96 @@ func TestCacheSnapshotLegacyLNREntries(t *testing.T) {
 	ctx := context.Background()
 	ref := NewService(db, opts)
 	for _, p := range pts {
-		want, _ := ref.QueryLNR(ctx, p, nil)
-		got, err := c.QueryLNR(ctx, p, nil)
+		want, _ := ref.QueryLR(ctx, p, nil)
+		got, err := c.QueryLR(ctx, p, nil)
 		if err != nil || len(got) != len(want) {
-			t.Fatalf("LNR at %v = %v, %v; want %v", p, got, err, want)
+			t.Fatalf("LR at %v = %v, %v; want %v", p, got, err, want)
 		}
 		for i := range got {
-			if got[i].ID != want[i].ID {
-				t.Fatalf("LNR at %v rank %d = ID %d, want %d", p, i, got[i].ID, want[i].ID)
+			if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist {
+				t.Fatalf("LR at %v rank %d = (%d, %v), want (%d, %v)", p, i, got[i].ID, got[i].Dist, want[i].ID, want[i].Dist)
+			}
+		}
+		lnr, err := c.QueryLNR(ctx, p, nil)
+		if err != nil || len(lnr) != len(want) {
+			t.Fatalf("LNR at %v = %v, %v; want %d records", p, lnr, err, len(want))
+		}
+		for i := range lnr {
+			if lnr[i].ID != want[i].ID {
+				t.Fatalf("LNR at %v rank %d = ID %d, want %d", p, i, lnr[i].ID, want[i].ID)
 			}
 		}
 	}
 	if q := svc.QueryCount(); q != 0 {
 		t.Fatalf("restored cache forwarded %d queries; every answer should have replayed", q)
+	}
+}
+
+// TestCacheSnapshotLegacyLNREntries: a version-1 snapshot written when
+// LR and LNR answers were cached apart loads without error. Its LR
+// entries are restored and answer both views; its LNR entries are
+// dropped and counted neither as loaded nor as restored.
+func TestCacheSnapshotLegacyLNREntries(t *testing.T) {
+	db, opts, pts := snapshotFixture()
+	data := legacySnapshot(t, NewService(db, opts), pts, 0)
+
+	svc := NewService(db, opts)
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 4 * cacheShards})
+	n, err := c.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	checkRestored(t, c, svc, db, opts, pts, n)
+}
+
+// TestCacheSnapshotExactKeyV1Loads: a version-1 snapshot in the
+// exact-key layout (quantum 0, one LR entry per point), as the cache
+// wrote it before its quantized keys were removed, restores every
+// entry. testdata/cache_v1_exact.snapshot holds such a stream, written
+// over snapshotFixture.
+func TestCacheSnapshotExactKeyV1Loads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "cache_v1_exact.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, opts, pts := snapshotFixture()
+	svc := NewService(db, opts)
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 4 * cacheShards})
+	n, err := c.ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+	checkRestored(t, c, svc, db, opts, pts, n)
+}
+
+// TestCacheSnapshotMismatchRejected: a snapshot recorded under another
+// key geometry — another k, or keys quantized to a grid — is rejected
+// whole, leaving the cache cold (and correct).
+func TestCacheSnapshotMismatchRejected(t *testing.T) {
+	db, opts, pts := snapshotFixture()
+	other := NewCachedOracle(NewService(db, Options{K: opts.K + 1}), CacheOptions{})
+	ctx := context.Background()
+	for _, p := range pts {
+		if _, err := other.QueryLR(ctx, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var otherK bytes.Buffer
+	if err := other.WriteSnapshot(&otherK); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"k":       otherK.Bytes(),
+		"quantum": legacySnapshot(t, NewService(db, opts), pts, 0.5),
+	} {
+		c := NewCachedOracle(NewService(db, opts), CacheOptions{})
+		n, err := c.ReadSnapshot(bytes.NewReader(data))
+		if !errors.Is(err, ErrCacheSnapshotMismatch) {
+			t.Fatalf("%s: err = %v, want ErrCacheSnapshotMismatch", name, err)
+		}
+		if st := c.Stats(); n != 0 || st.Entries != 0 || st.Restored != 0 {
+			t.Fatalf("%s: mismatch loaded %d entries (%+v), want none", name, n, st)
+		}
 	}
 }
 
@@ -110,8 +189,10 @@ func FuzzCacheSnapshot(f *testing.F) {
 	_ = enc.Encode(cacheSnapshotHeader{Version: cacheSnapshotVersion, K: 2, Entries: 2})
 	_ = enc.Encode(cacheSnapshotEntry{Kind: 7, LR: []LRRecord{{ID: 1}}})
 	f.Add(odd.Bytes())
-	f.Add(legacySnapshot(f, NewService(db, opts), []geom.Point{geom.Pt(0, 0), geom.Pt(9, 9)}))
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(9, 9)}
+	f.Add(legacySnapshot(f, NewService(db, opts), pts, 0))
 	f.Add([]byte{})
+	f.Add(legacySnapshot(f, NewService(db, opts), pts, 0.5)) // refused: quantized keys
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewCachedOracle(NewService(db, opts), CacheOptions{Capacity: 8})

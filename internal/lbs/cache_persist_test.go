@@ -3,7 +3,6 @@ package lbs_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/geom"
@@ -28,7 +27,7 @@ func cacheFixture(t *testing.T, opts lbs.CacheOptions) (*lbs.CachedOracle, *lbs.
 }
 
 func TestCacheSnapshotRoundTrip(t *testing.T) {
-	opts := lbs.CacheOptions{Capacity: 256, Quantum: 0.01}
+	opts := lbs.CacheOptions{Capacity: 256}
 	warm, _, pts := cacheFixture(t, opts)
 	ctx := context.Background()
 
@@ -98,33 +97,8 @@ func TestCacheSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCacheSnapshotMismatchRejected(t *testing.T) {
-	warm, _, pts := cacheFixture(t, lbs.CacheOptions{Capacity: 256, Quantum: 0.01})
-	ctx := context.Background()
-	for _, p := range pts {
-		if _, err := warm.QueryLR(ctx, p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := warm.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// A different quantum means a different key geometry: the snapshot
-	// must be rejected whole, leaving the cache cold (and correct).
-	cold, _, _ := cacheFixture(t, lbs.CacheOptions{Capacity: 256, Quantum: 0.5})
-	n, err := cold.ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if !errors.Is(err, lbs.ErrCacheSnapshotMismatch) {
-		t.Fatalf("err = %v, want ErrCacheSnapshotMismatch", err)
-	}
-	if n != 0 || cold.Stats().Entries != 0 {
-		t.Fatalf("mismatch loaded %d entries (%d resident), want none", n, cold.Stats().Entries)
-	}
-}
-
 func TestCacheSnapshotTruncatedKeepsPrefix(t *testing.T) {
-	opts := lbs.CacheOptions{Capacity: 256, Quantum: 0.01}
+	opts := lbs.CacheOptions{Capacity: 256}
 	warm, _, pts := cacheFixture(t, opts)
 	ctx := context.Background()
 	for _, p := range pts {

@@ -61,7 +61,7 @@ func TestCacheHitsDontConsumeBudget(t *testing.T) {
 // and reports evictions.
 func TestCacheEvictionUnderPressure(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 1})
-	c := NewCachedOracle(svc, CacheOptions{Capacity: 8, Shards: 1})
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 8})
 	ctx := context.Background()
 	for i := 0; i < 100; i++ {
 		if _, err := c.QueryLR(ctx, geom.Pt(float64(i%10), float64(i/10)), nil); err != nil {
@@ -84,9 +84,18 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 // eviction.
 func TestCacheLRULeastRecentFirst(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 1})
-	c := NewCachedOracle(svc, CacheOptions{Capacity: 2, Shards: 1})
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 2 * cacheShards})
 	ctx := context.Background()
-	a, b, d := geom.Pt(1, 1), geom.Pt(9, 9), geom.Pt(5, 5)
+	// a, b and d key into one shard, whose two slots are the LRU under
+	// test.
+	same := []geom.Point{geom.Pt(1, 1)}
+	sh := c.shardFor(c.keyFor(same[0]))
+	for i := 1; len(same) < 3; i++ {
+		if p := geom.Pt(1+0.01*float64(i), 9); c.shardFor(c.keyFor(p)) == sh {
+			same = append(same, p)
+		}
+	}
+	a, b, d := same[0], same[1], same[2]
 	c.QueryLR(ctx, a, nil)
 	c.QueryLR(ctx, b, nil)
 	c.QueryLR(ctx, a, nil) // a is now most recent
@@ -128,21 +137,6 @@ func TestCacheLREntryAnswersLNR(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want one miss and one hit (one entry per point)", st)
-	}
-}
-
-// TestCacheQuantization: with a coarse quantum, near-identical points
-// share an entry.
-func TestCacheQuantization(t *testing.T) {
-	svc := NewService(testDB(t), Options{K: 1})
-	c := NewCachedOracle(svc, CacheOptions{Quantum: 1.0})
-	ctx := context.Background()
-	c.QueryLR(ctx, geom.Pt(5.1, 5.1), nil)
-	c.QueryLR(ctx, geom.Pt(5.9, 5.9), nil) // same 1×1 cell
-	c.QueryLR(ctx, geom.Pt(6.1, 5.1), nil) // next cell over
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want 2 misses / 1 hit under quantization", st)
 	}
 }
 
@@ -213,7 +207,7 @@ func TestCacheConcurrent(t *testing.T) {
 	db := testDB(t)
 	svc := NewService(db, Options{K: 2})
 	ref := NewService(db, Options{K: 2})
-	c := NewCachedOracle(svc, CacheOptions{Capacity: 64, Shards: 4})
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 64})
 	ctx := context.Background()
 
 	// 32 distinct points shared by all goroutines.
@@ -360,12 +354,12 @@ func TestCacheStatsFormatting(t *testing.T) {
 }
 
 // TestCacheInvalidateRegion: invalidation drops exactly the entries
-// whose query cells intersect the dirty region and leaves the rest
+// whose query points lie in the dirty region and leaves the rest
 // replaying — the survivor count pins that mutation-driven
 // invalidation is regional, not a full flush.
 func TestCacheInvalidateRegion(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 2})
-	c := NewCachedOracle(svc, CacheOptions{Quantum: 1})
+	c := NewCachedOracle(svc, CacheOptions{})
 	ctx := context.Background()
 	inside := []geom.Point{geom.Pt(1.5, 1.5), geom.Pt(2.5, 2.5)}
 	outside := []geom.Point{geom.Pt(8.5, 8.5), geom.Pt(7.5, 0.5), geom.Pt(0.5, 7.5)}
@@ -379,7 +373,7 @@ func TestCacheInvalidateRegion(t *testing.T) {
 	}
 	dropped := c.Invalidate(geom.NewRect(geom.Pt(1, 1), geom.Pt(3, 3)))
 	if dropped != 2 {
-		t.Fatalf("dropped = %d, want 2 (only cells intersecting the region)", dropped)
+		t.Fatalf("dropped = %d, want 2 (only points in the region)", dropped)
 	}
 	st := c.Stats()
 	if st.Entries != 3 {
@@ -388,7 +382,7 @@ func TestCacheInvalidateRegion(t *testing.T) {
 	if st.Invalidations != 2 {
 		t.Fatalf("Invalidations = %d, want 2", st.Invalidations)
 	}
-	// Survivors still replay (no inner queries), dropped cells re-fetch.
+	// Survivors still replay (no inner queries), dropped points re-fetch.
 	before := svc.QueryCount()
 	for _, p := range outside {
 		if _, err := c.QueryLR(ctx, p, nil); err != nil {
@@ -404,13 +398,12 @@ func TestCacheInvalidateRegion(t *testing.T) {
 		}
 	}
 	if n := svc.QueryCount(); n != before+int64(len(inside)) {
-		t.Errorf("dropped cells forwarded %d queries, want %d", n-before, len(inside))
+		t.Errorf("dropped points forwarded %d queries, want %d", n-before, len(inside))
 	}
 }
 
-// TestCacheInvalidateExactKeys: with Quantum 0 the cell is the exact
-// query point, so a point region invalidates exactly that point's
-// entry (which answered both views) and nothing else.
+// TestCacheInvalidateExactKeys: a point region invalidates exactly
+// that point's entry (which answered both views) and nothing else.
 func TestCacheInvalidateExactKeys(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 2})
 	c := NewCachedOracle(svc, CacheOptions{})

@@ -124,24 +124,20 @@ func TestQueryOutsideBounds(t *testing.T) {
 }
 
 // TestCacheKeyNegativeZero pins the -0.0 fix: +0.0 and -0.0 are the
-// same point and must share one cache entry, in both raw and
-// quantized keying modes.
+// same point and must share one cache entry.
 func TestCacheKeyNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, quantum := range []float64{0, 0.5} {
-		svc := NewService(testDB(t), Options{K: 2})
-		c := NewCachedOracle(svc, CacheOptions{Capacity: 64, Quantum: quantum})
-		ctx := context.Background()
-		if _, err := c.QueryLR(ctx, geom.Pt(0, 0), nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.QueryLR(ctx, geom.Pt(negZero, negZero), nil); err != nil {
-			t.Fatal(err)
-		}
-		st := c.Stats()
-		if st.Hits != 1 || st.Misses != 1 {
-			t.Errorf("quantum=%g: -0.0 and +0.0 keyed differently: %+v", quantum, st)
-		}
+	svc := NewService(testDB(t), Options{K: 2})
+	c := NewCachedOracle(svc, CacheOptions{Capacity: 64})
+	ctx := context.Background()
+	if _, err := c.QueryLR(ctx, geom.Pt(0, 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.QueryLR(ctx, geom.Pt(negZero, negZero), nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("-0.0 and +0.0 keyed differently: %+v", st)
 	}
 }
 

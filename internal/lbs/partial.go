@@ -199,7 +199,7 @@ func (t *TolerantQuerier) QueryLNRBatch(ctx context.Context, pts []geom.Point, f
 // Backoff is the jittered exponential wait before retry attempt a
 // (a ≥ 1): base·2^(a−1) capped at max, drawn uniformly from [d/2, d]
 // so synchronized callers spread out. int63n is the jitter source
-// (rand.Int63n, or a caller's seeded generator); base and max must be
+// (rand.Int63n; tests pass fixed draws); base and max must be
 // positive, each caller applying its own defaults.
 func Backoff(base, max time.Duration, a int, int63n func(int64) int64) time.Duration {
 	d := base

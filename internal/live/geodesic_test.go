@@ -18,7 +18,7 @@ import (
 )
 
 func TestLiveGeodesicCacheInvalidationIsLocal(t *testing.T) {
-	// One tuple and one 1°×1° cache cell per degree square over
+	// One tuple and one cached query point per degree square over
 	// lon [0,10] × lat [40,50].
 	bounds := geom.NewRect(geom.Pt(0, 40), geom.Pt(10, 50))
 	var tuples []lbs.Tuple
@@ -38,7 +38,7 @@ func TestLiveGeodesicCacheInvalidationIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache = lbs.NewCachedOracle(d, lbs.CacheOptions{Quantum: geo.KmPerDeg, Metric: geo.Haversine})
+	cache = lbs.NewCachedOracle(d, lbs.CacheOptions{})
 	ctx := context.Background()
 	for _, p := range qpts {
 		if _, err := cache.QueryLR(ctx, p, nil); err != nil {
@@ -51,7 +51,7 @@ func TestLiveGeodesicCacheInvalidationIsLocal(t *testing.T) {
 
 	// Mutate in the northeast corner. 50 km at lat ~50° expands to
 	// under half a degree of latitude and under a degree of longitude,
-	// so at most a few neighboring cells can intersect the region.
+	// so at most a few neighboring query points can lie in the region.
 	if r := d.Apply(ctx, []live.Op{{Kind: live.OpInsert, Tuple: lbs.Tuple{ID: 9999, Loc: geom.Pt(9.5, 49.5)}}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -74,7 +74,7 @@ func TestLiveGeodesicCacheInvalidationIsLocal(t *testing.T) {
 	if d.QueryCount() != before {
 		t.Fatal("surviving entry forwarded a query")
 	}
-	// …and the dirtied cell re-fetches the post-mutation answer.
+	// …and the dirtied point re-fetches the post-mutation answer.
 	recs, err := cache.QueryLR(ctx, geom.Pt(9.5, 49.5), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -568,7 +568,7 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache = lbs.NewCachedOracle(d, lbs.CacheOptions{Quantum: 1})
+	cache = lbs.NewCachedOracle(d, lbs.CacheOptions{})
 	ctx := context.Background()
 
 	// Populate one cache entry per 10×10 block center: 100 entries.
@@ -588,8 +588,8 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	}
 
 	// Mutate in the far corner block: dirty region is the disk bbox of
-	// radius MaxRadius=8 around (95,95) → cells within [86,104]² are
-	// dropped, everything else survives.
+	// radius MaxRadius=8 around (95,95) → query points within
+	// [86,104]² are dropped, everything else survives.
 	if r := d.Apply(ctx, []live.Op{{Kind: live.OpInsert, Tuple: lbs.Tuple{ID: 9999, Loc: geom.Pt(95, 95)}}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -597,8 +597,8 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if st.Invalidations == 0 {
 		t.Fatal("mutation invalidated nothing")
 	}
-	// The dirty region [87,103]² touches exactly one of the 1×1 query
-	// cells ([95,96)²); the other 99 entries must survive.
+	// The dirty region [87,103]² holds exactly one of the query points
+	// ((95,95)); the other 99 entries must survive.
 	wantDropped := int64(1)
 	if st.Invalidations != wantDropped {
 		t.Fatalf("invalidations %d, want %d (region eviction must be local)", st.Invalidations, wantDropped)
@@ -614,7 +614,7 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if d.QueryCount() != before {
 		t.Fatal("surviving entry forwarded a query")
 	}
-	// …and the dirtied cell re-fetches the post-mutation answer.
+	// …and the dirtied point re-fetches the post-mutation answer.
 	recs, err := cache.QueryLR(ctx, geom.Pt(95, 95), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +629,7 @@ func TestLiveCacheInvalidation(t *testing.T) {
 		t.Fatalf("refetched answer misses the inserted tuple: %+v", recs)
 	}
 	if d.QueryCount() != before+1 {
-		t.Fatalf("dirtied cell did not forward exactly one query: %d", d.QueryCount()-before)
+		t.Fatalf("dirtied point did not forward exactly one query: %d", d.QueryCount()-before)
 	}
 
 	// Without MaxRadius (and no heuristic radius) the dirty region is
@@ -638,7 +638,7 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache = lbs.NewCachedOracle(d2, lbs.CacheOptions{Quantum: 1})
+	cache = lbs.NewCachedOracle(d2, lbs.CacheOptions{})
 	for _, p := range qpts[:10] {
 		if _, err := cache.QueryLR(ctx, p, nil); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"repro/internal/lbs"
@@ -106,7 +107,8 @@ func attempt[T any](r *Router, ctx context.Context, si int,
 
 // backoff is the router's wait before retry attempt a (a ≥ 1):
 // lbs.Backoff over the Resilience's RetryBase and RetryMax, jittered
-// from the router's seeded source. A zero RetryBase retries at once.
+// from math/rand's global source, which is safe for concurrent use.
+// A zero RetryBase retries at once.
 func (r *Router) backoff(a int) time.Duration {
 	base, max := r.res.RetryBase, r.res.RetryMax
 	if base <= 0 {
@@ -115,7 +117,7 @@ func (r *Router) backoff(a int) time.Duration {
 	if max <= 0 {
 		max = 250 * time.Millisecond
 	}
-	return lbs.Backoff(base, max, a, r.rng.Int63n)
+	return lbs.Backoff(base, max, a, rand.Int63n)
 }
 
 // memberCall is the full pipeline: attempts with bounded jittered

@@ -16,12 +16,6 @@ import (
 	"repro/internal/workload"
 )
 
-// noRetryBackoff is the fast test resilience base: no sleeps, no
-// deadline goroutines, everything else explicit per test.
-func testResilience() Resilience {
-	return Resilience{Seed: 1}
-}
-
 // faultedRouter builds an n-shard federation with a fault injector in
 // front of every member, returning the router and the injectors (in
 // shard order) for mid-run Kill/Revive.
@@ -59,7 +53,7 @@ func TestFederatedBitIdenticalUnderTransients(t *testing.T) {
 	for _, every := range []int64{2, 3, 7} {
 		for _, n := range []int{2, 4} {
 			single := lbs.NewService(db, opts)
-			res := testResilience()
+			res := Resilience{}
 			res.MaxRetries = 2
 			router, _ := faultedRouter(t, db, opts, n, res, func(i int) faults.Spec {
 				return faults.Spec{Seed: int64(i), TransientEvery: every}
@@ -140,7 +134,7 @@ func TestShardTimeoutBoundsWedgedMember(t *testing.T) {
 	mk := func() *Router {
 		svc0 := lbs.NewService(parts[0], lbs.Options{K: 25})
 		svc1 := lbs.NewService(parts[1], lbs.Options{K: 25})
-		res := testResilience()
+		res := Resilience{}
 		res.ShardTimeout = 75 * time.Millisecond
 		router, err := NewRouter([]Shard{
 			{Querier: svc0, Region: parts[0].Bounds()},
@@ -223,7 +217,7 @@ func TestDeadlineBoundsUnmarkedMemberIgnoringContext(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	mk := func() *Router {
-		res := testResilience()
+		res := Resilience{}
 		res.ShardTimeout = 75 * time.Millisecond
 		router, err := NewRouter([]Shard{
 			{Querier: lbs.NewService(parts[0], opts), Region: parts[0].Bounds()},
@@ -263,7 +257,7 @@ func TestDeadlineBoundsUnmarkedMemberIgnoringContext(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	db := workload.USASchools(60, 91).DB
 	opts := lbs.Options{K: 30} // unbounded ball: every member always relevant
-	res := testResilience()
+	res := Resilience{}
 	res.BreakerThreshold = 1
 	res.BreakerCooldown = 50 * time.Millisecond
 	router, inj := faultedRouter(t, db, opts, 2, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
@@ -332,7 +326,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // open → ErrNoShards, crisply, with nothing charged.
 func TestAllBreakersOpen(t *testing.T) {
 	db := workload.USASchools(40, 101).DB
-	res := testResilience()
+	res := Resilience{}
 	res.BreakerThreshold = 1
 	res.BreakerCooldown = time.Hour
 	router, inj := faultedRouter(t, db, lbs.Options{K: 3}, 2, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
@@ -364,7 +358,7 @@ func TestAllBreakersOpenRecovers(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{1, 2} {
 		for _, batch := range []bool{false, true} {
-			res := testResilience()
+			res := Resilience{}
 			res.BreakerThreshold = 1
 			res.BreakerCooldown = 30 * time.Millisecond
 			router, inj := faultedRouter(t, db, opts, n, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
@@ -437,7 +431,7 @@ func TestAllBreakersOpenRecovers(t *testing.T) {
 // one unit per non-nil answer.
 func TestBatchRefundsOnlyDroppedPositions(t *testing.T) {
 	db := workload.USASchools(120, 111).DB
-	res := testResilience() // breaker off: failures keep failing
+	res := Resilience{} // breaker off: failures keep failing
 	router, inj := faultedRouter(t, db, lbs.Options{K: 4}, 2, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
 	parts := Partition(db, 2)
 	ctx := context.Background()
@@ -487,7 +481,7 @@ func TestBatchRefundsOnlyDroppedPositions(t *testing.T) {
 // and no leak, regardless of interleaving.
 func TestConcurrentDegradedBatchesMeterExactly(t *testing.T) {
 	db := workload.USASchools(300, 121).DB
-	res := testResilience() // breaker off: the dead shard keeps failing every batch
+	res := Resilience{} // breaker off: the dead shard keeps failing every batch
 	router, inj := faultedRouter(t, db, lbs.Options{K: 4}, 4, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
 	inj[2].Kill()
 	ctx := context.Background()

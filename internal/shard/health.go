@@ -4,7 +4,6 @@ package shard
 // the consecutive-failure circuit breaker that health-gates routing.
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -42,10 +41,6 @@ type Resilience struct {
 	// half-opens and admits a single probe call: a successful probe
 	// closes it, a failed one re-opens it for another cooldown.
 	BreakerCooldown time.Duration
-
-	// Seed makes backoff jitter deterministic for tests; 0 derives
-	// jitter from the global PRNG.
-	Seed int64
 }
 
 // DefaultResilience is the production failure handling: 10 s shard
@@ -185,24 +180,4 @@ func (h *shardHealth) onFailure(probe bool, threshold int, now time.Time) {
 		h.opens++
 	}
 	h.mu.Unlock()
-}
-
-// lockedRand is the router's jitter source (math/rand.Rand is not
-// safe for concurrent use).
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	if seed == 0 {
-		seed = rand.Int63()
-	}
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Int63n(n)
 }

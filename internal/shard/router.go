@@ -133,7 +133,6 @@ type Router struct {
 	// inline[i] reports that shard i's member is lbs.NonBlocking: its
 	// calls run on the caller's goroutine (see attempt).
 	inline []bool
-	rng    *lockedRand
 
 	fanout  atomic.Int64
 	partial atomic.Int64
@@ -183,7 +182,6 @@ func NewRouter(shards []Shard, opts lbs.Options, res Resilience) (*Router, error
 		meter:  lbs.NewMeter(opts.Budget),
 		health: health,
 		inline: inline,
-		rng:    newLockedRand(res.Seed),
 	}, nil
 }
 

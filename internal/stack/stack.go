@@ -175,7 +175,7 @@ func (s Spec) Build(ctx context.Context, db *lbs.Database) (*Stack, error) {
 		b.Label += ", faulted"
 	}
 	if s.CacheSize > 0 {
-		b.cache = lbs.NewCachedOracle(q, lbs.CacheOptions{Capacity: s.CacheSize, Metric: opts.Metric})
+		b.cache = lbs.NewCachedOracle(q, lbs.CacheOptions{Capacity: s.CacheSize})
 		q = b.cache
 		b.Label += fmt.Sprintf(", cache=%d", s.CacheSize)
 	}

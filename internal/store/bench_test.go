@@ -25,19 +25,7 @@ func benchFixtureFiles(b *testing.B, n int) (jsonPath, packPath string) {
 		b.Fatal(err)
 	}
 
-	ds := Dataset{
-		Scenario: sc.Name,
-		MinX:     sc.Bounds.Min.X, MinY: sc.Bounds.Min.Y,
-		MaxX: sc.Bounds.Max.X, MaxY: sc.Bounds.Max.Y,
-	}
-	for i := 0; i < sc.DB.Len(); i++ {
-		tp := sc.DB.Tuple(i)
-		ds.Tuples = append(ds.Tuples, DatasetTuple{
-			ID: tp.ID, X: tp.Loc.X, Y: tp.Loc.Y,
-			Name: tp.Name, Category: tp.Category, Attrs: tp.Attrs, Tags: tp.Tags,
-		})
-	}
-	data, err := json.Marshal(ds)
+	data, err := json.Marshal(NewDataset(sc.Name, sc.DB, geo.Euclidean))
 	if err != nil {
 		b.Fatal(err)
 	}

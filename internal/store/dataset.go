@@ -41,6 +41,25 @@ type Dataset struct {
 	Tuples []DatasetTuple `json:"tuples"`
 }
 
+// NewDataset is the JSON dataset form of db, named name and recording
+// metric: the inverse of Database. Effective locations are dropped.
+func NewDataset(name string, db *lbs.Database, metric geo.Metric) *Dataset {
+	b := db.Bounds()
+	d := &Dataset{
+		Scenario: name,
+		MinX:     b.Min.X, MinY: b.Min.Y, MaxX: b.Max.X, MaxY: b.Max.Y,
+		Metric: metric.String(),
+	}
+	for i := 0; i < db.Len(); i++ {
+		t := db.Tuple(i)
+		d.Tuples = append(d.Tuples, DatasetTuple{
+			ID: t.ID, X: t.Loc.X, Y: t.Loc.Y,
+			Name: t.Name, Category: t.Category, Attrs: t.Attrs, Tags: t.Tags,
+		})
+	}
+	return d
+}
+
 // Database builds the in-memory database a JSON dataset describes
 // (effective locations equal true locations: the JSON export does not
 // carry obfuscation).

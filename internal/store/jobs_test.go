@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,15 +176,40 @@ func TestLegacyBatchFieldJobResumes(t *testing.T) {
 	}
 }
 
+// checkpointCounter counts the mid-run checkpoints a manager saves:
+// the views of running jobs with samples drawn.
+type checkpointCounter struct {
+	jobs.Store
+	n atomic.Int64
+}
+
+func (s *checkpointCounter) Save(sj jobs.StoredJob) error {
+	if sj.View.State == jobs.StateRunning && sj.View.Samples > 0 {
+		s.n.Add(1)
+	}
+	return s.Store.Save(sj)
+}
+
+// TestFinishedJobSurvivesRestart: a job that checkpointed mid-run and
+// then settled reloads after a restart with its final view — the
+// settled save is never clobbered by a late checkpoint.
 func TestFinishedJobSurvivesRestart(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := jobs.NewManager(jobBackend(), jobs.ManagerOptions{Store: st.Jobs(), CheckpointEvery: 1})
-	want := settle(t, mustCreate(t, m1, resumeSpec))
-	if want.State != jobs.StateDone {
-		t.Fatalf("state %s", want.State)
+	// 600 samples cross the fixed checkpoint interval (256 samples)
+	// twice.
+	long := resumeSpec
+	long.Options.MaxSamples = 600
+	counter := &checkpointCounter{Store: st.Jobs()}
+	m1 := jobs.NewManager(lbs.NewService(workload.USASchools(200, 3).DB, lbs.Options{K: 5}), jobs.ManagerOptions{Store: counter})
+	want := settle(t, mustCreate(t, m1, long))
+	if want.State != jobs.StateDone || want.Samples != 600 {
+		t.Fatalf("state %s after %d samples, want done after 600", want.State, want.Samples)
+	}
+	if got := counter.n.Load(); got != 2 {
+		t.Fatalf("%d mid-run checkpoints over 600 samples, want 2", got)
 	}
 
 	m2 := jobs.NewManager(jobBackend(), jobs.ManagerOptions{Store: st.Jobs()})

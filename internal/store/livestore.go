@@ -162,7 +162,7 @@ func (ls *LiveStore) Checkpoint() error {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	db, epoch := ls.db.SnapshotAt()
-	if err := WritePackMetric(ls.s.PackPath(), db, ls.s.opts.Metric, epoch, ls.s.opts.PageSize, &ls.s.m); err != nil {
+	if err := WritePackMetric(ls.s.PackPath(), db, ls.s.opts.Metric, epoch, 0, &ls.s.m); err != nil {
 		return fmt.Errorf("store: checkpoint pack: %w", err)
 	}
 	// Rotate: re-read the log we have been appending to and carry over

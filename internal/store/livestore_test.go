@@ -16,7 +16,7 @@ import (
 
 func openTestLive(t *testing.T, dir string) (*Store, *live.Database) {
 	t.Helper()
-	st, err := Open(dir, Options{PageSize: 512})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func (badJournal) Append(uint64, []live.Op) error { return nil }
 
 func TestOpenOrCreateDatabaseWarmPath(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{PageSize: 512})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestOpenOrCreateDatabaseWarmPath(t *testing.T) {
 		t.Fatalf("first open: warm=%v calls=%d, want cold single build", warm, calls)
 	}
 
-	st2, err := Open(dir, Options{PageSize: 512})
+	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestOpenOrCreateDatabaseWarmPath(t *testing.T) {
 // database is an error, not a panic while packing it; the store is
 // left without a pack, so the next start is cold again.
 func TestOpenOrCreateDatabaseNilGen(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{PageSize: 512})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

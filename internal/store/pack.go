@@ -101,8 +101,9 @@ func (e *UnsupportedVersionError) Error() string {
 // WritePackMetric writes db (with its effective locations) as a
 // .lbspack at path, atomically: temp file, fsync, rename. epoch and
 // the distance metric of the service stack the pack feeds are
-// recorded in the header (format v2). The same database always
-// produces the same bytes.
+// recorded in the header (format v2); a pageSize ≤ 0 writes
+// DefaultPageSize pages. The same database always produces the same
+// bytes.
 func WritePackMetric(path string, db *lbs.Database, metric geo.Metric, epoch uint64, pageSize int, m *Metrics) error {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -291,10 +292,11 @@ func OpenPack(path string, m *Metrics) (*Pack, error) {
 		return nil, corrupt(path, "size %d is not a multiple of page size %d", st.Size(), p.pageSize)
 	}
 	p.npages = int(st.Size()/int64(p.pageSize)) - 1
-	// A record takes at least one byte, so the data pages bound the
-	// count; a forged count beyond that would size the reader's tuple
-	// slice from the header instead of the file.
-	if p.count > uint64(p.npages)*uint64(p.pageSize) {
+	// A record takes at least minRecordSize bytes and never spans
+	// pages, so the data pages bound the count; a forged count beyond
+	// that would size the reader's tuple slice from the header instead
+	// of the file.
+	if p.count > uint64(p.npages)*uint64((p.pageSize-pageHdrSize)/minRecordSize) {
 		f.Close()
 		return nil, corrupt(path, "header says %d records, %d data pages cannot hold them", p.count, p.npages)
 	}

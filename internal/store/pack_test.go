@@ -221,6 +221,38 @@ func TestPackForgedCountCorrupt(t *testing.T) {
 	}
 }
 
+// TestPackCountBoundedByRecordSize: a record takes at least
+// minRecordSize bytes and never spans pages, so a 4 KiB page holds at
+// most 110 of them. A header claiming one record per byte of data
+// pages, which a one-byte-per-record bound would admit, is refused
+// when the pack is opened, before any tuple slice is sized from it.
+func TestPackCountBoundedByRecordSize(t *testing.T) {
+	sc := workload.USASchools(100, 5)
+	path := filepath.Join(t.TempDir(), "db.lbspack")
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, 4096, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npages := len(data)/4096 - 1
+	binary.LittleEndian.PutUint64(data[16:], uint64(npages*4096))
+	binary.LittleEndian.PutUint32(data[headerSize-4:], crc32.ChecksumIEEE(data[:headerSize-4]))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPack(path, nil)
+	if err == nil {
+		p.Close()
+		t.Fatalf("OpenPack accepted a header count of %d records in %d data pages", npages*4096, npages)
+	}
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *CorruptError", err)
+	}
+}
+
 func TestPackCorruptionTyped(t *testing.T) {
 	sc := workload.USASchools(300, 5)
 	dir := t.TempDir()

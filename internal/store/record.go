@@ -38,6 +38,10 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// minRecordSize is the shortest encoded tuple: a one-byte varint ID,
+// four f64 coordinates, two empty strings and zero Attrs and Tags.
+const minRecordSize = 1 + 4*8 + 1 + 1 + 1 + 1
+
 // appendTuple encodes t with its effective (ranking) location.
 func appendTuple(b []byte, t lbs.Tuple, eff geom.Point) []byte {
 	b = binary.AppendVarint(b, t.ID)

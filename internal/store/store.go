@@ -71,9 +71,6 @@ func (m *Metrics) Snapshot() Stats {
 
 // Options configures a Store.
 type Options struct {
-	// PageSize is the .lbspack page size in bytes (default 4096, at
-	// most 65536).
-	PageSize int
 	// SyncWAL fsyncs the WAL after every journaled batch. Off, the WAL
 	// is still written before mutations become visible (crash-consistent
 	// against process death); on, it also survives power loss, at a
@@ -108,9 +105,6 @@ type Store struct {
 
 // Open opens (creating if needed) the store directory.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.PageSize <= 0 {
-		opts.PageSize = DefaultPageSize
-	}
 	if err := os.MkdirAll(filepath.Join(dir, jobsDir), 0o755); err != nil {
 		return nil, err
 	}
@@ -145,7 +139,7 @@ func (s *Store) openOrCreatePack(gen func() *lbs.Database) (db *lbs.Database, ep
 		if db = gen(); db == nil {
 			return nil, 0, false, fmt.Errorf("store: %s: no pack, and gen built no database", path)
 		}
-		if err := WritePackMetric(path, db, s.opts.Metric, 0, s.opts.PageSize, &s.m); err != nil {
+		if err := WritePackMetric(path, db, s.opts.Metric, 0, 0, &s.m); err != nil {
 			return nil, 0, false, err
 		}
 		return db, 0, false, nil

@@ -27,7 +27,7 @@ type tortureFixture struct {
 func buildTortureFixture(t *testing.T) tortureFixture {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(dir, Options{PageSize: 512})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func reopenTorture(t *testing.T, dir string, fx tortureFixture, walBytes []byte,
 	if err := os.WriteFile(filepath.Join(dir, walFile), walBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{PageSize: 512})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestWALRecoversFullLog(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFile), fx.wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{PageSize: 512})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,8 @@
 // counters. The HTTP client drives jobs remotely (Estimate, Job,
 // WaitJob, FollowJobTrace, CancelJob) and retries transient
 // failures — 5xx and genuine rate-limit 429s, never a spent budget —
-// with jittered exponential backoff (RetryPolicy).
+// with jittered exponential backoff: three tries in all, waits
+// doubling from 100 ms up to 2 s.
 //
 // # Batch queries and answer caching
 //
@@ -278,11 +279,15 @@
 // poolPages argument of OpenPackedDatabase and the pool_hits,
 // pool_misses and pool_evictions keys of StoreStats. A pack is read
 // once, front to back, into the in-memory index.
+// Removed, as only tests set them: the HTTP client's retry policy (a
+// request is tried three times, 100 ms–2 s apart) and NNOOptions'
+// probe count, initial box scale and doubling cap (fixed at 30, 2 and
+// 16).
 //
 // NewHTTPClient now returns the concrete *HTTPClient (still an
-// Oracle), exposing the job methods and the retry policy; and
-// NewHTTPServer returns the concrete *HTTPServer (still an
-// http.Handler), exposing the job manager for graceful shutdown.
+// Oracle), exposing the job methods; and NewHTTPServer returns the
+// concrete *HTTPServer (still an http.Handler), exposing the job
+// manager for graceful shutdown.
 //
 // Custom Oracle implementations must add the ctx parameter to both
 // query methods; custom estimators implement Estimator (Step, Service,
@@ -505,8 +510,6 @@ type (
 	HTTPServerOptions = httpapi.ServerOptions
 	// HTTPClient is the remote Oracle and estimation-job client.
 	HTTPClient = httpapi.Client
-	// RetryPolicy bounds the HTTP client's transient-failure retries.
-	RetryPolicy = httpapi.RetryPolicy
 )
 
 // NewHTTPServer exposes a service backend over HTTP (see cmd/lbsserve
