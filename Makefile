@@ -64,7 +64,9 @@ examples:
 # capped budget, and four cached parallel workers that must draw
 # exactly the sample cap between them. The ninth race-checks a
 # parallel job through QueryPlan.Execute's one sample stream, which
-# must draw exactly its 8-sample cap.
+# must draw exactly its 8-sample cap. The tenth race-checks a fused
+# plan's aggregates, which four parallel estimator forks share (their
+# Value closures are pure; about 4 s).
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
@@ -75,6 +77,7 @@ stress:
 	$(GO) test -race -count=50 -run '^TestScopedQuerier' ./internal/lbs
 	$(GO) test -race -count=50 -run '^(TestNNOBatchRespectsBudget|TestCachedBatchedParallelRun)$$' ./internal/core
 	$(GO) test -race -count=20 -run '^TestJobViewCarriesPlan$$' ./internal/jobs
+	$(GO) test -race -count=50 -run '^TestExecuteParallelFusedGroup$$' ./internal/core
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the

@@ -91,7 +91,9 @@ type Aggregate struct {
 	Name string
 	// Value evaluates the aggregated quantity on a returned tuple:
 	// 1 for COUNT(*), the attribute for SUM(attr), an indicator for
-	// COUNT with a condition, etc.
+	// COUNT with a condition, etc. It must be a pure function of its
+	// record: a parallel run (WithParallelism, PlanOptions.Parallelism)
+	// calls it from every worker concurrently.
 	Value func(Record) float64
 	// NeedsLocation marks aggregates whose Value reads Loc (selection
 	// conditions on tuple location). Over LNR interfaces the

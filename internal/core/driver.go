@@ -221,13 +221,6 @@ type runState struct {
 	partial []Result
 }
 
-// worker is one sample source of a run: an estimator and the
-// aggregates it evaluates.
-type worker struct {
-	est  Estimator
-	aggs []Aggregate
-}
-
 func newRunState(plan *QueryPlan, est Estimator) runState {
 	return runState{
 		plan:    plan,
@@ -298,7 +291,7 @@ func (s *sampler) run(ctx context.Context, st *runState) error {
 	if s.parallelism > 1 {
 		err = s.runWorkers(ctx, st, reserve, fold)
 	} else {
-		err = s.work(ctx, worker{est: st.est, aggs: st.plan.Aggs}, reserve, fold)
+		err = s.work(ctx, st.est, st.plan.Aggs, reserve, fold)
 	}
 	st.queries = s.svc.QueryCount() - s.startQ
 	return err
@@ -310,7 +303,7 @@ func (s *sampler) run(ctx context.Context, st *runState) error {
 // stop the worker (the CI target is met, or the collector stopped
 // listening). The budget, the service's exhaustion and cancellation
 // end the worker gracefully; only fatal errors are returned.
-func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliver func(drawn) bool) error {
+func (s *sampler) work(ctx context.Context, est Estimator, aggs []Aggregate, reserve func() bool, deliver func(drawn) bool) error {
 	for {
 		if !reserve() {
 			return nil
@@ -322,7 +315,7 @@ func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliv
 			return nil
 		}
 		deg0 := degradedCount(s.svc)
-		vals, err := w.est.Step(ctx, w.aggs)
+		vals, err := est.Step(ctx, aggs)
 		switch {
 		case err != nil && !stopErr(ctx, err):
 			return err
@@ -337,16 +330,18 @@ func (s *sampler) work(ctx context.Context, w worker, reserve func() bool, deliv
 }
 
 // runWorkers is the parallel mode of run: the run's estimator and its
-// forks share the run's reservations and hand their samples to the
-// caller's goroutine, which folds them in arrival order and cancels
-// the run once fold reports the CI target met (or a worker fails).
+// forks share the run's reservations and the plan's aggregates (pure
+// functions of the record, so concurrent Value calls are safe) and
+// hand their samples to the caller's goroutine, which folds them in
+// arrival order and cancels the run once fold reports the CI target
+// met (or a worker fails).
 // Attribution of degradation across concurrent workers is coarse — a
 // partial answer in flight may mark another worker's overlapping sample
 // too — conservative in the safe direction.
 func (s *sampler) runWorkers(ctx context.Context, st *runState, reserve func() bool, fold func(drawn) bool) error {
-	workers := []worker{{est: st.est, aggs: st.plan.Aggs}}
+	ests := []Estimator{st.est}
 	for i := 1; i < s.parallelism; i++ {
-		workers = append(workers, worker{est: st.est.Fork(int64(i)), aggs: st.plan.forkAggs()})
+		ests = append(ests, st.est.Fork(int64(i)))
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -366,11 +361,11 @@ func (s *sampler) runWorkers(ctx context.Context, st *runState, reserve func() b
 			return false
 		}
 	}
-	for _, w := range workers {
+	for _, est := range ests {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := s.work(ctx, w, reserve, send)
+			err := s.work(ctx, est, st.plan.Aggs, reserve, send)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && fatal == nil {

@@ -12,9 +12,8 @@ import (
 // system — by the batch size. PlanBatch instead:
 //
 //   - canonicalizes and dedups predicates across specs (canon.go), so
-//     each distinct selection compiles once and is evaluated at most
-//     once per returned record (the predicate fan-out of the operator
-//     graph);
+//     each distinct selection compiles once into one pure closure that
+//     every physical aggregate over it shares;
 //   - fuses COUNT/SUM/AVG over the same selection into one physical
 //     aggregate per (kind, attr, selection) — AVG contributes its
 //     SUM/COUNT halves to the same pool — so a batch of M specs runs
@@ -25,9 +24,9 @@ import (
 //     localizes each sample once (§4.3), and all specs share it.
 //
 // Execution is a chain of streaming operators over the sample trace:
-// sample source (the plan's Estimator) → predicate filter fan-out
-// (predBank) → fused aggregators (one Accumulator per physical
-// aggregate) → per-spec CI sinks (ratio finishing, progress,
+// sample source (the plan's Estimator) → fused aggregators (one pure
+// Value closure over its compiled selection and one Accumulator per
+// physical aggregate) → per-spec CI sinks (ratio finishing, progress,
 // partials). Partial results and the NDJSON trace fall out of the
 // operator graph: every completed sample streams one PlanProgress.
 
@@ -64,12 +63,8 @@ type PlanOptions struct {
 
 // QueryPlan is a compiled multi-aggregate batch: the validated source
 // specs and the fused physical aggregates of the one sample stream
-// that answers them all. Build with PlanBatch, run with Execute.
-//
-// A QueryPlan is single-use: its fused physical aggregates share
-// per-record predicate memos (predBank), so Aggs must not be run
-// concurrently. Execute's parallel mode gives every extra worker its
-// own copy over a fresh memo.
+// that answers them all. Build with PlanBatch, run with Execute (as
+// often as wanted: a plan holds no run state).
 type QueryPlan struct {
 	// Specs are the validated source specs, in request order.
 	Specs []AggSpec
@@ -83,9 +78,8 @@ type QueryPlan struct {
 	NeedsLocation bool
 	// Aggs are the fused physical aggregates (deduped by kind, attr
 	// and canonical selection; AVG specs contribute their SUM/COUNT
-	// halves). Their Value closures share a per-record predicate memo
-	// and are not safe for concurrent use (Execute forks copies for its
-	// parallel workers).
+	// halves). Their Value closures are pure, so Execute's parallel
+	// workers share them.
 	Aggs []Aggregate
 	// PredHashes are the structural hashes of the batch's distinct
 	// canonical predicates, in first-use order (the dedup observable:
@@ -94,11 +88,6 @@ type QueryPlan struct {
 
 	// entries maps each spec to its physical aggregates.
 	entries []planEntry
-	// bank is the predicate memo the fused Aggs share, and fused the
-	// recipe of each Agg over it (index-aligned with Aggs); nil for
-	// Run's plans over caller-supplied aggregates.
-	bank  *predBank
-	fused []fusedAgg
 
 	opts PlanOptions
 }
@@ -108,107 +97,6 @@ type planEntry struct {
 	num  int    // physical index of the (only, or numerator) aggregate
 	den  int    // physical index of the AVG denominator, or -1
 	name string // the spec's result name
-}
-
-// fusedAgg is the recipe of one fused physical aggregate: kind and
-// attribute over predicate pred of the plan's bank (-1 = none).
-type fusedAgg struct {
-	kind, attr string
-	pred       int
-}
-
-// forkAggs returns the plan's aggregates for one more concurrent
-// worker: copies of the fused aggregates over a fresh predicate memo
-// sharing the compiled predicates (which are pure). A plan without a
-// memo shares its aggregates as they are — Run's contract for
-// caller-supplied aggregates under WithParallelism.
-func (p *QueryPlan) forkAggs() []Aggregate {
-	if p.bank == nil {
-		return p.Aggs
-	}
-	bank := &predBank{}
-	for _, fn := range p.bank.preds {
-		bank.add(fn)
-	}
-	aggs := make([]Aggregate, len(p.Aggs))
-	for i, f := range p.fused {
-		aggs[i] = p.Aggs[i]
-		aggs[i].Value = fusedValue(f.kind, f.attr, bank, f.pred)
-	}
-	return aggs
-}
-
-// predBank is the predicate filter fan-out operator: every distinct
-// canonical predicate of a plan, compiled once, with a one-record
-// memo so a record answered by k fused aggregates evaluates each
-// predicate once instead of k times. The memo keys on the fields
-// predicates can read (ID, HasLoc, Loc); consecutive Value calls on
-// the same record hit it, and any other record resets it. Under a live
-// (mutating) backend a record re-returned with changed attributes
-// under an unchanged identity could reuse one stale predicate
-// evaluation; the staleness window is bounded to a single record
-// evaluation and only matters mid-mutation.
-type predBank struct {
-	preds []func(Record) bool
-
-	valid   bool
-	lastID  int64
-	lastHas bool
-	lastX   float64
-	lastY   float64
-	evald   []bool
-	val     []bool
-}
-
-// eval returns predicate i's value on r through the memo.
-func (b *predBank) eval(i int, r Record) bool {
-	if !b.valid || r.ID != b.lastID || r.HasLoc != b.lastHas || r.Loc.X != b.lastX || r.Loc.Y != b.lastY {
-		b.valid = true
-		b.lastID, b.lastHas = r.ID, r.HasLoc
-		b.lastX, b.lastY = r.Loc.X, r.Loc.Y
-		for j := range b.evald {
-			b.evald[j] = false
-		}
-	}
-	if !b.evald[i] {
-		b.val[i] = b.preds[i](r)
-		b.evald[i] = true
-	}
-	return b.val[i]
-}
-
-// add registers a compiled predicate and returns its index.
-func (b *predBank) add(fn func(Record) bool) int {
-	b.preds = append(b.preds, fn)
-	b.evald = append(b.evald, false)
-	b.val = append(b.val, false)
-	return len(b.preds) - 1
-}
-
-// fusedValue builds the per-record value closure of one physical
-// aggregate whose selection is predicate pi of bank (pi < 0 = no
-// selection). Semantically identical to compileValue over the compiled
-// predicate — the memo only changes how often the predicate runs,
-// never what it returns — which is what keeps planned runs
-// bit-identical to independent ones.
-func fusedValue(kind, attr string, bank *predBank, pi int) func(Record) float64 {
-	if pi < 0 {
-		return compileValue(kind, attr, nil)
-	}
-	if kind == AggCount {
-		return func(r Record) float64 {
-			if bank.eval(pi, r) {
-				return 1
-			}
-			return 0
-		}
-	}
-	return func(r Record) float64 {
-		if bank.eval(pi, r) {
-			return r.Attr(attr)
-		}
-		return 0
-	}
 }
 
 // PlanBatch validates and compiles a batch of aggregate specs into a
@@ -221,7 +109,6 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 	plan := &QueryPlan{
 		Specs: make([]AggSpec, len(specs)),
 		Seed:  opts.Seed,
-		bank:  &predBank{},
 		opts:  opts,
 	}
 	switch opts.Method {
@@ -234,36 +121,35 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 	}
 	copy(plan.Specs, specs)
 	physOf := make(map[string]int)
-	predOf := make(map[string]int)
+	predOf := make(map[string]func(Record) bool)
 
 	// physIndex interns one physical aggregate (kind, attr, canonical
-	// selection), compiling its predicate into the plan's bank on first
-	// use.
+	// selection), compiling its canonical predicate on first use; every
+	// aggregate over the same selection shares the compiled closure.
 	physIndex := func(kind, attr string, where *PredSpec) int {
 		key := physKey(kind, attr, where)
 		if i, ok := physOf[key]; ok {
 			return i
 		}
-		pi := -1
+		var cond func(Record) bool
 		if where != nil {
 			c := where.Canon()
 			pkey := c.canonKey()
 			var ok bool
-			if pi, ok = predOf[pkey]; !ok {
-				pi = plan.bank.add(c.compile())
-				predOf[pkey] = pi
+			if cond, ok = predOf[pkey]; !ok {
+				cond = c.compile()
+				predOf[pkey] = cond
 				plan.PredHashes = append(plan.PredHashes, c.Hash())
 			}
 		}
 		spec := AggSpec{Kind: kind, Attr: attr, Where: where}
 		agg := Aggregate{
 			Name:          spec.name(),
-			Value:         fusedValue(kind, attr, plan.bank, pi),
+			Value:         compileValue(kind, attr, cond),
 			NeedsLocation: where != nil && where.needsLocation(),
 		}
 		physOf[key] = len(plan.Aggs)
 		plan.Aggs = append(plan.Aggs, agg)
-		plan.fused = append(plan.fused, fusedAgg{kind: kind, attr: attr, pred: pi})
 		return len(plan.Aggs) - 1
 	}
 

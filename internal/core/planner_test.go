@@ -330,10 +330,10 @@ func TestExecuteLNRMixedLocationOneStream(t *testing.T) {
 }
 
 // TestExecuteParallelFusedGroup: a fused plan (COUNT, SUM and AVG over
-// one shared predicate memo) sampled by four concurrent forks draws
+// one shared compiled predicate) sampled by four concurrent forks draws
 // exactly its sample cap, streams every sample once and in order, and
-// stays unbiased. Under -race this pins that the forks evaluate their
-// own copies of the fused aggregates.
+// stays unbiased. Under -race this pins that the forks can share the
+// plan's aggregates: their Value closures are pure.
 func TestExecuteParallelFusedGroup(t *testing.T) {
 	svc, db := smallService(t, 150, 3, 6)
 	where := TagEq("flag", "yes")
@@ -391,5 +391,60 @@ func TestExecuteCancelYieldsPartials(t *testing.T) {
 	}
 	if br.Samples == 0 || br.Results[0].Samples == 0 {
 		t.Fatalf("canceled run returned no partials: %+v", br)
+	}
+}
+
+// TestPlanAggregatesReadEveryRecordAfresh: a fused aggregate's value
+// depends on its record alone. Two records with one ID and location
+// but different tags — a live delete and re-insert at the same spot —
+// must each be judged by their own tags, even back to back.
+func TestPlanAggregatesReadEveryRecordAfresh(t *testing.T) {
+	where := TagEq("color", "red")
+	plan, err := PlanBatch([]AggSpec{CountSpec().WithWhere(where), SumSpec("x").WithWhere(where)}, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := geom.Pt(3, 4)
+	red := Record{ID: 7, HasLoc: true, Loc: loc, Tags: map[string]string{"color": "red"}, Attrs: map[string]float64{"x": 5}}
+	blue := Record{ID: 7, HasLoc: true, Loc: loc, Tags: map[string]string{"color": "blue"}, Attrs: map[string]float64{"x": 5}}
+	if got := plan.Aggs[0].Value(red); got != 1 {
+		t.Fatalf("COUNT(red record) = %v, want 1", got)
+	}
+	if got := plan.Aggs[1].Value(blue); got != 0 {
+		t.Errorf("SUM(x | color=red) of a blue record = %v, want 0", got)
+	}
+	if got := plan.Aggs[0].Value(blue); got != 0 {
+		t.Errorf("COUNT(color=red) of a blue record = %v, want 0", got)
+	}
+}
+
+// TestQueryPlanReusable: a plan carries no run state, so executing it
+// twice serially at its seed returns bit-identical BatchResults.
+func TestQueryPlanReusable(t *testing.T) {
+	svc, _ := smallService(t, 120, 3, 9)
+	plan, err := PlanBatch(batchSpecs(12), PlanOptions{Seed: 11, MaxSamples: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := plan.Execute(context.Background(), svc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := plan.Execute(context.Background(), svc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Samples != second.Samples || first.Queries != second.Queries ||
+		first.DegradedSamples != second.DegradedSamples || first.CIMet != second.CIMet {
+		t.Fatalf("accounts differ: %+v vs %+v", first, second)
+	}
+	for i, a := range first.Results {
+		b := second.Results[i]
+		if a.Name != b.Name || a.Samples != b.Samples || a.Queries != b.Queries ||
+			math.Float64bits(a.Estimate) != math.Float64bits(b.Estimate) ||
+			math.Float64bits(a.StdErr) != math.Float64bits(b.StdErr) ||
+			math.Float64bits(a.CI95) != math.Float64bits(b.CI95) {
+			t.Errorf("spec %d: first %+v, second %+v", i, a, b)
+		}
 	}
 }

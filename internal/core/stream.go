@@ -118,11 +118,9 @@ func (st *runState) converged(rel float64) bool {
 // non-graceful transport failure).
 //
 // With PlanOptions.Parallelism > 1 the samples come from that many
-// estimator forks, each over its own copy of the fused aggregates, and
-// progress still fires on the calling goroutine.
-//
-// A QueryPlan must be executed at most once: its own worker evaluates
-// the plan's fused aggregates, whose predicate memo carries run state.
+// estimator forks, which share the plan's pure aggregates, and progress
+// still fires on the calling goroutine. A plan holds no run state:
+// executing it again at its seed repeats a serial run bit for bit.
 func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanProgress)) (*BatchResult, error) {
 	s := sampler{
 		svc:         svc,

@@ -279,7 +279,9 @@ type ManagerOptions struct {
 	// Store, when set, makes jobs durable: specs persist at creation,
 	// views checkpoint every checkpointEvery samples and at settle, and
 	// Recover reloads the table after a restart (finished jobs keep
-	// their results; interrupted jobs re-run deterministically).
+	// their results; interrupted jobs re-run deterministically from an
+	// empty view). A running job's checkpointed view is read back only
+	// for a job recovery settles as unresumable.
 	Store Store
 }
 

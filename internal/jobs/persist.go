@@ -15,12 +15,13 @@ package jobs
 //	          never silently vanishes.
 //
 // Resume-by-re-run is the honest checkpoint for a Monte-Carlo
-// estimator: the sampler's RNG stream and fused-operator memos do not
-// serialize, but the run is a pure function of (spec, seed, budget),
-// so replaying from sample zero reproduces the interrupted run
-// exactly. The periodic view checkpoints are what clients see while
-// the re-run catches up — the newest partials the lost process had
-// reported.
+// estimator: the sampler's RNG stream does not serialize, but the run
+// is a pure function of (spec, seed, budget), so replaying from sample
+// zero reproduces the interrupted run exactly. A resumed job restarts
+// with an empty view, like any new job; the periodic checkpoints of a
+// running view are read back only when recovery settles the job as
+// unresumable, so its failed view keeps the newest partials the lost
+// process had reported.
 
 import (
 	"errors"

@@ -3,6 +3,7 @@ package lbs
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -220,6 +221,8 @@ func TestOptionsValidation(t *testing.T) {
 	for _, bad := range []Options{
 		{K: 0},
 		{K: 1, MaxRadius: -1},
+		{K: 1, MaxRadius: math.NaN()},
+		{K: 1, MaxRadius: math.Inf(1)},
 	} {
 		func() {
 			defer func() {

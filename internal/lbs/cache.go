@@ -38,7 +38,7 @@ type CacheStats struct {
 	Misses        int64 `json:"misses"`             // queries forwarded (and charged) to the service
 	Bypasses      int64 `json:"bypasses"`           // filtered queries forwarded uncached
 	Evictions     int64 `json:"evictions"`          // entries dropped by LRU pressure
-	Invalidations int64 `json:"invalidations"`      // entries dropped by mutation (Invalidate/InvalidateAll)
+	Invalidations int64 `json:"invalidations"`      // entries dropped by mutation (Invalidate)
 	Restored      int64 `json:"restored,omitempty"` // entries loaded from a persisted snapshot (warm restart)
 	Entries       int64 `json:"entries"`            // entries currently resident
 }
@@ -308,8 +308,9 @@ func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
 // epoch invalidation calls this with the dirty region of a batch of
 // mutations — the bounding box of disks of the service's maximum
 // match radius around every mutated effective location — so entries
-// for queries provably unaffected by the mutation survive. An
-// infinite or universe-covering region degenerates to InvalidateAll.
+// for queries provably unaffected by the mutation survive. The
+// infinite region — the dirty region of a service without MaxRadius —
+// drops every entry.
 func (c *CachedOracle) Invalidate(region geom.Rect) int64 {
 	var dropped int64
 	for _, sh := range c.shards {
@@ -317,18 +318,6 @@ func (c *CachedOracle) Invalidate(region geom.Rect) int64 {
 			x, y := math.Float64frombits(key.qx), math.Float64frombits(key.qy)
 			return region.Min.X <= x && x <= region.Max.X && region.Min.Y <= y && y <= region.Max.Y
 		}))
-	}
-	c.invalidations.Add(dropped)
-	return dropped
-}
-
-// InvalidateAll drops every cached answer and returns how many
-// entries were dropped — the correct response to a mutation whose
-// effect radius is unbounded (no MaxRadius on the service).
-func (c *CachedOracle) InvalidateAll() int64 {
-	var dropped int64
-	for _, sh := range c.shards {
-		dropped += int64(sh.removeIf(func(cacheKey) bool { return true }))
 	}
 	c.invalidations.Add(dropped)
 	return dropped

@@ -414,7 +414,8 @@ type Options struct {
 	Metric geo.Metric
 	// MaxRadius, when positive, caps how far returned tuples may be
 	// from the query point; queries with no tuple within the radius
-	// return an empty answer (the dmax constraint of §5.3).
+	// return an empty answer (the dmax constraint of §5.3). 0 means
+	// unlimited; it must be finite.
 	MaxRadius float64
 	// Budget, when positive, is the total number of queries the
 	// service will answer before returning ErrBudgetExhausted. It
@@ -440,8 +441,11 @@ func (o Options) Validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("lbs: Options.K must be ≥ 1, got %d", o.K)
 	}
-	if o.MaxRadius < 0 {
-		return fmt.Errorf("lbs: Options.MaxRadius must be ≥ 0, got %g", o.MaxRadius)
+	// NaN fails the first test: a NaN radius would serve as unlimited
+	// while the live overlay's dirty regions, built from it, matched
+	// no cached answer.
+	if !(o.MaxRadius >= 0) || math.IsInf(o.MaxRadius, 1) {
+		return fmt.Errorf("lbs: Options.MaxRadius must be finite and ≥ 0 (0 = unlimited), got %g", o.MaxRadius)
 	}
 	return nil
 }
@@ -594,8 +598,8 @@ var _ NonBlocking = (*Service)(nil)
 func (s *Service) NeverBlocks() {}
 
 // NewService creates a service view. It panics on invalid options
-// (K < 1 or a negative radius) — misconfiguration, not a
-// runtime condition.
+// (K < 1 or a negative or non-finite radius) — misconfiguration, not
+// a runtime condition.
 func NewService(db *Database, opts Options) *Service {
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())

@@ -73,24 +73,33 @@ func (s Spec) Validate(db *lbs.Database) error {
 }
 
 // resolve validates the Spec built over db and derives what Build needs
-// from it: the distance metric the stack runs (before any upstream is
-// asked) and the parsed fault spec (nil for none).
-func (s *Spec) resolve(db *lbs.Database) (geo.Metric, *faults.Spec, error) {
+// from it: the service options of the stack, with the distance metric
+// it runs (before any upstream is asked), and the parsed fault spec
+// (nil for none).
+func (s *Spec) resolve(db *lbs.Database) (lbs.Options, *faults.Spec, error) {
 	for _, r := range rules {
 		if r.conflict(s, db) {
-			return 0, nil, errors.New(r.err)
+			return lbs.Options{}, nil, errors.New(r.err)
 		}
+	}
+	opts := lbs.Options{K: s.K, Budget: s.Budget, MaxRadius: s.Radius}
+	if err := opts.Validate(); err != nil {
+		flag := "-radius"
+		if s.K < 1 {
+			flag = "-k"
+		}
+		return lbs.Options{}, nil, fmt.Errorf("%s: %w", flag, err)
 	}
 	var fspec *faults.Spec
 	if s.FaultSpec != "" {
 		f, err := faults.ParseSpec(s.FaultSpec)
 		if err != nil {
-			return 0, nil, fmt.Errorf("-fault-spec: %w", err)
+			return lbs.Options{}, nil, fmt.Errorf("-fault-spec: %w", err)
 		}
 		fspec = &f
 	}
 	if _, err := workload.ParseDensity(s.Density); err != nil {
-		return 0, nil, fmt.Errorf("-density: %w", err)
+		return lbs.Options{}, nil, fmt.Errorf("-density: %w", err)
 	}
 	// The data decides the metric: the dataset's header or the
 	// scenario's layout (upstreams report theirs in Build). An explicit
@@ -109,19 +118,20 @@ func (s *Spec) resolve(db *lbs.Database) (geo.Metric, *faults.Spec, error) {
 		metric, err = workload.NamedMetric(s.Scenario, s.Density)
 	}
 	if err != nil {
-		return 0, nil, err
+		return lbs.Options{}, nil, err
 	}
 	if s.Metric != "" {
 		m, err := geo.ParseMetric(s.Metric)
 		if err != nil {
-			return 0, nil, fmt.Errorf("-metric: %w", err)
+			return lbs.Options{}, nil, fmt.Errorf("-metric: %w", err)
 		}
 		if s.Upstream == "" && db == nil && m != metric {
-			return 0, nil, fmt.Errorf("-metric %s, but the backing data is laid out for %s", m, metric)
+			return lbs.Options{}, nil, fmt.Errorf("-metric %s, but the backing data is laid out for %s", m, metric)
 		}
 		metric = m
 	}
-	return metric, fspec, nil
+	opts.Metric = metric
+	return opts, fspec, nil
 }
 
 // Stack is a built Spec: the querier chain to serve and what the
@@ -152,12 +162,11 @@ type Stack struct {
 // data in place of -scenario: -shards partitions it, -live wraps it and
 // a cold -data-dir start packs it.
 func (s Spec) Build(ctx context.Context, db *lbs.Database) (*Stack, error) {
-	metric, fspec, err := s.resolve(db)
+	opts, fspec, err := s.resolve(db)
 	if err != nil {
 		return nil, err
 	}
 	b := &Stack{Jobs: jobs.ManagerOptions{DefaultMaxQueries: s.JobMaxQueries, MaxJobs: s.MaxJobs}}
-	opts := lbs.Options{K: s.K, Budget: s.Budget, MaxRadius: s.Radius, Metric: metric}
 	var q lbs.Querier
 	if s.Upstream != "" {
 		q, err = s.federate(ctx, &opts, b)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -100,6 +101,46 @@ func TestValidate(t *testing.T) {
 			t.Errorf("rule %q has no test case", r.err)
 		}
 	}
+}
+
+// TestBuildRejectsServiceOptions: a k or coverage radius the service
+// cannot run is an error naming its flag, from Build as from Validate,
+// never a panic inside the service constructor. A NaN radius would
+// serve as unlimited while turning every live dirty region into a NaN
+// rect that invalidates no cached answer.
+func TestBuildRejectsServiceOptions(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(s *Spec)
+		want string
+	}{
+		{"k 0", func(s *Spec) { s.K = 0 }, "-k: "},
+		{"radius -1", func(s *Spec) { s.Radius = -1 }, "-radius: "},
+		{"radius NaN", func(s *Spec) { s.Radius = math.NaN() }, "-radius: "},
+		{"radius +Inf", func(s *Spec) { s.Radius = math.Inf(1) }, "-radius: "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := base()
+			c.edit(&s)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Build panicked: %v", p)
+				}
+			}()
+			for _, err := range []error{s.Validate(nil), buildErr(s)} {
+				if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+					t.Errorf("error %v, want one starting %q", err, c.want)
+				}
+			}
+		})
+	}
+}
+
+// buildErr is the error of building s over its scenario.
+func buildErr(s Spec) error {
+	_, err := s.Build(context.Background(), nil)
+	return err
 }
 
 // stats fetches /v1/stats from a server over st, keyed by section.

@@ -76,8 +76,8 @@
 // a streaming operator graph that shares work across the batch:
 //
 //   - predicates are canonicalized (and/or reordering folds away) and
-//     deduped, so each distinct selection compiles once and is
-//     evaluated at most once per returned record;
+//     deduped, so each distinct selection compiles once into one
+//     closure that every aggregate over it shares;
 //   - COUNT/SUM/AVG over the same selection fuse into shared physical
 //     aggregates (an AVG rides the same SUM and COUNT as its siblings);
 //   - every spec reads every sample of one stream, run by the forced
@@ -622,8 +622,8 @@ type (
 	// bounds.
 	PlanOptions = core.PlanOptions
 	// QueryPlan is a compiled multi-aggregate batch: one sample stream
-	// of fused physical aggregates over deduped predicates. Single-use;
-	// run it with Execute.
+	// of fused physical aggregates over deduped predicates. Run it with
+	// Execute, as often as wanted.
 	QueryPlan = core.QueryPlan
 	// PlanProgress is the per-sample streaming event of Execute.
 	PlanProgress = core.PlanProgress
