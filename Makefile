@@ -66,9 +66,15 @@ examples:
 # parallel job through QueryPlan.Execute's one sample stream, which
 # must draw exactly its 8-sample cap. The tenth race-checks a fused
 # plan's aggregates, which four parallel estimator forks share (their
-# Value closures are pure; about 4 s).
+# Value closures are pure; about 4 s). The first line also runs the
+# randomized check of cache invalidation over the slot arrays against
+# a list walk. The eleventh race-checks the live overlay: readers
+# bracketing queries by epoch against a writer and background
+# compaction, a live cluster under concurrent queries and mutations,
+# and the per-op equivalence across tail folds and compaction (about
+# 45 s).
 stress:
-	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
+	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc|TestCacheInvalidateMatchesListWalk' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
 	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
 	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
@@ -78,6 +84,7 @@ stress:
 	$(GO) test -race -count=50 -run '^(TestNNOBatchRespectsBudget|TestCachedBatchedParallelRun)$$' ./internal/core
 	$(GO) test -race -count=20 -run '^TestJobViewCarriesPlan$$' ./internal/jobs
 	$(GO) test -race -count=50 -run '^TestExecuteParallelFusedGroup$$' ./internal/core
+	$(GO) test -race -count=20 -run '^(TestLiveEpochConsistency|TestLiveClusterConcurrentSmoke|TestLiveFoldEquivalence)$$' ./internal/live
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
@@ -134,10 +141,12 @@ federation_PKGS = ./internal/shard
 federation_FLAGS = -benchmem
 
 # live: the immutable Service read baseline, the live read path at
-# 0%/1%/10% churn (mutations interleaved per query), and raw mutation
-# throughput. The Churn0 row measures the clean-overlay fast path
-# against the immutable baseline.
-live_BENCH = BenchmarkImmutableQueryLR|BenchmarkLiveQueryLRChurn|BenchmarkLiveApply
+# 0%/1%/10% churn (mutations interleaved per query), reads alone over
+# a fixed dirty overlay of 500 churn ops (Dirty), raw mutation
+# throughput, and single moves over that overlay (ApplyMove). The
+# Churn0 row measures the clean-overlay fast path against the
+# immutable baseline.
+live_BENCH = BenchmarkImmutableQueryLR|BenchmarkLiveQueryLRChurn|BenchmarkLiveQueryLRDirty|BenchmarkLiveApply
 live_PKGS = ./internal/live
 live_FLAGS = -benchmem
 

@@ -19,12 +19,12 @@ package httpapi
 //
 // seq is the 0-based position of the op in the request stream; epoch
 // is the backend's applied-mutation epoch after the op (unchanged when
-// the op was rejected). A rejected op does not abort the stream —
-// later ops keep applying — but a malformed line does: the server acks
-// it with ok=false and a decode error, then closes the stream (it
-// cannot trust line framing past a syntax error). Ops apply one at a
-// time, so an ack's epoch is the exact epoch at which that op's effect
-// became visible to queries.
+// the op was rejected, by the backend or before it reached it). A
+// rejected op does not abort the stream — later ops keep applying —
+// but a malformed line does: the server acks it with ok=false and a
+// decode error, then closes the stream (it cannot trust line framing
+// past a syntax error). Ops apply one at a time, so an ack's epoch is
+// the exact epoch at which that op's effect became visible to queries.
 //
 // A server whose backend has no Mutator (an immutable database)
 // refuses the stream with 501 Not Implemented.
@@ -134,23 +134,31 @@ func (s *Server) handleTupleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return true
 	}
+	// epoch is the last epoch the stream saw: what an op rejected
+	// before it reaches the mutator (a malformed line, an unknown op, a
+	// missing coordinate) acks, since it leaves the epoch unchanged.
+	var epoch uint64
+	if e, ok := s.mutator.(interface{ Epoch() uint64 }); ok {
+		epoch = e.Epoch()
+	}
 	dec := json.NewDecoder(r.Body)
 	for seq := 0; ; seq++ {
 		var wop wireOp
 		if err := dec.Decode(&wop); err != nil {
 			if !errors.Is(err, io.EOF) {
-				ack(wireAck{Seq: seq, OK: false, Error: fmt.Sprintf("decode: %v", err)})
+				ack(wireAck{Seq: seq, OK: false, Epoch: epoch, Error: fmt.Sprintf("decode: %v", err)})
 			}
 			return
 		}
 		op, err := wop.toOp()
 		if err != nil {
-			if !ack(wireAck{Seq: seq, OK: false, Error: err.Error()}) {
+			if !ack(wireAck{Seq: seq, OK: false, Epoch: epoch, Error: err.Error()}) {
 				return
 			}
 			continue
 		}
 		res := s.mutator.Apply(r.Context(), []live.Op{op})[0]
+		epoch = res.Epoch
 		a := wireAck{Seq: seq, OK: res.Err == nil, Epoch: res.Epoch}
 		if res.Err != nil {
 			a.Error = res.Err.Error()

@@ -189,6 +189,49 @@ func TestTupleStreamUnknownKind(t *testing.T) {
 	}
 }
 
+// TestTupleStreamRejectedAcksKeepEpoch pins the epoch of a rejected
+// op's ack: the last epoch the stream saw, whether the op was rejected
+// by the mutator (an unknown ID) or before it (an unknown op, a
+// missing coordinate, a malformed line). A rejection ahead of the
+// stream's first applied op acks the backend's epoch at the start.
+func TestTupleStreamRejectedAcksKeepEpoch(t *testing.T) {
+	d, ts := testLiveBacked(t, live.Options{})
+	if r := d.Apply(context.Background(), []live.Op{{Kind: live.OpDelete, ID: 5}})[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	body := strings.Join([]string{
+		`{"op":"upsert","id":3}`,
+		`{"op":"delete","id":3}`,
+		`{"op":"insert","id":9002}`,
+		`{"op":"delete","id":99999}`,
+		`nope`,
+	}, "\n") + "\n"
+	resp, err := http.Post(ts.URL+"/v1/tuples:stream", "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var acks []wireAck
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var a wireAck
+		if err := dec.Decode(&a); err != nil {
+			break
+		}
+		acks = append(acks, a)
+	}
+	wantOK := []bool{false, true, false, false, false}
+	wantEpoch := []uint64{1, 2, 2, 2, 2}
+	if len(acks) != len(wantOK) {
+		t.Fatalf("got %d acks, want %d: %+v", len(acks), len(wantOK), acks)
+	}
+	for i, a := range acks {
+		if a.Seq != i || a.OK != wantOK[i] || a.Epoch != wantEpoch[i] {
+			t.Errorf("ack %d: %+v, want ok=%v epoch=%d", i, a, wantOK[i], wantEpoch[i])
+		}
+	}
+}
+
 // TestStatsLive pins the /v1/stats additions: the live section (epoch
 // and mutation counters) via the Stats() live.Stats probe, and the
 // cache invalidation counter after a mutation flushes dirtied entries.

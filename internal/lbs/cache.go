@@ -78,6 +78,7 @@ func (k cacheKey) hash() uint64 {
 type cacheEntry struct {
 	key  cacheKey
 	recs []LRRecord
+	slot int // the entry's index in its shard's pts and els; set under the shard lock
 }
 
 // cacheShard is one independently locked LRU segment, plus the
@@ -88,6 +89,42 @@ type cacheShard struct {
 	lru      *list.List // front = most recently used; element values are *cacheEntry
 	items    map[cacheKey]*list.Element
 	inflight map[cacheKey]*flight
+	// pts and els are the resident entries as a dense slot array: the
+	// query point of the entry in each slot and its LRU element.
+	// Invalidate scans pts, a flat run of coordinates, instead of
+	// walking the list. A free slot holds NaN coordinates, which no
+	// region contains, and sits on free; an insert or an eviction
+	// touches only its own slot.
+	pts  []geom.Point
+	els  []*list.Element
+	free []int
+}
+
+// freePt marks a free slot: NaN fails every region comparison.
+var freePt = geom.Pt(math.NaN(), math.NaN())
+
+// occupy gives a newly resident entry a slot.
+func (sh *cacheShard) occupy(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	p := geom.Pt(math.Float64frombits(e.key.qx), math.Float64frombits(e.key.qy))
+	if n := len(sh.free); n > 0 {
+		e.slot = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		sh.pts[e.slot], sh.els[e.slot] = p, el
+		return
+	}
+	e.slot = len(sh.pts)
+	sh.pts = append(sh.pts, p)
+	sh.els = append(sh.els, el)
+}
+
+// drop removes a resident entry: from the LRU, the index and its slot.
+func (sh *cacheShard) drop(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	sh.lru.Remove(el)
+	delete(sh.items, e.key)
+	sh.pts[e.slot], sh.els[e.slot] = freePt, nil
+	sh.free = append(sh.free, e.slot)
 }
 
 // flight is one upstream fetch in progress. Concurrent misses on its
@@ -152,16 +189,17 @@ func (sh *cacheShard) put(e *cacheEntry) int {
 
 func (sh *cacheShard) putLocked(e *cacheEntry) int {
 	if el, ok := sh.items[e.key]; ok {
+		e.slot = el.Value.(*cacheEntry).slot
 		el.Value = e
 		sh.lru.MoveToFront(el)
 		return 0
 	}
-	sh.items[e.key] = sh.lru.PushFront(e)
+	el := sh.lru.PushFront(e)
+	sh.items[e.key] = el
+	sh.occupy(el)
 	evicted := 0
 	for sh.lru.Len() > sh.cap {
-		oldest := sh.lru.Back()
-		sh.lru.Remove(oldest)
-		delete(sh.items, oldest.Value.(*cacheEntry).key)
+		sh.drop(sh.lru.Back())
 		evicted++
 	}
 	return evicted
@@ -276,26 +314,28 @@ func (c *CachedOracle) Stats() CacheStats {
 	}
 }
 
-// removeIf drops every entry whose key matches pred and returns how
-// many were removed. Flights on matching keys are detached: their
-// answers may predate the mutation being invalidated, so they are
-// never memoized and later lookups fetch afresh.
-func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
+// inRegion is the invalidation predicate: p inside region, edges
+// included. NaN coordinates (free slots) are never inside.
+func inRegion(region geom.Rect, p geom.Point) bool {
+	return region.Min.X <= p.X && p.X <= region.Max.X && region.Min.Y <= p.Y && p.Y <= region.Max.Y
+}
+
+// invalidate drops every entry whose query point lies in region and
+// returns how many were removed. Flights on matching keys are
+// detached: their answers may predate the mutation being invalidated,
+// so they are never memoized and later lookups fetch afresh.
+func (sh *cacheShard) invalidate(region geom.Rect) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	removed := 0
-	var next *list.Element
-	for el := sh.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		key := el.Value.(*cacheEntry).key
-		if pred(key) {
-			sh.lru.Remove(el)
-			delete(sh.items, key)
+	for slot, p := range sh.pts {
+		if inRegion(region, p) {
+			sh.drop(sh.els[slot])
 			removed++
 		}
 	}
 	for key, f := range sh.inflight {
-		if pred(key) {
+		if inRegion(region, geom.Pt(math.Float64frombits(key.qx), math.Float64frombits(key.qy))) {
 			f.detached = true
 			delete(sh.inflight, key)
 		}
@@ -310,14 +350,12 @@ func (sh *cacheShard) removeIf(pred func(cacheKey) bool) int {
 // match radius around every mutated effective location — so entries
 // for queries provably unaffected by the mutation survive. The
 // infinite region — the dirty region of a service without MaxRadius —
-// drops every entry.
+// drops every entry. Each shard scans its dense slot array, so the
+// cost is a pass over coordinates, not over the LRU list.
 func (c *CachedOracle) Invalidate(region geom.Rect) int64 {
 	var dropped int64
 	for _, sh := range c.shards {
-		dropped += int64(sh.removeIf(func(key cacheKey) bool {
-			x, y := math.Float64frombits(key.qx), math.Float64frombits(key.qy)
-			return region.Min.X <= x && x <= region.Max.X && region.Min.Y <= y && y <= region.Max.Y
-		}))
+		dropped += int64(sh.invalidate(region))
 	}
 	c.invalidations.Add(dropped)
 	return dropped

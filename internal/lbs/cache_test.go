@@ -1,6 +1,8 @@
 package lbs
 
 import (
+	"bytes"
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -444,5 +446,172 @@ func TestCacheInvalidateInfiniteRegion(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Invalidations != 4 {
 		t.Fatalf("stats after flush = %+v", st)
+	}
+}
+
+// listWalkInvalidate is the reference invalidation: walk each shard's
+// LRU list front to back and remove the entries whose query point lies
+// in region, touching nothing but the list and the index.
+func listWalkInvalidate(c *CachedOracle, region geom.Rect) int64 {
+	var dropped int64
+	for _, sh := range c.shards {
+		var next *list.Element
+		for el := sh.lru.Front(); el != nil; el = next {
+			next = el.Next()
+			key := el.Value.(*cacheEntry).key
+			x, y := math.Float64frombits(key.qx), math.Float64frombits(key.qy)
+			if region.Min.X <= x && x <= region.Max.X && region.Min.Y <= y && y <= region.Max.Y {
+				sh.lru.Remove(el)
+				delete(sh.items, key)
+				dropped++
+			}
+		}
+	}
+	c.invalidations.Add(dropped)
+	return dropped
+}
+
+// sameLRU reports whether two caches hold the same keys in the same
+// LRU order, shard by shard.
+func sameLRU(a, b *CachedOracle) bool {
+	for i := range a.shards {
+		x, y := a.shards[i].lru.Front(), b.shards[i].lru.Front()
+		for ; x != nil && y != nil; x, y = x.Next(), y.Next() {
+			if x.Value.(*cacheEntry).key != y.Value.(*cacheEntry).key {
+				return false
+			}
+		}
+		if x != nil || y != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// lruKeys lists every shard's keys in LRU order, most recent first.
+func lruKeys(c *CachedOracle) [][]cacheKey {
+	out := make([][]cacheKey, len(c.shards))
+	for i, sh := range c.shards {
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			out[i] = append(out[i], el.Value.(*cacheEntry).key)
+		}
+	}
+	return out
+}
+
+// checkSlots verifies a shard's slot array against its LRU list: every
+// resident entry owns exactly the slot holding its point and element,
+// every other slot is free, and the live slot count is the LRU length.
+func checkSlots(t *testing.T, c *CachedOracle) {
+	t.Helper()
+	for i, sh := range c.shards {
+		live := 0
+		for slot, p := range sh.pts {
+			if sh.els[slot] == nil {
+				if !math.IsNaN(p.X) || !math.IsNaN(p.Y) {
+					t.Fatalf("shard %d slot %d: free slot holds %v", i, slot, p)
+				}
+				continue
+			}
+			live++
+			e := sh.els[slot].Value.(*cacheEntry)
+			if e.slot != slot || p != geom.Pt(math.Float64frombits(e.key.qx), math.Float64frombits(e.key.qy)) {
+				t.Fatalf("shard %d slot %d: holds %v for an entry in slot %d keyed %+v", i, slot, p, e.slot, e.key)
+			}
+		}
+		if live != sh.lru.Len() || live+len(sh.free) != len(sh.pts) {
+			t.Fatalf("shard %d: %d live slots, %d free, %d slots, LRU length %d", i, live, len(sh.free), len(sh.pts), sh.lru.Len())
+		}
+	}
+}
+
+// TestCacheInvalidateMatchesListWalk drives two caches through one
+// random mix of misses, hits, refreshes and evictions (queries and
+// snapshot restores) and region invalidations. The cache under test
+// invalidates by scanning its slot arrays; the reference walks its LRU
+// lists. After every step the two hold the same keys in the same LRU
+// order with the same counters, and the slot arrays match the lists.
+func TestCacheInvalidateMatchesListWalk(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		svc := NewService(testDB(t), Options{K: 2})
+		got := NewCachedOracle(svc, CacheOptions{Capacity: 48})
+		ref := NewCachedOracle(svc, CacheOptions{Capacity: 48})
+		// Points on a 12×12 grid (with -0 on the axes) repeat often
+		// enough for hits and refreshes and outnumber the capacity
+		// enough for evictions.
+		point := func() geom.Point {
+			x, y := float64(rng.Intn(12)), float64(rng.Intn(12))
+			if x == 0 && rng.Intn(2) == 0 {
+				x = math.Copysign(0, -1)
+			}
+			return geom.Pt(x, y)
+		}
+		// Snapshots of two third caches, restored now and then:
+		// refreshes of resident keys, new keys, evictions under
+		// pressure.
+		var snaps [][]byte
+		for i := 0; i < 2; i++ {
+			src := NewCachedOracle(svc, CacheOptions{Capacity: 48})
+			for j := 10 + rng.Intn(20); j > 0; j-- {
+				if _, err := src.QueryLR(ctx, point(), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := src.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, buf.Bytes())
+		}
+		for step := 0; step < 200; step++ {
+			switch r := rng.Intn(40); {
+			case r < 24:
+				p := point()
+				for _, c := range []*CachedOracle{got, ref} {
+					if _, err := c.QueryLR(ctx, p, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case r < 28:
+				pts := make([]geom.Point, 1+rng.Intn(6))
+				for i := range pts {
+					pts[i] = point()
+				}
+				for _, c := range []*CachedOracle{got, ref} {
+					if _, err := c.QueryLRBatch(ctx, pts, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case r < 29:
+				snap := snaps[rng.Intn(len(snaps))]
+				for _, c := range []*CachedOracle{got, ref} {
+					if _, err := c.ReadSnapshot(bytes.NewReader(snap)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				x0, y0 := float64(rng.Intn(14)-1), float64(rng.Intn(14)-1)
+				region := geom.Rect{Min: geom.Pt(x0, y0), Max: geom.Pt(x0+float64(rng.Intn(6)), y0+float64(rng.Intn(6)))}
+				if rng.Intn(10) == 0 {
+					inf := math.Inf(1)
+					region = geom.Rect{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)}
+				}
+				if a, b := got.Invalidate(region), listWalkInvalidate(ref, region); a != b {
+					t.Fatalf("seed %d step %d: Invalidate(%v) dropped %d, list walk %d", seed, step, region, a, b)
+				}
+			}
+			if !sameLRU(got, ref) {
+				t.Fatalf("seed %d step %d: LRU contents differ\ngot %v\nref %v", seed, step, lruKeys(got), lruKeys(ref))
+			}
+			if a, b := got.Stats(), ref.Stats(); a != b {
+				t.Fatalf("seed %d step %d: stats %+v, reference %+v", seed, step, a, b)
+			}
+			checkSlots(t, got)
+		}
+		if st := got.Stats(); st.Evictions == 0 || st.Invalidations == 0 || st.Hits == 0 || st.Restored == 0 {
+			t.Fatalf("seed %d: the mix missed a path: %+v", seed, st)
+		}
 	}
 }

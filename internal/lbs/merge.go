@@ -68,62 +68,53 @@ func MergeRanked(q geom.Point, opts Options, lists ...[]LRRecord) []LRRecord {
 		k := min(len(l), opts.K)
 		return l[:k:k]
 	}
-	type cand struct {
-		rec  LRRecord
-		dist float64
-	}
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	cands := make([]cand, 0, n)
-	for _, l := range lists {
+	// The sort moves small references, not records: a record is about
+	// a hundred bytes, and the candidates of a typical merge fit the
+	// stack buffer.
+	var buf [64]mergeRef
+	cands := buf[:0]
+	for li, l := range lists {
 		for i := range l {
-			cands = append(cands, cand{rec: l[i], dist: opts.RankDist(q, &l[i])})
+			cands = append(cands, mergeRef{dist: opts.RankDist(q, &l[i]), id: l[i].ID, list: int32(li), pos: int32(i)})
 		}
 	}
-	slices.SortFunc(cands, func(a, b cand) int {
-		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.rec.ID, b.rec.ID))
-	})
+	slices.SortFunc(cands, mergeRef.compare)
 	if want := opts.CandidateCount(); len(cands) > want {
 		cands = cands[:want]
 	}
 	if opts.Rank == RankByProminence {
-		type scored struct {
-			i     int
-			id    int64
-			score float64
-		}
-		ss := make([]scored, len(cands))
+		// Re-score the candidate pool in place: dist becomes the score,
+		// and the (score, ID) order is a property of the data alone.
 		for i := range cands {
+			rec := &lists[cands[i].list][cands[i].pos]
 			var attr float64
-			if cands[i].rec.Attrs != nil {
-				attr = cands[i].rec.Attrs[opts.ProminenceAttr]
+			if rec.Attrs != nil {
+				attr = rec.Attrs[opts.ProminenceAttr]
 			}
-			ss[i] = scored{i: i, id: cands[i].rec.ID, score: cands[i].dist - opts.ProminenceWeight*attr}
+			cands[i].dist -= opts.ProminenceWeight * attr
 		}
-		slices.SortFunc(ss, func(a, b scored) int {
-			return cmp.Or(cmp.Compare(a.score, b.score), cmp.Compare(a.id, b.id))
-		})
-		k := len(ss)
-		if k > opts.K {
-			k = opts.K
-		}
-		out := make([]LRRecord, k)
-		for i := 0; i < k; i++ {
-			out[i] = cands[ss[i].i].rec
-		}
-		return out
+		slices.SortFunc(cands, mergeRef.compare)
 	}
-	k := len(cands)
-	if k > opts.K {
-		k = opts.K
-	}
-	out := make([]LRRecord, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].rec
+	out := make([]LRRecord, min(len(cands), opts.K))
+	for i := range out {
+		out[i] = lists[cands[i].list][cands[i].pos]
 	}
 	return out
+}
+
+// mergeRef is one candidate of a MergeRanked merge: its rank key and
+// where its record sits in the merged lists.
+type mergeRef struct {
+	dist      float64
+	id        int64
+	list, pos int32
+}
+
+// compare orders candidates by (dist, ID): the service ordering
+// contract, and under prominence rank (score, ID) once dist holds the
+// score.
+func (a mergeRef) compare(b mergeRef) int {
+	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id))
 }
 
 // StripLocations converts an LR answer to its rank-only (LNR) view:

@@ -121,3 +121,76 @@ func BenchmarkLiveApply(b *testing.B) {
 		}
 	}
 }
+
+// dirtyOverlay is a live database over the benchmark data with a
+// fixed overlay: 500 churn ops applied one at a time, as an ingest
+// stream applies them, with compaction off so the overlay stays put.
+// It also returns the IDs the overlay holds (inserted or moved tuples
+// still present); moving one of them keeps the overlay's size fixed.
+func dirtyOverlay(b *testing.B) (*live.Database, []geom.Point, []int64) {
+	b.Helper()
+	db := benchDB(b)
+	d, err := live.New(db, lbs.Options{K: 5}, live.Options{CompactThreshold: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var resident []int64
+	seen := map[int64]bool{}
+	for _, op := range churn.Ops(db, churn.Config{Seed: 11}, 500) {
+		if r := d.Apply(ctx, []live.Op{op})[0]; r.Err != nil {
+			b.Fatal(r.Err)
+		}
+		id := op.ID
+		if op.Kind == live.OpInsert {
+			id = op.Tuple.ID
+		}
+		if op.Kind != live.OpDelete && !seen[id] {
+			seen[id] = true
+			resident = append(resident, id)
+		}
+	}
+	kept := resident[:0]
+	for _, id := range resident {
+		if _, _, ok := d.Lookup(id); ok {
+			kept = append(kept, id)
+		}
+	}
+	return d, benchPoints(db, 4096), kept
+}
+
+// BenchmarkLiveQueryLRDirty measures the read path alone over a dirty
+// overlay (no mutations during the timed loop): every query merges
+// the base with the overlay's candidates.
+func BenchmarkLiveQueryLRDirty(b *testing.B) {
+	d, pts, _ := dirtyOverlay(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.QueryLR(ctx, pts[i%len(pts)], nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLiveApplyMove measures one move per iteration over that
+// overlay: the moved tuple is already in the overlay, so the overlay's
+// size (delta tuples and tombstones) does not grow with b.N.
+func BenchmarkLiveApplyMove(b *testing.B) {
+	d, pts, resident := dirtyOverlay(b)
+	ctx := context.Background()
+	before := d.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := live.Op{Kind: live.OpMove, ID: resident[i%len(resident)], Loc: pts[i%len(pts)]}
+		if r := d.Apply(ctx, []live.Op{op})[0]; r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+	b.StopTimer()
+	if after := d.Stats(); after.DeltaLen != before.DeltaLen || after.Tombstones != before.Tombstones {
+		b.Fatalf("overlay size moved: %+v -> %+v", before, after)
+	}
+}

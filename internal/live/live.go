@@ -1,16 +1,26 @@
 // Package live adds mutation to the otherwise immutable LBS stack: a
 // live.Database wraps an immutable lbs.Database with an LSM-style
-// delta overlay — an insert buffer plus a tombstone set — merged into
+// delta overlay — inserted tuples plus a tombstone set — merged into
 // every answer inside the existing (dist, ID) ordering contract, so a
 // live database with any overlay answers bit-identically to a plain
 // lbs.Service over the materialized tuple set.
 //
+// The overlay has two tiers. A frozen run holds the delta tuples,
+// their ID index, their candidate service and the base tombstones as
+// of the last fold; every snapshot until the next fold shares it. A
+// tail holds what happened since: the tuples inserted, the base tuples
+// hidden and the run tuples deleted or moved. A mutation copies only
+// the tail and rebuilds only its small candidate service, so it costs
+// what it changes; once the tail holds foldAt entries it folds into a
+// new frozen run, so the O(overlay) rebuild runs once per foldAt
+// mutations.
+//
 // Reads never block on writes: every query resolves one atomic
 // snapshot pointer and computes entirely against immutable state
-// (lbs.Database values, a frozen tombstone set). Mutations are
-// serialized under a mutex, build a fresh snapshot copy-on-write and
-// swap it in; a monotone epoch counter advances with every applied
-// mutation, so two equal epochs always describe bit-identical
+// (lbs.Database values, frozen tombstone sets). Mutations are
+// serialized under a mutex, copy the tail, edit the copy and swap a
+// new snapshot in; a monotone epoch counter advances with every
+// applied mutation, so two equal epochs always describe bit-identical
 // contents. When the overlay outgrows a threshold, a background
 // rebuilder compacts base+overlay into a fresh kd-tree-backed base and
 // swaps it in — queries observe the swap only as the overlay emptying;
@@ -148,7 +158,7 @@ type Options struct {
 type Stats struct {
 	Epoch       uint64 `json:"epoch"`       // applied mutations since construction
 	BaseLen     int    `json:"base_len"`    // tuples in the immutable base
-	DeltaLen    int    `json:"delta_len"`   // tuples in the insert buffer
+	DeltaLen    int    `json:"delta_len"`   // inserted or moved tuples in the overlay
 	Tombstones  int    `json:"tombstones"`  // base tuples hidden by deletion/move
 	Inserts     int64  `json:"inserts"`     // applied OpInserts
 	Deletes     int64  `json:"deletes"`     // applied OpDeletes
@@ -158,28 +168,67 @@ type Stats struct {
 	Compacting  bool   `json:"compacting"`  // a compaction is in flight
 }
 
-// snapshot is one immutable point-in-time state: queries resolve the
-// pointer once and never look back. base and delta are immutable
-// lbs.Databases; tomb is frozen (mutations copy it before changing).
-type snapshot struct {
-	epoch uint64
-	base  *lbs.Database
+// baseTier is an immutable base with its two query services. Every
+// snapshot over the same base shares it, so the services' scratch
+// pools stay warm across mutations.
+type baseTier struct {
+	base *lbs.Database
 	// full answers queries on a clean overlay: the base under the
 	// database's complete logical options (fast path — zero merge
 	// overhead when nothing has changed since the last compaction).
 	full *lbs.Service
-	// baseCand/deltaCand are distance-ranked candidate sources
-	// (K = CandidateCount, shared MaxRadius, no budget) whose merged
-	// answers reproduce a single service over the materialized tuples —
-	// the same member-service construction the federation Router uses.
-	baseCand    *lbs.Service
-	tomb        map[int64]struct{}
-	deltaTuples []lbs.Tuple
-	deltaByID   map[int64]int
-	deltaCand   *lbs.Service // nil when the insert buffer is empty
+	// baseCand is the base as a distance-ranked candidate source (K =
+	// CandidateCount, shared MaxRadius, no budget). Merged with the
+	// overlay tiers' candidate sources, its answers reproduce a single
+	// service over the materialized tuples — the same member-service
+	// construction the federation Router uses.
+	baseCand *lbs.Service
 }
 
-func (s *snapshot) clean() bool { return len(s.tomb) == 0 && len(s.deltaTuples) == 0 }
+// snapshot is one immutable point-in-time state: queries resolve the
+// pointer once and never look back.
+type snapshot struct {
+	epoch uint64
+	*baseTier
+	overlay
+	clean bool // the overlay is empty: reads take the base's full service
+	// tailCand is the tail's candidate source; nil when the tail holds
+	// no tuples.
+	tailCand *lbs.Service
+	// bloom covers every ID the read filters hide: both tiers'
+	// tombstones and the tail's dead run tuples.
+	bloom *idBloom
+	// baseKeep and runKeep are the unfiltered reads' filters (see
+	// keep), composed once per snapshot instead of once per query.
+	baseKeep, runKeep lbs.Filter
+}
+
+// keep returns a read's filters over the base, hiding both tiers'
+// tombstones, and over the frozen run, hiding the run tuples the tail
+// deleted or moved; each also applies filter. The tail's own
+// candidates need only filter.
+func (s *snapshot) keep(filter lbs.Filter) (base, run lbs.Filter) {
+	base, run = filter, filter
+	if s.tombstones() > 0 {
+		base = func(t *lbs.Tuple) bool {
+			if s.bloom.has(t.ID) && s.hidden(t.ID) {
+				return false
+			}
+			return filter == nil || filter(t)
+		}
+	}
+	if len(s.tail.dead) > 0 {
+		run = func(t *lbs.Tuple) bool {
+			if s.bloom.has(t.ID) {
+				if _, dead := s.tail.dead[t.ID]; dead {
+					return false
+				}
+			}
+			return filter == nil || filter(t)
+		}
+	}
+	return base, run
+}
 
 // Database is a mutable LBS: an immutable base plus a delta overlay,
 // queryable through the full lbs.Querier surface with the exact
@@ -228,7 +277,7 @@ func New(base *lbs.Database, opts lbs.Options, lopts Options) (*Database, error)
 		journal: lopts.Journal,
 		meter:   lbs.NewMeter(opts.Budget),
 	}
-	d.snap.Store(d.buildSnapshot(base, lopts.StartEpoch, nil, nil, nil))
+	d.snap.Store(d.buildSnapshot(d.newBaseTier(base), lopts.StartEpoch, overlay{run: emptyRun}))
 	return d, nil
 }
 
@@ -243,8 +292,8 @@ func (d *Database) SetJournal(j Journal) {
 	d.mu.Unlock()
 }
 
-// candOpts is the candidate-source configuration shared by base and
-// delta services (see snapshot).
+// candOpts is the candidate-source configuration shared by the base
+// and the overlay tiers (see baseTier).
 func (d *Database) candOpts() lbs.Options {
 	return lbs.Options{K: d.opts.CandidateCount(), MaxRadius: d.opts.MaxRadius, Metric: d.opts.Metric}
 }
@@ -258,30 +307,55 @@ func (d *Database) unmetered() lbs.Options {
 	return o
 }
 
-// buildSnapshot assembles a snapshot from overlay state. Caller owns
-// the passed maps/slices from here on (they are frozen).
-func (d *Database) buildSnapshot(base *lbs.Database, epoch uint64,
-	tomb map[int64]struct{}, deltaTuples []lbs.Tuple, deltaByID map[int64]int) *snapshot {
+// newBaseTier wraps a freshly built base in its query services.
+func (d *Database) newBaseTier(base *lbs.Database) *baseTier {
+	return &baseTier{
+		base:     base,
+		full:     lbs.NewService(base, d.unmetered()),
+		baseCand: lbs.NewService(base, d.candOpts()),
+	}
+}
 
+// candidates builds a candidate source over overlay tuples, or nil for
+// none. Overlay effective locations are the tuples' true locations
+// (see the package comment on obfuscation).
+func (d *Database) candidates(bounds geom.Rect, tuples []lbs.Tuple) *lbs.Service {
+	if len(tuples) == 0 {
+		return nil
+	}
+	locs := make([]geom.Point, len(tuples))
+	for i := range tuples {
+		locs[i] = tuples[i].Loc
+	}
+	return lbs.NewService(lbs.NewDatabaseWithLocations(bounds, tuples, locs), d.candOpts())
+}
+
+// buildSnapshot freezes an overlay into a snapshot over bt. The
+// snapshot owns o.tail from here on; a run that a fold in this Apply
+// built gets its candidate source here (runs shared with earlier
+// snapshots already have one).
+func (d *Database) buildSnapshot(bt *baseTier, epoch uint64, o overlay) *snapshot {
+	if o.run.cand == nil && len(o.run.tuples) > 0 {
+		o.run.cand = d.candidates(bt.base.Bounds(), o.run.tuples)
+	}
 	s := &snapshot{
-		epoch:       epoch,
-		base:        base,
-		full:        lbs.NewService(base, d.unmetered()),
-		baseCand:    lbs.NewService(base, d.candOpts()),
-		tomb:        tomb,
-		deltaTuples: deltaTuples,
-		deltaByID:   deltaByID,
+		epoch:    epoch,
+		baseTier: bt,
+		overlay:  o,
+		clean:    o.size() == 0,
+		tailCand: d.candidates(bt.base.Bounds(), o.tail.tuples),
+		bloom:    o.run.bloom,
 	}
-	if len(deltaTuples) > 0 {
-		// Delta effective locations are the tuples' true locations (see
-		// the package comment on obfuscation).
-		locs := make([]geom.Point, len(deltaTuples))
-		for i := range deltaTuples {
-			locs[i] = deltaTuples[i].Loc
+	if len(o.tail.tomb)+len(o.tail.dead) > 0 {
+		b := *o.run.bloom
+		for _, set := range []map[int64]struct{}{o.tail.tomb, o.tail.dead} {
+			for id := range set {
+				b.add(id)
+			}
 		}
-		delta := lbs.NewDatabaseWithLocations(base.Bounds(), deltaTuples, locs)
-		s.deltaCand = lbs.NewService(delta, d.candOpts())
+		s.bloom = &b
 	}
+	s.baseKeep, s.runKeep = s.keep(nil)
 	return s
 }
 
@@ -315,7 +389,7 @@ func (d *Database) RemainingBudget() int64 { return d.meter.Remaining() }
 func (d *Database) Epoch() uint64 { return d.snap.Load().epoch }
 
 // Snapshot returns the current contents materialized as an immutable
-// lbs.Database (base tuples minus tombstones plus the insert buffer,
+// lbs.Database (base tuples minus tombstones plus the delta tuples,
 // effective locations carried over). It is built fresh on every call —
 // ground-truth evaluation and tests use it; queries never do.
 func (d *Database) Snapshot() *lbs.Database {
@@ -335,40 +409,29 @@ func (d *Database) SnapshotAt() (*lbs.Database, uint64) {
 // visible, with its effective (ranking) location.
 func (d *Database) Lookup(id int64) (lbs.Tuple, geom.Point, bool) {
 	s := d.snap.Load()
-	return lookup(s, id)
-}
-
-func lookup(s *snapshot, id int64) (lbs.Tuple, geom.Point, bool) {
-	if i, ok := s.deltaByID[id]; ok {
-		return s.deltaTuples[i], s.deltaTuples[i].Loc, true
-	}
-	if _, dead := s.tomb[id]; dead {
-		return lbs.Tuple{}, geom.Point{}, false
-	}
-	if t, ok := s.base.ByID(id); ok {
-		loc, _ := s.base.EffectiveByID(id)
-		return *t, loc, true
-	}
-	return lbs.Tuple{}, geom.Point{}, false
+	return s.get(s.base, id)
 }
 
 // Len returns the number of currently visible tuples.
 func (d *Database) Len() int {
 	s := d.snap.Load()
-	return s.base.Len() - len(s.tomb) + len(s.deltaTuples)
+	return s.base.Len() - s.tombstones() + s.deltaLen()
 }
 
 // Stats returns the database's shape and mutation counters.
 func (d *Database) Stats() Stats {
-	s := d.snap.Load()
+	// The snapshot and the compacting flag are read under one lock
+	// (snapshots swap under it), so a flag that is down comes with the
+	// overlay that lowered it or a later one.
 	d.mu.Lock()
+	s := d.snap.Load()
 	compacting := d.compacting
 	d.mu.Unlock()
 	return Stats{
 		Epoch:       s.epoch,
 		BaseLen:     s.base.Len(),
-		DeltaLen:    len(s.deltaTuples),
-		Tombstones:  len(s.tomb),
+		DeltaLen:    s.deltaLen(),
+		Tombstones:  s.tombstones(),
 		Inserts:     d.inserts.Load(),
 		Deletes:     d.deletes.Load(),
 		Moves:       d.moves.Load(),
@@ -380,24 +443,26 @@ func (d *Database) Stats() Stats {
 
 // materialize flattens a snapshot into one immutable lbs.Database:
 // surviving base tuples (with their effective locations) followed by
-// the insert buffer. Answer-identical to the overlay by the merge
-// contract; the kd-tree layout differs, which the (dist, ID) ordering
-// makes unobservable.
+// the delta tuples in insertion order — the frozen run's survivors,
+// then the tail's — where a moved delta tuple counts as inserted at
+// its move. Answer-identical to the overlay by the merge contract; the
+// kd-tree layout differs, which the (dist, ID) ordering makes
+// unobservable.
 func materialize(s *snapshot) *lbs.Database {
-	n := s.base.Len() - len(s.tomb) + len(s.deltaTuples)
+	n := s.base.Len() - s.tombstones() + s.deltaLen()
 	tuples := make([]lbs.Tuple, 0, n)
 	locs := make([]geom.Point, 0, n)
 	for i := 0; i < s.base.Len(); i++ {
 		t := s.base.Tuple(i)
-		if _, dead := s.tomb[t.ID]; dead {
+		if s.hidden(t.ID) {
 			continue
 		}
 		tuples = append(tuples, *t)
 		locs = append(locs, s.base.EffectiveLoc(i))
 	}
-	for i := range s.deltaTuples {
-		tuples = append(tuples, s.deltaTuples[i])
-		locs = append(locs, s.deltaTuples[i].Loc)
-	}
+	s.eachDelta(func(t *lbs.Tuple) {
+		tuples = append(tuples, *t)
+		locs = append(locs, t.Loc)
+	})
 	return lbs.NewDatabaseWithLocations(s.base.Bounds(), tuples, locs)
 }

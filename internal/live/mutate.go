@@ -1,43 +1,157 @@
 package live
 
 import (
-	"fmt"
-	"math"
-
 	"context"
+	"fmt"
+	"maps"
+	"math"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/geom"
 	"repro/internal/lbs"
 )
 
-// overlay is the mutable working state of an Apply call: a private
-// copy of the snapshot's tombstone set and insert buffer that ops
-// edit in place before the whole thing freezes into a new snapshot.
+// foldAt is the tail size (entries: inserted tuples, base tombstones
+// and dead run tuples) at which Apply folds the tail into a new frozen
+// run. It bounds what every mutation copies and rebuilds, and sets how
+// often the O(overlay) fold runs: once per foldAt mutations.
+const foldAt = 32
+
+// run is the frozen tier of the overlay: the delta tuples (insertion
+// order) with their ID index and candidate source, and the base
+// tombstones, all as of the last fold. Snapshots share it until the
+// next fold; nothing writes it once a snapshot holds it.
+type run struct {
+	tomb   map[int64]struct{}
+	bloom  *idBloom // over tomb
+	tuples []lbs.Tuple
+	byID   map[int64]int
+	cand   *lbs.Service // nil when tuples is empty
+}
+
+// emptyRun is the run of an overlay that has never folded.
+var emptyRun = &run{bloom: &idBloom{}}
+
+// idBloom is a fixed-size, one-hash Bloom filter over tuple IDs. The
+// read filters test it before the overlay's ID sets, so a candidate
+// that no set holds — nearly every candidate — costs one bit test
+// instead of a map lookup per set; a set bit only sends the filter on
+// to the sets. At 8192 bits it answers falsely for about 6% of IDs
+// with 500 IDs added, 12% with 1024 (the default compaction
+// threshold).
+type idBloom [128]uint64
+
+func (b *idBloom) bit(id int64) (word int, mask uint64) {
+	h := uint64(id) * 0x9E3779B97F4A7C15 >> 51 // Fibonacci hash to 13 bits
+	return int(h >> 6), 1 << (h & 63)
+}
+
+func (b *idBloom) add(id int64) {
+	w, m := b.bit(id)
+	b[w] |= m
+}
+
+func (b *idBloom) has(id int64) bool {
+	w, m := b.bit(id)
+	return b[w]&m != 0
+}
+
+// tail is the overlay's small tier: what happened since the last fold.
+// Apply copies it whole; it holds fewer than about foldAt entries.
+type tail struct {
+	tomb   map[int64]struct{} // base tuples hidden since the fold
+	dead   map[int64]struct{} // run tuples deleted or moved since the fold
+	tuples []lbs.Tuple        // tuples inserted since the fold, in order
+}
+
+func (t *tail) size() int { return len(t.tomb) + len(t.dead) + len(t.tuples) }
+
+// index returns the position of id among the tail's tuples, or −1.
+func (t *tail) index(id int64) int {
+	for i := range t.tuples {
+		if t.tuples[i].ID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// clone copies the tail for an Apply to edit; snapshots already handed
+// to readers keep theirs.
+func (t *tail) clone() tail {
+	return tail{
+		tomb:   maps.Clone(t.tomb),
+		dead:   maps.Clone(t.dead),
+		tuples: slices.Clone(t.tuples),
+	}
+}
+
+// overlay is what a live database holds over its base: a frozen run
+// and a tail. Snapshots embed one; an Apply edits a copy whose tail is
+// its own and whose run it replaces, never writes, when it folds.
 type overlay struct {
-	tomb        map[int64]struct{}
-	deltaTuples []lbs.Tuple
-	deltaByID   map[int64]int
+	run  *run
+	tail tail
 }
 
-// overlayFrom copies a snapshot's overlay. The copies are fresh on
-// every Apply — snapshots already handed to readers are never touched.
-func overlayFrom(s *snapshot) *overlay {
-	o := &overlay{
-		tomb:        make(map[int64]struct{}, len(s.tomb)+4),
-		deltaTuples: append([]lbs.Tuple(nil), s.deltaTuples...),
-		deltaByID:   make(map[int64]int, len(s.deltaByID)+4),
-	}
-	for id := range s.tomb {
-		o.tomb[id] = struct{}{}
-	}
-	for id, i := range s.deltaByID {
-		o.deltaByID[id] = i
-	}
-	return o
+// deltaLen counts the visible delta tuples; tombstones counts the
+// hidden base tuples (the two tiers' tombstone sets are disjoint: a
+// base ID is hidden once, and a reinserted one lives in the delta).
+func (o *overlay) deltaLen() int {
+	return len(o.run.tuples) - len(o.tail.dead) + len(o.tail.tuples)
 }
 
-func (o *overlay) size() int { return len(o.tomb) + len(o.deltaTuples) }
+func (o *overlay) tombstones() int { return len(o.run.tomb) + len(o.tail.tomb) }
+
+func (o *overlay) size() int { return o.tombstones() + o.deltaLen() }
+
+// hidden reports whether a base ID is tombstoned in either tier.
+func (o *overlay) hidden(id int64) bool {
+	if _, ok := o.run.tomb[id]; ok {
+		return true
+	}
+	_, ok := o.tail.tomb[id]
+	return ok
+}
+
+// eachDelta visits the visible delta tuples in insertion order: the
+// run's survivors, then the tail's.
+func (o *overlay) eachDelta(fn func(*lbs.Tuple)) {
+	for i := range o.run.tuples {
+		if _, dead := o.tail.dead[o.run.tuples[i].ID]; !dead {
+			fn(&o.run.tuples[i])
+		}
+	}
+	for i := range o.tail.tuples {
+		fn(&o.tail.tuples[i])
+	}
+}
+
+// fold moves the tail into a new frozen run, leaving the tail empty.
+// The new run's candidate source is built when the overlay is frozen
+// into a snapshot (buildSnapshot), so a batch that folds more than
+// once builds it once.
+func (o *overlay) fold() {
+	r := &run{
+		tomb:   make(map[int64]struct{}, o.tombstones()),
+		bloom:  &idBloom{},
+		tuples: make([]lbs.Tuple, 0, o.deltaLen()),
+		byID:   make(map[int64]int, o.deltaLen()),
+	}
+	for _, set := range []map[int64]struct{}{o.run.tomb, o.tail.tomb} {
+		for id := range set {
+			r.tomb[id] = struct{}{}
+			r.bloom.add(id)
+		}
+	}
+	o.eachDelta(func(t *lbs.Tuple) {
+		r.byID[t.ID] = len(r.tuples)
+		r.tuples = append(r.tuples, *t)
+	})
+	o.run = r
+	o.tail = tail{}
+}
 
 // dirty accumulates the effective locations a batch of ops touched;
 // the invalidation region derives from it.
@@ -73,49 +187,54 @@ func (dr *dirty) region(m geo.Metric, r float64) geom.Rect {
 	return m.ExpandRect(dr.rect, r)
 }
 
-// present reports whether id is currently visible in base+overlay.
-func (o *overlay) present(base *lbs.Database, id int64) bool {
-	if _, ok := o.deltaByID[id]; ok {
-		return true
-	}
-	if _, dead := o.tomb[id]; dead {
-		return false
-	}
-	_, ok := base.ByID(id)
-	return ok
-}
-
 // apply executes one op against base+overlay, recording touched
 // locations in dr. It returns the error that rejected the op, or nil
-// after mutating the overlay.
+// after mutating the overlay's tail — and folding the tail into a new
+// run once it holds foldAt entries.
 func (o *overlay) apply(base *lbs.Database, op Op, dr *dirty) error {
+	var err error
 	switch op.Kind {
 	case OpInsert:
-		return o.insert(base, op.Tuple, dr)
+		err = o.insert(base, op.Tuple, dr)
 	case OpDelete:
-		return o.delete(base, op.ID, dr)
+		err = o.delete(base, op.ID, dr)
 	case OpMove:
-		t, _, ok := o.get(base, op.ID)
-		if !ok {
-			return ErrUnknownID
-		}
-		// One logical op: remove the old placement, insert the tuple at
-		// its destination. Both halves touch the dirty region.
-		if err := o.delete(base, op.ID, dr); err != nil {
-			return err
-		}
-		t.Loc = op.Loc
-		return o.insert(base, t, dr)
+		err = o.move(base, op.ID, op.Loc, dr)
+	default:
+		err = fmt.Errorf("live: unknown op kind %d", op.Kind)
 	}
-	return fmt.Errorf("live: unknown op kind %d", op.Kind)
+	if err == nil && o.tail.size() >= foldAt {
+		o.fold()
+	}
+	return err
+}
+
+// move is one logical op: remove the old placement, insert the tuple
+// at its destination. Both halves touch the dirty region.
+func (o *overlay) move(base *lbs.Database, id int64, to geom.Point, dr *dirty) error {
+	t, _, ok := o.get(base, id)
+	if !ok {
+		return ErrUnknownID
+	}
+	if err := o.delete(base, id, dr); err != nil {
+		return err
+	}
+	t.Loc = to
+	return o.insert(base, t, dr)
 }
 
 // get returns a copy of the visible tuple with its effective location.
 func (o *overlay) get(base *lbs.Database, id int64) (lbs.Tuple, geom.Point, bool) {
-	if i, ok := o.deltaByID[id]; ok {
-		return o.deltaTuples[i], o.deltaTuples[i].Loc, true
+	if i := o.tail.index(id); i >= 0 {
+		return o.tail.tuples[i], o.tail.tuples[i].Loc, true
 	}
-	if _, dead := o.tomb[id]; dead {
+	if i, ok := o.run.byID[id]; ok {
+		if _, dead := o.tail.dead[id]; !dead {
+			return o.run.tuples[i], o.run.tuples[i].Loc, true
+		}
+	}
+	// A dead run tuple that came from the base is tombstoned there.
+	if o.hidden(id) {
 		return lbs.Tuple{}, geom.Point{}, false
 	}
 	if t, ok := base.ByID(id); ok {
@@ -126,39 +245,48 @@ func (o *overlay) get(base *lbs.Database, id int64) (lbs.Tuple, geom.Point, bool
 }
 
 func (o *overlay) insert(base *lbs.Database, t lbs.Tuple, dr *dirty) error {
-	if o.present(base, t.ID) {
+	if _, _, ok := o.get(base, t.ID); ok {
 		return ErrDuplicateID
 	}
 	// A tombstone for this ID stays: it hides the base copy while the
-	// insert buffer carries the new one.
-	o.deltaByID[t.ID] = len(o.deltaTuples)
-	o.deltaTuples = append(o.deltaTuples, t)
+	// delta carries the new one.
+	o.tail.tuples = append(o.tail.tuples, t)
 	dr.add(t.Loc)
 	return nil
 }
 
 func (o *overlay) delete(base *lbs.Database, id int64, dr *dirty) error {
-	if i, ok := o.deltaByID[id]; ok {
-		dr.add(o.deltaTuples[i].Loc)
-		o.deltaTuples = append(o.deltaTuples[:i], o.deltaTuples[i+1:]...)
-		delete(o.deltaByID, id)
-		for did, j := range o.deltaByID {
-			if j > i {
-				o.deltaByID[did] = j - 1
-			}
-		}
+	if i := o.tail.index(id); i >= 0 {
+		dr.add(o.tail.tuples[i].Loc)
+		o.tail.tuples = slices.Delete(o.tail.tuples, i, i+1)
 		return nil
 	}
-	if _, dead := o.tomb[id]; dead {
+	if i, ok := o.run.byID[id]; ok {
+		if _, dead := o.tail.dead[id]; !dead {
+			dr.add(o.run.tuples[i].Loc)
+			setAdd(&o.tail.dead, id)
+			return nil
+		}
+	}
+	if o.hidden(id) {
 		return ErrUnknownID
 	}
 	loc, ok := base.EffectiveByID(id)
 	if !ok {
 		return ErrUnknownID
 	}
-	o.tomb[id] = struct{}{}
+	setAdd(&o.tail.tomb, id)
 	dr.add(loc)
 	return nil
+}
+
+// setAdd adds id to *set, making the set on first use (a copied empty
+// tail carries nil sets).
+func setAdd(set *map[int64]struct{}, id int64) {
+	if *set == nil {
+		*set = make(map[int64]struct{})
+	}
+	(*set)[id] = struct{}{}
 }
 
 // Apply implements Mutator: ops apply in order under one mutation
@@ -178,7 +306,7 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 	d.mu.Lock()
 	s := d.snap.Load()
 	epoch := s.epoch
-	o := overlayFrom(s)
+	o := overlay{run: s.run, tail: s.tail.clone()}
 	var dr dirty
 	var appliedOps []Op
 	for i := range ops {
@@ -231,7 +359,7 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 			d.moves.Add(1)
 		}
 	}
-	d.snap.Store(d.buildSnapshot(s.base, epoch, o.tomb, o.deltaTuples, o.deltaByID))
+	d.snap.Store(d.buildSnapshot(s.baseTier, epoch, o))
 	if d.lopts.CompactThreshold > 0 && o.size() >= d.lopts.CompactThreshold && !d.compacting {
 		d.compacting = true
 		go d.compactBG()
@@ -247,9 +375,8 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 // briefly takes the mutation lock to replay whatever ops landed
 // meanwhile onto a fresh overlay and swap the result in. The epoch —
 // and the visible contents — do not change at the swap; queries in
-// flight keep their old snapshot. It returns the overlay size left
-// behind (the ops that raced the rebuild).
-func (d *Database) compactPass() int {
+// flight keep their old snapshot.
+func (d *Database) compactPass() {
 	d.mu.Lock()
 	s := d.snap.Load()
 	pos := len(d.oplog) // ops ≤ pos are inside s and so inside newBase
@@ -259,7 +386,7 @@ func (d *Database) compactPass() int {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	o := &overlay{tomb: map[int64]struct{}{}, deltaByID: map[int64]int{}}
+	o := overlay{run: emptyRun}
 	var dr dirty
 	for _, op := range d.oplog[pos:] {
 		// Replaying an op that originally succeeded against logically
@@ -269,23 +396,25 @@ func (d *Database) compactPass() int {
 		}
 	}
 	cur := d.snap.Load()
-	d.snap.Store(d.buildSnapshot(newBase, cur.epoch, o.tomb, o.deltaTuples, o.deltaByID))
+	d.snap.Store(d.buildSnapshot(d.newBaseTier(newBase), cur.epoch, o))
 	d.oplog = append(d.oplog[:0:0], d.oplog[pos:]...)
 	d.compactions.Add(1)
-	return o.size()
 }
 
 // compactBG is the background rebuilder: passes run serialized under
 // cmu until the overlay is back below the threshold. The compacting
 // flag (under mu) only prevents Apply from piling up goroutines; cmu
-// is what serializes actual rebuild work against Compact.
+// is what serializes actual rebuild work against Compact. The size it
+// stops on is read under mu together with the flag: Applies that land
+// between a pass's swap and that check are counted, and any later
+// Apply sees the flag down and triggers its own pass.
 func (d *Database) compactBG() {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
 	for {
-		size := d.compactPass()
+		d.compactPass()
 		d.mu.Lock()
-		if size < d.lopts.CompactThreshold {
+		if d.snap.Load().size() < d.lopts.CompactThreshold {
 			d.compacting = false
 			d.mu.Unlock()
 			return
@@ -303,7 +432,7 @@ func (d *Database) Compact() {
 	defer d.cmu.Unlock()
 	for {
 		d.mu.Lock()
-		clean := d.snap.Load().clean()
+		clean := d.snap.Load().clean
 		d.mu.Unlock()
 		if clean {
 			return

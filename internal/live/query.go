@@ -10,46 +10,45 @@ import (
 // The read path. Every query resolves the snapshot pointer exactly
 // once; a clean overlay delegates to the full-option service over the
 // base (bit-for-bit the immutable behavior at near-zero overhead), a
-// dirty overlay queries base and delta as distance-ranked candidate
-// sources — tombstones excluded by filter, which is semantically
-// identical to removing the tuples: a kNN prefix over the filtered
-// base is the kNN prefix of the base minus the tombstoned tuples —
-// and merges with lbs.MergeRanked, the same (dist, ID) contract the
-// federation Router is pinned against.
-
-// excludeTombstones composes the caller's filter with tombstone
-// exclusion.
-func excludeTombstones(tomb map[int64]struct{}, filter lbs.Filter) lbs.Filter {
-	if len(tomb) == 0 {
-		return filter
-	}
-	return func(t *lbs.Tuple) bool {
-		if _, dead := tomb[t.ID]; dead {
-			return false
-		}
-		return filter == nil || filter(t)
-	}
-}
+// dirty overlay queries the base, the frozen run and the tail as
+// distance-ranked candidate sources — tombstones and dead run tuples
+// excluded by filter, which is semantically identical to removing the
+// tuples: a kNN prefix over the filtered base is the kNN prefix of the
+// base minus the tombstoned tuples — and merges with lbs.MergeRanked,
+// the same (dist, ID) contract the federation Router is pinned
+// against.
 
 // answerLR computes one merged LR answer against a fixed snapshot,
 // without charging (callers charge the live meter first; the internal
 // candidate services are unmetered).
 func (d *Database) answerLR(ctx context.Context, s *snapshot, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {
-	if s.clean() {
+	if s.clean {
 		return s.full.QueryLR(ctx, q, filter)
 	}
-	baseRecs, err := s.baseCand.QueryLR(ctx, q, excludeTombstones(s.tomb, filter))
+	baseKeep, runKeep := s.baseKeep, s.runKeep
+	if filter != nil {
+		baseKeep, runKeep = s.keep(filter)
+	}
+	var lists [3][]lbs.LRRecord
+	recs, err := s.baseCand.QueryLR(ctx, q, baseKeep)
 	if err != nil {
 		return nil, err
 	}
-	if s.deltaCand == nil {
-		return lbs.MergeRanked(q, d.opts, baseRecs), nil
+	lists[0] = recs
+	n := 1
+	if s.run.cand != nil {
+		if lists[n], err = s.run.cand.QueryLR(ctx, q, runKeep); err != nil {
+			return nil, err
+		}
+		n++
 	}
-	deltaRecs, err := s.deltaCand.QueryLR(ctx, q, filter)
-	if err != nil {
-		return nil, err
+	if s.tailCand != nil {
+		if lists[n], err = s.tailCand.QueryLR(ctx, q, filter); err != nil {
+			return nil, err
+		}
+		n++
 	}
-	return lbs.MergeRanked(q, d.opts, baseRecs, deltaRecs), nil
+	return lbs.MergeRanked(q, d.opts, lists[:n]...), nil
 }
 
 var _ lbs.NonBlocking = (*Database)(nil)
