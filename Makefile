@@ -45,7 +45,8 @@ examples:
 # detector: concurrent misses on one key must coalesce into a single
 # charged upstream fetch on every run, not most runs. The second line
 # race-checks the LNR cell search's lockstep lanes (coroutines sharing
-# one cell) and their batched-versus-serial identity. The third checks
+# one cell), their batched-versus-serial identity and the bisector
+# flips that run as lanes. The third checks
 # that concurrent batch answers never share a pooled response buffer.
 # The fourth race-checks the federation router, whose in-process
 # members run on the callers' goroutines: concurrent batches against
@@ -75,7 +76,7 @@ examples:
 # 45 s).
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc|TestCacheInvalidateMatchesListWalk' ./internal/lbs
-	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes' ./internal/core
+	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes|TestLNRVertexRoundFlipRingsShareBatch' ./internal/core
 	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
 	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
 	$(GO) test -race -count=20 -run '^(TestShardTimeoutBoundsWedgedMember|TestDeadlineBoundsUnmarkedMemberIgnoringContext|TestFederatedBitIdenticalUnderTransients|TestAllBreakersOpenRecovers)$$' ./internal/shard
@@ -90,7 +91,8 @@ stress:
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
 # appended query answers (byte-identical to encoding/json), the
 # store's record codec, whole .lbspack files as a warm restart opens
-# them, and the answer cache's snapshot reader. go test fuzzes one
+# them, the WAL as a restart replays it beside a pack, and the answer
+# cache's snapshot reader. go test fuzzes one
 # target per run, hence the loop over package:target pairs. Each new
 # interesting input is minimized for at most 100 runs, not the default
 # 60 s: FuzzPackOpen's 64 KiB-page seeds are 128 KiB inputs, and
@@ -98,7 +100,8 @@ stress:
 FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBatch \
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
 	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
-	./internal/store:FuzzPackOpen ./internal/lbs:FuzzCacheSnapshot
+	./internal/store:FuzzPackOpen ./internal/store:FuzzWALReplay \
+	./internal/lbs:FuzzCacheSnapshot
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -350,20 +350,12 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 	// point at separation ≈ s regardless of the bisector's orientation.
 	for _, frac := range []float64{0.5, 0.25, 1.0} {
 		radius := frac * r
-		const ring = 12
 		type probePt struct {
 			p    geom.Point
 			ord  int
 			both bool
 		}
-		ringPts := make([]geom.Point, 0, ring)
-		for i := 0; i < ring; i++ {
-			ang := 2 * math.Pi * float64(i) / ring
-			p := m.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
-			if a.bound.Contains(p) {
-				ringPts = append(ringPts, p)
-			}
-		}
+		ringPts := a.ringPoints(m, radius)
 		// Every in-bounds ring point is probed: send them as one batch.
 		a.prober.prefetch(ctx, ringPts)
 		pts := make([]probePt, 0, len(ringPts))
@@ -459,52 +451,84 @@ func (a *LNRAggregator) secondFlipPoint(ctx context.Context, c *lnrCell, other i
 	return geom.Point{}, false, nil
 }
 
+// ringPoints returns the in-bounds points of the 12-point ring of the
+// given radius around m, in angle order.
+func (a *LNRAggregator) ringPoints(m geom.Point, radius float64) []geom.Point {
+	const ring = 12
+	pts := make([]geom.Point, 0, ring)
+	for i := 0; i < ring; i++ {
+		ang := 2 * math.Pi * float64(i) / ring
+		p := m.Add(geom.Pt(math.Cos(ang), math.Sin(ang)).Scale(radius))
+		if a.bound.Contains(p) {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// flipResult is one registerFlip outcome.
+type flipResult struct {
+	cut cell.Cut
+	ok  bool
+	err error
+}
+
+// lockstepFlips runs ahead, in lockstep, the registerFlip calls that a
+// serial loop over brackets pre[visit[0]], pre[visit[1]], … will make
+// (one per bracket that is ok), and returns their outcomes indexed
+// like pre; the loop reads an outcome where there is one and calls
+// registerFlip itself where there is none. A flip reads and extends
+// only its own key's flipPts, so flips of distinct keys are
+// independent lanes. Running ahead stops at the first bracket that is
+// not known yet (nil: a vertex twin, whose search depends on the loop),
+// that failed, or whose key repeats: from there on the loop runs
+// serially, so every flipPts[key] gets the same appends in the same
+// order as in a serial run.
+func (a *LNRAggregator) lockstepFlips(ctx context.Context, c *lnrCell, pre []*edgeBracket, visit []int) []*flipResult {
+	var lanes []int
+	keys := make(map[int64]bool)
+	for _, i := range visit {
+		b := pre[i]
+		if b == nil || b.err != nil {
+			break
+		}
+		if !b.ok || b.other == c.tID {
+			continue
+		}
+		if keys[b.other] {
+			break
+		}
+		keys[b.other] = true
+		lanes = append(lanes, i)
+	}
+	out := make([]*flipResult, len(pre))
+	a.prober.lockstep(ctx, len(lanes), func(j int) {
+		b := pre[lanes[j]]
+		var f flipResult
+		f.cut, f.ok, f.err = a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
+		out[lanes[j]] = &f
+	})
+	return out
+}
+
+// flip returns the outcome lockstepFlips produced for b, or runs
+// registerFlip for it.
+func (a *LNRAggregator) flip(ctx context.Context, c *lnrCell, pre *flipResult, b edgeBracket) (cell.Cut, bool, error) {
+	if pre != nil {
+		return pre.cut, pre.ok, pre.err
+	}
+	return a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
+}
+
 // buildCell infers the top-h Voronoi cell of tuple t from rank
 // information alone. c1 must be a location where t ranks within the
 // top h. The returned complex approximates V_h(t) with edge precision
 // EdgeEps.
 func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom.Point) (*cell.Complex, *lnrCell, error) {
 	a.stats.Cells++
-	c := &lnrCell{
-		tID:     tID,
-		h:       h,
-		c1:      c1,
-		region:  cell.NewFromRect(a.bound, h),
-		coApp:   make(map[int64]bool),
-		flipPts: make(map[int64][]geom.Point),
-		refines: make(map[int64]int),
-	}
-	// Initial four axis-aligned edge searches (Algorithm 6 line 3–5).
-	// The four brackets depend only on their own probes, so with a
-	// batch path they run in lockstep; flips and cuts then follow in
-	// direction order.
-	dirs := [...]geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
-	var pre [len(dirs)]*edgeBracket
-	a.prober.lockstep(ctx, len(dirs), func(i int) {
-		b := a.bracketAlong(ctx, c, dirs[i])
-		pre[i] = &b
-	})
-	for i, dir := range dirs {
-		a.stats.EdgeSearches++
-		var b edgeBracket
-		if pre[i] != nil {
-			b = *pre[i]
-		} else {
-			b = a.bracketAlong(ctx, c, dir)
-		}
-		if b.err != nil {
-			return nil, nil, b.err
-		}
-		if !b.ok {
-			continue
-		}
-		cut, found, err := a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if found && !c.region.HasCut(cut.Key) {
-			c.region.AddCut(cut)
-		}
+	c := a.newCell(tID, h, c1)
+	if err := a.axisCuts(ctx, c); err != nil {
+		return nil, nil, err
 	}
 	confirmed := make(map[vkey]bool)
 	for round := 0; round < maxRoundsPerCell; round++ {
@@ -533,6 +557,58 @@ func (a *LNRAggregator) buildCell(ctx context.Context, tID int64, h int, c1 geom
 	return c.region, c, nil
 }
 
+// newCell starts the search for t's top-h cell from anchor c1 with the
+// whole region.
+func (a *LNRAggregator) newCell(tID int64, h int, c1 geom.Point) *lnrCell {
+	return &lnrCell{
+		tID:     tID,
+		h:       h,
+		c1:      c1,
+		region:  cell.NewFromRect(a.bound, h),
+		coApp:   make(map[int64]bool),
+		flipPts: make(map[int64][]geom.Point),
+		refines: make(map[int64]int),
+	}
+}
+
+// axisCuts runs the four axis-aligned edge searches from the anchor
+// (Algorithm 6 lines 3–5) and cuts the region by the bisectors they
+// find. The four brackets depend only on their own probes, so with a
+// batch path they run in lockstep, and so do the flips of their
+// distinct keys; cuts then follow in direction order.
+func (a *LNRAggregator) axisCuts(ctx context.Context, c *lnrCell) error {
+	dirs := [...]geom.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
+	pre := make([]*edgeBracket, len(dirs))
+	a.prober.lockstep(ctx, len(dirs), func(i int) {
+		b := a.bracketAlong(ctx, c, dirs[i])
+		pre[i] = &b
+	})
+	flips := a.lockstepFlips(ctx, c, pre, []int{0, 1, 2, 3})
+	for i, dir := range dirs {
+		a.stats.EdgeSearches++
+		var b edgeBracket
+		if pre[i] != nil {
+			b = *pre[i]
+		} else {
+			b = a.bracketAlong(ctx, c, dir)
+		}
+		if b.err != nil {
+			return b.err
+		}
+		if !b.ok {
+			continue
+		}
+		cut, found, err := a.flip(ctx, c, flips[i], b)
+		if err != nil {
+			return err
+		}
+		if found && !c.region.HasCut(cut.Key) {
+			c.region.AddCut(cut)
+		}
+	}
+	return nil
+}
+
 // vertexRound runs one pass of Theorem-1 vertex confirmation, probing
 // unconfirmed vertices and searching for the missing edge behind every
 // failing vertex. unresolved reports a vertex left unconfirmed because
@@ -542,13 +618,18 @@ func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed m
 	// Each unconfirmed vertex whose key first appears in this snapshot
 	// is certain to be probed (and bracketed when outside), and its
 	// probes do not depend on this round's cuts: with a batch path they
-	// run in lockstep. A vertex repeating a key depends on its twin's
+	// run in lockstep, and then so do the flips their brackets start
+	// (lockstepFlips). A vertex repeating a key depends on its twin's
 	// outcome and stays serial.
-	var lanes []int
+	var open, lanes []int
 	seen := make(map[vkey]bool, len(verts))
 	for i, v := range verts {
 		key := a.vkeyOf(v)
-		if !confirmed[key] && !seen[key] {
+		if confirmed[key] {
+			continue
+		}
+		open = append(open, i)
+		if !seen[key] {
 			lanes = append(lanes, i)
 		}
 		seen[key] = true
@@ -558,6 +639,7 @@ func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed m
 		b := a.probeVertex(ctx, c, verts[lanes[j]])
 		pre[lanes[j]] = &b
 	})
+	flips := a.lockstepFlips(ctx, c, pre, open)
 	for i, v := range verts {
 		key := a.vkeyOf(v)
 		if confirmed[key] {
@@ -577,7 +659,7 @@ func (a *LNRAggregator) vertexRound(ctx context.Context, c *lnrCell, confirmed m
 			confirmed[key] = true
 			continue
 		}
-		cut, cutOK, err := a.registerFlip(ctx, c, b.other, b.c3.Mid(b.c4), c.c1)
+		cut, cutOK, err := a.flip(ctx, c, flips[i], b)
 		if err != nil {
 			return false, false, err
 		}

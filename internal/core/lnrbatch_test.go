@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -330,5 +331,105 @@ func TestLNRProberLockstepOrder(t *testing.T) {
 				t.Errorf("lane %d probe %d: top-1 %d, want %d", i, j, id, recs[0].ID)
 			}
 		}
+	}
+}
+
+// batchCalls is a BatchOracle that records the points of every batch
+// call.
+type batchCalls struct {
+	BatchOracle
+	calls [][]geom.Point
+}
+
+func (b *batchCalls) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
+	b.calls = append(b.calls, slices.Clone(pts))
+	return b.BatchOracle.QueryLNRBatch(ctx, pts, filter)
+}
+
+// TestLNRVertexRoundFlipRingsShareBatch: the flips a vertex round's
+// brackets start, up to the first repeated key or vertex twin, run as
+// lockstep lanes. Each such flip of a new key begins with a ring search
+// (12 points at half the anchor distance), and those rings go out
+// together in one batch call, not one call per ring.
+func TestLNRVertexRoundFlipRingsShareBatch(t *testing.T) {
+	o := &batchCalls{BatchOracle: lbs.NewService(workload.WeiboChina(3000, 11).DB, lbs.Options{K: 10})}
+	a := NewLNRAggregator(o, LNROptions{Seed: 1})
+	ctx := context.Background()
+	rounds := 0
+	for s := 0; s < 12; s++ {
+		q := a.smp.Sample(a.rng)
+		recs, err := a.prober.probe(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			continue
+		}
+		c := a.newCell(recs[0].ID, 1, q)
+		if err := a.axisCuts(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		// The first round's lanes: its vertices' brackets in order, up
+		// to the first twin, failure or repeated key. Probing them here
+		// leaves the round's own batches to the flips.
+		var lanes []edgeBracket
+		keys := make(map[int64]bool)
+		seen := make(map[vkey]bool)
+		for _, v := range c.region.Vertices() {
+			if seen[a.vkeyOf(v)] {
+				break
+			}
+			seen[a.vkeyOf(v)] = true
+			b := a.probeVertex(ctx, c, v)
+			if b.err != nil || (b.ok && keys[b.other]) {
+				break
+			}
+			if b.ok {
+				keys[b.other] = true
+				lanes = append(lanes, b)
+			}
+		}
+		// The uncached points of each new-key lane's first ring.
+		var rings [][]geom.Point
+		for _, b := range lanes {
+			if _, known := c.flipPts[b.other]; known {
+				continue
+			}
+			m := b.c3.Mid(b.c4)
+			var ring []geom.Point
+			for _, p := range a.ringPoints(m, 0.5*m.Sub(c.c1).Norm()) {
+				if _, ok := a.prober.cache[p]; !ok {
+					ring = append(ring, p)
+				}
+			}
+			if len(ring) > 0 {
+				rings = append(rings, ring)
+			}
+		}
+		o.calls = nil
+		if _, _, err := a.vertexRound(ctx, c, map[vkey]bool{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(rings) < 2 {
+			continue
+		}
+		rounds++
+		most := 0
+		for _, call := range o.calls {
+			n := 0
+			for _, ring := range rings {
+				if !slices.ContainsFunc(ring, func(p geom.Point) bool { return !slices.Contains(call, p) }) {
+					n++
+				}
+			}
+			most = max(most, n)
+		}
+		if most < len(rings) {
+			t.Errorf("sample %d: at most %d of %d lane rings shared one of the round's %d batch calls",
+				s, most, len(rings), len(o.calls))
+		}
+	}
+	if rounds == 0 {
+		t.Fatal("no first vertex round had two new-key flip lanes; the fixture no longer exercises lockstep flips")
 	}
 }

@@ -16,9 +16,11 @@ import (
 //
 // When the oracle has a batch path, the cell search sends the probes
 // it is certain to make as one batch per round (prefetch, lockstep)
-// and then reads them back as cache hits. The set of distinct points
-// probed, and so the query count, is the same as a serial run's; only
-// the number of oracle calls drops.
+// and then reads them back as cache hits. A lockstep lane parks on
+// the points it needs next, one probe or a whole ring prefetch, and
+// a round batches what every parked lane wants. The set of distinct
+// points probed, and so the query count, is the same as a serial
+// run's; only the number of oracle calls drops.
 type lnrProber struct {
 	svc    Oracle
 	batch  BatchOracle // nil when the oracle has no batch path
@@ -65,7 +67,9 @@ func (p *lnrProber) probe(ctx context.Context, pt geom.Point) ([]lbs.LNRRecord, 
 // and caches the answers. Fewer than two such points are left to probe
 // directly. A failed batch caches only its answered prefix and drops
 // the error: the probe that needs an unanswered point queries it
-// itself and gets the error there.
+// itself and gets the error there. Inside a lockstep lane, prefetch
+// parks the lane on those points instead, so they join the round's
+// batch.
 func (p *lnrProber) prefetch(ctx context.Context, pts []geom.Point) {
 	if p.batch == nil {
 		return
@@ -75,6 +79,12 @@ func (p *lnrProber) prefetch(ctx context.Context, pts []geom.Point) {
 		if _, ok := p.cache[pt]; !ok && !slices.Contains(miss, pt) {
 			miss = append(miss, pt)
 		}
+	}
+	if l := p.lane; l != nil {
+		if len(miss) > 0 {
+			l.park(miss...)
+		}
+		return
 	}
 	if len(miss) < 2 {
 		return
@@ -89,29 +99,31 @@ func (p *lnrProber) prefetch(ctx context.Context, pts []geom.Point) {
 	}
 }
 
-// lane is one coroutine of lockstep.
+// lane is one coroutine of lockstep. It parks on a set of points: the
+// single probe it needs next, or every point of a prefetch.
 type lane struct {
-	want  geom.Point
+	want  []geom.Point
 	wake  chan struct{}
 	yield chan bool // true: parked on want; false: finished
 }
 
-// park hands control back to lockstep until the round's batch is in.
-func (l *lane) park(pt geom.Point) {
-	l.want = pt
+// park hands control back to lockstep until the round's batch, which
+// carries pts, is in.
+func (l *lane) park(pts ...geom.Point) {
+	l.want = pts
 	l.yield <- true
 	<-l.wake
 }
 
 // lockstep runs lanes run(0), …, run(n−1) — independent probe
 // sequences — as coroutines, exactly one running at a time, so they
-// share the cell state without locks. Each lane runs until it needs a
-// probe that is not cached; once every lane is parked or finished,
-// their wanted points go out as one batch (prefetch) and the parked
-// lanes resume to read them as cache hits. A lane's probe sequence
-// depends only on its own answers, so the distinct points probed are
-// those of running the lanes one after another. Every lane has
-// finished when lockstep returns.
+// share the cell state without locks. Each lane runs until it needs
+// points that are not cached; once every lane is parked or finished,
+// the points they park on go out as one batch (prefetch) and the
+// parked lanes resume to read them as cache hits. A lane's probe
+// sequence depends only on its own answers, so the distinct points
+// probed are those of running the lanes one after another. Every lane
+// has finished when lockstep returns.
 //
 // lockstep runs nothing when there is nothing to batch: the oracle has
 // no batch path, there are fewer than two lanes, or it is called from
@@ -144,9 +156,9 @@ func (p *lnrProber) lockstep(ctx context.Context, n int, run func(i int)) {
 	for len(parked) > 0 {
 		round := parked
 		parked = nil
-		wants := make([]geom.Point, len(round))
-		for j, l := range round {
-			wants[j] = l.want
+		var wants []geom.Point
+		for _, l := range round {
+			wants = append(wants, l.want...)
 		}
 		p.prefetch(ctx, wants)
 		for _, l := range round {

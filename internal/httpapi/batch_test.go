@@ -196,6 +196,22 @@ func TestBatchEndpointValidation(t *testing.T) {
 	}
 }
 
+// TestBatchBodyCap: a batch body is read whole under the
+// maxBatchBodyBytes cap. A body of exactly the cap is decoded (bytes
+// after its first JSON value ignored); one byte more is refused, even
+// when its first JSON value ends well inside the cap.
+func TestBatchBodyCap(t *testing.T) {
+	value := `{"points":[{"x":1,"y":2}]}`
+	for _, size := range []int{maxBatchBodyBytes, maxBatchBodyBytes + 1} {
+		body := value + strings.Repeat(" ", size-len(value))
+		r := httptest.NewRequest(http.MethodPost, "/v1/query/lr:batch", strings.NewReader(body))
+		pts, _, err := parseBatch(httptest.NewRecorder(), r)
+		if ok := size <= maxBatchBodyBytes; (err == nil) != ok || (ok && len(pts) != 1) {
+			t.Errorf("%d-byte body: %d points, error %v", size, len(pts), err)
+		}
+	}
+}
+
 // TestClientBatchChunksOversize: a client batch beyond the server's
 // per-POST point cap is split transparently into chunked requests
 // instead of failing with a 400.

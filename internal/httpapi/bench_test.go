@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -150,5 +151,29 @@ func BenchmarkServeAnswer(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkParseBatch decodes a 12-point batch body as the client
+// writes it (json.Marshal of batchRequest), from a request built once
+// with its body rewound each time.
+func BenchmarkParseBatch(b *testing.B) {
+	req := batchRequest{Category: "school"}
+	for i := 0; i < 12; i++ {
+		req.Points = append(req.Points, wirePoint{X: -97.7 + float64(i)/7, Y: 30.25 - float64(i)/3})
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := bytes.NewReader(nil)
+	r := httptest.NewRequest(http.MethodPost, "/v1/query/lnr:batch", body)
+	w := httptest.NewRecorder()
+	b.ReportAllocs()
+	for b.Loop() {
+		body.Reset(raw)
+		if _, _, err := parseBatch(w, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

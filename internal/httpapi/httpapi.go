@@ -3,7 +3,9 @@
 // blueprint for running the algorithms against a real networked
 // service. Both sides use only net/http and encoding/json, except the
 // server's query answers, which are appended byte-identically to
-// encoding/json (answer.go).
+// encoding/json (answer.go), and its batch request bodies, which are
+// scanned by hand when they have the shape the client writes
+// (batchbody.go).
 //
 // Wire protocol (JSON over GET, plus POST for batches):
 //
@@ -364,30 +366,6 @@ func (s *Server) handleLNR(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeAnswer(w, func(b []byte) ([]byte, error) { return appendLNR(b, recs) })
-}
-
-// parseBatch decodes and validates a batch request body. The body is
-// capped at maxBatchBodyBytes *before* decoding, so an oversized POST
-// is rejected without allocating it.
-func parseBatch(w http.ResponseWriter, r *http.Request) ([]geom.Point, Selection, error) {
-	if r.Method != http.MethodPost {
-		return nil, Selection{}, fmt.Errorf("batch queries are POST-only")
-	}
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&req); err != nil {
-		return nil, Selection{}, fmt.Errorf("invalid batch body: %v", err)
-	}
-	if len(req.Points) == 0 {
-		return nil, Selection{}, fmt.Errorf("batch needs at least one point")
-	}
-	if len(req.Points) > maxBatchPoints {
-		return nil, Selection{}, fmt.Errorf("batch of %d points exceeds the %d-point cap", len(req.Points), maxBatchPoints)
-	}
-	pts := make([]geom.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = geom.Pt(p.X, p.Y)
-	}
-	return pts, Selection{Name: req.Name, Category: req.Category}, nil
 }
 
 // serveBatch is the protocol logic shared by both batch endpoints:

@@ -43,30 +43,62 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// FuzzParseBatch: an accepted batch body holds 1…maxBatchPoints
-// finite points (JSON numbers cannot spell NaN or ±Inf, and overflow
-// is a decode error).
+// FuzzParseBatch: parseBatch accepts exactly the bodies that
+// encoding/json decodes into a batchRequest of 1…maxBatchPoints points
+// within the body cap, with the same point bits and the same
+// selection, whichever of its two decoders reads the body. Every
+// accepted point is finite (JSON numbers cannot spell NaN or ±Inf, and
+// overflow is a decode error).
 func FuzzParseBatch(f *testing.F) {
+	overCap := append([]byte(`{"points":[{"x":1,"y":2}]}`), bytes.Repeat([]byte(" "), maxBatchBodyBytes)...)
 	for _, body := range []string{
 		"", "{", `{"points":[]}`, `{"points":[{"x":1,"y":2}]}`,
 		`{"points":[{"x":1,"y":2},{"x":3.5,"y":-4}],"category":"school","name":"a"}`,
+		`{"points":[{"x":1,"y":2},{"x":3.5,"y":-4}],"name":"a","category":"school"}`,
 		`{"points":[{"x":1e400,"y":0}]}`, `{"points":null}`,
+		` {"points" : [ {"x": 1, "y": 2} ] } `, "{\"points\":[{\"x\":1,\"y\":2}]}\n",
+		`{"POINTS":[{"X":1,"Y":2}],"Name":"a"}`, `{"points":[{"y":2,"x":1}]}`,
+		`{"points":[{"x":1,"y":2,"z":3}],"limit":7}`, `{"points":[{"x":1}]}`,
+		`{"points":[{"x":1,"y":2}]}trailing`, `{"points":[{"x":1,"y":2}]}{"points":[]}`,
+		`{"points":[{"x":1,"y":2}],"name":"a\"b\u00e9\\","category":"\u2028"}`,
+		`{"points":[{"x":1,"y":2}],"name":"微博"}`, "{\"points\":[{\"x\":1,\"y\":2}],\"category\":\"\xff\"}",
+		`{"points":[{"x":1,"y":2}],"name":"a","name":"b"}`,
+		`{"points":[{"x":-0,"y":-0.0}]}`, `{"points":[{"x":1E+2,"y":5e-324}]}`, `{"points":[{"x":1e-400,"y":0}]}`,
+		`{"points":[{"x":01,"y":2}]}`, `{"points":[{"x":+1,"y":2}]}`, `{"points":[{"x":.5,"y":2}]}`,
+		`{"points":[{"x":1.,"y":2}]}`, `{"points":[{"x":1e,"y":2}]}`, `{"points":[{"x":0x10,"y":2}]}`,
+		`{"points":[{"x":"1","y":2}]}`, `{"points":[{"x":1,"y":2}],"name":null}`,
 	} {
 		f.Add([]byte(body))
 	}
+	f.Add(overCap)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/query/lr:batch", bytes.NewReader(body))
-		pts, _, err := parseBatch(httptest.NewRecorder(), r)
+		pts, sel, err := parseBatch(httptest.NewRecorder(), r)
+		var ref batchRequest
+		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
+		refOK := refErr == nil && len(body) <= maxBatchBodyBytes &&
+			len(ref.Points) >= 1 && len(ref.Points) <= maxBatchPoints
+		if (err == nil) != refOK {
+			t.Fatalf("parseBatch error %v, encoding/json error %v with %d points (body %d bytes)",
+				err, refErr, len(ref.Points), len(body))
+		}
 		if err != nil {
 			return
 		}
-		if len(pts) < 1 || len(pts) > maxBatchPoints {
-			t.Fatalf("accepted a batch of %d points", len(pts))
+		if len(pts) != len(ref.Points) {
+			t.Fatalf("%d points, encoding/json %d", len(pts), len(ref.Points))
 		}
-		for _, p := range pts {
+		for i, p := range pts {
 			if !finite(p) {
 				t.Fatalf("accepted non-finite point %v", p)
 			}
+			w := ref.Points[i]
+			if math.Float64bits(p.X) != math.Float64bits(w.X) || math.Float64bits(p.Y) != math.Float64bits(w.Y) {
+				t.Fatalf("point %d = %v, encoding/json (%v, %v)", i, p, w.X, w.Y)
+			}
+		}
+		if sel != (Selection{Name: ref.Name, Category: ref.Category}) {
+			t.Fatalf("selection %+v, encoding/json name %q category %q", sel, ref.Name, ref.Category)
 		}
 	})
 }

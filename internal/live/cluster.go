@@ -182,6 +182,9 @@ func (c *Cluster) applyOne(ctx context.Context, op Op) Result {
 		c.rejected++
 		return Result{Epoch: c.Epoch(), Err: err}
 	}
+	if err := op.Validate(); err != nil {
+		return fail(err)
+	}
 	switch op.Kind {
 	case OpInsert:
 		si := c.ownerRegion(op.Tuple.Loc)

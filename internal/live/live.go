@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -53,6 +54,9 @@ var (
 	// ErrOutOfRegion: cluster insert/move to a location no shard region
 	// covers (outside the federation's bounds).
 	ErrOutOfRegion = errors.New("live: location outside every shard region")
+	// ErrNonFinite: insert/move to a location with a NaN or infinite
+	// coordinate, which no distance can rank.
+	ErrNonFinite = errors.New("live: non-finite location")
 )
 
 // OpKind selects what an Op does.
@@ -87,6 +91,24 @@ type Op struct {
 	Tuple lbs.Tuple  // OpInsert: the tuple to add
 	ID    int64      // OpDelete, OpMove: the target tuple
 	Loc   geom.Point // OpMove: the destination
+}
+
+// Validate reports ErrNonFinite for an insert or move to a location
+// with a NaN or infinite coordinate, and nil for any other op.
+func (op Op) Validate() error {
+	var p geom.Point
+	switch op.Kind {
+	case OpInsert:
+		p = op.Tuple.Loc
+	case OpMove:
+		p = op.Loc
+	default:
+		return nil
+	}
+	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		return ErrNonFinite
+	}
+	return nil
 }
 
 // Result is the per-op outcome of Apply: the epoch the op applied at

@@ -310,12 +310,14 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 	var dr dirty
 	var appliedOps []Op
 	for i := range ops {
-		if err := ctx.Err(); err != nil {
-			results[i] = Result{Epoch: epoch, Err: err}
-			d.rejected.Add(1)
-			continue
+		err := ctx.Err()
+		if err == nil {
+			err = ops[i].Validate()
 		}
-		if err := o.apply(s.base, ops[i], &dr); err != nil {
+		if err == nil {
+			err = o.apply(s.base, ops[i], &dr)
+		}
+		if err != nil {
 			results[i] = Result{Epoch: epoch, Err: err}
 			d.rejected.Add(1)
 			continue

@@ -126,8 +126,15 @@ func openLiveStore(s *Store, gen func() *lbs.Database, opts lbs.Options, lopts l
 
 // replay applies one recovered frame; false means the frame does not
 // apply cleanly (corrupt beyond what checksums catch) and the prefix
-// ends before it.
+// ends before it. A frame holding an op that Apply would refuse
+// whatever the database holds (a non-finite location) is refused
+// before any of its ops apply.
 func (ls *LiveStore) replay(fr walFrame) bool {
+	for _, op := range fr.ops {
+		if op.Validate() != nil {
+			return false
+		}
+	}
 	results := ls.db.Apply(context.Background(), fr.ops)
 	for _, r := range results {
 		if r.Err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -142,6 +143,41 @@ func TestReplaySkipsFramesAlreadyInPack(t *testing.T) {
 	got, ep := db2.SnapshotAt()
 	if ep != wantEp {
 		t.Fatalf("epoch %d, want %d", ep, wantEp)
+	}
+	sameTuples(t, want, got)
+}
+
+// TestReplayRefusesNonFiniteFrame: a checksum-valid WAL frame holding
+// an op at a non-finite location ends the recovered prefix, and none
+// of the frame's ops apply, not even the valid insert before it.
+func TestReplayRefusesNonFiniteFrame(t *testing.T) {
+	dir := t.TempDir()
+	st, db := openTestLive(t, dir)
+	applyAll(t, db, insertOps(2000, 3))
+	want, wantEp := db.SnapshotAt()
+	st.Live().Close()
+	ops := insertOps(3000, 2)
+	ops[1].Tuple.Loc = geom.Pt(math.Inf(1), 40)
+	frame, err := encodeFrame(wantEp, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, db2 := openTestLive(t, dir)
+	defer st2.Live().Close()
+	got, ep := db2.SnapshotAt()
+	if rec := st2.Live().Recovery(); rec.Epoch != wantEp || ep != wantEp {
+		t.Fatalf("recovered to epoch %d (snapshot %d), want %d", rec.Epoch, ep, wantEp)
 	}
 	sameTuples(t, want, got)
 }

@@ -79,7 +79,9 @@ func decodePayload(payload []byte) (walFrame, error) {
 	f.epochBefore = binary.LittleEndian.Uint64(payload)
 	nops := binary.LittleEndian.Uint32(payload[8:])
 	r := &reader{b: payload, i: 12}
-	f.ops = make([]live.Op, 0, nops)
+	// The smallest op, a delete, is 2 bytes (kind, one-byte varint): a
+	// forged count must not size the slice beyond what the bytes hold.
+	f.ops = make([]live.Op, 0, capHint(uint64(nops), (len(payload)-12)/2))
 	for j := uint32(0); j < nops; j++ {
 		if r.i >= len(r.b) {
 			return f, fmt.Errorf("op %d: truncated", j)

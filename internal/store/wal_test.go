@@ -2,10 +2,13 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -181,5 +184,36 @@ func TestWALRecoversFullLog(t *testing.T) {
 	sameTuples(t, fx.models[fx.maxEp], got)
 	if st.Stats().RecoveredOps == 0 {
 		t.Fatal("recovered_ops counter not fed")
+	}
+}
+
+// TestWALForgedOpCountBounded: a frame whose checksum is valid but
+// whose op count is forged far beyond what its payload could hold must
+// not make recovery allocate for the forged count. Reading the log
+// allocates at most a small multiple of the file.
+func TestWALForgedOpCountBounded(t *testing.T) {
+	for _, pad := range []int{0, 4 << 10} {
+		payload := binary.LittleEndian.AppendUint64(nil, 0)
+		payload = binary.LittleEndian.AppendUint32(payload, 1<<18)
+		payload = append(payload, make([]byte, pad)...) // op kind 0 (insert) with no record: truncated
+		data := append(walHeader(0), walFrameOf(payload)...)
+		path := filepath.Join(t.TempDir(), walFile)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, frames, valid, err := readWAL(path)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(frames) != 0 || valid != walHeaderSize {
+				t.Fatalf("pad %d: %d frames valid to %d, err %v; want the forged frame to end the prefix", pad, len(frames), valid, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if limit := uint64(64*len(data) + 64<<10); least > limit {
+			t.Errorf("pad %d: reading a %d-byte WAL allocated %d bytes, want at most %d", pad, len(data), least, limit)
+		}
 	}
 }

@@ -495,6 +495,9 @@ var (
 	// ErrLiveOutOfRegion rejects an insert/move landing outside every
 	// shard region (or the database bounds).
 	ErrLiveOutOfRegion = live.ErrOutOfRegion
+	// ErrLiveNonFinite rejects an insert/move to a location with a NaN
+	// or infinite coordinate.
+	ErrLiveNonFinite = live.ErrNonFinite
 )
 
 // HTTPSelection is the declarative server-side filter of the HTTP
