@@ -91,7 +91,8 @@ stress:
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
 # appended query answers (byte-identical to encoding/json), the
 # store's record codec, whole .lbspack files as a warm restart opens
-# them, the WAL as a restart replays it beside a pack, and the answer
+# them, the WAL as a restart replays it beside a pack, a stored job
+# file as a restart recovers the job table from it, and the answer
 # cache's snapshot reader. go test fuzzes one
 # target per run, hence the loop over package:target pairs. Each new
 # interesting input is minimized for at most 100 runs, not the default
@@ -101,7 +102,7 @@ FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBat
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
 	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
 	./internal/store:FuzzPackOpen ./internal/store:FuzzWALReplay \
-	./internal/lbs:FuzzCacheSnapshot
+	./internal/store:FuzzJobStoreRecover ./internal/lbs:FuzzCacheSnapshot
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
@@ -130,9 +131,11 @@ SUITES = geom federation live planner chaos store
 
 # geom: the geometry-engine suite — cell clipping, kd-tree search, the
 # simulated oracle hot path, ground-truth diagram construction, one
-# end-to-end estimator sample and the estimate-lr job mix in process
-# (BenchmarkLRJob: ms/job and queries/job).
-geom_BENCH = BenchmarkAddCut|BenchmarkReplaceCut|BenchmarkInsertSites|BenchmarkBuildTop|BenchmarkRandomPoint|BenchmarkSplit|BenchmarkEvalRange|BenchmarkKNN|BenchmarkBuild10k|BenchmarkCompute10k|BenchmarkQueryLR|BenchmarkLRSample|BenchmarkLRCellComputation|BenchmarkLRJob
+# end-to-end estimator sample, the estimate-lr job mix in process
+# (BenchmarkLRJob: ms/job and queries/job) and LR's CPU per query as
+# the query budget grows from 600 to 60 000 (BenchmarkLRBudget:
+# ns/query).
+geom_BENCH = BenchmarkAddCut|BenchmarkReplaceCut|BenchmarkInsertSites|BenchmarkBuildTop|BenchmarkRandomPoint|BenchmarkSplit|BenchmarkEvalRange|BenchmarkKNN|BenchmarkBuild10k|BenchmarkCompute10k|BenchmarkQueryLR|BenchmarkLRSample|BenchmarkLRCellComputation|BenchmarkLRJob|BenchmarkLRBudget
 geom_PKGS = ./internal/geom ./internal/cell ./internal/kdtree ./internal/lbs ./internal/voronoi ./internal/core ./internal/jobs
 geom_FLAGS = -benchmem
 

@@ -34,9 +34,15 @@
 // So FaceAreaAtMost(h) and WithK(h) of a top-m complex equal the top-k
 // build's AreaAtMost(h) (h ≤ m) and WithK(h) (h < m) bit for bit. Only
 // Area(), which is maintained incrementally, carries different rounding
-// at h = m, which is why WithK(h) needs m > h. The LR estimator's
-// adaptive-h rule relies on this to build only the levels it reads,
-// all from one Order so the levels share one distance ordering.
+// at h = m, which is why WithK(h) needs m > h: WithK(h) below the
+// source's k sums the copied face areas in order, while a top-h build
+// carries its incremental sum. SumArea replaces the latter by the
+// former, so a top-h build re-summed is WithK(h) of any top-m build
+// (m > h) from the same sites, bit for bit. The LR estimator relies on
+// this to build only the levels it reads, all from one Order so the
+// levels share one distance ordering: the adaptive-h rule grows levels
+// by doubling, and a fixed h seeds its refinement with the top-h build
+// itself, re-summed for h < k, instead of a copy out of level h+1.
 //
 // # Allocation discipline
 //
@@ -489,6 +495,13 @@ func (c *Complex) FaceAreaAtMost(h int) float64 {
 	}
 	return a
 }
+
+// SumArea sets Area() to the in-order sum of the face areas,
+// FaceAreaAtMost(k), in place of the incrementally maintained sum: the
+// area WithK(h) gives a copy taken below the source's k. A top-h build
+// re-summed is so, bit for bit, WithK(h) of a top-m build (m > h) from
+// the same sites (see the package comment on levels).
+func (c *Complex) SumArea() { c.cachedArea = c.FaceAreaAtMost(c.k) }
 
 // Contains reports whether p lies in the region. Points exactly on
 // internal subdivision edges are resolved by direct counting against

@@ -33,24 +33,50 @@ func BuildFromSites(bound geom.Polygon, k int, target geom.Point, sites []Site) 
 }
 
 // siteDist is one filtered batch entry with its precomputed squared
-// distance, so the sort comparator does no arithmetic.
+// distance, so the heap comparator does no arithmetic, and its index in
+// the site sequence, the tie-break among equidistant sites.
 type siteDist struct {
 	site Site
 	d2   float64
+	idx  int32
+}
+
+// before reports whether a comes out of an Order before b.
+func (a *siteDist) before(b *siteDist) bool {
+	return a.d2 < b.d2 || (a.d2 == b.d2 && a.idx < b.idx)
 }
 
 // Order is a target's sites in the order InsertSites consumes them:
-// increasing distance from the target, drawn lazily from one binary
-// heap, so equidistant sites always come out in the same order. Several
-// builds from one site set share one filtering pass and one heapify:
-// each Insert walks the sites drawn so far and draws more only past
-// their end. The LR estimator's adaptive-h rule builds the top-1,
-// top-2, top-4, … complexes of one target from one Order. The zero
-// value is an empty order; Reset reuses its storage.
+// increasing squared distance from the target, equidistant sites in
+// the order of the site sequence, drawn lazily. Several builds from
+// one site set share the draws: each Insert walks the sites drawn so
+// far and draws more only past their end. The LR estimator's
+// adaptive-h rule builds the top-1, top-2, top-4, … complexes of one
+// target from one Order. The zero value is an empty order; Reset and
+// ResetGrid reuse its storage.
+//
+// Reset draws from a slice through one binary heap over all of it.
+// ResetGrid draws from a SiteGrid: it searches the grid's cells in
+// rings outward from the target and heaps only the sites of the rings
+// searched so far, so a draw costs what the target's neighbourhood
+// holds, not the whole sequence.
 type Order struct {
 	target geom.Point
-	heap   []siteDist // undrawn sites, a min-heap on d2
+	heap   []siteDist // undrawn candidates, a min-heap on (d2, idx)
 	drawn  []siteDist // drawn sites, in consumption order
+
+	// The ring search of ResetGrid (grid nil after Reset): n is the
+	// grid's length at ResetGrid (later sites are not in the order),
+	// gen the grid generation the ring state refers to, (cx, cy) the
+	// start cell and ring the next ring to search. Every site not yet
+	// searched has d2 > lo2; done means every cell has been searched.
+	grid       *SiteGrid
+	n          int32
+	gen        int
+	cx, cy     int
+	ring       int
+	lo2, slack float64
+	done       bool
 }
 
 // Reset makes o the order of sites around target, dropping sites that
@@ -59,14 +85,14 @@ func (o *Order) Reset(target geom.Point, sites []Site) { o.reset(target, sites, 
 
 // reset is Reset that also drops the sites whose Key c has registered.
 func (o *Order) reset(target geom.Point, sites []Site, c *Complex) {
-	o.target = target
+	o.target, o.grid = target, nil
 	o.heap, o.drawn = o.heap[:0], o.drawn[:0]
-	for _, s := range sites {
+	for i, s := range sites {
 		d2 := s.Loc.Dist2(target)
 		if d2 < geom.Eps*geom.Eps || (c != nil && c.HasCut(s.Key)) {
 			continue
 		}
-		o.heap = append(o.heap, siteDist{site: s, d2: d2})
+		o.heap = append(o.heap, siteDist{site: s, d2: d2, idx: int32(i)})
 	}
 	// Lazy distance ordering: the pruning rule usually stops after the
 	// nearest handful of sites, so a heapify + pop loop beats a full
@@ -74,11 +100,83 @@ func (o *Order) reset(target geom.Point, sites []Site, c *Complex) {
 	heapifySites(o.heap)
 }
 
+// ResetGrid makes o the order of g's current sites around target,
+// dropping sites that coincide with the target within Eps: the order
+// Reset(target, g.Sites()) gives, drawn from the grid. Sites added to
+// g later are not in the order; a rebuild of g's grid between draws
+// restarts the search past the sites already drawn.
+func (o *Order) ResetGrid(target geom.Point, g *SiteGrid) {
+	o.target, o.grid, o.n = target, g, int32(g.Len())
+	o.heap, o.drawn = o.heap[:0], o.drawn[:0]
+	o.restart()
+}
+
+// restart starts the ring search over the grid's current cells.
+func (o *Order) restart() {
+	g := o.grid
+	o.gen = g.gen
+	o.cx, o.cy = g.cellOf(o.target)
+	o.ring, o.lo2, o.done = 0, -1, g.head == nil
+	o.slack = g.slack(o.target)
+}
+
+// searchRing heaps the sites of the next ring of cells around the
+// start cell and raises lo2 past it.
+func (o *Order) searchRing() {
+	g := o.grid
+	r := o.ring
+	o.ring++
+	x0, x1, y0, y1 := o.cx-r, o.cx+r, o.cy-r, o.cy+r
+	for iy := max(y0, 0); iy <= min(y1, g.ny-1); iy++ {
+		if iy == y0 || iy == y1 {
+			for ix := max(x0, 0); ix <= min(x1, g.nx-1); ix++ {
+				o.searchCell(iy*g.nx + ix)
+			}
+			continue
+		}
+		if x0 >= 0 {
+			o.searchCell(iy*g.nx + x0)
+		}
+		if x1 < g.nx {
+			o.searchCell(iy*g.nx + x1)
+		}
+	}
+	gap := g.ringBound(o.target, x0, x1, y0, y1)
+	if math.IsInf(gap, 1) {
+		o.done = true
+	} else if lo := gap - o.slack; lo > 0 {
+		o.lo2 = lo * lo * (1 - 1e-12)
+	}
+}
+
+// searchCell heaps the order's sites in grid cell c. A site that comes
+// before the last drawn one was drawn already (only a rebuild between
+// draws makes a search meet one).
+func (o *Order) searchCell(c int) {
+	g := o.grid
+	for j := g.head[c]; j >= 0; j = g.next[j] {
+		if j >= o.n {
+			continue
+		}
+		s := g.sites[j]
+		sd := siteDist{site: s, d2: s.Loc.Dist2(o.target), idx: j}
+		if sd.d2 < geom.Eps*geom.Eps {
+			continue
+		}
+		if n := len(o.drawn); n > 0 && !o.drawn[n-1].before(&sd) {
+			continue
+		}
+		o.heap = append(o.heap, sd)
+		siftUpSite(o.heap, len(o.heap)-1)
+	}
+}
+
 // Insert adds bisector cuts between the target and the order's sites
 // into c, using the distance-ordered pruning rule described at
 // BuildFromSites, and returns the number of cuts that changed the
 // region. Into a complex with no cut registered it is, bit for bit,
-// InsertSites(c, target, sites) for the sites o was Reset with.
+// InsertSites(c, target, sites) for the sites o was Reset with (or,
+// after ResetGrid, the grid's sites at that call).
 //
 // In-batch duplicate keys are skipped in O(1) when identical
 // duplicates come out back-to-back (equal distance, equal key); any
@@ -87,9 +185,12 @@ func (o *Order) Insert(c *Complex) int {
 	changed := 0
 	maxDist := c.MaxDistFrom(o.target)
 	lastKey := int64(math.MinInt64)
-	for i := 0; i < len(o.drawn) || o.draw(); i++ {
-		sd := o.drawn[i]
+	for i := 0; ; i++ {
 		reach := 2*maxDist + geom.Eps
+		if i == len(o.drawn) && !o.draw(reach*reach) {
+			break
+		}
+		sd := o.drawn[i]
 		if sd.d2 > reach*reach {
 			break
 		}
@@ -105,11 +206,26 @@ func (o *Order) Insert(c *Complex) int {
 	return changed
 }
 
-// draw moves the nearest undrawn site to the end of the drawn prefix,
-// reporting false when none is left.
-func (o *Order) draw() bool {
+// draw moves the next site to the end of the drawn prefix, reporting
+// false when none is left within squared distance limit2 (no site
+// beyond it is drawn).
+func (o *Order) draw(limit2 float64) bool {
+	if o.grid != nil {
+		if o.gen != o.grid.gen {
+			o.heap = o.heap[:0]
+			o.restart()
+		}
+		// Search rings until the nearest candidate is certified (no
+		// unsearched site can come before it) or lies past limit2.
+		for !o.done && (len(o.heap) == 0 || o.heap[0].d2 > o.lo2) {
+			if o.lo2 > limit2 {
+				return false
+			}
+			o.searchRing()
+		}
+	}
 	n := len(o.heap)
-	if n == 0 {
+	if n == 0 || o.heap[0].d2 > limit2 {
 		return false
 	}
 	o.drawn = append(o.drawn, o.heap[0])
@@ -143,7 +259,7 @@ func InsertSites(c *Complex, target geom.Point, sites []Site) int {
 	return changed
 }
 
-// heapifySites arranges s as a binary min-heap on d2.
+// heapifySites arranges s as a binary min-heap on (d2, idx).
 func heapifySites(s []siteDist) {
 	for i := len(s)/2 - 1; i >= 0; i-- {
 		siftDownSite(s, i)
@@ -158,13 +274,25 @@ func siftDownSite(s []siteDist, i int) {
 			return
 		}
 		least := l
-		if r := l + 1; r < len(s) && s[r].d2 < s[l].d2 {
+		if r := l + 1; r < len(s) && s[r].before(&s[l]) {
 			least = r
 		}
-		if s[i].d2 <= s[least].d2 {
+		if !s[least].before(&s[i]) {
 			return
 		}
 		s[i], s[least] = s[least], s[i]
 		i = least
+	}
+}
+
+// siftUpSite restores the min-heap property above index i.
+func siftUpSite(s []siteDist, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s[i].before(&s[p]) {
+			return
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/lbs"
@@ -75,6 +76,31 @@ func BenchmarkLRSampleK10(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(svc.QueryCount())/float64(agg.Stats().Samples), "queries/sample")
+}
+
+// BenchmarkLRBudget measures how LR's CPU per query grows with the
+// query budget: one whole DefaultLROptions COUNT run over schools-50k
+// (k = 10) per iteration, at B = 600 (an estimate-lr job), 5 000,
+// 20 000 and 60 000 queries. The history grows by up to k sites per
+// query, so a per-sample cost that scans it shows as ns/query rising
+// with B; with the history's grid index it stays about flat.
+func BenchmarkLRBudget(b *testing.B) {
+	sc := workload.USASchools(50000, 7)
+	count := aggsOf(b, CountSpec())
+	for _, budget := range []int64{600, 5000, 20000, 60000} {
+		b.Run(fmt.Sprintf("B=%d", budget), func(b *testing.B) {
+			var queries int64
+			for i := 0; i < b.N; i++ {
+				svc := lbs.NewService(sc.DB, lbs.Options{K: 10})
+				agg := NewLRAggregator(svc, DefaultLROptions(1))
+				if _, err := agg.Run(context.Background(), count, WithMaxQueries(budget)); err != nil {
+					b.Fatal(err)
+				}
+				queries += svc.QueryCount()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
+	}
 }
 
 // BenchmarkLNRCellInference measures one rank-only sample (cell

@@ -84,6 +84,15 @@ var lrGoldenCases = []lrGoldenCase{
 		est: 0x407981e87937cd83, se: 0x404beab75d759028, queries: 2165, hChosen: ""},
 	{name: "schools/k10/fixedH3", data: "schools", n: 3000, k: 10, seed: 4, fixedH: 3, samples: 25,
 		est: 0x40adc11470e37ab6, se: 0x4095f6ed648fd637, queries: 4354, hChosen: ""},
+	// DefaultLROptions (FixedH = 1), the production path, whose seed is
+	// the top-1 history complex; recorded when that seed was still the
+	// top-1 faces copied out of a top-2 build.
+	{name: "schools50k/k10/fixedH1/s1", data: "schools", n: 50000, k: 10, seed: 1, fixedH: 1, samples: 100,
+		est: 0x40e2f15cc98612cf, se: 0x40c9afeda423b9ce, queries: 1806, hChosen: ""},
+	{name: "schools50k/k10/fixedH1/s2", data: "schools", n: 50000, k: 10, seed: 2, fixedH: 1, samples: 100,
+		est: 0x40e194082d64f806, se: 0x40b7fd8afa3aff48, queries: 1928, hChosen: ""},
+	{name: "cluster/k3/fixedH1", data: "cluster", n: 1500, k: 3, seed: 1, fixedH: 1, samples: 40,
+		est: 0x40a511a28523c63c, se: 0x409999078ff826d2, queries: 563, hChosen: ""},
 	{name: "cluster/k5/nohistory", data: "cluster", n: 1500, k: 5, lambda0: 0.02, seed: 4, noHistory: true, samples: 40,
 		est: 0x40a01b74b80f57e5, se: 0x40958e4063acb724, queries: 569, hChosen: ""},
 }

@@ -158,14 +158,14 @@ type LRAggregator struct {
 type lrScratch struct {
 	bound geom.Polygon
 	// order is the history sites in distance order around chooseH's
-	// current tuple, shared by that tuple's level builds; levels[m] is
-	// the reusable top-m history complex (nil until first used;
-	// levels[0] stays nil).
+	// current tuple, shared by that tuple's level builds (and reset by
+	// fastInit for its own builds); levels[m] is the reusable top-m
+	// history complex (nil until first used; levels[0] stays nil).
 	order  cell.Order
 	levels []*cell.Complex
-	// spares are complexes free to become a seed (WithKInto) or a
-	// region (ResetK); seeds[i] is the seed chooseH handed over for
-	// rank i, and hs[i] its h.
+	// spares are complexes free to become a seed (built in place, or
+	// copied in with WithKInto) or a region (ResetK); seeds[i] is the
+	// seed chooseH handed over for rank i, and hs[i] its h.
 	spares []*cell.Complex
 	seeds  []*cell.Complex
 	hs     []int
@@ -350,23 +350,29 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 
 // chooseH implements the variance-reduction rule of §3.2.3 for the
 // returned tuple at 0-based rank: the largest h ∈ [2, k] whose
-// history-derived upper bound λ_h(t) is below λ0, else 1. When the
-// tuple can contribute (rank < h) it also returns the history-seeded
-// top-h complex the caller continues refinement from: a spare of the
-// scratch set, copied out of the level with WithKInto, which the
-// caller gives back to the spares when done; otherwise none.
+// history-derived upper bound λ_h(t) is below λ0, else 1; or FixedH
+// (capped at k) when that is set. When the tuple can contribute
+// (rank < h) it also returns the history-seeded top-h complex the
+// caller continues refinement from: a spare of the scratch set, which
+// the caller gives back to the spares when done; otherwise none.
 //
-// The rule builds only the levels it reads, each into a scratch-set
-// complex reused across calls, all from one distance ordering of the
-// history sites (a cell.Order, so the O(n) filtering and heapify run
-// once per tuple, not once per level). It first builds the top-1 cell, an order of
-// magnitude cheaper than the top-k complex: when its area λ_1(t)
-// exceeds λ0 the answer is h = 1, since λ_h is non-decreasing in h.
-// Otherwise it grows the level m of the history complex by doubling
-// (m = 2, 4, 8, …, capped at k) until it meets a λ_cand > λ0 or
-// reaches k. A top-m complex gives λ_cand for every cand ≤ m as the
-// in-order sum of its face areas at count ≤ cand−1 (FaceAreaAtMost);
-// λ_k is the top-k complex's Area(), as AreaAtMost(k) reads it.
+// Every build draws the history sites from one cell.Order over the
+// history's grid index: sites in increasing distance from the tuple,
+// equidistant ones in observation order, found by searching grid cells
+// in rings outward from it, so a build costs what the tuple's
+// neighbourhood holds rather than a pass over the whole history.
+//
+// Under FixedH the seed is the top-h complex, built straight into the
+// spare. The adaptive rule builds only the levels it reads, each into
+// a scratch-set complex reused across calls. It first builds the top-1
+// cell, an order of magnitude cheaper than the top-k complex: when its
+// area λ_1(t) exceeds λ0 the answer is h = 1, since λ_h is
+// non-decreasing in h. Otherwise it grows the level m of the history
+// complex by doubling (m = 2, 4, 8, …, capped at k) until it meets a
+// λ_cand > λ0 or reaches k. A top-m complex gives λ_cand for every
+// cand ≤ m as the in-order sum of its face areas at count ≤ cand−1
+// (FaceAreaAtMost); λ_k is the top-k complex's Area(), as AreaAtMost(k)
+// reads it. The seed is then copied out of the level with WithKInto.
 //
 // The levels change no result. Every build consumes the sites in one
 // distance order, a top-m build consumes a prefix of the top-k build's
@@ -375,9 +381,12 @@ func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
 // are bit for bit the top-k faces at count < m (the cell package's
 // Levels section; TestTopMMatchesTopKLevels pins it). Hence every λ
 // the rule reads, and WithK(h) of a level m > h (or m = h = k), equal
-// what the full top-k build gives. The seed registers fewer cuts than
-// the top-k build would, but the missing ones are sites beyond twice
-// the seed's reach, which the refinement's InsertSites never consumes.
+// what the full top-k build gives; so does the fixed-h seed, whose
+// area is re-summed over its faces (SumArea) for h < k, as WithK(h)
+// sums it (TestFixedHSeedMatchesLevelCopy). A seed registers fewer
+// cuts than the top-k build would, but the missing ones are sites
+// beyond twice the seed's reach, which the refinement's InsertSites
+// never consumes.
 func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 	k := a.svc.K()
 	h := min(a.opts.FixedH, k)
@@ -390,12 +399,17 @@ func (a *LRAggregator) chooseH(tLoc geom.Point, rank int) (int, *cell.Complex) {
 		if rank >= h {
 			return h, nil
 		}
-		s.order.Reset(tLoc, a.hist.Sites())
-		return h, s.level(min(h+1, k)).WithKInto(s.spare(), h)
+		a.hist.Order(&s.order, tLoc)
+		seed := s.region(h)
+		s.order.Insert(seed)
+		if h < k {
+			seed.SumArea()
+		}
+		return h, seed
 	}
 	lambda0 := a.opts.Lambda0Frac * a.bound.Area()
 	h = 1
-	s.order.Reset(tLoc, a.hist.Sites())
+	a.hist.Order(&s.order, tLoc)
 	seed := s.level(1)
 	if seed.Area() <= lambda0 {
 		// Grow while every λ_cand the level gave was ≤ λ0 (h == m).
@@ -590,10 +604,11 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 	tmp := s.region(cc.h)
 	defer s.free(tmp)
 	// Real cuts already known (history / hint) keep the fake region
-	// honest; then the fake cuts shrink it to a box around t. The
-	// target's own site, if recorded, is dropped by cell.InsertSites as
-	// coincident.
-	cell.InsertSites(tmp, cc.tLoc, a.known(cc).Sites())
+	// honest; then the fake cuts shrink it to a box around t. Both
+	// builds here draw the known sites from the history's grid index.
+	// The target's own site, if recorded, is dropped as coincident.
+	a.known(cc).Order(&s.order, cc.tLoc)
+	s.order.Insert(tmp)
 	for i, f := range fake {
 		tmp.AddCut(cell.Cut{Line: geom.Bisector(cc.tLoc, f), Key: int64(-1 - i)})
 	}
@@ -611,7 +626,8 @@ func (a *LRAggregator) fastInit(ctx context.Context, cc *cellContext) error {
 	}
 	// Rebuild from real tuples only, into the old region's storage.
 	cc.region.ResetK(cc.h)
-	cell.InsertSites(cc.region, cc.tLoc, a.known(cc).Sites())
+	a.known(cc).Order(&s.order, cc.tLoc)
+	s.order.Insert(cc.region)
 	return nil
 }
 

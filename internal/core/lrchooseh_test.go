@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cell"
@@ -116,4 +118,63 @@ func TestChooseHNoAllocs(t *testing.T) {
 			t.Errorf("%s: chooseH allocated %v times per call, want 0", names[path], allocs)
 		}
 	}
+}
+
+// TestFixedHSeedMatchesLevelCopy requires the fixed-h seed, which
+// chooseH builds at level h with its area re-summed, to equal in faces
+// and Area() bits the top-h faces copied out of a top-(h+1) build over
+// the history (WithK), on a warmed schools-50k aggregator at h = 1 and
+// h = 3.
+func TestFixedHSeedMatchesLevelCopy(t *testing.T) {
+	const k = 10
+	sc := workload.USASchools(50000, 7)
+	for _, h := range []int{1, 3} {
+		svc := lbs.NewService(sc.DB, lbs.Options{K: k})
+		opts := DefaultLROptions(2)
+		opts.FixedH = h
+		agg := NewLRAggregator(svc, opts)
+		if _, err := agg.Run(context.Background(), aggsOf(t, CountSpec()), WithMaxSamples(40)); err != nil {
+			t.Fatal(err)
+		}
+		var order cell.Order
+		rng := rand.New(rand.NewSource(5))
+		for q := 0; q < 20; q++ {
+			recs, err := svc.QueryLR(context.Background(), geom.RandomInRect(rng, agg.bound), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loc := recs[0].Loc
+			got, seed := agg.chooseH(loc, 0)
+			if got != h || seed == nil {
+				t.Fatalf("h=%d: chooseH chose h=%d (seed %v)", h, got, seed != nil)
+			}
+			order.Reset(loc, agg.hist.Sites())
+			level := cell.New(agg.boundPoly, h+1)
+			order.Insert(level)
+			want := level.WithK(h)
+			if seed.K() != h || !sameComplexFaces(seed, want) ||
+				math.Float64bits(seed.Area()) != math.Float64bits(want.Area()) {
+				t.Fatalf("h=%d query %d: seed (%d faces, area %v) differs from the level copy (%d faces, area %v)",
+					h, q, seed.NumFaces(), seed.Area(), want.NumFaces(), want.Area())
+			}
+			agg.s.free(seed)
+		}
+		agg.release()
+	}
+}
+
+// sameComplexFaces reports whether two complexes hold the same faces,
+// in order, with equal counts, polygons and area bits.
+func sameComplexFaces(a, b *cell.Complex) bool {
+	fa, fb := a.Faces(), b.Faces()
+	if len(fa) != len(fb) {
+		return false
+	}
+	for i := range fa {
+		if fa[i].Count != fb[i].Count || !slices.Equal(fa[i].Poly, fb[i].Poly) ||
+			math.Float64bits(fa[i].Area()) != math.Float64bits(fb[i].Area()) {
+			return false
+		}
+	}
+	return true
 }

@@ -63,6 +63,15 @@ const (
 // Finished reports whether the state is terminal.
 func (s State) Finished() bool { return s != StateRunning }
 
+// known reports whether s is one of the four states above.
+func (s State) known() bool {
+	switch s {
+	case StateRunning, StateDone, StateCanceled, StateFailed:
+		return true
+	}
+	return false
+}
+
 // RunOptions are the wire-expressible run bounds of one job — the
 // declarative form of core.PlanOptions.
 type RunOptions struct {

@@ -70,9 +70,10 @@ type RecoveryStats struct {
 // a fresh Manager before serving requests. Jobs the store remembers
 // as finished reappear with their stored views; jobs that were
 // running when the process died are resumed as deterministic re-runs;
-// corrupt or no-longer-compilable entries settle as failed with
-// ErrUnresumable. The ID sequence advances past every recovered ID so
-// new submissions never collide.
+// corrupt or no-longer-compilable entries, and entries in a state no
+// version writes, settle as failed with ErrUnresumable. The ID
+// sequence advances past every recovered ID so new submissions never
+// collide.
 func (m *Manager) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	if m.opts.Store == nil {
@@ -98,6 +99,9 @@ func (m *Manager) Recover() (RecoveryStats, error) {
 		switch {
 		case sj.Corrupt:
 			m.settleUnresumable(sj, fmt.Errorf("%w: stored entry is corrupt", ErrUnresumable))
+			rs.Unresumable++
+		case !sj.View.State.known():
+			m.settleUnresumable(sj, fmt.Errorf("%w: stored state %q is unknown", ErrUnresumable, sj.View.State))
 			rs.Unresumable++
 		case sj.View.State.Finished():
 			m.reloadFinished(sj)

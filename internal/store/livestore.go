@@ -126,14 +126,13 @@ func openLiveStore(s *Store, gen func() *lbs.Database, opts lbs.Options, lopts l
 
 // replay applies one recovered frame; false means the frame does not
 // apply cleanly (corrupt beyond what checksums catch) and the prefix
-// ends before it. A frame holding an op that Apply would refuse
-// whatever the database holds (a non-finite location) is refused
-// before any of its ops apply.
+// ends before it. The frame applies whole or not at all: every op is
+// checked first, in frame order, against the database as the frame's
+// earlier ops leave it (see frameApplies), so Apply never applies a
+// prefix of a frame whose later op it would refuse.
 func (ls *LiveStore) replay(fr walFrame) bool {
-	for _, op := range fr.ops {
-		if op.Validate() != nil {
-			return false
-		}
+	if !frameApplies(ls.db, fr.ops) {
+		return false
 	}
 	results := ls.db.Apply(context.Background(), fr.ops)
 	for _, r := range results {
@@ -145,6 +144,45 @@ func (ls *LiveStore) replay(fr walFrame) bool {
 	ls.s.m.RecoveredOps.Add(uint64(len(fr.ops)))
 	ls.rec.Frames++
 	ls.rec.Ops += len(fr.ops)
+	return true
+}
+
+// frameApplies reports whether Apply would accept every op of a frame:
+// each location is finite (Op.Validate), each insert's ID is absent
+// and each delete's or move's ID present, in the database as the
+// frame's earlier ops leave it.
+func frameApplies(db *live.Database, ops []live.Op) bool {
+	present := make(map[int64]bool) // IDs the frame's earlier ops touched
+	has := func(id int64) bool {
+		if p, ok := present[id]; ok {
+			return p
+		}
+		_, _, ok := db.Lookup(id)
+		return ok
+	}
+	for _, op := range ops {
+		if op.Validate() != nil {
+			return false
+		}
+		switch op.Kind {
+		case live.OpInsert:
+			if has(op.Tuple.ID) {
+				return false
+			}
+			present[op.Tuple.ID] = true
+		case live.OpDelete:
+			if !has(op.ID) {
+				return false
+			}
+			present[op.ID] = false
+		case live.OpMove:
+			if !has(op.ID) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
 	return true
 }
 

@@ -182,6 +182,74 @@ func TestReplayRefusesNonFiniteFrame(t *testing.T) {
 	sameTuples(t, want, got)
 }
 
+// TestReplayAppliesFrameWholeOrNotAtAll forges a checksum-valid frame
+// whose later op the database refuses (a duplicate or unknown ID, here
+// or after an earlier op of the same frame) behind a valid op. The
+// restart must leave the database at the epoch before the frame, with
+// none of its ops applied, and the next journaled batch must chain
+// onto it, so that a second restart keeps that batch. A frame whose
+// ops are valid only in order (a delete, then a re-insert of the same
+// ID) must apply whole.
+func TestReplayAppliesFrameWholeOrNotAtAll(t *testing.T) {
+	del := func(id int64) live.Op { return live.Op{Kind: live.OpDelete, ID: id} }
+	move := func(id int64) live.Op { return live.Op{Kind: live.OpMove, ID: id, Loc: geom.Pt(-90, 35)} }
+	cases := []struct {
+		name    string
+		ops     []live.Op
+		applies bool
+	}{
+		{"duplicate insert", append(insertOps(3000, 1), insertOps(2000, 1)...), false},
+		{"duplicate within the frame", append(insertOps(3000, 1), insertOps(3000, 1)...), false},
+		{"move of an unknown ID", append(insertOps(3000, 1), move(9999)), false},
+		{"delete of an unknown ID", append(insertOps(3000, 1), del(9999)), false},
+		{"delete of an ID deleted earlier in the frame", []live.Op{del(2000), del(2000)}, false},
+		{"delete then re-insert", append([]live.Op{del(2000)}, insertOps(2000, 1)...), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, db := openTestLive(t, dir)
+			applyAll(t, db, insertOps(2000, 3))
+			_, ep0 := db.SnapshotAt()
+			st.Live().Close()
+			frame, err := encodeFrame(ep0, c.ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2, db2 := openTestLive(t, dir)
+			wantEp := ep0
+			if c.applies {
+				wantEp += uint64(len(c.ops))
+			}
+			if rec := st2.Live().Recovery(); rec.Epoch != wantEp || db2.Epoch() != wantEp {
+				t.Fatalf("recovered to epoch %d (database at %d), want %d", rec.Epoch, db2.Epoch(), wantEp)
+			}
+			applyAll(t, db2, insertOps(4000, 2))
+			want, wantEp2 := db2.SnapshotAt()
+			st2.Live().Close()
+
+			st3, db3 := openTestLive(t, dir)
+			defer st3.Live().Close()
+			got, ep := db3.SnapshotAt()
+			if ep != wantEp2 {
+				t.Fatalf("second restart recovered to epoch %d, want %d: the batch journaled after the first restart was lost", ep, wantEp2)
+			}
+			sameTuples(t, want, got)
+		})
+	}
+}
+
 func TestMutationsAfterReopenAreJournaled(t *testing.T) {
 	dir := t.TempDir()
 	st, db := openTestLive(t, dir)
