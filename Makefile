@@ -67,15 +67,20 @@ examples:
 # parallel job through QueryPlan.Execute's one sample stream, which
 # must draw exactly its 8-sample cap. The tenth race-checks a fused
 # plan's aggregates, which four parallel estimator forks share (their
-# Value closures are pure; about 4 s). The first line also runs the
-# randomized check of cache invalidation over the slot arrays against
-# a list walk. The eleventh race-checks the live overlay: readers
-# bracketing queries by epoch against a writer and background
-# compaction, a live cluster under concurrent queries and mutations,
-# and the per-op equivalence across tail folds and compaction (about
-# 45 s).
+# Value closures are pure; about 4 s). The eleventh race-checks the
+# live overlay: readers bracketing queries by epoch against a writer
+# and background compaction, a live cluster under concurrent queries
+# and mutations, and the per-op equivalence across tail folds and
+# compaction (about 45 s). The twelfth race-checks the answer cache
+# over a live database: four readers against one writer, where a read
+# that starts after a mutation's invalidation hook returned must see
+# that mutation (about 20 s); then the per-Apply freshness check over
+# live databases and clusters (about 10 s); then the randomized check
+# of grid invalidation against a list walk applying the reach
+# predicate to every entry (about 25 s). Both of those are seeded and
+# single-goroutine, so they run fewer times.
 stress:
-	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc|TestCacheInvalidateMatchesListWalk' ./internal/lbs
+	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes|TestLNRVertexRoundFlipRingsShareBatch' ./internal/core
 	$(GO) test -race -count=50 -run 'TestAnswerEncodingConcurrent' ./internal/httpapi
 	$(GO) test -race -count=50 -run '^(TestConcurrentFederatedBatchesShareBudget|TestConcurrentDegradedBatchesMeterExactly|TestFederatedEquivalence)$$' ./internal/shard
@@ -86,14 +91,19 @@ stress:
 	$(GO) test -race -count=20 -run '^TestJobViewCarriesPlan$$' ./internal/jobs
 	$(GO) test -race -count=50 -run '^TestExecuteParallelFusedGroup$$' ./internal/core
 	$(GO) test -race -count=20 -run '^(TestLiveEpochConsistency|TestLiveClusterConcurrentSmoke|TestLiveFoldEquivalence)$$' ./internal/live
+	$(GO) test -race -count=50 -run '^TestCacheFreshConcurrentReaders$$' ./internal/live
+	$(GO) test -race -count=5 -run '^TestCacheFreshAfterEveryApply$$' ./internal/live
+	$(GO) test -race -count=50 -run '^TestCacheInvalidateMatchesListWalk$$' ./internal/lbs
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
 # appended query answers (byte-identical to encoding/json), the
 # store's record codec, whole .lbspack files as a warm restart opens
 # them, the WAL as a restart replays it beside a pack, a stored job
-# file as a restart recovers the job table from it, and the answer
-# cache's snapshot reader. go test fuzzes one
+# file as a restart recovers the job table from it, the answer
+# cache's snapshot reader, and the answer cache over a live database
+# (fuzzed reads and mutations; every cached answer must stay fresh).
+# go test fuzzes one
 # target per run, hence the loop over package:target pairs. Each new
 # interesting input is minimized for at most 100 runs, not the default
 # 60 s: FuzzPackOpen's 64 KiB-page seeds are 128 KiB inputs, and
@@ -102,7 +112,8 @@ FUZZ_TARGETS = ./internal/httpapi:FuzzParseQuery ./internal/httpapi:FuzzParseBat
 	./internal/httpapi:FuzzIngestStream ./internal/httpapi:FuzzEstimateSpec \
 	./internal/httpapi:FuzzAnswerEncoding ./internal/store:FuzzRecordDecode \
 	./internal/store:FuzzPackOpen ./internal/store:FuzzWALReplay \
-	./internal/store:FuzzJobStoreRecover ./internal/lbs:FuzzCacheSnapshot
+	./internal/store:FuzzJobStoreRecover ./internal/lbs:FuzzCacheSnapshot \
+	./internal/live:FuzzCacheInvalidate
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -229,35 +229,6 @@ func (m Metric) RectMinDist(q geom.Point, rect geom.Rect) float64 {
 	return math.Max(latLB, lonLB)
 }
 
-// ExpandRect grows rect so that it contains every point within dist
-// of rect under the metric. Euclidean is exactly rect.Expand(dist).
-// Haversine converts the margin to degrees conservatively: latitude
-// by km-per-degree, longitude by km-per-degree scaled by the cosine
-// of the *expanded* rectangle's extreme latitude — over-covering at
-// high latitude, which is the safe direction for cache invalidation
-// (a dirty region may only grow). Near the poles the longitude
-// margin degenerates to the full circle.
-func (m Metric) ExpandRect(rect geom.Rect, dist float64) geom.Rect {
-	if m != Haversine {
-		return rect.Expand(dist)
-	}
-	if dist <= 0 {
-		return rect
-	}
-	latMargin := dist / KmPerDeg
-	out := rect
-	out.Min.Y -= latMargin
-	out.Max.Y += latMargin
-	cos := CosLatFloor(out.Min.Y, out.Max.Y)
-	lonMargin := 360.0
-	if cos*KmPerDeg > 1e-12 {
-		lonMargin = math.Min(360, dist/(KmPerDeg*cos))
-	}
-	out.Min.X -= lonMargin
-	out.Max.X += lonMargin
-	return out
-}
-
 // Projection is the equirectangular local projection at a reference
 // latitude φ₀: Forward maps (lon°, lat°) to kilometers on a plane via
 // x′ = R·cos φ₀·λ_rad, y′ = R·φ_rad. It is the documented planar

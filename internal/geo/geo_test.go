@@ -209,37 +209,6 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
-// TestExpandRect verifies the covering property: every point within
-// dist of the original rectangle lands inside the expanded one.
-func TestExpandRect(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 200; trial++ {
-		rect := geom.NewRect(
-			geom.Pt(r.Float64()*100-50, r.Float64()*120-60),
-			geom.Pt(r.Float64()*100-50, r.Float64()*120-60),
-		)
-		dist := r.Float64() * 200 // km under Haversine
-		for _, m := range []Metric{Euclidean, Haversine} {
-			grown := m.ExpandRect(rect, dist)
-			// Sample points near the rect; any within dist of a rect
-			// point must be contained.
-			for i := 0; i < 60; i++ {
-				base := geom.Pt(
-					rect.Min.X+r.Float64()*(rect.Max.X-rect.Min.X),
-					rect.Min.Y+r.Float64()*(rect.Max.Y-rect.Min.Y),
-				)
-				probe := geom.Pt(base.X+(r.Float64()*8-4), base.Y+(r.Float64()*8-4))
-				if m.Dist(base, probe) <= dist && !grown.Contains(probe) {
-					t.Fatalf("%v: probe %v within %v of %v not covered by %+v", m, probe, dist, base, grown)
-				}
-			}
-		}
-		if got, want := Euclidean.ExpandRect(rect, dist), rect.Expand(dist); got != want {
-			t.Fatalf("Euclidean ExpandRect = %+v, want Expand %+v", got, want)
-		}
-	}
-}
-
 // TestParseMetric pins the wire names.
 func TestParseMetric(t *testing.T) {
 	for s, want := range map[string]Metric{

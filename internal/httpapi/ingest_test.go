@@ -234,7 +234,8 @@ func TestTupleStreamRejectedAcksKeepEpoch(t *testing.T) {
 
 // TestStatsLive pins the /v1/stats additions: the live section (epoch
 // and mutation counters) via the Stats() live.Stats probe, and the
-// cache invalidation counter after a mutation flushes dirtied entries.
+// cache invalidation counter after a mutation drops the entries it
+// can change.
 // A live cluster reports the same live section and, through its
 // router, the federation section.
 func TestStatsLive(t *testing.T) {
@@ -270,8 +271,10 @@ func TestStatsLive(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Populate the cache, mutate (no MaxRadius → conservative
-			// full flush), then read stats.
+			// Populate the cache, mutate, then read stats. Without
+			// MaxRadius each full answer reaches its K-th record, 20 away:
+			// moving the tuple at (10,10) to (1,1) reaches the entry at
+			// (10,10) and not the one at (90,90).
 			if _, err := c.QueryLR(ctx, geom.Pt(10, 10), nil); err != nil {
 				t.Fatal(err)
 			}
@@ -303,8 +306,8 @@ func TestStatsLive(t *testing.T) {
 			if st.Cache == nil {
 				t.Fatal("stats missing cache section")
 			}
-			if st.Cache.Invalidations != 2 {
-				t.Errorf("cache invalidations: %d, want 2 (both cached answers flushed)", st.Cache.Invalidations)
+			if st.Cache.Invalidations != 1 || st.Cache.Entries != 1 {
+				t.Errorf("cache invalidations %d, entries %d: want 1 and 1 (only the answer at (10,10) is within reach)", st.Cache.Invalidations, st.Cache.Entries)
 			}
 			if fed := st.Federation != nil; fed != (shards > 1) {
 				t.Errorf("federation section present=%v with %d shards", fed, shards)

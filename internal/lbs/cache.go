@@ -21,8 +21,10 @@ type CacheOptions struct {
 	// clamped so total residency never exceeds Capacity.
 	Capacity int
 	// Metric is ignored: keys are the exact bit patterns of the query
-	// coordinates under any metric. It is kept so callers that name
-	// their stack's metric still compile.
+	// coordinates under any metric, and the metric that invalidation
+	// measures reach in comes from the options of the layer below (see
+	// NewCachedOracle). It is kept so callers that name their stack's
+	// metric still compile.
 	Metric geo.Metric
 }
 
@@ -74,11 +76,22 @@ func (k cacheKey) hash() uint64 {
 	return h
 }
 
+// point returns the query point a key was recorded at.
+func (k cacheKey) point() geom.Point {
+	return geom.Pt(math.Float64frombits(k.qx), math.Float64frombits(k.qy))
+}
+
 // cacheEntry is one recorded LR answer.
 type cacheEntry struct {
 	key  cacheKey
 	recs []LRRecord
-	slot int // the entry's index in its shard's pts and els; set under the shard lock
+	// reach bounds how far from the query point a mutated location can
+	// lie and still change recs (see CachedOracle.reach).
+	reach float64
+	// slot is the entry's index in its shard's slot arrays and cell the
+	// grid cell its slot is linked into; set under the shard lock.
+	// (int32 keeps an entry in a 64-byte allocation.)
+	slot, cell int32
 }
 
 // cacheShard is one independently locked LRU segment, plus the
@@ -89,42 +102,110 @@ type cacheShard struct {
 	lru      *list.List // front = most recently used; element values are *cacheEntry
 	items    map[cacheKey]*list.Element
 	inflight map[cacheKey]*flight
-	// pts and els are the resident entries as a dense slot array: the
-	// query point of the entry in each slot and its LRU element.
-	// Invalidate scans pts, a flat run of coordinates, instead of
-	// walking the list. A free slot holds NaN coordinates, which no
-	// region contains, and sits on free; an insert or an eviction
-	// touches only its own slot.
-	pts  []geom.Point
-	els  []*list.Element
-	free []int
+	// The resident entries as a dense slot array: each slot's query
+	// point, reach and LRU element, and its links in its grid cell's
+	// list (−1 ends a list). A free slot sits on free. The arrays never
+	// outgrow the shard's capacity, so a full shard allocates nothing
+	// to move an entry between cells.
+	pts        []geom.Point
+	reach      []float64
+	els        []*list.Element
+	next, prev []int32
+	free       []int32
+	// grid maps query points to cells; cells is this shard's grid over
+	// its slots (see cacheGrid). Invalidate visits only the cells some
+	// reach can cover, not every entry.
+	grid  *cacheGrid
+	cells []gridCell
+	// reachMax is at least every resident entry's reach; it bounds
+	// which cells an invalidation has to look at. It only grows while
+	// the shard holds entries.
+	reachMax float64
 }
 
-// freePt marks a free slot: NaN fails every region comparison.
-var freePt = geom.Pt(math.NaN(), math.NaN())
+// gridCell heads the list of the slots whose query points map to one
+// cell, with bounds that hold for all of them: box covers their query
+// points and reach is at least each of their reaches. Both only grow
+// as entries arrive and are recomputed when an invalidation sweeps the
+// cell.
+type gridCell struct {
+	head  int32
+	box   geom.Rect
+	reach float64
+}
 
-// occupy gives a newly resident entry a slot.
+// emptyBox contains no point; extend grows it.
+var emptyBox = geom.Rect{Min: geom.Pt(math.Inf(1), math.Inf(1)), Max: geom.Pt(math.Inf(-1), math.Inf(-1))}
+
+// extend grows the cell's bounds to cover an entry at p with the given
+// reach. A NaN coordinate fails every comparison and leaves the box as
+// it was: no region is within reach of such a point.
+func (gc *gridCell) extend(p geom.Point, reach float64) {
+	if p.X < gc.box.Min.X {
+		gc.box.Min.X = p.X
+	}
+	if p.X > gc.box.Max.X {
+		gc.box.Max.X = p.X
+	}
+	if p.Y < gc.box.Min.Y {
+		gc.box.Min.Y = p.Y
+	}
+	if p.Y > gc.box.Max.Y {
+		gc.box.Max.Y = p.Y
+	}
+	gc.reach = math.Max(gc.reach, reach)
+}
+
+// occupy gives a newly resident entry a slot and links it into its
+// cell.
 func (sh *cacheShard) occupy(el *list.Element) {
 	e := el.Value.(*cacheEntry)
-	p := geom.Pt(math.Float64frombits(e.key.qx), math.Float64frombits(e.key.qy))
+	p := e.key.point()
 	if n := len(sh.free); n > 0 {
 		e.slot = sh.free[n-1]
 		sh.free = sh.free[:n-1]
-		sh.pts[e.slot], sh.els[e.slot] = p, el
-		return
+		sh.pts[e.slot], sh.reach[e.slot], sh.els[e.slot] = p, e.reach, el
+	} else {
+		e.slot = int32(len(sh.pts))
+		sh.pts = append(sh.pts, p)
+		sh.reach = append(sh.reach, e.reach)
+		sh.els = append(sh.els, el)
+		sh.next = append(sh.next, -1)
+		sh.prev = append(sh.prev, -1)
 	}
-	e.slot = len(sh.pts)
-	sh.pts = append(sh.pts, p)
-	sh.els = append(sh.els, el)
+	e.cell = int32(sh.grid.cell(p))
+	gc := &sh.cells[e.cell]
+	if gc.head < 0 {
+		gc.box, gc.reach = emptyBox, 0
+	} else {
+		sh.prev[gc.head] = e.slot
+	}
+	sh.next[e.slot], sh.prev[e.slot] = gc.head, -1
+	gc.head = e.slot
+	gc.extend(p, e.reach)
+	sh.reachMax = math.Max(sh.reachMax, e.reach)
 }
 
-// drop removes a resident entry: from the LRU, the index and its slot.
+// drop removes a resident entry: from the LRU, the index, its cell and
+// its slot.
 func (sh *cacheShard) drop(el *list.Element) {
 	e := el.Value.(*cacheEntry)
 	sh.lru.Remove(el)
 	delete(sh.items, e.key)
-	sh.pts[e.slot], sh.els[e.slot] = freePt, nil
+	next, prev := sh.next[e.slot], sh.prev[e.slot]
+	if prev >= 0 {
+		sh.next[prev] = next
+	} else {
+		sh.cells[e.cell].head = next
+	}
+	if next >= 0 {
+		sh.prev[next] = prev
+	}
+	sh.els[e.slot] = nil
 	sh.free = append(sh.free, e.slot)
+	if sh.lru.Len() == 0 {
+		sh.reachMax = 0
+	}
 }
 
 // flight is one upstream fetch in progress. Concurrent misses on its
@@ -189,8 +270,12 @@ func (sh *cacheShard) put(e *cacheEntry) int {
 
 func (sh *cacheShard) putLocked(e *cacheEntry) int {
 	if el, ok := sh.items[e.key]; ok {
-		e.slot = el.Value.(*cacheEntry).slot
+		old := el.Value.(*cacheEntry)
+		e.slot, e.cell = old.slot, old.cell
 		el.Value = e
+		sh.reach[e.slot] = e.reach
+		sh.cells[e.cell].extend(sh.pts[e.slot], e.reach)
+		sh.reachMax = math.Max(sh.reachMax, e.reach)
 		sh.lru.MoveToFront(el)
 		return 0
 	}
@@ -230,9 +315,18 @@ func (sh *cacheShard) len() int {
 // as immutable, exactly as they must treat the simulator's shared
 // Attrs/Tags maps.
 type CachedOracle struct {
-	inner         Querier
-	shards        []*cacheShard
-	shardMask     uint64
+	inner     Querier
+	shards    []*cacheShard
+	shardMask uint64
+	// opts are the options of the layer below, found through its
+	// Options method; found is false when no layer has one, and then
+	// every reach is +Inf.
+	opts  Options
+	found bool
+	// radius is the reach of an answer that is not full: the padded
+	// MaxRadius, or +Inf without one. In-flight fetches are detached
+	// against it.
+	radius        float64
 	hits          atomic.Int64
 	misses        atomic.Int64
 	bypasses      atomic.Int64
@@ -249,6 +343,12 @@ var _ Querier = (*CachedOracle)(nil)
 // replayed — because two functional filters cannot be told apart, so
 // a front shared by differently filtered callers (an HTTP gateway)
 // can never replay a filtered answer for the wrong selection.
+//
+// The cache reads the query semantics (K, ranking, MaxRadius, metric)
+// from the outermost layer of inner's wrapper chain that has an
+// Options() Options method — a Service, a live database or a
+// federation router — to bound what a mutation can change (see
+// Invalidate). Without one, every mutation drops every entry.
 func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	if opts.Capacity <= 0 {
 		opts.Capacity = 4096
@@ -264,16 +364,74 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 		inner:     inner,
 		shards:    make([]*cacheShard, shards),
 		shardMask: uint64(shards - 1),
+		radius:    math.Inf(1),
 	}
+	if o, ok := Find[interface{ Options() Options }](inner); ok {
+		c.opts, c.found = o.Options(), true
+		if c.opts.MaxRadius > 0 {
+			c.radius = c.pad(c.opts.MaxRadius)
+		}
+	}
+	grid := newCacheGrid(inner.Bounds(), perShard)
 	for i := range c.shards {
-		c.shards[i] = &cacheShard{
+		sh := &cacheShard{
 			cap:      perShard,
 			lru:      list.New(),
 			items:    make(map[cacheKey]*list.Element, perShard),
 			inflight: make(map[cacheKey]*flight),
+			grid:     grid,
+			cells:    make([]gridCell, grid.n*grid.n),
 		}
+		for j := range sh.cells {
+			sh.cells[j].head = -1
+		}
+		c.shards[i] = sh
 	}
 	return c
+}
+
+// havSlack pads a reach under Haversine, relative and in km. There
+// RectMinDist is a lower bound evaluated by another expression than
+// the canonical distance the service ranks by; where the two agree
+// exactly (a location on the query's meridian or parallel) rounding
+// can put the bound an ulp or two above the distance, and the pad
+// keeps such a location within reach. Euclidean RectMinDist of a
+// point is the ranking distance itself, so it needs none.
+const havSlack = 1e-9
+
+// pad widens a reach to absorb the metric's rounding (see havSlack);
+// a NaN reach becomes +Inf, so an answer with a garbled record is
+// dropped by every mutation.
+func (c *CachedOracle) pad(r float64) float64 {
+	if math.IsNaN(r) {
+		return math.Inf(1)
+	}
+	if c.opts.Metric == geo.Haversine {
+		r += r*havSlack + havSlack
+	}
+	return r
+}
+
+// reach bounds how far from q a mutated location can lie and still
+// change the answer recs recorded at q. Under RankByDistance a full
+// answer (K records) changes only when a mutated location ranks at or
+// before its K-th record: an insert there enters it, a delete there
+// leaves it, and a move changes it only through one of its two ends.
+// So its reach is the K-th record's rank distance, and a location at
+// exactly that distance is within reach, because an insert there with
+// a smaller ID enters the answer. Any other answer — a short one, or
+// one ranked by prominence — can change through any location within
+// MaxRadius, or anywhere without a radius.
+func (c *CachedOracle) reach(q geom.Point, recs []LRRecord) float64 {
+	if c.found && c.opts.Rank == RankByDistance && len(recs) >= c.opts.K {
+		return c.pad(c.opts.RankDist(q, &recs[c.opts.K-1]))
+	}
+	return c.radius
+}
+
+// entry records an answer at key with its reach.
+func (c *CachedOracle) entry(key cacheKey, recs []LRRecord) *cacheEntry {
+	return &cacheEntry{key: key, recs: recs, reach: c.reach(key.point(), recs)}
 }
 
 // normZero collapses negative zero onto positive zero: -0.0 and +0.0
@@ -314,28 +472,65 @@ func (c *CachedOracle) Stats() CacheStats {
 	}
 }
 
-// inRegion is the invalidation predicate: p inside region, edges
-// included. NaN coordinates (free slots) are never inside.
-func inRegion(region geom.Rect, p geom.Point) bool {
-	return region.Min.X <= p.X && p.X <= region.Max.X && region.Min.Y <= p.Y && p.Y <= region.Max.Y
+// within is the invalidation predicate: region lies within reach of
+// the query point q. NaN coordinates are never within reach.
+func (c *CachedOracle) within(q geom.Point, region geom.Rect, reach float64) bool {
+	return c.opts.Metric.RectMinDist(q, region) <= reach
 }
 
-// invalidate drops every entry whose query point lies in region and
-// returns how many were removed. Flights on matching keys are
-// detached: their answers may predate the mutation being invalidated,
-// so they are never memoized and later lookups fetch afresh.
-func (sh *cacheShard) invalidate(region geom.Rect) int {
+// boxDist lower-bounds RectMinDist(q, region) for every q in box, so a
+// cell whose boxDist exceeds its reach holds no entry to drop. Under
+// Haversine it is the latitude separation alone, which RectMinDist
+// never undercuts. Float subtraction is monotone, so the bound holds
+// in floating point, not just in exact arithmetic.
+func (c *CachedOracle) boxDist(box, r geom.Rect) float64 {
+	if c.opts.Metric == geo.Haversine {
+		switch {
+		case box.Max.Y < r.Min.Y:
+			return geo.LatSepLB(box.Max.Y, r.Min.Y)
+		case box.Min.Y > r.Max.Y:
+			return geo.LatSepLB(box.Min.Y, r.Max.Y)
+		}
+		return 0
+	}
+	return math.Sqrt(gap2(box.Min.X, box.Max.X, r.Min.X, r.Max.X) + gap2(box.Min.Y, box.Max.Y, r.Min.Y, r.Max.Y))
+}
+
+// gap2 is the squared gap between the intervals [lo, hi] and
+// [rlo, rhi], 0 when they overlap.
+func gap2(lo, hi, rlo, rhi float64) float64 {
+	d := math.Max(lo-rhi, rlo-hi)
+	if d <= 0 {
+		return 0
+	}
+	return d * d
+}
+
+// invalidate drops every entry of the shard that region lies within
+// reach of and returns how many were removed. It sweeps only the
+// cells in the grid span of region grown by the shard's largest reach
+// whose own bounds admit a drop. A flight is detached when region
+// lies within the radius (the largest reach any answer can have) of
+// its query point: its answer may predate the mutation being
+// invalidated, so it is never memoized and later lookups fetch afresh.
+func (c *CachedOracle) invalidate(sh *cacheShard, region geom.Rect) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	removed := 0
-	for slot, p := range sh.pts {
-		if inRegion(region, p) {
-			sh.drop(sh.els[slot])
-			removed++
+	if sh.lru.Len() > 0 {
+		g := sh.grid
+		x0, x1, y0, y1 := g.span(region, sh.reachMax, c.opts.Metric)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				gc := &sh.cells[y*g.n+x]
+				if gc.head >= 0 && !(c.boxDist(gc.box, region) > gc.reach) {
+					removed += c.sweep(sh, gc, region)
+				}
+			}
 		}
 	}
 	for key, f := range sh.inflight {
-		if inRegion(region, geom.Pt(math.Float64frombits(key.qx), math.Float64frombits(key.qy))) {
+		if c.within(key.point(), region, c.radius) {
 			f.detached = true
 			delete(sh.inflight, key)
 		}
@@ -343,22 +538,103 @@ func (sh *cacheShard) invalidate(region geom.Rect) int {
 	return removed
 }
 
-// Invalidate drops every cached answer whose query point lies in
-// region and returns how many entries were dropped. Mutation-driven
-// epoch invalidation calls this with the dirty region of a batch of
-// mutations — the bounding box of disks of the service's maximum
-// match radius around every mutated effective location — so entries
-// for queries provably unaffected by the mutation survive. The
-// infinite region — the dirty region of a service without MaxRadius —
-// drops every entry. Each shard scans its dense slot array, so the
-// cost is a pass over coordinates, not over the LRU list.
+// sweep drops the entries of one cell that region lies within reach
+// of and recomputes the cell's bounds over the survivors.
+func (c *CachedOracle) sweep(sh *cacheShard, gc *gridCell, region geom.Rect) int {
+	removed := 0
+	gc.box, gc.reach = emptyBox, 0
+	for slot := gc.head; slot >= 0; {
+		next := sh.next[slot]
+		if c.within(sh.pts[slot], region, sh.reach[slot]) {
+			sh.drop(sh.els[slot])
+			removed++
+		} else {
+			gc.extend(sh.pts[slot], sh.reach[slot])
+		}
+		slot = next
+	}
+	return removed
+}
+
+// Invalidate drops every cached answer that a mutation inside region
+// could have changed — every entry whose reach region lies within
+// (Metric.RectMinDist(q, region) <= reach; see reach) — and returns
+// how many entries were dropped. A live database calls it once per
+// location a mutation touched, as a zero-area region, so an entry
+// survives a mutation that is farther from its query point than its
+// K-th record. Each shard finds the entries through its grid, so the
+// cost follows the entries near the change, not the cache's size.
 func (c *CachedOracle) Invalidate(region geom.Rect) int64 {
 	var dropped int64
 	for _, sh := range c.shards {
-		dropped += int64(sh.invalidate(region))
+		dropped += int64(c.invalidate(sh, region))
 	}
 	c.invalidations.Add(dropped)
 	return dropped
+}
+
+// Grid shape: a shard's side is about √(capacity / gridLoad) cells,
+// so a full shard holds about gridLoad entries per cell, at most
+// gridMaxSide cells a side.
+const (
+	gridLoad    = 4
+	gridMaxSide = 16
+	// spanSlack widens a span to cover the rounding of the coordinate
+	// differences the predicate takes.
+	spanSlack = 1e-12
+)
+
+// cacheGrid is the geometry every shard's grid shares: n×n cells over
+// the bounds of the layer below. The outer rows and columns take the
+// query points beyond the bounds, so every point has a cell.
+type cacheGrid struct {
+	min    geom.Point
+	sx, sy float64 // cells per unit of x and y
+	n      int
+}
+
+func newCacheGrid(bounds geom.Rect, perShard int) *cacheGrid {
+	n := min(max(int(math.Sqrt(float64(perShard)/gridLoad)), 1), gridMaxSide)
+	g := &cacheGrid{min: bounds.Min, n: n}
+	if w := bounds.Width(); w > 0 {
+		g.sx = float64(n) / w
+	}
+	if h := bounds.Height(); h > 0 {
+		g.sy = float64(n) / h
+	}
+	return g
+}
+
+// index maps a coordinate to its column (or row). It is monotone in v,
+// so a coordinate interval maps onto an index interval; NaN maps to 0.
+func (g *cacheGrid) index(v, lo, scale float64) int {
+	f := (v - lo) * scale
+	switch {
+	case f >= float64(g.n-1):
+		return g.n - 1
+	case f >= 1:
+		return int(f)
+	}
+	return 0
+}
+
+// cell returns the index of p's cell.
+func (g *cacheGrid) cell(p geom.Point) int {
+	return g.index(p.X, g.min.X, g.sx) + g.n*g.index(p.Y, g.min.Y, g.sy)
+}
+
+// span returns the columns x0..x1 and rows y0..y1 of every cell that
+// can hold a query point within bound of region. Under Euclidean that
+// is region grown by bound: a point beyond it has a coordinate gap to
+// region, and so a RectMinDist, greater than bound. Under Haversine,
+// or when bound or region is not finite, it is the whole grid.
+func (g *cacheGrid) span(r geom.Rect, bound float64, m geo.Metric) (x0, x1, y0, y1 int) {
+	grow := bound*(1+spanSlack) + (math.Abs(r.Min.X)+math.Abs(r.Max.X)+math.Abs(r.Min.Y)+math.Abs(r.Max.Y))*spanSlack
+	if m == geo.Haversine || math.IsInf(grow, 0) || math.IsNaN(grow) {
+		return 0, g.n - 1, 0, g.n - 1
+	}
+	return g.index(r.Min.X-grow, g.min.X, g.sx), g.index(r.Max.X+grow, g.min.X, g.sx),
+		g.index(r.Min.Y-grow, g.min.Y, g.sy), g.index(r.Max.Y+grow, g.min.Y, g.sy)
 }
 
 // Inner returns the wrapped querier, so observers (e.g. the stats
@@ -471,7 +747,7 @@ func (c *CachedOracle) lead(ctx context.Context, q geom.Point, f *flight) ([]LRR
 	switch {
 	case err == nil:
 		c.misses.Add(1)
-		c.evicted(sh.land(f, &cacheEntry{key: f.key, recs: recs}, nil, true))
+		c.evicted(sh.land(f, c.entry(f.key, recs), nil, true))
 	case IsPartial(err):
 		// A degraded answer is served but never memoized: once the
 		// missing member recovers, the same key must re-fetch the full
@@ -542,7 +818,7 @@ func (c *CachedOracle) QueryLRBatch(ctx context.Context, pts []geom.Point, filte
 				sh.land(f, &cacheEntry{key: f.key, recs: recs}, err, false)
 			default:
 				c.misses.Add(1)
-				c.evicted(sh.land(f, &cacheEntry{key: f.key, recs: recs}, nil, true))
+				c.evicted(sh.land(f, c.entry(f.key, recs), nil, true))
 			}
 		}
 	}

@@ -95,7 +95,8 @@ func (c *CachedOracle) WriteSnapshot(w io.Writer) error {
 // read with an error, and an empty answer — which gob encodes as an
 // absent slice — is restored as the non-nil empty answer it was
 // recorded as, never as the nil that marks an unanswered batch
-// position.
+// position. Each restored entry's reach is computed afresh from its
+// answer, as a fetched one's is.
 func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 	dec := gob.NewDecoder(r)
 	var h cacheSnapshotHeader
@@ -129,7 +130,7 @@ func (c *CachedOracle) ReadSnapshot(r io.Reader) (int, error) {
 			recs = []LRRecord{}
 		}
 		key := cacheKey{k: h.K, qx: e.QX, qy: e.QY}
-		c.evicted(c.shardFor(key).put(&cacheEntry{key: key, recs: recs}))
+		c.evicted(c.shardFor(key).put(c.entry(key, recs)))
 		loaded++
 	}
 	c.restored.Add(int64(loaded))

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/geo"
 	"repro/internal/geom"
 )
 
@@ -356,30 +357,34 @@ func TestCacheStatsFormatting(t *testing.T) {
 }
 
 // TestCacheInvalidateRegion: invalidation drops exactly the entries
-// whose query points lie in the dirty region and leaves the rest
-// replaying — the survivor count pins that mutation-driven
-// invalidation is regional, not a full flush.
+// the region lies within reach of — the K-th record's distance for a
+// full answer — and leaves the rest replaying. The region is nearer
+// to (5, 5) than to (1, 1), yet (1, 1) drops and (5, 5) survives: its
+// second record is 0.5 away, so nothing beyond 0.5 can change it.
 func TestCacheInvalidateRegion(t *testing.T) {
 	svc := NewService(testDB(t), Options{K: 2})
 	c := NewCachedOracle(svc, CacheOptions{})
 	ctx := context.Background()
-	inside := []geom.Point{geom.Pt(1.5, 1.5), geom.Pt(2.5, 2.5)}
-	outside := []geom.Point{geom.Pt(8.5, 8.5), geom.Pt(7.5, 0.5), geom.Pt(0.5, 7.5)}
+	// Reaches: (1,1) → 4√2 ≈ 5.66 (to (5,5)); (9,9) → √28.25 ≈ 5.32
+	// (to (5.5,5)); (5,5) → 0.5; (7.5,0.5) → √26.5 ≈ 5.15 (to (5,5)).
+	// RectMinDist to [3,4]²: (1,1) 2√2, (9,9) 5√2, (5,5) √2, (7.5,0.5) √24.5.
+	inside := []geom.Point{geom.Pt(1, 1), geom.Pt(7.5, 0.5)}
+	outside := []geom.Point{geom.Pt(9, 9), geom.Pt(5, 5)}
 	for _, p := range append(append([]geom.Point{}, inside...), outside...) {
 		if _, err := c.QueryLR(ctx, p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Entries != 5 {
-		t.Fatalf("entries = %d, want 5", st.Entries)
+	if st := c.Stats(); st.Entries != 4 {
+		t.Fatalf("entries = %d, want 4", st.Entries)
 	}
-	dropped := c.Invalidate(geom.NewRect(geom.Pt(1, 1), geom.Pt(3, 3)))
+	dropped := c.Invalidate(geom.NewRect(geom.Pt(3, 3), geom.Pt(4, 4)))
 	if dropped != 2 {
-		t.Fatalf("dropped = %d, want 2 (only points in the region)", dropped)
+		t.Fatalf("dropped = %d, want 2 (only the entries the region is within reach of)", dropped)
 	}
 	st := c.Stats()
-	if st.Entries != 3 {
-		t.Fatalf("survivors = %d, want 3", st.Entries)
+	if st.Entries != 2 {
+		t.Fatalf("survivors = %d, want 2", st.Entries)
 	}
 	if st.Invalidations != 2 {
 		t.Fatalf("Invalidations = %d, want 2", st.Invalidations)
@@ -401,6 +406,44 @@ func TestCacheInvalidateRegion(t *testing.T) {
 	}
 	if n := svc.QueryCount(); n != before+int64(len(inside)) {
 		t.Errorf("dropped points forwarded %d queries, want %d", n-before, len(inside))
+	}
+}
+
+// TestCacheInvalidateReachInclusive: a location at exactly an entry's
+// K-th distance is within reach (an insert there with a smaller ID
+// would enter the answer), one a hair farther is not.
+func TestCacheInvalidateReachInclusive(t *testing.T) {
+	svc := NewService(testDB(t), Options{K: 2})
+	c := NewCachedOracle(svc, CacheOptions{})
+	ctx := context.Background()
+	q := geom.Pt(5, 5) // reach 0.5: the second record is (5.5, 5)
+	if _, err := c.QueryLR(ctx, q, nil); err != nil {
+		t.Fatal(err)
+	}
+	far := geom.Pt(math.Nextafter(4.5, 0), 5)
+	if n := c.Invalidate(geom.Rect{Min: far, Max: far}); n != 0 {
+		t.Fatalf("a location past the reach dropped %d", n)
+	}
+	at := geom.Pt(4.5, 5)
+	if n := c.Invalidate(geom.Rect{Min: at, Max: at}); n != 1 {
+		t.Fatalf("a location at exactly the reach dropped %d, want 1", n)
+	}
+}
+
+// TestCacheReachWithoutOptions: a cache over a layer with no Options
+// method cannot bound an answer's reach, so any mutation drops every
+// entry.
+func TestCacheReachWithoutOptions(t *testing.T) {
+	c := NewCachedOracle(struct{ Querier }{NewService(testDB(t), Options{K: 2, MaxRadius: 1})}, CacheOptions{})
+	ctx := context.Background()
+	for _, p := range []geom.Point{geom.Pt(1, 1), geom.Pt(9, 9)} {
+		if _, err := c.QueryLR(ctx, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := geom.Pt(-100, -100)
+	if n := c.Invalidate(geom.Rect{Min: p, Max: p}); n != 2 {
+		t.Fatalf("dropped %d, want every entry", n)
 	}
 }
 
@@ -450,19 +493,18 @@ func TestCacheInvalidateInfiniteRegion(t *testing.T) {
 }
 
 // listWalkInvalidate is the reference invalidation: walk each shard's
-// LRU list front to back and remove the entries whose query point lies
-// in region, touching nothing but the list and the index.
+// LRU list front to back and remove every entry the region lies within
+// reach of, touching nothing but the list and the index.
 func listWalkInvalidate(c *CachedOracle, region geom.Rect) int64 {
 	var dropped int64
 	for _, sh := range c.shards {
 		var next *list.Element
 		for el := sh.lru.Front(); el != nil; el = next {
 			next = el.Next()
-			key := el.Value.(*cacheEntry).key
-			x, y := math.Float64frombits(key.qx), math.Float64frombits(key.qy)
-			if region.Min.X <= x && x <= region.Max.X && region.Min.Y <= y && y <= region.Max.Y {
+			e := el.Value.(*cacheEntry)
+			if c.opts.Metric.RectMinDist(e.key.point(), region) <= e.reach {
 				sh.lru.Remove(el)
-				delete(sh.items, key)
+				delete(sh.items, e.key)
 				dropped++
 			}
 		}
@@ -499,50 +541,81 @@ func lruKeys(c *CachedOracle) [][]cacheKey {
 	return out
 }
 
-// checkSlots verifies a shard's slot array against its LRU list: every
-// resident entry owns exactly the slot holding its point and element,
-// every other slot is free, and the live slot count is the LRU length.
-func checkSlots(t *testing.T, c *CachedOracle) {
+// checkGrid verifies each shard's slots and grid against its LRU
+// list: every resident entry owns its slot (its point, reach and
+// element) and is linked, once, into the cell its query point maps to,
+// inside the cell's box and within its reach; the cell lists hold
+// nothing else; every other slot is free; and the shard's reachMax
+// bounds every reach.
+func checkGrid(t *testing.T, c *CachedOracle) {
 	t.Helper()
 	for i, sh := range c.shards {
-		live := 0
-		for slot, p := range sh.pts {
-			if sh.els[slot] == nil {
-				if !math.IsNaN(p.X) || !math.IsNaN(p.Y) {
-					t.Fatalf("shard %d slot %d: free slot holds %v", i, slot, p)
+		linked := 0
+		for ci := range sh.cells {
+			gc := &sh.cells[ci]
+			prev := int32(-1)
+			for slot := gc.head; slot >= 0; prev, slot = slot, sh.next[slot] {
+				linked++
+				if sh.prev[slot] != prev || sh.els[slot] == nil {
+					t.Fatalf("shard %d cell %d: slot %d has prev %d (want %d) or no element", i, ci, slot, sh.prev[slot], prev)
 				}
-				continue
-			}
-			live++
-			e := sh.els[slot].Value.(*cacheEntry)
-			if e.slot != slot || p != geom.Pt(math.Float64frombits(e.key.qx), math.Float64frombits(e.key.qy)) {
-				t.Fatalf("shard %d slot %d: holds %v for an entry in slot %d keyed %+v", i, slot, p, e.slot, e.key)
+				e := sh.els[slot].Value.(*cacheEntry)
+				p := e.key.point()
+				if sh.items[e.key] != sh.els[slot] || e.slot != slot || int(e.cell) != ci || sh.grid.cell(p) != ci {
+					t.Fatalf("shard %d cell %d slot %d: entry at %v records slot %d cell %d, maps to cell %d", i, ci, slot, p, e.slot, e.cell, sh.grid.cell(p))
+				}
+				if sh.pts[slot] != p && !math.IsNaN(p.X+p.Y) || sh.reach[slot] != e.reach {
+					t.Fatalf("shard %d slot %d: holds %v reach %v for an entry at %v reach %v", i, slot, sh.pts[slot], sh.reach[slot], p, e.reach)
+				}
+				if b := gc.box; !math.IsNaN(p.X+p.Y) && !(b.Min.X <= p.X && p.X <= b.Max.X && b.Min.Y <= p.Y && p.Y <= b.Max.Y) {
+					t.Fatalf("shard %d cell %d: box %+v misses %v", i, ci, gc.box, p)
+				}
+				if e.reach > gc.reach || e.reach > sh.reachMax {
+					t.Fatalf("shard %d cell %d: reach %v above the cell's %v or the shard's %v", i, ci, e.reach, gc.reach, sh.reachMax)
+				}
 			}
 		}
-		if live != sh.lru.Len() || live+len(sh.free) != len(sh.pts) {
-			t.Fatalf("shard %d: %d live slots, %d free, %d slots, LRU length %d", i, live, len(sh.free), len(sh.pts), sh.lru.Len())
+		if linked != sh.lru.Len() || linked+len(sh.free) != len(sh.els) {
+			t.Fatalf("shard %d: %d linked slots, %d free, %d slots, LRU length %d", i, linked, len(sh.free), len(sh.els), sh.lru.Len())
 		}
 	}
 }
 
 // TestCacheInvalidateMatchesListWalk drives two caches through one
 // random mix of misses, hits, refreshes and evictions (queries and
-// snapshot restores) and region invalidations. The cache under test
-// invalidates by scanning its slot arrays; the reference walks its LRU
-// lists. After every step the two hold the same keys in the same LRU
-// order with the same counters, and the slot arrays match the lists.
+// snapshot restores) and invalidations of points and boxes. The cache
+// under test finds the entries to drop through its grids; the
+// reference walks its LRU lists and applies the reach predicate to
+// every entry. After every step the two hold the same keys in the
+// same LRU order with the same counters, and the grids match the
+// lists. The seeds cover no radius, a radius, and Haversine.
 func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 	ctx := context.Background()
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed, opts := range map[int64]Options{
+		1: {K: 2},
+		2: {K: 3, MaxRadius: 1.5},
+		3: {K: 2, Metric: geo.Haversine, MaxRadius: 150},
+	} {
 		rng := rand.New(rand.NewSource(seed))
-		svc := NewService(testDB(t), Options{K: 2})
-		got := NewCachedOracle(svc, CacheOptions{Capacity: 48})
-		ref := NewCachedOracle(svc, CacheOptions{Capacity: 48})
-		// Points on a 12×12 grid (with -0 on the axes) repeat often
-		// enough for hits and refreshes and outnumber the capacity
-		// enough for evictions.
+		// Tuples on a 0.5 lattice over the 10×10 bounds, so answers tie
+		// and query points sit at exactly their records' distances.
+		var tuples []Tuple
+		for id := int64(1); id <= 60; id++ {
+			tuples = append(tuples, Tuple{ID: id, Loc: geom.Pt(float64(rng.Intn(21))/2, float64(rng.Intn(21))/2)})
+		}
+		svc := NewService(NewDatabase(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), tuples), opts)
+		got := NewCachedOracle(svc, CacheOptions{Capacity: 256})
+		ref := NewCachedOracle(svc, CacheOptions{Capacity: 256})
+		// Points on a 36×36 lattice reaching past the bounds (with -0 on
+		// the axes), a quarter of them drawn from a hot corner, repeat
+		// often enough for hits and refreshes and outnumber the
+		// capacity enough for evictions.
 		point := func() geom.Point {
-			x, y := float64(rng.Intn(12)), float64(rng.Intn(12))
+			side := 36
+			if rng.Intn(4) == 0 {
+				side = 6
+			}
+			x, y := float64(rng.Intn(side))/3-1.5, float64(rng.Intn(side))/3-1.5
 			if x == 0 && rng.Intn(2) == 0 {
 				x = math.Copysign(0, -1)
 			}
@@ -553,8 +626,8 @@ func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 		// pressure.
 		var snaps [][]byte
 		for i := 0; i < 2; i++ {
-			src := NewCachedOracle(svc, CacheOptions{Capacity: 48})
-			for j := 10 + rng.Intn(20); j > 0; j-- {
+			src := NewCachedOracle(svc, CacheOptions{Capacity: 256})
+			for j := 60 + rng.Intn(60); j > 0; j-- {
 				if _, err := src.QueryLR(ctx, point(), nil); err != nil {
 					t.Fatal(err)
 				}
@@ -565,16 +638,16 @@ func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 			}
 			snaps = append(snaps, buf.Bytes())
 		}
-		for step := 0; step < 200; step++ {
-			switch r := rng.Intn(40); {
-			case r < 24:
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(100); {
+			case r < 80:
 				p := point()
 				for _, c := range []*CachedOracle{got, ref} {
 					if _, err := c.QueryLR(ctx, p, nil); err != nil {
 						t.Fatal(err)
 					}
 				}
-			case r < 28:
+			case r < 90:
 				pts := make([]geom.Point, 1+rng.Intn(6))
 				for i := range pts {
 					pts[i] = point()
@@ -584,7 +657,7 @@ func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-			case r < 29:
+			case r < 92:
 				snap := snaps[rng.Intn(len(snaps))]
 				for _, c := range []*CachedOracle{got, ref} {
 					if _, err := c.ReadSnapshot(bytes.NewReader(snap)); err != nil {
@@ -592,9 +665,13 @@ func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 					}
 				}
 			default:
-				x0, y0 := float64(rng.Intn(14)-1), float64(rng.Intn(14)-1)
-				region := geom.Rect{Min: geom.Pt(x0, y0), Max: geom.Pt(x0+float64(rng.Intn(6)), y0+float64(rng.Intn(6)))}
-				if rng.Intn(10) == 0 {
+				// Mostly points, as a live database sends; some boxes.
+				x0, y0 := float64(rng.Intn(28))/2-1, float64(rng.Intn(28))/2-1
+				region := geom.Rect{Min: geom.Pt(x0, y0), Max: geom.Pt(x0, y0)}
+				if rng.Intn(4) == 0 {
+					region.Max = geom.Pt(x0+float64(rng.Intn(6)), y0+float64(rng.Intn(6)))
+				}
+				if rng.Intn(40) == 0 {
 					inf := math.Inf(1)
 					region = geom.Rect{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)}
 				}
@@ -608,7 +685,7 @@ func TestCacheInvalidateMatchesListWalk(t *testing.T) {
 			if a, b := got.Stats(), ref.Stats(); a != b {
 				t.Fatalf("seed %d step %d: stats %+v, reference %+v", seed, step, a, b)
 			}
-			checkSlots(t, got)
+			checkGrid(t, got)
 		}
 		if st := got.Stats(); st.Evictions == 0 || st.Invalidations == 0 || st.Hits == 0 || st.Restored == 0 {
 			t.Fatalf("seed %d: the mix missed a path: %+v", seed, st)

@@ -38,8 +38,10 @@ var _ Mutator = (*Cluster)(nil)
 // NewCluster partitions base into n live shards behind a router. opts
 // are the logical service options (the router owns budget and rank
 // selection; members are unmetered candidate sources); lopts
-// applies to every member — OnInvalidate fires with each member's
-// dirty region, so one cache above the router hooks all shards.
+// applies to every member — OnInvalidate fires for each location a
+// member's mutation touched, so one cache above the router hooks all
+// shards, and that cache reads the logical options through the
+// router's Options.
 func NewCluster(base *lbs.Database, opts lbs.Options, n int, lopts Options) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

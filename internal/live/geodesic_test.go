@@ -1,11 +1,11 @@
 package live_test
 
-// Geodesic invalidation pins: under Haversine the dirty region of a
-// mutation is a km-radius ball expanded to conservative degree
-// margins (geo.Metric.ExpandRect), so cache eviction stays local — a
-// 50 km influence radius over a 10°×10° region must drop the cells
-// around the mutation, not the whole map — and the dirtied cell
-// refetches the post-mutation answer.
+// Geodesic invalidation pins: under Haversine a cached answer's reach
+// is in kilometres and a mutated location is compared against it by
+// great-circle distance (geo.Metric.RectMinDist), so cache eviction
+// stays local — a 50 km influence radius over a 10°×10° region must
+// drop the answers around the mutation, not the whole map — and the
+// dirtied point refetches the post-mutation answer.
 
 import (
 	"context"

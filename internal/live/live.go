@@ -153,15 +153,14 @@ type Options struct {
 	// default (1024); negative disables compaction entirely.
 	CompactThreshold int
 	// OnInvalidate, when set, is called after each Apply that changed
-	// the database, with the dirty region: the bounding box of disks of
-	// radius MaxRadius around every mutated (old and new) effective
-	// location, or the whole plane when the service has no MaxRadius (a
-	// mutation can then change kNN answers arbitrarily far away). Query
-	// caches hook this to evict exactly the entries a mutation could
-	// have staled. The callback runs outside the mutation lock, after
-	// the new snapshot is visible — so answers cached between swap and
-	// callback are already fresh and eviction is only ever
-	// conservative.
+	// the database, once per effective location the batch touched: an
+	// insert's location, a delete's, and both ends of a move, each as a
+	// zero-area rect. Query caches hook this to drop the entries whose
+	// answers could have changed: an answer changes only when a touched
+	// location lies within its reach (lbs.CachedOracle.Invalidate). The
+	// callback runs outside the mutation lock, after the new snapshot is
+	// visible — so answers cached between swap and callback are already
+	// fresh and eviction is only ever conservative.
 	OnInvalidate func(geom.Rect)
 	// Journal, when set, records every applied batch before it becomes
 	// visible (write-ahead). See Journal. Recovery paths that replay a

@@ -546,11 +546,11 @@ func TestClusterMutationRouting(t *testing.T) {
 	}
 }
 
-// TestLiveCacheInvalidation is the acceptance pin for region-epoch
-// invalidation: a CachedOracle over a live database (MaxRadius-bounded
-// influence) wired through OnInvalidate loses exactly the entries
-// whose cells intersect the mutation's dirty region — entries for
-// far-away queries survive and keep replaying for free.
+// TestLiveCacheInvalidation is the acceptance pin for reach-bounded
+// invalidation: a CachedOracle over a live database wired through
+// OnInvalidate loses exactly the entries a mutated location lies
+// within reach of — entries for far-away queries survive and keep
+// replaying for free, with MaxRadius and without.
 func TestLiveCacheInvalidation(t *testing.T) {
 	bounds := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 	var tuples []lbs.Tuple
@@ -587,9 +587,9 @@ func TestLiveCacheInvalidation(t *testing.T) {
 		t.Fatalf("entries %d, want %d", st.Entries, len(qpts))
 	}
 
-	// Mutate in the far corner block: dirty region is the disk bbox of
-	// radius MaxRadius=8 around (95,95) → query points within
-	// [86,104]² are dropped, everything else survives.
+	// Mutate in the far corner block. Every answer here is short (one
+	// tuple within MaxRadius = 8), so every reach is 8: only the query
+	// point at (95,95) itself is within reach.
 	if r := d.Apply(ctx, []live.Op{{Kind: live.OpInsert, Tuple: lbs.Tuple{ID: 9999, Loc: geom.Pt(95, 95)}}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
@@ -597,8 +597,7 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if st.Invalidations == 0 {
 		t.Fatal("mutation invalidated nothing")
 	}
-	// The dirty region [87,103]² holds exactly one of the query points
-	// ((95,95)); the other 99 entries must survive.
+	// The other 99 entries must survive.
 	wantDropped := int64(1)
 	if st.Invalidations != wantDropped {
 		t.Fatalf("invalidations %d, want %d (region eviction must be local)", st.Invalidations, wantDropped)
@@ -632,8 +631,11 @@ func TestLiveCacheInvalidation(t *testing.T) {
 		t.Fatalf("dirtied point did not forward exactly one query: %d", d.QueryCount()-before)
 	}
 
-	// Without MaxRadius (and no heuristic radius) the dirty region is
-	// the whole plane: everything flushes.
+	// Without MaxRadius a full answer's reach is its K-th distance: the
+	// answers at (5, y) hold (5, y) and two tuples 10 away, so deleting
+	// the tuple at (5, 5) reaches (5, 5) and (5, 15) only. A far
+	// mutation keeps the full answers it cannot change, and every
+	// survivor equals a fresh answer.
 	d2, err := live.New(db, lbs.Options{K: 3}, live.Options{OnInvalidate: func(r geom.Rect) { cache.Invalidate(r) }})
 	if err != nil {
 		t.Fatal(err)
@@ -647,8 +649,25 @@ func TestLiveCacheInvalidation(t *testing.T) {
 	if r := d2.Apply(ctx, []live.Op{{Kind: live.OpDelete, ID: 1}})[0]; r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if st := cache.Stats(); st.Entries != 0 {
-		t.Fatalf("unbounded-influence mutation must flush everything, %d entries left", st.Entries)
+	if st := cache.Stats(); st.Entries != 8 || st.Invalidations != 2 {
+		t.Fatalf("after a delete at (5,5): %+v, want 8 entries left and 2 invalidations", st)
+	}
+	before = d2.QueryCount()
+	for _, p := range qpts[2:10] {
+		got, err := cache.QueryLR(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := lbs.NewService(d2.Snapshot(), lbs.Options{K: 3}).QueryLR(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("survivor at %v is stale: %+v, fresh %+v", p, got, want)
+		}
+	}
+	if d2.QueryCount() != before {
+		t.Fatalf("survivors forwarded %d queries, want 0", d2.QueryCount()-before)
 	}
 }
 

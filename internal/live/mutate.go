@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
-	"repro/internal/geo"
 	"repro/internal/geom"
 	"repro/internal/lbs"
 )
@@ -153,45 +151,18 @@ func (o *overlay) fold() {
 	o.tail = tail{}
 }
 
-// dirty accumulates the effective locations a batch of ops touched;
-// the invalidation region derives from it.
-type dirty struct {
-	any  bool
-	rect geom.Rect
-}
+// touched lists the effective locations a batch of ops touched, in
+// order: one per insert and delete, two per move (its old and its new
+// location). Apply hands each to OnInvalidate.
+type touched []geom.Point
 
-func (dr *dirty) add(p geom.Point) {
-	if !dr.any {
-		dr.any = true
-		dr.rect = geom.Rect{Min: p, Max: p}
-		return
-	}
-	dr.rect.Min.X = math.Min(dr.rect.Min.X, p.X)
-	dr.rect.Min.Y = math.Min(dr.rect.Min.Y, p.Y)
-	dr.rect.Max.X = math.Max(dr.rect.Max.X, p.X)
-	dr.rect.Max.Y = math.Max(dr.rect.Max.Y, p.Y)
-}
+func (t *touched) add(p geom.Point) { *t = append(*t, p) }
 
-// region returns the dirty region: the bounding box of metric balls
-// of radius r around every touched location, or the whole plane when
-// no finite influence radius exists (r ≤ 0). The expansion is
-// metric-aware (geo.Metric.ExpandRect): under Haversine the margin
-// converts km to degrees conservatively — wider at high latitude,
-// full-circle at the poles — so the region always covers every query
-// point a mutation could influence.
-func (dr *dirty) region(m geo.Metric, r float64) geom.Rect {
-	if r <= 0 {
-		inf := math.Inf(1)
-		return geom.Rect{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)}
-	}
-	return m.ExpandRect(dr.rect, r)
-}
-
-// apply executes one op against base+overlay, recording touched
-// locations in dr. It returns the error that rejected the op, or nil
+// apply executes one op against base+overlay, recording the locations
+// it touches in dr. It returns the error that rejected the op, or nil
 // after mutating the overlay's tail — and folding the tail into a new
 // run once it holds foldAt entries.
-func (o *overlay) apply(base *lbs.Database, op Op, dr *dirty) error {
+func (o *overlay) apply(base *lbs.Database, op Op, dr *touched) error {
 	var err error
 	switch op.Kind {
 	case OpInsert:
@@ -210,8 +181,8 @@ func (o *overlay) apply(base *lbs.Database, op Op, dr *dirty) error {
 }
 
 // move is one logical op: remove the old placement, insert the tuple
-// at its destination. Both halves touch the dirty region.
-func (o *overlay) move(base *lbs.Database, id int64, to geom.Point, dr *dirty) error {
+// at its destination. Both halves record their location.
+func (o *overlay) move(base *lbs.Database, id int64, to geom.Point, dr *touched) error {
 	t, _, ok := o.get(base, id)
 	if !ok {
 		return ErrUnknownID
@@ -244,7 +215,7 @@ func (o *overlay) get(base *lbs.Database, id int64) (lbs.Tuple, geom.Point, bool
 	return lbs.Tuple{}, geom.Point{}, false
 }
 
-func (o *overlay) insert(base *lbs.Database, t lbs.Tuple, dr *dirty) error {
+func (o *overlay) insert(base *lbs.Database, t lbs.Tuple, dr *touched) error {
 	if _, _, ok := o.get(base, t.ID); ok {
 		return ErrDuplicateID
 	}
@@ -255,7 +226,7 @@ func (o *overlay) insert(base *lbs.Database, t lbs.Tuple, dr *dirty) error {
 	return nil
 }
 
-func (o *overlay) delete(base *lbs.Database, id int64, dr *dirty) error {
+func (o *overlay) delete(base *lbs.Database, id int64, dr *touched) error {
 	if i := o.tail.index(id); i >= 0 {
 		dr.add(o.tail.tuples[i].Loc)
 		o.tail.tuples = slices.Delete(o.tail.tuples, i, i+1)
@@ -307,7 +278,7 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 	s := d.snap.Load()
 	epoch := s.epoch
 	o := overlay{run: s.run, tail: s.tail.clone()}
-	var dr dirty
+	var dr touched
 	var appliedOps []Op
 	for i := range ops {
 		err := ctx.Err()
@@ -368,7 +339,9 @@ func (d *Database) Apply(ctx context.Context, ops []Op) []Result {
 	}
 	d.mu.Unlock()
 	if d.lopts.OnInvalidate != nil {
-		d.lopts.OnInvalidate(dr.region(d.opts.Metric, d.opts.MaxRadius))
+		for _, p := range dr {
+			d.lopts.OnInvalidate(geom.Rect{Min: p, Max: p})
+		}
 	}
 	return results
 }
@@ -389,7 +362,7 @@ func (d *Database) compactPass() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	o := overlay{run: emptyRun}
-	var dr dirty
+	var dr touched
 	for _, op := range d.oplog[pos:] {
 		// Replaying an op that originally succeeded against logically
 		// identical contents cannot fail.

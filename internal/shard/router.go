@@ -195,6 +195,11 @@ func (r *Router) K() int { return r.opts.K }
 // member service carries the same one).
 func (r *Router) Metric() geo.Metric { return r.opts.Metric }
 
+// Options returns the logical options the federation answers under.
+// An answer cache above the router reads them to bound what a
+// mutation can change.
+func (r *Router) Options() lbs.Options { return r.opts }
+
 // Members returns the per-shard backend queriers (including any
 // wrappers installed via FromPartsWrapped, such as fault injectors):
 // the composite hook through which lbs.Walk visits each member's

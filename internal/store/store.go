@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -101,6 +103,8 @@ type Store struct {
 
 	mu   sync.Mutex
 	live *LiveStore // non-nil once OpenLive recovered / created it
+	// packEpoch is the epoch of the pack last opened or created.
+	packEpoch atomic.Uint64
 }
 
 // Open opens (creating if needed) the store directory.
@@ -134,6 +138,7 @@ func (s *Store) OpenOrCreateDatabase(gen func() *lbs.Database) (db *lbs.Database
 // under a different metric than the store's is refused — its
 // coordinates were laid out for another geometry.
 func (s *Store) openOrCreatePack(gen func() *lbs.Database) (db *lbs.Database, epoch uint64, warm bool, err error) {
+	defer func() { s.packEpoch.Store(epoch) }()
 	path := s.PackPath()
 	if _, statErr := os.Stat(path); statErr != nil {
 		if db = gen(); db == nil {
@@ -154,7 +159,23 @@ func (s *Store) openOrCreatePack(gen func() *lbs.Database) (db *lbs.Database, ep
 	return db, epoch, true, nil
 }
 
-// SaveCache snapshots a CachedOracle's shards to the store.
+// cacheStamp opens the cache snapshot file: a magic word and the
+// epoch the snapshot was taken at, ahead of the cache's own stream.
+var cacheStamp = [8]byte{'L', 'B', 'S', 'C', 'A', 'C', 'H', 'E'}
+
+// epoch is the epoch of the data the store serves: the live
+// database's when one is open, else the pack's.
+func (s *Store) epoch() uint64 {
+	if ls := s.Live(); ls != nil {
+		return ls.db.Epoch()
+	}
+	return s.packEpoch.Load()
+}
+
+// SaveCache snapshots a CachedOracle's shards to the store, stamped
+// with the epoch of the data it answered for. Take it after the last
+// mutation (at shutdown): an answer cached at one epoch may be wrong
+// at another.
 func (s *Store) SaveCache(c *lbs.CachedOracle) error {
 	path := filepath.Join(s.dir, cacheFile)
 	tmp := path + ".tmp"
@@ -163,6 +184,13 @@ func (s *Store) SaveCache(c *lbs.CachedOracle) error {
 		return err
 	}
 	defer os.Remove(tmp)
+	var head [16]byte
+	copy(head[:8], cacheStamp[:])
+	binary.LittleEndian.PutUint64(head[8:], s.epoch())
+	if _, err := f.Write(head[:]); err != nil {
+		f.Close()
+		return err
+	}
 	if err := c.WriteSnapshot(f); err != nil {
 		f.Close()
 		return err
@@ -177,10 +205,13 @@ func (s *Store) SaveCache(c *lbs.CachedOracle) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadCache restores a cache snapshot if one exists, returning how
-// many entries came back (0, nil when there is no snapshot — a cold
-// cache is not an error, and neither is a configuration mismatch:
-// the stale snapshot is discarded and the cache serves cold).
+// LoadCache restores a cache snapshot if one exists and was taken at
+// the epoch the store now serves, returning how many entries came
+// back. Call it after the data is open (and its WAL replayed). Every
+// other case serves cold and returns 0, nil: no snapshot; a snapshot
+// from another epoch (a run that mutated and then stopped without
+// SaveCache, whose mutations the WAL replayed); one with no stamp; or
+// one whose configuration does not match the cache.
 func (s *Store) LoadCache(c *lbs.CachedOracle) (int, error) {
 	f, err := os.Open(filepath.Join(s.dir, cacheFile))
 	if err != nil {
@@ -190,6 +221,11 @@ func (s *Store) LoadCache(c *lbs.CachedOracle) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
+	var head [16]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil || [8]byte(head[:8]) != cacheStamp ||
+		binary.LittleEndian.Uint64(head[8:]) != s.epoch() {
+		return 0, nil
+	}
 	n, err := c.ReadSnapshot(f)
 	s.m.CacheRestored.Add(uint64(n))
 	if err != nil && n == 0 {
