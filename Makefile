@@ -66,8 +66,10 @@ examples:
 # exactly the sample cap between them. The ninth race-checks a
 # parallel job through QueryPlan.Execute's one sample stream, which
 # must draw exactly its 8-sample cap. The tenth race-checks a fused
-# plan's aggregates, which four parallel estimator forks share (their
-# Value closures are pure; about 4 s). The eleventh race-checks the
+# plan sampled by four parallel estimator forks, and that a parallel
+# run calls an aggregate's Value only on the goroutine that folds the
+# samples, never from a worker: a Value that bumps an unguarded
+# counter must not race (about 15 s). The eleventh race-checks the
 # live overlay: readers bracketing queries by epoch against a writer
 # and background compaction, a live cluster under concurrent queries
 # and mutations, and the per-op equivalence across tail folds and
@@ -89,7 +91,7 @@ stress:
 	$(GO) test -race -count=50 -run '^TestScopedQuerier' ./internal/lbs
 	$(GO) test -race -count=50 -run '^(TestNNOBatchRespectsBudget|TestCachedBatchedParallelRun)$$' ./internal/core
 	$(GO) test -race -count=20 -run '^TestJobViewCarriesPlan$$' ./internal/jobs
-	$(GO) test -race -count=50 -run '^TestExecuteParallelFusedGroup$$' ./internal/core
+	$(GO) test -race -count=50 -run '^(TestExecuteParallelFusedGroup|TestParallelValueOnCollector)$$' ./internal/core
 	$(GO) test -race -count=20 -run '^(TestLiveEpochConsistency|TestLiveClusterConcurrentSmoke|TestLiveFoldEquivalence)$$' ./internal/live
 	$(GO) test -race -count=50 -run '^TestCacheFreshConcurrentReaders$$' ./internal/live
 	$(GO) test -race -count=5 -run '^TestCacheFreshAfterEveryApply$$' ./internal/live

@@ -91,15 +91,50 @@ type Aggregate struct {
 	Name string
 	// Value evaluates the aggregated quantity on a returned tuple:
 	// 1 for COUNT(*), the attribute for SUM(attr), an indicator for
-	// COUNT with a condition, etc. It must be a pure function of its
-	// record: a parallel run (WithParallelism, PlanOptions.Parallelism)
-	// calls it from every worker concurrently.
+	// COUNT with a condition, etc. It is a function of its record
+	// alone, and a run calls it only on the goroutine that folds the
+	// samples (the one that called Run or Execute), never from a
+	// parallel run's workers.
 	Value func(Record) float64
 	// NeedsLocation marks aggregates whose Value reads Loc (selection
 	// conditions on tuple location). Over LNR interfaces the
 	// aggregator first infers the tuple position, spending extra
 	// queries (§4.3); over LR interfaces the location is free.
 	NeedsLocation bool
+}
+
+// Sample is the outcome of one point sample (Estimator.Step): the
+// records that contribute to it, in the order the estimator weighted
+// them. A sample's weights depend on the interface, the sampler and
+// the options, never on the aggregate (§5.1 folds a selection into
+// Value), so one sample answers any aggregate (see Value); an empty
+// sample estimates 0.
+type Sample []WeightedRecord
+
+// WeightedRecord is one record of a Sample with its Horvitz–Thompson
+// weight: it contributes Value(rec)·W, or Value(rec)/W when Div is set
+// (W is then the record's selection probability). Keeping the
+// operation keeps each estimator's float operations as it performs
+// them: LR multiplies by 1/p̂ or r/mass(V′), LNR and NNO divide by p.
+type WeightedRecord struct {
+	Record
+	W   float64
+	Div bool
+}
+
+// Value folds the sample for one aggregate: Σ_i agg.Value(rec_i) op
+// w_i, in record order — the sample's unbiased per-sample estimate of
+// agg.
+func (s Sample) Value(agg Aggregate) float64 {
+	var v float64
+	for _, r := range s {
+		if x := agg.Value(r.Record); r.Div {
+			v += x / r.W
+		} else {
+			v += x * r.W
+		}
+	}
+	return v
 }
 
 // recordOfLR converts an LR result row.

@@ -23,7 +23,7 @@ func BenchmarkLRCellComputation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), count); err != nil {
+		if _, err := agg.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkLRSample(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), count); err != nil {
+		if _, err := agg.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkLRSampleK10(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), count); err != nil {
+		if _, err := agg.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,10 +109,9 @@ func BenchmarkLNRCellInference(b *testing.B) {
 	db := smallService2(500, 37)
 	svc := lbs.NewService(db, lbs.Options{K: 5})
 	agg := NewLNRAggregator(svc, LNROptions{Seed: 2})
-	count := aggsOf(b, CountSpec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), count); err != nil {
+		if _, err := agg.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,10 +123,9 @@ func BenchmarkNNOSample(b *testing.B) {
 	db := smallService2(500, 41)
 	svc := lbs.NewService(db, lbs.Options{K: 1})
 	nno := NewNNOBaseline(svc, NNOOptions{Seed: 3})
-	count := aggsOf(b, CountSpec())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nno.Step(context.Background(), count); err != nil {
+		if _, err := nno.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,23 +4,30 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cell"
+	"repro/internal/geom"
 	"repro/internal/lbs"
+	"repro/internal/sampling"
 )
 
 // Estimator is a sample source: an estimation algorithm that can draw
-// one i.i.d. point sample and turn it into one unbiased per-sample
-// estimate for each aggregate. LRAggregator, LNRAggregator and
-// NNOBaseline all implement it; any future algorithm that does runs
-// through the same Run and gets budgets, traces, early stopping and
-// parallel execution for free.
+// one i.i.d. point sample and weight the records it returns, so that
+// Σ_i Value(rec_i)·w_i is an unbiased per-sample estimate of any
+// aggregate (see Sample). LRAggregator, LNRAggregator and NNOBaseline
+// all implement it; any future algorithm that does runs through the
+// same Run and gets budgets, traces, early stopping and parallel
+// execution for free.
 type Estimator interface {
-	// Step draws one random query location and returns one per-sample
-	// estimate per aggregate. Queries issued during the step must
+	// Step draws one random query location and returns the records
+	// that contribute to its sample, each with its weight. needLoc asks
+	// for every record's location, which a rank-only interface must
+	// infer at a query cost (§4.3). Queries issued during the step must
 	// honor ctx.
-	Step(ctx context.Context, aggs []Aggregate) ([]float64, error)
+	Step(ctx context.Context, needLoc bool) (Sample, error)
 	// Service returns the Oracle the estimator queries, for cost
 	// accounting (the paper's metric is the Oracle's QueryCount).
 	Service() Oracle
@@ -30,6 +37,49 @@ type Estimator interface {
 	// Run may run them concurrently; the samples they draw stay
 	// i.i.d. from the same query distribution.
 	Fork(seed int64) Estimator
+}
+
+// drawSource is what every estimator draws its samples from: the
+// oracle, the random stream, the query-location sampler and the
+// estimation region (the service bounds unless a region with positive
+// area is given), with the sampler uniform over the region unless one
+// is given.
+type drawSource struct {
+	svc   Oracle
+	rng   *rand.Rand
+	smp   sampling.Sampler
+	bound geom.Rect
+}
+
+func newDrawSource(svc Oracle, region geom.Rect, smp sampling.Sampler, seed int64) drawSource {
+	if region.Area() <= 0 {
+		region = svc.Bounds()
+	}
+	if smp == nil {
+		smp = sampling.NewUniform(region)
+	}
+	return drawSource{svc: svc, rng: rand.New(rand.NewSource(seed)), smp: smp, bound: region}
+}
+
+// Service returns the Oracle the estimator queries, implementing
+// Estimator.
+func (d *drawSource) Service() Oracle { return d.svc }
+
+// forkSeed is the seed of a fork for Run's parallel mode: a draw from
+// the receiver's generator mixed with the caller-supplied index, so
+// successive parallel runs on the same estimator spawn forks with
+// fresh, independent random walks instead of replaying the previous
+// run's samples.
+func (d *drawSource) forkSeed(seed int64) int64 { return d.rng.Int63() ^ (seed << 32) }
+
+// massOfRegion returns ∫_region f — the selection probability of the
+// tuple whose (tentative) cell the region is, under the sampler f.
+func (d *drawSource) massOfRegion(region *cell.Complex) float64 {
+	var mass float64
+	for _, f := range region.Faces() {
+		mass += d.smp.IntegratePolygon(f.Poly)
+	}
+	return mass
 }
 
 // All three algorithms of the paper plug into Run.
@@ -134,6 +184,7 @@ func Run(ctx context.Context, est Estimator, aggs []Aggregate, opts ...RunOption
 	plan := &QueryPlan{Aggs: aggs}
 	for j := range aggs {
 		plan.entries = append(plan.entries, planEntry{num: j, den: -1, name: aggs[j].Name})
+		plan.NeedsLocation = plan.NeedsLocation || aggs[j].NeedsLocation
 	}
 	st := newRunState(plan, est)
 	s := cfg.sampler
@@ -209,7 +260,7 @@ func degradedCount(svc Oracle) int64 {
 // running accumulator per physical aggregate, and its account.
 type runState struct {
 	plan *QueryPlan
-	// est draws the samples over plan.Aggs; a parallel run forks it.
+	// est draws the run's samples; a parallel run forks it.
 	est      Estimator
 	accs     []Accumulator
 	samples  int
@@ -250,7 +301,7 @@ type sampler struct {
 
 // drawn is the sample of one completed worker step.
 type drawn struct {
-	vals     []float64
+	sample   Sample
 	degraded bool
 }
 
@@ -260,8 +311,9 @@ type drawn struct {
 // stop → fold/stream → CI — which keeps seeded runs bit-identical.
 // Otherwise the run's estimator and its forks share the samples while
 // the caller's goroutine collects: it folds every sample in arrival
-// order, streams it, and evaluates the CI rule. Only fatal errors are
-// returned.
+// order, streams it, and evaluates the CI rule. Either way the fold —
+// every aggregate's Value over the sample's records — runs on the
+// caller's goroutine. Only fatal errors are returned.
 func (s *sampler) run(ctx context.Context, st *runState) error {
 	var taken atomic.Int64
 	reserve := func() bool {
@@ -270,8 +322,8 @@ func (s *sampler) run(ctx context.Context, st *runState) error {
 	fold := func(d drawn) bool {
 		now := s.svc.QueryCount()
 		st.queries = now - s.startQ
-		for j, v := range d.vals {
-			st.accs[j].Add(v)
+		for j := range st.accs {
+			st.accs[j].Add(d.sample.Value(st.plan.Aggs[j]))
 		}
 		st.samples++
 		if d.degraded {
@@ -291,19 +343,20 @@ func (s *sampler) run(ctx context.Context, st *runState) error {
 	if s.parallelism > 1 {
 		err = s.runWorkers(ctx, st, reserve, fold)
 	} else {
-		err = s.work(ctx, st.est, st.plan.Aggs, reserve, fold)
+		err = s.work(ctx, st.est, st.plan.NeedsLocation, reserve, fold)
 	}
 	st.queries = s.svc.QueryCount() - s.startQ
 	return err
 }
 
 // work is the per-worker body of the sampler: reserve a sample, check
-// the query budget and the context, step, and deliver the completed
-// sample (a failed step delivers nothing). deliver returns false to
+// the query budget and the context, step (needLoc is the run's
+// location need, see Estimator.Step), and deliver the completed sample
+// (a failed step delivers nothing). deliver returns false to
 // stop the worker (the CI target is met, or the collector stopped
 // listening). The budget, the service's exhaustion and cancellation
 // end the worker gracefully; only fatal errors are returned.
-func (s *sampler) work(ctx context.Context, est Estimator, aggs []Aggregate, reserve func() bool, deliver func(drawn) bool) error {
+func (s *sampler) work(ctx context.Context, est Estimator, needLoc bool, reserve func() bool, deliver func(drawn) bool) error {
 	for {
 		if !reserve() {
 			return nil
@@ -315,7 +368,7 @@ func (s *sampler) work(ctx context.Context, est Estimator, aggs []Aggregate, res
 			return nil
 		}
 		deg0 := degradedCount(s.svc)
-		vals, err := est.Step(ctx, aggs)
+		sample, err := est.Step(ctx, needLoc)
 		switch {
 		case err != nil && !stopErr(ctx, err):
 			return err
@@ -323,18 +376,17 @@ func (s *sampler) work(ctx context.Context, est Estimator, aggs []Aggregate, res
 			return nil
 		}
 		// Any partial answer during the step marks the sample degraded.
-		if !deliver(drawn{vals: vals, degraded: degradedCount(s.svc) > deg0}) {
+		if !deliver(drawn{sample: sample, degraded: degradedCount(s.svc) > deg0}) {
 			return nil
 		}
 	}
 }
 
 // runWorkers is the parallel mode of run: the run's estimator and its
-// forks share the run's reservations and the plan's aggregates (pure
-// functions of the record, so concurrent Value calls are safe) and
-// hand their samples to the caller's goroutine, which folds them in
-// arrival order and cancels the run once fold reports the CI target
-// met (or a worker fails).
+// forks share the run's reservations and hand their samples to the
+// caller's goroutine, which folds them in arrival order (the workers
+// never call an aggregate's Value) and cancels the run once fold
+// reports the CI target met (or a worker fails).
 // Attribution of degradation across concurrent workers is coarse — a
 // partial answer in flight may mark another worker's overlapping sample
 // too — conservative in the safe direction.
@@ -365,7 +417,7 @@ func (s *sampler) runWorkers(ctx context.Context, st *runState, reserve func() b
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := s.work(ctx, est, st.plan.Aggs, reserve, send)
+			err := s.work(ctx, est, st.plan.NeedsLocation, reserve, send)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil && fatal == nil {

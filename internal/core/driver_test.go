@@ -231,3 +231,26 @@ func TestDriverCancelInterruptsLatentQuery(t *testing.T) {
 		t.Fatal("cancellation latency too high")
 	}
 }
+
+// TestParallelValueOnCollector: a parallel run calls Value only on
+// the goroutine that folds the samples, never from its workers, so an
+// aggregate whose Value bumps an unguarded counter is race-free (make
+// stress runs this under -race).
+func TestParallelValueOnCollector(t *testing.T) {
+	svc, _ := smallService(t, 200, 5, 17)
+	for _, est := range []Estimator{
+		NewLRAggregator(svc, DefaultLROptions(5)),
+		NewLNRAggregator(svc, LNROptions{Seed: 5}),
+		NewNNOBaseline(svc, NNOOptions{Seed: 5}),
+	} {
+		calls := 0
+		count := Aggregate{Name: "count", Value: func(Record) float64 { calls++; return 1 }}
+		res, err := Run(context.Background(), est, []Aggregate{count}, WithParallelism(4), WithMaxSamples(40))
+		if err != nil {
+			t.Fatalf("%T: %v", est, err)
+		}
+		if calls == 0 || res[0].Samples != 40 {
+			t.Errorf("%T: %d Value calls over %d samples", est, calls, res[0].Samples)
+		}
+	}
+}

@@ -43,7 +43,7 @@ func BenchmarkLRSampleGeodesic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := agg.Step(context.Background(), count); err != nil {
+		if _, err := agg.Step(context.Background(), false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/cell"
@@ -66,12 +65,9 @@ type LNRStats struct {
 // LNRAggregator implements Algorithm LNR-LBS-AGG (Algorithm 6 plus the
 // §4.2 concavity extension and the §4.3 position inference).
 type LNRAggregator struct {
-	svc    Oracle
+	drawSource
 	opts   LNROptions
-	rng    *rand.Rand
-	smp    sampling.Sampler
 	prober *lnrProber
-	bound  geom.Rect
 	params edgeSearchParams
 	stats  LNRStats
 	vtol   float64
@@ -88,23 +84,13 @@ func NewLNRAggregator(svc Oracle, opts LNROptions) *LNRAggregator {
 	if opts.EdgeEps <= 0 {
 		opts.EdgeEps = svc.Bounds().Diagonal() * 1e-3
 	}
-	region := opts.Region
-	if region.Area() <= 0 {
-		region = svc.Bounds()
-	}
-	smp := opts.Sampler
-	if smp == nil {
-		smp = sampling.NewUniform(region)
-	}
+	d := newDrawSource(svc, opts.Region, opts.Sampler, opts.Seed)
 	return &LNRAggregator{
-		svc:    svc,
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		smp:    smp,
-		prober: newLNRProber(svc, opts.Filter),
-		bound:  region,
-		params: newEdgeSearchParams(opts.EdgeEps, region),
-		vtol:   region.Diagonal() * 1e-9,
+		drawSource: d,
+		opts:       opts,
+		prober:     newLNRProber(svc, opts.Filter),
+		params:     newEdgeSearchParams(opts.EdgeEps, d.bound),
+		vtol:       d.bound.Diagonal() * 1e-9,
 	}
 }
 
@@ -773,42 +759,29 @@ func (a *LNRAggregator) vkeyOf(p geom.Point) vkey {
 	return vkey{int64(p.X / a.vtol), int64(p.Y / a.vtol)}
 }
 
-// massOfRegion integrates the sampling density over the region.
-func (a *LNRAggregator) massOfRegion(region *cell.Complex) float64 {
-	var mass float64
-	for _, f := range region.Faces() {
-		mass += a.smp.IntegratePolygon(f.Poly)
-	}
-	return mass
-}
-
-// Step draws one random query location and produces one per-sample
-// estimate per aggregate (Algorithm 6 body). Only the top-ranked
-// returned tuple is exploited when H = 1; with H > 1, each tuple at
-// rank ≤ H is weighted by its top-H cell.
-func (a *LNRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
+// Step draws one random query location and weights each contributing
+// tuple by its inferred cell mass p (Algorithm 6 body). Only the
+// top-ranked returned tuple is exploited when H = 1; with H > 1, each
+// tuple at rank ≤ H is weighted by its top-H cell. With needLoc every
+// record carries its inferred location (§4.3; a failed localization
+// leaves the record without one).
+func (a *LNRAggregator) Step(ctx context.Context, needLoc bool) (Sample, error) {
 	q := a.smp.Sample(a.rng)
 	recs, err := a.prober.probe(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(aggs))
 	if len(recs) == 0 {
 		a.stats.EmptyAnswers++
 		a.stats.Samples++
-		return out, nil
+		return nil, nil
 	}
 	h := a.opts.H
-	needLoc := false
-	for _, g := range aggs {
-		if g.NeedsLocation {
-			needLoc = true
-		}
-	}
 	limit := h
 	if limit > len(recs) {
 		limit = len(recs)
 	}
+	var out Sample
 	for i := 0; i < limit; i++ {
 		t := recs[i]
 		region, cctx, err := a.buildCell(ctx, t.ID, h, q)
@@ -826,26 +799,19 @@ func (a *LNRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, 
 				rec.Loc = loc
 			}
 		}
-		for j := range aggs {
-			out[j] += aggs[j].Value(rec) / p
-		}
+		out = append(out, WeightedRecord{Record: rec, W: p, Div: true})
 	}
 	a.stats.Samples++
 	return out, nil
 }
 
-// Service returns the Oracle this aggregator queries, implementing
-// Estimator.
-func (a *LNRAggregator) Service() Oracle { return a.svc }
-
 // Fork returns an independent LNR aggregator of the same
-// configuration over the same service for Run's parallel mode.
-// The fork seed mixes a draw from the receiver's generator with the
-// caller-supplied index (see LRAggregator.Fork); forks start with an
+// configuration over the same service, at a fork seed (see
+// drawSource.forkSeed), for Run's parallel mode; forks start with an
 // empty probe cache.
 func (a *LNRAggregator) Fork(seed int64) Estimator {
 	opts := a.opts
-	opts.Seed = a.rng.Int63() ^ (seed << 32)
+	opts.Seed = a.forkSeed(seed)
 	return NewLNRAggregator(a.svc, opts)
 }
 

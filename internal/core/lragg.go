@@ -5,7 +5,6 @@ import (
 	"context"
 	"maps"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -136,12 +135,9 @@ type LRStats struct {
 // steady state a sample allocates little beyond the oracle's answers
 // and the history's growth.
 type LRAggregator struct {
-	svc   Oracle
-	opts  LROptions
-	rng   *rand.Rand
-	smp   sampling.Sampler
-	hist  *History
-	bound geom.Rect
+	drawSource
+	opts LROptions
+	hist *History
 	// boundPoly is bound.Polygon(), cached because building it
 	// allocates; complexes built over it copy it.
 	boundPoly geom.Polygon
@@ -237,24 +233,14 @@ func NewLRAggregator(svc Oracle, opts LROptions) *LRAggregator {
 	if opts.Lambda0Frac <= 0 {
 		opts.Lambda0Frac = 0.001
 	}
-	region := opts.Region
-	if region.Area() <= 0 {
-		region = svc.Bounds()
-	}
-	smp := opts.Sampler
-	if smp == nil {
-		smp = sampling.NewUniform(region)
-	}
+	d := newDrawSource(svc, opts.Region, opts.Sampler, opts.Seed)
 	return &LRAggregator{
-		svc:       svc,
-		opts:      opts,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
-		smp:       smp,
-		hist:      NewHistory(),
-		bound:     region,
-		boundPoly: region.Polygon(),
-		stats:     LRStats{AdaptiveHChosen: make(map[int]int)},
-		vtol:      region.Diagonal() * 1e-9,
+		drawSource: d,
+		opts:       opts,
+		hist:       NewHistory(),
+		boundPoly:  d.bound.Polygon(),
+		stats:      LRStats{AdaptiveHChosen: make(map[int]int)},
+		vtol:       d.bound.Diagonal() * 1e-9,
 	}
 }
 
@@ -336,16 +322,6 @@ func rankOfID(recs []lbs.LRRecord, id int64) int {
 		}
 	}
 	return -1
-}
-
-// massOfRegion returns ∫_region f — the selection probability of the
-// tuple whose (tentative) cell the region is, under sampler f.
-func (a *LRAggregator) massOfRegion(region *cell.Complex) float64 {
-	var mass float64
-	for _, f := range region.Faces() {
-		mass += a.smp.IntegratePolygon(f.Poly)
-	}
-	return mass
 }
 
 // chooseH implements the variance-reduction rule of §3.2.3 for the
@@ -723,9 +699,11 @@ func (a *LRAggregator) sampleFromRegion(region *cell.Complex) (geom.Point, bool)
 	return geom.Point{}, false
 }
 
-// Step draws one random query location and produces one unbiased
-// per-sample estimate for each aggregate (Algorithm 5 body).
-func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
+// Step draws one random query location and weights each returned
+// tuple that contributes by an unbiased estimate of its 1/p: 1/p̂, or
+// r/mass(V′) after a Monte-Carlo finish (Algorithm 5 body). Locations
+// come with every answer, so needLoc changes nothing.
+func (a *LRAggregator) Step(ctx context.Context, _ bool) (Sample, error) {
 	s := a.scratch()
 	defer a.release()
 	q := a.smp.Sample(a.rng)
@@ -733,13 +711,12 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(aggs))
 	if len(recs) == 0 {
 		// Empty answer under the coverage cap: the estimate for this
 		// sample is 0, which keeps the estimator unbiased (§5.3).
 		a.stats.EmptyAnswers++
 		a.stats.Samples++
-		return out, nil
+		return nil, nil
 	}
 	kUse := a.svc.K()
 	if kUse > len(recs) {
@@ -756,6 +733,7 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 		s.hs, s.seeds = append(s.hs, h), append(s.seeds, seed)
 	}
 	a.observe(recs, nil)
+	var out Sample
 	for i := 0; i < kUse; i++ {
 		t := recs[i]
 		h, seedRegion := s.hs[i], s.seeds[i]
@@ -769,33 +747,22 @@ func (a *LRAggregator) Step(ctx context.Context, aggs []Aggregate) ([]float64, e
 		if err != nil {
 			return nil, err
 		}
-		if w == 0 {
-			continue
-		}
-		rec := recordOfLR(t)
-		for j := range aggs {
-			out[j] += aggs[j].Value(rec) * w
+		if w != 0 {
+			out = append(out, WeightedRecord{Record: recordOfLR(t), W: w})
 		}
 	}
 	a.stats.Samples++
 	return out, nil
 }
 
-// Service returns the Oracle this aggregator queries, implementing
-// Estimator.
-func (a *LRAggregator) Service() Oracle { return a.svc }
-
 // Fork returns an independent LR aggregator of the same configuration
-// over the same service for Run's parallel mode. The fork seed
-// mixes a draw from the receiver's generator with the caller-supplied
-// index, so successive parallel runs on the same aggregator spawn
-// forks with fresh, independent random walks instead of replaying the
-// previous run's samples. Forks start with an empty observation
-// history; history is a variance-reduction device only, so the forked
-// samples remain unbiased.
+// over the same service, at a fork seed (see drawSource.forkSeed), for
+// Run's parallel mode. Forks start with an empty observation history;
+// history is a variance-reduction device only, so the forked samples
+// remain unbiased.
 func (a *LRAggregator) Fork(seed int64) Estimator {
 	opts := a.opts
-	opts.Seed = a.rng.Int63() ^ (seed << 32)
+	opts.Seed = a.forkSeed(seed)
 	return NewLRAggregator(a.svc, opts)
 }
 

@@ -110,15 +110,16 @@ func TestLRQueryDoesNotMutateCachedAnswers(t *testing.T) {
 }
 
 // stepLog is what one worker of a run did, in order: fork seeds
-// handed to Fork (the root worker's only) and the values of each Step.
+// handed to Fork (the root worker's only) and the sample of each Step.
 type stepLog struct {
 	opts   LROptions
 	events []stepEvent
 }
 
 type stepEvent struct {
-	fork int64 // the Fork argument, when vals is nil
-	vals []float64
+	fork   int64 // the Fork argument, when step is false
+	step   bool
+	sample Sample
 }
 
 // tapEstimator runs an LR aggregator and logs its forks and samples;
@@ -140,12 +141,12 @@ func newTapEstimator(agg *LRAggregator, logs *[]*stepLog, mu *sync.Mutex) *tapEs
 
 func (e *tapEstimator) Service() Oracle { return e.agg.Service() }
 
-func (e *tapEstimator) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
-	vals, err := e.agg.Step(ctx, aggs)
+func (e *tapEstimator) Step(ctx context.Context, needLoc bool) (Sample, error) {
+	sample, err := e.agg.Step(ctx, needLoc)
 	if err == nil {
-		e.log.events = append(e.log.events, stepEvent{vals: slices.Clone(vals)})
+		e.log.events = append(e.log.events, stepEvent{step: true, sample: sample})
 	}
-	return vals, err
+	return sample, err
 }
 
 func (e *tapEstimator) Fork(seed int64) Estimator {
@@ -216,19 +217,19 @@ func TestLRParallelJobsShareCache(t *testing.T) {
 	for w, l := range logs {
 		agg := NewLRAggregator(ref, l.opts)
 		for i, ev := range l.events {
-			if ev.vals == nil {
+			if !ev.step {
 				agg.Fork(ev.fork)
 				continue
 			}
-			vals, err := agg.Step(ctx, aggs)
+			sample, err := agg.Step(ctx, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			steps++
-			for a := range vals {
-				if math.Float64bits(vals[a]) != math.Float64bits(ev.vals[a]) {
+			for a, g := range aggs {
+				if got, want := sample.Value(g), ev.sample.Value(g); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("worker %d (seed %d) event %d aggregate %d: %v in the job, %v serially",
-						w, l.opts.Seed, i, a, ev.vals[a], vals[a])
+						w, l.opts.Seed, i, a, want, got)
 				}
 			}
 		}
@@ -262,14 +263,14 @@ func TestLRStepSteadyStateAllocs(t *testing.T) {
 	// Collect first, so no cycle lands in the measured steps and empties
 	// the pools, then take one Step to put the scratch set back in use.
 	runtime.GC()
-	if _, err := agg.Step(ctx, count); err != nil {
+	if _, err := agg.Step(ctx, false); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	q0 := svc.QueryCount()
 	runtime.ReadMemStats(&before)
 	for range steps {
-		if _, err := agg.Step(ctx, count); err != nil {
+		if _, err := agg.Step(ctx, false); err != nil {
 			t.Fatal(err)
 		}
 	}

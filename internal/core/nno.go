@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"repro/internal/geom"
 	"repro/internal/lbs"
@@ -52,30 +51,13 @@ const (
 
 // NNOBaseline implements LR-LBS-NNO.
 type NNOBaseline struct {
-	svc   Oracle
-	opts  NNOOptions
-	rng   *rand.Rand
-	smp   sampling.Sampler
-	bound geom.Rect
+	drawSource
+	opts NNOOptions
 }
 
 // NewNNOBaseline builds the baseline estimator over an LR service.
 func NewNNOBaseline(svc Oracle, opts NNOOptions) *NNOBaseline {
-	region := opts.Region
-	if region.Area() <= 0 {
-		region = svc.Bounds()
-	}
-	smp := opts.Sampler
-	if smp == nil {
-		smp = sampling.NewUniform(region)
-	}
-	return &NNOBaseline{
-		svc:   svc,
-		opts:  opts,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
-		smp:   smp,
-		bound: region,
-	}
+	return &NNOBaseline{newDrawSource(svc, opts.Region, opts.Sampler, opts.Seed), opts}
 }
 
 func (b *NNOBaseline) query(ctx context.Context, p geom.Point) ([]lbs.LRRecord, error) {
@@ -87,24 +69,14 @@ func isTop1(recs []lbs.LRRecord, id int64) bool {
 	return len(recs) > 0 && recs[0].ID == id
 }
 
-// Step draws one random query and produces one per-sample estimate per
-// aggregate.
-func (b *NNOBaseline) Step(ctx context.Context, aggs []Aggregate) ([]float64, error) {
+// Step draws one random query and weights its nearest tuple by the
+// estimated selection probability p; locations come with the answer,
+// so needLoc changes nothing.
+func (b *NNOBaseline) Step(ctx context.Context, _ bool) (Sample, error) {
 	q := b.smp.Sample(b.rng)
 	recs, err := b.query(ctx, q)
-	if err != nil {
+	if err != nil || len(recs) == 0 {
 		return nil, err
-	}
-	return b.finishSample(ctx, q, recs, aggs)
-}
-
-// finishSample runs the box-growing and probing phases for one seeded
-// sample: q is the sampled query location, recs its (already charged)
-// answer.
-func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs.LRRecord, aggs []Aggregate) ([]float64, error) {
-	out := make([]float64, len(aggs))
-	if len(recs) == 0 {
-		return out, nil
 	}
 	t := recs[0] // NNO uses only the nearest neighbor
 	// Phase 1: grow a box around t by doubling while any corner still
@@ -138,7 +110,7 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 	// Clip the probe box to the coverage bounds.
 	box, ok := box.Intersect(b.bound)
 	if !ok || box.Area() <= 0 {
-		return out, nil
+		return nil, nil
 	}
 	// Phase 2: Monte-Carlo area estimate. The probes are independent,
 	// so they travel through the oracle's batch path when it has one
@@ -173,27 +145,17 @@ func (b *NNOBaseline) finishSample(ctx context.Context, q geom.Point, recs []lbs
 	// box; NNO has no exact-cell machinery to do better).
 	density := b.smp.Density(t.Loc)
 	if density <= 0 {
-		return out, nil
+		return nil, nil
 	}
-	p := density * areaEst
-	rec := recordOfLR(t)
-	for j := range aggs {
-		out[j] = aggs[j].Value(rec) / p
-	}
-	return out, nil
+	return Sample{{Record: recordOfLR(t), W: density * areaEst, Div: true}}, nil
 }
 
-// Service returns the Oracle this baseline queries, implementing
-// Estimator.
-func (b *NNOBaseline) Service() Oracle { return b.svc }
-
 // Fork returns an independent baseline of the same configuration over
-// the same service for Run's parallel mode. The fork seed
-// mixes a draw from the receiver's generator with the caller-supplied
-// index (see LRAggregator.Fork).
+// the same service, at a fork seed (see drawSource.forkSeed), for
+// Run's parallel mode.
 func (b *NNOBaseline) Fork(seed int64) Estimator {
 	opts := b.opts
-	opts.Seed = b.rng.Int63() ^ (seed << 32)
+	opts.Seed = b.forkSeed(seed)
 	return NewNNOBaseline(b.svc, opts)
 }
 

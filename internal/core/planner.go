@@ -24,9 +24,10 @@ import (
 //     localizes each sample once (§4.3), and all specs share it.
 //
 // Execution is a chain of streaming operators over the sample trace:
-// sample source (the plan's Estimator) → fused aggregators (one pure
-// Value closure over its compiled selection and one Accumulator per
-// physical aggregate) → per-spec CI sinks (ratio finishing, progress,
+// sample source (the plan's Estimator, whose samples are weighted
+// records) → fused aggregators (one Value closure over its compiled
+// selection and one Accumulator per physical aggregate, folding every
+// sample) → per-spec CI sinks (ratio finishing, progress,
 // partials). Partial results and the NDJSON trace fall out of the
 // operator graph: every completed sample streams one PlanProgress.
 
@@ -73,13 +74,14 @@ type QueryPlan struct {
 	Method string
 	// Seed seeds the stream's estimator (PlanOptions.Seed).
 	Seed int64
-	// NeedsLocation marks an LNR plan some selection of which reads
-	// tuple locations: every sample then pays the §4.3 localization.
+	// NeedsLocation marks a plan some selection of which reads tuple
+	// locations (set by PlanBatch for LNR only, where every sample then
+	// pays the §4.3 localization; Run sets it for any estimator).
 	NeedsLocation bool
 	// Aggs are the fused physical aggregates (deduped by kind, attr
 	// and canonical selection; AVG specs contribute their SUM/COUNT
-	// halves). Their Value closures are pure, so Execute's parallel
-	// workers share them.
+	// halves). Execute folds every sample through them on its calling
+	// goroutine, parallel or not.
 	Aggs []Aggregate
 	// PredHashes are the structural hashes of the batch's distinct
 	// canonical predicates, in first-use order (the dedup observable:

@@ -118,8 +118,8 @@ func (st *runState) converged(rel float64) bool {
 // non-graceful transport failure).
 //
 // With PlanOptions.Parallelism > 1 the samples come from that many
-// estimator forks, which share the plan's pure aggregates, and progress
-// still fires on the calling goroutine. A plan holds no run state:
+// estimator forks; the calling goroutine still folds every sample
+// through the plan's aggregates and fires progress. A plan holds no run state:
 // executing it again at its seed repeats a serial run bit for bit.
 func (p *QueryPlan) Execute(ctx context.Context, svc Oracle, progress func(PlanProgress)) (*BatchResult, error) {
 	s := sampler{

@@ -148,13 +148,26 @@ func HaversineDist(a, b geom.Point) float64 {
 	return NewHaversineQuery(a).Dist(b)
 }
 
+// boundSlack is what every Haversine lower bound gives up, relative
+// and in km. A bound is evaluated by another expression than the
+// canonical distance; where the two agree exactly, rounding can put
+// the bound an ulp or two above the distance: in about half the pairs
+// on one meridian, and about 1 in 10 000 on one parallel. The slack
+// keeps each bound a lower bound in floating point, so the layers that
+// prune or invalidate by one compare it with canonical distances as
+// they are.
+const boundSlack = 1e-9
+
+// slack gives up boundSlack from a lower bound, never going below 0.
+func slack(lb float64) float64 { return max(lb-lb*boundSlack-boundSlack, 0) }
+
 // LatSepLB lower-bounds the Haversine distance between any two points
 // whose (clamped) latitudes differ by at least |qLat − lat| degrees:
 // hav ≥ sin²(Δφ/2), so d ≥ 2R·asin(|sin(Δφ/2)|) = R·|Δφ| for clamped
-// latitudes (|Δφ| ≤ 180°). Used as the splitting-plane bound on the
-// latitude axis.
+// latitudes (|Δφ| ≤ 180°), less boundSlack. Used as the
+// splitting-plane bound on the latitude axis.
 func LatSepLB(qLat, lat float64) float64 {
-	return EarthRadiusKm * math.Abs(clampLat(qLat)-clampLat(lat)) * degToRad
+	return slack(EarthRadiusKm * math.Abs(clampLat(qLat)-clampLat(lat)) * degToRad)
 }
 
 // LonSepDeg returns the circular separation (degrees, in [0, 180])
@@ -180,9 +193,9 @@ func LonSepDeg(q, lo, hi float64) float64 {
 // cosQLat = cos of its clamped latitude) to any point whose longitude
 // lies in [loLon, hiLon] and whose clamped latitude satisfies
 // cos φ ≥ cosLatFloor: hav ≥ cos φ_q·cos φ·sin²(Δλ/2) and
-// asin(x) ≥ x, so d ≥ 2R·√(cos φ_q·cosLatFloor)·sin(sep/2). A
-// non-positive cosine product yields 0 (never prunes) — the graceful
-// degradation for polar or out-of-domain data.
+// asin(x) ≥ x, so d ≥ 2R·√(cos φ_q·cosLatFloor)·sin(sep/2), less
+// boundSlack. A non-positive cosine product yields 0 (never prunes) —
+// the graceful degradation for polar or out-of-domain data.
 func LonSepLB(qLon, cosQLat, loLon, hiLon, cosLatFloor float64) float64 {
 	c := cosQLat * cosLatFloor
 	if c <= 0 {
@@ -192,7 +205,7 @@ func LonSepLB(qLon, cosQLat, loLon, hiLon, cosLatFloor float64) float64 {
 	if sep <= 0 {
 		return 0
 	}
-	return 2 * EarthRadiusKm * math.Sqrt(c) * math.Sin(sep/2*degToRad)
+	return slack(2 * EarthRadiusKm * math.Sqrt(c) * math.Sin(sep/2*degToRad))
 }
 
 // CosLatFloor returns the minimum of cos over the clamped latitude

@@ -209,6 +209,32 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
+// TestHaversineBoundsExactInFloat scans pairs where a bound and the
+// canonical distance agree in exact arithmetic — points sharing a
+// meridian (the latitude bound) or a parallel (the longitude bound) —
+// and requires the bound to stay at or below the distance in floating
+// point too, with no tolerance: pruning and cache invalidation compare
+// it against canonical distances as they are.
+func TestHaversineBoundsExactInFloat(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	bad := 0
+	for range 100000 {
+		lon, lat := r.Float64()*10, 40+r.Float64()*10
+		q := geom.Pt(lon, lat)
+		for _, p := range []geom.Point{
+			geom.Pt(lon, 40+r.Float64()*10), // same meridian
+			geom.Pt(r.Float64()*10, lat),    // same parallel
+		} {
+			if Haversine.RectMinDist(q, geom.Rect{Min: p, Max: p}) > Haversine.Dist(q, p) {
+				bad++
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("RectMinDist of a point exceeded its distance in %d of 200000 pairs", bad)
+	}
+}
+
 // TestParseMetric pins the wire names.
 func TestParseMetric(t *testing.T) {
 	for s, want := range map[string]Metric{

@@ -323,9 +323,8 @@ type CachedOracle struct {
 	// every reach is +Inf.
 	opts  Options
 	found bool
-	// radius is the reach of an answer that is not full: the padded
-	// MaxRadius, or +Inf without one. In-flight fetches are detached
-	// against it.
+	// radius is the reach of an answer that is not full: MaxRadius, or
+	// +Inf without one. In-flight fetches are detached against it.
 	radius        float64
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -369,7 +368,7 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	if o, ok := Find[interface{ Options() Options }](inner); ok {
 		c.opts, c.found = o.Options(), true
 		if c.opts.MaxRadius > 0 {
-			c.radius = c.pad(c.opts.MaxRadius)
+			c.radius = c.opts.MaxRadius
 		}
 	}
 	grid := newCacheGrid(inner.Bounds(), perShard)
@@ -390,28 +389,6 @@ func NewCachedOracle(inner Querier, opts CacheOptions) *CachedOracle {
 	return c
 }
 
-// havSlack pads a reach under Haversine, relative and in km. There
-// RectMinDist is a lower bound evaluated by another expression than
-// the canonical distance the service ranks by; where the two agree
-// exactly (a location on the query's meridian or parallel) rounding
-// can put the bound an ulp or two above the distance, and the pad
-// keeps such a location within reach. Euclidean RectMinDist of a
-// point is the ranking distance itself, so it needs none.
-const havSlack = 1e-9
-
-// pad widens a reach to absorb the metric's rounding (see havSlack);
-// a NaN reach becomes +Inf, so an answer with a garbled record is
-// dropped by every mutation.
-func (c *CachedOracle) pad(r float64) float64 {
-	if math.IsNaN(r) {
-		return math.Inf(1)
-	}
-	if c.opts.Metric == geo.Haversine {
-		r += r*havSlack + havSlack
-	}
-	return r
-}
-
 // reach bounds how far from q a mutated location can lie and still
 // change the answer recs recorded at q. Under RankByDistance a full
 // answer (K records) changes only when a mutated location ranks at or
@@ -421,10 +398,14 @@ func (c *CachedOracle) pad(r float64) float64 {
 // exactly that distance is within reach, because an insert there with
 // a smaller ID enters the answer. Any other answer — a short one, or
 // one ranked by prominence — can change through any location within
-// MaxRadius, or anywhere without a radius.
+// MaxRadius, or anywhere without a radius. A NaN distance (a garbled
+// record) reaches everywhere, so every mutation drops its answer.
 func (c *CachedOracle) reach(q geom.Point, recs []LRRecord) float64 {
 	if c.found && c.opts.Rank == RankByDistance && len(recs) >= c.opts.K {
-		return c.pad(c.opts.RankDist(q, &recs[c.opts.K-1]))
+		if r := c.opts.RankDist(q, &recs[c.opts.K-1]); !math.IsNaN(r) {
+			return r
+		}
+		return math.Inf(1)
 	}
 	return c.radius
 }

@@ -524,3 +524,37 @@ func TestConcurrentDegradedBatchesMeterExactly(t *testing.T) {
 		t.Fatalf("the dead shard injected nothing: %+v", st)
 	}
 }
+
+// TestBatchMissingCountsOnlyNeededMembers pins PartialError.Missing on
+// the batch path: a member whose breaker refuses admission counts as
+// missing only when some point's ball reaches it, as on the point
+// path. A batch of one point must report what QueryLR reports.
+func TestBatchMissingCountsOnlyNeededMembers(t *testing.T) {
+	db := workload.USASchools(400, 81).DB
+	res := Resilience{BreakerThreshold: 1, BreakerCooldown: time.Hour}
+	router, inj := faultedRouter(t, db, lbs.Options{K: 3}, 4, res, func(i int) faults.Spec { return faults.Spec{Seed: int64(i)} })
+	parts := Partition(db, 4)
+	ctx := context.Background()
+	for _, si := range []int{3, 1} {
+		inj[si].Kill()
+		router.QueryLR(ctx, interiorPoint(parts[si]), nil) // the owner failure trips the breaker
+	}
+	missing := func(err error) int {
+		if pe, ok := lbs.AsPartial(err); ok {
+			return pe.Missing
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(5))
+	pts := []geom.Point{geom.Pt(324.902, 1675.07)}
+	for range 40 {
+		pts = append(pts, geom.RandomInRect(rng, db.Bounds()))
+	}
+	for _, q := range pts {
+		_, err := router.QueryLR(ctx, q, nil)
+		_, berr := router.QueryLRBatch(ctx, []geom.Point{q}, nil)
+		if got, want := missing(berr), missing(err); got != want {
+			t.Errorf("at %v: QueryLRBatch reports missing = %d, QueryLR %d", q, got, want)
+		}
+	}
+}

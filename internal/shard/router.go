@@ -565,22 +565,6 @@ func (r *Router) scatterBatch(ctx context.Context, pts []geom.Point, filter lbs.
 	probes := make([]bool, len(r.shards))
 	now := time.Now()
 	for si := range r.shards {
-		admitted, probe := true, false
-		if r.breakerOn() {
-			admitted, probe = r.health[si].admit(now, r.res.BreakerCooldown)
-		}
-		if !admitted {
-			for i, q := range pts {
-				if st.dropped[i] || si == st.owners[i] {
-					continue
-				}
-				if r.minDist(q, r.shards[si].Region) <= bounds[i] {
-					st.missing[i]++
-				}
-			}
-			st.missCalls++
-			continue
-		}
 		for i, q := range pts {
 			if st.dropped[i] || si == st.owners[i] {
 				continue
@@ -588,6 +572,22 @@ func (r *Router) scatterBatch(ctx context.Context, pts []geom.Point, filter lbs.
 			if r.minDist(q, r.shards[si].Region) <= bounds[i] {
 				need[si] = append(need[si], i)
 			}
+		}
+		admitted, probe := true, false
+		if r.breakerOn() {
+			admitted, probe = r.health[si].admit(now, r.res.BreakerCooldown)
+		}
+		if !admitted {
+			// A refused member is missing only to the points that
+			// needed it.
+			for _, i := range need[si] {
+				st.missing[i]++
+			}
+			if len(need[si]) > 0 {
+				st.missCalls++
+			}
+			need[si] = nil
+			continue
 		}
 		probes[si] = probe
 		if probe && len(need[si]) == 0 {

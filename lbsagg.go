@@ -241,7 +241,7 @@
 //	        lbsagg.WithMaxQueries(maxQueries))
 //	svc.QueryLR(q, filter)      → svc.QueryLR(ctx, q, filter)
 //	svc.QueryLNR(q, filter)     → svc.QueryLNR(ctx, q, filter)
-//	agg.Step(aggs)              → agg.Step(ctx, aggs)
+//	agg.Step(aggs)              → agg.Step(ctx, needLoc)
 //	agg.Localize(id, anchor)    → agg.Localize(ctx, id, anchor)
 //	NewHTTPClient(url, sel, hc) → NewHTTPClient(ctx, url, sel, hc)
 //
@@ -288,6 +288,10 @@
 // Oracle), exposing the job methods; and NewHTTPServer returns the
 // concrete *HTTPServer (still an http.Handler), exposing the job
 // manager for graceful shutdown.
+//
+// Step now returns one sample's weighted records (a Sample, whose
+// Value(agg) is the old per-aggregate value) and takes needLoc in
+// place of the aggregates; Run folds every aggregate over each sample.
 //
 // Custom Oracle implementations must add the ctx parameter to both
 // query methods; custom estimators implement Estimator (Step, Service,
@@ -666,8 +670,15 @@ type (
 	// NNOBaseline is Algorithm LR-LBS-NNO.
 	NNOBaseline = core.NNOBaseline
 	// Estimator is the sample-source interface all three algorithms
-	// implement; custom algorithms that implement it run through Run.
+	// implement: Step returns one point sample's weighted records.
+	// Custom algorithms that implement it run through Run, which folds
+	// every aggregate over each sample.
 	Estimator = core.Estimator
+	// Sample is one point sample's weighted records; Value folds it
+	// for an aggregate.
+	Sample = core.Sample
+	// WeightedRecord is a record of a Sample with its weight.
+	WeightedRecord = core.WeightedRecord
 	// RunOption configures an estimation run.
 	RunOption = core.RunOption
 )
