@@ -80,7 +80,10 @@ examples:
 # live databases and clusters (about 10 s); then the randomized check
 # of grid invalidation against a list walk applying the reach
 # predicate to every entry (about 25 s). Both of those are seeded and
-# single-goroutine, so they run fewer times.
+# single-goroutine, so they run fewer times. The last line race-checks
+# the partitioner, which builds its shard databases concurrently:
+# its output must equal the sort-every-level reference bit for bit
+# (about 15 s).
 stress:
 	$(GO) test -race -count=500 -run 'TestCacheConcurrent|Coalesc' ./internal/lbs
 	$(GO) test -race -count=50 -run 'TestLNRBatchedProbesIdentitySmall|TestLNRProberLockstepOrder|TestLNRBatchedCancelJoinsLanes|TestLNRVertexRoundFlipRingsShareBatch' ./internal/core
@@ -96,6 +99,7 @@ stress:
 	$(GO) test -race -count=50 -run '^TestCacheFreshConcurrentReaders$$' ./internal/live
 	$(GO) test -race -count=5 -run '^TestCacheFreshAfterEveryApply$$' ./internal/live
 	$(GO) test -race -count=50 -run '^TestCacheInvalidateMatchesListWalk$$' ./internal/lbs
+	$(GO) test -race -count=20 -run '^TestPartitionMatchesReference$$' ./internal/shard
 
 # fuzz runs every fuzz target for 10 s: the untrusted wire decoders
 # (query string, batch body, NDJSON ingest stream, estimate spec), the
@@ -154,8 +158,9 @@ geom_FLAGS = -benchmem
 
 # federation: the scatter-gather query path at 1/2/4/8 in-process
 # shards, serial and batched, with the effective fan-out reported per
-# query.
-federation_BENCH = BenchmarkFederatedQuery|BenchmarkFederatedBatch
+# query, and cutting the 50k-tuple schools database into 4 shards
+# (BenchmarkPartition: ms/op, allocs/op).
+federation_BENCH = BenchmarkFederatedQuery|BenchmarkFederatedBatch|BenchmarkPartition
 federation_PKGS = ./internal/shard
 federation_FLAGS = -benchmem
 

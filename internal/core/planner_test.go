@@ -332,8 +332,9 @@ func TestExecuteLNRMixedLocationOneStream(t *testing.T) {
 // TestExecuteParallelFusedGroup: a fused plan (COUNT, SUM and AVG over
 // one shared compiled predicate) sampled by four concurrent forks draws
 // exactly its sample cap, streams every sample once and in order, and
-// stays unbiased. Under -race this pins that the forks can share the
-// plan's aggregates: their Value closures are pure.
+// stays unbiased. Under -race this pins that the forks share the plan
+// without racing; they only draw, and the folding goroutine alone calls
+// Value (TestParallelValueOnCollector pins that).
 func TestExecuteParallelFusedGroup(t *testing.T) {
 	svc, db := smallService(t, 150, 3, 6)
 	where := TagEq("flag", "yes")

@@ -252,7 +252,8 @@ func (t *Tree) selectMedian(idx []int, nth int, axis uint8) {
 			}
 			for {
 				j--
-				if t.coord(idx[j], axis) <= pivot {
+				// The pivot at lo stops the scan, unless it is NaN.
+				if j == lo || t.coord(idx[j], axis) <= pivot {
 					break
 				}
 			}

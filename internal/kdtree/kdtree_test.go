@@ -250,3 +250,23 @@ func BenchmarkKNN10k(b *testing.B) {
 		tr.KNN(q, 10, nil)
 	}
 }
+
+// TestBuildNaNPivot: a NaN coordinate that median-of-three selection
+// picks as its pivot (the middle of a window, on the split axis) must
+// not run the partition scan off the window's start. A checksum-valid
+// pack can carry such a location into a shard rebuild.
+func TestBuildNaNPivot(t *testing.T) {
+	for _, n := range []int{15, 100, 1001} {
+		for axis := 0; axis < 2; axis++ {
+			pts := randomPts(rand.New(rand.NewSource(int64(n))), n)
+			if axis == 0 {
+				pts[n/2].X = math.NaN()
+			} else {
+				pts[n/2].Y = math.NaN()
+			}
+			if tr := Build(pts); tr.Len() != n {
+				t.Fatalf("n=%d axis %d: len %d", n, axis, tr.Len())
+			}
+		}
+	}
+}

@@ -63,9 +63,15 @@ func TestLiveEpochConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	const readers = 4
 	var done atomic.Bool
 	var checked atomic.Int64
 	var wg sync.WaitGroup
+	// The writer starts once every reader has checked (or given up on)
+	// its first bracketed observation, so a writer scheduled ahead of
+	// the readers cannot finish before any of them looks.
+	var ready sync.WaitGroup
+	ready.Add(readers)
 
 	// One writer: ops applied one at a time, so every epoch 0..len(ops)
 	// is a real visible state.
@@ -73,6 +79,7 @@ func TestLiveEpochConsistency(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer done.Store(true)
+		ready.Wait()
 		for _, op := range ops {
 			if r := d.Apply(ctx, []live.Op{op})[0]; r.Err != nil {
 				t.Errorf("writer: %v", r.Err)
@@ -81,10 +88,18 @@ func TestLiveEpochConsistency(t *testing.T) {
 		}
 	}()
 
-	for r := 0; r < 4; r++ {
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			first := true
+			signal := func() {
+				if first {
+					first = false
+					ready.Done()
+				}
+			}
+			defer signal()
 			qi := r
 			for !done.Load() {
 				qi = (qi + 1) % len(qset)
@@ -104,6 +119,7 @@ func TestLiveEpochConsistency(t *testing.T) {
 					return
 				}
 				checked.Add(1)
+				signal()
 			}
 		}(r)
 	}

@@ -75,3 +75,17 @@ func BenchmarkFederatedBatch(b *testing.B) {
 		})
 	}
 }
+
+var partitionSink []*lbs.Database
+
+// BenchmarkPartition measures cutting the 50k-tuple schools database
+// into 4 shards, the split every sharded stack pays at start-up.
+func BenchmarkPartition(b *testing.B) {
+	db := workload.USASchools(50000, 1).DB
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		partitionSink = Partition(db, 4)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}

@@ -198,7 +198,7 @@ func WritePackMetric(path string, db *lbs.Database, metric geo.Metric, epoch uin
 // Pack is an open .lbspack: the header fields plus the file handle
 // the data pages are read from. It implements lbs.TupleSource, so
 // lbs.NewDatabaseFromStore builds the kd-tree from one front-to-back
-// scan that holds one page in memory at a time.
+// scan that holds at most scanChunk bytes of pages in memory at a time.
 type Pack struct {
 	f        *os.File
 	path     string
@@ -303,19 +303,10 @@ func OpenPack(path string, m *Metrics) (*Pack, error) {
 	return p, nil
 }
 
-// readPage reads and validates data page n (0-based among data pages)
-// into dst.
-func (p *Pack) readPage(n int, dst []byte) error {
-	off := int64(n+1) * int64(p.pageSize)
-	if _, err := p.f.ReadAt(dst, off); err != nil {
-		return corrupt(p.path, "page %d: %v", n, err)
-	}
-	wantCRC := binary.LittleEndian.Uint32(dst)
-	if got := crc32.ChecksumIEEE(dst[4:]); got != wantCRC {
-		return corrupt(p.path, "page %d checksum %08x, want %08x", n, got, wantCRC)
-	}
-	return nil
-}
+// scanChunk bounds the bytes one Scan read asks for: runs of
+// consecutive data pages are read together, up to 64 pages of the
+// default size.
+const scanChunk = 64 * DefaultPageSize
 
 // Bounds implements lbs.TupleSource.
 func (p *Pack) Bounds() geom.Rect { return p.bounds }
@@ -333,35 +324,48 @@ func (p *Pack) Metric() geo.Metric { return p.metric }
 func (p *Pack) KDPreordered() bool { return true }
 
 // Scan implements lbs.TupleSource: it decodes every record in file
-// order, reading each page into one reused buffer. Decoded tuples own
-// their strings, so nothing aliases the buffer. A decode error or
-// record-count drift is a *CorruptError.
+// order, reading runs of consecutive pages into one reused buffer of at
+// most scanChunk bytes (at least one page) and checking each page's
+// checksum before decoding it. Decoded tuples own their strings, so
+// nothing aliases the buffer. A short read, a decode error or
+// record-count drift is a *CorruptError naming the first page it
+// affects.
 func (p *Pack) Scan(fn func(t lbs.Tuple, effective geom.Point) error) error {
 	seen := uint64(0)
 	intern := make(map[string]string)
-	page := make([]byte, p.pageSize)
-	for n := 0; n < p.npages; n++ {
-		if err := p.readPage(n, page); err != nil {
-			return err
-		}
-		if p.m != nil {
-			p.m.PagesRead.Add(1)
-		}
-		nrecs := int(binary.LittleEndian.Uint16(page[4:]))
-		used := int(binary.LittleEndian.Uint16(page[6:]))
-		if pageHdrSize+used > len(page) {
-			return corrupt(p.path, "page %d: used %d overflows page", n, used)
-		}
-		r := &reader{b: page[pageHdrSize : pageHdrSize+used], intern: intern}
-		for i := 0; i < nrecs; i++ {
-			t, eff, err := r.tuple()
-			if err != nil {
-				return corrupt(p.path, "page %d record %d: %v", n, i, err)
+	per := max(1, min(p.npages, scanChunk/p.pageSize))
+	buf := make([]byte, per*p.pageSize)
+	for first := 0; first < p.npages; first += per {
+		run := min(per, p.npages-first)
+		read, rerr := p.f.ReadAt(buf[:run*p.pageSize], int64(first+1)*int64(p.pageSize))
+		for j := 0; j < run; j++ {
+			n := first + j
+			if (j+1)*p.pageSize > read {
+				return corrupt(p.path, "page %d: %v", n, rerr)
 			}
-			if err := fn(t, eff); err != nil {
-				return err
+			page := buf[j*p.pageSize : (j+1)*p.pageSize]
+			if want, got := binary.LittleEndian.Uint32(page), crc32.ChecksumIEEE(page[4:]); got != want {
+				return corrupt(p.path, "page %d checksum %08x, want %08x", n, got, want)
 			}
-			seen++
+			if p.m != nil {
+				p.m.PagesRead.Add(1)
+			}
+			nrecs := int(binary.LittleEndian.Uint16(page[4:]))
+			used := int(binary.LittleEndian.Uint16(page[6:]))
+			if pageHdrSize+used > len(page) {
+				return corrupt(p.path, "page %d: used %d overflows page", n, used)
+			}
+			r := &reader{b: page[pageHdrSize : pageHdrSize+used], intern: intern}
+			for i := 0; i < nrecs; i++ {
+				t, eff, err := r.tuple()
+				if err != nil {
+					return corrupt(p.path, "page %d record %d: %v", n, i, err)
+				}
+				if err := fn(t, eff); err != nil {
+					return err
+				}
+				seen++
+			}
 		}
 	}
 	if seen != p.count {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
@@ -315,4 +317,86 @@ func (dupSource) Scan(fn func(lbs.Tuple, geom.Point) error) error {
 		}
 	}
 	return nil
+}
+
+// TestPackScanNamesFailingPage: Scan reads runs of pages together, yet
+// a bad checksum or a short read inside a run is still reported for
+// the page it hits, after every record of the pages before it, and
+// PagesRead counts only the pages that passed.
+func TestPackScanNamesFailingPage(t *testing.T) {
+	sc := workload.USASchools(20000, 13)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.lbspack")
+	if err := WritePackMetric(path, sc.DB, geo.Euclidean, 0, DefaultPageSize, nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	npages := len(data)/DefaultPageSize - 1
+	per := scanChunk / DefaultPageSize
+	if npages < 2*per {
+		t.Fatalf("%d data pages, want at least two runs of %d", npages, per)
+	}
+	// recordsBefore counts the records of the data pages before n.
+	recordsBefore := func(n int) int {
+		c := 0
+		for i := 0; i < n; i++ {
+			c += int(binary.LittleEndian.Uint16(data[(i+1)*DefaultPageSize+4:]))
+		}
+		return c
+	}
+	scan := func(file string, cut int) (*CorruptError, int, uint64) {
+		t.Helper()
+		var m Metrics
+		p, err := OpenPack(file, &m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if cut > 0 {
+			// Shrink the file under the open pack: OpenPack checked the
+			// size, so only the scan's reads can see it.
+			if err := os.Truncate(file, int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls := 0
+		err = p.Scan(func(lbs.Tuple, geom.Point) error { calls++; return nil })
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err = %v, want *CorruptError", err)
+		}
+		return ce, calls, m.PagesRead.Load()
+	}
+	for _, bad := range []int{0, per - 1, per, per + per/2, npages - 1} {
+		mut := append([]byte(nil), data...)
+		mut[(bad+1)*DefaultPageSize+100] ^= 0x40
+		file := filepath.Join(dir, "flip.lbspack")
+		if err := os.WriteFile(file, mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ce, calls, read := scan(file, 0)
+		if want := fmt.Sprintf("page %d checksum", bad); !strings.HasPrefix(ce.Detail, want) {
+			t.Errorf("flip in page %d: %q, want prefix %q", bad, ce.Detail, want)
+		}
+		if calls != recordsBefore(bad) || read != uint64(bad) {
+			t.Errorf("flip in page %d: %d records, %d pages read; want %d, %d", bad, calls, read, recordsBefore(bad), bad)
+		}
+	}
+	for _, short := range []int{per / 2, per + 3} {
+		file := filepath.Join(dir, "short.lbspack")
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Cut page short mid-page: it and every page after it are gone.
+		ce, calls, read := scan(file, (short+1)*DefaultPageSize+DefaultPageSize/2)
+		if want := fmt.Sprintf("page %d: ", short); !strings.HasPrefix(ce.Detail, want) {
+			t.Errorf("short page %d: %q, want prefix %q", short, ce.Detail, want)
+		}
+		if calls != recordsBefore(short) || read != uint64(short) {
+			t.Errorf("short page %d: %d records, %d pages read; want %d, %d", short, calls, read, recordsBefore(short), short)
+		}
+	}
 }
