@@ -188,7 +188,7 @@ func main() {
 		shards = flag.Int("shards", 0, "run local experiments against a federated backend of this many in-process spatial shards (0/1 = single service; answers are bit-identical)")
 
 		remote      = flag.String("remote", "", "base URL of an lbsserve to submit one estimation job to (switches lbsbench into remote-client mode)")
-		method      = flag.String("method", "lr", "job method: auto | lr | lnr | nno (auto runs lr)")
+		method      = flag.String("method", "lr", "job method: auto | lr | lnr (auto runs lr)")
 		aggs        = flag.String("aggs", `[{"kind":"count"}]`, "job aggregates (JSON array of specs); without -remote, runs the batch through the local query planner")
 		samples     = flag.Int("samples", 0, "job max samples (0 = unlimited)")
 		targetCI    = flag.Float64("target-ci", 0, "stop once every aggregate's 95% CI half-width ≤ rel × |estimate| (0 = disabled)")

@@ -101,7 +101,7 @@ func main() {
 	// A second, unbounded job: cancel it mid-run and keep the partial
 	// estimates of the samples that completed.
 	long, err := client.Estimate(ctx, lbsagg.JobSpec{
-		Method:     lbsagg.JobMethodNNO,
+		Method:     lbsagg.JobMethodLR,
 		Seed:       1,
 		Aggregates: []lbsagg.AggSpec{lbsagg.CountSpec()},
 		Options:    lbsagg.JobRunOptions{MaxSamples: 10_000_000},

@@ -37,14 +37,13 @@ const (
 	MethodAuto = "auto" // LR: the paper's estimator for location-returned interfaces
 	MethodLR   = "lr"   // LR-LBS-AGG (§3)
 	MethodLNR  = "lnr"  // LNR-LBS-AGG (§4)
-	MethodNNO  = "nno"  // LR-LBS-NNO baseline (biased; only when forced)
 )
 
 // PlanOptions configure PlanBatch: the method, the batch's seed and
 // the run bounds.
 type PlanOptions struct {
-	// Method forces one algorithm ("lr"|"lnr"|"nno"); "" or "auto"
-	// runs LR.
+	// Method forces one algorithm ("lr"|"lnr"); "" or "auto" runs LR.
+	// PlanBatch alone knows the method set and refuses any other name.
 	Method string
 	// Seed seeds the plan's sample stream: a plan reproduces a
 	// single-stream Run with the same seed.
@@ -116,10 +115,10 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 	switch opts.Method {
 	case "", MethodAuto, MethodLR:
 		plan.Method = MethodLR
-	case MethodLNR, MethodNNO:
-		plan.Method = opts.Method
+	case MethodLNR:
+		plan.Method = MethodLNR
 	default:
-		return nil, fmt.Errorf("core: unknown method %q (want auto|lr|lnr|nno)", opts.Method)
+		return nil, fmt.Errorf("core: unknown method %q (want auto|lr|lnr)", opts.Method)
 	}
 	copy(plan.Specs, specs)
 	physOf := make(map[string]int)
@@ -160,8 +159,8 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("aggregate %d: %w", i, err)
 		}
-		// Only LNR pays per sample for locations (LR and NNO read them
-		// from the answer).
+		// Only LNR pays per sample for locations (LR reads them from
+		// the answer).
 		if plan.Method == MethodLNR && s.Where != nil && s.Where.needsLocation() {
 			plan.NeedsLocation = true
 		}
@@ -181,14 +180,11 @@ func PlanBatch(specs []AggSpec, opts PlanOptions) (*QueryPlan, error) {
 	return plan, nil
 }
 
-// newPlanEstimator builds the plan's sample source over svc.
+// newPlanEstimator builds the plan's sample source over svc: LNR or
+// LR, the only methods PlanBatch emits.
 func newPlanEstimator(method string, svc Oracle, seed int64) Estimator {
-	switch method {
-	case MethodLNR:
+	if method == MethodLNR {
 		return NewLNRAggregator(svc, LNROptions{Seed: seed})
-	case MethodNNO:
-		return NewNNOBaseline(svc, NNOOptions{Seed: seed})
-	default: // MethodLR — PlanBatch only emits known methods
-		return NewLRAggregator(svc, DefaultLROptions(seed))
 	}
+	return NewLRAggregator(svc, DefaultLROptions(seed))
 }

@@ -127,7 +127,8 @@ func TestPlanBatchLNRSharesLocationStream(t *testing.T) {
 }
 
 // TestPlanBatchRejects: malformed specs and unknown methods fail at
-// plan time.
+// plan time. NNO is not a plan method: the biased baseline runs only
+// through NewNNOBaseline.
 func TestPlanBatchRejects(t *testing.T) {
 	if _, err := PlanBatch(nil, PlanOptions{}); err == nil {
 		t.Error("empty batch accepted")
@@ -135,8 +136,10 @@ func TestPlanBatchRejects(t *testing.T) {
 	if _, err := PlanBatch([]AggSpec{{Kind: "median"}}, PlanOptions{}); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := PlanBatch([]AggSpec{CountSpec()}, PlanOptions{Method: "bogus"}); err == nil {
-		t.Error("unknown method accepted")
+	for _, method := range []string{"bogus", "nno"} {
+		if _, err := PlanBatch([]AggSpec{CountSpec()}, PlanOptions{Method: method}); err == nil {
+			t.Errorf("unknown method %q accepted", method)
+		}
 	}
 }
 

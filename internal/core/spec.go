@@ -47,8 +47,8 @@ func (r RectSpec) Rect() geom.Rect {
 	return geom.NewRect(geom.Pt(r.MinX, r.MinY), geom.Pt(r.MaxX, r.MaxY))
 }
 
-// RectSpecOf converts a geometry rectangle to its wire form.
-func RectSpecOf(r geom.Rect) RectSpec {
+// rectSpecOf converts a geometry rectangle to its wire form.
+func rectSpecOf(r geom.Rect) RectSpec {
 	return RectSpec{MinX: r.Min.X, MinY: r.Min.Y, MaxX: r.Max.X, MaxY: r.Max.Y}
 }
 
@@ -96,7 +96,7 @@ func TagEq(tag, value string) PredSpec {
 // LNR interfaces it triggers position inference (§4.3): an aggregate
 // whose selection contains it gets NeedsLocation.
 func InRect(rect geom.Rect) PredSpec {
-	rs := RectSpecOf(rect)
+	rs := rectSpecOf(rect)
 	return PredSpec{Op: OpInRect, Rect: &rs}
 }
 

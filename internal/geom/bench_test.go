@@ -23,7 +23,7 @@ func randomConvexBench(rng *rand.Rand, maxV int) Polygon {
 		for i := range pts {
 			pts[i] = Pt(rng.Float64(), rng.Float64())
 		}
-		if h := ConvexHull(pts); h != nil && h.Area() > 0.2 {
+		if h := convexHull(pts); h != nil && h.Area() > 0.2 {
 			return h
 		}
 	}

@@ -315,7 +315,7 @@ func TestConvexHull(t *testing.T) {
 		{0, 0}, {2, 0}, {2, 2}, {0, 2},
 		{1, 1}, {0.5, 0.5}, {1.5, 0.3}, // interior points
 	}
-	hull := ConvexHull(pts)
+	hull := convexHull(pts)
 	if !almostEq(hull.Area(), 4, 1e-9) {
 		t.Errorf("hull area: %v (%v)", hull.Area(), hull)
 	}
@@ -325,7 +325,7 @@ func TestConvexHull(t *testing.T) {
 	if hull.SignedArea() <= 0 {
 		t.Errorf("hull not CCW")
 	}
-	if ConvexHull(pts[:2]) != nil {
+	if convexHull(pts[:2]) != nil {
 		t.Errorf("degenerate hull should be nil")
 	}
 }
@@ -337,7 +337,7 @@ func TestConvexHullRandomContainsAll(t *testing.T) {
 		for i := range pts {
 			pts[i] = Pt(rng.NormFloat64(), rng.NormFloat64())
 		}
-		hull := ConvexHull(pts)
+		hull := convexHull(pts)
 		if hull == nil {
 			t.Fatal("nil hull for 50 random points")
 		}
@@ -414,7 +414,7 @@ func TestRandomInTriangleInside(t *testing.T) {
 	a, b, c := Pt(0, 0), Pt(3, 0), Pt(1, 2)
 	tri := Polygon{a, b, c}
 	for i := 0; i < 1000; i++ {
-		p := RandomInTriangle(rng, a, b, c)
+		p := randomInTriangle(rng, a, b, c)
 		if !tri.Contains(p) {
 			t.Fatalf("triangle sample outside: %v", p)
 		}

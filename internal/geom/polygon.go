@@ -213,77 +213,3 @@ func (poly Polygon) Clone() Polygon {
 	copy(out, poly)
 	return out
 }
-
-// ConvexHull returns the convex hull of pts as a CCW polygon (Andrew's
-// monotone chain). Collinear interior points are dropped. It returns nil
-// for fewer than 3 effective points.
-func ConvexHull(pts []Point) Polygon {
-	if len(pts) < 3 {
-		return nil
-	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	// Sort by (X, Y) with insertion-free approach: use sort.Slice-like
-	// manual sort to avoid importing sort for two keys? Keep it simple.
-	sortPoints(sorted)
-	var lower, upper []Point
-	for _, p := range sorted {
-		for len(lower) >= 2 && lower[len(lower)-1].Sub(lower[len(lower)-2]).Cross(p.Sub(lower[len(lower)-2])) <= Eps {
-			lower = lower[:len(lower)-1]
-		}
-		lower = append(lower, p)
-	}
-	for i := len(sorted) - 1; i >= 0; i-- {
-		p := sorted[i]
-		for len(upper) >= 2 && upper[len(upper)-1].Sub(upper[len(upper)-2]).Cross(p.Sub(upper[len(upper)-2])) <= Eps {
-			upper = upper[:len(upper)-1]
-		}
-		upper = append(upper, p)
-	}
-	hull := append(lower[:len(lower)-1], upper[:len(upper)-1]...)
-	if len(hull) < 3 {
-		return nil
-	}
-	return Polygon(hull)
-}
-
-// sortPoints sorts lexicographically by (X, Y) using a simple in-place
-// heapless quicksort specialized to avoid reflection overhead.
-func sortPoints(pts []Point) {
-	if len(pts) < 2 {
-		return
-	}
-	// Insertion sort for small slices, quicksort otherwise.
-	if len(pts) <= 16 {
-		for i := 1; i < len(pts); i++ {
-			for j := i; j > 0 && pointLess(pts[j], pts[j-1]); j-- {
-				pts[j], pts[j-1] = pts[j-1], pts[j]
-			}
-		}
-		return
-	}
-	pivot := pts[len(pts)/2]
-	left, right := 0, len(pts)-1
-	for left <= right {
-		for pointLess(pts[left], pivot) {
-			left++
-		}
-		for pointLess(pivot, pts[right]) {
-			right--
-		}
-		if left <= right {
-			pts[left], pts[right] = pts[right], pts[left]
-			left++
-			right--
-		}
-	}
-	sortPoints(pts[:right+1])
-	sortPoints(pts[left:])
-}
-
-func pointLess(a, b Point) bool {
-	if a.X != b.X {
-		return a.X < b.X
-	}
-	return a.Y < b.Y
-}

@@ -45,12 +45,12 @@ func RandomInPolygon(rng *rand.Rand, poly Polygon) Point {
 		}
 		target -= areas[idx]
 	}
-	return RandomInTriangle(rng, poly[0], poly[idx+1], poly[idx+2])
+	return randomInTriangle(rng, poly[0], poly[idx+1], poly[idx+2])
 }
 
-// RandomInTriangle returns a point uniform in triangle (a, b, c) using
+// randomInTriangle returns a point uniform in triangle (a, b, c) using
 // the standard square-root barycentric construction.
-func RandomInTriangle(rng *rand.Rand, a, b, c Point) Point {
+func randomInTriangle(rng *rand.Rand, a, b, c Point) Point {
 	r1 := rng.Float64()
 	r2 := rng.Float64()
 	if r1+r2 > 1 {

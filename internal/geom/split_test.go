@@ -30,7 +30,7 @@ func randomConvex(rng *rand.Rand, maxV int) Polygon {
 		for i := range pts {
 			pts[i] = Pt(rng.Float64(), rng.Float64())
 		}
-		if h := ConvexHull(pts); h != nil && h.Area() > 1e-4 {
+		if h := convexHull(pts); h != nil && h.Area() > 1e-4 {
 			return h
 		}
 	}

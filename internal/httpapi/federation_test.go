@@ -196,7 +196,7 @@ func TestJobsExhaustedSurfacesAs429(t *testing.T) {
 	ctx := context.Background()
 
 	spec := jobs.Spec{
-		Method:     jobs.MethodNNO,
+		Method:     jobs.MethodLR,
 		Seed:       1,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    jobs.RunOptions{MaxSamples: 1},
@@ -272,7 +272,7 @@ func TestEstimateRetryPolicy(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	spec := jobs.Spec{Method: jobs.MethodNNO, Seed: 1, Aggregates: []core.AggSpec{core.CountSpec()}}
+	spec := jobs.Spec{Method: jobs.MethodLR, Seed: 1, Aggregates: []core.AggSpec{core.CountSpec()}}
 	ctx := context.Background()
 
 	cCap, err := NewClient(ctx, srv.URL+"/capacity", Selection{}, srv.Client())

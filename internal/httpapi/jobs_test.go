@@ -34,15 +34,19 @@ func newJobsClient(t *testing.T, srv *httptest.Server) *Client {
 }
 
 // TestEstimateMatchesInProcessRun is the acceptance pin: a job
-// submitted over the wire returns, for the same seed and budget,
-// exactly the estimates of the equivalent in-process Run.
+// submitted over the wire returns, for the same seed, budget and
+// sample cap, exactly the estimates of the equivalent in-process Run.
+// LNR runs at a small sample cap: its samples cost far more queries.
 func TestEstimateMatchesInProcessRun(t *testing.T) {
 	specs := []core.AggSpec{
 		core.CountSpec(),
 		core.SumSpec("enrollment"),
 	}
-	for _, method := range []string{jobs.MethodNNO, jobs.MethodLR} {
-		t.Run(method, func(t *testing.T) {
+	for _, tc := range []struct {
+		method     string
+		maxSamples int
+	}{{jobs.MethodLNR, 4}, {jobs.MethodLR, 0}} {
+		t.Run(tc.method, func(t *testing.T) {
 			const budget = 800
 			ctx := context.Background()
 
@@ -58,13 +62,13 @@ func TestEstimateMatchesInProcessRun(t *testing.T) {
 			}
 			ref := jobsTestService(t, 250, budget)
 			var est core.Estimator
-			switch method {
-			case jobs.MethodNNO:
-				est = core.NewNNOBaseline(ref, core.NNOOptions{Seed: 42})
+			switch tc.method {
+			case jobs.MethodLNR:
+				est = core.NewLNRAggregator(ref, core.LNROptions{Seed: 42})
 			case jobs.MethodLR:
 				est = core.NewLRAggregator(ref, core.DefaultLROptions(42))
 			}
-			want, err := core.Run(ctx, est, aggs)
+			want, err := core.Run(ctx, est, aggs, core.WithMaxSamples(tc.maxSamples))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +77,10 @@ func TestEstimateMatchesInProcessRun(t *testing.T) {
 			srv := httptest.NewServer(NewServer(jobsTestService(t, 250, budget)))
 			defer srv.Close()
 			c := newJobsClient(t, srv)
-			v, err := c.Estimate(ctx, jobs.Spec{Method: method, Seed: 42, Aggregates: specs})
+			v, err := c.Estimate(ctx, jobs.Spec{
+				Method: tc.method, Seed: 42, Aggregates: specs,
+				Options: jobs.RunOptions{MaxSamples: tc.maxSamples},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +118,7 @@ func TestDeleteMidRunYieldsPartialResults(t *testing.T) {
 	ctx := context.Background()
 	c := newJobsClient(t, srv)
 	v, err := c.Estimate(ctx, jobs.Spec{
-		Method:     jobs.MethodNNO,
+		Method:     jobs.MethodLR,
 		Seed:       1,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    jobs.RunOptions{MaxSamples: 10_000_000},
@@ -162,7 +169,7 @@ func TestJobTraceStreams(t *testing.T) {
 	defer cancel()
 	c := newJobsClient(t, srv)
 	v, err := c.Estimate(ctx, jobs.Spec{
-		Method:     jobs.MethodNNO,
+		Method:     jobs.MethodLR,
 		Seed:       3,
 		Aggregates: []core.AggSpec{core.CountSpec(), core.SumSpec("enrollment")},
 		Options:    jobs.RunOptions{MaxSamples: 30},
@@ -196,7 +203,7 @@ func TestJobTraceStreams(t *testing.T) {
 // body still carrying the removed "options":{"batch":m} field is
 // accepted and runs exactly the job the same spec without it runs.
 func TestEstimateIgnoresLegacyBatchField(t *testing.T) {
-	const plain = `{"method":"nno","seed":42,"aggregates":[{"kind":"count"},{"kind":"sum","attr":"enrollment"}],"options":{"max_samples":12}}`
+	const plain = `{"method":"lr","seed":42,"aggregates":[{"kind":"count"},{"kind":"sum","attr":"enrollment"}],"options":{"max_samples":12}}`
 	legacy := strings.Replace(plain, `"options":{`, `"options":{"batch":8,`, 1)
 	run := func(body string) []jobs.ResultView {
 		srv := httptest.NewServer(NewServer(jobsTestService(t, 250, 800)))
@@ -237,6 +244,7 @@ func TestEstimateRejectsMalformedSpecs(t *testing.T) {
 	bodies := []string{
 		`{`, // not JSON
 		`{"method":"warp","aggregates":[{"kind":"count"}]}`,
+		`{"method":"nno","aggregates":[{"kind":"count"}]}`, // the NNO baseline is not a job method
 		`{"method":"lr","aggregates":[]}`,
 		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"between"}}]}`,
 		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"and"}}]}`,
@@ -282,7 +290,7 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	// One finished job.
 	v, err := c.Estimate(ctx, jobs.Spec{
-		Method:     jobs.MethodNNO,
+		Method:     jobs.MethodLR,
 		Seed:       9,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    jobs.RunOptions{MaxSamples: 3},

@@ -156,6 +156,7 @@ func FuzzEstimateSpec(f *testing.F) {
 		`{"method":"lnr","aggregates":[{"kind":"sum","attr":"v","where":{"op":"and","args":[{"op":"tag_eq","tag":"flag","equals":"y"},{"op":"not","args":[{"op":"in_rect","rect":{"min_x":0,"min_y":0,"max_x":50,"max_y":50}}]}]}}]}`,
 		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"attr_cmp","attr":"v","cmp":"ge","value":2}}]}`,
 		`{`, `{"method":"warp","aggregates":[{"kind":"count"}]}`, `{"method":"lr","aggregates":[]}`,
+		`{"method":"nno","aggregates":[{"kind":"count"}]}`,
 		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"between"}}]}`,
 		`{"method":"lr","aggregates":[{"kind":"count","where":{"op":"and"}}]}`,
 		`{"method":"lr","aggregates":[{"kind":"sum"}]}`,

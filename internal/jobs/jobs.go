@@ -36,12 +36,12 @@ import (
 var ErrTableFull = errors.New("jobs: job table full")
 
 // Method names of the estimation algorithms a job can run: the
-// planner's own names (core.Method*).
+// planner's own names (core.Method*). core.PlanBatch is the one place
+// that knows the set and refuses any other name.
 const (
 	MethodAuto = core.MethodAuto // LR, the estimator for this location-returned backend
 	MethodLR   = core.MethodLR   // LR-LBS-AGG (§3), all error-reduction devices on
 	MethodLNR  = core.MethodLNR  // LNR-LBS-AGG (§4)
-	MethodNNO  = core.MethodNNO  // LR-LBS-NNO baseline (Dalvi et al., KDD 2011)
 )
 
 // State is a job's lifecycle phase.
@@ -95,9 +95,9 @@ type RunOptions struct {
 // Spec is a declarative estimation request: everything needed to run
 // the paper's algorithms server-side, expressible as JSON.
 type Spec struct {
-	// Method selects the algorithm: auto | lr | lnr | nno. "auto" runs
-	// lr, the paper's estimator for this server's location-returned
-	// backend.
+	// Method selects the algorithm: auto | lr | lnr. "auto" runs lr,
+	// the paper's estimator for this server's location-returned
+	// backend. The biased NNO baseline is not a job method.
 	Method string `json:"method"`
 	// Seed drives the job's randomness; the same seed, spec and budget
 	// reproduce the same estimates.
@@ -119,14 +119,12 @@ type Spec struct {
 // the server.
 const maxParallelism = 64
 
-// Validate rejects malformed specs (before any compilation).
+// Validate rejects malformed specs (before any compilation). An
+// unknown method passes here and fails in core.PlanBatch, which every
+// job start calls.
 func (s *Spec) Validate() error {
-	switch s.Method {
-	case MethodAuto, MethodLR, MethodLNR, MethodNNO:
-	case "":
-		return fmt.Errorf("jobs: missing method (want auto|lr|lnr|nno)")
-	default:
-		return fmt.Errorf("jobs: unknown method %q (want auto|lr|lnr|nno)", s.Method)
+	if s.Method == "" {
+		return fmt.Errorf("jobs: missing method")
 	}
 	if len(s.Aggregates) == 0 {
 		return fmt.Errorf("jobs: no aggregates given")

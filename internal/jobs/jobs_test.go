@@ -33,7 +33,7 @@ func waitSettled(t *testing.T, j *Job) View {
 func TestJobRunsToDone(t *testing.T) {
 	m := NewManager(testBackend(t, 400), ManagerOptions{})
 	j, err := m.Create(Spec{
-		Method: MethodNNO,
+		Method: MethodLR,
 		Seed:   7,
 		Aggregates: []core.AggSpec{
 			core.CountSpec(),
@@ -71,7 +71,7 @@ func TestJobSeedReproducible(t *testing.T) {
 	run := func() View {
 		m := NewManager(testBackend(t, 300), ManagerOptions{})
 		j, err := m.Create(Spec{
-			Method:     MethodNNO,
+			Method:     MethodLR,
 			Seed:       42,
 			Aggregates: []core.AggSpec{core.CountSpec()},
 		})
@@ -96,7 +96,7 @@ func TestJobCancelYieldsPartialResults(t *testing.T) {
 	// long time (maxSamples is huge).
 	m := NewManager(testBackend(t, 0), ManagerOptions{})
 	j, err := m.Create(Spec{
-		Method:     MethodNNO,
+		Method:     MethodLR,
 		Seed:       1,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    RunOptions{MaxSamples: 10_000_000},
@@ -131,7 +131,7 @@ func TestJobScopedBudget(t *testing.T) {
 	m := NewManager(svc, ManagerOptions{})
 	for i := 0; i < 2; i++ {
 		j, err := m.Create(Spec{
-			Method:     MethodNNO,
+			Method:     MethodLR,
 			Seed:       int64(i),
 			Aggregates: []core.AggSpec{core.CountSpec()},
 			Options:    RunOptions{MaxQueries: 150},
@@ -153,7 +153,7 @@ func TestJobScopedBudget(t *testing.T) {
 func TestFollowTraceReplaysAndFollows(t *testing.T) {
 	m := NewManager(testBackend(t, 0), ManagerOptions{})
 	j, err := m.Create(Spec{
-		Method:     MethodNNO,
+		Method:     MethodLR,
 		Seed:       5,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    RunOptions{MaxSamples: 25},
@@ -241,6 +241,7 @@ func TestManagerValidation(t *testing.T) {
 	m := NewManager(testBackend(t, 100), ManagerOptions{})
 	cases := []Spec{
 		{Method: "magic", Aggregates: []core.AggSpec{core.CountSpec()}},
+		{Method: "nno", Aggregates: []core.AggSpec{core.CountSpec()}}, // the NNO baseline is not a job method
 		{Method: MethodLR},
 		{Method: MethodLR, Aggregates: []core.AggSpec{{Kind: "median"}}},
 		{Method: MethodLR, Aggregates: []core.AggSpec{core.CountSpec()}, Options: RunOptions{Parallelism: 1000}},
@@ -257,7 +258,7 @@ func TestManagerValidation(t *testing.T) {
 func TestManagerTableFull(t *testing.T) {
 	m := NewManager(testBackend(t, 0), ManagerOptions{MaxJobs: 1})
 	running, err := m.Create(Spec{
-		Method:     MethodNNO,
+		Method:     MethodLR,
 		Seed:       1,
 		Aggregates: []core.AggSpec{core.CountSpec()},
 		Options:    RunOptions{MaxSamples: 10_000_000},
@@ -266,7 +267,7 @@ func TestManagerTableFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := m.Create(Spec{
-		Method: MethodNNO, Seed: 2, Aggregates: []core.AggSpec{core.CountSpec()},
+		Method: MethodLR, Seed: 2, Aggregates: []core.AggSpec{core.CountSpec()},
 	}); !errors.Is(err, ErrTableFull) {
 		t.Fatalf("second create over a full table of running jobs: %v, want ErrTableFull", err)
 	}
@@ -274,7 +275,7 @@ func TestManagerTableFull(t *testing.T) {
 	m.Cancel(running.ID)
 	waitSettled(t, running)
 	if _, err := m.Create(Spec{
-		Method: MethodNNO, Seed: 3, Aggregates: []core.AggSpec{core.CountSpec()},
+		Method: MethodLR, Seed: 3, Aggregates: []core.AggSpec{core.CountSpec()},
 		Options: RunOptions{MaxSamples: 1},
 	}); err != nil {
 		t.Fatalf("create after eviction became possible: %v", err)

@@ -107,11 +107,13 @@ func (m *Manager) Recover() (RecoveryStats, error) {
 			m.reloadFinished(sj)
 			rs.Recovered++
 		default:
-			if err := resumable(sj); err == nil {
-				if _, err = m.start(sj.Spec, sj.ID, true); err == nil {
-					rs.Resumed++
-					continue
-				}
+			err := resumable(sj)
+			if err == nil {
+				_, err = m.start(sj.Spec, sj.ID, true)
+			}
+			if err == nil {
+				rs.Resumed++
+				continue
 			}
 			m.settleUnresumable(sj, fmt.Errorf("%w: %v", ErrUnresumable, err))
 			rs.Unresumable++

@@ -36,7 +36,7 @@ func legacySnapshot(tb testing.TB, svc *Service, pts []geom.Point, quantum float
 		qx, qy := math.Float64bits(p.X), math.Float64bits(p.Y)
 		for _, e := range []legacySnapshotEntry{
 			{Kind: 0, QX: qx, QY: qy, LR: lr},
-			{Kind: 1, QX: qx, QY: qy, LNR: StripLocations(lr)},
+			{Kind: 1, QX: qx, QY: qy, LNR: stripLocations(lr)},
 		} {
 			if err := enc.Encode(e); err != nil {
 				tb.Fatal(err)

@@ -266,8 +266,8 @@ func (db *Database) KDPreorder() []int { return db.tree.PreorderIndices() }
 // the constructor federation partitioners use to split an obfuscated
 // database: re-deriving effective locations from an Obfuscation seed
 // is order-dependent, so a shard must carry over the exact effective
-// locations of its parent database instead. The effective slice is
-// copied; the caller keeps ownership of its argument.
+// locations of its parent database instead. The database takes
+// ownership of both slices: the caller must not touch them again.
 func NewDatabaseWithLocations(bounds geom.Rect, tuples []Tuple, effective []geom.Point) *Database {
 	if len(effective) != len(tuples) {
 		panic(fmt.Sprintf("lbs: %d effective locations for %d tuples", len(effective), len(tuples)))
@@ -275,7 +275,7 @@ func NewDatabaseWithLocations(bounds geom.Rect, tuples []Tuple, effective []geom
 	db := &Database{
 		bounds:    bounds,
 		tuples:    tuples,
-		effective: append([]geom.Point(nil), effective...),
+		effective: effective,
 		byID:      make(map[int64]int, len(tuples)),
 	}
 	for i := range tuples {

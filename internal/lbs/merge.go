@@ -117,11 +117,11 @@ func (a mergeRef) compare(b mergeRef) int {
 	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.id, b.id))
 }
 
-// StripLocations converts an LR answer to its rank-only (LNR) view:
+// stripLocations converts an LR answer to its rank-only (LNR) view:
 // an LNR interface runs the same ranking as an LR one and withholds
 // the locations, so every service-side layer above the leaf Service
 // derives its LNR answer this way (through LNROf and LNRBatchOf).
-func StripLocations(recs []LRRecord) []LNRRecord {
+func stripLocations(recs []LRRecord) []LNRRecord {
 	out := make([]LNRRecord, len(recs))
 	for i, rec := range recs {
 		out[i] = LNRRecord{
@@ -143,7 +143,7 @@ func LNROf(recs []LRRecord, err error) ([]LNRRecord, error) {
 	if err != nil && !IsPartial(err) {
 		return nil, err
 	}
-	return StripLocations(recs), err
+	return stripLocations(recs), err
 }
 
 // LNRBatchOf is LNROf for a batch: every answered position is
@@ -154,7 +154,7 @@ func LNRBatchOf(answers [][]LRRecord, err error) ([][]LNRRecord, error) {
 	out := make([][]LNRRecord, len(answers))
 	for i, recs := range answers {
 		if recs != nil {
-			out[i] = StripLocations(recs)
+			out[i] = stripLocations(recs)
 		}
 	}
 	return out, err

@@ -2,8 +2,10 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,7 +33,7 @@ func settle(t *testing.T, j *jobs.Job) jobs.View {
 }
 
 var resumeSpec = jobs.Spec{
-	Method:     jobs.MethodNNO,
+	Method:     jobs.MethodLR,
 	Seed:       42,
 	Aggregates: []core.AggSpec{core.CountSpec(), core.SumSpec("enrollment")},
 }
@@ -276,6 +278,59 @@ func TestCorruptJobEntrySettlesAsFailed(t *testing.T) {
 	}
 	if rs2.Recovered != 1 || rs2.Unresumable != 0 {
 		t.Fatalf("second recovery stats %+v, want the settled failure reloaded", rs2)
+	}
+}
+
+// TestStoredNNOJobRecovery: NNO left the job methods, but a store
+// written while it was one may still hold NNO jobs. A running one
+// cannot be re-planned, so it settles as failed and unresumable; a
+// finished one reloads its stored view verbatim.
+func TestStoredNNOJobRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		running  = `{"id":"job-4","spec":{"method":"nno","seed":3,"aggregates":[{"kind":"count"}],"options":{}},"view":{"id":"job-4","state":"running","method":"nno","seed":3,"samples":9,"queries":120,"trace_len":9,"created_at":"2025-01-02T03:04:05Z"}}`
+		finished = `{"id":"job-5","spec":{"method":"nno","seed":4,"aggregates":[{"kind":"count"}],"options":{}},"view":{"id":"job-5","state":"done","method":"nno","seed":4,"samples":30,"queries":410,"trace_len":30,"results":[{"name":"COUNT(*)","estimate":196.5,"std_err":12.25,"ci95":24.01,"samples":30,"queries":410}],"created_at":"2025-01-02T03:04:05Z","finished_at":"2025-01-02T03:05:00Z"}}`
+	)
+	for id, body := range map[string]string{"job-4": running, "job-5": finished} {
+		if err := os.WriteFile(filepath.Join(dir, jobsDir, id+".json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := jobs.NewManager(jobBackend(), jobs.ManagerOptions{Store: st.Jobs()})
+	rs, err := m.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Unresumable != 1 || rs.Recovered != 1 || rs.Resumed != 0 {
+		t.Fatalf("recovery stats %+v, want one unresumable and one reloaded", rs)
+	}
+
+	j, ok := m.Get("job-4")
+	if !ok {
+		t.Fatal("running NNO job vanished — recovery must keep it in the table")
+	}
+	v := settle(t, j)
+	if v.State != jobs.StateFailed || !strings.HasPrefix(v.Error, jobs.ErrUnresumable.Error()) {
+		t.Fatalf("running NNO job recovered as %s (err %q), want failed with ErrUnresumable", v.State, v.Error)
+	}
+	if !strings.Contains(v.Error, `"nno"`) {
+		t.Errorf("unresumable reason %q does not name the refused method", v.Error)
+	}
+
+	var stored jobs.StoredJob
+	if err := json.Unmarshal([]byte(finished), &stored); err != nil {
+		t.Fatal(err)
+	}
+	j, ok = m.Get("job-5")
+	if !ok {
+		t.Fatal("finished NNO job missing after restart")
+	}
+	if got := j.Snapshot(); !reflect.DeepEqual(got, stored.View) {
+		t.Fatalf("finished NNO job reloaded as %+v, want its stored view %+v", got, stored.View)
 	}
 }
 

@@ -14,7 +14,7 @@ func BenchmarkCompute10k(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d := ComputeParallel(db, 1, workers)
+				d := computeParallel(db, 1, workers)
 				if len(d.Cells) != db.Len() {
 					b.Fatal("incomplete diagram")
 				}

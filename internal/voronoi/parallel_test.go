@@ -23,8 +23,8 @@ func randomDB(n int, seed int64) *lbs.Database {
 func TestComputeParallelMatchesSerial(t *testing.T) {
 	db := randomDB(400, 21)
 	for _, k := range []int{1, 3} {
-		serial := ComputeParallel(db, k, 1)
-		parallel := ComputeParallel(db, k, 8)
+		serial := computeParallel(db, k, 1)
+		parallel := computeParallel(db, k, 8)
 		if len(serial.Cells) != len(parallel.Cells) {
 			t.Fatalf("k=%d: cell count %d vs %d", k, len(serial.Cells), len(parallel.Cells))
 		}

@@ -35,23 +35,22 @@ type Diagram struct {
 // per-cell work uses a kd-tree to gather nearby sites in growing rings
 // until the distance-pruning rule guarantees completeness, so the cost
 // is near-linear for realistic (clustered) inputs. Cells are
-// independent, so the work is spread over one worker per CPU; use
-// ComputeParallel to pick the worker count explicitly.
+// independent, so the work is spread over one worker per CPU.
 func Compute(db *lbs.Database, k int) *Diagram {
-	return ComputeParallel(db, k, runtime.GOMAXPROCS(0))
+	return computeParallel(db, k, runtime.GOMAXPROCS(0))
 }
 
-// computeChunk is the work-stealing granule of ComputeParallel: large
+// computeChunk is the work-stealing granule of computeParallel: large
 // enough to amortize the atomic claim, small enough to balance the
 // highly skewed per-cell cost (boundary cells cost far more than
 // interior ones).
 const computeChunk = 32
 
-// ComputeParallel is Compute over an explicit worker pool. Workers
+// computeParallel is Compute over an explicit worker pool. Workers
 // claim fixed-size index chunks from an atomic cursor; each cell is
 // computed independently against the shared (read-only) kd-tree, so
 // the result is identical for every worker count, including 1.
-func ComputeParallel(db *lbs.Database, k, workers int) *Diagram {
+func computeParallel(db *lbs.Database, k, workers int) *Diagram {
 	pts := make([]geom.Point, db.Len())
 	for i := range pts {
 		pts[i] = db.Tuple(i).Loc
@@ -211,11 +210,11 @@ type Stats struct {
 // areas — the quantitative content of Figure 11.
 func (d *Diagram) CellStats() Stats {
 	areas := d.Areas()
-	return AreaStats(areas, d.Bounds.Area())
+	return areaStats(areas, d.Bounds.Area())
 }
 
-// AreaStats summarizes a set of areas against a reference total.
-func AreaStats(areas []float64, boundArea float64) Stats {
+// areaStats summarizes a set of areas against a reference total.
+func areaStats(areas []float64, boundArea float64) Stats {
 	if len(areas) == 0 {
 		return Stats{}
 	}

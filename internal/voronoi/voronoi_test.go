@@ -99,7 +99,7 @@ func TestCellStatsSkew(t *testing.T) {
 }
 
 func TestAreaStatsEmpty(t *testing.T) {
-	if st := AreaStats(nil, 1); st.N != 0 {
+	if st := areaStats(nil, 1); st.N != 0 {
 		t.Errorf("empty stats: %+v", st)
 	}
 }

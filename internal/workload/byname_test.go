@@ -22,7 +22,7 @@ func TestByNameMatchesConstructors(t *testing.T) {
 		{"starbucks", "", StarbucksUS(n, n*4, seed)},
 		{"wechat", "", WeChatChina(n, seed)},
 		{"weibo", "", WeiboChina(n, seed)},
-		{"cities", "zipf", Cities("cities", USBounds(), geo.Euclidean, DensityZipf, n, 40, seed)},
+		{"cities", "zipf", Cities("cities", usBounds, geo.Euclidean, DensityZipf, n, 40, seed)},
 		{"geo-us", "", GeoUS(n, seed, DensityGauss)},
 		{"geo-china", "gauss", GeoChina(n, seed, DensityGauss)},
 	}

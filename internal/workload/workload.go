@@ -191,9 +191,6 @@ var usBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(4000, 2500))
 // chinaBounds is the synthetic "China" plane: 3500×3000 km.
 var chinaBounds = geom.NewRect(geom.Pt(0, 0), geom.Pt(3500, 3000))
 
-// USBounds returns the synthetic continental-US bounding box (km).
-func USBounds() geom.Rect { return usBounds }
-
 // MetroBox returns a metro-sized (side × side) box centered on the
 // densest area of the database — the synthetic analogue of picking a
 // real metro such as Austin, TX for sub-region aggregates. The box is

@@ -10,7 +10,7 @@ import (
 )
 
 func TestClusterMixDeterministic(t *testing.T) {
-	cfg := ClusterMixConfig{Bounds: USBounds(), N: 500, Clusters: 10, Seed: 42}
+	cfg := ClusterMixConfig{Bounds: usBounds, N: 500, Clusters: 10, Seed: 42}
 	a := ClusterMix(cfg)
 	b := ClusterMix(cfg)
 	if len(a) != 500 || len(b) != 500 {
@@ -24,9 +24,9 @@ func TestClusterMixDeterministic(t *testing.T) {
 }
 
 func TestClusterMixInBounds(t *testing.T) {
-	pts := ClusterMix(ClusterMixConfig{Bounds: USBounds(), N: 2000, Clusters: 30, Seed: 1})
+	pts := ClusterMix(ClusterMixConfig{Bounds: usBounds, N: 2000, Clusters: 30, Seed: 1})
 	for _, p := range pts {
-		if !USBounds().Contains(p) {
+		if !usBounds.Contains(p) {
 			t.Fatalf("point outside bounds: %v", p)
 		}
 	}
@@ -39,17 +39,17 @@ func TestClusterMixIsClustered(t *testing.T) {
 		const g = 20
 		occupied := map[int]bool{}
 		for _, p := range pts {
-			cx := int(p.X / USBounds().Width() * g)
-			cy := int(p.Y / USBounds().Height() * g)
+			cx := int(p.X / usBounds.Width() * g)
+			cy := int(p.Y / usBounds.Height() * g)
 			occupied[cy*g+cx] = true
 		}
 		return len(occupied)
 	}
 	clustered := ClusterMix(ClusterMixConfig{
-		Bounds: USBounds(), N: 2000, Clusters: 10, UniformFrac: 0.05, Seed: 3,
+		Bounds: usBounds, N: 2000, Clusters: 10, UniformFrac: 0.05, Seed: 3,
 	})
 	uniform := ClusterMix(ClusterMixConfig{
-		Bounds: USBounds(), N: 2000, Clusters: 1, UniformFrac: 1.0, Seed: 3,
+		Bounds: usBounds, N: 2000, Clusters: 1, UniformFrac: 1.0, Seed: 3,
 	})
 	cc, cu := countCells(clustered), countCells(uniform)
 	if cc >= cu {
@@ -58,7 +58,7 @@ func TestClusterMixIsClustered(t *testing.T) {
 }
 
 func TestClusterMixDefaultsApplied(t *testing.T) {
-	pts := ClusterMix(ClusterMixConfig{Bounds: USBounds(), N: 100, Seed: 5})
+	pts := ClusterMix(ClusterMixConfig{Bounds: usBounds, N: 100, Seed: 5})
 	if len(pts) != 100 {
 		t.Fatalf("defaults broke generation: %d", len(pts))
 	}
@@ -88,7 +88,7 @@ func TestUSASchools(t *testing.T) {
 	if s.Grid == nil {
 		t.Errorf("missing density grid")
 	}
-	if s.Uniform().Bounds() != USBounds() {
+	if s.Uniform().Bounds() != usBounds {
 		t.Errorf("uniform sampler bounds")
 	}
 }

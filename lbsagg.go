@@ -21,7 +21,8 @@
 //     bounded by Theorem 2 and tunable via EdgeEps; can also infer a
 //     tuple's position to arbitrary precision (Localize).
 //   - NewNNOBaseline — the prior-art LR-LBS-NNO estimator (Dalvi et
-//     al., KDD 2011), provided as the evaluation baseline.
+//     al., KDD 2011), provided as the evaluation baseline. It is
+//     biased, so it runs in process only: it is not a job method.
 //
 // # Estimation sessions (API v3)
 //
@@ -102,7 +103,7 @@
 //
 // An HTTP server (NewHTTPServer) is a full estimation service, not
 // just a raw oracle: POST /v1/estimate submits a declarative job —
-// method (lr | lnr | nno), per-job RNG seed, aggregate specs, run
+// method (auto | lr | lnr), per-job RNG seed, aggregate specs, run
 // options — that runs server-side with its own budget scope while all
 // jobs share the service's budget and cache. GET /v1/jobs/{id}
 // reports status and partial results, GET /v1/jobs/{id}/trace streams
@@ -568,7 +569,6 @@ const (
 	JobMethodAuto = jobs.MethodAuto
 	JobMethodLR   = jobs.MethodLR
 	JobMethodLNR  = jobs.MethodLNR
-	JobMethodNNO  = jobs.MethodNNO
 
 	JobRunning  = jobs.StateRunning
 	JobDone     = jobs.StateDone
