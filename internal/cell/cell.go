@@ -439,28 +439,6 @@ func (c *Complex) rebuildWedge(w geom.Polygon) {
 	}
 }
 
-// rebuild reconstructs the subdivision from the bound and the current
-// cut set (kept as the reference implementation; the incremental paths
-// are validated against it in tests).
-func (c *Complex) rebuild() {
-	cuts := c.cuts
-	c.cuts = make(map[int64]geom.Line, len(cuts))
-	f := newFace(c.bound.Clone(), 0)
-	c.faces = []Face{f}
-	c.cachedArea = f.area
-	c.facesBuf = nil
-	c.polyPool = nil
-	// Insert in sorted-key order for determinism.
-	keys := make([]int64, 0, len(cuts))
-	for k := range cuts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		c.AddCut(Cut{Line: cuts[k], Key: k})
-	}
-}
-
 // Area returns the exact area of the region (faces with count ≤ k−1),
 // maintained incrementally across cut operations.
 func (c *Complex) Area() float64 {

@@ -46,10 +46,10 @@ func (l *probeLog) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Filter
 // path, so an LNR aggregator over it batches its probes.
 type batchLog struct {
 	*probeLog
-	bo BatchOracle
+	bo lbs.Querier
 }
 
-func newBatchLog(bo BatchOracle) batchLog { return batchLog{newProbeLog(bo), bo} }
+func newBatchLog(bo lbs.Querier) batchLog { return batchLog{newProbeLog(bo), bo} }
 
 func (b batchLog) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LRRecord, error) {
 	return b.bo.QueryLRBatch(ctx, pts, filter)
@@ -222,7 +222,7 @@ func TestLNRBatchedBudgetEdge(t *testing.T) {
 // and, like a remote client, fails every call once its context is
 // done.
 type cancelOracle struct {
-	BatchOracle
+	lbs.Querier
 	after  int64
 	cancel context.CancelFunc
 	served int64
@@ -242,14 +242,14 @@ func (o *cancelOracle) QueryLNR(ctx context.Context, q geom.Point, filter lbs.Fi
 	if err := o.tick(ctx, 1); err != nil {
 		return nil, err
 	}
-	return o.BatchOracle.QueryLNR(ctx, q, filter)
+	return o.Querier.QueryLNR(ctx, q, filter)
 }
 
 func (o *cancelOracle) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
 	if err := o.tick(ctx, len(pts)); err != nil {
 		return nil, err
 	}
-	return o.BatchOracle.QueryLNRBatch(ctx, pts, filter)
+	return o.Querier.QueryLNRBatch(ctx, pts, filter)
 }
 
 // TestLNRBatchedCancelJoinsLanes: a run canceled while lanes are parked
@@ -258,7 +258,7 @@ func TestLNRBatchedCancelJoinsLanes(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, after := range []int64{5, 30, 90} {
 		ctx, cancel := context.WithCancel(context.Background())
-		o := &cancelOracle{BatchOracle: lbs.NewService(smallService2(1500, 41), lbs.Options{K: 5}), after: after, cancel: cancel}
+		o := &cancelOracle{Querier: lbs.NewService(smallService2(1500, 41), lbs.Options{K: 5}), after: after, cancel: cancel}
 		agg := NewLNRAggregator(o, LNROptions{Seed: 4})
 		if _, err := agg.Step(ctx, false); !errors.Is(err, context.Canceled) {
 			t.Errorf("after=%d: Step returned %v, want context.Canceled", after, err)
@@ -334,16 +334,16 @@ func TestLNRProberLockstepOrder(t *testing.T) {
 	}
 }
 
-// batchCalls is a BatchOracle that records the points of every batch
+// batchCalls is an lbs.Querier that records the points of every batch
 // call.
 type batchCalls struct {
-	BatchOracle
+	lbs.Querier
 	calls [][]geom.Point
 }
 
 func (b *batchCalls) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LNRRecord, error) {
 	b.calls = append(b.calls, slices.Clone(pts))
-	return b.BatchOracle.QueryLNRBatch(ctx, pts, filter)
+	return b.Querier.QueryLNRBatch(ctx, pts, filter)
 }
 
 // TestLNRVertexRoundFlipRingsShareBatch: the flips a vertex round's
@@ -352,7 +352,7 @@ func (b *batchCalls) QueryLNRBatch(ctx context.Context, pts []geom.Point, filter
 // (12 points at half the anchor distance), and those rings go out
 // together in one batch call, not one call per ring.
 func TestLNRVertexRoundFlipRingsShareBatch(t *testing.T) {
-	o := &batchCalls{BatchOracle: lbs.NewService(workload.WeiboChina(3000, 11).DB, lbs.Options{K: 10})}
+	o := &batchCalls{Querier: lbs.NewService(workload.WeiboChina(3000, 11).DB, lbs.Options{K: 10})}
 	a := NewLNRAggregator(o, LNROptions{Seed: 1})
 	ctx := context.Background()
 	rounds := 0

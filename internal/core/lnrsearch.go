@@ -23,7 +23,7 @@ import (
 // run's; only the number of oracle calls drops.
 type lnrProber struct {
 	svc    Oracle
-	batch  BatchOracle // nil when the oracle has no batch path
+	batch  lbs.Querier // nil when the oracle has no batch path
 	filter lbs.Filter
 	cache  map[geom.Point][]lbs.LNRRecord
 	// trips counts oracle calls: single probes plus batch calls.
@@ -33,7 +33,7 @@ type lnrProber struct {
 }
 
 func newLNRProber(svc Oracle, filter lbs.Filter) *lnrProber {
-	bo, _ := svc.(BatchOracle)
+	bo, _ := svc.(lbs.Querier)
 	return &lnrProber{
 		svc:    svc,
 		batch:  bo,

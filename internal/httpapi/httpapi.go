@@ -679,7 +679,7 @@ func clientBatch[T any](c *Client, ctx context.Context, endpoint string, pts []g
 }
 
 // QueryLRBatch answers m location-returned queries in a single HTTP
-// round-trip (the core.BatchOracle contract: index-aligned answers,
+// round-trip (the lbs.Querier batch contract: index-aligned answers,
 // nil for positions the server budget could not cover, alongside
 // lbs.ErrBudgetExhausted).
 func (c *Client) QueryLRBatch(ctx context.Context, pts []geom.Point, filter lbs.Filter) ([][]lbs.LRRecord, error) {

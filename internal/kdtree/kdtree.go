@@ -5,7 +5,11 @@
 // constraint of §5.3).
 //
 // The tree is built once over a static point set (LBS databases in the
-// paper are static) and is safe for concurrent readers.
+// paper are static) and is safe for concurrent readers. Both builds
+// run on the caller's goroutine: BuildOwned (and Build) from unordered
+// points by quickselect, BuildPreordered from a stored preorder in
+// O(n). Callers that build many trees at once, such as a sharded
+// stack's partitioner, run their parallelism across trees.
 //
 // # Allocation contract
 //
@@ -19,8 +23,6 @@ package kdtree
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -54,7 +56,9 @@ func Build(pts []geom.Point) *Tree {
 // BuildOwned constructs a tree that takes ownership of pts without
 // copying: the caller must not mutate the slice (or its backing array)
 // for the lifetime of the tree. Intended for construction-time callers
-// that build the point set privately, e.g. lbs.Database.
+// that build the point set privately, e.g. lbs.Database. The build is
+// the quickselect recursion of build, in expected O(n log n) time on
+// the caller's goroutine.
 func BuildOwned(pts []geom.Point) *Tree {
 	t := &Tree{pts: pts}
 	if len(pts) == 0 {
@@ -65,11 +69,7 @@ func BuildOwned(pts []geom.Point) *Tree {
 		idx[i] = i
 	}
 	t.nodes = make([]node, 0, len(pts))
-	if len(pts) >= parallelBuildMin && runtime.GOMAXPROCS(0) > 1 {
-		t.buildParallel(idx)
-	} else {
-		t.build(idx, 0)
-	}
+	t.build(idx, 0)
 	t.computeExtents()
 	return t
 }
@@ -93,103 +93,6 @@ func (t *Tree) computeExtents() {
 			t.maxAbsY = a
 		}
 	}
-}
-
-// parallelBuildMin is the point count below which a parallel build is
-// not worth the goroutine overhead.
-const parallelBuildMin = 4096
-
-// subtask is one subtree handed to a build worker: the index window it
-// owns, the depth its root sits at, and the fragment it produced.
-type subtask struct {
-	idx   []int
-	depth int
-	frag  []node
-}
-
-// buildParallel splits the build: the top spineLevels of the tree are
-// partitioned sequentially (cheap — a few quickselects over the full
-// window), and the 2^spineLevels remaining subtrees build concurrently
-// into private node fragments over disjoint index windows. Fragments
-// splice back in with an offset shift, so the resulting tree is
-// structurally identical to a sequential build up to node layout —
-// median selection is deterministic, and queries never observe layout.
-func (t *Tree) buildParallel(idx []int) {
-	levels := 2
-	if runtime.GOMAXPROCS(0) >= 8 {
-		levels = 3
-	}
-	var tasks []subtask
-	t.spine(idx, 0, levels, &tasks)
-	spineLen := len(t.nodes)
-	var wg sync.WaitGroup
-	for i := range tasks {
-		wg.Add(1)
-		go func(st *subtask) {
-			defer wg.Done()
-			f := Tree{pts: t.pts, nodes: make([]node, 0, len(st.idx))}
-			f.build(st.idx, st.depth)
-			st.frag = f.nodes
-		}(&tasks[i])
-	}
-	wg.Wait()
-	offs := make([]int32, len(tasks))
-	for i := range tasks {
-		offs[i] = t.splice(tasks[i].frag)
-	}
-	// Patch the spine's task references (encoded ≤ −2) to the spliced
-	// fragment roots.
-	for i := 0; i < spineLen; i++ {
-		if v := t.nodes[i].left; v <= -2 {
-			t.nodes[i].left = offs[-2-v]
-		}
-		if v := t.nodes[i].right; v <= -2 {
-			t.nodes[i].right = offs[-2-v]
-		}
-	}
-}
-
-// spine builds the top levels of the tree sequentially; where levels
-// run out it records a subtask and returns an encoded reference
-// (−2−taskIndex) for buildParallel to patch after the joins.
-func (t *Tree) spine(idx []int, depth, levels int, tasks *[]subtask) int32 {
-	if len(idx) == 0 {
-		return -1
-	}
-	if levels == 0 {
-		*tasks = append(*tasks, subtask{idx: idx, depth: depth})
-		return -2 - int32(len(*tasks)-1)
-	}
-	axis := uint8(depth % 2)
-	mid := len(idx) / 2
-	t.selectMedian(idx, mid, axis)
-	off := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{idx: idx[mid], axis: axis})
-	l := t.spine(idx[:mid], depth+1, levels-1, tasks)
-	r := t.spine(idx[mid+1:], depth+1, levels-1, tasks)
-	t.nodes[off].left = l
-	t.nodes[off].right = r
-	return off
-}
-
-// splice appends a privately built fragment to the node arena and
-// returns its root's offset, shifting the fragment's internal child
-// pointers (fragments are preorder, so the root is entry 0).
-func (t *Tree) splice(frag []node) int32 {
-	if len(frag) == 0 {
-		return -1
-	}
-	base := int32(len(t.nodes))
-	for i := range frag {
-		if frag[i].left >= 0 {
-			frag[i].left += base
-		}
-		if frag[i].right >= 0 {
-			frag[i].right += base
-		}
-	}
-	t.nodes = append(t.nodes, frag...)
-	return base
 }
 
 // build recursively partitions idx around the median along the given

@@ -270,3 +270,79 @@ func TestBuildNaNPivot(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeBuildEquivalence pins a build deep enough for quickselect's
+// partitioning to dominate: the tree must index every point exactly
+// once, keep every child pointer inside the node arena, and answer KNN
+// identically to brute force.
+func TestLargeBuildEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 12288
+	pts := randomPts(rng, n)
+	tr := Build(pts)
+
+	if len(tr.nodes) != n {
+		t.Fatalf("tree has %d nodes for %d points", len(tr.nodes), n)
+	}
+	seen := make([]bool, n)
+	for _, nd := range tr.nodes {
+		if nd.idx < 0 || nd.idx >= n || seen[nd.idx] {
+			t.Fatalf("node index %d out of range or duplicated", nd.idx)
+		}
+		seen[nd.idx] = true
+		if nd.left < -1 || int(nd.left) >= len(tr.nodes) || nd.right < -1 || int(nd.right) >= len(tr.nodes) {
+			t.Fatalf("child pointer (%d, %d) outside the node arena", nd.left, nd.right)
+		}
+	}
+
+	for trial := 0; trial < 50; trial++ {
+		q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		k := 1 + rng.Intn(20)
+		got := tr.KNN(q, k, nil)
+		want := bruteKNN(pts, q, k, 1e18, nil)
+		if !sameNeighbors(got, want) {
+			t.Fatalf("trial %d: large tree disagrees with brute force at %v k=%d", trial, q, k)
+		}
+	}
+}
+
+// TestBuildPreorderedRoundTrip pins the O(n) rebuild path: points
+// reordered by PreorderIndices and fed to BuildPreordered must form a
+// tree that answers exactly like brute force, and whose own preorder
+// is the identity (so write → reopen → write cycles are stable).
+func TestBuildPreorderedRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{0, 1, 2, 3, 7, 100, 1023} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		}
+		orig := Build(pts)
+		order := orig.PreorderIndices()
+		if len(order) != n {
+			t.Fatalf("n=%d: preorder has %d entries", n, len(order))
+		}
+		re := make([]geom.Point, n)
+		for pos, idx := range order {
+			re[pos] = pts[idx]
+		}
+		rebuilt := BuildPreordered(re)
+		if rebuilt.Len() != n || len(rebuilt.nodes) != n {
+			t.Fatalf("n=%d: rebuilt tree has %d points, %d nodes", n, rebuilt.Len(), len(rebuilt.nodes))
+		}
+		for pos, idx := range rebuilt.PreorderIndices() {
+			if idx != pos {
+				t.Fatalf("n=%d: rebuilt preorder not identity at %d (got %d)", n, pos, idx)
+			}
+		}
+		for trial := 0; trial < 30; trial++ {
+			q := geom.Pt(rng.Float64()*100, rng.Float64()*100)
+			k := 1 + rng.Intn(8)
+			got := rebuilt.KNN(q, k, nil)
+			want := bruteKNN(re, q, k, 1e18, nil)
+			if !sameNeighbors(got, want) {
+				t.Fatalf("n=%d trial %d: preordered rebuild disagrees with brute force at %v k=%d", n, trial, q, k)
+			}
+		}
+	}
+}

@@ -168,28 +168,16 @@ func NewDatabase(bounds geom.Rect, tuples []Tuple) *Database {
 // evaluation (Figure 21 measures the distance between true and
 // inferred positions).
 func NewObfuscatedDatabase(bounds geom.Rect, tuples []Tuple, obf Obfuscation) *Database {
-	db := &Database{
-		bounds:    bounds,
-		tuples:    tuples,
-		effective: make([]geom.Point, len(tuples)),
-		byID:      make(map[int64]int, len(tuples)),
-	}
+	effective := make([]geom.Point, len(tuples))
 	rng := rand.New(rand.NewSource(obf.Seed))
 	for i := range tuples {
 		if obf.enabled() {
-			db.effective[i] = bounds.Clamp(obf.apply(rng, tuples[i].Loc))
+			effective[i] = bounds.Clamp(obf.apply(rng, tuples[i].Loc))
 		} else {
-			db.effective[i] = tuples[i].Loc
+			effective[i] = tuples[i].Loc
 		}
-		if _, dup := db.byID[tuples[i].ID]; dup {
-			panic(fmt.Sprintf("lbs: duplicate tuple ID %d", tuples[i].ID))
-		}
-		db.byID[tuples[i].ID] = i
 	}
-	// The effective slice is private and never mutated after
-	// construction, so the tree can take ownership without a copy.
-	db.tree = kdtree.BuildOwned(db.effective)
-	return db
+	return NewDatabaseWithLocations(bounds, tuples, effective)
 }
 
 // TupleSource is a scannable collection of tuples with their effective
@@ -266,8 +254,11 @@ func (db *Database) KDPreorder() []int { return db.tree.PreorderIndices() }
 // the constructor federation partitioners use to split an obfuscated
 // database: re-deriving effective locations from an Obfuscation seed
 // is order-dependent, so a shard must carry over the exact effective
-// locations of its parent database instead. The database takes
-// ownership of both slices: the caller must not touch them again.
+// locations of its parent database instead. NewDatabase and
+// NewObfuscatedDatabase compute their effective locations and end here
+// too, so one body builds the ID index, the duplicate check and the
+// tree. The database takes ownership of both slices: the caller must
+// not touch them again.
 func NewDatabaseWithLocations(bounds geom.Rect, tuples []Tuple, effective []geom.Point) *Database {
 	if len(effective) != len(tuples) {
 		panic(fmt.Sprintf("lbs: %d effective locations for %d tuples", len(effective), len(tuples)))
@@ -455,6 +446,11 @@ func (o Options) Validate() error {
 // it, and so do client-side wrappers such as CachedOracle; code
 // written against Querier (the HTTP server, the estimation driver)
 // accepts either. Implementations must be safe for concurrent use.
+//
+// A batch answer is index-aligned with its points: positions the
+// budget could not cover are nil and the error is ErrBudgetExhausted
+// (a served empty answer is a non-nil empty slice). A remote adapter
+// answers a batch in one round trip.
 //
 // Query points are not restricted to Bounds(): a query anywhere on
 // the plane is answered from the full database, subject only to the

@@ -189,15 +189,11 @@ type Stats struct {
 	Compacting  bool   `json:"compacting"`  // a compaction is in flight
 }
 
-// baseTier is an immutable base with its two query services. Every
-// snapshot over the same base shares it, so the services' scratch
-// pools stay warm across mutations.
+// baseTier is an immutable base with its query service. Every
+// snapshot over the same base shares it, so the service's scratch
+// pool stays warm across mutations.
 type baseTier struct {
 	base *lbs.Database
-	// full answers queries on a clean overlay: the base under the
-	// database's complete logical options (fast path — zero merge
-	// overhead when nothing has changed since the last compaction).
-	full *lbs.Service
 	// baseCand is the base as a distance-ranked candidate source (K =
 	// CandidateCount, shared MaxRadius, no budget). Merged with the
 	// overlay tiers' candidate sources, its answers reproduce a single
@@ -212,7 +208,6 @@ type snapshot struct {
 	epoch uint64
 	*baseTier
 	overlay
-	clean bool // the overlay is empty: reads take the base's full service
 	// tailCand is the tail's candidate source; nil when the tail holds
 	// no tuples.
 	tailCand *lbs.Service
@@ -319,22 +314,9 @@ func (d *Database) candOpts() lbs.Options {
 	return lbs.Options{K: d.opts.CandidateCount(), MaxRadius: d.opts.MaxRadius, Metric: d.opts.Metric}
 }
 
-// unmetered strips the budget from the logical options: the live
-// Database's own meter is the single accounting point, the internal
-// services answer for free.
-func (d *Database) unmetered() lbs.Options {
-	o := d.opts
-	o.Budget = 0
-	return o
-}
-
-// newBaseTier wraps a freshly built base in its query services.
+// newBaseTier wraps a freshly built base in its query service.
 func (d *Database) newBaseTier(base *lbs.Database) *baseTier {
-	return &baseTier{
-		base:     base,
-		full:     lbs.NewService(base, d.unmetered()),
-		baseCand: lbs.NewService(base, d.candOpts()),
-	}
+	return &baseTier{base: base, baseCand: lbs.NewService(base, d.candOpts())}
 }
 
 // candidates builds a candidate source over overlay tuples, or nil for
@@ -363,7 +345,6 @@ func (d *Database) buildSnapshot(bt *baseTier, epoch uint64, o overlay) *snapsho
 		epoch:    epoch,
 		baseTier: bt,
 		overlay:  o,
-		clean:    o.size() == 0,
 		tailCand: d.candidates(bt.base.Bounds(), o.tail.tuples),
 		bloom:    o.run.bloom,
 	}

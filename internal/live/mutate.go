@@ -407,9 +407,9 @@ func (d *Database) Compact() {
 	defer d.cmu.Unlock()
 	for {
 		d.mu.Lock()
-		clean := d.snap.Load().clean
+		size := d.snap.Load().size()
 		d.mu.Unlock()
-		if clean {
+		if size == 0 {
 			return
 		}
 		d.compactPass()

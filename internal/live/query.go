@@ -8,23 +8,20 @@ import (
 )
 
 // The read path. Every query resolves the snapshot pointer exactly
-// once; a clean overlay delegates to the full-option service over the
-// base (bit-for-bit the immutable behavior at near-zero overhead), a
-// dirty overlay queries the base, the frozen run and the tail as
-// distance-ranked candidate sources — tombstones and dead run tuples
-// excluded by filter, which is semantically identical to removing the
-// tuples: a kNN prefix over the filtered base is the kNN prefix of the
-// base minus the tombstoned tuples — and merges with lbs.MergeRanked,
-// the same (dist, ID) contract the federation Router is pinned
-// against.
+// once and queries the base, the frozen run and the tail (the last
+// two when they hold tuples) as distance-ranked candidate sources —
+// tombstones and dead run tuples excluded by filter, which is
+// semantically identical to removing the tuples: a kNN prefix over the
+// filtered base is the kNN prefix of the base minus the tombstoned
+// tuples — and merges with lbs.MergeRanked, the same (dist, ID)
+// contract the federation Router is pinned against. An empty overlay
+// leaves the base's answer alone in the merge: under distance rank
+// MergeRanked returns it as a subslice, without copying.
 
 // answerLR computes one merged LR answer against a fixed snapshot,
 // without charging (callers charge the live meter first; the internal
 // candidate services are unmetered).
 func (d *Database) answerLR(ctx context.Context, s *snapshot, q geom.Point, filter lbs.Filter) ([]lbs.LRRecord, error) {
-	if s.clean {
-		return s.full.QueryLR(ctx, q, filter)
-	}
 	baseKeep, runKeep := s.baseKeep, s.runKeep
 	if filter != nil {
 		baseKeep, runKeep = s.keep(filter)

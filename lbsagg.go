@@ -215,9 +215,10 @@
 // adapter (NewHTTPClient). To target a real LBS, implement a thin
 // adapter that forwards QueryLR/QueryLNR to the provider's API and
 // construct the estimators over it; honor the context so runs stay
-// cancellable. Adapters may additionally implement BatchOracle to
-// answer the estimators' independent probe sets (NNO's Monte-Carlo
-// probes, LNR's lockstep cell searches) in one round-trip per set.
+// cancellable. Adapters may additionally implement BatchOracle (which
+// is Querier, the Oracle methods plus the batch ones) to answer the
+// estimators' independent probe sets (NNO's Monte-Carlo probes, LNR's
+// lockstep cell searches) in one round-trip per set.
 //
 // # Quick start
 //
@@ -384,10 +385,10 @@ func NameFilter(name string) Filter { return lbs.NameFilter(name) }
 // implements it, and so does the HTTP client adapter.
 type Oracle = core.Oracle
 
-// BatchOracle is an Oracle with a native multi-point query path;
-// *Service, every built Stack's Querier and the HTTP client implement
-// it.
-type BatchOracle = core.BatchOracle
+// BatchOracle is Querier under the name estimator code knows it by: an
+// Oracle with a native multi-point query path. *Service, every built
+// Stack's Querier and the HTTP client implement it.
+type BatchOracle = Querier
 
 // Querier is the full service-side query surface (point + batch
 // queries); the simulator and every built Stack satisfy it.
@@ -534,9 +535,9 @@ func NewHTTPServerWith(svc Querier, opts HTTPServerOptions) *HTTPServer {
 
 // NewHTTPClient connects to an HTTP-exposed service and returns a
 // client the estimators can run against (it implements Oracle and
-// BatchOracle) — the template for adapting real provider APIs — and
-// that drives server-side estimation jobs (Estimate, Job, WaitJob,
-// FollowJobTrace, CancelJob). The construction-time metadata probe
+// BatchOracle, which is Querier) — the template for adapting real
+// provider APIs — and that drives server-side estimation jobs
+// (Estimate, Job, WaitJob, FollowJobTrace, CancelJob). The construction-time metadata probe
 // honors ctx; queries issued later carry the per-run context.
 func NewHTTPClient(ctx context.Context, baseURL string, sel HTTPSelection, hc *http.Client) (*HTTPClient, error) {
 	return httpapi.NewClient(ctx, baseURL, sel, hc)
